@@ -204,8 +204,9 @@ func (m *Matrix) encodeAll() {
 			m.encodePair(t)
 		}
 	case core.CRC32C:
+		var img [16 * crcGroup]byte
 		for g := 0; g*crcGroup < len(m.vals); g++ {
-			m.encodeGroupCRC(g)
+			m.encodeGroupCRC(g, &img)
 		}
 	}
 }
@@ -247,19 +248,19 @@ func (m *Matrix) encodePair(t int) {
 }
 
 // encodeGroupCRC recomputes the checksum of 8-element group g; the CRC is
-// stored nibble-wise in the row-index top nibbles.
-func (m *Matrix) encodeGroupCRC(g int) {
+// stored nibble-wise in the row-index top nibbles. img is the caller's
+// scratch for the group image (it escapes into hash/crc32, so a per-call
+// local would cost one heap allocation per group).
+func (m *Matrix) encodeGroupCRC(g int, img *[16 * crcGroup]byte) {
 	base := g * crcGroup
-	var buf [16 * crcGroup]byte
-	var crcbits uint32
 	for i := 0; i < crcGroup; i++ {
 		k := base + i
 		m.rowIdx[k] &= eccIdxMask
-		binary.LittleEndian.PutUint64(buf[16*i:], math.Float64bits(m.vals[k]))
-		binary.LittleEndian.PutUint32(buf[16*i+8:], m.rowIdx[k])
-		binary.LittleEndian.PutUint32(buf[16*i+12:], m.colIdx[k])
+		binary.LittleEndian.PutUint64(img[16*i:], math.Float64bits(m.vals[k]))
+		binary.LittleEndian.PutUint32(img[16*i+8:], m.rowIdx[k])
+		binary.LittleEndian.PutUint32(img[16*i+12:], m.colIdx[k])
 	}
-	crcbits = ecc.Checksum(buf[:], m.backend)
+	crcbits := ecc.Checksum(img[:], m.backend)
 	for i := 0; i < crcGroup; i++ {
 		m.rowIdx[base+i] |= (crcbits >> (4 * uint(i)) & 0xF) << 28
 	}

@@ -288,13 +288,12 @@ func (m *Matrix) encodeRowGroup(g int) {
 		e[0], e[1] = uint32(cw[0]), uint32(cw[0]>>32)
 		e[2], e[3] = uint32(cw[1]), uint32(cw[1]>>32)
 	case CRC32C:
-		e := m.rowptr[8*g : 8*g+8]
-		var buf [32]byte
+		// Clear the slots, checksum the group where it lies, fill them.
+		e := (*[8]uint32)(m.rowptr[8*g : 8*g+8])
 		for i := range e {
 			e[i] &= rowPtrMask
-			binary.LittleEndian.PutUint32(buf[4*i:], e[i])
 		}
-		crc := ecc.Checksum(buf[:], m.backend)
+		crc, _ := ecc.GroupChecksum(e, m.backend)
 		for i := range e {
 			e[i] |= (crc >> (4 * uint(i)) & 0xF) << 28
 		}
@@ -362,39 +361,57 @@ func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected b
 		dst[2] = uint32(cw[1]) & rowPtrMask
 		dst[3] = uint32(cw[1]>>32) & rowPtrMask
 	case CRC32C:
-		e := m.rowptr[8*g : 8*g+8]
-		var buf [32]byte
-		var stored uint32
+		// Checksum the group as stored; only a mismatch pays for a
+		// serialised copy.
+		e := (*[8]uint32)(m.rowptr[8*g : 8*g+8])
+		if crc, stored := ecc.GroupChecksum(e, m.backend); crc != stored {
+			return m.repairCRCRowGroup(g, commit, dst)
+		}
 		for i, x := range e {
-			binary.LittleEndian.PutUint32(buf[4*i:], x&rowPtrMask)
-			stored |= (x >> 28) << (4 * uint(i))
+			dst[i] = x & rowPtrMask
 		}
-		if crc := ecc.Checksum(buf[:], m.backend); crc != stored {
-			flips, ok := correctCRCCodeword(buf[:], stored, crc, m.backend)
-			if !ok {
-				return false, m.faultErr(StructRowPtr, CRC32C, g, "crc32c mismatch beyond correction depth")
-			}
-			for _, f := range flips {
-				if f.inCRC {
-					if commit {
-						e[f.bit/4] ^= 1 << uint(28+f.bit%4)
-					}
-					continue
-				}
-				if f.bit%32 >= 28 {
-					return false, m.faultErr(StructRowPtr, CRC32C, g, "crc flip located in reserved bits")
-				}
-				buf[f.bit/8] ^= 1 << uint(f.bit%8)
+	}
+	return corrected, nil
+}
+
+// repairCRCRowGroup is the CRC32C slow path of decodeRowGroup, entered
+// when the in-place check of group g disagreed. It re-derives the verdict
+// from its own serialised copy of the message, searches for the flips
+// that explain the syndrome and delivers the repaired entries in dst,
+// committing them to storage when commit is true.
+func (m *Matrix) repairCRCRowGroup(g int, commit bool, dst *[8]uint32) (corrected bool, err error) {
+	e := m.rowptr[8*g : 8*g+8]
+	var buf [32]byte
+	var stored uint32
+	for i, x := range e {
+		binary.LittleEndian.PutUint32(buf[4*i:], x&rowPtrMask)
+		stored |= (x >> 28) << (4 * uint(i))
+	}
+	if crc := ecc.Checksum(buf[:], m.backend); crc != stored {
+		flips, ok := correctCRCCodeword(buf[:], stored, crc, m.backend)
+		if !ok {
+			return false, m.faultErr(StructRowPtr, CRC32C, g, "crc32c mismatch beyond correction depth")
+		}
+		for _, f := range flips {
+			if f.inCRC {
 				if commit {
-					e[f.bit/32] ^= 1 << uint(f.bit%32)
+					e[f.bit/4] ^= 1 << uint(28+f.bit%4)
 				}
+				continue
 			}
-			corrected = true
-			m.counters.AddCorrected(1)
+			if f.bit%32 >= 28 {
+				return false, m.faultErr(StructRowPtr, CRC32C, g, "crc flip located in reserved bits")
+			}
+			buf[f.bit/8] ^= 1 << uint(f.bit%8)
+			if commit {
+				e[f.bit/32] ^= 1 << uint(f.bit%32)
+			}
 		}
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint32(buf[4*i:])
-		}
+		corrected = true
+		m.counters.AddCorrected(1)
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(buf[4*i:])
 	}
 	return corrected, nil
 }

@@ -42,10 +42,14 @@ func NewVector(n int, s Scheme) *Vector {
 	}
 	pad := (n + vecBlock - 1) / vecBlock * vecBlock
 	v := &Vector{scheme: s, n: n, words: make([]uint64, pad)}
-	// Encode the zero contents so every codeword is initially clean.
-	var zeros [vecBlock]float64
-	for b := 0; b < pad/vecBlock; b++ {
-		v.WriteBlock(b, &zeros)
+	// Encode the zero contents so every codeword is initially clean: every
+	// block is the same codeword, so encode the first and replicate it.
+	if pad > 0 {
+		var zeros [vecBlock]float64
+		v.WriteBlock(0, &zeros)
+		for b := vecBlock; b < pad; b += vecBlock {
+			copy(v.words[b:b+vecBlock], v.words[:vecBlock])
+		}
 	}
 	return v
 }
@@ -104,9 +108,10 @@ func (v *Vector) checksPerBlock() uint64 {
 	return uint64(vecBlock / v.scheme.VecGroup())
 }
 
-// faultErr builds the uncorrectable-error value for codeword group g.
-func (v *Vector) faultErr(g int, detail string) error {
-	v.counters.AddDetected(1)
+// faultErr builds the uncorrectable-error value for codeword group g,
+// counting it into c.
+func (v *Vector) faultErr(c *Counters, g int, detail string) error {
+	c.AddDetected(1)
 	return &FaultError{Structure: StructVector, Scheme: v.scheme, Index: g, Detail: detail}
 }
 
@@ -141,13 +146,11 @@ func (v *Vector) WriteBlock(b int, src *[vecBlock]float64) {
 			w[2*g], w[2*g+1] = cw[0], cw[1]
 		}
 	case CRC32C:
-		var buf [32]byte
+		// Store the message, checksum it where it lies, fill the slots.
 		for i, x := range src {
-			bits := math.Float64bits(x) &^ 0xFF
-			w[i] = bits
-			binary.LittleEndian.PutUint64(buf[8*i:], bits)
+			w[i] = math.Float64bits(x) &^ 0xFF
 		}
-		crc := ecc.Checksum(buf[:], v.backend)
+		crc, _ := ecc.BlockChecksum((*[vecBlock]uint64)(w), v.backend)
 		for i := range w {
 			w[i] |= uint64(crc>>(8*uint(i))) & 0xFF
 		}
@@ -168,6 +171,12 @@ func (v *Vector) ReadBlock(b int, dst *[vecBlock]float64) error {
 // values are still used for computation and the stored fault is repaired
 // by the next serial check.
 func (v *Vector) readBlock(b int, dst *[vecBlock]float64, commit bool) error {
+	return v.readBlockCounting(b, dst, commit, v.counters)
+}
+
+// readBlockCounting is readBlock reporting corrections and detections to c
+// instead of the attached counters (nil discards them).
+func (v *Vector) readBlockCounting(b int, dst *[vecBlock]float64, commit bool, c *Counters) error {
 	base := b * vecBlock
 	w := v.words[base : base+vecBlock : base+vecBlock]
 	switch v.scheme {
@@ -179,7 +188,7 @@ func (v *Vector) readBlock(b int, dst *[vecBlock]float64, commit bool) error {
 	case SED:
 		for i := range dst {
 			if ecc.Parity64(w[i]) != 0 {
-				return v.faultErr(base+i, "parity mismatch")
+				return v.faultErr(c, base+i, "parity mismatch")
 			}
 			dst[i] = math.Float64frombits(w[i] &^ 1)
 		}
@@ -192,9 +201,9 @@ func (v *Vector) readBlock(b int, dst *[vecBlock]float64, commit bool) error {
 				if commit {
 					w[i] = cw[0]
 				}
-				v.counters.AddCorrected(1)
+				c.AddCorrected(1)
 			case ecc.Detected:
-				return v.faultErr(base+i, "secded64 double-bit error")
+				return v.faultErr(c, base+i, "secded64 double-bit error")
 			}
 			dst[i] = math.Float64frombits(cw[0] &^ 0xFF)
 		}
@@ -207,40 +216,58 @@ func (v *Vector) readBlock(b int, dst *[vecBlock]float64, commit bool) error {
 				if commit {
 					w[2*g], w[2*g+1] = cw[0], cw[1]
 				}
-				v.counters.AddCorrected(1)
+				c.AddCorrected(1)
 			case ecc.Detected:
-				return v.faultErr(base/2+g, "secded128 double-bit error")
+				return v.faultErr(c, base/2+g, "secded128 double-bit error")
 			}
 			dst[2*g] = math.Float64frombits(cw[0] &^ 0x1F)
 			dst[2*g+1] = math.Float64frombits(cw[1] &^ 0x1F)
 		}
 		return nil
 	case CRC32C:
-		var lw [vecBlock]uint64
-		copy(lw[:], w)
-		var buf [32]byte
-		var stored uint32
-		for i, x := range lw {
-			binary.LittleEndian.PutUint64(buf[8*i:], x&^0xFF)
-			stored |= uint32(x&0xFF) << (8 * uint(i))
-		}
-		crc := ecc.Checksum(buf[:], v.backend)
-		if crc != stored {
-			if !correctCRCVecBlock(&lw, buf[:], stored, crc, v.backend) {
-				return v.faultErr(b, "crc32c mismatch beyond correction depth")
-			}
-			v.counters.AddCorrected(1)
-			if commit {
-				copy(w, lw[:])
-			}
+		// Checksum the storage words as stored; only a mismatch pays for
+		// a serialised copy.
+		if crc, stored := ecc.BlockChecksum((*[vecBlock]uint64)(w), v.backend); crc != stored {
+			return v.repairCRCBlock(b, w, dst, commit, c)
 		}
 		for i := range dst {
-			dst[i] = math.Float64frombits(lw[i] &^ 0xFF)
+			dst[i] = math.Float64frombits(w[i] &^ 0xFF)
 		}
 		return nil
 	default:
 		return fmt.Errorf("core: unknown scheme %v", v.scheme)
 	}
+}
+
+// repairCRCBlock is the CRC32C slow path of readBlock, entered when the
+// in-place check of block b (stored in w) disagreed. It re-derives the
+// verdict from its own serialised copy of the message, searches for the
+// flips that explain the syndrome, and delivers the repaired values in
+// dst, committing them to storage when commit is true and counting the
+// outcome into c.
+func (v *Vector) repairCRCBlock(b int, w []uint64, dst *[vecBlock]float64, commit bool, c *Counters) error {
+	var lw [vecBlock]uint64
+	copy(lw[:], w)
+	var buf [32]byte
+	var stored uint32
+	for i, x := range lw {
+		binary.LittleEndian.PutUint64(buf[8*i:], x&^0xFF)
+		stored |= uint32(x&0xFF) << (8 * uint(i))
+	}
+	crc := ecc.Checksum(buf[:], v.backend)
+	if crc != stored {
+		if !correctCRCVecBlock(&lw, buf[:], stored, crc, v.backend) {
+			return v.faultErr(c, b, "crc32c mismatch beyond correction depth")
+		}
+		c.AddCorrected(1)
+		if commit {
+			copy(w, lw[:])
+		}
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(lw[i] &^ 0xFF)
+	}
+	return nil
 }
 
 // correctCRCVecBlock attempts syndrome-search correction of a
@@ -380,21 +407,20 @@ func (v *Vector) Set(i int, x float64) error {
 // the vector is clean or fully repaired). This is the end-of-timestep
 // scrub required by the less-frequent-checking mode.
 func (v *Vector) CheckAll() (corrected int, err error) {
-	if v.counters == nil {
-		// Attach a scratch accumulator so corrections are counted even
-		// for untracked vectors.
-		v.counters = &Counters{}
-		defer func() { v.counters = nil }()
-	}
-	before := v.counters.Corrected()
-	v.counters.AddChecks(uint64(v.Blocks()) * v.checksPerBlock())
+	// Count into a local accumulator: the tally is exact even for
+	// untracked vectors or counters shared with concurrent work, and v is
+	// only read, so a scrub never races with ReadBlockShared readers.
+	var acc Counters
 	var buf [vecBlock]float64
 	for b := 0; b < v.Blocks(); b++ {
-		if e := v.ReadBlock(b, &buf); e != nil && err == nil {
+		if e := v.readBlockCounting(b, &buf, true, &acc); e != nil && err == nil {
 			err = e
 		}
 	}
-	return int(v.counters.Corrected() - before), err
+	v.counters.AddChecks(uint64(v.Blocks()) * v.checksPerBlock())
+	v.counters.AddCorrected(acc.Corrected())
+	v.counters.AddDetected(acc.Detected())
+	return int(acc.Corrected()), err
 }
 
 // CopyTo writes the masked logical contents into dst, which must have

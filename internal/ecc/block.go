@@ -1,0 +1,125 @@
+package ecc
+
+import (
+	"encoding/binary"
+	"unsafe"
+)
+
+// In-place checksums of the two fixed 32-byte codewords whose CRC is
+// interleaved with the message: the vector block (four float64 words, one
+// CRC byte in the low byte of each) and the index group (eight 28-bit
+// indices, one CRC nibble in the top nibble of each).
+//
+// Serialising such a codeword into a scratch message costs a heap
+// allocation per call: hash/crc32 reaches its Castagnoli kernel through a
+// function variable, so escape analysis moves any local buffer handed to
+// it to the heap. The words themselves already live in storage that
+// outlives the call, so the kernel runs over them where they lie and the
+// contribution of the interleaved slot bits is removed afterwards with
+// the affine identity documented at rawCRC:
+//
+//	Checksum(message) == Checksum(stored) ^ rawCRC(slot bits in place)
+//
+// rawCRC is linear, so the right-hand term is one table lookup per slot.
+// On encode the slots are zero and the correction vanishes.
+//
+// A word's in-memory bytes equal its little-endian serialisation only on
+// little-endian hosts; elsewhere the portable routines serialise into a
+// stack buffer and run the slicing-by-16 kernel, which (unlike hash/crc32)
+// does not leak its argument. Both give the Checksum of the serialised
+// message, whatever the backend.
+
+// littleEndian reports whether the host stores words least significant
+// byte first, i.e. whether storage can be checksummed where it lies.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// blockSlot[i][v] is rawCRC of a 32-byte message that is zero except for
+// byte v at offset 8i: the contribution of vector-block slot i.
+// groupSlot[i][n] is the same for nibble n in the high half of the byte
+// at offset 4i+3: the contribution of index-group slot i.
+var (
+	blockSlot [4][256]uint32
+	groupSlot [8][16]uint32
+)
+
+// buildSlotTables fills blockSlot and groupSlot. rawCRC reads slicing16,
+// so crc32c.go's init calls this after building that table rather than
+// this file (which sorts first) having an init of its own.
+func buildSlotTables() {
+	var msg [32]byte
+	// only returns rawCRC of msg with byte v at offset off; leading zeros
+	// leave a zero-initialised register untouched, so the suffix suffices.
+	only := func(off int, v byte) uint32 {
+		msg[off] = v
+		crc := rawCRC(msg[off:])
+		msg[off] = 0
+		return crc
+	}
+	for i := range blockSlot {
+		for v := range blockSlot[i] {
+			blockSlot[i][v] = only(8*i, byte(v))
+		}
+	}
+	for i := range groupSlot {
+		for n := range groupSlot[i] {
+			groupSlot[i][n] = only(4*i+3, byte(n<<4))
+		}
+	}
+}
+
+// BlockChecksum returns, for a stored vector block, the CRC32C of its
+// message — the four words serialised little-endian with their low bytes
+// cleared — and the checksum held in those low bytes (bits 8i..8i+7 of
+// the CRC in word i). The block is clean when the two agree. Encoding is
+// the same call on words whose low bytes are zero: OR the returned crc
+// into the slots.
+//
+// w must point into storage that outlives the call (it is handed to
+// hash/crc32, so a local array would be moved to the heap).
+func BlockChecksum(w *[4]uint64, b Backend) (crc, stored uint32) {
+	if !littleEndian {
+		return blockChecksumPortable(w)
+	}
+	s0, s1, s2, s3 := byte(w[0]), byte(w[1]), byte(w[2]), byte(w[3])
+	crc = Checksum((*[32]byte)(unsafe.Pointer(w))[:], b) ^
+		blockSlot[0][s0] ^ blockSlot[1][s1] ^ blockSlot[2][s2] ^ blockSlot[3][s3]
+	stored = uint32(s0) | uint32(s1)<<8 | uint32(s2)<<16 | uint32(s3)<<24
+	return crc, stored
+}
+
+// blockChecksumPortable is BlockChecksum by serialisation, for hosts whose
+// byte order differs from the message's.
+func blockChecksumPortable(w *[4]uint64) (crc, stored uint32) {
+	var msg [32]byte
+	for i, x := range w {
+		binary.LittleEndian.PutUint64(msg[8*i:], x&^0xFF)
+		stored |= uint32(x&0xFF) << (8 * uint(i))
+	}
+	return updateSoftware(0, msg[:]), stored
+}
+
+// GroupChecksum is BlockChecksum for a stored group of eight 32-bit
+// indices: the message is the eight entries serialised little-endian with
+// their top nibbles cleared, and nibble i of the checksum lives in the top
+// nibble of entry i. The same storage requirement applies to e.
+func GroupChecksum(e *[8]uint32, b Backend) (crc, stored uint32) {
+	if !littleEndian {
+		return groupChecksumPortable(e)
+	}
+	crc = Checksum((*[32]byte)(unsafe.Pointer(e))[:], b)
+	for i, x := range e {
+		crc ^= groupSlot[i][x>>28]
+		stored |= (x >> 28) << (4 * uint(i))
+	}
+	return crc, stored
+}
+
+// groupChecksumPortable is GroupChecksum by serialisation.
+func groupChecksumPortable(e *[8]uint32) (crc, stored uint32) {
+	var msg [32]byte
+	for i, x := range e {
+		binary.LittleEndian.PutUint32(msg[4*i:], x&^(0xF<<28))
+		stored |= (x >> 28) << (4 * uint(i))
+	}
+	return updateSoftware(0, msg[:]), stored
+}

@@ -77,6 +77,7 @@ func init() {
 			slicing16[k][i] = crc
 		}
 	}
+	buildSlotTables()
 }
 
 // Checksum returns the CRC32C of p using the selected backend. The result
