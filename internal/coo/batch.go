@@ -1,294 +1,23 @@
 package coo
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"abft/internal/core"
-	"abft/internal/ecc"
-	"abft/internal/par"
 )
 
 // ApplyBatch computes dst = m * x for every column of x in one verified
-// pass over the entry stream, satisfying core.BatchApplier. Each chunk
-// of element codewords is batch-verified exactly once and then
-// scattered into k accumulators, so the matrix-side check cost is paid
-// per pass instead of per right-hand side. Per-column results are
-// bit-identical to k independent Apply calls: entries scatter in the
-// same order into each column's own accumulator, and each column
-// commits through its own dense buffer exactly like the single-RHS
-// path.
+// pass over the entry stream, satisfying core.BatchApplier: applyK at
+// width x.K(), so the matrix-side check cost is paid per pass instead of
+// per right-hand side and per-column results are bit-identical to k
+// independent Apply calls.
 func (m *Matrix) ApplyBatch(dst, x *core.MultiVector, workers int) error {
-	if dst.Len() != m.rows || x.Len() != m.cols {
-		return fmt.Errorf("coo: SpMM dimension mismatch: dst %d, m %dx%d, x %d",
-			dst.Len(), m.rows, m.cols, x.Len())
-	}
 	if dst.K() != x.K() {
 		return fmt.Errorf("coo: SpMM width mismatch: dst %d, x %d", dst.K(), x.K())
 	}
-	k := x.K()
-	xbufs := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		xbufs[j] = make([]float64, m.cols)
-		if err := x.Col(j).CopyTo(xbufs[j]); err != nil {
-			return err
-		}
+	dsts, xs := make([]*core.Vector, x.K()), make([]*core.Vector, x.K())
+	for j := range xs {
+		dsts[j], xs[j] = dst.Col(j), x.Col(j)
 	}
-	ranges := m.entryRanges(workers)
-	if len(ranges) <= 1 {
-		accs := newAccs(k, m.rows)
-		if err := m.scatterRangeBatch(accs, xbufs, 0, len(m.vals)); err != nil {
-			return err
-		}
-		for j := 0; j < k; j++ {
-			if err := commitAcc(dst.Col(j), accs[j], m.rows); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	accs := make([][][]float64, len(ranges))
-	byLo := make(map[int][][]float64, len(ranges))
-	for i, r := range ranges {
-		accs[i] = newAccs(k, m.rows)
-		byLo[r[0]] = accs[i]
-	}
-	err := par.Run(ranges, func(lo, hi int) error {
-		return m.scatterRangeBatch(byLo[lo], xbufs, lo, hi)
-	})
-	if err != nil {
-		return err
-	}
-	// Reduce per column, block-wise, in range order — the same
-	// bit-identical reduction as the single-RHS path.
-	return par.ForEach((m.rows+3)/4, workers, 1, func(blo, bhi int) error {
-		var out [4]float64
-		for j := 0; j < k; j++ {
-			for blk := blo; blk < bhi; blk++ {
-				for i := 0; i < 4; i++ {
-					out[i] = 0
-					if idx := blk*4 + i; idx < m.rows {
-						for _, acc := range accs {
-							out[i] += acc[j][idx]
-						}
-					}
-				}
-				dst.Col(j).WriteBlock(blk, &out)
-			}
-		}
-		return nil
-	})
-}
-
-func newAccs(k, n int) [][]float64 {
-	accs := make([][]float64, k)
-	for j := range accs {
-		accs[j] = make([]float64, n)
-	}
-	return accs
-}
-
-// scatterRangeBatch is scatterRange fanned out over k accumulators:
-// each chunk's codewords are verified once (checks counted once), then
-// the chunk streams into every column. Dirty chunks fall back to the
-// corrective local decodes exactly as the single-RHS path does.
-func (m *Matrix) scatterRangeBatch(accs, xbufs [][]float64, lo, hi int) error {
-	commit := m.mode.Commits()
-	var checks uint64
-	defer func() { m.counters.AddChecks(checks) }()
-	switch m.scheme {
-	case core.None:
-		for k := lo; k < hi; k++ {
-			row, col, v := m.rowIdx[k], m.colIdx[k], m.vals[k]
-			for j := range accs {
-				accs[j][row] += v * xbufs[j][col]
-			}
-		}
-	case core.SED:
-		checks += uint64(hi - lo)
-		for k := lo; k < hi; k++ {
-			if err := m.checkSED(k); err != nil {
-				return err
-			}
-		}
-		return m.scatterCleanBatch(accs, xbufs, lo, hi)
-	case core.SECDED64:
-		for base := lo; base < hi; base += verifyChunk {
-			end := base + verifyChunk
-			if end > hi {
-				end = hi
-			}
-			checks += uint64(end - base)
-			dirty := false
-			for k := base; k < end; k++ {
-				corrected, err := m.check64(k, commit)
-				if err != nil {
-					return err
-				}
-				if corrected && !commit {
-					dirty = true
-				}
-			}
-			var err error
-			if dirty {
-				err = m.scatter64LocalBatch(accs, xbufs, base, end)
-			} else {
-				err = m.scatterCleanBatch(accs, xbufs, base, end)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	case core.SECDED128:
-		for base := lo; base < hi; base += verifyChunk {
-			end := base + verifyChunk
-			if end > hi {
-				end = hi
-			}
-			checks += uint64((end - base + 1) / 2)
-			dirty := false
-			for t := base / 2; 2*t < end; t++ {
-				corrected, err := m.checkPair(t, commit)
-				if err != nil {
-					return err
-				}
-				if corrected && !commit {
-					dirty = true
-				}
-			}
-			var err error
-			if dirty {
-				err = m.scatterPairLocalBatch(accs, xbufs, base, end)
-			} else {
-				err = m.scatterCleanBatch(accs, xbufs, base, end)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	case core.CRC32C:
-		var img [16 * crcGroup]byte
-		for base := lo; base < hi; base += crcGroup {
-			checks++
-			corrected, err := m.checkGroupCRC(base/crcGroup, commit, &img)
-			if err != nil {
-				return err
-			}
-			if corrected && !commit {
-				err = m.scatterGroupImgBatch(accs, xbufs, base, &img)
-			} else {
-				err = m.scatterCleanBatch(accs, xbufs, base, base+crcGroup)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// scatterCleanBatch streams entries [lo,hi) straight from storage into
-// every column: the index mask and range checks are applied once per
-// entry, the multiply runs k times.
-func (m *Matrix) scatterCleanBatch(accs, xbufs [][]float64, lo, hi int) error {
-	mask := m.idxMask()
-	for k := lo; k < hi; k++ {
-		row := m.rowIdx[k] & mask
-		col := m.colIdx[k] & mask
-		if row >= uint32(m.rows) {
-			m.counters.AddBounds(1)
-			return &core.BoundsError{Structure: core.StructElements, Index: k,
-				Value: row, Limit: uint32(m.rows)}
-		}
-		if col >= uint32(m.cols) {
-			m.counters.AddBounds(1)
-			return &core.BoundsError{Structure: core.StructElements, Index: k,
-				Value: col, Limit: uint32(m.cols)}
-		}
-		v := m.vals[k]
-		for j := range accs {
-			accs[j][row] += v * xbufs[j][col]
-		}
-	}
-	return nil
-}
-
-// scatterElemBatch range-checks one decoded element and applies it to
-// every column.
-func (m *Matrix) scatterElemBatch(accs, xbufs [][]float64, k int, row, col uint32, val float64) error {
-	if row >= uint32(m.rows) {
-		m.counters.AddBounds(1)
-		return &core.BoundsError{Structure: core.StructElements, Index: k,
-			Value: row, Limit: uint32(m.rows)}
-	}
-	if col >= uint32(m.cols) {
-		m.counters.AddBounds(1)
-		return &core.BoundsError{Structure: core.StructElements, Index: k,
-			Value: col, Limit: uint32(m.cols)}
-	}
-	for j := range accs {
-		accs[j][row] += val * xbufs[j][col]
-	}
-	return nil
-}
-
-// scatter64LocalBatch is the corrective fallback for a dirty SECDED64
-// chunk, streaming locally decoded elements into every column.
-func (m *Matrix) scatter64LocalBatch(accs, xbufs [][]float64, lo, hi int) error {
-	for k := lo; k < hi; k++ {
-		cw := ecc.Word4{
-			math.Float64bits(m.vals[k]),
-			word1(m.rowIdx[k], m.colIdx[k]),
-		}
-		if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
-			return m.fault(k, "secded64 double-bit error")
-		}
-		if err := m.scatterElemBatch(accs, xbufs, k,
-			uint32(cw[1])&eccIdxMask, uint32(cw[1]>>32)&eccIdxMask,
-			math.Float64frombits(cw[0])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatterPairLocalBatch is scatter64LocalBatch for a dirty SECDED128
-// chunk; lo and hi are pair-aligned.
-func (m *Matrix) scatterPairLocalBatch(accs, xbufs [][]float64, lo, hi int) error {
-	for t := lo / 2; 2*t < hi; t++ {
-		k := 2 * t
-		cw := ecc.Word4{
-			math.Float64bits(m.vals[k]),
-			word1(m.rowIdx[k], m.colIdx[k]),
-			math.Float64bits(m.vals[k+1]),
-			word1(m.rowIdx[k+1], m.colIdx[k+1]),
-		}
-		if res, _ := codecElem128.Check(&cw); res == ecc.Detected {
-			return m.fault(t, "secded128 double-bit error")
-		}
-		for j := 0; j < 2; j++ {
-			if err := m.scatterElemBatch(accs, xbufs, k+j,
-				uint32(cw[1+2*j])&eccIdxMask, uint32(cw[1+2*j]>>32)&eccIdxMask,
-				math.Float64frombits(cw[2*j])); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// scatterGroupImgBatch is the corrective fallback for a dirty CRC32C
-// group: the verify left the corrected image in img, so the scatter
-// streams from it into every column.
-func (m *Matrix) scatterGroupImgBatch(accs, xbufs [][]float64, base int, img *[16 * crcGroup]byte) error {
-	for i := 0; i < crcGroup; i++ {
-		if err := m.scatterElemBatch(accs, xbufs, base+i,
-			binary.LittleEndian.Uint32(img[16*i+8:])&eccIdxMask,
-			binary.LittleEndian.Uint32(img[16*i+12:])&eccIdxMask,
-			math.Float64frombits(binary.LittleEndian.Uint64(img[16*i:]))); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.applyK(dsts, xs, workers, false)
 }

@@ -88,14 +88,14 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 // TestApplyBatchSharedFallback drives the batched verify-then-stream
 // protocol through its corrective branch: a value-bit flip in shared
 // mode makes the chunk verify report dirty without committing the
-// repair, so the batch scatter must route the chunk through the local
-// per-element decodes — scatter64LocalBatch, scatterPairLocalBatch, or
-// the CRC32C corrected group image — while every column stays bit-exact
+// repair, so scatterK must stage the chunk once (scatterStaged) and
+// stream the stage into every column, while every column stays bit-exact
 // against the unprotected reference and the stored fault survives for
 // the owner's scrub.
 func TestApplyBatchSharedFallback(t *testing.T) {
 	for _, s := range []core.Scheme{core.SECDED64, core.SECDED128, core.CRC32C} {
-		for _, shared := range []bool{false, true} {
+		for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
+			shared := mode == core.ModeShared
 			t.Run(fmt.Sprintf("%v_shared=%v", s, shared), func(t *testing.T) {
 				plain := buildSrc(t)
 				xbufs, want := batchColumns(t, plain, 3)
@@ -106,7 +106,7 @@ func TestApplyBatchSharedFallback(t *testing.T) {
 				}
 				var c core.Counters
 				m.SetCounters(&c)
-				m.SetShared(shared)
+				m.SetReadMode(mode)
 
 				v := m.RawVals()
 				k := len(v) / 2
@@ -123,7 +123,7 @@ func TestApplyBatchSharedFallback(t *testing.T) {
 					t.Fatal("no correction recorded for the injected flip")
 				}
 
-				m.SetShared(false)
+				m.SetReadMode(core.ModeExclusive)
 				corrected, err := m.CheckAll()
 				if err != nil {
 					t.Fatalf("scrub: %v", err)

@@ -155,18 +155,6 @@ func (m *Matrix) SetReadMode(mode core.ReadMode) { m.mode = mode }
 // ReadMode returns the configured read discipline.
 func (m *Matrix) ReadMode() core.ReadMode { return m.mode }
 
-// SetShared is the deprecated boolean precursor of SetReadMode: true
-// maps to ModeShared, false to ModeExclusive.
-//
-// Deprecated: use SetReadMode.
-func (m *Matrix) SetShared(shared bool) {
-	if shared {
-		m.SetReadMode(core.ModeShared)
-	} else {
-		m.SetReadMode(core.ModeExclusive)
-	}
-}
-
 // RawRows exposes the stored row indices for fault injection.
 func (m *Matrix) RawRows() []uint32 { return m.rowIdx }
 
@@ -211,9 +199,22 @@ func (m *Matrix) encodeAll() {
 	}
 }
 
-// word1 packs the two indices of element k into the codeword's second word.
+// word1 packs the two indices of an element into its codeword's index word.
 func word1(row, col uint32) uint64 {
 	return uint64(row) | uint64(col)<<32
+}
+
+// word64 loads element k as a SECDED64 codeword: [val | row | col].
+func (m *Matrix) word64(k int) ecc.Word4 {
+	return ecc.Word4{math.Float64bits(m.vals[k]), word1(m.rowIdx[k], m.colIdx[k])}
+}
+
+// wordPair loads elements 2t and 2t+1 as a SECDED128 codeword.
+func (m *Matrix) wordPair(t int) ecc.Word4 {
+	return ecc.Word4{
+		math.Float64bits(m.vals[2*t]), word1(m.rowIdx[2*t], m.colIdx[2*t]),
+		math.Float64bits(m.vals[2*t+1]), word1(m.rowIdx[2*t+1], m.colIdx[2*t+1]),
+	}
 }
 
 func (m *Matrix) encodeSED(k int) {
@@ -223,28 +224,31 @@ func (m *Matrix) encodeSED(k int) {
 }
 
 func (m *Matrix) encode64(k int) {
-	cw := ecc.Word4{
-		math.Float64bits(m.vals[k]),
-		word1(m.rowIdx[k]&eccIdxMask, m.colIdx[k]&eccIdxMask),
-	}
+	m.rowIdx[k] &= eccIdxMask
+	m.colIdx[k] &= eccIdxMask
+	cw := m.word64(k)
 	codecElem64.Encode(&cw)
 	m.rowIdx[k] = uint32(cw[1])
 	m.colIdx[k] = uint32(cw[1] >> 32)
 }
 
 func (m *Matrix) encodePair(t int) {
-	k := 2 * t
-	cw := ecc.Word4{
-		math.Float64bits(m.vals[k]),
-		word1(m.rowIdx[k]&eccIdxMask, m.colIdx[k]&eccIdxMask),
-		math.Float64bits(m.vals[k+1]),
-		word1(m.rowIdx[k+1]&eccIdxMask, m.colIdx[k+1]&eccIdxMask),
+	for k := 2 * t; k < 2*t+2; k++ {
+		m.rowIdx[k] &= eccIdxMask
+		m.colIdx[k] &= eccIdxMask
 	}
+	cw := m.wordPair(t)
 	codecElem128.Encode(&cw)
-	m.rowIdx[k] = uint32(cw[1])
-	m.colIdx[k] = uint32(cw[1] >> 32)
-	m.rowIdx[k+1] = uint32(cw[3])
-	m.colIdx[k+1] = uint32(cw[3] >> 32)
+	m.storePair(t, &cw)
+}
+
+// storePair writes a SECDED128 codeword back over elements 2t and 2t+1.
+func (m *Matrix) storePair(t int, cw *ecc.Word4) {
+	for j := 0; j < 2; j++ {
+		m.vals[2*t+j] = math.Float64frombits(cw[2*j])
+		m.rowIdx[2*t+j] = uint32(cw[2*j+1])
+		m.colIdx[2*t+j] = uint32(cw[2*j+1] >> 32)
+	}
 }
 
 // encodeGroupCRC recomputes the checksum of 8-element group g; the CRC is
@@ -266,16 +270,10 @@ func (m *Matrix) encodeGroupCRC(g int, img *[16 * crcGroup]byte) {
 	}
 }
 
-// checkSED verifies element k (detection only).
-func (m *Matrix) checkSED(k int) error {
-	if ecc.Parity64(math.Float64bits(m.vals[k])^word1(m.rowIdx[k], m.colIdx[k])) != 0 {
-		return m.fault(k, "parity mismatch")
-	}
-	return nil
-}
-
-func (m *Matrix) fault(idx int, detail string) error {
-	m.counters.AddDetected(1)
+// fault counts (into c, nil counts nothing) and builds the
+// uncorrectable-error value for codeword idx.
+func (m *Matrix) fault(c *core.Counters, idx int, detail string) error {
+	c.AddDetected(1)
 	return &core.FaultError{
 		Structure: core.StructElements,
 		Scheme:    m.scheme,
@@ -284,14 +282,19 @@ func (m *Matrix) fault(idx int, detail string) error {
 	}
 }
 
-// check64 verifies element k, repairing single flips when commit is true.
-// The first return reports whether a correction was found — storage is
-// stale when it was and commit was false.
-func (m *Matrix) check64(k int, commit bool) (bool, error) {
-	cw := ecc.Word4{
-		math.Float64bits(m.vals[k]),
-		word1(m.rowIdx[k], m.colIdx[k]),
+// checkSED verifies element k (detection only).
+func (m *Matrix) checkSED(k int, c *core.Counters) error {
+	if ecc.Parity64(math.Float64bits(m.vals[k])^word1(m.rowIdx[k], m.colIdx[k])) != 0 {
+		return m.fault(c, k, "parity mismatch")
 	}
+	return nil
+}
+
+// check64 verifies element k, repairing single flips when commit is true
+// and counting into c. The first return reports whether a correction was
+// found — storage is stale when it was and commit was false.
+func (m *Matrix) check64(k int, commit bool, c *core.Counters) (bool, error) {
+	cw := m.word64(k)
 	switch res, _ := codecElem64.Check(&cw); res {
 	case ecc.Corrected:
 		if commit {
@@ -299,50 +302,35 @@ func (m *Matrix) check64(k int, commit bool) (bool, error) {
 			m.rowIdx[k] = uint32(cw[1])
 			m.colIdx[k] = uint32(cw[1] >> 32)
 		}
-		m.counters.AddCorrected(1)
+		c.AddCorrected(1)
 		return true, nil
 	case ecc.Detected:
-		return false, m.fault(k, "secded64 double-bit error")
+		return false, m.fault(c, k, "secded64 double-bit error")
 	}
 	return false, nil
 }
 
-// checkPair verifies element pair t. The first return reports whether a
-// correction was found — storage is stale when it was and commit was
-// false.
-func (m *Matrix) checkPair(t int, commit bool) (bool, error) {
-	k := 2 * t
-	cw := ecc.Word4{
-		math.Float64bits(m.vals[k]),
-		word1(m.rowIdx[k], m.colIdx[k]),
-		math.Float64bits(m.vals[k+1]),
-		word1(m.rowIdx[k+1], m.colIdx[k+1]),
-	}
+// checkPair verifies element pair t with check64's contract.
+func (m *Matrix) checkPair(t int, commit bool, c *core.Counters) (bool, error) {
+	cw := m.wordPair(t)
 	switch res, _ := codecElem128.Check(&cw); res {
 	case ecc.Corrected:
 		if commit {
-			m.vals[k] = math.Float64frombits(cw[0])
-			m.rowIdx[k] = uint32(cw[1])
-			m.colIdx[k] = uint32(cw[1] >> 32)
-			m.vals[k+1] = math.Float64frombits(cw[2])
-			m.rowIdx[k+1] = uint32(cw[3])
-			m.colIdx[k+1] = uint32(cw[3] >> 32)
+			m.storePair(t, &cw)
 		}
-		m.counters.AddCorrected(1)
+		c.AddCorrected(1)
 		return true, nil
 	case ecc.Detected:
-		return false, m.fault(t, "secded128 double-bit error")
+		return false, m.fault(c, t, "secded128 double-bit error")
 	}
 	return false, nil
 }
 
-// checkGroupCRC verifies 8-element group g. img receives the group's
-// *corrected* image (16 bytes per element: value, masked row, column), so
-// a caller that cannot commit a correction to shared storage can still
-// stream the repaired group. The first return reports whether a
-// correction was found — storage is stale when it was and commit was
-// false.
-func (m *Matrix) checkGroupCRC(g int, commit bool, img *[16 * crcGroup]byte) (bool, error) {
+// checkGroupCRC verifies 8-element group g with check64's contract. img
+// receives the group's *corrected* image (16 bytes per element: value,
+// masked row, column), so a caller that cannot commit a correction to
+// shared storage can still stream the repaired group.
+func (m *Matrix) checkGroupCRC(g int, commit bool, c *core.Counters, img *[16 * crcGroup]byte) (bool, error) {
 	base := g * crcGroup
 	var stored uint32
 	for i := 0; i < crcGroup; i++ {
@@ -358,7 +346,7 @@ func (m *Matrix) checkGroupCRC(g int, commit bool, img *[16 * crcGroup]byte) (bo
 	}
 	flips, ok := ecc.CorrectCodeword(img[:], stored, crc)
 	if !ok {
-		return false, m.fault(g, "crc32c mismatch beyond correction depth")
+		return false, m.fault(c, g, "crc32c mismatch beyond correction depth")
 	}
 	for _, f := range flips {
 		if f.InCRC {
@@ -379,7 +367,7 @@ func (m *Matrix) checkGroupCRC(g int, commit bool, img *[16 * crcGroup]byte) (bo
 			}
 		case bit < 96:
 			if bit-64 >= 28 {
-				return false, m.fault(g, "crc flip located in reserved nibble")
+				return false, m.fault(c, g, "crc flip located in reserved nibble")
 			}
 			if commit {
 				m.rowIdx[k] ^= 1 << uint(bit-64)
@@ -391,53 +379,66 @@ func (m *Matrix) checkGroupCRC(g int, commit bool, img *[16 * crcGroup]byte) (bo
 		}
 		img[f.Bit/8] ^= 1 << uint(f.Bit%8)
 	}
-	m.counters.AddCorrected(1)
+	c.AddCorrected(1)
 	return true, nil
+}
+
+// checkRange verifies every codeword covering entries [lo,hi) (a
+// codeword-aligned range) in one tight per-scheme pass, repairing
+// correctable errors when commit is true, counting corrections and
+// detections into c and continuing past uncorrectable errors so the full
+// damage is counted — the batch-verify half of the verify-then-stream
+// protocol and the body of CheckAll. It returns whether the range is
+// dirty (a correction was found but not committed, so storage still
+// holds a raw fault and must not be streamed), the number of codeword
+// checks performed, and the first error. img is the CRC32C group scratch
+// (unused by other schemes).
+func (m *Matrix) checkRange(lo, hi int, commit bool, c *core.Counters, img *[16 * crcGroup]byte) (dirty bool, checks uint64, err error) {
+	record := func(corrected bool, e error) {
+		if e != nil && err == nil {
+			err = e
+		}
+		if corrected && !commit {
+			dirty = true
+		}
+	}
+	switch m.scheme {
+	case core.SED:
+		for k := lo; k < hi; k++ {
+			checks++
+			record(false, m.checkSED(k, c))
+		}
+	case core.SECDED64:
+		for k := lo; k < hi; k++ {
+			checks++
+			record(m.check64(k, commit, c))
+		}
+	case core.SECDED128:
+		for t := lo / 2; 2*t < hi; t++ {
+			checks++
+			record(m.checkPair(t, commit, c))
+		}
+	case core.CRC32C:
+		for g := lo / crcGroup; g*crcGroup < hi; g++ {
+			checks++
+			record(m.checkGroupCRC(g, commit, c, img))
+		}
+	}
+	return dirty, checks, err
 }
 
 // CheckAll verifies and repairs every codeword, returning the number of
 // corrections and the first uncorrectable error.
 func (m *Matrix) CheckAll() (corrected int, err error) {
-	if m.counters == nil {
-		// Attach a scratch accumulator so corrections are counted even
-		// for untracked matrices.
-		m.counters = &core.Counters{}
-		defer func() { m.counters = nil }()
-	}
-	before := m.counters.Corrected()
-	record := func(e error) {
-		if e != nil && err == nil {
-			err = e
-		}
-	}
-	switch m.scheme {
-	case core.None:
-	case core.SED:
-		m.counters.AddChecks(uint64(len(m.vals)))
-		for k := range m.vals {
-			record(m.checkSED(k))
-		}
-	case core.SECDED64:
-		m.counters.AddChecks(uint64(len(m.vals)))
-		for k := range m.vals {
-			_, e := m.check64(k, true)
-			record(e)
-		}
-	case core.SECDED128:
-		m.counters.AddChecks(uint64(len(m.vals) / 2))
-		for t := 0; 2*t < len(m.vals); t++ {
-			_, e := m.checkPair(t, true)
-			record(e)
-		}
-	case core.CRC32C:
-		m.counters.AddChecks(uint64(len(m.vals) / crcGroup))
-		var img [16 * crcGroup]byte
-		for g := 0; g*crcGroup < len(m.vals); g++ {
-			_, e := m.checkGroupCRC(g, true, &img)
-			record(e)
-		}
-	}
-	return int(m.counters.Corrected() - before), err
+	// Count into a local accumulator and forward it: the tally is exact
+	// for untracked matrices too, and the scrub never writes m.counters.
+	var acc core.Counters
+	var img [16 * crcGroup]byte
+	_, checks, err := m.checkRange(0, len(m.vals), true, &acc, &img)
+	m.counters.AddChecks(checks)
+	m.counters.AddCorrected(acc.Corrected())
+	m.counters.AddDetected(acc.Detected())
+	return int(acc.Corrected()), err
 }
 
 // groupSize returns the number of entries per element codeword, the
@@ -469,10 +470,7 @@ func (m *Matrix) SpMV(dst *core.Vector, x *core.Vector) error {
 // reduce block-wise — each codeword and each output block has exactly one
 // owner, so the parallel path is race-free and bit-identical to serial.
 func (m *Matrix) Apply(dst *core.Vector, x *core.Vector, workers int) error {
-	if !m.mode.Verifies() {
-		return m.ApplyUnverified(dst, x, workers)
-	}
-	return m.apply(dst, x, workers, false)
+	return m.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, !m.mode.Verifies())
 }
 
 // ApplyUnverified computes dst = m * x through the no-decode fast path
@@ -483,66 +481,78 @@ func (m *Matrix) Apply(dst *core.Vector, x *core.Vector, workers int) error {
 // verified readers of the same shared storage. It is the inner-solve
 // read path of selective reliability.
 func (m *Matrix) ApplyUnverified(dst *core.Vector, x *core.Vector, workers int) error {
-	return m.apply(dst, x, workers, true)
+	return m.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, true)
 }
 
-func (m *Matrix) apply(dst *core.Vector, x *core.Vector, workers int, unverified bool) error {
-	if dst.Len() != m.rows || x.Len() != m.cols {
-		return fmt.Errorf("coo: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
-			dst.Len(), m.rows, m.cols, x.Len())
-	}
-	xbuf := make([]float64, m.cols)
-	if unverified {
-		if err := x.CopyToUnverified(xbuf); err != nil {
+// applyK is the one apply skeleton: dsts[j] = m * xs[j] for every j in a
+// single pass over the entry stream. Each source vector is decoded once
+// into a dense buffer, each chunk of element codewords is verified once
+// per sweep whatever the width, and its entries scatter into k dense
+// accumulators; per-column results are bit-identical to k independent
+// width-1 calls because entries scatter in the same order into each
+// column's own accumulator.
+func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
+	k := len(xs)
+	xbufs := newAccs(k, m.cols)
+	for j, x := range xs {
+		if dsts[j].Len() != m.rows || x.Len() != m.cols {
+			return fmt.Errorf("coo: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
+				dsts[j].Len(), m.rows, m.cols, x.Len())
+		}
+		var err error
+		if unverified {
+			err = x.CopyToUnverified(xbufs[j])
+		} else {
+			err = x.CopyTo(xbufs[j])
+		}
+		if err != nil {
 			return err
 		}
-	} else if err := x.CopyTo(xbuf); err != nil {
-		return err
-	}
-	scatter := m.scatterRange
-	if unverified {
-		// No verify pass at all: the clean-stream scatter covers the whole
-		// range (index mask and bounds checks still apply).
-		scatter = m.scatterClean
 	}
 	ranges := m.entryRanges(workers)
-	if len(ranges) <= 1 {
-		acc := make([]float64, m.rows)
-		if err := scatter(acc, xbuf, 0, len(m.vals)); err != nil {
-			return err
-		}
-		return commitAcc(dst, acc, m.rows)
-	}
-	accs := make([][]float64, len(ranges))
-	byLo := make(map[int][]float64, len(ranges))
-	for i, r := range ranges {
-		accs[i] = make([]float64, m.rows)
-		byLo[r[0]] = accs[i]
+	accs := make([][][]float64, len(ranges))
+	for i := range accs {
+		accs[i] = newAccs(k, m.rows)
 	}
 	err := par.Run(ranges, func(lo, hi int) error {
-		return scatter(byLo[lo], xbuf, lo, hi)
+		i := 0
+		for ranges[i][0] != lo {
+			i++
+		}
+		return m.scatterK(accs[i], xbufs, lo, hi, unverified)
 	})
 	if err != nil {
 		return err
 	}
-	// Reduce the per-worker accumulators block-wise. Ranges are row-aligned,
-	// so every row was summed left-to-right inside exactly one accumulator
-	// and the result is bit-identical for any worker count.
+	// Reduce the per-range accumulators block-wise, per column. Ranges are
+	// row-aligned, so every row was summed left-to-right inside exactly one
+	// accumulator and the result is bit-identical for any worker count
+	// (a single range reduces to 0 + acc, which is acc: an accumulator
+	// that starts at +0 never holds -0).
 	return par.ForEach((m.rows+3)/4, workers, 1, func(blo, bhi int) error {
-		var out [4]float64
-		for blk := blo; blk < bhi; blk++ {
-			for i := 0; i < 4; i++ {
-				out[i] = 0
-				if idx := blk*4 + i; idx < m.rows {
-					for _, acc := range accs {
-						out[i] += acc[idx]
+		for j, dst := range dsts {
+			for blk := blo; blk < bhi; blk++ {
+				var out [4]float64
+				for _, acc := range accs {
+					col := acc[j]
+					for i := 0; i < 4 && blk*4+i < m.rows; i++ {
+						out[i] += col[blk*4+i]
 					}
 				}
+				dst.WriteBlock(blk, &out)
 			}
-			dst.WriteBlock(blk, &out)
 		}
 		return nil
 	})
+}
+
+// newAccs returns k zeroed dense buffers of length n.
+func newAccs(k, n int) [][]float64 {
+	accs := make([][]float64, k)
+	for j := range accs {
+		accs[j] = make([]float64, n)
+	}
+	return accs
 }
 
 // entryRanges splits the entry stream into at most workers contiguous
@@ -586,224 +596,164 @@ func (m *Matrix) entryRanges(workers int) [][2]int {
 // scatter pass. It is a multiple of every codeword group size.
 const verifyChunk = 64
 
-// scatterRange verifies and scatters entries [lo,hi) into acc following
-// the verify-then-stream protocol: each chunk's codewords are
-// batch-verified in a tight per-scheme loop, then the chunk streams
-// unguarded (index mask and range checks only) with no decode
-// interleaved with the multiply. Only a chunk whose correction could not
-// be committed — the matrix is shared across Apply callers (see
-// SetShared) and a live fault was hit — falls back to a corrective local
-// decode, so the slow path is paid per faulty chunk, not per sweep.
-// Ranges are codeword-aligned, so workers never share a codeword.
-func (m *Matrix) scatterRange(acc, xbuf []float64, lo, hi int) error {
+// scatterK verifies and scatters entries [lo,hi) into the k accumulators
+// following the verify-then-stream protocol: each chunk's codewords are
+// batch-verified once in a tight per-scheme loop (checkRange), then the
+// chunk streams straight from storage into every column with only the
+// index mask and range checks applied — no decode interleaved with the
+// multiply. Only a chunk whose correction could not be committed — the
+// matrix is shared across Apply callers (ModeShared) and a live fault
+// was hit — is staged and streamed from the stage, so the slow path is
+// paid per faulty chunk, not per sweep. Ranges are codeword-aligned, so
+// workers never share a codeword. With unverified set no chunk is
+// verified or counted.
+func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, unverified bool) error {
+	if m.scheme == core.None && !unverified {
+		// Unprotected storage read by its owner: indices are raw exactly
+		// as in an unprotected solver, so neither mask nor range check
+		// applies. ApplyUnverified takes the range-checked loops below
+		// even here — it may be reading storage somebody else corrupted.
+		if len(accs) == 1 {
+			acc, xbuf := accs[0], xbufs[0]
+			for k := lo; k < hi; k++ {
+				acc[m.rowIdx[k]] += m.vals[k] * xbuf[m.colIdx[k]]
+			}
+			return nil
+		}
+		for k := lo; k < hi; k++ {
+			row, col, v := m.rowIdx[k], m.colIdx[k], m.vals[k]
+			for j, acc := range accs {
+				acc[row] += v * xbufs[j][col]
+			}
+		}
+		return nil
+	}
 	commit := m.mode.Commits()
+	step := verifyChunk
+	var img *[16 * crcGroup]byte
+	if m.scheme == core.CRC32C && !unverified {
+		// One group per chunk; the image escapes into hash/crc32, so it is
+		// allocated once per range.
+		step, img = crcGroup, new([16 * crcGroup]byte)
+	}
 	var checks uint64
 	defer func() { m.counters.AddChecks(checks) }()
-	switch m.scheme {
-	case core.None:
-		for k := lo; k < hi; k++ {
-			acc[m.rowIdx[k]] += m.vals[k] * xbuf[m.colIdx[k]]
+	for base := lo; base < hi; base += step {
+		end := base + step
+		if end > hi {
+			end = hi
 		}
-	case core.SED:
-		// Detect-only: nothing to fall back to, verify then stream.
-		checks += uint64(hi - lo)
-		for k := lo; k < hi; k++ {
-			if err := m.checkSED(k); err != nil {
-				return err
-			}
-		}
-		return m.scatterClean(acc, xbuf, lo, hi)
-	case core.SECDED64:
-		for base := lo; base < hi; base += verifyChunk {
-			end := base + verifyChunk
-			if end > hi {
-				end = hi
-			}
-			checks += uint64(end - base)
-			dirty := false
-			for k := base; k < end; k++ {
-				corrected, err := m.check64(k, commit)
-				if err != nil {
-					return err
-				}
-				if corrected && !commit {
-					dirty = true
-				}
-			}
-			var err error
-			if dirty {
-				err = m.scatter64Local(acc, xbuf, base, end)
-			} else {
-				err = m.scatterClean(acc, xbuf, base, end)
-			}
+		if !unverified {
+			dirty, n, err := m.checkRange(base, end, commit, m.counters, img)
+			checks += n
 			if err != nil {
 				return err
 			}
+			if dirty {
+				if err := m.scatterStaged(accs, xbufs, base, end, img); err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		if err := m.scatterClean(accs, xbufs, base, end); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scatterClean streams entries [lo,hi) straight from storage into every
+// column: the fast second half of verify-then-stream, applying only the
+// index mask and the range checks, once per entry whatever the width.
+func (m *Matrix) scatterClean(accs, xbufs [][]float64, lo, hi int) error {
+	mask := m.idxMask()
+	if len(accs) == 1 {
+		acc, xbuf := accs[0], xbufs[0]
+		for k := lo; k < hi; k++ {
+			row, col := m.rowIdx[k]&mask, m.colIdx[k]&mask
+			if row >= uint32(m.rows) || col >= uint32(m.cols) {
+				return m.boundsErr(k, row, col)
+			}
+			acc[row] += m.vals[k] * xbuf[col]
+		}
+		return nil
+	}
+	for k := lo; k < hi; k++ {
+		row, col := m.rowIdx[k]&mask, m.colIdx[k]&mask
+		if row >= uint32(m.rows) || col >= uint32(m.cols) {
+			return m.boundsErr(k, row, col)
+		}
+		v := m.vals[k]
+		for j := range accs {
+			accs[j][row] += v * xbufs[j][col]
+		}
+	}
+	return nil
+}
+
+// scatterStaged is the corrective fallback for a dirty chunk [lo,hi):
+// every codeword of the chunk is decoded into a local stage with its
+// correction applied there — nothing written to shared storage, nothing
+// counted, since the verify pass that flagged the chunk already
+// accounted the checks and the correction — and the stage streams into
+// every column. img is the CRC32C group scratch.
+func (m *Matrix) scatterStaged(accs, xbufs [][]float64, lo, hi int, img *[16 * crcGroup]byte) error {
+	var rows, cols [verifyChunk]uint32
+	var vals [verifyChunk]float64
+	switch m.scheme {
+	case core.SECDED64:
+		for k := lo; k < hi; k++ {
+			cw := m.word64(k)
+			if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
+				return m.fault(nil, k, "secded64 double-bit error")
+			}
+			rows[k-lo], cols[k-lo], vals[k-lo] = uint32(cw[1]), uint32(cw[1]>>32), math.Float64frombits(cw[0])
 		}
 	case core.SECDED128:
-		for base := lo; base < hi; base += verifyChunk {
-			end := base + verifyChunk
-			if end > hi {
-				end = hi
+		for t := lo / 2; 2*t < hi; t++ {
+			cw := m.wordPair(t)
+			if res, _ := codecElem128.Check(&cw); res == ecc.Detected {
+				return m.fault(nil, t, "secded128 double-bit error")
 			}
-			checks += uint64((end - base + 1) / 2)
-			dirty := false
-			for t := base / 2; 2*t < end; t++ {
-				corrected, err := m.checkPair(t, commit)
-				if err != nil {
-					return err
-				}
-				if corrected && !commit {
-					dirty = true
-				}
-			}
-			var err error
-			if dirty {
-				err = m.scatterPairLocal(acc, xbuf, base, end)
-			} else {
-				err = m.scatterClean(acc, xbuf, base, end)
-			}
-			if err != nil {
-				return err
+			for j := 0; j < 2; j++ {
+				i := 2*t + j - lo
+				rows[i], cols[i], vals[i] = uint32(cw[2*j+1]), uint32(cw[2*j+1]>>32), math.Float64frombits(cw[2*j])
 			}
 		}
 	case core.CRC32C:
-		var img [16 * crcGroup]byte
-		for base := lo; base < hi; base += crcGroup {
-			checks++
-			corrected, err := m.checkGroupCRC(base/crcGroup, commit, &img)
-			if err != nil {
+		for g := lo / crcGroup; g*crcGroup < hi; g++ {
+			if _, err := m.checkGroupCRC(g, false, nil, img); err != nil {
 				return err
 			}
-			if corrected && !commit {
-				err = m.scatterGroupImg(acc, xbuf, base, &img)
-			} else {
-				err = m.scatterClean(acc, xbuf, base, base+crcGroup)
-			}
-			if err != nil {
-				return err
+			for j := 0; j < crcGroup; j++ {
+				i := g*crcGroup + j - lo
+				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(img[16*j:]))
+				rows[i] = binary.LittleEndian.Uint32(img[16*j+8:])
+				cols[i] = binary.LittleEndian.Uint32(img[16*j+12:])
 			}
 		}
 	}
-	return nil
-}
-
-// scatterClean scatters entries [lo,hi) straight from storage: the fast
-// second half of verify-then-stream, applying only the index mask and
-// the range checks.
-func (m *Matrix) scatterClean(acc, xbuf []float64, lo, hi int) error {
-	mask := m.idxMask()
-	for k := lo; k < hi; k++ {
-		row := m.rowIdx[k] & mask
-		col := m.colIdx[k] & mask
-		if row >= uint32(m.rows) {
-			m.counters.AddBounds(1)
-			return &core.BoundsError{Structure: core.StructElements, Index: k,
-				Value: row, Limit: uint32(m.rows)}
+	for i := 0; i < hi-lo; i++ {
+		row, col := rows[i]&eccIdxMask, cols[i]&eccIdxMask
+		if row >= uint32(m.rows) || col >= uint32(m.cols) {
+			return m.boundsErr(lo+i, row, col)
 		}
-		if col >= uint32(m.cols) {
-			m.counters.AddBounds(1)
-			return &core.BoundsError{Structure: core.StructElements, Index: k,
-				Value: col, Limit: uint32(m.cols)}
-		}
-		acc[row] += m.vals[k] * xbuf[col]
-	}
-	return nil
-}
-
-// scatter64Local is the corrective fallback for a dirty SECDED64 chunk:
-// every element decodes through a local codeword with the correction
-// applied there, never touching shared storage. The verify pass already
-// accounted the checks and corrections.
-func (m *Matrix) scatter64Local(acc, xbuf []float64, lo, hi int) error {
-	for k := lo; k < hi; k++ {
-		cw := ecc.Word4{
-			math.Float64bits(m.vals[k]),
-			word1(m.rowIdx[k], m.colIdx[k]),
-		}
-		if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
-			return m.fault(k, "secded64 double-bit error")
-		}
-		if err := m.scatterElem(acc, xbuf, k,
-			uint32(cw[1])&eccIdxMask, uint32(cw[1]>>32)&eccIdxMask,
-			math.Float64frombits(cw[0])); err != nil {
-			return err
+		for j, acc := range accs {
+			acc[row] += vals[i] * xbufs[j][col]
 		}
 	}
 	return nil
 }
 
-// scatterPairLocal is scatter64Local for a dirty SECDED128 chunk; lo and
-// hi are pair-aligned (chunks and ranges are codeword-aligned).
-func (m *Matrix) scatterPairLocal(acc, xbuf []float64, lo, hi int) error {
-	for t := lo / 2; 2*t < hi; t++ {
-		k := 2 * t
-		cw := ecc.Word4{
-			math.Float64bits(m.vals[k]),
-			word1(m.rowIdx[k], m.colIdx[k]),
-			math.Float64bits(m.vals[k+1]),
-			word1(m.rowIdx[k+1], m.colIdx[k+1]),
-		}
-		if res, _ := codecElem128.Check(&cw); res == ecc.Detected {
-			return m.fault(t, "secded128 double-bit error")
-		}
-		for j := 0; j < 2; j++ {
-			if err := m.scatterElem(acc, xbuf, k+j,
-				uint32(cw[1+2*j])&eccIdxMask, uint32(cw[1+2*j]>>32)&eccIdxMask,
-				math.Float64frombits(cw[2*j])); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// scatterGroupImg is the corrective fallback for a dirty CRC32C group:
-// the verify left the corrected group image in img, so the scatter
-// streams from it instead of the stale storage.
-func (m *Matrix) scatterGroupImg(acc, xbuf []float64, base int, img *[16 * crcGroup]byte) error {
-	for i := 0; i < crcGroup; i++ {
-		if err := m.scatterElem(acc, xbuf, base+i,
-			binary.LittleEndian.Uint32(img[16*i+8:])&eccIdxMask,
-			binary.LittleEndian.Uint32(img[16*i+12:])&eccIdxMask,
-			math.Float64frombits(binary.LittleEndian.Uint64(img[16*i:]))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatterElem range-checks and applies one decoded element.
-func (m *Matrix) scatterElem(acc, xbuf []float64, k int, row, col uint32, val float64) error {
+// boundsErr counts and builds the range-check error for element k, whose
+// masked row or column index is out of range (the row is reported first).
+func (m *Matrix) boundsErr(k int, row, col uint32) error {
+	m.counters.AddBounds(1)
 	if row >= uint32(m.rows) {
-		m.counters.AddBounds(1)
-		return &core.BoundsError{Structure: core.StructElements, Index: k,
-			Value: row, Limit: uint32(m.rows)}
+		return &core.BoundsError{Structure: core.StructElements, Index: k, Value: row, Limit: uint32(m.rows)}
 	}
-	if col >= uint32(m.cols) {
-		m.counters.AddBounds(1)
-		return &core.BoundsError{Structure: core.StructElements, Index: k,
-			Value: col, Limit: uint32(m.cols)}
-	}
-	acc[row] += val * xbuf[col]
-	return nil
-}
-
-// commitAcc writes a dense accumulator into the protected output vector
-// one codeword block at a time.
-func commitAcc(dst *core.Vector, acc []float64, n int) error {
-	var out [4]float64
-	for blk := 0; blk*4 < n; blk++ {
-		for i := 0; i < 4; i++ {
-			if idx := blk*4 + i; idx < n {
-				out[i] = acc[idx]
-			} else {
-				out[i] = 0
-			}
-		}
-		dst.WriteBlock(blk, &out)
-	}
-	return nil
+	return &core.BoundsError{Structure: core.StructElements, Index: k, Value: col, Limit: uint32(m.cols)}
 }
 
 // Diagonal extracts the main diagonal into dst (length >= Rows), fully

@@ -11,14 +11,15 @@ import (
 // TestCOOSharedFallback drives the verify-then-stream protocol through
 // its corrective branch from inside the package: a value-bit flip in
 // shared mode makes the chunk verify report dirty (it may not commit
-// the repair), so the scatter must route the chunk through the local
-// per-element decode — scatter64Local, scatterPairLocal, or the CRC32C
-// corrected group image — while the product stays bit-exact against the
+// the repair), so scatterK must stage the chunk (scatterStaged: local
+// SECDED decodes or the CRC32C corrected group image) and stream the
+// stage, while the product stays bit-exact against the
 // unprotected reference and the stored fault survives for the owner's
 // scrub.
 func TestCOOSharedFallback(t *testing.T) {
 	for _, s := range []core.Scheme{core.SECDED64, core.SECDED128, core.CRC32C} {
-		for _, shared := range []bool{false, true} {
+		for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
+			shared := mode == core.ModeShared
 			t.Run(fmt.Sprintf("%v_shared=%v", s, shared), func(t *testing.T) {
 				plain := buildSrc(t)
 				xs := make([]float64, plain.Cols32())
@@ -34,7 +35,7 @@ func TestCOOSharedFallback(t *testing.T) {
 				}
 				var c core.Counters
 				m.SetCounters(&c)
-				m.SetShared(shared)
+				m.SetReadMode(mode)
 
 				v := m.RawVals()
 				k := len(v) / 2
@@ -61,7 +62,7 @@ func TestCOOSharedFallback(t *testing.T) {
 					t.Fatal("no correction recorded for the injected flip")
 				}
 
-				m.SetShared(false)
+				m.SetReadMode(core.ModeExclusive)
 				corrected, err := m.CheckAll()
 				if err != nil {
 					t.Fatalf("scrub: %v", err)

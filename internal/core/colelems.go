@@ -1,0 +1,298 @@
+package core
+
+import (
+	"encoding/binary"
+	"math"
+
+	"abft/internal/ecc"
+)
+
+// ColElems is the column-element codec: the one implementation of the
+// paper's Fig 1 layout, in which a sparse-matrix element is the 96-bit
+// (value, column index) pair and the redundancy lives in the spare top
+// bits of the 32-bit column index (DESIGN.md section 3). It is a view
+// over a format's own value and column arrays — never a copy — so every
+// format that stores (value, column) elements shares it: the CSR matrix
+// of this package and the SELL-C-sigma matrix of internal/sell.
+//
+// Codewords are addressed by storage position, not by format geometry:
+//
+//	SED, SECDED64  one storage entry
+//	SECDED128      the storage-consecutive pair (2t, 2t+1)
+//	CRC32C         a run of n entries at base, base+stride, ... — a CSR
+//	               row is a run of stride 1, a SELL lane one of stride C
+//
+// The codec holds no state of its own: every check takes the commit
+// discipline and the counters to record into explicitly (nil counts
+// nothing), and builds the FaultError itself.
+type ColElems struct {
+	Scheme  Scheme
+	Backend ecc.Backend
+	Vals    []float64
+	Cols    []uint32
+}
+
+// Mask returns the AND-mask isolating the data bits of a stored column
+// index; it equals the scheme's largest addressable column.
+func (e *ColElems) Mask() uint32 { return uint32(e.Scheme.MaxCols()) }
+
+func (e *ColElems) fault(c *Counters, idx int, detail string) error {
+	c.AddDetected(1)
+	return &FaultError{Structure: StructElements, Scheme: e.Scheme, Index: idx, Detail: detail}
+}
+
+// word64 loads entry k as a SECDED64 codeword: [val(64) | col(32)].
+func (e *ColElems) word64(k int) ecc.Word4 {
+	return ecc.Word4{math.Float64bits(e.Vals[k]), uint64(e.Cols[k])}
+}
+
+// wordPair loads entries 2t and 2t+1 as a SECDED128 codeword:
+// [val0(64) | col0(32) | val1(64) | col1(32)].
+func (e *ColElems) wordPair(t int) ecc.Word4 {
+	v1 := math.Float64bits(e.Vals[2*t+1])
+	return ecc.Word4{math.Float64bits(e.Vals[2*t]),
+		uint64(e.Cols[2*t]) | v1<<32, v1>>32 | uint64(e.Cols[2*t+1])<<32}
+}
+
+// splitPair is the inverse of wordPair.
+func splitPair(cw *ecc.Word4) (v0 float64, c0 uint32, v1 float64, c1 uint32) {
+	return math.Float64frombits(cw[0]), uint32(cw[1]),
+		math.Float64frombits(cw[1]>>32 | cw[2]<<32), uint32(cw[2] >> 32)
+}
+
+// Encode recomputes the redundancy of the per-entry codewords covering
+// storage entries [lo,hi) from the data bits currently stored; under
+// SECDED128 lo and hi must be pair-aligned. CRC32C codewords are runs,
+// encoded by EncodeRun.
+func (e *ColElems) Encode(lo, hi int) {
+	switch e.Scheme {
+	case SED:
+		for k := lo; k < hi; k++ {
+			c := e.Cols[k] & sedColMask
+			e.Cols[k] = c | uint32(ecc.Parity64(math.Float64bits(e.Vals[k])^uint64(c)))<<31
+		}
+	case SECDED64:
+		for k := lo; k < hi; k++ {
+			e.Cols[k] &= eccColMask
+			cw := e.word64(k)
+			codecElem64.Encode(&cw)
+			e.Cols[k] = uint32(cw[1])
+		}
+	case SECDED128:
+		for t := lo / 2; 2*t < hi; t++ {
+			e.Cols[2*t] &= eccColMask
+			e.Cols[2*t+1] &= eccColMask
+			cw := e.wordPair(t)
+			codecElem128.Encode(&cw)
+			_, e.Cols[2*t], _, e.Cols[2*t+1] = splitPair(&cw)
+		}
+	}
+}
+
+// EncodeRun recomputes the CRC32C of the run of n entries at base,
+// base+stride, ...: a checksum over the run's 12-byte (value, masked
+// column) records in run order, stored byte-wise in the top bytes of the
+// run's first four column indices. buf is scratch of at least 12n bytes.
+func (e *ColElems) EncodeRun(base, n, stride int, buf []byte) {
+	msg := buf[:12*n]
+	for j, k := 0, base; j < n; j, k = j+1, k+stride {
+		e.Cols[k] &= eccColMask
+		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(e.Vals[k]))
+		binary.LittleEndian.PutUint32(msg[12*j+8:], e.Cols[k])
+	}
+	crc := ecc.Checksum(msg, e.Backend)
+	for j := 0; j < 4 && j < n; j++ {
+		e.Cols[base+j*stride] |= (crc >> (8 * uint(j)) & 0xFF) << 24
+	}
+}
+
+// checkSED verifies entry k under SED (detection only).
+func (e *ColElems) checkSED(k int, c *Counters) error {
+	if ecc.Parity64(math.Float64bits(e.Vals[k])^uint64(e.Cols[k])) != 0 {
+		return e.fault(c, k, "parity mismatch")
+	}
+	return nil
+}
+
+// check64 verifies entry k under SECDED64, repairing a single flip in
+// storage when commit is true. The first return reports whether a
+// correction was found — storage is stale when it was and commit was
+// false. The clean case is all a streaming kernel ever sees, so it is
+// kept small enough to inline into the verify loops; settle is the cold
+// remainder.
+func (e *ColElems) check64(k int, commit bool, c *Counters) (bool, error) {
+	cw := e.word64(k)
+	res, _ := codecElem64.Check(&cw)
+	if res == ecc.OK {
+		return false, nil
+	}
+	if res == ecc.Corrected && commit {
+		e.Vals[k] = math.Float64frombits(cw[0])
+		e.Cols[k] = uint32(cw[1])
+	}
+	return e.settle(c, res, k, "secded64 double-bit error")
+}
+
+// checkPair verifies the SECDED128 pair t (entries 2t and 2t+1) with
+// check64's contract.
+func (e *ColElems) checkPair(t int, commit bool, c *Counters) (bool, error) {
+	cw := e.wordPair(t)
+	res, _ := codecElem128.Check(&cw)
+	if res == ecc.OK {
+		return false, nil
+	}
+	if res == ecc.Corrected && commit {
+		e.Vals[2*t], e.Cols[2*t], e.Vals[2*t+1], e.Cols[2*t+1] = splitPair(&cw)
+	}
+	return e.settle(c, res, t, "secded128 double-bit error")
+}
+
+// settle counts a SECDED codeword that did not verify clean: a
+// correction, or an uncorrectable error reported as the codec's fault.
+func (e *ColElems) settle(c *Counters, res ecc.CheckResult, idx int, detail string) (bool, error) {
+	if res == ecc.Detected {
+		return false, e.fault(c, idx, detail)
+	}
+	c.AddCorrected(1)
+	return true, nil
+}
+
+// Check verifies every per-entry codeword (SED, SECDED64, SECDED128
+// pairs) covering storage entries [lo,hi) in one tight pass, repairing
+// correctable errors in storage when commit is true and continuing past
+// uncorrectable ones so the full damage is counted. dirty reports a
+// correction that was found but not committed: storage still holds the
+// raw fault, and a caller about to stream it must stream DecodeLocal's
+// stage instead. checks is the number of codewords verified (for the
+// caller to batch into its counters), err the first uncorrectable error.
+// None and CRC32C have no per-entry codewords and verify nothing here.
+func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (dirty bool, checks uint64, err error) {
+	record := func(corrected bool, ce error) {
+		if ce != nil && err == nil {
+			err = ce
+		}
+		if corrected && !commit {
+			dirty = true
+		}
+	}
+	switch e.Scheme {
+	case SED:
+		for k := lo; k < hi; k++ {
+			checks++
+			record(false, e.checkSED(k, c))
+		}
+	case SECDED64:
+		for k := lo; k < hi; k++ {
+			checks++
+			record(e.check64(k, commit, c))
+		}
+	case SECDED128:
+		for t := lo / 2; 2*t < hi; t++ {
+			checks++
+			record(e.checkPair(t, commit, c))
+		}
+	}
+	return dirty, checks, err
+}
+
+// CheckRun verifies the CRC32C codeword of the run of n entries at base,
+// base+stride, ..., repairing up to two flips in storage when commit is
+// true; id names the run (the CSR row, the SELL lane) in the FaultError.
+// buf is scratch of at least 12n bytes and holds the run's *corrected*
+// image on a nil return — the 12-byte (value, masked column) records the
+// checksum covers. A run wider than the scratch or reaching past the end
+// of storage means the structure that delimits runs (the CSR row
+// pointers) is itself corrupted beyond repair; that is reported as a
+// fault, not a crash. The first return is check64's.
+func (e *ColElems) CheckRun(id, base, n, stride int, buf []byte, commit bool, c *Counters) (bool, error) {
+	if n < 0 || 12*n > len(buf) || base+(n-1)*stride >= len(e.Cols) {
+		return false, e.fault(c, id, "run bounds exceed the widest run (corrupted row pointers)")
+	}
+	msg := buf[:12*n]
+	var stored uint32
+	for j, k := 0, base; j < n; j, k = j+1, k+stride {
+		col := e.Cols[k]
+		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(e.Vals[k]))
+		binary.LittleEndian.PutUint32(msg[12*j+8:], col&eccColMask)
+		if j < 4 {
+			stored |= (col >> 24) << (8 * uint(j))
+		}
+	}
+	crc := ecc.Checksum(msg, e.Backend)
+	if crc == stored {
+		return false, nil
+	}
+	flips, ok := ecc.CorrectCodeword(msg, stored, crc)
+	if !ok {
+		return false, e.fault(c, id, "crc32c mismatch beyond correction depth")
+	}
+	for _, f := range flips {
+		if f.InCRC {
+			// Checksum-slot flip: the records in msg are already right,
+			// only the stored redundancy needs repair.
+			if commit {
+				e.Cols[base+f.Bit/8*stride] ^= 1 << uint(24+f.Bit%8)
+			}
+			continue
+		}
+		k, bit := base+f.Bit/96*stride, f.Bit%96
+		if bit >= 88 {
+			return false, e.fault(c, id, "crc flip located in reserved byte")
+		}
+		if commit && bit < 64 {
+			e.Vals[k] = math.Float64frombits(math.Float64bits(e.Vals[k]) ^ 1<<uint(bit))
+		} else if commit {
+			e.Cols[k] ^= 1 << uint(bit-64)
+		}
+		msg[f.Bit/8] ^= 1 << uint(f.Bit%8)
+	}
+	c.AddCorrected(1)
+	return true, nil
+}
+
+// DecodeLocal is the corrective fallback of the verify-then-stream
+// protocol (DESIGN.md section 12): it stages the n entries at base,
+// base+stride, ... — masked column and value, every correction applied —
+// in fresh slices, writing nothing to storage and counting nothing. A
+// kernel whose verify pass reported a block dirty (a correction it could
+// not commit) streams this stage instead of storage; the verify pass
+// already accounted the checks and the correction. SECDED words decode
+// into locals; a CRC32C run (named id, as in CheckRun) re-runs its
+// repair without commit.
+func (e *ColElems) DecodeLocal(id, base, n, stride int) (cols []uint32, vals []float64, err error) {
+	cols, vals = make([]uint32, n), make([]float64, n)
+	if e.Scheme == CRC32C {
+		buf := make([]byte, 12*n)
+		if _, err := e.CheckRun(id, base, n, stride, buf, false, nil); err != nil {
+			return nil, nil, err
+		}
+		for j := range cols {
+			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[12*j:]))
+			cols[j] = binary.LittleEndian.Uint32(buf[12*j+8:])
+		}
+		return cols, vals, nil
+	}
+	for j, k := 0, base; j < n; j, k = j+1, k+stride {
+		vals[j], cols[j] = e.Vals[k], e.Cols[k]
+		switch e.Scheme {
+		case SECDED64:
+			cw := e.word64(k)
+			if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
+				return nil, nil, e.fault(nil, k, "secded64 double-bit error")
+			}
+			vals[j], cols[j] = math.Float64frombits(cw[0]), uint32(cw[1])
+		case SECDED128:
+			cw := e.wordPair(k / 2)
+			if res, _ := codecElem128.Check(&cw); res == ecc.Detected {
+				return nil, nil, e.fault(nil, k/2, "secded128 double-bit error")
+			}
+			if k%2 == 0 {
+				vals[j], cols[j], _, _ = splitPair(&cw)
+			} else {
+				_, _, vals[j], cols[j] = splitPair(&cw)
+			}
+		}
+		cols[j] &= e.Mask()
+	}
+	return cols, vals, nil
+}

@@ -51,7 +51,7 @@ func oracleReadCRCBlock(w []uint64, dst *[vecBlock]float64, commit bool, backend
 	}
 	crc := ecc.Checksum(buf[:], backend)
 	if crc != stored {
-		if !correctCRCVecBlock(&lw, buf[:], stored, crc, backend) {
+		if !correctCRCVecBlock(&lw, buf[:], stored, crc) {
 			c.AddDetected(1)
 			return &FaultError{Structure: StructVector, Scheme: CRC32C, Detail: "crc32c mismatch beyond correction depth"}
 		}
@@ -76,25 +76,25 @@ func oracleDecodeCRCRowGroup(e []uint32, dst *[8]uint32, commit bool, backend ec
 		stored |= (x >> 28) << (4 * uint(i))
 	}
 	if crc := ecc.Checksum(buf[:], backend); crc != stored {
-		flips, ok := correctCRCCodeword(buf[:], stored, crc, backend)
+		flips, ok := ecc.CorrectCodeword(buf[:], stored, crc)
 		if !ok {
 			c.AddDetected(1)
 			return false, &FaultError{Structure: StructRowPtr, Scheme: CRC32C}
 		}
 		for _, f := range flips {
-			if f.inCRC {
+			if f.InCRC {
 				if commit {
-					e[f.bit/4] ^= 1 << uint(28+f.bit%4)
+					e[f.Bit/4] ^= 1 << uint(28+f.Bit%4)
 				}
 				continue
 			}
-			if f.bit%32 >= 28 {
+			if f.Bit%32 >= 28 {
 				c.AddDetected(1)
 				return false, &FaultError{Structure: StructRowPtr, Scheme: CRC32C}
 			}
-			buf[f.bit/8] ^= 1 << uint(f.bit%8)
+			buf[f.Bit/8] ^= 1 << uint(f.Bit%8)
 			if commit {
-				e[f.bit/32] ^= 1 << uint(f.bit%32)
+				e[f.Bit/32] ^= 1 << uint(f.Bit%32)
 			}
 		}
 		corrected = true

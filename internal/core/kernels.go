@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -34,21 +33,7 @@ func SpMV(dst *Vector, m *Matrix, x *Vector, workers int) error {
 // corrections discovered in shared structures are used for the computation
 // but left in storage for the next serial check or scrub to repair.
 func SpMVOpts(dst *Vector, m *Matrix, x *Vector, opt SpMVOptions) error {
-	if dst.Len() != m.Rows() || x.Len() != m.Cols() {
-		return fmt.Errorf("core: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
-			dst.Len(), m.Rows(), m.Cols(), x.Len())
-	}
-	if !m.mode.Verifies() {
-		return m.applyUnverified(dst, x, opt.Workers)
-	}
-	fullCheck := m.StartSweep()
-	ranges := par.Ranges(m.Rows(), opt.Workers, 8)
-	if len(ranges) <= 1 {
-		return m.spmvRange(dst, x, 0, m.Rows(), fullCheck, m.mode.Commits(), opt.DisableCache)
-	}
-	return par.Run(ranges, func(lo, hi int) error {
-		return m.spmvRange(dst, x, lo, hi, fullCheck, false, opt.DisableCache)
-	})
+	return m.spmv(dst, x, opt, m.mode.Verifies())
 }
 
 // ApplyUnverified multiplies dst = m x through the no-decode fast path
@@ -60,107 +45,52 @@ func SpMVOpts(dst *Vector, m *Matrix, x *Vector, opt SpMVOptions) error {
 // reliability: whatever corruption streams through is absorbed (or
 // detected) by the caller's verified outer iteration, never silently
 // committed.
+//
+// It is not a kernel of its own: the matrix side is exactly the
+// range-check-only sweep that interval checking runs between full checks
+// (spmvRange with fullCheck false), and the x side is the stencil cache
+// reading blocks through ReadBlockNoCheck. Unlike an interval sweep it
+// does not advance the sweep counter.
 func (m *Matrix) ApplyUnverified(dst, x *Vector, workers int) error {
+	return m.spmv(dst, x, SpMVOptions{Workers: workers}, false)
+}
+
+func (m *Matrix) spmv(dst, x *Vector, opt SpMVOptions, verify bool) error {
 	if dst.Len() != m.Rows() || x.Len() != m.Cols() {
 		return fmt.Errorf("core: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
 			dst.Len(), m.Rows(), m.Cols(), x.Len())
 	}
-	return m.applyUnverified(dst, x, workers)
-}
-
-func (m *Matrix) applyUnverified(dst, x *Vector, workers int) error {
-	ranges := par.Ranges(m.Rows(), workers, 8)
+	fullCheck := verify && m.StartSweep()
+	ranges := par.Ranges(m.Rows(), opt.Workers, 8)
 	if len(ranges) <= 1 {
-		return m.spmvUnverifiedRange(dst, x, 0, m.Rows())
+		return m.spmvRange(dst, x, 0, m.Rows(), fullCheck, verify && m.mode.Commits(), opt.DisableCache, !verify)
 	}
 	return par.Run(ranges, func(lo, hi int) error {
-		return m.spmvUnverifiedRange(dst, x, lo, hi)
+		return m.spmvRange(dst, x, lo, hi, fullCheck, false, opt.DisableCache, !verify)
 	})
-}
-
-// spmvUnverifiedRange is spmvRange with every decode stripped: the
-// clean-stream loop runs unconditionally (there is no verify pass to
-// flag a row dirty), the row-pointer cursor runs in its no-check form,
-// and the stencil cache reads source blocks through ReadBlockNoCheck.
-// Column masks and bounds checks remain — the unverified contract drops
-// integrity checking, not memory safety.
-func (m *Matrix) spmvUnverifiedRange(dst, x *Vector, lo, hi int) error {
-	if m.elemScheme == None && m.rowScheme == None && x.scheme == None {
-		return m.spmvRawRange(dst, x, lo, hi)
-	}
-	cur := rowPtrCursor{m: m, group: -1}
-	cache := stencilCache{v: x, noverify: true}
-	cache.reset()
-	colMask := colMaskFor(m.elemScheme)
-	xRaw := x.scheme == None
-	var out [vecBlock]float64
-	rlo32, err := cur.value(lo)
-	if err != nil {
-		return err
-	}
-	for r := lo; r < hi; r++ {
-		rhi32, err := cur.value(r + 1)
-		if err != nil {
-			return err
-		}
-		if rlo32 > rhi32 {
-			return m.boundsErr(StructRowPtr, r, rlo32, rhi32)
-		}
-		var sum float64
-		for k := int(rlo32); k < int(rhi32); k++ {
-			col := m.colIdx[k] & colMask
-			if m.elemScheme != None && col >= uint32(m.cols) {
-				return m.boundsErr(StructElements, k, col, uint32(m.cols))
-			}
-			var xv float64
-			if xRaw {
-				xv = math.Float64frombits(x.words[col])
-			} else {
-				xv, err = cache.at(int(col))
-				if err != nil {
-					return err
-				}
-			}
-			sum += m.vals[k] * xv
-		}
-		rlo32 = rhi32
-		out[r%vecBlock] = sum
-		if r%vecBlock == vecBlock-1 {
-			dst.WriteBlock(r/vecBlock, &out)
-		}
-	}
-	if hi%vecBlock != 0 {
-		for i := hi % vecBlock; i < vecBlock; i++ {
-			out[i] = 0
-		}
-		dst.WriteBlock(hi/vecBlock, &out)
-	}
-	return nil
 }
 
 // spmvRange multiplies rows [lo,hi); lo must be a multiple of the output
 // block size (guaranteed by par.Ranges alignment 8).
 //
 // Each row follows the verify-then-stream protocol: on checking sweeps
-// the row's element codewords are batch-verified first (verifyRowElems),
+// the row's element codewords are batch-verified first (rowVerifier.row),
 // then the payload streams from storage with only the column mask and
 // range check applied — no decode interleaved with the multiply. Only
 // when a correction could not be committed (a no-commit worker or a
-// shared operator hit a live fault) does the row fall back to the
-// corrective per-element decode, so the fallback's cost is paid per
-// faulty row, not per sweep.
-func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck, commit, noCache bool) error {
+// shared operator hit a live fault) is the row staged through
+// ColElems.DecodeLocal and the stage streamed instead, so the fallback's
+// cost is paid per faulty row, not per sweep. noVerifyX reads the source
+// vector without decoding it (the ModeUnverified x side).
+func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck, commit, noCache, noVerifyX bool) error {
 	if m.elemScheme == None && m.rowScheme == None && x.scheme == None {
 		return m.spmvRawRange(dst, x, lo, hi)
 	}
 	cur := rowPtrCursor{m: m, check: fullCheck, commit: commit, group: -1}
-	cache := stencilCache{v: x, commit: commit, disabled: noCache}
+	cache := stencilCache{v: x, commit: commit, disabled: noCache, noverify: noVerifyX}
 	cache.reset()
-	colMask := colMaskFor(m.elemScheme)
-	var scratch []byte
-	if m.elemScheme == CRC32C && fullCheck {
-		scratch = make([]byte, m.maxRow*12)
-	}
+	ver := m.newRowVerifier(commit)
+	colMask := ver.el.Mask()
 	xRaw := x.scheme == None
 
 	var elemChecks uint64
@@ -170,9 +100,6 @@ func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck, commit, noCach
 	}()
 
 	var out [vecBlock]float64
-	lastPair := -1
-	var dec elemDecoder
-	dec.init(m)
 	// Row r's end pointer is row r+1's start pointer: carry it across
 	// iterations so each row costs one cursor lookup, not two.
 	rlo32, err := cur.value(lo)
@@ -191,7 +118,7 @@ func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck, commit, noCach
 		dirty := false
 		if fullCheck && m.elemScheme != None {
 			var checks uint64
-			dirty, checks, err = m.verifyRowElems(r, rlo, rhi, commit, scratch, &lastPair)
+			dirty, checks, err = ver.row(r, rlo, rhi)
 			elemChecks += checks
 			if err != nil {
 				return err
@@ -227,11 +154,13 @@ func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck, commit, noCach
 				}
 				sum += m.vals[k] * xv
 			}
-		case m.elemScheme == CRC32C:
-			// Dirty CRC row: the verify left the corrected row image in
-			// scratch; stream from it.
-			for j := 0; j < rhi-rlo; j++ {
-				col := binary.LittleEndian.Uint32(scratch[12*j+8:]) & eccColMask
+		default:
+			// Dirty row: stage it, stream the stage.
+			cols, vals, err := ver.el.DecodeLocal(r, rlo, rhi-rlo, 1)
+			if err != nil {
+				return err
+			}
+			for j, col := range cols {
 				if col >= uint32(m.cols) {
 					return m.boundsErr(StructElements, rlo+j, col, uint32(m.cols))
 				}
@@ -244,28 +173,7 @@ func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck, commit, noCach
 						return err
 					}
 				}
-				sum += math.Float64frombits(binary.LittleEndian.Uint64(scratch[12*j:])) * xv
-			}
-		default:
-			// Dirty SECDED row: corrective per-element local decode.
-			for k := rlo; k < rhi; k++ {
-				col, val, err := dec.at(k)
-				if err != nil {
-					return err
-				}
-				if col >= uint32(m.cols) {
-					return m.boundsErr(StructElements, k, col, uint32(m.cols))
-				}
-				var xv float64
-				if xRaw {
-					xv = math.Float64frombits(x.words[col])
-				} else {
-					xv, err = cache.at(int(col))
-					if err != nil {
-						return err
-					}
-				}
-				sum += val * xv
+				sum += vals[j] * xv
 			}
 		}
 		rlo32 = rhi32

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"abft/internal/csr"
@@ -174,19 +173,6 @@ func (m *Matrix) SetReadMode(mode ReadMode) { m.mode = mode }
 // ReadMode returns the configured read discipline.
 func (m *Matrix) ReadMode() ReadMode { return m.mode }
 
-// SetShared is the deprecated boolean precursor of SetReadMode, kept as
-// a thin forwarding wrapper: true maps to ModeShared, false to
-// ModeExclusive.
-//
-// Deprecated: use SetReadMode.
-func (m *Matrix) SetShared(shared bool) {
-	if shared {
-		m.SetReadMode(ModeShared)
-	} else {
-		m.SetReadMode(ModeExclusive)
-	}
-}
-
 // SetCheckInterval adjusts the full-check cadence; see MatrixOptions.
 func (m *Matrix) SetCheckInterval(n int) { m.interval = n }
 
@@ -216,9 +202,11 @@ func (m *Matrix) StartSweep() bool {
 	return full
 }
 
-func (m *Matrix) faultErr(s Structure, sc Scheme, idx int, detail string) error {
-	m.counters.AddDetected(1)
-	return &FaultError{Structure: s, Scheme: sc, Index: idx, Detail: detail}
+// rowPtrFault counts and builds the uncorrectable-error value for
+// row-pointer group g.
+func (m *Matrix) rowPtrFault(c *Counters, g int, detail string) error {
+	c.AddDetected(1)
+	return &FaultError{Structure: StructRowPtr, Scheme: m.rowScheme, Index: g, Detail: detail}
 }
 
 func (m *Matrix) boundsErr(s Structure, idx int, val, limit uint32) error {
@@ -300,14 +288,6 @@ func (m *Matrix) encodeRowGroup(g int) {
 	}
 }
 
-// checkRowGroup verifies row-pointer group g, repairing correctable errors
-// when commit is true. It reports corrections via the counters.
-func (m *Matrix) checkRowGroup(g int, commit bool) error {
-	var tmp [8]uint32
-	_, err := m.decodeRowGroup(g, commit, &tmp)
-	return err
-}
-
 // decodeRowGroup verifies row-pointer group g and writes its masked data
 // entries into dst (the group's entries occupy dst[0:RowPtrGroup()]).
 // Correctable faults are counted and always applied to dst; storage is
@@ -315,13 +295,19 @@ func (m *Matrix) checkRowGroup(g int, commit bool) error {
 // correction was found — when it was and commit is false, storage still
 // holds the fault and only dst carries the corrected values.
 func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected bool, err error) {
+	return m.decodeRowGroupCounting(g, commit, dst, m.counters)
+}
+
+// decodeRowGroupCounting is decodeRowGroup recording corrections and
+// detections into c instead of the attached counters.
+func (m *Matrix) decodeRowGroupCounting(g int, commit bool, dst *[8]uint32, c *Counters) (corrected bool, err error) {
 	switch m.rowScheme {
 	case None:
 		dst[0] = m.rowptr[g]
 	case SED:
 		r := m.rowptr[g]
 		if ecc.Parity64(uint64(r)) != 0 {
-			return false, m.faultErr(StructRowPtr, SED, g, "parity mismatch")
+			return false, m.rowPtrFault(c, g, "parity mismatch")
 		}
 		dst[0] = r & sedColMask
 	case SECDED64:
@@ -333,9 +319,9 @@ func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected b
 			if commit {
 				e[0], e[1] = uint32(cw[0]), uint32(cw[0]>>32)
 			}
-			m.counters.AddCorrected(1)
+			c.AddCorrected(1)
 		case ecc.Detected:
-			return false, m.faultErr(StructRowPtr, SECDED64, g, "secded double-bit error")
+			return false, m.rowPtrFault(c, g, "secded double-bit error")
 		}
 		dst[0] = uint32(cw[0]) & rowPtrMask
 		dst[1] = uint32(cw[0]>>32) & rowPtrMask
@@ -352,9 +338,9 @@ func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected b
 				e[0], e[1] = uint32(cw[0]), uint32(cw[0]>>32)
 				e[2], e[3] = uint32(cw[1]), uint32(cw[1]>>32)
 			}
-			m.counters.AddCorrected(1)
+			c.AddCorrected(1)
 		case ecc.Detected:
-			return false, m.faultErr(StructRowPtr, SECDED128, g, "secded double-bit error")
+			return false, m.rowPtrFault(c, g, "secded double-bit error")
 		}
 		dst[0] = uint32(cw[0]) & rowPtrMask
 		dst[1] = uint32(cw[0]>>32) & rowPtrMask
@@ -365,7 +351,7 @@ func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected b
 		// serialised copy.
 		e := (*[8]uint32)(m.rowptr[8*g : 8*g+8])
 		if crc, stored := ecc.GroupChecksum(e, m.backend); crc != stored {
-			return m.repairCRCRowGroup(g, commit, dst)
+			return m.repairCRCRowGroup(g, commit, dst, c)
 		}
 		for i, x := range e {
 			dst[i] = x & rowPtrMask
@@ -378,8 +364,8 @@ func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected b
 // when the in-place check of group g disagreed. It re-derives the verdict
 // from its own serialised copy of the message, searches for the flips
 // that explain the syndrome and delivers the repaired entries in dst,
-// committing them to storage when commit is true.
-func (m *Matrix) repairCRCRowGroup(g int, commit bool, dst *[8]uint32) (corrected bool, err error) {
+// committing them to storage when commit is true and counting into c.
+func (m *Matrix) repairCRCRowGroup(g int, commit bool, dst *[8]uint32, c *Counters) (corrected bool, err error) {
 	e := m.rowptr[8*g : 8*g+8]
 	var buf [32]byte
 	var stored uint32
@@ -388,27 +374,27 @@ func (m *Matrix) repairCRCRowGroup(g int, commit bool, dst *[8]uint32) (correcte
 		stored |= (x >> 28) << (4 * uint(i))
 	}
 	if crc := ecc.Checksum(buf[:], m.backend); crc != stored {
-		flips, ok := correctCRCCodeword(buf[:], stored, crc, m.backend)
+		flips, ok := ecc.CorrectCodeword(buf[:], stored, crc)
 		if !ok {
-			return false, m.faultErr(StructRowPtr, CRC32C, g, "crc32c mismatch beyond correction depth")
+			return false, m.rowPtrFault(c, g, "crc32c mismatch beyond correction depth")
 		}
 		for _, f := range flips {
-			if f.inCRC {
+			if f.InCRC {
 				if commit {
-					e[f.bit/4] ^= 1 << uint(28+f.bit%4)
+					e[f.Bit/4] ^= 1 << uint(28+f.Bit%4)
 				}
 				continue
 			}
-			if f.bit%32 >= 28 {
-				return false, m.faultErr(StructRowPtr, CRC32C, g, "crc flip located in reserved bits")
+			if f.Bit%32 >= 28 {
+				return false, m.rowPtrFault(c, g, "crc flip located in reserved bits")
 			}
-			buf[f.bit/8] ^= 1 << uint(f.bit%8)
+			buf[f.Bit/8] ^= 1 << uint(f.Bit%8)
 			if commit {
-				e[f.bit/32] ^= 1 << uint(f.bit%32)
+				e[f.Bit/32] ^= 1 << uint(f.Bit%32)
 			}
 		}
 		corrected = true
-		m.counters.AddCorrected(1)
+		c.AddCorrected(1)
 	}
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint32(buf[4*i:])
@@ -479,198 +465,27 @@ func (m *Matrix) RowRange(r int) (lo, hi int, err error) {
 // ---------------------------------------------------------------------------
 // Element protection
 
-// colMaskFor returns the AND-mask isolating the data bits of a stored
-// column index.
-func colMaskFor(s Scheme) uint32 {
-	switch s {
-	case None:
-		return 0xFFFF_FFFF
-	case SED:
-		return sedColMask
-	default:
-		return eccColMask
-	}
+// elems returns the column-element codec over this matrix's own element
+// arrays. The view is built per call, not stored: it costs a few register
+// moves and keeps the matrix exactly as large as its storage.
+func (m *Matrix) elems() ColElems {
+	return ColElems{Scheme: m.elemScheme, Backend: m.backend, Vals: m.vals, Cols: m.colIdx}
 }
 
 func (m *Matrix) encodeElementsAll() {
-	switch m.elemScheme {
-	case None:
-	case SED:
-		for k := range m.colIdx {
-			m.encodeElemSED(k)
-		}
-	case SECDED64:
-		for k := range m.colIdx {
-			m.encodeElem64(k)
-		}
-	case SECDED128:
-		for t := 0; 2*t < len(m.colIdx); t++ {
-			m.encodeElemPair(t)
-		}
-	case CRC32C:
-		buf := make([]byte, m.maxRow*12)
-		cur := rowPtrCursor{m: m, check: false, group: -1}
-		for r := 0; r < m.rows; r++ {
-			lo, _ := cur.value(r)
-			hi, _ := cur.value(r + 1)
-			m.encodeElemRowCRC(int(lo), int(hi), buf)
-		}
+	el := m.elems()
+	if m.elemScheme != CRC32C {
+		el.Encode(0, len(m.colIdx))
+		return
 	}
-}
-
-func (m *Matrix) encodeElemSED(k int) {
-	c := m.colIdx[k] & sedColMask
-	p := ecc.Parity64(math.Float64bits(m.vals[k]) ^ uint64(c))
-	m.colIdx[k] = c | uint32(p)<<31
-}
-
-func (m *Matrix) encodeElem64(k int) {
-	cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k] & eccColMask)}
-	codecElem64.Encode(&cw)
-	m.colIdx[k] = uint32(cw[1])
-}
-
-func (m *Matrix) encodeElemPair(t int) {
-	k := 2 * t
-	v0 := math.Float64bits(m.vals[k])
-	v1 := math.Float64bits(m.vals[k+1])
-	c0 := uint64(m.colIdx[k] & eccColMask)
-	c1 := uint64(m.colIdx[k+1] & eccColMask)
-	cw := ecc.Word4{v0, c0 | v1<<32, v1>>32 | c1<<32}
-	codecElem128.Encode(&cw)
-	m.colIdx[k] = uint32(cw[1])
-	m.colIdx[k+1] = uint32(cw[2] >> 32)
-}
-
-// encodeElemRowCRC recomputes the row checksum for entries [lo,hi).
-func (m *Matrix) encodeElemRowCRC(lo, hi int, buf []byte) {
-	n := hi - lo
-	msg := buf[:12*n]
-	for j := 0; j < n; j++ {
-		m.colIdx[lo+j] &= eccColMask
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(m.vals[lo+j]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], m.colIdx[lo+j])
+	// One CRC32C codeword per row: a run of stride 1.
+	buf := make([]byte, m.maxRow*12)
+	cur := rowPtrCursor{m: m, check: false, group: -1}
+	for r := 0; r < m.rows; r++ {
+		lo, _ := cur.value(r)
+		hi, _ := cur.value(r + 1)
+		el.EncodeRun(int(lo), int(hi-lo), 1, buf)
 	}
-	crc := ecc.Checksum(msg, m.backend)
-	for j := 0; j < 4 && j < n; j++ {
-		m.colIdx[lo+j] |= (crc >> (8 * uint(j)) & 0xFF) << 24
-	}
-}
-
-// checkElemSED verifies element k under SED.
-func (m *Matrix) checkElemSED(k int) error {
-	if ecc.Parity64(math.Float64bits(m.vals[k])^uint64(m.colIdx[k])) != 0 {
-		return m.faultErr(StructElements, SED, k, "parity mismatch")
-	}
-	return nil
-}
-
-// checkElem64 verifies element k under SECDED64, repairing single flips
-// when commit is true. The first return reports whether a correction was
-// found — storage is stale when it was and commit was false.
-func (m *Matrix) checkElem64(k int, commit bool) (bool, error) {
-	cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k])}
-	switch res, _ := codecElem64.Check(&cw); res {
-	case ecc.Corrected:
-		if commit {
-			m.vals[k] = math.Float64frombits(cw[0])
-			m.colIdx[k] = uint32(cw[1])
-		}
-		m.counters.AddCorrected(1)
-		return true, nil
-	case ecc.Detected:
-		return false, m.faultErr(StructElements, SECDED64, k, "secded64 double-bit error")
-	}
-	return false, nil
-}
-
-// checkElemPair verifies element pair t (elements 2t and 2t+1) under
-// SECDED128. The first return reports whether a correction was found —
-// storage is stale when it was and commit was false.
-func (m *Matrix) checkElemPair(t int, commit bool) (bool, error) {
-	k := 2 * t
-	v0 := math.Float64bits(m.vals[k])
-	v1 := math.Float64bits(m.vals[k+1])
-	cw := ecc.Word4{v0, uint64(m.colIdx[k]) | v1<<32, v1>>32 | uint64(m.colIdx[k+1])<<32}
-	switch res, _ := codecElem128.Check(&cw); res {
-	case ecc.Corrected:
-		if commit {
-			m.vals[k] = math.Float64frombits(cw[0])
-			m.colIdx[k] = uint32(cw[1])
-			m.vals[k+1] = math.Float64frombits(cw[1]>>32 | cw[2]<<32)
-			m.colIdx[k+1] = uint32(cw[2] >> 32)
-		}
-		m.counters.AddCorrected(1)
-		return true, nil
-	case ecc.Detected:
-		return false, m.faultErr(StructElements, SECDED128, t, "secded128 double-bit error")
-	}
-	return false, nil
-}
-
-// checkElemRowCRC verifies the CRC codeword of the row occupying entries
-// [lo,hi); buf must hold at least 12*(hi-lo) bytes of scratch. A row whose
-// claimed width exceeds the widest real row means the row pointers
-// themselves are corrupted beyond repair; that is reported as a fault, not
-// a crash.
-//
-// On return buf[:12*(hi-lo)] always holds the *corrected* row image (the
-// 12-byte value+masked-column records the checksum covers), so a caller
-// that cannot commit a correction to shared storage can still stream the
-// repaired row from buf. The first return reports whether a correction
-// was found — storage is stale when it was and commit was false.
-func (m *Matrix) checkElemRowCRC(row, lo, hi int, buf []byte, commit bool) (bool, error) {
-	n := hi - lo
-	if n < 0 || 12*n > len(buf) || hi > len(m.colIdx) {
-		return false, m.faultErr(StructElements, CRC32C, row,
-			"row bounds exceed the widest row (corrupted row pointers)")
-	}
-	msg := buf[:12*n]
-	var stored uint32
-	for j := 0; j < n; j++ {
-		c := m.colIdx[lo+j]
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(m.vals[lo+j]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], c&eccColMask)
-		if j < 4 {
-			stored |= (c >> 24) << (8 * uint(j))
-		}
-	}
-	crc := ecc.Checksum(msg, m.backend)
-	if crc == stored {
-		return false, nil
-	}
-	flips, ok := correctCRCCodeword(msg, stored, crc, m.backend)
-	if !ok {
-		return false, m.faultErr(StructElements, CRC32C, row, "crc32c row mismatch beyond correction depth")
-	}
-	for _, f := range flips {
-		if f.inCRC {
-			// Checksum-slot flip: the data records in msg are already
-			// right, only the stored redundancy needs repair.
-			if commit {
-				m.colIdx[lo+f.bit/8] ^= 1 << uint(24+f.bit%8)
-			}
-			continue
-		}
-		elem := f.bit / 96
-		bit := f.bit % 96
-		switch {
-		case bit < 64:
-			if commit {
-				m.vals[lo+elem] = math.Float64frombits(
-					math.Float64bits(m.vals[lo+elem]) ^ 1<<uint(bit))
-			}
-		case bit < 88:
-			if commit {
-				m.colIdx[lo+elem] ^= 1 << uint(bit-64)
-			}
-		default:
-			return false, m.faultErr(StructElements, CRC32C, row, "crc flip located in reserved byte")
-		}
-		msg[f.bit/8] ^= 1 << uint(f.bit%8)
-	}
-	m.counters.AddCorrected(1)
-	return true, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -681,13 +496,9 @@ func (m *Matrix) checkElemRowCRC(row, lo, hi int, buf []byte, commit bool) (bool
 // number of corrections and the first uncorrectable error, continuing past
 // errors so the full damage is counted.
 func (m *Matrix) CheckAll() (corrected int, err error) {
-	if m.counters == nil {
-		// Attach a scratch accumulator so corrections are counted even
-		// for untracked matrices.
-		m.counters = &Counters{}
-		defer func() { m.counters = nil }()
-	}
-	before := m.counters.Corrected()
+	// Count into a local accumulator and forward it: the tally is exact
+	// for untracked matrices too, and the scrub never writes m.counters.
+	var acc Counters
 	record := func(e error) {
 		if e != nil && err == nil {
 			err = e
@@ -697,30 +508,18 @@ func (m *Matrix) CheckAll() (corrected int, err error) {
 	if m.rowScheme != None {
 		groups := len(m.rowptr) / m.rowScheme.RowPtrGroup()
 		checks += uint64(groups)
+		var tmp [8]uint32
 		for g := 0; g < groups; g++ {
-			record(m.checkRowGroup(g, true))
+			_, e := m.decodeRowGroupCounting(g, true, &tmp, &acc)
+			record(e)
 		}
 	}
-	switch m.elemScheme {
-	case None:
-	case SED:
-		checks += uint64(len(m.colIdx))
-		for k := range m.colIdx {
-			record(m.checkElemSED(k))
-		}
-	case SECDED64:
-		checks += uint64(len(m.colIdx))
-		for k := range m.colIdx {
-			_, e := m.checkElem64(k, true)
-			record(e)
-		}
-	case SECDED128:
-		checks += uint64((len(m.colIdx) + 1) / 2)
-		for t := 0; 2*t < len(m.colIdx); t++ {
-			_, e := m.checkElemPair(t, true)
-			record(e)
-		}
-	case CRC32C:
+	el := m.elems()
+	if m.elemScheme != CRC32C {
+		_, n, e := el.Check(0, len(m.colIdx), true, &acc)
+		checks += n
+		record(e)
+	} else {
 		checks += uint64(m.rows)
 		buf := make([]byte, m.maxRow*12)
 		cur := rowPtrCursor{m: m, check: false, group: -1}
@@ -730,13 +529,15 @@ func (m *Matrix) CheckAll() (corrected int, err error) {
 			hi, e2 := cur.value(r + 1)
 			record(e2)
 			if e == nil && e2 == nil && lo <= hi {
-				_, e3 := m.checkElemRowCRC(r, int(lo), int(hi), buf, true)
+				_, e3 := el.CheckRun(r, int(lo), int(hi-lo), 1, buf, true, &acc)
 				record(e3)
 			}
 		}
 	}
 	m.counters.AddChecks(checks)
-	return int(m.counters.Corrected() - before), err
+	m.counters.AddCorrected(acc.Corrected())
+	m.counters.AddDetected(acc.Detected())
+	return int(acc.Corrected()), err
 }
 
 // ToCSR decodes the matrix back into an unprotected CSR structure,
@@ -746,7 +547,8 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 		return nil, err
 	}
 	entries := make([]csr.Entry, 0, m.nnz)
-	colMask := colMaskFor(m.elemScheme)
+	el := m.elems()
+	colMask := el.Mask()
 	cur := rowPtrCursor{m: m, check: false, group: -1}
 	for r := 0; r < m.rows; r++ {
 		lo, err := cur.value(r)

@@ -40,11 +40,6 @@ type ProtectedMatrix interface {
 	// to Scrub, which the owner serializes against Apply. Must be set
 	// before the matrix becomes visible to other goroutines.
 	SetReadMode(ReadMode)
-	// SetShared is the deprecated boolean precursor of SetReadMode: true
-	// maps to ModeShared, false to ModeExclusive.
-	//
-	// Deprecated: use SetReadMode.
-	SetShared(bool)
 	// CounterSnapshot returns a point-in-time copy of the attached
 	// counters (zeros when none are attached).
 	CounterSnapshot() CounterSnapshot

@@ -3,9 +3,9 @@ package core
 import "fmt"
 
 // ReadMode selects how reads through protected storage treat the
-// embedded codewords. It replaces the earlier SetShared(bool) toggle,
-// which conflated two orthogonal decisions — whether corrections may be
-// written back, and whether codewords are decoded at all — in one flag.
+// embedded codewords. It separates two orthogonal decisions — whether
+// corrections may be written back, and whether codewords are decoded at
+// all — that a single shared/exclusive flag would conflate.
 //
 // The modes form a strict ladder of trust:
 //

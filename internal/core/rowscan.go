@@ -1,10 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // RowScanner streams fully verified matrix rows to a caller-supplied
 // visitor: the access pattern of triangular sweeps (the symmetric
@@ -18,9 +14,9 @@ import (
 // are batch-verified once, then the entries stream from storage with
 // only the column mask and range check applied. In exclusive mode (the
 // default) repairs are committed to storage, so a verified row is
-// always streamable. In shared mode (Matrix.SetShared) nothing is ever
-// written back; a row whose verify found a correction it could not
-// commit falls back to a corrective per-element local decode — the
+// always streamable. In shared mode (Matrix.SetReadMode(ModeShared))
+// nothing is ever written back; a row whose verify found a correction it
+// could not commit is staged through ColElems.DecodeLocal — the
 // matrix-element analogue of Vector.ReadBlockShared — so the visitor
 // still receives the corrected values while the stored fault stays for
 // the owner's Scrub to clear.
@@ -30,26 +26,21 @@ import (
 // concurrent use. Reset clears the memoisation so a new sweep
 // re-verifies state that may have been corrupted since the last one.
 type RowScanner struct {
-	m        *Matrix
-	cur      rowPtrCursor // row-pointer cursor (locally corrected decode)
-	buf      []byte       // CRC32C row scratch
-	lastPair int          // SECDED128 pair memo for verifyRowElems
-	dec      elemDecoder  // corrective fallback for dirty rows
+	m   *Matrix
+	cur rowPtrCursor // row-pointer cursor (locally corrected decode)
+	ver rowVerifier  // element verify state (CRC32C scratch, SECDED128 memo)
 }
 
 // NewRowScanner returns a scanner over m's rows.
 func (m *Matrix) NewRowScanner() *RowScanner {
-	s := &RowScanner{m: m}
-	if m.elemScheme == CRC32C {
-		s.buf = make([]byte, m.maxRow*12)
-	}
+	s := &RowScanner{m: m, ver: m.newRowVerifier(false)}
 	s.Reset()
 	return s
 }
 
 // Reset forgets which codewords the scanner has already verified,
-// starting a fresh sweep: corruption that struck between sweeps is
-// caught again.
+// starting a fresh sweep under the matrix's current read mode:
+// corruption that struck between sweeps is caught again.
 func (s *RowScanner) Reset() {
 	s.cur = rowPtrCursor{
 		m:      s.m,
@@ -57,8 +48,9 @@ func (s *RowScanner) Reset() {
 		commit: s.m.mode.Commits(),
 		group:  -1,
 	}
-	s.lastPair = -1
-	s.dec.init(s.m)
+	s.ver.el = s.m.elems()
+	s.ver.commit = s.m.mode.Commits()
+	s.ver.lastPair = -1
 }
 
 // Row verifies row r's row-pointer and element codewords and streams
@@ -88,49 +80,37 @@ func (s *RowScanner) Row(r int, fn func(col int, val float64)) error {
 	dirty := false
 	if m.elemScheme != None && m.mode.Verifies() {
 		var ec uint64
-		dirty, ec, err = m.verifyRowElems(r, lo, hi, m.mode.Commits(), s.buf, &s.lastPair)
+		dirty, ec, err = s.ver.row(r, lo, hi)
 		checks += ec
 		if err != nil {
 			return err
 		}
 	}
-	switch {
-	case !dirty:
-		// Unlike SpMV's raw baseline path, the range check also runs for
-		// unprotected matrices: visitors index by the column we hand
-		// them, so the check is what turns a corrupted index into a
-		// classified fault instead of a crash (paper's range-check
-		// rationale).
-		colMask := colMaskFor(m.elemScheme)
-		for k := lo; k < hi; k++ {
-			col := m.colIdx[k] & colMask
-			if col >= uint32(m.cols) {
-				return m.boundsErr(StructElements, k, col, uint32(m.cols))
-			}
-			fn(int(col), m.vals[k])
+	if dirty {
+		// Stage the dirty row, stream the stage.
+		cols, vals, err := s.ver.el.DecodeLocal(r, lo, hi-lo, 1)
+		if err != nil {
+			return err
 		}
-	case m.elemScheme == CRC32C:
-		// Dirty CRC row: stream the corrected row image the verify left
-		// in the scratch buffer.
-		for j := 0; j < hi-lo; j++ {
-			col := binary.LittleEndian.Uint32(s.buf[12*j+8:]) & eccColMask
+		for j, col := range cols {
 			if col >= uint32(m.cols) {
 				return m.boundsErr(StructElements, lo+j, col, uint32(m.cols))
 			}
-			fn(int(col), math.Float64frombits(binary.LittleEndian.Uint64(s.buf[12*j:])))
+			fn(int(col), vals[j])
 		}
-	default:
-		// Dirty SECDED row: corrective per-element local decode.
-		for k := lo; k < hi; k++ {
-			col, val, err := s.dec.at(k)
-			if err != nil {
-				return err
-			}
-			if col >= uint32(m.cols) {
-				return m.boundsErr(StructElements, k, col, uint32(m.cols))
-			}
-			fn(int(col), val)
+		return nil
+	}
+	// Unlike SpMV's raw baseline path, the range check also runs for
+	// unprotected matrices: visitors index by the column we hand them, so
+	// the check is what turns a corrupted index into a classified fault
+	// instead of a crash (paper's range-check rationale).
+	colMask := s.ver.el.Mask()
+	for k := lo; k < hi; k++ {
+		col := m.colIdx[k] & colMask
+		if col >= uint32(m.cols) {
+			return m.boundsErr(StructElements, k, col, uint32(m.cols))
 		}
+		fn(int(col), m.vals[k])
 	}
 	return nil
 }

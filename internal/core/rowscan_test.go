@@ -44,9 +44,10 @@ func TestRowScannerMatchesReference(t *testing.T) {
 		}
 	}
 	for _, s := range Schemes {
-		for _, shared := range []bool{false, true} {
+		for _, mode := range []ReadMode{ModeExclusive, ModeShared} {
+			shared := mode == ModeShared
 			m := scannerMatrix(t, s, s)
-			m.SetShared(shared)
+			m.SetReadMode(mode)
 			got := scanAll(t, m)
 			for key, v := range want {
 				if got[key] != v {
@@ -87,7 +88,7 @@ func TestRowScannerSharedUsesCorrectedValues(t *testing.T) {
 		m := scannerMatrix(t, s, s)
 		var c Counters
 		m.SetCounters(&c)
-		m.SetShared(true)
+		m.SetReadMode(ModeShared)
 		m.RawVals()[0] = math.Float64frombits(math.Float64bits(m.RawVals()[0]) ^ 1<<40)
 
 		got := scanAll(t, m)
@@ -100,7 +101,7 @@ func TestRowScannerSharedUsesCorrectedValues(t *testing.T) {
 			t.Fatalf("%v: correction not counted", s)
 		}
 		// Nothing was committed: the owner's scrub still finds the flip.
-		m.SetShared(false)
+		m.SetReadMode(ModeExclusive)
 		if corrected, err := m.Scrub(); err != nil || corrected != 1 {
 			t.Fatalf("%v: shared scan committed the repair: corrected=%d err=%v", s, corrected, err)
 		}
@@ -117,7 +118,7 @@ func TestRowScannerSharedRowPtrCorrection(t *testing.T) {
 		m := scannerMatrix(t, SECDED64, s)
 		var c Counters
 		m.SetCounters(&c)
-		m.SetShared(true)
+		m.SetReadMode(ModeShared)
 		m.RawRowPtr()[3] ^= 1 << 5 // a data bit under every row-pointer layout
 		got := scanAll(t, m)
 		for key, v := range want {
@@ -128,7 +129,7 @@ func TestRowScannerSharedRowPtrCorrection(t *testing.T) {
 		if c.Corrected() == 0 {
 			t.Fatalf("%v: row-pointer correction not counted", s)
 		}
-		m.SetShared(false)
+		m.SetReadMode(ModeExclusive)
 		if corrected, err := m.Scrub(); err != nil || corrected != 1 {
 			t.Fatalf("%v: repair was committed in shared mode: corrected=%d err=%v", s, corrected, err)
 		}
@@ -138,9 +139,10 @@ func TestRowScannerSharedRowPtrCorrection(t *testing.T) {
 // TestRowScannerDetectsDoubleFlip: uncorrectable damage surfaces as a
 // FaultError in both modes.
 func TestRowScannerDetectsDoubleFlip(t *testing.T) {
-	for _, shared := range []bool{false, true} {
+	for _, mode := range []ReadMode{ModeExclusive, ModeShared} {
+		shared := mode == ModeShared
 		m := scannerMatrix(t, SECDED64, SECDED64)
-		m.SetShared(shared)
+		m.SetReadMode(mode)
 		m.RawVals()[0] = math.Float64frombits(math.Float64bits(m.RawVals()[0]) ^ 1<<40 ^ 1<<41)
 		sc := m.NewRowScanner()
 		err := sc.Row(0, func(int, float64) {})

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"abft/internal/par"
 )
@@ -74,19 +72,16 @@ func decodeColumns(x *MultiVector, commit bool) ([][]float64, error) {
 // spmmRange multiplies rows [lo,hi) against every decoded column; lo
 // must be a multiple of the output block size. It is spmvRange with the
 // inner multiply fanned out over k sums — the verify work per row
-// (row-pointer cursor, element batch verify, corrective fallbacks) is
-// identical and happens once regardless of k.
+// (row-pointer cursor, element batch verify, the staged fallback of a
+// dirty row) is identical and happens once regardless of k.
 func (m *Matrix) spmmRange(dst *MultiVector, xbufs [][]float64, lo, hi int, fullCheck, commit bool) error {
 	if m.elemScheme == None && m.rowScheme == None {
 		return m.spmmRawRange(dst, xbufs, lo, hi)
 	}
 	k := len(xbufs)
 	cur := rowPtrCursor{m: m, check: fullCheck, commit: commit, group: -1}
-	colMask := colMaskFor(m.elemScheme)
-	var scratch []byte
-	if m.elemScheme == CRC32C && fullCheck {
-		scratch = make([]byte, m.maxRow*12)
-	}
+	ver := m.newRowVerifier(commit)
+	colMask := ver.el.Mask()
 
 	var elemChecks uint64
 	defer func() {
@@ -95,9 +90,6 @@ func (m *Matrix) spmmRange(dst *MultiVector, xbufs [][]float64, lo, hi int, full
 
 	sums := make([]float64, k)
 	outs := make([][vecBlock]float64, k)
-	lastPair := -1
-	var dec elemDecoder
-	dec.init(m)
 	rlo32, err := cur.value(lo)
 	if err != nil {
 		return err
@@ -114,7 +106,7 @@ func (m *Matrix) spmmRange(dst *MultiVector, xbufs [][]float64, lo, hi int, full
 		dirty := false
 		if fullCheck && m.elemScheme != None {
 			var checks uint64
-			dirty, checks, err = m.verifyRowElems(r, rlo, rhi, commit, scratch, &lastPair)
+			dirty, checks, err = ver.row(r, rlo, rhi)
 			elemChecks += checks
 			if err != nil {
 				return err
@@ -137,30 +129,18 @@ func (m *Matrix) spmmRange(dst *MultiVector, xbufs [][]float64, lo, hi int, full
 					sums[j] += v * xbufs[j][col]
 				}
 			}
-		case m.elemScheme == CRC32C:
-			// Dirty CRC row: stream the corrected row image from scratch.
-			for i := 0; i < rhi-rlo; i++ {
-				col := binary.LittleEndian.Uint32(scratch[12*i+8:]) & eccColMask
+		default:
+			// Dirty row: stage it, stream the stage.
+			cols, vals, err := ver.el.DecodeLocal(r, rlo, rhi-rlo, 1)
+			if err != nil {
+				return err
+			}
+			for i, col := range cols {
 				if col >= uint32(m.cols) {
 					return m.boundsErr(StructElements, rlo+i, col, uint32(m.cols))
 				}
-				v := math.Float64frombits(binary.LittleEndian.Uint64(scratch[12*i:]))
 				for j := 0; j < k; j++ {
-					sums[j] += v * xbufs[j][col]
-				}
-			}
-		default:
-			// Dirty SECDED row: corrective per-element local decode.
-			for kk := rlo; kk < rhi; kk++ {
-				col, v, err := dec.at(kk)
-				if err != nil {
-					return err
-				}
-				if col >= uint32(m.cols) {
-					return m.boundsErr(StructElements, kk, col, uint32(m.cols))
-				}
-				for j := 0; j < k; j++ {
-					sums[j] += v * xbufs[j][col]
+					sums[j] += vals[i] * xbufs[j][col]
 				}
 			}
 		}

@@ -256,7 +256,7 @@ func (v *Vector) repairCRCBlock(b int, w []uint64, dst *[vecBlock]float64, commi
 	}
 	crc := ecc.Checksum(buf[:], v.backend)
 	if crc != stored {
-		if !correctCRCVecBlock(&lw, buf[:], stored, crc, v.backend) {
+		if !correctCRCVecBlock(&lw, buf[:], stored, crc) {
 			return v.faultErr(c, b, "crc32c mismatch beyond correction depth")
 		}
 		c.AddCorrected(1)
@@ -274,19 +274,19 @@ func (v *Vector) repairCRCBlock(b int, w []uint64, dst *[vecBlock]float64, commi
 // CRC32C-protected block: up to two flips in the message bits, the stored
 // checksum bits, or one of each. On success the words are repaired and it
 // returns true.
-func correctCRCVecBlock(w *[vecBlock]uint64, msg []byte, stored, computed uint32, backend ecc.Backend) bool {
-	flips, ok := correctCRCCodeword(msg, stored, computed, backend)
+func correctCRCVecBlock(w *[vecBlock]uint64, msg []byte, stored, computed uint32) bool {
+	flips, ok := ecc.CorrectCodeword(msg, stored, computed)
 	if !ok {
 		return false
 	}
 	for _, f := range flips {
-		if f.inCRC {
+		if f.InCRC {
 			// Checksum slot flip: bit k of the CRC lives in bit k%8 of
 			// word k/8's reserved byte.
-			w[f.bit/8] ^= 1 << uint(f.bit%8)
+			w[f.Bit/8] ^= 1 << uint(f.Bit%8)
 		} else {
-			word := f.bit / 64
-			bit := f.bit % 64
+			word := f.Bit / 64
+			bit := f.Bit % 64
 			if bit < 8 {
 				return false // message flips cannot land in reserved bytes
 			}

@@ -1,64 +1,72 @@
 package core
 
-import (
-	"math"
+// rowVerifier is the per-sweep state of the verify half of the
+// verify-then-stream protocol over CSR rows: the column-element codec
+// view, the commit discipline of the sweep, and what must survive from
+// one row to the next. One verifier serves one goroutine's sweep.
+type rowVerifier struct {
+	m      *Matrix
+	el     ColElems
+	commit bool
+	// scratch is the CRC32C row buffer (12 bytes per entry of the widest
+	// row), allocated by the first row that verifies under that scheme.
+	scratch []byte
+	// lastPair memoises the last verified SECDED128 pair across
+	// consecutive rows so a codeword straddling a row boundary is checked
+	// once; a straddling pair whose correction was not committed is left
+	// unmemoised so the next row re-verifies it and falls back too.
+	lastPair int
+}
 
-	"abft/internal/ecc"
-)
+func (m *Matrix) newRowVerifier(commit bool) rowVerifier {
+	return rowVerifier{m: m, el: m.elems(), commit: commit, lastPair: -1}
+}
 
-// verifyRowElems batch-verifies the element codewords covering entries
-// [lo,hi) of row r in one tight per-scheme pass, the first half of the
-// verify-then-stream protocol: when the row verifies clean (or every
-// correction was committed to storage), the caller may stream the row's
-// values and masked column indices straight from storage with no
+// row batch-verifies the element codewords covering entries [lo,hi) of
+// row r in one tight per-scheme pass: when the row verifies clean (or
+// every correction was committed to storage), the caller may stream the
+// row's values and masked column indices straight from storage with no
 // per-element decode.
 //
-// dirty reports that a correction was found but could not be committed
-// (commit=false): storage still holds the raw fault and the caller must
-// fall back to a corrective per-element decode (elemDecoder, or the
-// corrected CRC row image left in scratch) instead of streaming storage.
+// dirty reports that a correction was found but could not be committed:
+// storage still holds the raw fault and the caller must stage the row
+// through ColElems.DecodeLocal and stream the stage instead of storage.
 //
-// scratch is the CRC32C row buffer (>= 12*(hi-lo) bytes, unused by other
-// schemes). lastPair memoises the last verified SECDED128 pair across
-// consecutive rows so a codeword straddling a row boundary is checked
-// once; a straddling pair whose correction was not committed is left
-// unmemoised so the next row re-verifies it and falls back too.
-//
-// checks counts the codeword verifications performed; the caller batches
-// it into the counters.
-func (m *Matrix) verifyRowElems(r, lo, hi int, commit bool, scratch []byte, lastPair *int) (dirty bool, checks uint64, err error) {
-	switch m.elemScheme {
+// checks counts the codeword verifications performed, up to and
+// including a failing one; the caller batches it into the counters.
+func (v *rowVerifier) row(r, lo, hi int) (dirty bool, checks uint64, err error) {
+	el, commit, c := &v.el, v.commit, v.m.counters
+	switch el.Scheme {
 	case None:
 	case SED:
 		for k := lo; k < hi; k++ {
-			checks++
-			if err := m.checkElemSED(k); err != nil {
-				return false, checks, err
+			if err := el.checkSED(k, c); err != nil {
+				return false, uint64(k - lo + 1), err
 			}
 		}
+		checks = uint64(hi - lo)
 	case SECDED64:
 		for k := lo; k < hi; k++ {
-			checks++
-			corrected, err := m.checkElem64(k, commit)
+			corrected, err := el.check64(k, commit, c)
 			if err != nil {
-				return false, checks, err
+				return false, uint64(k - lo + 1), err
 			}
 			if corrected && !commit {
 				dirty = true
 			}
 		}
+		checks = uint64(hi - lo)
 	case SECDED128:
 		if hi > lo {
 			t0, last := lo/2, (hi-1)/2
-			if t0 == *lastPair {
+			if t0 == v.lastPair {
 				t0++
 			}
 			memoLast := true
 			for t := t0; t <= last; t++ {
-				checks++
-				corrected, err := m.checkElemPair(t, commit)
+				corrected, err := el.checkPair(t, commit, c)
 				if err != nil {
-					return false, checks, err
+					return false, uint64(t - t0 + 1), err
 				}
 				if corrected && !commit {
 					dirty = true
@@ -67,13 +75,17 @@ func (m *Matrix) verifyRowElems(r, lo, hi int, commit bool, scratch []byte, last
 					}
 				}
 			}
+			checks = uint64(last - t0 + 1)
 			if memoLast {
-				*lastPair = last
+				v.lastPair = last
 			}
 		}
 	case CRC32C:
+		if v.scratch == nil {
+			v.scratch = make([]byte, v.m.maxRow*12)
+		}
 		checks++
-		corrected, err := m.checkElemRowCRC(r, lo, hi, scratch, commit)
+		corrected, err := el.CheckRun(r, lo, hi-lo, 1, v.scratch, commit, c)
 		if err != nil {
 			return false, checks, err
 		}
@@ -82,54 +94,4 @@ func (m *Matrix) verifyRowElems(r, lo, hi int, commit bool, scratch []byte, last
 		}
 	}
 	return dirty, checks, nil
-}
-
-// elemDecoder is the corrective fallback of the verify-then-stream
-// protocol for the per-element schemes: when a batch verify reports a
-// row dirty, each element is decoded into decoder-local state with the
-// correction applied there, never touching shared storage — the
-// matrix-element analogue of Vector.ReadBlockShared. The verify pass
-// that flagged the row already accounted the checks and corrections, so
-// the decoder counts nothing.
-type elemDecoder struct {
-	m        *Matrix
-	lastPair int // SECDED128 pair held in pairVals/pairCols
-	pairVals [2]float64
-	pairCols [2]uint32
-}
-
-func (d *elemDecoder) init(m *Matrix) {
-	d.m = m
-	d.lastPair = -1
-}
-
-// at returns the locally corrected (masked column, value) of element k.
-func (d *elemDecoder) at(k int) (uint32, float64, error) {
-	m := d.m
-	switch m.elemScheme {
-	case SECDED64:
-		cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k])}
-		if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
-			return 0, 0, m.faultErr(StructElements, SECDED64, k, "secded64 double-bit error")
-		}
-		return uint32(cw[1]) & eccColMask, math.Float64frombits(cw[0]), nil
-	case SECDED128:
-		if t := k / 2; t != d.lastPair {
-			v0 := math.Float64bits(m.vals[2*t])
-			v1 := math.Float64bits(m.vals[2*t+1])
-			cw := ecc.Word4{v0, uint64(m.colIdx[2*t]) | v1<<32, v1>>32 | uint64(m.colIdx[2*t+1])<<32}
-			if res, _ := codecElem128.Check(&cw); res == ecc.Detected {
-				return 0, 0, m.faultErr(StructElements, SECDED128, t, "secded128 double-bit error")
-			}
-			d.pairVals[0] = math.Float64frombits(cw[0])
-			d.pairCols[0] = uint32(cw[1]) & eccColMask
-			d.pairVals[1] = math.Float64frombits(cw[1]>>32 | cw[2]<<32)
-			d.pairCols[1] = uint32(cw[2]>>32) & eccColMask
-			d.lastPair = t
-		}
-		return d.pairCols[k%2], d.pairVals[k%2], nil
-	}
-	// None and SED never correct (nothing to fall back for); CRC32C dirty
-	// rows stream from the scratch image instead of coming here.
-	return m.colIdx[k] & colMaskFor(m.elemScheme), m.vals[k], nil
 }

@@ -2,6 +2,7 @@ package op
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -33,22 +34,37 @@ func batchMultiVector(cols [][]float64, s core.Scheme) *core.MultiVector {
 	return mv
 }
 
+// batchWidths are the widths the batch conformance tables run at: 1 is
+// the single-RHS path of the one apply skeleton (ApplyBatch at width 1
+// must be Apply), 3 a genuinely k-wide pass.
+var batchWidths = []int{1, 3}
+
+// forEachPairAndWidth is forEachPair with one table row per batch width.
+func forEachPairAndWidth(t *testing.T, fn func(t *testing.T, f Format, s core.Scheme, k int)) {
+	t.Helper()
+	forEachPair(t, func(t *testing.T, f Format, s core.Scheme) {
+		for _, k := range batchWidths {
+			t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) { fn(t, f, s, k) })
+		}
+	})
+}
+
 // TestConformanceApplyBatchParity asserts the tentpole invariant for
 // every format x scheme pair: one batched pass over the matrix is
 // bit-identical to k independent single-RHS Apply calls, serial and
 // parallel, in exclusive and shared (no-commit) mode.
 func TestConformanceApplyBatchParity(t *testing.T) {
-	const k = 3
-	forEachPair(t, func(t *testing.T, f Format, s core.Scheme) {
+	forEachPairAndWidth(t, func(t *testing.T, f Format, s core.Scheme, k int) {
 		plain := testMatrix(t)
 		cols := batchRefColumns(plain.Cols32(), k)
-		for _, shared := range []bool{false, true} {
+		for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
+			shared := mode == core.ModeShared
 			for _, workers := range []int{1, 4} {
 				m, err := New(f, plain, Config{Scheme: s, RowPtrScheme: s})
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.SetShared(shared)
+				m.SetReadMode(mode)
 				ba, ok := m.(core.BatchApplier)
 				if !ok {
 					t.Fatalf("%v does not implement core.BatchApplier", f)
@@ -91,8 +107,7 @@ func TestConformanceApplyBatchParity(t *testing.T) {
 // exclusive mode the repair is committed. Correction counts match
 // between the two modes, and SED detects in both.
 func TestConformanceApplyBatchFaultMidBatch(t *testing.T) {
-	const k = 3
-	forEachPair(t, func(t *testing.T, f Format, s core.Scheme) {
+	forEachPairAndWidth(t, func(t *testing.T, f Format, s core.Scheme, k int) {
 		if s == core.None {
 			t.Skip("baseline has no protection")
 		}
@@ -105,14 +120,15 @@ func TestConformanceApplyBatchFaultMidBatch(t *testing.T) {
 			plain.SpMV(want[j], cols[j])
 		}
 		counts := map[bool]uint64{}
-		for _, shared := range []bool{false, true} {
+		for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
+			shared := mode == core.ModeShared
 			m, err := New(f, plain, Config{Scheme: s, RowPtrScheme: s})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var c core.Counters
 			m.SetCounters(&c)
-			m.SetShared(shared)
+			m.SetReadMode(mode)
 			flipValueBit(m)
 			x := batchMultiVector(cols, core.None)
 			dst := core.NewMultiVector(m.Rows(), k, core.None)

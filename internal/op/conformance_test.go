@@ -173,33 +173,44 @@ func TestConformanceSingleFlipHandled(t *testing.T) {
 }
 
 // TestConformanceScrubDetectsAndCorrects drives the scrub path directly:
-// a flip must never survive a Scrub silently.
+// a flip must never survive a Scrub silently. The untracked rows pin the
+// scrub as a read-side API: it reports its correction count without ever
+// attaching an accumulator to the operator.
 func TestConformanceScrubDetectsAndCorrects(t *testing.T) {
 	forEachPair(t, func(t *testing.T, f Format, s core.Scheme) {
 		if s == core.None {
 			t.Skip("baseline has no protection")
 		}
-		plain := testMatrix(t)
-		m, err := New(f, plain, Config{Scheme: s, RowPtrScheme: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var c core.Counters
-		m.SetCounters(&c)
-		flipValueBit(m)
-		corrected, scrubErr := m.Scrub()
-		if s == core.SED {
-			if scrubErr == nil {
-				t.Fatal("SED scrub missed the flip")
+		for _, tracked := range []bool{true, false} {
+			plain := testMatrix(t)
+			m, err := New(f, plain, Config{Scheme: s, RowPtrScheme: s})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		if scrubErr != nil || corrected != 1 {
-			t.Fatalf("scrub: corrected=%d err=%v", corrected, scrubErr)
-		}
-		snap := m.CounterSnapshot()
-		if snap.Corrected != 1 {
-			t.Fatalf("counters did not record the correction: %+v", snap)
+			if tracked {
+				m.SetCounters(&core.Counters{})
+			}
+			flipValueBit(m)
+			corrected, scrubErr := m.Scrub()
+			if s == core.SED {
+				if scrubErr == nil {
+					t.Fatalf("tracked=%v: SED scrub missed the flip", tracked)
+				}
+				continue
+			}
+			if scrubErr != nil || corrected != 1 {
+				t.Fatalf("tracked=%v: scrub: corrected=%d err=%v", tracked, corrected, scrubErr)
+			}
+			snap := m.CounterSnapshot()
+			if tracked && snap.Corrected != 1 {
+				t.Fatalf("counters did not record the correction: %+v", snap)
+			}
+			if !tracked && snap != (core.CounterSnapshot{}) {
+				t.Fatalf("untracked scrub left counters behind: %+v", snap)
+			}
+			if cm, ok := m.(*core.Matrix); ok && !tracked && cm.Counters() != nil {
+				t.Fatal("untracked scrub attached an accumulator to the matrix")
+			}
 		}
 	})
 }

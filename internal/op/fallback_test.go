@@ -14,9 +14,10 @@ import (
 //
 //   - exclusive (the default): the batch verify repairs storage in
 //     place, so the block streams clean and a later scrub finds nothing;
-//   - shared (SetShared): the verify must not write storage, so the
-//     dirty block falls back to the corrective per-element local decode
-//     and the stored fault survives for the owner's scrub.
+//   - shared (ModeShared): the verify must not write storage, so the
+//     dirty block is staged (decoded into locals, correction applied
+//     there) and the stage streamed, and the stored fault survives for
+//     the owner's scrub.
 //
 // In both modes the product must be bit-exact against the unprotected
 // reference — the fallback is a slower decode of the same values, never
@@ -24,7 +25,8 @@ import (
 func TestVerifyThenStreamFallback(t *testing.T) {
 	for _, f := range Formats {
 		for _, s := range []core.Scheme{core.SECDED64, core.SECDED128, core.CRC32C} {
-			for _, shared := range []bool{false, true} {
+			for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
+				shared := mode == core.ModeShared
 				t.Run(fmt.Sprintf("%v_%v_shared=%v", f, s, shared), func(t *testing.T) {
 					plain := testMatrix(t)
 					xs := refVector(plain.Cols32())
@@ -37,7 +39,7 @@ func TestVerifyThenStreamFallback(t *testing.T) {
 					}
 					var c core.Counters
 					m.SetCounters(&c)
-					m.SetShared(shared)
+					m.SetReadMode(mode)
 
 					// One mid-mantissa flip in the middle of the element
 					// stream: inside some batch-verified block, not at a
@@ -70,7 +72,7 @@ func TestVerifyThenStreamFallback(t *testing.T) {
 					// The commit discipline distinguishes the modes: an
 					// exclusive Apply repairs storage, a shared one leaves
 					// the fault for the owning scrub.
-					m.SetShared(false)
+					m.SetReadMode(core.ModeExclusive)
 					corrected, err := m.Scrub()
 					if err != nil {
 						t.Fatalf("scrub: %v", err)

@@ -83,6 +83,43 @@ func TestConformanceUnverifiedApplyMatchesVerified(t *testing.T) {
 				t.Fatalf("row %d: unverified %v != verified %v", i, gv[i], wv[i])
 			}
 		}
+
+		// CSR has no unverified kernel of its own: ApplyUnverified is the
+		// range-check-only sweep interval checking runs between full
+		// checks. The Apply above was sweep 0; at interval 2 the next one
+		// is such a sweep, and the unverified call must reproduce it bit
+		// for bit while leaving both operands' counters alone.
+		cm, ok := m.(*core.Matrix)
+		if !ok {
+			return
+		}
+		cm.SetCheckInterval(2)
+		px := core.VectorFromSlice(xs, s)
+		var xc core.Counters
+		px.SetCounters(&xc)
+		if err := cm.Apply(want, px, 2); err != nil {
+			t.Fatal(err)
+		}
+		mBefore, xBefore := c.Snapshot(), xc.Snapshot()
+		if err := cm.ApplyUnverified(got, px, 2); err != nil {
+			t.Fatal(err)
+		}
+		if c.Snapshot() != mBefore || xc.Snapshot() != xBefore {
+			t.Fatalf("unverified apply touched the counters: matrix %+v -> %+v, x %+v -> %+v",
+				mBefore, c.Snapshot(), xBefore, xc.Snapshot())
+		}
+		if err := want.CopyTo(wv); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.CopyTo(gv); err != nil {
+			t.Fatal(err)
+		}
+		for i := range wv {
+			if math.Float64bits(wv[i]) != math.Float64bits(gv[i]) {
+				t.Fatalf("row %d: unverified %x != non-checking sweep %x", i,
+					math.Float64bits(gv[i]), math.Float64bits(wv[i]))
+			}
+		}
 	})
 }
 

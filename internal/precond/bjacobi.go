@@ -197,10 +197,5 @@ func (p *blockJacobiPre) SetCounters(c *core.Counters) {
 // SetReadMode selects the read discipline for the protected state.
 func (p *blockJacobiPre) SetReadMode(mode core.ReadMode) { p.mode = mode }
 
-// SetShared is the deprecated boolean precursor of SetReadMode.
-//
-// Deprecated: use SetReadMode.
-func (p *blockJacobiPre) SetShared(shared bool) { p.SetReadMode(sharedMode(shared)) }
-
 // RawState exposes the protected inverse blocks for fault injection.
 func (p *blockJacobiPre) RawState() []*core.Vector { return []*core.Vector{p.inv} }

@@ -84,10 +84,5 @@ func (p *jacobiPre) SetCounters(c *core.Counters) {
 // SetReadMode selects the read discipline for the protected state.
 func (p *jacobiPre) SetReadMode(mode core.ReadMode) { p.mode = mode }
 
-// SetShared is the deprecated boolean precursor of SetReadMode.
-//
-// Deprecated: use SetReadMode.
-func (p *jacobiPre) SetShared(shared bool) { p.SetReadMode(sharedMode(shared)) }
-
 // RawState exposes the protected inverse diagonal for fault injection.
 func (p *jacobiPre) RawState() []*core.Vector { return []*core.Vector{p.inv} }

@@ -154,11 +154,6 @@ type Preconditioner interface {
 	// Apply. ModeUnverified skips state-codeword decode entirely. Set
 	// before the preconditioner becomes visible to other goroutines.
 	SetReadMode(core.ReadMode)
-	// SetShared is the deprecated boolean precursor of SetReadMode:
-	// true maps to ModeShared, false to ModeExclusive.
-	//
-	// Deprecated: use SetReadMode.
-	SetShared(bool)
 	// RawState exposes the protected state vectors for fault
 	// injection; bits flipped in their raw storage model soft errors
 	// striking resident preconditioner memory.
@@ -284,14 +279,6 @@ func decode(v *core.Vector, dst []float64, mode core.ReadMode) error {
 		}
 	}
 	return nil
-}
-
-// sharedMode maps the deprecated SetShared boolean to its ReadMode.
-func sharedMode(shared bool) core.ReadMode {
-	if shared {
-		return core.ModeShared
-	}
-	return core.ModeExclusive
 }
 
 // applies is the shared Apply counter every implementation embeds.

@@ -264,7 +264,7 @@ func TestSharedModeLeavesRepairToScrub(t *testing.T) {
 			}
 			var c core.Counters
 			p.SetCounters(&c)
-			p.SetShared(true)
+			p.SetReadMode(core.ModeShared)
 			p.RawState()[0].Raw()[0] ^= 1 << 40
 
 			r := core.VectorFromSlice(refVector(src.Rows()), core.None)
@@ -301,7 +301,7 @@ func TestSGSSharedMatrixFlipCorrectedValuesUsed(t *testing.T) {
 	}
 	var c core.Counters
 	p.SetCounters(&c)
-	p.SetShared(true)
+	p.SetReadMode(core.ModeShared)
 	v := p.(*sgsPre).Matrix().RawVals()
 	v[0] = math.Float64frombits(math.Float64bits(v[0]) ^ 1<<40)
 

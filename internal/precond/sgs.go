@@ -179,11 +179,6 @@ func (p *sgsPre) SetReadMode(mode core.ReadMode) {
 	p.m.SetReadMode(mode)
 }
 
-// SetShared is the deprecated boolean precursor of SetReadMode.
-//
-// Deprecated: use SetReadMode.
-func (p *sgsPre) SetShared(shared bool) { p.SetReadMode(sharedMode(shared)) }
-
 // Matrix exposes the protected triangular-sweep matrix (fault
 // injection and inspection).
 func (p *sgsPre) Matrix() *core.Matrix { return p.m }

@@ -4,135 +4,20 @@ import (
 	"fmt"
 
 	"abft/internal/core"
-	"abft/internal/par"
 )
 
 // ApplyBatch computes dst = m * x for every column of x in one verified
-// pass over the slices, satisfying core.BatchApplier. Each slice's
-// codewords are checked exactly once per window sweep and then its
-// lanes accumulate into k window-local accumulators, so the matrix-side
-// check cost is paid per pass instead of per right-hand side.
-// Per-column results are bit-identical to k independent Apply calls:
-// each lane's sum runs in the same entry order per column, and each
-// column commits its own output blocks exactly like the single-RHS
-// path.
+// pass over the slices, satisfying core.BatchApplier: applyK at width
+// x.K(), so the matrix-side check cost is paid per pass instead of per
+// right-hand side and per-column results are bit-identical to k
+// independent Apply calls.
 func (m *Matrix) ApplyBatch(dst, x *core.MultiVector, workers int) error {
-	if dst.Len() != m.rows || x.Len() != m.cols {
-		return fmt.Errorf("sell: SpMM dimension mismatch: dst %d, m %dx%d, x %d",
-			dst.Len(), m.rows, m.cols, x.Len())
-	}
 	if dst.K() != x.K() {
 		return fmt.Errorf("sell: SpMM width mismatch: dst %d, x %d", dst.K(), x.K())
 	}
-	k := x.K()
-	xbufs := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		xbufs[j] = make([]float64, m.cols)
-		if err := x.Col(j).CopyTo(xbufs[j]); err != nil {
-			return err
-		}
+	dsts, xs := make([]*core.Vector, x.K()), make([]*core.Vector, x.K())
+	for j := range xs {
+		dsts[j], xs[j] = dst.Col(j), x.Col(j)
 	}
-	windows := (m.rows + m.sigma - 1) / m.sigma
-	return par.ForEach(windows, workers, 1, func(wlo, whi int) error {
-		accs := make([][]float64, k)
-		for j := range accs {
-			accs[j] = make([]float64, m.sigma)
-		}
-		var buf []byte
-		if m.scheme == core.CRC32C {
-			buf = make([]byte, m.maxWidth*12)
-		}
-		for w := wlo; w < whi; w++ {
-			if err := m.applyWindowBatch(dst, xbufs, accs, buf, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// applyWindowBatch multiplies the slices of sigma-window w against every
-// column and commits the window's output rows per column. It is
-// applyWindow with the lane sums fanned out over k — the slice verify
-// happens once regardless of k.
-func (m *Matrix) applyWindowBatch(dst *core.MultiVector, xbufs, accs [][]float64, buf []byte, w int) error {
-	base := w * m.sigma
-	top := base + m.sigma
-	if top > m.rows {
-		top = m.rows
-	}
-	kw := len(xbufs)
-	for j := 0; j < kw; j++ {
-		for i := range accs[j] {
-			accs[j][i] = 0
-		}
-	}
-	mask := m.colMask()
-	slo := base / C
-	shi := (top + C - 1) / C
-	sums := make([]float64, kw)
-	var checks uint64
-	defer func() { m.counters.AddChecks(checks) }()
-	for sl := slo; sl < shi; sl++ {
-		if m.scheme != core.None {
-			dirty, n, err := m.checkSlice(sl, buf, m.mode.Commits())
-			checks += n
-			if err != nil {
-				return err
-			}
-			if dirty {
-				// Shared-mode slice holding an uncommitted correction:
-				// take the corrective per-lane local decode for every
-				// column. The per-column decodes repeat the uncounted
-				// local re-decode, never touching storage.
-				for j := 0; j < kw; j++ {
-					if err := m.applySliceLocal(accs[j], xbufs[j], buf, sl, base); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-		}
-		width := m.sliceWidth(sl)
-		for l := 0; l < C; l++ {
-			sr := sl*C + l
-			r := m.perm[sr]
-			if r == padRow {
-				continue
-			}
-			for j := range sums {
-				sums[j] = 0
-			}
-			for j := 0; j < width; j++ {
-				k := m.entryIndex(sl, l, j)
-				col := m.colIdx[k] & mask
-				if m.scheme != core.None && col >= uint32(m.cols) {
-					m.counters.AddBounds(1)
-					return &core.BoundsError{Structure: core.StructElements, Index: k,
-						Value: col, Limit: uint32(m.cols)}
-				}
-				v := m.vals[k]
-				for c := 0; c < kw; c++ {
-					sums[c] += v * xbufs[c][col]
-				}
-			}
-			for c := 0; c < kw; c++ {
-				accs[c][int(r)-base] = sums[c]
-			}
-		}
-	}
-	var out [C]float64
-	for c := 0; c < kw; c++ {
-		for blk := base / C; blk*C < top; blk++ {
-			for i := 0; i < C; i++ {
-				if idx := blk*C + i; idx < m.rows {
-					out[i] = accs[c][idx-base]
-				} else {
-					out[i] = 0
-				}
-			}
-			dst.Col(c).WriteBlock(blk, &out)
-		}
-	}
-	return nil
+	return m.applyK(dsts, xs, workers, false)
 }

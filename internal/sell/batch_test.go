@@ -88,13 +88,14 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 // TestApplyBatchSharedFallback drives the batched window sweep through
 // its corrective branch: one value-bit flip per slice in shared mode
 // makes every slice verify report dirty without committing the repair,
-// so applyWindowBatch must stream each slice through the local
-// per-lane decode while every column stays bit-exact against the
+// so applyWindow must stage each lane once and stream the stage into
+// every column, while every column stays bit-exact against the
 // unprotected reference and the stored faults survive for the owner's
 // scrub.
 func TestApplyBatchSharedFallback(t *testing.T) {
 	for _, s := range []core.Scheme{core.SECDED64, core.SECDED128, core.CRC32C} {
-		for _, shared := range []bool{false, true} {
+		for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
+			shared := mode == core.ModeShared
 			t.Run(fmt.Sprintf("%v_shared=%v", s, shared), func(t *testing.T) {
 				plain := skewed(t, 41, 31)
 				xbufs, want := batchColumns(t, plain, 3)
@@ -105,7 +106,7 @@ func TestApplyBatchSharedFallback(t *testing.T) {
 				}
 				var c core.Counters
 				m.SetCounters(&c)
-				m.SetShared(shared)
+				m.SetReadMode(mode)
 
 				v := m.RawVals()
 				for sl := 0; sl < m.Slices(); sl++ {
@@ -125,7 +126,7 @@ func TestApplyBatchSharedFallback(t *testing.T) {
 					t.Fatal("no correction recorded for the injected flips")
 				}
 
-				m.SetShared(false)
+				m.SetReadMode(core.ModeExclusive)
 				corrected, err := m.Scrub()
 				if err != nil {
 					t.Fatalf("scrub: %v", err)

@@ -11,14 +11,15 @@ import (
 // TestSharedFallbackStreamsCorrectedValues drives the verify-then-stream
 // protocol through its corrective branch from inside the package: a
 // value-bit flip in shared mode makes checkSlice report the slice dirty
-// (it may not commit the repair), so applyWindow must route the slice
-// through applySliceLocal — and, for CRC32C, re-derive each lane image
-// via decodeLaneCRC — while the product stays bit-exact against the
+// (it may not commit the repair), so applyWindow must stage each lane
+// through core.ColElems.DecodeLocal — which, for CRC32C, re-runs the lane
+// repair without commit — while the product stays bit-exact against the
 // unprotected reference and the stored fault survives for the owner's
 // scrub.
 func TestSharedFallbackStreamsCorrectedValues(t *testing.T) {
 	for _, s := range []core.Scheme{core.SECDED64, core.SECDED128, core.CRC32C} {
-		for _, shared := range []bool{false, true} {
+		for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
+			shared := mode == core.ModeShared
 			t.Run(fmt.Sprintf("%v_shared=%v", s, shared), func(t *testing.T) {
 				plain := skewed(t, 41, 31)
 				xs := make([]float64, plain.Cols32())
@@ -34,7 +35,7 @@ func TestSharedFallbackStreamsCorrectedValues(t *testing.T) {
 				}
 				var c core.Counters
 				m.SetCounters(&c)
-				m.SetShared(shared)
+				m.SetReadMode(mode)
 
 				// Flip one stored value bit per slice, so every slice of
 				// the sweep exercises the dirty branch (padding lanes
@@ -62,7 +63,7 @@ func TestSharedFallbackStreamsCorrectedValues(t *testing.T) {
 					}
 				}
 
-				m.SetShared(false)
+				m.SetReadMode(core.ModeExclusive)
 				corrected, err := m.Scrub()
 				if err != nil {
 					t.Fatalf("scrub: %v", err)
@@ -98,7 +99,7 @@ func TestSharedFallbackCorruptedColumn(t *testing.T) {
 			}
 			var c core.Counters
 			m.SetCounters(&c)
-			m.SetShared(true)
+			m.SetReadMode(core.ModeShared)
 
 			cols := m.RawCols()
 			k := len(cols) / 2

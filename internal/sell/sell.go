@@ -6,19 +6,21 @@
 // widest row and laid out column-major, so all C lanes of a slice advance
 // in lockstep.
 //
-// The protection follows the CSR element conventions of internal/core
-// (paper Fig 1): an element is the 96-bit (value, column-index) pair and
-// the redundancy lives in the unused top bits of the 32-bit column index,
-// costing zero extra storage:
+// The protection is the column-element codec of internal/core
+// (core.ColElems, paper Fig 1) applied to this format's own arrays: an
+// element is the 96-bit (value, column-index) pair and the redundancy
+// lives in the unused top bits of the 32-bit column index, costing zero
+// extra storage:
 //
 //	SED        parity over value^column in column bit 31; cols <= 2^31-1
 //	SECDED64   8 check bits in the column top byte; cols <= 2^24-1
 //	SECDED128  9 check bits across two consecutive stored elements
 //	           (slices hold a multiple of C=4 entries, so pairs always
 //	           align); cols <= 2^24-1
-//	CRC32C     one CRC32C per stored row, byte-wise in the top bytes of
-//	           the row's first four entries (slice widths are padded to
-//	           >= 4 under this scheme); cols <= 2^24-1
+//	CRC32C     one CRC32C per stored row — a lane, addressed to the codec
+//	           as a run of stride C — byte-wise in the top bytes of the
+//	           row's first four entries (slice widths are padded to >= 4
+//	           under this scheme); cols <= 2^24-1
 //
 // The structural metadata — slice offsets, the row permutation and the
 // per-row lengths — is trusted: it is small, rebuildable from the source
@@ -29,9 +31,7 @@
 package sell
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"abft/internal/core"
@@ -47,19 +47,6 @@ const C = 4
 
 // DefaultSigma is the sorting-window size used when Options.Sigma is zero.
 const DefaultSigma = 32
-
-// Codecs for the embedded layouts, identical specs to the CSR element
-// codecs of internal/core (the codeword is [val(64) | col(32)] with check
-// bits in the column top byte).
-var (
-	codecElem64  = ecc.MustSECDED(96, []int{88, 89, 90, 91, 92, 93, 94, 95})
-	codecElem128 = ecc.MustSECDED(192, []int{88, 89, 90, 91, 92, 184, 185, 186, 187})
-)
-
-const (
-	sedColMask = 0x7FFF_FFFF
-	eccColMask = 0x00FF_FFFF
-)
 
 // Options configures SELL-C-sigma protection.
 type Options struct {
@@ -254,18 +241,6 @@ func (m *Matrix) SetReadMode(mode core.ReadMode) { m.mode = mode }
 // ReadMode returns the configured read discipline.
 func (m *Matrix) ReadMode() core.ReadMode { return m.mode }
 
-// SetShared is the deprecated boolean precursor of SetReadMode: true
-// maps to ModeShared, false to ModeExclusive.
-//
-// Deprecated: use SetReadMode.
-func (m *Matrix) SetShared(shared bool) {
-	if shared {
-		m.SetReadMode(core.ModeShared)
-	} else {
-		m.SetReadMode(core.ModeExclusive)
-	}
-}
-
 // CounterSnapshot returns a copy of the attached counters.
 func (m *Matrix) CounterSnapshot() core.CounterSnapshot { return m.counters.Snapshot() }
 
@@ -276,232 +251,58 @@ func (m *Matrix) RawVals() []float64 { return m.vals }
 // fault injection.
 func (m *Matrix) RawCols() []uint32 { return m.colIdx }
 
-// colMask returns the AND-mask isolating the data bits of a column index.
-func (m *Matrix) colMask() uint32 {
-	switch m.scheme {
-	case core.None:
-		return 0xFFFF_FFFF
-	case core.SED:
-		return sedColMask
-	default:
-		return eccColMask
-	}
+// elems returns the column-element codec over this matrix's own element
+// arrays (a view built per call, never a copy).
+func (m *Matrix) elems() core.ColElems {
+	return core.ColElems{Scheme: m.scheme, Backend: m.backend, Vals: m.vals, Cols: m.colIdx}
 }
 
-// ---------------------------------------------------------------------------
-// Encoding
+// laneRun addresses lane l of slice sl as a codec run: its FaultError id
+// (the stored row), first storage position, entry count and stride.
+func (m *Matrix) laneRun(sl, l int) (id, base, n, stride int) {
+	return sl*C + l, int(m.slicePtr[sl]) + l, m.sliceWidth(sl), C
+}
 
+// encodeAll embeds the redundancy: per-entry codewords in storage order,
+// or one CRC32C per lane.
 func (m *Matrix) encodeAll() {
-	switch m.scheme {
-	case core.None:
-	case core.SED:
-		for k := range m.vals {
-			c := m.colIdx[k] & sedColMask
-			p := ecc.Parity64(math.Float64bits(m.vals[k]) ^ uint64(c))
-			m.colIdx[k] = c | uint32(p)<<31
-		}
-	case core.SECDED64:
-		for k := range m.vals {
-			cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k] & eccColMask)}
-			codecElem64.Encode(&cw)
-			m.colIdx[k] = uint32(cw[1])
-		}
-	case core.SECDED128:
-		for t := 0; 2*t < len(m.vals); t++ {
-			m.encodePair(t)
-		}
-	case core.CRC32C:
-		buf := make([]byte, m.maxWidth*12)
-		for sl := 0; sl < m.Slices(); sl++ {
-			for l := 0; l < C; l++ {
-				m.encodeLaneCRC(sl, l, buf)
-			}
+	el := m.elems()
+	if m.scheme != core.CRC32C {
+		el.Encode(0, len(m.vals))
+		return
+	}
+	buf := make([]byte, m.maxWidth*12)
+	for sl := 0; sl < m.Slices(); sl++ {
+		for l := 0; l < C; l++ {
+			_, base, n, stride := m.laneRun(sl, l)
+			el.EncodeRun(base, n, stride, buf)
 		}
 	}
-}
-
-func (m *Matrix) encodePair(t int) {
-	k := 2 * t
-	v0 := math.Float64bits(m.vals[k])
-	v1 := math.Float64bits(m.vals[k+1])
-	c0 := uint64(m.colIdx[k] & eccColMask)
-	c1 := uint64(m.colIdx[k+1] & eccColMask)
-	cw := ecc.Word4{v0, c0 | v1<<32, v1>>32 | c1<<32}
-	codecElem128.Encode(&cw)
-	m.colIdx[k] = uint32(cw[1])
-	m.colIdx[k+1] = uint32(cw[2] >> 32)
-}
-
-// encodeLaneCRC recomputes the checksum of lane l in slice sl: a CRC32C
-// over the lane's (value, column) records in entry order, stored byte-wise
-// in the top bytes of the lane's first four column indices.
-func (m *Matrix) encodeLaneCRC(sl, l int, buf []byte) {
-	n := m.sliceWidth(sl)
-	msg := buf[:12*n]
-	for j := 0; j < n; j++ {
-		k := m.entryIndex(sl, l, j)
-		m.colIdx[k] &= eccColMask
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(m.vals[k]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], m.colIdx[k])
-	}
-	crc := ecc.Checksum(msg, m.backend)
-	for j := 0; j < 4 && j < n; j++ {
-		m.colIdx[m.entryIndex(sl, l, j)] |= (crc >> (8 * uint(j)) & 0xFF) << 24
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Checking
-
-func (m *Matrix) fault(idx int, detail string) error {
-	m.counters.AddDetected(1)
-	return &core.FaultError{
-		Structure: core.StructElements,
-		Scheme:    m.scheme,
-		Index:     idx,
-		Detail:    detail,
-	}
-}
-
-// checkSED verifies element k (detection only).
-func (m *Matrix) checkSED(k int) error {
-	if ecc.Parity64(math.Float64bits(m.vals[k])^uint64(m.colIdx[k])) != 0 {
-		return m.fault(k, "parity mismatch")
-	}
-	return nil
-}
-
-// check64 verifies element k, repairing single flips when commit is true.
-// The first return reports whether a correction was found — storage is
-// stale when it was and commit was false.
-func (m *Matrix) check64(k int, commit bool) (bool, error) {
-	cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k])}
-	switch res, _ := codecElem64.Check(&cw); res {
-	case ecc.Corrected:
-		if commit {
-			m.vals[k] = math.Float64frombits(cw[0])
-			m.colIdx[k] = uint32(cw[1])
-		}
-		m.counters.AddCorrected(1)
-		return true, nil
-	case ecc.Detected:
-		return false, m.fault(k, "secded64 double-bit error")
-	}
-	return false, nil
-}
-
-// checkPair verifies element pair t (storage entries 2t and 2t+1). The
-// first return reports whether a correction was found — storage is stale
-// when it was and commit was false.
-func (m *Matrix) checkPair(t int, commit bool) (bool, error) {
-	k := 2 * t
-	v0 := math.Float64bits(m.vals[k])
-	v1 := math.Float64bits(m.vals[k+1])
-	cw := ecc.Word4{v0, uint64(m.colIdx[k]) | v1<<32, v1>>32 | uint64(m.colIdx[k+1])<<32}
-	switch res, _ := codecElem128.Check(&cw); res {
-	case ecc.Corrected:
-		if commit {
-			m.vals[k] = math.Float64frombits(cw[0])
-			m.colIdx[k] = uint32(cw[1])
-			m.vals[k+1] = math.Float64frombits(cw[1]>>32 | cw[2]<<32)
-			m.colIdx[k+1] = uint32(cw[2] >> 32)
-		}
-		m.counters.AddCorrected(1)
-		return true, nil
-	case ecc.Detected:
-		return false, m.fault(t, "secded128 double-bit error")
-	}
-	return false, nil
-}
-
-// checkLaneCRC verifies the CRC codeword of lane l in slice sl; buf must
-// hold 12*sliceWidth bytes of scratch. The first return reports whether a
-// correction was found — storage is stale when it was and commit was
-// false.
-func (m *Matrix) checkLaneCRC(sl, l int, buf []byte, commit bool) (bool, error) {
-	n := m.sliceWidth(sl)
-	msg := buf[:12*n]
-	var stored uint32
-	for j := 0; j < n; j++ {
-		c := m.colIdx[m.entryIndex(sl, l, j)]
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(m.vals[m.entryIndex(sl, l, j)]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], c&eccColMask)
-		if j < 4 {
-			stored |= (c >> 24) << (8 * uint(j))
-		}
-	}
-	crc := ecc.Checksum(msg, m.backend)
-	if crc == stored {
-		return false, nil
-	}
-	flips, ok := ecc.CorrectCodeword(msg, stored, crc)
-	if !ok {
-		return false, m.fault(sl*C+l, "crc32c lane mismatch beyond correction depth")
-	}
-	for _, f := range flips {
-		if f.InCRC {
-			if commit {
-				m.colIdx[m.entryIndex(sl, l, f.Bit/8)] ^= 1 << uint(24+f.Bit%8)
-			}
-			continue
-		}
-		k := m.entryIndex(sl, l, f.Bit/96)
-		bit := f.Bit % 96
-		switch {
-		case bit < 64:
-			if commit {
-				m.vals[k] = math.Float64frombits(math.Float64bits(m.vals[k]) ^ 1<<uint(bit))
-			}
-		case bit < 88:
-			if commit {
-				m.colIdx[k] ^= 1 << uint(bit-64)
-			}
-		default:
-			return false, m.fault(sl*C+l, "crc flip located in reserved byte")
-		}
-	}
-	m.counters.AddCorrected(1)
-	return true, nil
 }
 
 // checkSlice verifies every codeword of slice sl in storage order in one
 // tight per-scheme pass, repairing correctable errors when commit is
-// true — the batch-verify half of the verify-then-stream protocol. It
-// returns whether the slice is dirty (a correction was found but not
-// committed, so storage still holds a raw fault and the caller must take
-// the corrective lane decode instead of streaming storage), the number
-// of codeword checks performed, and the first error.
-func (m *Matrix) checkSlice(sl int, buf []byte, commit bool) (dirty bool, checks uint64, err error) {
-	lo, hi := int(m.slicePtr[sl]), int(m.slicePtr[sl+1])
-	record := func(corrected bool, e error) {
+// true and counting corrections and detections into c — the batch-verify
+// half of the verify-then-stream protocol. It returns whether the slice
+// is dirty (a correction was found but not committed, so storage still
+// holds a raw fault and the caller must stage each lane through
+// DecodeLocal instead of streaming storage), the number of codeword
+// checks performed, and the first error. buf is the CRC32C lane scratch
+// (12*maxWidth bytes, unused by other schemes).
+func (m *Matrix) checkSlice(el *core.ColElems, sl int, buf []byte, commit bool, c *core.Counters) (dirty bool, checks uint64, err error) {
+	if m.scheme != core.CRC32C {
+		lo, hi := m.SliceRange(sl)
+		return el.Check(lo, hi, commit, c)
+	}
+	for l := 0; l < C; l++ {
+		checks++
+		id, base, n, stride := m.laneRun(sl, l)
+		corrected, e := el.CheckRun(id, base, n, stride, buf, commit, c)
 		if e != nil && err == nil {
 			err = e
 		}
 		if corrected && !commit {
 			dirty = true
-		}
-	}
-	switch m.scheme {
-	case core.None:
-	case core.SED:
-		for k := lo; k < hi; k++ {
-			checks++
-			record(false, m.checkSED(k))
-		}
-	case core.SECDED64:
-		for k := lo; k < hi; k++ {
-			checks++
-			record(m.check64(k, commit))
-		}
-	case core.SECDED128:
-		for t := lo / 2; 2*t < hi; t++ {
-			checks++
-			record(m.checkPair(t, commit))
-		}
-	case core.CRC32C:
-		for l := 0; l < C; l++ {
-			checks++
-			record(m.checkLaneCRC(sl, l, buf, commit))
 		}
 	}
 	return dirty, checks, err
@@ -510,27 +311,26 @@ func (m *Matrix) checkSlice(sl int, buf []byte, commit bool) (dirty bool, checks
 // CheckAll verifies and repairs every codeword, returning the number of
 // corrections and the first uncorrectable error.
 func (m *Matrix) CheckAll() (corrected int, err error) {
-	if m.counters == nil {
-		// Attach a scratch accumulator so corrections are counted even
-		// for untracked matrices.
-		m.counters = &core.Counters{}
-		defer func() { m.counters = nil }()
-	}
-	before := m.counters.Corrected()
+	// Count into a local accumulator and forward it: the tally is exact
+	// for untracked matrices too, and the scrub never writes m.counters.
+	var acc core.Counters
+	el := m.elems()
 	var buf []byte
 	if m.scheme == core.CRC32C {
 		buf = make([]byte, m.maxWidth*12)
 	}
 	var checks uint64
 	for sl := 0; sl < m.Slices(); sl++ {
-		_, n, e := m.checkSlice(sl, buf, true)
+		_, n, e := m.checkSlice(&el, sl, buf, true, &acc)
 		checks += n
 		if e != nil && err == nil {
 			err = e
 		}
 	}
 	m.counters.AddChecks(checks)
-	return int(m.counters.Corrected() - before), err
+	m.counters.AddCorrected(acc.Corrected())
+	m.counters.AddDetected(acc.Detected())
+	return int(acc.Corrected()), err
 }
 
 // Scrub verifies and repairs every codeword, satisfying
@@ -574,10 +374,7 @@ func (m *Matrix) SpMV(dst, x *core.Vector) error { return m.Apply(dst, x, 1) }
 // exactly one owner: the parallel path is race-free and bit-identical to
 // the serial one.
 func (m *Matrix) Apply(dst, x *core.Vector, workers int) error {
-	if !m.mode.Verifies() {
-		return m.ApplyUnverified(dst, x, workers)
-	}
-	return m.apply(dst, x, workers, false)
+	return m.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, !m.mode.Verifies())
 }
 
 // ApplyUnverified computes dst = m * x through the no-decode fast path
@@ -587,31 +384,55 @@ func (m *Matrix) Apply(dst, x *core.Vector, workers int) error {
 // can run concurrently with verified readers of the same shared
 // storage. It is the inner-solve read path of selective reliability.
 func (m *Matrix) ApplyUnverified(dst, x *core.Vector, workers int) error {
-	return m.apply(dst, x, workers, true)
+	return m.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, true)
 }
 
-func (m *Matrix) apply(dst, x *core.Vector, workers int, unverified bool) error {
-	if dst.Len() != m.rows || x.Len() != m.cols {
-		return fmt.Errorf("sell: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
-			dst.Len(), m.rows, m.cols, x.Len())
-	}
-	xbuf := make([]float64, m.cols)
-	if unverified {
-		if err := x.CopyToUnverified(xbuf); err != nil {
+// applyK is the one apply skeleton: dsts[j] = m * xs[j] for every j in a
+// single pass over the slices. Each source vector is decoded once into a
+// dense buffer, each slice is verified once per sweep whatever the width,
+// and its lanes stream into k window-local accumulators; per-column
+// results are bit-identical to k independent width-1 calls because each
+// lane's sum runs in the same entry order per column. With unverified
+// set nothing is decoded or counted — masked payload plus bounds checks
+// only, the ModeUnverified contract.
+func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
+	k := len(xs)
+	// One flat allocation per buffer family, sliced per column.
+	xflat := make([]float64, k*m.cols)
+	xbufs := make([][]float64, k)
+	for j, x := range xs {
+		if dsts[j].Len() != m.rows || x.Len() != m.cols {
+			return fmt.Errorf("sell: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
+				dsts[j].Len(), m.rows, m.cols, x.Len())
+		}
+		xbufs[j] = xflat[j*m.cols : (j+1)*m.cols]
+		var err error
+		if unverified {
+			err = x.CopyToUnverified(xbufs[j])
+		} else {
+			err = x.CopyTo(xbufs[j])
+		}
+		if err != nil {
 			return err
 		}
-	} else if err := x.CopyTo(xbuf); err != nil {
-		return err
 	}
 	windows := (m.rows + m.sigma - 1) / m.sigma
 	return par.ForEach(windows, workers, 1, func(wlo, whi int) error {
-		acc := make([]float64, m.sigma)
+		aflat := make([]float64, k*m.sigma)
+		accs := make([][]float64, k)
+		for j := range accs {
+			accs[j] = aflat[j*m.sigma : (j+1)*m.sigma]
+		}
+		var sums []float64
+		if k > 1 {
+			sums = make([]float64, k)
+		}
 		var buf []byte
 		if m.scheme == core.CRC32C && !unverified {
 			buf = make([]byte, m.maxWidth*12)
 		}
 		for w := wlo; w < whi; w++ {
-			if err := m.applyWindow(dst, xbuf, acc, buf, w, unverified); err != nil {
+			if err := m.applyWindow(dsts, xbufs, accs, sums, buf, w, unverified); err != nil {
 				return err
 			}
 		}
@@ -619,46 +440,72 @@ func (m *Matrix) apply(dst, x *core.Vector, workers int, unverified bool) error 
 	})
 }
 
-// applyWindow multiplies the slices of sigma-window w and commits the
-// window's output rows. With unverified set the slice verify is skipped
-// entirely and every slice streams through the clean path — the
-// ModeUnverified contract: masked payload plus bounds checks only.
-func (m *Matrix) applyWindow(dst *core.Vector, xbuf, acc []float64, buf []byte, w int, unverified bool) error {
+// applyWindow multiplies the slices of sigma-window w into the window's
+// accumulators and commits the window's output rows per column. sums is
+// the k-wide lane scratch (nil at width 1), buf the CRC32C lane scratch.
+func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums []float64, buf []byte, w int, unverified bool) error {
 	base := w * m.sigma
 	top := base + m.sigma
 	if top > m.rows {
 		top = m.rows
 	}
-	for i := range acc {
-		acc[i] = 0
+	for _, acc := range accs {
+		for i := range acc {
+			acc[i] = 0
+		}
 	}
-	mask := m.colMask()
-	slo := base / C
-	shi := (top + C - 1) / C
+	el := m.elems()
+	mask := el.Mask()
 	var checks uint64
 	defer func() { m.counters.AddChecks(checks) }()
-	for sl := slo; sl < shi; sl++ {
+	for sl := base / C; sl < (top+C-1)/C; sl++ {
+		dirty := false
 		if m.scheme != core.None && !unverified {
-			dirty, n, err := m.checkSlice(sl, buf, m.mode.Commits())
+			var n uint64
+			var err error
+			dirty, n, err = m.checkSlice(&el, sl, buf, m.mode.Commits(), m.counters)
 			checks += n
 			if err != nil {
 				return err
 			}
-			if dirty {
-				// Shared-mode slice whose verify found a correction it
-				// could not commit: storage still holds the raw fault, so
-				// take the corrective per-lane local decode instead of
-				// streaming storage.
-				if err := m.applySliceLocal(acc, xbuf, buf, sl, base); err != nil {
-					return err
-				}
-				continue
-			}
 		}
-		width := m.sliceWidth(sl)
+		var err error
+		if dirty {
+			err = m.stageSlice(&el, accs, xbufs, sl, base)
+		} else {
+			err = m.streamSlice(accs, xbufs, sums, sl, base, mask)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	var out [C]float64
+	for c, acc := range accs {
+		for blk := base / C; blk*C < top; blk++ {
+			for i := 0; i < C; i++ {
+				if idx := blk*C + i; idx < m.rows {
+					out[i] = acc[idx-base]
+				} else {
+					out[i] = 0
+				}
+			}
+			dsts[c].WriteBlock(blk, &out)
+		}
+	}
+	return nil
+}
+
+// streamSlice accumulates slice sl's lanes straight from storage into
+// every accumulator — the fast second half of verify-then-stream, with
+// only the column mask and range check applied, once per entry whatever
+// the width. base is the window's first row, mask the codec's column
+// mask.
+func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base int, mask uint32) error {
+	width := m.sliceWidth(sl)
+	if len(accs) == 1 {
+		acc, xbuf := accs[0], xbufs[0]
 		for l := 0; l < C; l++ {
-			sr := sl*C + l
-			r := m.perm[sr]
+			r := m.perm[sl*C+l]
 			if r == padRow {
 				continue
 			}
@@ -667,133 +514,72 @@ func (m *Matrix) applyWindow(dst *core.Vector, xbuf, acc []float64, buf []byte, 
 				k := m.entryIndex(sl, l, j)
 				col := m.colIdx[k] & mask
 				if m.scheme != core.None && col >= uint32(m.cols) {
-					m.counters.AddBounds(1)
-					return &core.BoundsError{Structure: core.StructElements, Index: k,
-						Value: col, Limit: uint32(m.cols)}
+					return m.boundsErr(k, col)
 				}
 				sum += m.vals[k] * xbuf[col]
 			}
 			acc[int(r)-base] = sum
 		}
+		return nil
 	}
-	var out [C]float64
-	for blk := base / C; blk*C < top; blk++ {
-		for i := 0; i < C; i++ {
-			if idx := blk*C + i; idx < m.rows {
-				out[i] = acc[idx-base]
-			} else {
-				out[i] = 0
-			}
-		}
-		dst.WriteBlock(blk, &out)
-	}
-	return nil
-}
-
-// applySliceLocal accumulates slice sl's lanes into acc with every
-// codeword decoded into locals — the corrective fallback of the
-// verify-then-stream protocol for shared matrices: the slice verify
-// found a correction it could not commit, so storage cannot be streamed
-// and each element is re-decoded with corrections applied to the local
-// copy only. The verify pass already accounted the checks and
-// corrections, so this path deliberately counts nothing.
-func (m *Matrix) applySliceLocal(acc, xbuf []float64, buf []byte, sl, base int) error {
-	width := m.sliceWidth(sl)
 	for l := 0; l < C; l++ {
 		r := m.perm[sl*C+l]
 		if r == padRow {
 			continue
 		}
-		if m.scheme == core.CRC32C {
-			// Rebuild this lane's corrected image: checkSlice shares one
-			// scratch buffer across the four lanes, so by the time the
-			// slice is known dirty the buffer only holds the last lane.
-			if err := m.decodeLaneCRC(sl, l, buf); err != nil {
-				return err
-			}
+		for c := range sums {
+			sums[c] = 0
 		}
-		var sum float64
 		for j := 0; j < width; j++ {
 			k := m.entryIndex(sl, l, j)
-			var col uint32
-			var val float64
-			switch m.scheme {
-			case core.SECDED64:
-				cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k])}
-				if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
-					return m.fault(k, "secded64 double-bit error")
-				}
-				col = uint32(cw[1]) & eccColMask
-				val = math.Float64frombits(cw[0])
-			case core.SECDED128:
-				t := k / 2
-				v0 := math.Float64bits(m.vals[2*t])
-				v1 := math.Float64bits(m.vals[2*t+1])
-				cw := ecc.Word4{v0, uint64(m.colIdx[2*t]) | v1<<32, v1>>32 | uint64(m.colIdx[2*t+1])<<32}
-				if res, _ := codecElem128.Check(&cw); res == ecc.Detected {
-					return m.fault(t, "secded128 double-bit error")
-				}
-				if k%2 == 0 {
-					col = uint32(cw[1]) & eccColMask
-					val = math.Float64frombits(cw[0])
-				} else {
-					col = uint32(cw[2]>>32) & eccColMask
-					val = math.Float64frombits(cw[1]>>32 | cw[2]<<32)
-				}
-			case core.CRC32C:
-				col = binary.LittleEndian.Uint32(buf[12*j+8:]) & eccColMask
-				val = math.Float64frombits(binary.LittleEndian.Uint64(buf[12*j:]))
-			default:
-				// SED is detect-only, so a slice can never be dirty.
-				col = m.colIdx[k] & m.colMask()
-				val = m.vals[k]
+			col := m.colIdx[k] & mask
+			if m.scheme != core.None && col >= uint32(m.cols) {
+				return m.boundsErr(k, col)
 			}
-			if col >= uint32(m.cols) {
-				m.counters.AddBounds(1)
-				return &core.BoundsError{Structure: core.StructElements, Index: k,
-					Value: col, Limit: uint32(m.cols)}
+			v := m.vals[k]
+			for c := range sums {
+				sums[c] += v * xbufs[c][col]
 			}
-			sum += val * xbuf[col]
 		}
-		acc[int(r)-base] = sum
+		for c, acc := range accs {
+			acc[int(r)-base] = sums[c]
+		}
 	}
 	return nil
 }
 
-// decodeLaneCRC reconstructs lane l of slice sl into buf with any
-// correctable flips patched into the local image, writing nothing back
-// and counting nothing: the uncounted re-decode behind applySliceLocal.
-func (m *Matrix) decodeLaneCRC(sl, l int, buf []byte) error {
-	n := m.sliceWidth(sl)
-	msg := buf[:12*n]
-	var stored uint32
-	for j := 0; j < n; j++ {
-		k := m.entryIndex(sl, l, j)
-		c := m.colIdx[k]
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(m.vals[k]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], c&eccColMask)
-		if j < 4 {
-			stored |= (c >> 24) << (8 * uint(j))
-		}
-	}
-	crc := ecc.Checksum(msg, m.backend)
-	if crc == stored {
-		return nil
-	}
-	flips, ok := ecc.CorrectCodeword(msg, stored, crc)
-	if !ok {
-		return m.fault(sl*C+l, "crc32c lane mismatch beyond correction depth")
-	}
-	for _, f := range flips {
-		if f.InCRC {
+// stageSlice is the corrective fallback for a slice whose verify found a
+// correction it could not commit (a shared matrix hit a live fault):
+// storage still holds the raw fault, so each lane is staged through
+// DecodeLocal — uncounted, nothing written — and the stage streams into
+// every accumulator in the lane's entry order.
+func (m *Matrix) stageSlice(el *core.ColElems, accs, xbufs [][]float64, sl, base int) error {
+	for l := 0; l < C; l++ {
+		r := m.perm[sl*C+l]
+		if r == padRow {
 			continue
 		}
-		if f.Bit%96 >= 88 {
-			return m.fault(sl*C+l, "crc flip located in reserved byte")
+		cols, vals, err := el.DecodeLocal(m.laneRun(sl, l))
+		if err != nil {
+			return err
 		}
-		msg[f.Bit/8] ^= 1 << uint(f.Bit%8)
+		for j, col := range cols {
+			if col >= uint32(m.cols) {
+				return m.boundsErr(m.entryIndex(sl, l, j), col)
+			}
+			for c, acc := range accs {
+				acc[int(r)-base] += vals[j] * xbufs[c][col]
+			}
+		}
 	}
 	return nil
+}
+
+// boundsErr counts and builds the range-check error for a decoded column
+// index at storage position k.
+func (m *Matrix) boundsErr(k int, col uint32) error {
+	m.counters.AddBounds(1)
+	return &core.BoundsError{Structure: core.StructElements, Index: k, Value: col, Limit: uint32(m.cols)}
 }
 
 // Diagonal extracts the main diagonal into dst (length >= Rows), fully
@@ -817,7 +603,8 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 	if _, err := m.CheckAll(); err != nil {
 		return nil, err
 	}
-	mask := m.colMask()
+	el := m.elems()
+	mask := el.Mask()
 	entries := make([]csr.Entry, 0, m.nnz)
 	for sl := 0; sl < m.Slices(); sl++ {
 		for l := 0; l < C; l++ {

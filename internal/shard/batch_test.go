@@ -96,7 +96,8 @@ func TestShardedApplyBatchMatchesApply(t *testing.T) {
 // product stays bit-exact against the unprotected reference.
 func TestShardedApplyBatchFallback(t *testing.T) {
 	for _, f := range op.Formats {
-		for _, shared := range []bool{false, true} {
+		for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
+			shared := mode == core.ModeShared
 			t.Run(fmt.Sprintf("%v_shared=%v", f, shared), func(t *testing.T) {
 				plain := generalMatrix(t, 30)
 				const k = 3
@@ -120,7 +121,7 @@ func TestShardedApplyBatchFallback(t *testing.T) {
 				}
 				var c core.Counters
 				o.SetCounters(&c)
-				o.SetShared(shared)
+				o.SetReadMode(mode)
 
 				v := o.Shard(1).RawVals()
 				i := len(v) / 2
@@ -146,7 +147,7 @@ func TestShardedApplyBatchFallback(t *testing.T) {
 					t.Fatal("no correction recorded for the injected flip")
 				}
 
-				o.SetShared(false)
+				o.SetReadMode(core.ModeExclusive)
 				corrected, err := o.Scrub()
 				if err != nil {
 					t.Fatalf("scrub: %v", err)

@@ -18,7 +18,8 @@ import (
 func TestShardedVerifyThenStreamFallback(t *testing.T) {
 	for _, f := range op.Formats {
 		for _, s := range []core.Scheme{core.SECDED64, core.SECDED128, core.CRC32C} {
-			for _, shared := range []bool{false, true} {
+			for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
+				shared := mode == core.ModeShared
 				t.Run(fmt.Sprintf("%v_%v_shared=%v", f, s, shared), func(t *testing.T) {
 					plain := generalMatrix(t, 30)
 					xs := refVector(plain.Cols32())
@@ -35,7 +36,7 @@ func TestShardedVerifyThenStreamFallback(t *testing.T) {
 					}
 					var c core.Counters
 					o.SetCounters(&c)
-					o.SetShared(shared)
+					o.SetReadMode(mode)
 
 					// Flip a mid-mantissa value bit in the middle of shard
 					// 1's element stream: inside a batch-verified block of
@@ -63,7 +64,7 @@ func TestShardedVerifyThenStreamFallback(t *testing.T) {
 						t.Fatal("no correction recorded for the injected flip")
 					}
 
-					o.SetShared(false)
+					o.SetReadMode(core.ModeExclusive)
 					corrected, err := o.Scrub()
 					if err != nil {
 						t.Fatalf("scrub: %v", err)

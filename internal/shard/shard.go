@@ -388,18 +388,6 @@ func (o *Operator) SetReadMode(mode core.ReadMode) {
 // ReadMode returns the configured read discipline.
 func (o *Operator) ReadMode() core.ReadMode { return o.mode }
 
-// SetShared is the deprecated boolean precursor of SetReadMode: true
-// maps to ModeShared, false to ModeExclusive.
-//
-// Deprecated: use SetReadMode.
-func (o *Operator) SetShared(shared bool) {
-	if shared {
-		o.SetReadMode(core.ModeShared)
-	} else {
-		o.SetReadMode(core.ModeExclusive)
-	}
-}
-
 // CounterSnapshot returns a copy of the attached counters.
 func (o *Operator) CounterSnapshot() core.CounterSnapshot { return o.counters.Snapshot() }
 

@@ -382,7 +382,7 @@ func TestConcurrentApplySharedOperator(t *testing.T) {
 	}
 	var c core.Counters
 	o.SetCounters(&c)
-	o.SetShared(true)
+	o.SetReadMode(core.ModeShared)
 
 	xs := refVector(plain.Cols32())
 	want := make([]float64, plain.Rows())

@@ -24,7 +24,7 @@ type BatchOperator interface {
 // Options' worker count.
 func operatorApplyBatch(op Operator, dst, x *core.MultiVector) error {
 	if mo, ok := op.(MatrixOperator); ok {
-		if ba, ok := mo.M.(core.BatchApplier); ok && !mo.DisableCache {
+		if ba, ok := mo.M.(core.BatchApplier); ok {
 			return ba.ApplyBatch(dst, x, mo.Workers)
 		}
 	} else if ba, ok := op.(BatchOperator); ok {

@@ -69,9 +69,6 @@ type MatrixOperator struct {
 	M core.ProtectedMatrix
 	// Workers is the kernel goroutine count; below 2 runs serially.
 	Workers int
-	// DisableCache turns off the stencil-aware decode cache (ablation;
-	// CSR matrices only, other formats ignore it).
-	DisableCache bool
 }
 
 // Rows returns the matrix dimension.
@@ -81,14 +78,8 @@ func (o MatrixOperator) Rows() int { return o.M.Rows() }
 // rectangular operators before densifying).
 func (o MatrixOperator) Cols() int { return o.M.Cols() }
 
-// Apply computes dst = M x with the configured kernel options.
+// Apply computes dst = M x with the configured worker count.
 func (o MatrixOperator) Apply(dst, x *core.Vector) error {
-	if m, ok := o.M.(*core.Matrix); ok && o.DisableCache {
-		return core.SpMVOpts(dst, m, x, core.SpMVOptions{
-			Workers:      o.Workers,
-			DisableCache: true,
-		})
-	}
 	return o.M.Apply(dst, x, o.Workers)
 }
 
