@@ -1,8 +1,8 @@
 // Benchmark entry points, one per experiment in DESIGN.md's index: every
 // figure of the paper's evaluation (Figures 4-9 and the section VII-B
 // full-protection result) plus microbenchmarks of the ECC primitives and
-// the two ablations the paper motivates (buffered writes vs
-// read-modify-write, and the stencil-aware decode cache).
+// the ablation the paper motivates (buffered writes vs
+// read-modify-write).
 //
 // Each figure benchmark runs the TeaLeaf CG workload at a reduced size;
 // compare ns/op across sub-benchmarks to read the overhead shape. The
@@ -324,34 +324,6 @@ func BenchmarkAblationRMW(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationStencilCache compares SpMV with and without the
-// stencil-aware decoded-block cache.
-func BenchmarkAblationStencilCache(b *testing.B) {
-	plain := csr.Laplacian2D(128, 128)
-	m, err := core.NewMatrix(plain, core.MatrixOptions{
-		ElemScheme: core.SECDED64, RowPtrScheme: core.SECDED64,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := core.VectorFromSlice(make([]float64, plain.Cols32()), core.SECDED64)
-	dst := core.NewVector(plain.Rows(), core.SECDED64)
-	for _, disabled := range []bool{false, true} {
-		name := "cache-on"
-		if disabled {
-			name = "cache-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				err := core.SpMVOpts(dst, m, x, core.SpMVOptions{DisableCache: disabled})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkCOOvsCSR compares the protected SpMV of the two storage

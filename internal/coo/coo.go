@@ -486,40 +486,32 @@ func (m *Matrix) ApplyUnverified(dst *core.Vector, x *core.Vector, workers int) 
 
 // applyK is the one apply skeleton: dsts[j] = m * xs[j] for every j in a
 // single pass over the entry stream. Each source vector is decoded once
-// into a dense buffer, each chunk of element codewords is verified once
+// into a dense buffer (core.DecodeSources, the prologue all formats
+// share), each chunk of element codewords is verified once
 // per sweep whatever the width, and its entries scatter into k dense
 // accumulators; per-column results are bit-identical to k independent
 // width-1 calls because entries scatter in the same order into each
 // column's own accumulator.
 func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
-	k := len(xs)
-	xbufs := newAccs(k, m.cols)
 	for j, x := range xs {
 		if dsts[j].Len() != m.rows || x.Len() != m.cols {
 			return fmt.Errorf("coo: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
 				dsts[j].Len(), m.rows, m.cols, x.Len())
 		}
-		var err error
-		if unverified {
-			err = x.CopyToUnverified(xbufs[j])
-		} else {
-			err = x.CopyTo(xbufs[j])
-		}
-		if err != nil {
-			return err
-		}
 	}
 	ranges := m.entryRanges(workers)
 	accs := make([][][]float64, len(ranges))
 	for i := range accs {
-		accs[i] = newAccs(k, m.rows)
+		accs[i] = newAccs(len(xs), m.rows)
 	}
-	err := par.Run(ranges, func(lo, hi int) error {
-		i := 0
-		for ranges[i][0] != lo {
-			i++
-		}
-		return m.scatterK(accs[i], xbufs, lo, hi, unverified)
+	err := core.DecodeSources(xs, unverified, func(xbufs [][]float64) error {
+		return par.Run(ranges, func(lo, hi int) error {
+			i := 0
+			for ranges[i][0] != lo {
+				i++
+			}
+			return m.scatterK(accs[i], xbufs, lo, hi, unverified)
+		})
 	})
 	if err != nil {
 		return err

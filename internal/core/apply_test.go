@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -226,5 +227,176 @@ func TestMultiVectorSharedReadNoCommit(t *testing.T) {
 
 	if err := mv.ReadBlocksSharedInto(0, mv.Blocks(), buf[:1]); err == nil {
 		t.Fatal("short destination accepted")
+	}
+}
+
+// TestApplySourceChecksExact pins the x side of the one apply skeleton:
+// every source codeword is verified exactly once per verified sweep —
+// Blocks x checksPerBlock per column, whatever the sparsity, worker count
+// or width — an interval (range-check-only) sweep still verifies x, and
+// an unverified sweep verifies nothing.
+func TestApplySourceChecksExact(t *testing.T) {
+	src := csr.Laplacian2D(10, 9)
+	for _, s := range Schemes {
+		for _, workers := range []int{1, 3} {
+			for _, k := range []int{1, 3} {
+				m, err := NewMatrix(src, MatrixOptions{ElemScheme: s, RowPtrScheme: s, CheckInterval: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := NewMultiVector(src.Cols32(), k, s)
+				dst := NewMultiVector(src.Rows(), k, s)
+				var xc, mc Counters
+				x.SetCounters(&xc)
+				m.SetCounters(&mc)
+				want := uint64(k*x.Blocks()) * x.Col(0).checksPerBlock()
+				sweep := func(name string, unverified bool, want uint64) {
+					t.Helper()
+					before := xc.Checks()
+					var err error
+					switch {
+					case unverified && k == 1:
+						err = m.ApplyUnverified(dst.Col(0), x.Col(0), workers)
+					case unverified:
+						err = m.applyK(dst.cols, x.cols, workers, true)
+					case k == 1:
+						err = m.Apply(dst.Col(0), x.Col(0), workers)
+					default:
+						err = m.ApplyBatch(dst, x, workers)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := xc.Checks() - before; got != want {
+						t.Fatalf("%v workers=%d k=%d %s sweep: %d source checks, want %d", s, workers, k, name, got, want)
+					}
+				}
+				sweep("checking", false, want)
+				matrixChecks := mc.Checks()
+				sweep("interval", false, want)
+				if s != None && mc.Checks() != matrixChecks {
+					t.Fatalf("%v: interval sweep verified %d matrix codewords", s, mc.Checks()-matrixChecks)
+				}
+				sweep("unverified", true, 0)
+			}
+		}
+	}
+}
+
+// randomSparse builds the differential-test operators: a rows x cols
+// matrix (cols > rows is the shard-local shape) with random sparsity,
+// empty rows, one dense row and duplicate (row, column) entries.
+func randomSparse(rng *rand.Rand, rows, cols int) *csr.Matrix {
+	var entries []csr.Entry
+	dense := rng.Intn(rows)
+	for r := 0; r < rows; r++ {
+		switch {
+		case r == dense:
+			for c := 0; c < cols; c++ {
+				entries = append(entries, csr.Entry{Row: r, Col: c, Val: rng.NormFloat64()})
+			}
+		case r%5 == 1: // empty row
+		default:
+			for n := 1 + rng.Intn(7); n > 0; n-- {
+				e := csr.Entry{Row: r, Col: rng.Intn(cols), Val: rng.NormFloat64()}
+				entries = append(entries, e)
+				if rng.Intn(4) == 0 { // duplicate entry, summed by the product
+					e.Val = rng.NormFloat64()
+					entries = append(entries, e)
+				}
+			}
+		}
+	}
+	m, err := csr.New(rows, cols, entries)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// TestApplyDifferentialRandomSparsity runs the one CSR kernel against
+// the unprotected reference on random sparsity — row counts not
+// divisible by 4 or 8, rectangular operators, empty, dense and
+// duplicate-entry rows — across scheme x read mode x workers x width:
+// every column must equal csr.Matrix.SpMV on the masked inputs bit for
+// bit, which also makes it identical to width 1 / workers 1. Shared-mode
+// and parallel rows additionally plant one flip, so the row that holds
+// it is dirty and takes the staged branch, and must still match.
+func TestApplyDifferentialRandomSparsity(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, dim := range [][2]int{{1, 3}, {7, 7}, {13, 21}, {30, 45}, {67, 67}} {
+		src := randomSparse(rng, dim[0], dim[1])
+		for _, s := range Schemes {
+			for _, mode := range []ReadMode{ModeExclusive, ModeShared, ModeUnverified} {
+				for _, workers := range []int{1, 3} {
+					for _, k := range []int{1, 3} {
+						name := fmt.Sprintf("%dx%d/%v/%v/w%d/k%d", dim[0], dim[1], s, mode, workers, k)
+						m, err := NewMatrix(src, MatrixOptions{ElemScheme: s, RowPtrScheme: s})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						var c Counters
+						m.SetCounters(&c)
+						m.SetReadMode(mode)
+						// Shared sweeps and parallel workers cannot commit: the
+						// row holding the planted flip is dirty and is staged.
+						staged := (mode == ModeShared || mode == ModeExclusive && workers > 1) && s != None && s != SED
+						if staged {
+							v := m.RawVals()
+							i := rng.Intn(len(v))
+							v[i] = math.Float64frombits(math.Float64bits(v[i]) ^ 1<<uint(rng.Intn(64)))
+						}
+						cols := make([]*Vector, k)
+						want := make([][]float64, k)
+						for j := range want {
+							cols[j] = VectorFromSlice(randSlice(rng, src.Cols32()), s)
+							masked := make([]float64, src.Cols32())
+							if err := cols[j].CopyTo(masked); err != nil {
+								t.Fatal(err)
+							}
+							want[j] = make([]float64, src.Rows())
+							src.SpMV(want[j], masked)
+						}
+						x, err := WrapMultiVector(cols...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						dst := NewMultiVector(src.Rows(), k, None)
+						if k == 1 {
+							err = m.Apply(dst.Col(0), x.Col(0), workers)
+						} else if mode == ModeUnverified {
+							err = m.applyK(dst.cols, x.cols, workers, true)
+						} else {
+							err = m.ApplyBatch(dst, x, workers)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						for j := range want {
+							got := make([]float64, src.Rows())
+							if err := dst.Col(j).CopyTo(got); err != nil {
+								t.Fatal(err)
+							}
+							for i := range got {
+								if math.Float64bits(got[i]) != math.Float64bits(want[j][i]) {
+									t.Fatalf("%s col %d row %d: got %x want %x", name, j, i,
+										math.Float64bits(got[i]), math.Float64bits(want[j][i]))
+								}
+							}
+						}
+						if staged {
+							// A SECDED128 pair straddling two rows is verified by
+							// both, so a no-commit sweep counts its flip twice.
+							if n := c.Corrected(); n != 1 && !(s == SECDED128 && n == 2) {
+								t.Fatalf("%s: planted flip corrected %d times, want 1", name, n)
+							}
+							if n, err := m.CheckAll(); mode == ModeShared && n != 1 || err != nil {
+								t.Fatalf("%s: shared sweep repaired storage (scrub found %d, %v)", name, n, err)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

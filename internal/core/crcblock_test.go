@@ -291,8 +291,10 @@ func TestVectorBlockOpsZeroAllocs(t *testing.T) {
 }
 
 // TestSpMVCRCRowPtrAllocs bounds a whole CSR sweep with CRC32C row
-// pointers (once one allocation per 8-row group) at the two allocations
-// the sweep itself makes whatever the scheme.
+// pointers (once one allocation per 8-row group) at the handful the
+// sweep itself makes whatever the scheme: the range list, the width-1
+// operand slices, the worker closure, the k-wide sums and output blocks,
+// and the CRC32C element-row scratch.
 func TestSpMVCRCRowPtrAllocs(t *testing.T) {
 	plain := csr.Laplacian2D(32, 32) // 1,024 rows, 128 row-pointer groups
 	for _, elems := range []Scheme{SECDED64, CRC32C} {
@@ -310,8 +312,8 @@ func TestSpMVCRCRowPtrAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if n > 2 {
-				t.Errorf("elements %v, %v: SpMV allocates %v times per sweep, want <= 2", elems, backend, n)
+			if n > 8 {
+				t.Errorf("elements %v, %v: SpMV allocates %v times per sweep, want <= 8", elems, backend, n)
 			}
 		}
 	}

@@ -200,60 +200,6 @@ func TestSpMVIntervalSkipsChecks(t *testing.T) {
 	}
 }
 
-func TestSpMVStencilCacheEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	src := csr.Laplacian2D(10, 10)
-	x := randSlice(rng, 100)
-	m, err := NewMatrix(src, MatrixOptions{ElemScheme: SECDED64, RowPtrScheme: SECDED64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xv := VectorFromSlice(x, SECDED64)
-	withCache := NewVector(100, SECDED64)
-	noCache := NewVector(100, SECDED64)
-	if err := SpMVOpts(withCache, m, xv, SpMVOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := SpMVOpts(noCache, m, xv, SpMVOptions{DisableCache: true}); err != nil {
-		t.Fatal(err)
-	}
-	a := make([]float64, 100)
-	b := make([]float64, 100)
-	if err := withCache.CopyTo(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := noCache.CopyTo(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d: cache %g, nocache %g", i, a[i], b[i])
-		}
-	}
-}
-
-func TestSpMVStencilCacheReducesChecks(t *testing.T) {
-	src := csr.Laplacian2D(16, 16)
-	m, err := NewMatrix(src, MatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := VectorFromSlice(make([]float64, 256), SECDED64)
-	count := func(disable bool) uint64 {
-		var c Counters
-		x.SetCounters(&c)
-		dst := NewVector(256, None)
-		if err := SpMVOpts(dst, m, x, SpMVOptions{DisableCache: disable}); err != nil {
-			t.Fatal(err)
-		}
-		return c.Checks()
-	}
-	cached, uncached := count(false), count(true)
-	if cached*2 >= uncached {
-		t.Fatalf("stencil cache ineffective: %d checks vs %d without", cached, uncached)
-	}
-}
-
 func TestDotMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := randSlice(rng, 101)

@@ -95,11 +95,6 @@ func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span, stride int)
 // see RowPtrScheme.
 func (m *Matrix) Scheme() Scheme { return m.elemScheme }
 
-// Apply computes dst = m x, satisfying ProtectedMatrix.
-func (m *Matrix) Apply(dst, x *Vector, workers int) error {
-	return SpMVOpts(dst, m, x, SpMVOptions{Workers: workers})
-}
-
 // Scrub verifies and repairs every codeword, satisfying ProtectedMatrix;
 // it is CheckAll under the interface's name.
 func (m *Matrix) Scrub() (corrected int, err error) { return m.CheckAll() }

@@ -332,6 +332,9 @@ func (v *Vector) readBlocks(b0, b1 int, dst []float64, commit bool) error {
 	if len(dst) < (b1-b0)*vecBlock {
 		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), (b1-b0)*vecBlock)
 	}
+	if v.scheme == None {
+		return v.ReadBlocksUnverifiedInto(b0, b1, dst) // nothing to verify: one plain copy
+	}
 	v.counters.AddChecks(uint64(b1-b0) * v.checksPerBlock())
 	for b := b0; b < b1; b++ {
 		if err := v.readBlock(b, (*[vecBlock]float64)(dst[(b-b0)*vecBlock:]), commit); err != nil {
@@ -354,8 +357,9 @@ func (v *Vector) ReadBlocksUnverifiedInto(b0, b1 int, dst []float64) error {
 	if len(dst) < (b1-b0)*vecBlock {
 		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), (b1-b0)*vecBlock)
 	}
-	for b := b0; b < b1; b++ {
-		v.ReadBlockNoCheck(b, (*[vecBlock]float64)(dst[(b-b0)*vecBlock:]))
+	mask := v.scheme.vecMask()
+	for i, w := range v.words[b0*vecBlock : b1*vecBlock] {
+		dst[i] = math.Float64frombits(w & mask)
 	}
 	return nil
 }

@@ -182,3 +182,94 @@ func TestConformanceApplyBatchFaultMidBatch(t *testing.T) {
 		}
 	})
 }
+
+// TestConformanceSourceFlipCommitRule pins the one x-side rule every
+// format's apply skeleton shares (core.DecodeSources, DESIGN §12): the
+// source vectors are the caller's own operands, decoded on the calling
+// goroutine before any fan-out, so each codeword is checked exactly once
+// per sweep and a single flip is corrected *and repaired in storage* in
+// exclusive and shared mode alike, serial or parallel, at any width —
+// while SED detects it and an unverified sweep neither sees nor touches
+// it. One flip in one column per format x scheme x mode x width.
+func TestConformanceSourceFlipCommitRule(t *testing.T) {
+	forEachPairAndWidth(t, func(t *testing.T, f Format, s core.Scheme, k int) {
+		if s == core.None {
+			t.Skip("baseline has no protection")
+		}
+		plain := testMatrix(t)
+		cols := batchRefColumns(plain.Cols32(), k)
+		for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared, core.ModeUnverified} {
+			if mode == core.ModeUnverified && k > 1 {
+				continue // ApplyBatch is always verified; width 1 covers this rung
+			}
+			for _, workers := range []int{1, 3} {
+				m, err := New(f, plain, Config{Scheme: s, RowPtrScheme: s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetReadMode(mode)
+				x := batchMultiVector(cols, s)
+				var c core.Counters
+				x.SetCounters(&c)
+				// Clean reference of the masked inputs, then the flip: a
+				// mid-mantissa payload bit of the last column.
+				want := make([][]float64, k)
+				for j := range want {
+					masked := make([]float64, plain.Cols32())
+					if err := x.Col(j).CopyTo(masked); err != nil {
+						t.Fatal(err)
+					}
+					want[j] = make([]float64, plain.Rows())
+					plain.SpMV(want[j], masked)
+				}
+				checksBefore := c.Checks()
+				victim := x.Col(k - 1)
+				clean := victim.Raw()[5]
+				victim.Raw()[5] ^= 1 << 40
+
+				dst := core.NewMultiVector(m.Rows(), k, core.None)
+				if k == 1 {
+					err = m.Apply(dst.Col(0), x.Col(0), workers)
+				} else {
+					err = m.(core.BatchApplier).ApplyBatch(dst, x, workers)
+				}
+				tag := fmt.Sprintf("%v workers=%d", mode, workers)
+				snap := c.Snapshot()
+				switch {
+				case mode == core.ModeUnverified:
+					if err != nil || snap.Checks != checksBefore || snap.Corrected+snap.Detected != 0 || victim.Raw()[5] == clean {
+						t.Fatalf("%s: unverified sweep saw or touched the flip: err %v, counters %+v", tag, err, snap)
+					}
+					continue
+				case s == core.SED:
+					var fe *core.FaultError
+					if !errors.As(err, &fe) || fe.Structure != core.StructVector || snap.Detected != 1 {
+						t.Fatalf("%s: SED flip in x: err %v, counters %+v", tag, err, snap)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: correctable flip in x surfaced as error: %v", tag, err)
+				}
+				perSweep := uint64(k*x.Blocks()) * uint64(4/s.VecGroup())
+				if got := snap.Checks - checksBefore; got != perSweep || snap.Corrected != 1 || snap.Detected != 0 {
+					t.Fatalf("%s: %d source checks (want %d), counters %+v", tag, got, perSweep, snap)
+				}
+				if victim.Raw()[5] != clean {
+					t.Fatalf("%s: flip in the caller's operand was not repaired in storage", tag)
+				}
+				for j := range want {
+					got := make([]float64, m.Rows())
+					if err := dst.Col(j).CopyTo(got); err != nil {
+						t.Fatal(err)
+					}
+					for i := range got {
+						if got[i] != want[j][i] {
+							t.Fatalf("%s col %d row %d: diverged after correction", tag, j, i)
+						}
+					}
+				}
+			}
+		}
+	})
+}

@@ -389,7 +389,8 @@ func (m *Matrix) ApplyUnverified(dst, x *core.Vector, workers int) error {
 
 // applyK is the one apply skeleton: dsts[j] = m * xs[j] for every j in a
 // single pass over the slices. Each source vector is decoded once into a
-// dense buffer, each slice is verified once per sweep whatever the width,
+// dense buffer (core.DecodeSources, the prologue all formats share), each
+// slice is verified once per sweep whatever the width,
 // and its lanes stream into k window-local accumulators; per-column
 // results are bit-identical to k independent width-1 calls because each
 // lane's sum runs in the same entry order per column. With unverified
@@ -397,46 +398,36 @@ func (m *Matrix) ApplyUnverified(dst, x *core.Vector, workers int) error {
 // only, the ModeUnverified contract.
 func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
 	k := len(xs)
-	// One flat allocation per buffer family, sliced per column.
-	xflat := make([]float64, k*m.cols)
-	xbufs := make([][]float64, k)
 	for j, x := range xs {
 		if dsts[j].Len() != m.rows || x.Len() != m.cols {
 			return fmt.Errorf("sell: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
 				dsts[j].Len(), m.rows, m.cols, x.Len())
 		}
-		xbufs[j] = xflat[j*m.cols : (j+1)*m.cols]
-		var err error
-		if unverified {
-			err = x.CopyToUnverified(xbufs[j])
-		} else {
-			err = x.CopyTo(xbufs[j])
-		}
-		if err != nil {
-			return err
-		}
 	}
 	windows := (m.rows + m.sigma - 1) / m.sigma
-	return par.ForEach(windows, workers, 1, func(wlo, whi int) error {
-		aflat := make([]float64, k*m.sigma)
-		accs := make([][]float64, k)
-		for j := range accs {
-			accs[j] = aflat[j*m.sigma : (j+1)*m.sigma]
-		}
-		var sums []float64
-		if k > 1 {
-			sums = make([]float64, k)
-		}
-		var buf []byte
-		if m.scheme == core.CRC32C && !unverified {
-			buf = make([]byte, m.maxWidth*12)
-		}
-		for w := wlo; w < whi; w++ {
-			if err := m.applyWindow(dsts, xbufs, accs, sums, buf, w, unverified); err != nil {
-				return err
+	return core.DecodeSources(xs, unverified, func(xbufs [][]float64) error {
+		return par.ForEach(windows, workers, 1, func(wlo, whi int) error {
+			// One flat allocation for the window accumulators, sliced per column.
+			aflat := make([]float64, k*m.sigma)
+			accs := make([][]float64, k)
+			for j := range accs {
+				accs[j] = aflat[j*m.sigma : (j+1)*m.sigma]
 			}
-		}
-		return nil
+			var sums []float64
+			if k > 1 {
+				sums = make([]float64, k)
+			}
+			var buf []byte
+			if m.scheme == core.CRC32C && !unverified {
+				buf = make([]byte, m.maxWidth*12)
+			}
+			for w := wlo; w < whi; w++ {
+				if err := m.applyWindow(dsts, xbufs, accs, sums, buf, w, unverified); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	})
 }
 

@@ -113,23 +113,24 @@ func TestAutotunedSolveParity(t *testing.T) {
 		t.Fatalf("autotuned solve: state %v err %v %v", st.State, err, st.Error)
 	}
 	auto := st.Result
-	if auto.Autotune == nil {
+	if auto.Options == nil || auto.Options.Autotune == nil {
 		t.Fatal("unpinned request reported no autotune decision")
 	}
-	if auto.Autotune.Format == "" || auto.Autotune.Reason == "" {
-		t.Fatalf("incomplete decision: %+v", auto.Autotune)
+	tuned := auto.Options.Autotune
+	if tuned.Format == "" || tuned.Reason == "" {
+		t.Fatalf("incomplete decision: %+v", tuned)
 	}
-	if auto.Autotune.Profile.Rows != plain.Rows() || auto.Autotune.Profile.NNZ != plain.NNZ() {
-		t.Fatalf("profile does not describe the operator: %+v", auto.Autotune.Profile)
+	if tuned.Profile.Rows != plain.Rows() || tuned.Profile.NNZ != plain.NNZ() {
+		t.Fatalf("profile does not describe the operator: %+v", tuned.Profile)
 	}
 
 	// Re-request with every tuned knob pinned explicitly.
 	pinned := SolveRequest{
 		Matrix: spec,
 		Scheme: "secded64",
-		Format: auto.Autotune.Format,
-		Shards: auto.Autotune.Shards,
-		Sigma:  auto.Autotune.Sigma,
+		Format: tuned.Format,
+		Shards: tuned.Shards,
+		Sigma:  tuned.Sigma,
 	}
 	id2, err := s.Submit(pinned)
 	if err != nil {
@@ -139,8 +140,8 @@ func TestAutotunedSolveParity(t *testing.T) {
 	if err != nil || st2.State != StateDone {
 		t.Fatalf("pinned solve: state %v err %v %v", st2.State, err, st2.Error)
 	}
-	if st2.Result.Autotune != nil && st2.Result.Autotune.Format != "" {
-		t.Fatalf("fully pinned request still autotuned the format: %+v", st2.Result.Autotune)
+	if d := st2.Result.Options.Autotune; d != nil && d.Format != "" {
+		t.Fatalf("fully pinned request still autotuned the format: %+v", d)
 	}
 	if !st2.Result.CacheHit {
 		t.Fatal("pinned request missed the autotuned operator (cache keys diverged)")

@@ -41,8 +41,8 @@ func TestSelectiveReliabilityEndToEnd(t *testing.T) {
 	if !st.Result.Converged {
 		t.Fatalf("full solve did not converge: %+v", st.Result)
 	}
-	if st.Result.Reliability != "full" || st.Result.Options == nil || st.Result.Options.Reliability != "full" {
-		t.Fatalf("full solve reliability echo wrong: %q, options %+v", st.Result.Reliability, st.Result.Options)
+	if st.Result.Options == nil || st.Result.Options.Reliability != "full" {
+		t.Fatalf("full solve reliability echo wrong: options %+v", st.Result.Options)
 	}
 
 	sel := base
@@ -53,9 +53,6 @@ func TestSelectiveReliabilityEndToEnd(t *testing.T) {
 	}
 	if !sst.Result.Converged {
 		t.Fatalf("selective solve did not converge: %+v", sst.Result)
-	}
-	if sst.Result.Reliability != "selective" {
-		t.Fatalf("reliability echo %q, want selective", sst.Result.Reliability)
 	}
 	o := sst.Result.Options
 	if o == nil || o.Solver != "fgmres" || o.Reliability != "selective" ||

@@ -352,8 +352,6 @@ func (s *Server) solve(j *job) (*SolveResult, *cacheEntry, error) {
 	snap := jc.Snapshot()
 	return &SolveResult{
 		X:                    out,
-		Autotune:             j.tuned,
-		Reliability:          p.reliability.String(),
 		Options:              resolvedOptions(j),
 		Iterations:           sres.Iterations,
 		ResidualNorm:         sres.ResidualNorm,
@@ -552,8 +550,6 @@ func (s *Server) solveBatch(group []*job) ([]*SolveResult, *cacheEntry, error) {
 	for gi, j := range group {
 		snap := jcs[gi].Snapshot()
 		res := &SolveResult{
-			Autotune:             j.tuned,
-			Reliability:          p.reliability.String(),
 			Options:              resolvedOptions(j),
 			CacheHit:             hit,
 			Coalesced:            len(group) > 1,

@@ -392,24 +392,12 @@ type SolveResult struct {
 	// solver-level recovery could not clear and the service retried it
 	// against a freshly built operator.
 	Retried bool `json:"retried,omitempty"`
-	// Reliability echoes the resolved read discipline of the solve
-	// ("full" or "selective").
-	//
-	// Deprecated: read Options.Reliability; kept one release for
-	// clients that scrape top-level fields.
-	Reliability string `json:"reliability,omitempty"`
 	// Options consolidates every knob the admission resolver settled on
 	// for the executing solve — the requested values after parsing,
-	// defaulting, clamping and autotuning — in one block. The top-level
-	// Autotune and Reliability fields it overlaps are deprecated.
+	// defaulting, clamping and autotuning — in one block: the resolved
+	// read discipline is Options.Reliability, the admission-time
+	// autotuning decision Options.Autotune.
 	Options *ResolvedOptions `json:"options,omitempty"`
-	// Autotune records the admission-time profile and the knobs the
-	// service auto-selected because the request left them unpinned (nil
-	// when every tunable knob was pinned).
-	//
-	// Deprecated: read Options.Autotune; kept one release for clients
-	// that scrape top-level fields.
-	Autotune *AutotuneDecision `json:"autotune,omitempty"`
 	// Checks/Corrected/Detected/Bounds are the ABFT counter deltas this
 	// job contributed.
 	Checks    uint64 `json:"checks"`
