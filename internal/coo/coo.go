@@ -204,17 +204,24 @@ func word1(row, col uint32) uint64 {
 	return uint64(row) | uint64(col)<<32
 }
 
-// word64 loads element k as a SECDED64 codeword: [val | row | col].
-func (m *Matrix) word64(k int) ecc.Word4 {
-	return ecc.Word4{math.Float64bits(m.vals[k]), word1(m.rowIdx[k], m.colIdx[k])}
+// elem loads element k by value as the two words of its 128-bit
+// codeword, [val | row | col]: what the clean-path kernels take.
+func (m *Matrix) elem(k int) (val, idx uint64) {
+	return math.Float64bits(m.vals[k]), word1(m.rowIdx[k], m.colIdx[k])
 }
 
-// wordPair loads elements 2t and 2t+1 as a SECDED128 codeword.
+// word64 loads element k as a SECDED64 codeword for the cold path.
+func (m *Matrix) word64(k int) ecc.Word4 {
+	x, y := m.elem(k)
+	return ecc.Word4{x, y}
+}
+
+// wordPair loads elements 2t and 2t+1 as a SECDED128 codeword for the
+// cold path.
 func (m *Matrix) wordPair(t int) ecc.Word4 {
-	return ecc.Word4{
-		math.Float64bits(m.vals[2*t]), word1(m.rowIdx[2*t], m.colIdx[2*t]),
-		math.Float64bits(m.vals[2*t+1]), word1(m.rowIdx[2*t+1], m.colIdx[2*t+1]),
-	}
+	x, y := m.elem(2 * t)
+	z, v := m.elem(2*t + 1)
+	return ecc.Word4{x, y, z, v}
 }
 
 func (m *Matrix) encodeSED(k int) {
@@ -226,10 +233,8 @@ func (m *Matrix) encodeSED(k int) {
 func (m *Matrix) encode64(k int) {
 	m.rowIdx[k] &= eccIdxMask
 	m.colIdx[k] &= eccIdxMask
-	cw := m.word64(k)
-	codecElem64.Encode(&cw)
-	m.rowIdx[k] = uint32(cw[1])
-	m.colIdx[k] = uint32(cw[1] >> 32)
+	_, y := codecElem64.Encode128(m.elem(k))
+	m.rowIdx[k], m.colIdx[k] = uint32(y), uint32(y>>32)
 }
 
 func (m *Matrix) encodePair(t int) {
@@ -237,9 +242,11 @@ func (m *Matrix) encodePair(t int) {
 		m.rowIdx[k] &= eccIdxMask
 		m.colIdx[k] &= eccIdxMask
 	}
-	cw := m.wordPair(t)
-	codecElem128.Encode(&cw)
-	m.storePair(t, &cw)
+	x, y := m.elem(2 * t)
+	z, v := m.elem(2*t + 1)
+	_, y, _, v = codecElem128.Encode256(x, y, z, v)
+	m.rowIdx[2*t], m.colIdx[2*t] = uint32(y), uint32(y>>32)
+	m.rowIdx[2*t+1], m.colIdx[2*t+1] = uint32(v), uint32(v>>32)
 }
 
 // storePair writes a SECDED128 codeword back over elements 2t and 2t+1.
@@ -294,6 +301,11 @@ func (m *Matrix) checkSED(k int, c *core.Counters) error {
 // and counting into c. The first return reports whether a correction was
 // found — storage is stale when it was and commit was false.
 func (m *Matrix) check64(k int, commit bool, c *core.Counters) (bool, error) {
+	// The codeword goes to the kernel by value; only a non-zero
+	// accumulator pays for the Word4 and the resolve.
+	if codecElem64.Acc128(m.elem(k)) == 0 {
+		return false, nil
+	}
 	cw := m.word64(k)
 	switch res, _ := codecElem64.Check(&cw); res {
 	case ecc.Corrected:
@@ -312,6 +324,11 @@ func (m *Matrix) check64(k int, commit bool, c *core.Counters) (bool, error) {
 
 // checkPair verifies element pair t with check64's contract.
 func (m *Matrix) checkPair(t int, commit bool, c *core.Counters) (bool, error) {
+	x, y := m.elem(2 * t)
+	z, v := m.elem(2*t + 1)
+	if codecElem128.Acc256(x, y, z, v) == 0 {
+		return false, nil
+	}
 	cw := m.wordPair(t)
 	switch res, _ := codecElem128.Check(&cw); res {
 	case ecc.Corrected:

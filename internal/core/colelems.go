@@ -49,9 +49,8 @@ func (e *ColElems) word64(k int) ecc.Word4 {
 // wordPair loads entries 2t and 2t+1 as a SECDED128 codeword:
 // [val0(64) | col0(32) | val1(64) | col1(32)].
 func (e *ColElems) wordPair(t int) ecc.Word4 {
-	v1 := math.Float64bits(e.Vals[2*t+1])
-	return ecc.Word4{math.Float64bits(e.Vals[2*t]),
-		uint64(e.Cols[2*t]) | v1<<32, v1>>32 | uint64(e.Cols[2*t+1])<<32}
+	x, y, z := ecc.Pair192(e.Vals[2*t], e.Cols[2*t], e.Vals[2*t+1], e.Cols[2*t+1])
+	return ecc.Word4{x, y, z}
 }
 
 // splitPair is the inverse of wordPair.
@@ -73,18 +72,14 @@ func (e *ColElems) Encode(lo, hi int) {
 		}
 	case SECDED64:
 		for k := lo; k < hi; k++ {
-			e.Cols[k] &= eccColMask
-			cw := e.word64(k)
-			codecElem64.Encode(&cw)
-			e.Cols[k] = uint32(cw[1])
+			_, y := codecElem64.Encode96(math.Float64bits(e.Vals[k]), uint64(e.Cols[k]&eccColMask))
+			e.Cols[k] = uint32(y)
 		}
 	case SECDED128:
 		for t := lo / 2; 2*t < hi; t++ {
-			e.Cols[2*t] &= eccColMask
-			e.Cols[2*t+1] &= eccColMask
-			cw := e.wordPair(t)
-			codecElem128.Encode(&cw)
-			_, e.Cols[2*t], _, e.Cols[2*t+1] = splitPair(&cw)
+			_, y, z := codecElem128.Encode192(ecc.Pair192(
+				e.Vals[2*t], e.Cols[2*t]&eccColMask, e.Vals[2*t+1], e.Cols[2*t+1]&eccColMask))
+			e.Cols[2*t], e.Cols[2*t+1] = uint32(y), uint32(z>>32)
 		}
 	}
 }
@@ -117,9 +112,10 @@ func (e *ColElems) checkSED(k int, c *Counters) error {
 // check64 verifies entry k under SECDED64, repairing a single flip in
 // storage when commit is true. The first return reports whether a
 // correction was found — storage is stale when it was and commit was
-// false. The clean case is all a streaming kernel ever sees, so it is
-// kept small enough to inline into the verify loops; settle is the cold
-// remainder.
+// false. It is the per-codeword cold path: verify passes check a whole
+// run with one kernel call (ecc.SECDED.AccRun96) and come here, one
+// codeword at a time in storage order, only when that reported a fault
+// somewhere in the run.
 func (e *ColElems) check64(k int, commit bool, c *Counters) (bool, error) {
 	cw := e.word64(k)
 	res, _ := codecElem64.Check(&cw)
@@ -167,6 +163,9 @@ func (e *ColElems) settle(c *Counters, res ecc.CheckResult, idx int, detail stri
 // caller to batch into its counters), err the first uncorrectable error.
 // None and CRC32C have no per-entry codewords and verify nothing here.
 func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (dirty bool, checks uint64, err error) {
+	if hi <= lo {
+		return false, 0, nil
+	}
 	record := func(corrected bool, ce error) {
 		if ce != nil && err == nil {
 			err = ce
@@ -182,14 +181,19 @@ func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (dirty bool, chec
 			record(false, e.checkSED(k, c))
 		}
 	case SECDED64:
-		for k := lo; k < hi; k++ {
-			checks++
-			record(e.check64(k, commit, c))
+		checks = uint64(hi - lo)
+		if codecElem64.AccRun96(e.Vals[lo:hi], e.Cols[lo:hi]) != 0 {
+			for k := lo; k < hi; k++ {
+				record(e.check64(k, commit, c))
+			}
 		}
 	case SECDED128:
-		for t := lo / 2; 2*t < hi; t++ {
-			checks++
-			record(e.checkPair(t, commit, c))
+		t0, t1 := lo/2, (hi+1)/2
+		checks = uint64(t1 - t0)
+		if codecElem128.AccRun192(e.Vals[2*t0:2*t1], e.Cols[2*t0:2*t1]) != 0 {
+			for t := t0; t < t1; t++ {
+				record(e.checkPair(t, commit, c))
+			}
 		}
 	}
 	return dirty, checks, err

@@ -263,18 +263,12 @@ func (m *Matrix) encodeRowGroup(g int) {
 		m.rowptr[g] = r | uint32(ecc.Parity64(uint64(r)))<<31
 	case SECDED64:
 		e := m.rowptr[2*g : 2*g+2]
-		cw := ecc.Word4{uint64(e[0]&rowPtrMask) | uint64(e[1]&rowPtrMask)<<32}
-		codecRow64.Encode(&cw)
-		e[0], e[1] = uint32(cw[0]), uint32(cw[0]>>32)
+		x := codecRow64.Encode64(pack32(e[0]&rowPtrMask, e[1]&rowPtrMask))
+		e[0], e[1] = uint32(x), uint32(x>>32)
 	case SECDED128:
 		e := m.rowptr[4*g : 4*g+4]
-		cw := ecc.Word4{
-			uint64(e[0]&rowPtrMask) | uint64(e[1]&rowPtrMask)<<32,
-			uint64(e[2]&rowPtrMask) | uint64(e[3]&rowPtrMask)<<32,
-		}
-		codecRow128.Encode(&cw)
-		e[0], e[1] = uint32(cw[0]), uint32(cw[0]>>32)
-		e[2], e[3] = uint32(cw[1]), uint32(cw[1]>>32)
+		x, y := codecRow128.Encode128(pack32(e[0]&rowPtrMask, e[1]&rowPtrMask), pack32(e[2]&rowPtrMask, e[3]&rowPtrMask))
+		e[0], e[1], e[2], e[3] = uint32(x), uint32(x>>32), uint32(y), uint32(y>>32)
 	case CRC32C:
 		// Clear the slots, checksum the group where it lies, fill them.
 		e := (*[8]uint32)(m.rowptr[8*g : 8*g+8])
@@ -311,41 +305,19 @@ func (m *Matrix) decodeRowGroupCounting(g int, commit bool, dst *[8]uint32, c *C
 		}
 		dst[0] = r & sedColMask
 	case SECDED64:
+		// The codeword goes to the kernel by value; only a non-zero
+		// accumulator pays for the resolve.
 		e := m.rowptr[2*g : 2*g+2]
-		cw := ecc.Word4{uint64(e[0]) | uint64(e[1])<<32}
-		switch res, _ := codecRow64.Check(&cw); res {
-		case ecc.Corrected:
-			corrected = true
-			if commit {
-				e[0], e[1] = uint32(cw[0]), uint32(cw[0]>>32)
-			}
-			c.AddCorrected(1)
-		case ecc.Detected:
-			return false, m.rowPtrFault(c, g, "secded double-bit error")
+		if codecRow64.Acc64(pack32(e[0], e[1])) != 0 {
+			return m.resolveRowGroup(g, commit, dst, c)
 		}
-		dst[0] = uint32(cw[0]) & rowPtrMask
-		dst[1] = uint32(cw[0]>>32) & rowPtrMask
+		dst[0], dst[1] = e[0]&rowPtrMask, e[1]&rowPtrMask
 	case SECDED128:
 		e := m.rowptr[4*g : 4*g+4]
-		cw := ecc.Word4{
-			uint64(e[0]) | uint64(e[1])<<32,
-			uint64(e[2]) | uint64(e[3])<<32,
+		if codecRow128.Acc128(pack32(e[0], e[1]), pack32(e[2], e[3])) != 0 {
+			return m.resolveRowGroup(g, commit, dst, c)
 		}
-		switch res, _ := codecRow128.Check(&cw); res {
-		case ecc.Corrected:
-			corrected = true
-			if commit {
-				e[0], e[1] = uint32(cw[0]), uint32(cw[0]>>32)
-				e[2], e[3] = uint32(cw[1]), uint32(cw[1]>>32)
-			}
-			c.AddCorrected(1)
-		case ecc.Detected:
-			return false, m.rowPtrFault(c, g, "secded double-bit error")
-		}
-		dst[0] = uint32(cw[0]) & rowPtrMask
-		dst[1] = uint32(cw[0]>>32) & rowPtrMask
-		dst[2] = uint32(cw[1]) & rowPtrMask
-		dst[3] = uint32(cw[1]>>32) & rowPtrMask
+		dst[0], dst[1], dst[2], dst[3] = e[0]&rowPtrMask, e[1]&rowPtrMask, e[2]&rowPtrMask, e[3]&rowPtrMask
 	case CRC32C:
 		// Checksum the group as stored; only a mismatch pays for a
 		// serialised copy.
@@ -356,6 +328,37 @@ func (m *Matrix) decodeRowGroupCounting(g int, commit bool, dst *[8]uint32, c *C
 		for i, x := range e {
 			dst[i] = x & rowPtrMask
 		}
+	}
+	return corrected, nil
+}
+
+// pack32 packs two row-pointer entries into one codeword word.
+func pack32(lo, hi uint32) uint64 { return uint64(lo) | uint64(hi)<<32 }
+
+// resolveRowGroup is the SECDED cold path of decodeRowGroup, entered when
+// the accumulator of group g was non-zero: a single flip is repaired in
+// dst (and in storage when commit is true) and counted into c, anything
+// else is the group's fault.
+func (m *Matrix) resolveRowGroup(g int, commit bool, dst *[8]uint32, c *Counters) (corrected bool, err error) {
+	n := m.rowScheme.RowPtrGroup()
+	e := m.rowptr[n*g : n*g+n]
+	codec, cw := codecRow64, ecc.Word4{pack32(e[0], e[1])}
+	if m.rowScheme == SECDED128 {
+		codec, cw[1] = codecRow128, pack32(e[2], e[3])
+	}
+	switch res, _ := codec.Check(&cw); res {
+	case ecc.Corrected:
+		corrected = true
+		c.AddCorrected(1)
+	case ecc.Detected:
+		return false, m.rowPtrFault(c, g, "secded double-bit error")
+	}
+	for i := range e {
+		x := uint32(cw[i/2] >> (32 * uint(i%2)))
+		if commit {
+			e[i] = x
+		}
+		dst[i] = x & rowPtrMask
 	}
 	return corrected, nil
 }

@@ -131,20 +131,9 @@ func (v *Vector) WriteBlock(b int, src *[vecBlock]float64) {
 			w[i] = bits | ecc.Parity64(bits)
 		}
 	case SECDED64:
-		for i, x := range src {
-			cw := ecc.Word4{math.Float64bits(x) &^ 0xFF}
-			codecVec64.Encode(&cw)
-			w[i] = cw[0]
-		}
+		codecVec64.EncodeBlock64((*[vecBlock]uint64)(w), src)
 	case SECDED128:
-		for g := 0; g < 2; g++ {
-			cw := ecc.Word4{
-				math.Float64bits(src[2*g]) &^ 0x1F,
-				math.Float64bits(src[2*g+1]) &^ 0x1F,
-			}
-			codecVec128.Encode(&cw)
-			w[2*g], w[2*g+1] = cw[0], cw[1]
-		}
+		codecVec128.EncodeBlock128((*[vecBlock]uint64)(w), src, v.scheme.vecMask())
 	case CRC32C:
 		// Store the message, checksum it where it lies, fill the slots.
 		for i, x := range src {
@@ -194,34 +183,21 @@ func (v *Vector) readBlockCounting(b int, dst *[vecBlock]float64, commit bool, c
 		}
 		return nil
 	case SECDED64:
+		// One kernel call over the block where it lies; only a non-zero
+		// accumulator pays for the per-codeword resolve.
+		if codecVec64.AccBlock64((*[vecBlock]uint64)(w)) != 0 {
+			return v.resolveSECDEDBlock(base, w, dst, commit, c)
+		}
 		for i := range dst {
-			cw := ecc.Word4{w[i]}
-			switch res, _ := codecVec64.Check(&cw); res {
-			case ecc.Corrected:
-				if commit {
-					w[i] = cw[0]
-				}
-				c.AddCorrected(1)
-			case ecc.Detected:
-				return v.faultErr(c, base+i, "secded64 double-bit error")
-			}
-			dst[i] = math.Float64frombits(cw[0] &^ 0xFF)
+			dst[i] = math.Float64frombits(w[i] &^ 0xFF)
 		}
 		return nil
 	case SECDED128:
-		for g := 0; g < 2; g++ {
-			cw := ecc.Word4{w[2*g], w[2*g+1]}
-			switch res, _ := codecVec128.Check(&cw); res {
-			case ecc.Corrected:
-				if commit {
-					w[2*g], w[2*g+1] = cw[0], cw[1]
-				}
-				c.AddCorrected(1)
-			case ecc.Detected:
-				return v.faultErr(c, base/2+g, "secded128 double-bit error")
-			}
-			dst[2*g] = math.Float64frombits(cw[0] &^ 0x1F)
-			dst[2*g+1] = math.Float64frombits(cw[1] &^ 0x1F)
+		if codecVec128.AccBlock128((*[vecBlock]uint64)(w)) != 0 {
+			return v.resolveSECDEDBlock(base, w, dst, commit, c)
+		}
+		for i := range dst {
+			dst[i] = math.Float64frombits(w[i] &^ 0x1F)
 		}
 		return nil
 	case CRC32C:
@@ -237,6 +213,46 @@ func (v *Vector) readBlockCounting(b int, dst *[vecBlock]float64, commit bool, c
 	default:
 		return fmt.Errorf("core: unknown scheme %v", v.scheme)
 	}
+}
+
+// resolveSECDEDBlock is the SECDED cold path of readBlock, entered when
+// the block kernel's accumulator over the block at base (stored in w) was
+// non-zero: the codewords are checked one at a time in storage order, so
+// the first uncorrectable one is the one reported, single flips are
+// repaired in the delivered values (and in storage when commit is true)
+// and each is counted into c.
+func (v *Vector) resolveSECDEDBlock(base int, w []uint64, dst *[vecBlock]float64, commit bool, c *Counters) error {
+	if v.scheme == SECDED64 {
+		for i := range dst {
+			cw := ecc.Word4{w[i]}
+			switch res, _ := codecVec64.Check(&cw); res {
+			case ecc.Corrected:
+				if commit {
+					w[i] = cw[0]
+				}
+				c.AddCorrected(1)
+			case ecc.Detected:
+				return v.faultErr(c, base+i, "secded64 double-bit error")
+			}
+			dst[i] = math.Float64frombits(cw[0] &^ 0xFF)
+		}
+		return nil
+	}
+	for g := 0; g < 2; g++ {
+		cw := ecc.Word4{w[2*g], w[2*g+1]}
+		switch res, _ := codecVec128.Check(&cw); res {
+		case ecc.Corrected:
+			if commit {
+				w[2*g], w[2*g+1] = cw[0], cw[1]
+			}
+			c.AddCorrected(1)
+		case ecc.Detected:
+			return v.faultErr(c, base/2+g, "secded128 double-bit error")
+		}
+		dst[2*g] = math.Float64frombits(cw[0] &^ 0x1F)
+		dst[2*g+1] = math.Float64frombits(cw[1] &^ 0x1F)
+	}
+	return nil
 }
 
 // repairCRCBlock is the CRC32C slow path of readBlock, entered when the

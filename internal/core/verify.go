@@ -46,14 +46,10 @@ func (v *rowVerifier) row(r, lo, hi int) (dirty bool, checks uint64, err error) 
 		}
 		checks = uint64(hi - lo)
 	case SECDED64:
-		for k := lo; k < hi; k++ {
-			corrected, err := el.check64(k, commit, c)
-			if err != nil {
-				return false, uint64(k - lo + 1), err
-			}
-			if corrected && !commit {
-				dirty = true
-			}
+		// One kernel call per row; a non-zero accumulator re-walks the
+		// row one codeword at a time.
+		if codecElem64.AccRun96(el.Vals[lo:hi], el.Cols[lo:hi]) != 0 {
+			return v.resolve64(lo, hi)
 		}
 		checks = uint64(hi - lo)
 	case SECDED128:
@@ -62,23 +58,11 @@ func (v *rowVerifier) row(r, lo, hi int) (dirty bool, checks uint64, err error) 
 			if t0 == v.lastPair {
 				t0++
 			}
-			memoLast := true
-			for t := t0; t <= last; t++ {
-				corrected, err := el.checkPair(t, commit, c)
-				if err != nil {
-					return false, uint64(t - t0 + 1), err
-				}
-				if corrected && !commit {
-					dirty = true
-					if t == last {
-						memoLast = false
-					}
-				}
+			if codecElem128.AccRun192(el.Vals[2*t0:2*last+2], el.Cols[2*t0:2*last+2]) != 0 {
+				return v.resolvePairs(t0, last)
 			}
 			checks = uint64(last - t0 + 1)
-			if memoLast {
-				v.lastPair = last
-			}
+			v.lastPair = last
 		}
 	case CRC32C:
 		if v.scratch == nil {
@@ -94,4 +78,43 @@ func (v *rowVerifier) row(r, lo, hi int) (dirty bool, checks uint64, err error) 
 		}
 	}
 	return dirty, checks, nil
+}
+
+// resolve64 is row's SECDED64 cold path, entered when the run kernel
+// reported a fault somewhere in entries [lo,hi): the codewords are
+// verified one at a time in storage order, so corrections, the reported
+// codeword and the checks counted before it are those of a per-codeword
+// pass.
+func (v *rowVerifier) resolve64(lo, hi int) (dirty bool, checks uint64, err error) {
+	for k := lo; k < hi; k++ {
+		corrected, err := v.el.check64(k, v.commit, v.m.counters)
+		if err != nil {
+			return false, uint64(k - lo + 1), err
+		}
+		if corrected && !v.commit {
+			dirty = true
+		}
+	}
+	return dirty, uint64(hi - lo), nil
+}
+
+// resolvePairs is resolve64 for the SECDED128 pairs t0..last.
+func (v *rowVerifier) resolvePairs(t0, last int) (dirty bool, checks uint64, err error) {
+	memoLast := true
+	for t := t0; t <= last; t++ {
+		corrected, err := v.el.checkPair(t, v.commit, v.m.counters)
+		if err != nil {
+			return false, uint64(t - t0 + 1), err
+		}
+		if corrected && !v.commit {
+			dirty = true
+			if t == last {
+				memoLast = false
+			}
+		}
+	}
+	if memoLast {
+		v.lastPair = last
+	}
+	return dirty, uint64(last - t0 + 1), nil
 }

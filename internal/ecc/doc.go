@@ -10,7 +10,11 @@
 // significant mantissa bits of float64 values), so protection needs no
 // additional storage. Higher layers (package core) decide which bits of
 // which structure are spare; this package only knows about codewords of up
-// to 256 bits stored as [4]uint64.
+// to 256 bits: as a [4]uint64 (Word4) for arbitrary layouts and for
+// locating and undoing a flip, and — for the widths the repository
+// stores — by value, as the words of one codeword, a block of four vector
+// words or a run of (value, column) entries read where they lie
+// (kernels.go), which is how every clean codeword is checked.
 //
 // CRC32C is usually treated as an error-*detecting* code, but for bounded
 // codeword sizes its minimum Hamming distance is known (HD=6 for messages of

@@ -40,11 +40,24 @@ func (r CheckResult) String() string {
 // positions that are not powers of two) in ascending physical order; check
 // bit k has logical position 2^k.
 //
-// Check and Encode are the hot paths of every protected structure. They
-// use byte-sliced lookup tables: each byte of the codeword maps to a
-// packed (parity<<15 | syndrome) contribution, so a whole-codeword check
-// is width/8 table loads and XORs — the software analogue of a hardware
-// ECC H-matrix.
+// Checking and encoding are the hot paths of every protected structure.
+// They use byte-sliced lookup tables: each byte of the codeword maps to a
+// packed accumulator contribution, so a whole-codeword check is width/8
+// table loads and XORs — the software analogue of a hardware ECC H-matrix.
+//
+// The accumulator of a codeword packs r bits: bits 0..r-2 are the
+// positional Hamming syndrome, bit r-1 is the overall parity XOR the
+// parity of the syndrome. It is zero exactly when the codeword is clean,
+// a single flip leaves it with odd weight and a double flip with even
+// non-zero weight; and for a word whose redundancy bits are zero it *is*
+// the redundancy, in checkPositions order, so encoding is a check of the
+// cleared word plus one placed OR per run of redundancy bits.
+//
+// The by-value kernels (Acc64 … Acc256, AccBlock64/128, AccRun96/192 and
+// the matching encoders, kernels.go) take the codeword in registers or
+// where it is stored and are what protected structures call on every
+// read; Check and Encode over a *Word4 serve arbitrary layouts and the
+// cold path entered once an accumulator is non-zero.
 //
 // A SECDED value is immutable after construction and safe for concurrent
 // use.
@@ -55,20 +68,30 @@ type SECDED struct {
 	dataBits int   // width - r
 	nbytes   int   // bytes the codeword occupies
 
-	tab        [][256]uint16 // per-byte packed parity|syndrome contributions
-	clearMask  Word4         // AND-mask clearing every redundancy bit
-	checkWord  []int         // word index of each redundancy bit
-	checkShift []uint        // bit shift of each redundancy bit
-	logToPhys  []int         // logical position -> physical bit (-1 if unused)
+	tab [][256]uint16 // per-byte packed accumulator contributions
+	// Fixed-size views of tab for the by-value kernels: constant indices
+	// need no bounds checks. Only the view matching the codeword's width
+	// is set, so a kernel called on a codec of another width fails on a
+	// nil table instead of computing over the wrong bytes.
+	t8  *[8][256]uint16
+	t12 *[12][256]uint16
+	t16 *[16][256]uint16
+	t24 *[24][256]uint16
+	t32 *[32][256]uint16
 
-	// fastPlace marks layouts whose redundancy bits are contiguous and
-	// ascending within a single word (the common embedded layouts), so
-	// Encode can place all of them with one shifted OR.
-	fastPlace bool
+	clearMask Word4 // AND-mask clearing every redundancy bit
+	// runs[j] places an accumulator's bits into word j of the codeword,
+	// one entry per run of redundancy bits that move by the same amount.
+	runs      [4][]bitRun
+	logToPhys []int // logical position -> physical bit (-1 if unused)
 }
 
-// packed accumulator layout: bits 0..14 syndrome, bit 15 overall parity.
-const parityBit = 0x8000
+// bitRun moves one run of accumulator bits to its place in a codeword
+// word: rotate left by rot, keep mask.
+type bitRun struct {
+	rot  int
+	mask uint64
+}
 
 // NewSECDED builds a codec for the given physical width (4..256 bits) with
 // redundancy embedded at checkPositions. At least 3 redundancy positions
@@ -112,27 +135,25 @@ func NewSECDED(width int, checkPositions []int) (*SECDED, error) {
 	}
 
 	c := &SECDED{
-		width:      width,
-		checkPos:   append([]int(nil), checkPositions...),
-		r:          r,
-		dataBits:   dataBits,
-		nbytes:     (width + 7) / 8,
-		checkWord:  make([]int, r),
-		checkShift: make([]uint, r),
+		width:    width,
+		checkPos: append([]int(nil), checkPositions...),
+		r:        r,
+		dataBits: dataBits,
+		nbytes:   (width + 7) / 8,
 	}
 	for i := 0; i < width; i++ {
 		c.clearMask.SetBit(i, 1)
 	}
 	for i, p := range checkPositions {
 		c.clearMask.SetBit(p, 0)
-		c.checkWord[i] = p >> 6
-		c.checkShift[i] = uint(p & 63)
-	}
-	c.fastPlace = true
-	for i, p := range checkPositions {
-		if p>>6 != checkPositions[0]>>6 || p != checkPositions[0]+i {
-			c.fastPlace = false
-			break
+		// Accumulator bit i belongs at bit p&63 of word p>>6. Positions
+		// ascend, so bits of one word that move by the same amount are
+		// neighbours in the list and share the word's last run.
+		runs, rot := c.runs[p>>6], (p&63-i)&63
+		if n := len(runs); n > 0 && runs[n-1].rot == rot {
+			runs[n-1].mask |= 1 << uint(p&63)
+		} else {
+			c.runs[p>>6] = append(runs, bitRun{rot: rot, mask: 1 << uint(p&63)})
 		}
 	}
 
@@ -162,7 +183,10 @@ func NewSECDED(width int, checkPositions []int) (*SECDED, error) {
 	}
 
 	// Byte-sliced tables: entry v of table j is the packed contribution of
-	// byte j holding value v.
+	// byte j holding value v. A set bit contributes its syndrome code and,
+	// when that code has even weight, the folded parity bit — so every
+	// single-bit contribution has odd weight and the accumulator's own
+	// parity is the codeword's overall parity.
 	c.tab = make([][256]uint16, c.nbytes)
 	for j := 0; j < c.nbytes; j++ {
 		for v := 0; v < 256; v++ {
@@ -170,11 +194,23 @@ func NewSECDED(width int, checkPositions []int) (*SECDED, error) {
 			for b := 0; b < 8; b++ {
 				phys := j*8 + b
 				if phys < width && v&(1<<uint(b)) != 0 {
-					acc ^= code[phys] | parityBit
+					acc ^= code[phys] | uint16(^bits.OnesCount16(code[phys])&1)<<uint(hamming)
 				}
 			}
 			c.tab[j][v] = acc
 		}
+	}
+	switch c.nbytes {
+	case 8:
+		c.t8 = (*[8][256]uint16)(c.tab)
+	case 12:
+		c.t12 = (*[12][256]uint16)(c.tab)
+	case 16:
+		c.t16 = (*[16][256]uint16)(c.tab)
+	case 24:
+		c.t24 = (*[24][256]uint16)(c.tab)
+	case 32:
+		c.t32 = (*[32][256]uint16)(c.tab)
 	}
 	return c, nil
 }
@@ -203,68 +239,74 @@ func (c *SECDED) CheckPositions() []int {
 	return append([]int(nil), c.checkPos...)
 }
 
-// acc folds the whole codeword through the byte tables, returning the
-// packed (parity<<15 | syndrome) accumulator; zero means clean.
+// acc returns the accumulator of w: through the by-value kernel of the
+// codeword's width when there is one, through the table slice otherwise.
 func (c *SECDED) acc(w *Word4) uint16 {
-	t := c.tab
 	switch c.nbytes {
 	case 8:
-		x := w[0]
-		return t[0][byte(x)] ^ t[1][byte(x>>8)] ^ t[2][byte(x>>16)] ^ t[3][byte(x>>24)] ^
-			t[4][byte(x>>32)] ^ t[5][byte(x>>40)] ^ t[6][byte(x>>48)] ^ t[7][byte(x>>56)]
+		return fold8(c.t8, w[0]) // Acc64's body, one call level less
 	case 12:
-		x, y := w[0], w[1]
-		return t[0][byte(x)] ^ t[1][byte(x>>8)] ^ t[2][byte(x>>16)] ^ t[3][byte(x>>24)] ^
-			t[4][byte(x>>32)] ^ t[5][byte(x>>40)] ^ t[6][byte(x>>48)] ^ t[7][byte(x>>56)] ^
-			t[8][byte(y)] ^ t[9][byte(y>>8)] ^ t[10][byte(y>>16)] ^ t[11][byte(y>>24)]
+		return c.Acc96(w[0], w[1])
 	case 16:
-		x, y := w[0], w[1]
-		return t[0][byte(x)] ^ t[1][byte(x>>8)] ^ t[2][byte(x>>16)] ^ t[3][byte(x>>24)] ^
-			t[4][byte(x>>32)] ^ t[5][byte(x>>40)] ^ t[6][byte(x>>48)] ^ t[7][byte(x>>56)] ^
-			t[8][byte(y)] ^ t[9][byte(y>>8)] ^ t[10][byte(y>>16)] ^ t[11][byte(y>>24)] ^
-			t[12][byte(y>>32)] ^ t[13][byte(y>>40)] ^ t[14][byte(y>>48)] ^ t[15][byte(y>>56)]
-	default:
-		var a uint16
-		for j := 0; j < c.nbytes; j++ {
-			a ^= t[j][byte(w[j>>3]>>uint((j&7)*8))]
-		}
-		return a
+		return c.Acc128(w[0], w[1])
+	case 24:
+		return c.Acc192(w[0], w[1], w[2])
+	case 32:
+		return c.Acc256(w[0], w[1], w[2], w[3])
 	}
+	var a uint16
+	for j := 0; j < c.nbytes; j++ {
+		a ^= c.tab[j][byte(w[j>>3]>>uint((j&7)*8))]
+	}
+	return a
+}
+
+// place returns the bits accumulator a contributes to word j of the
+// codeword: the redundancy of a word whose redundancy bits were zero.
+func (c *SECDED) place(a uint16, j int) uint64 {
+	var out uint64
+	for _, run := range c.runs[j] {
+		out |= bits.RotateLeft64(uint64(a), run.rot) & run.mask
+	}
+	return out
 }
 
 // Encode computes the redundancy bits for the data currently held in w and
 // stores them at the check positions, overwriting whatever was there.
+// Widths that have a by-value encoder go through it.
 func (c *SECDED) Encode(w *Word4) {
-	if c.fastPlace {
-		// All redundancy bits live contiguously in one word: clear that
-		// word's slots, fold the tables, and OR the packed result in.
-		j := c.checkWord[0]
-		w[j] &= c.clearMask[j]
+	switch c.nbytes {
+	case 8:
+		w[0] = c.Encode64(w[0])
+	case 12:
+		w[0], w[1] = c.Encode96(w[0], w[1])
+	case 16:
+		w[0], w[1] = c.Encode128(w[0], w[1])
+	case 24:
+		w[0], w[1], w[2] = c.Encode192(w[0], w[1], w[2])
+	case 32:
+		w[0], w[1], w[2], w[3] = c.Encode256(w[0], w[1], w[2], w[3])
+	default:
+		for j := range w {
+			w[j] &= c.clearMask[j]
+		}
 		a := c.acc(w)
-		s := a &^ parityBit
-		p := uint64(a>>15) ^ uint64(bits.OnesCount16(s)&1)
-		w[j] |= (uint64(s) | p<<uint(c.r-1)) << c.checkShift[0]
-		return
+		for j := range w {
+			w[j] |= c.place(a, j)
+		}
 	}
-	for j := range w {
-		w[j] &= c.clearMask[j]
-	}
-	a := c.acc(w)
-	s := a &^ parityBit
-	hamming := c.r - 1
-	for k := 0; k < hamming; k++ {
-		w[c.checkWord[k]] |= uint64(s>>uint(k)&1) << c.checkShift[k]
-	}
-	// Overall parity covers data and the check bits just written.
-	p := uint64(a>>15) ^ uint64(bits.OnesCount16(s)&1)
-	w[c.checkWord[hamming]] |= p << c.checkShift[hamming]
 }
 
 // Syndrome returns the Hamming syndrome and the overall parity of w. For a
 // clean codeword both are zero.
 func (c *SECDED) Syndrome(w *Word4) (syndrome int, parity uint64) {
-	a := c.acc(w)
-	return int(a &^ parityBit), uint64(a >> 15)
+	return c.split(c.acc(w))
+}
+
+// split unpacks an accumulator into the positional syndrome and the
+// overall parity, which is the parity of the accumulator itself.
+func (c *SECDED) split(a uint16) (syndrome int, parity uint64) {
+	return int(a) &^ (1 << uint(c.r-1)), uint64(bits.OnesCount16(a) & 1)
 }
 
 // Check verifies w, correcting a single-bit error in place when possible.
@@ -274,11 +316,12 @@ func (c *SECDED) Check(w *Word4) (res CheckResult, bit int) {
 	if a == 0 {
 		return OK, -1
 	}
-	return c.resolve(w, int(a&^parityBit), uint64(a>>15))
+	return c.resolve(w, a)
 }
 
 // resolve handles the cold path of Check: something flipped.
-func (c *SECDED) resolve(w *Word4, syndrome int, parity uint64) (CheckResult, int) {
+func (c *SECDED) resolve(w *Word4, a uint16) (CheckResult, int) {
+	syndrome, parity := c.split(a)
 	if parity == 1 {
 		// Odd number of flips; assume one and correct it.
 		if syndrome == 0 {
@@ -299,10 +342,4 @@ func (c *SECDED) resolve(w *Word4, syndrome int, parity uint64) (CheckResult, in
 	}
 	// parity == 0 but non-zero syndrome: an even number (>=2) of flips.
 	return Detected, -1
-}
-
-// popcount over a Word4, used by tests and diagnostics.
-func popcount(w *Word4) int {
-	return bits.OnesCount64(w[0]) + bits.OnesCount64(w[1]) +
-		bits.OnesCount64(w[2]) + bits.OnesCount64(w[3])
 }

@@ -60,12 +60,15 @@ func TestShardedCRCSolveAllocationCeiling(t *testing.T) {
 
 // TestCSRSolveAllocationCeiling is the same guard for the benchmark's
 // cg_csr configuration (CSR, SECDED64 on elements, row pointers and every
-// vector, CG to 1e-8 on the 96x96 grid). The CSR kernel decodes the
-// source vector once per sweep into a 73 KB dense scratch that must come
-// from core's pool: allocated per sweep it is 2 MB of garbage per solve
-// (474 allocations, 2,392 KB), far above the byte ceiling. A solve
-// measures 418 allocations and 376 KB (DESIGN.md section 19); the
-// ceilings are twice that.
+// vector, CG to 1e-8 on the 96x96 grid) and for its SECDED128 twin. The
+// CSR kernel decodes the source vector once per sweep into a 73 KB dense
+// scratch that must come from core's pool: allocated per sweep it is
+// 2 MB of garbage per solve (474 allocations, 2,392 KB), far above the
+// byte ceiling; and every SECDED codeword is checked and encoded by
+// value, where it lies, so nothing is allocated per block or per row
+// either. A solve measures 418 allocations and 376 KB (419 and 394 KB
+// under SECDED128; DESIGN.md sections 19 and 20); the ceilings are twice
+// that.
 func TestCSRSolveAllocationCeiling(t *testing.T) {
 	const allocCeiling, kbCeiling = 840, 750
 	if testing.Short() {
@@ -74,35 +77,106 @@ func TestCSRSolveAllocationCeiling(t *testing.T) {
 		t.Skip("byte ceiling is taken without -short")
 	}
 	plain := csr.Laplacian2D(96, 96)
-	m, err := op.New(op.CSR, plain, op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(16))
 	b := make([]float64, plain.Rows())
 	for i := range b {
 		b[i] = 2*rng.Float64() - 1
 	}
-	opt := solvers.Options{Tol: 1e-8, RelativeTol: true, Workers: 1}
-	var res solvers.Result
-	solve := func() {
-		bv := core.VectorFromSlice(b, core.SECDED64)
-		xv := core.NewVector(len(b), core.SECDED64)
-		res, err = solvers.CG(solvers.MatrixOperator{M: m, Workers: 1}, xv, bv, opt)
+	for _, scheme := range []core.Scheme{core.SECDED64, core.SECDED128} {
+		m, err := op.New(op.CSR, plain, op.Config{Scheme: scheme, RowPtrScheme: scheme})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := solvers.Options{Tol: 1e-8, RelativeTol: true, Workers: 1}
+		var res solvers.Result
+		solve := func() {
+			bv := core.VectorFromSlice(b, scheme)
+			xv := core.NewVector(len(b), scheme)
+			res, err = solvers.CG(solvers.MatrixOperator{M: m, Workers: 1}, xv, bv, opt)
+		}
+		const runs = 3
+		var before, after runtime.MemStats
+		solve() // warm the scratch pool, as every solve after a process's first finds it
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, solve)
+		runtime.ReadMemStats(&after)
+		if err != nil || !res.Converged || res.Iterations < 20 {
+			t.Fatalf("%v: solve did not exercise the path: err %v, result %+v", scheme, err, res)
+		}
+		// AllocsPerRun makes one warm-up call besides the measured runs.
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / (runs + 1)
+		t.Logf("%v: %d iterations, %.0f allocations and %.0f KB per solve", scheme, res.Iterations, allocs, kb)
+		if allocs > allocCeiling || kb > kbCeiling {
+			t.Errorf("%v: %.0f allocations and %.0f KB per solve, ceilings %d and %d KB", scheme, allocs, kb, allocCeiling, kbCeiling)
+		}
 	}
-	const runs = 3
-	var before, after runtime.MemStats
-	solve() // warm the scratch pool, as every solve after a process's first finds it
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, solve)
-	runtime.ReadMemStats(&after)
-	if err != nil || !res.Converged || res.Iterations < 20 {
-		t.Fatalf("solve did not exercise the path: err %v, result %+v", err, res)
+}
+
+// TestSolveCheckCountsPinned pins the number of codeword checks the two
+// library workloads of the repo benchmark make per solve, counted as the
+// benchmark counts them (operator, b and x on one accumulator, x decoded
+// once at the end). A kernel that verifies a block or a row per call must
+// still account every codeword in it: for cg_csr that is 28 sweeps of
+// 59,905 matrix-side and source codewords plus 220 whole-vector passes of
+// 9,216 (DESIGN.md section 19).
+func TestSolveCheckCountsPinned(t *testing.T) {
+	rhs := func(seed int64, n int) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = 2*rng.Float64() - 1
+		}
+		return b
 	}
-	// AllocsPerRun makes one warm-up call besides the measured runs.
-	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / (runs + 1)
-	t.Logf("%d iterations, %.0f allocations and %.0f KB per solve", res.Iterations, allocs, kb)
-	if allocs > allocCeiling || kb > kbCeiling {
-		t.Errorf("%.0f allocations and %.0f KB per solve, ceilings %d and %d KB", allocs, kb, allocCeiling, kbCeiling)
+	solve := func(m core.ProtectedMatrix, b []float64, s core.Scheme, run func(solvers.Operator, *core.Vector, *core.Vector) (solvers.Result, error)) (solvers.Result, uint64) {
+		t.Helper()
+		var c core.Counters
+		m.SetCounters(&c)
+		bv := core.VectorFromSlice(b, s)
+		xv := core.NewVector(len(b), s)
+		bv.SetCounters(&c)
+		xv.SetCounters(&c)
+		res, err := run(solvers.MatrixOperator{M: m, Workers: 1}, xv, bv)
+		if err == nil {
+			err = xv.CopyTo(make([]float64, len(b)))
+		}
+		if err != nil || !res.Converged {
+			t.Fatalf("solve failed: %v, %+v", err, res)
+		}
+		return res, c.Checks()
+	}
+
+	grid := csr.Laplacian2D(96, 96)
+	m, err := op.New(op.CSR, grid, op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, checks := solve(m, rhs(16, grid.Rows()), core.SECDED64, func(a solvers.Operator, x, b *core.Vector) (solvers.Result, error) {
+		return solvers.CG(a, x, b, solvers.Options{Tol: 1e-8, RelativeTol: true, Workers: 1})
+	})
+	if res.Iterations != 27 || checks != 3_704_860 {
+		t.Errorf("cg_csr: %d iterations, %d checks; want 27 and 3,704,860", res.Iterations, checks)
+	}
+
+	grid = csr.Laplacian2D(70, 70)
+	so, err := shard.New(grid, shard.Options{
+		Shards: 2, Format: op.SELLCS,
+		Config: op.Config{Scheme: core.CRC32C}, VectorScheme: core.CRC32C,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := precond.For(precond.BlockJacobi, so, grid, precond.Options{Scheme: core.CRC32C, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, checks = solve(so, rhs(14, grid.Rows()), core.CRC32C, func(a solvers.Operator, x, b *core.Vector) (solvers.Result, error) {
+		return solvers.PCG(a, x, b, solvers.Options{
+			Tol: 1e-8, RelativeTol: true, Workers: 1, Preconditioner: pre,
+			Recovery: solvers.Recovery{Policy: solvers.RecoveryRollback, Interval: 8, Scheme: core.CRC32C},
+		})
+	})
+	if res.Iterations != 21 || checks != 492_809 {
+		t.Errorf("pcg_shard: %d iterations, %d checks; want 21 and 492,809", res.Iterations, checks)
 	}
 }

@@ -1,6 +1,7 @@
 package sell
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -123,5 +124,91 @@ func TestSharedFallbackCorruptedColumn(t *testing.T) {
 				t.Fatal("no correction recorded for the index flip")
 			}
 		})
+	}
+}
+
+// TestSECDEDSliceStrikesAllModes strikes every stored element of the
+// matrix once and twice under the two SECDED schemes — whose codewords a
+// slice verifies with one run-kernel call over its storage range — and
+// applies it as the exclusive owner, as a shared reader and with two
+// workers: the product is the clean one bit for bit, the sweep counts the
+// checks a clean sweep counts and exactly one correction, storage is
+// repaired unless the matrix is shared, and a double strike is reported
+// as the codeword it hit.
+func TestSECDEDSliceStrikesAllModes(t *testing.T) {
+	plain := skewed(t, 41, 31)
+	xs := make([]float64, plain.Cols32())
+	for i := range xs {
+		xs[i] = float64(i%17) - 8
+	}
+	x := core.VectorFromSlice(xs, core.None)
+	type mode struct {
+		name    string
+		read    core.ReadMode
+		workers int
+	}
+	modes := []mode{{"exclusive", core.ModeExclusive, 1}, {"shared", core.ModeShared, 1}, {"parallel", core.ModeExclusive, 2}}
+	for _, s := range []core.Scheme{core.SECDED64, core.SECDED128} {
+		m, err := NewMatrix(plain, Options{Scheme: s, Sigma: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c core.Counters
+		m.SetCounters(&c)
+		cleanVals := append([]float64(nil), m.vals...)
+		cleanCols := append([]uint32(nil), m.colIdx...)
+		strike := func(k, bit int) {
+			if bit < 64 {
+				m.vals[k] = math.Float64frombits(math.Float64bits(m.vals[k]) ^ 1<<uint(bit))
+			} else {
+				m.colIdx[k] ^= 1 << uint(bit-64)
+			}
+		}
+		for _, md := range modes {
+			m.SetReadMode(md.read)
+			copy(m.vals, cleanVals)
+			copy(m.colIdx, cleanCols)
+			dst := core.NewVector(m.Rows(), core.None)
+			c = core.Counters{}
+			if err := m.Apply(dst, x, md.workers); err != nil {
+				t.Fatal(err)
+			}
+			want := append([]uint64(nil), dst.Raw()...)
+			cleanChecks := c.Checks()
+			for k := range m.vals {
+				for _, bit := range []int{k % 64, 64 + k%32} {
+					copy(m.vals, cleanVals)
+					copy(m.colIdx, cleanCols)
+					strike(k, bit)
+					c = core.Counters{}
+					name := fmt.Sprintf("%v %s entry %d bit %d", s, md.name, k, bit)
+					if err := m.Apply(dst, x, md.workers); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for i, w := range dst.Raw() {
+						if w != want[i] {
+							t.Fatalf("%s: product word %d is %x, clean %x", name, i, w, want[i])
+						}
+					}
+					if c.Checks() != cleanChecks || c.Corrected() != 1 || c.Detected() != 0 {
+						t.Fatalf("%s: checks %d (clean %d) corrected %d detected %d", name, c.Checks(), cleanChecks, c.Corrected(), c.Detected())
+					}
+					repaired := math.Float64bits(m.vals[k]) == math.Float64bits(cleanVals[k]) && m.colIdx[k] == cleanCols[k]
+					if repaired != md.read.Commits() {
+						t.Fatalf("%s: storage repaired %v, want %v", name, repaired, md.read.Commits())
+					}
+				}
+				copy(m.vals, cleanVals)
+				copy(m.colIdx, cleanCols)
+				strike(k, 11)
+				strike(k, 75)
+				c = core.Counters{}
+				err := m.Apply(dst, x, md.workers)
+				var fe *core.FaultError
+				if !errors.As(err, &fe) || fe.Structure != core.StructElements || fe.Index != k/s.ElemGroup() || c.Detected() != 1 {
+					t.Fatalf("%v %s entry %d struck twice: %v (detected %d)", s, md.name, k, err, c.Detected())
+				}
+			}
+		}
 	}
 }
