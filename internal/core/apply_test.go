@@ -22,26 +22,22 @@ func TestMultiVectorBasics(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		mv.Col(j).Fill(float64(j + 1))
 	}
-	span := mv.Blocks() * vecBlock
-	buf := make([]float64, 3*span)
-	if err := mv.ReadBlocksInto(0, mv.Blocks(), buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := make([]float64, mv.Blocks()*vecBlock)
 	for j := 0; j < 3; j++ {
+		if err := mv.Col(j).ReadBlocksInto(0, mv.Blocks(), buf); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 10; i++ {
-			if buf[j*span+i] != float64(j+1) {
-				t.Fatalf("col %d elem %d: got %g", j, i, buf[j*span+i])
+			if buf[i] != float64(j+1) {
+				t.Fatalf("col %d elem %d: got %g", j, i, buf[i])
 			}
 		}
 	}
 	if c.Checks() == 0 {
-		t.Fatal("batched read accounted no checks")
+		t.Fatal("column reads accounted no checks on the shared counters")
 	}
 	if _, err := mv.CheckAll(); err != nil {
 		t.Fatal(err)
-	}
-	if err := mv.ReadBlocksInto(0, mv.Blocks(), buf[:1]); err == nil {
-		t.Fatal("short destination accepted")
 	}
 }
 
@@ -181,52 +177,6 @@ func TestApplyBatchCorrectsFaultInFlight(t *testing.T) {
 				t.Fatalf("col %d row %d: %g vs %g", j, i, a[i], b[i])
 			}
 		}
-	}
-}
-
-// TestMultiVectorSharedReadNoCommit: the batched shared read corrects a
-// stored fault in flight without writing the repair back, mirroring the
-// commit discipline of ReadBlockShared per column.
-func TestMultiVectorSharedReadNoCommit(t *testing.T) {
-	data := []float64{1.5, -2.25, 3.125, 4, 5, -6, 7.5, 8}
-	a := VectorFromSlice(data, SECDED64)
-	b := VectorFromSlice(data, SECDED64)
-	mv, err := WrapMultiVector(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Counters{}
-	mv.SetCounters(c)
-
-	// Single-bit flip in column 1's stored words: correctable, and the
-	// shared read must mask it without committing.
-	b.Raw()[1] ^= 1 << 17
-
-	span := mv.Blocks() * vecBlock
-	buf := make([]float64, 2*span)
-	if err := mv.ReadBlocksSharedInto(0, mv.Blocks(), buf); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 2; j++ {
-		for i, want := range data {
-			if buf[j*span+i] != want {
-				t.Fatalf("col %d elem %d: got %v want %v", j, i, buf[j*span+i], want)
-			}
-		}
-	}
-	if c.Corrected() == 0 {
-		t.Fatal("no correction recorded for the injected flip")
-	}
-	corrected, err := mv.CheckAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corrected == 0 {
-		t.Fatal("shared read committed the repair to storage")
-	}
-
-	if err := mv.ReadBlocksSharedInto(0, mv.Blocks(), buf[:1]); err == nil {
-		t.Fatal("short destination accepted")
 	}
 }
 

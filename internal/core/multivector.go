@@ -14,9 +14,9 @@ import (
 // against k independent single-RHS runs.
 //
 // Columns may carry distinct counters (the service attributes per-job
-// vector checks that way); the batch read primitives below account
-// checks into each column's own counters, exactly as k separate
-// ReadBlocksInto calls would.
+// vector checks that way): every kernel reads a multivector one column
+// at a time through that column's own Vector methods, so checks land in
+// the column's own counters exactly as in a single-RHS run.
 type MultiVector struct {
 	cols []*Vector
 	n    int
@@ -84,42 +84,6 @@ func (mv *MultiVector) SetCRCBackend(b ecc.Backend) {
 	for _, col := range mv.cols {
 		col.SetCRCBackend(b)
 	}
-}
-
-// ReadBlocksInto verifies blocks [b0,b1) of every column and stores the
-// masked values column-major into dst: column j occupies
-// dst[j*span : (j+1)*span] where span = (b1-b0)*4. Corrections are
-// committed per column. This is the batched sweep primitive the sharded
-// operator's scatter phase uses to pack one protected message carrying
-// all k columns of a block range.
-func (mv *MultiVector) ReadBlocksInto(b0, b1 int, dst []float64) error {
-	return mv.readBlocks(b0, b1, dst, true)
-}
-
-// ReadBlocksSharedInto is ReadBlocksInto under the no-commit discipline
-// of ReadBlockShared: corrections are used and counted but never
-// written back, so concurrent readers never race.
-func (mv *MultiVector) ReadBlocksSharedInto(b0, b1 int, dst []float64) error {
-	return mv.readBlocks(b0, b1, dst, false)
-}
-
-func (mv *MultiVector) readBlocks(b0, b1 int, dst []float64, commit bool) error {
-	span := (b1 - b0) * vecBlock
-	if len(dst) < mv.k*span {
-		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), mv.k*span)
-	}
-	for j, col := range mv.cols {
-		var err error
-		if commit {
-			err = col.ReadBlocksInto(b0, b1, dst[j*span:])
-		} else {
-			err = col.ReadBlocksSharedInto(b0, b1, dst[j*span:])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CheckAll scrubs every column, returning total corrections and the

@@ -56,6 +56,36 @@ func TestShardedCRCSolveAllocationCeiling(t *testing.T) {
 	if allocs > ceiling {
 		t.Errorf("%.0f allocations per solve, ceiling %d", allocs, ceiling)
 	}
+	if testing.Short() {
+		// The race job runs -short, and under the race detector sync.Pool
+		// drops a quarter of what is Put by design.
+		return
+	}
+
+	// The sharded product itself, in the steady state. Width 1 and width
+	// k run the same pipeline out of a pooled workspace, so one product
+	// costs the closures and dispatches of its three phases plus what the
+	// format kernel allocates; it cost 23 allocations when Apply and
+	// ApplyBatch were separate pipelines (and ApplyBatch 33, staging
+	// buffers included). A width-8 product adds only SELL's k-wide lane
+	// sums, one per band.
+	const applyCeiling, sellWidthScratch = 23, 2
+	xv, dv := core.VectorFromSlice(b, core.CRC32C), core.NewVector(len(b), core.CRC32C)
+	xm, dm := core.NewMultiVector(len(b), 8, core.CRC32C), core.NewMultiVector(len(b), 8, core.CRC32C)
+	apply := testing.AllocsPerRun(20, func() { err = so.Apply(dv, xv, 1) })
+	batch := testing.AllocsPerRun(20, func() {
+		if e := so.ApplyBatch(dm, xm, 1); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.0f allocations per Apply, %.0f per ApplyBatch of 8", apply, batch)
+	if apply > applyCeiling || batch > apply+sellWidthScratch {
+		t.Errorf("%.0f allocations per Apply (ceiling %d), %.0f per ApplyBatch of 8 (ceiling Apply + %d)",
+			apply, applyCeiling, batch, sellWidthScratch)
+	}
 }
 
 // TestCSRSolveAllocationCeiling is the same guard for the benchmark's

@@ -132,43 +132,45 @@ func blockSolveBatch(t *testing.T, kind solvers.Kind, a solvers.Operator, k int,
 }
 
 // TestConformanceBlockCGParity: for every format, sharded and unsharded,
-// with and without preconditioning, BlockCG's per-column solutions,
-// iteration counts and residual norms must match k independent
-// single-RHS solves exactly.
+// with and without preconditioning, at width 1 and width 3, BlockCG's
+// per-column solutions, iteration counts and residual norms must match
+// independent single-RHS solves exactly — CG and BlockCG drive the same
+// column recurrence, and width 1 is a width like any other.
 func TestConformanceBlockCGParity(t *testing.T) {
-	const k = 3
 	for _, f := range op.Formats {
 		for _, shards := range []int{0, 3} {
 			for _, kind := range []solvers.Kind{solvers.KindCG, solvers.KindPCG} {
 				t.Run(fmt.Sprintf("%v_shards%d_%v", f, shards, kind), func(t *testing.T) {
-					opt := solvers.Options{Tol: 1e-10}
-					a := recoveryOperator(t, f, shards)
-					got, br := blockSolveBatch(t, kind, a, k, opt)
-					if len(br.Columns) != k {
-						t.Fatalf("batch reported %d columns, want %d", len(br.Columns), k)
-					}
-					bcols := blockRefColumns(a.Rows(), k)
-					for j := 0; j < k; j++ {
-						x := core.NewVector(a.Rows(), core.SECDED64)
-						b := core.VectorFromSlice(bcols[j], core.SECDED64)
-						res, err := solvers.Solve(kind, a, x, b, opt)
-						if err != nil {
-							t.Fatal(err)
+					for _, k := range []int{1, 3} {
+						opt := solvers.Options{Tol: 1e-10}
+						a := recoveryOperator(t, f, shards)
+						got, br := blockSolveBatch(t, kind, a, k, opt)
+						if len(br.Columns) != k {
+							t.Fatalf("batch reported %d columns, want %d", len(br.Columns), k)
 						}
-						want := make([]float64, a.Rows())
-						if err := x.CopyTo(want); err != nil {
-							t.Fatal(err)
-						}
-						for i := range want {
-							if got[j][i] != want[i] {
-								t.Fatalf("col %d row %d: batch %x, single %x", j, i,
-									math.Float64bits(got[j][i]), math.Float64bits(want[i]))
+						bcols := blockRefColumns(a.Rows(), k)
+						for j := 0; j < k; j++ {
+							x := core.NewVector(a.Rows(), core.SECDED64)
+							b := core.VectorFromSlice(bcols[j], core.SECDED64)
+							res, err := solvers.Solve(kind, a, x, b, opt)
+							if err != nil {
+								t.Fatal(err)
 							}
-						}
-						c := br.Columns[j]
-						if !c.Converged || c.Iterations != res.Iterations || c.ResidualNorm != res.ResidualNorm {
-							t.Fatalf("col %d: batch %+v, single iterations=%d norm=%v",
-								j, c, res.Iterations, res.ResidualNorm)
+							want := make([]float64, a.Rows())
+							if err := x.CopyTo(want); err != nil {
+								t.Fatal(err)
+							}
+							for i := range want {
+								if got[j][i] != want[i] {
+									t.Fatalf("k=%d col %d row %d: batch %x, single %x", k, j, i,
+										math.Float64bits(got[j][i]), math.Float64bits(want[i]))
+								}
+							}
+							c := br.Columns[j]
+							if !c.Converged || c.Iterations != res.Iterations || c.ResidualNorm != res.ResidualNorm {
+								t.Fatalf("k=%d col %d: batch %+v, single iterations=%d norm=%v",
+									k, j, c, res.Iterations, res.ResidualNorm)
+							}
 						}
 					}
 				})
@@ -228,6 +230,38 @@ func TestConformanceBlockCGRollbackParity(t *testing.T) {
 				if res.Iterations != cleanRes.Iterations {
 					t.Fatalf("recovered batch took %d iterations, fault-free %d",
 						res.Iterations, cleanRes.Iterations)
+				}
+
+				// The same strikes against a lone solve and a width-1
+				// batch, with and without a preconditioner: one column
+				// recurrence under one recovery controller, so the
+				// solution, the iteration count and the checkpoint and
+				// rollback accounting agree.
+				for _, kind := range []solvers.Kind{solvers.KindCG, solvers.KindPCG} {
+					struck = 0
+					gotOne, batch := blockSolveBatch(t, kind, recoveryOperator(t, f, shards), 1, opt)
+					struck = 0
+					a := recoveryOperator(t, f, shards)
+					x := core.NewVector(a.Rows(), core.SECDED64)
+					b := core.VectorFromSlice(blockRefColumns(a.Rows(), 1)[0], core.SECDED64)
+					lone, err := solvers.Solve(kind, a, x, b, opt)
+					if err != nil || struck != 2 {
+						t.Fatalf("%v: lone solve: %v, %d strikes", kind, err, struck)
+					}
+					wantOne := make([]float64, a.Rows())
+					if err := x.CopyTo(wantOne); err != nil {
+						t.Fatal(err)
+					}
+					for i := range wantOne {
+						if gotOne[0][i] != wantOne[i] {
+							t.Fatalf("%v row %d: width-1 batch %v, lone solve %v", kind, i, gotOne[0][i], wantOne[i])
+						}
+					}
+					if lone.Rollbacks == 0 || batch.Iterations != lone.Iterations ||
+						batch.Checkpoints != lone.Checkpoints || batch.Rollbacks != lone.Rollbacks ||
+						batch.RecomputedIterations != lone.RecomputedIterations {
+						t.Fatalf("%v: width-1 batch %+v, lone solve %+v", kind, batch.Result, lone)
+					}
 				}
 			})
 		}

@@ -127,6 +127,34 @@ func TestRHSBatchValidation(t *testing.T) {
 	}
 }
 
+// pinWorker makes a one-worker server deterministic to coalesce on: it
+// submits a stall job on a small operator of its own whose first solver
+// iteration blocks in the state hook, returns once the worker is inside
+// it, and hands back the function that releases the worker and waits
+// for the stall job to finish.
+func pinWorker(t *testing.T, srv *Server) (release func()) {
+	t.Helper()
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv.testStateHook = func(int, []*core.Vector) {
+		once.Do(func() {
+			close(entered)
+			<-unblock
+		})
+	}
+	id, err := srv.Submit(SolveRequest{Matrix: MatrixSpec{Grid: &GridSpec{NX: 6, NY: 6}}, Solver: "cg", Tol: 1e-8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	return func() {
+		close(unblock)
+		if _, err := srv.Wait(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCoalescedSolves stalls the single worker, submits identical
 // batch-eligible jobs, and checks they merge into one batched solve:
 // passengers skip the queue, every job's answer stays bit-exact
@@ -138,25 +166,8 @@ func TestCoalescedSolves(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Deterministic stall: the hook blocks the first solve (the stall
-	// job, on its own operator) until released, so the coalescable jobs
-	// all arrive while the worker is pinned.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	srv.testStateHook = func(it int, live []*core.Vector) {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-	}
-
-	stall := SolveRequest{Matrix: MatrixSpec{Grid: &GridSpec{NX: 6, NY: 6}}, Solver: "cg", Tol: 1e-8}
-	stallID, err := srv.Submit(stall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
+	// The coalescable jobs all arrive while the worker is pinned.
+	release := pinWorker(t, srv)
 
 	plain := csr.Laplacian2D(12, 10)
 	req := SolveRequest{
@@ -176,11 +187,7 @@ func TestCoalescedSolves(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	close(release)
-
-	if _, err := srv.Wait(stallID); err != nil {
-		t.Fatal(err)
-	}
+	release()
 	want := directSolve(t, plain, req)
 	for i, id := range ids {
 		st, err := srv.Wait(id)

@@ -12,89 +12,6 @@ import (
 	"abft/internal/solvers"
 )
 
-func (s *Server) runJob(j *job) {
-	group := s.seal(j)
-	if len(group) > 1 || len(j.req.RHSBatch) > 0 {
-		s.runBatch(group)
-		return
-	}
-	wait := j.setRunning()
-	j.trace.Add(StageQueueWait, j.submitted, wait, "")
-	s.observe(StageQueueWait, wait)
-	s.log.Debug("job started", "job", j.id, "queue_wait", wait)
-	res, e, err := s.solve(j)
-	if solvers.IsFault(err) && e != nil {
-		// The solve tripped over corruption the operator's scheme
-		// cannot repair: drop the exact operator it ran against now
-		// rather than waiting for the next scrub pass (which may be
-		// disabled). The eviction is identity-checked, so if the scrub
-		// daemon already evicted it — or a clean rebuild took the key —
-		// this is a no-op and never drops a healthy operator.
-		s.cache.evictFault(e)
-		s.journal.Append(obs.Event{
-			Kind: obs.EventReadFault, Job: j.id, Operator: opShort(j.key),
-			Detail: err.Error(),
-		})
-		s.log.Warn("read-path fault detected", "job", j.id, "operator", opShort(j.key), "err", err)
-		if j.params.opt.Recovery.Policy != solvers.RecoveryOff {
-			// A fault that survived solver-level rollback lives in the
-			// resident operator, not the dynamic state; the eviction
-			// above cleared it, so one service-level retry against a
-			// freshly built operator completes the recovery ladder.
-			s.jobsRetried.Add(1)
-			cause := err.Error()
-			s.journal.Append(obs.Event{
-				Kind: obs.EventJobRetry, Job: j.id, Operator: opShort(j.key),
-				Detail: "retrying against a rebuilt operator: " + cause,
-			})
-			endRetry := j.trace.Start(StageRetry)
-			var e2 *cacheEntry
-			res, e2, err = s.solve(j)
-			s.observe(StageRetry, endRetry(cause))
-			if res != nil {
-				res.Retried = true
-			}
-			if solvers.IsFault(err) && e2 != nil {
-				s.cache.evictFault(e2)
-			}
-		}
-	}
-	// The matrix payload (and RHS) exist to admit and build; release
-	// them so the finished-job history does not pin them.
-	j.plain = nil
-	j.req.B = nil
-	if err != nil {
-		s.jobsFailed.Add(1)
-	} else {
-		s.jobsDone.Add(1)
-		if res != nil && res.Rollbacks > 0 {
-			s.jobsRecovered.Add(1)
-		}
-	}
-	if res != nil {
-		s.rollbacks.Add(uint64(res.Rollbacks))
-		s.recomputedIters.Add(uint64(res.RecomputedIterations))
-		j.trace.Count("rollbacks", uint64(res.Rollbacks))
-		j.trace.Count("recomputed_iterations", uint64(res.RecomputedIterations))
-		j.trace.Count("checks", res.Checks)
-		j.trace.Count("corrected", res.Corrected)
-		j.trace.Count("detected", res.Detected)
-		j.trace.Count("bounds", res.Bounds)
-	}
-	j.finish(res, err, solvers.IsFault(err))
-	if err != nil {
-		s.log.Warn("job failed", "job", j.id, "fault", solvers.IsFault(err),
-			"duration", time.Since(j.submitted), "err", err)
-	} else {
-		s.log.Info("job finished", "job", j.id,
-			"iterations", res.Iterations, "converged", res.Converged,
-			"residual", res.ResidualNorm, "cache_hit", res.CacheHit,
-			"rollbacks", res.Rollbacks, "retried", res.Retried,
-			"duration", time.Since(j.submitted))
-	}
-	s.retire(j)
-}
-
 // cachedOperator binds a cache entry to a worker count for the solver.
 // Diagonal serves the build-time verified copy: the formats' own
 // Diagonal routes through a committing CheckAll, which must not run
@@ -131,27 +48,6 @@ func (o cachedOperator) Diagonal(dst []float64) error {
 	return nil
 }
 
-// Dot forwards to the operator's own reduction when it has one (a
-// sharded operator tree-reduces per-band partials), so solver inner
-// products follow the cached operator's decomposition.
-func (o cachedOperator) Dot(a, b *core.Vector) (float64, error) {
-	if d, ok := o.e.m.(solvers.DotOperator); ok {
-		return d.Dot(a, b)
-	}
-	return core.Dot(a, b, o.workers)
-}
-
-// BandRanges forwards the band decomposition when the cached operator
-// has one, satisfying solvers.BandedOperator: the engine's fused vector
-// kernels and per-band checkpoint copies then follow the same shard
-// layout the forwarded Dot reduces over.
-func (o cachedOperator) BandRanges() [][2]int {
-	if b, ok := o.e.m.(solvers.BandedOperator); ok {
-		return b.BandRanges()
-	}
-	return nil
-}
-
 // ApplyBatch forwards to the cached operator's batched kernel
 // (satisfying solvers.BatchOperator, so BlockCG amortises the matrix
 // checks over the batch), with a per-column fallback for formats
@@ -166,6 +62,35 @@ func (o cachedOperator) ApplyBatch(dst, x *core.MultiVector) error {
 		}
 	}
 	return nil
+}
+
+// cachedBanded adds the two capabilities only a sharded operator has.
+// They are a separate type because the solver engine reads their
+// presence: an operator advertising Dot without bands cannot have its
+// reduction mirrored by the fused vector kernels and loses the fused CG
+// tail, which is what every unsharded solve would pay if the base type
+// carried them.
+type cachedBanded struct {
+	cachedOperator
+	so *shard.Operator
+}
+
+// Dot tree-reduces per-band partials, so solver inner products follow
+// the cached operator's decomposition.
+func (o cachedBanded) Dot(a, b *core.Vector) (float64, error) { return o.so.Dot(a, b) }
+
+// BandRanges satisfies solvers.BandedOperator: the engine's fused vector
+// kernels and per-band checkpoint copies follow the same shard layout
+// Dot reduces over.
+func (o cachedBanded) BandRanges() [][2]int { return o.so.BandRanges() }
+
+// operator binds the entry to a worker count for one solve.
+func (e *cacheEntry) operator(workers int) solvers.Operator {
+	base := cachedOperator{e: e, workers: workers}
+	if so, ok := e.m.(*shard.Operator); ok {
+		return cachedBanded{cachedOperator: base, so: so}
+	}
+	return base
 }
 
 // buildOperator returns the cache-miss build closure for a job's
@@ -276,113 +201,28 @@ func resolvedOptions(j *job) *ResolvedOptions {
 	return o
 }
 
-// solve executes one job against the shared operator cache. The
-// protected encode happens at most once per operator key (single-flight
-// inside the cache); the solve itself runs under the entry's shared
-// lock so the scrub daemon's in-place repairs never interleave with it.
-// The entry the solve ran against is returned for fault handling (nil
-// when the build itself failed).
-func (s *Server) solve(j *job) (*SolveResult, *cacheEntry, error) {
-	p := j.params
-	e, hit, err := s.cache.get(j.key, s.buildOperator(j))
-	if err != nil {
-		return nil, nil, err
-	}
-
-	rows := e.m.Rows()
-	jc := &core.Counters{}
-	var b *core.Vector
-	if len(j.req.B) > 0 {
-		b = core.VectorFromSlice(j.req.B, p.vectors)
-	} else {
-		b = core.NewVector(rows, p.vectors)
-		b.Fill(1)
-	}
-	b.SetCRCBackend(s.cfg.CRCBackend)
-	b.SetCounters(jc)
-	x := core.NewVector(rows, p.vectors)
-	x.SetCRCBackend(s.cfg.CRCBackend)
-	x.SetCounters(jc)
-
-	a := cachedOperator{e: e, workers: p.opt.Workers}
-	opt := p.opt
-	if e.pre != nil {
-		// The cached preconditioner applies under the same shared lock
-		// as the operator; its in-place repairs are deferred to the
-		// scrub daemon (no-commit mode), so concurrent solves never
-		// write its storage.
-		opt.Preconditioner = e.pre
-	}
-	if s.testStateHook != nil {
-		opt.StateHook = s.testStateHook
-	}
-	// The engine's progress hook feeds the job trace: the residual
-	// trajectory iteration by iteration, and one recovery span plus one
-	// journal entry per checkpoint rollback — the per-fault visibility
-	// the lifetime counters on /metrics cannot give.
-	opt.Progress = func(ev solvers.ProgressEvent) {
-		switch ev.Kind {
-		case solvers.ProgressIteration:
-			j.trace.Residual(ev.Residual)
-		case solvers.ProgressRollback:
-			detail := fmt.Sprintf("iteration %d rolled back, resuming at %d", ev.Iteration, ev.Resumed)
-			j.trace.Add(StageRecovery, time.Now().Add(-ev.Duration), ev.Duration, detail)
-			s.observe(StageRecovery, ev.Duration)
-			s.journal.Append(obs.Event{
-				Kind: obs.EventSolverRollback, Job: j.id, Operator: opShort(j.key),
-				Detail: detail,
-			})
-			s.log.Warn("solver rollback", "job", j.id, "iteration", ev.Iteration, "resumed", ev.Resumed)
-		}
-	}
-	endSolve := j.trace.Start(StageSolve)
-	e.mu.RLock()
-	sres, serr := solvers.Solve(p.kind, a, x, b, opt)
-	e.mu.RUnlock()
-	s.observe(StageSolve, endSolve(p.kind.String()))
-	s.observeBatchWidth(1)
-	if serr != nil {
-		return nil, e, serr
-	}
-
-	out := make([]float64, rows)
-	if err := x.CopyTo(out); err != nil {
-		return nil, e, err
-	}
-	snap := jc.Snapshot()
-	return &SolveResult{
-		X:                    out,
-		Options:              resolvedOptions(j),
-		Iterations:           sres.Iterations,
-		ResidualNorm:         sres.ResidualNorm,
-		Converged:            sres.Converged,
-		CacheHit:             hit,
-		Rollbacks:            sres.Rollbacks,
-		RecomputedIterations: sres.RecomputedIterations,
-		Checks:               snap.Checks,
-		Corrected:            snap.Corrected,
-		Detected:             snap.Detected,
-		Bounds:               snap.Bounds,
-	}, e, nil
-}
-
-// runBatch drives one batched execution: a coalesced group of
-// single-RHS jobs, or one rhs_batch job (never both — rhs_batch jobs do
-// not coalesce). group[0] is the leader the worker dequeued; its trace
-// carries the shared solve's spans and residual trajectory.
-func (s *Server) runBatch(group []*job) {
-	lead := group[0]
+// runJob drives one execution from worker pickup to the finished jobs:
+// the dequeued job is sealed with whatever coalesced into it while it
+// waited, and the group — a lone single-RHS job, a coalesced group of
+// them, or one rhs_batch job (which never coalesces) — runs as one solve
+// whose width is its number of right-hand sides. group[0] is the leader;
+// its trace carries the shared solve's spans and residual trajectory.
+func (s *Server) runJob(lead *job) {
+	group := s.seal(lead)
 	for _, j := range group {
 		wait := j.setRunning()
 		j.trace.Add(StageQueueWait, j.submitted, wait, "")
 		s.observe(StageQueueWait, wait)
 	}
-	s.log.Debug("batched solve started", "leader", lead.id, "jobs", len(group))
-	results, e, err := s.solveBatch(group)
+	s.log.Debug("solve started", "leader", lead.id, "jobs", len(group))
+	results, e, err := s.solveGroup(group)
 	if solvers.IsFault(err) && e != nil {
-		// Same recovery ladder as a single job, once for the whole batch:
-		// the operator the group ran against is evicted, and with any
-		// recovery policy the batch retries against a rebuilt operator.
+		// The solve tripped over corruption the operator's scheme
+		// cannot repair: drop the exact operator it ran against now
+		// rather than waiting for the next scrub pass (which may be
+		// disabled). The eviction is identity-checked, so if the scrub
+		// daemon already evicted it — or a clean rebuild took the key —
+		// this is a no-op and never drops a healthy operator.
 		s.cache.evictFault(e)
 		s.journal.Append(obs.Event{
 			Kind: obs.EventReadFault, Job: lead.id, Operator: opShort(lead.key),
@@ -390,6 +230,11 @@ func (s *Server) runBatch(group []*job) {
 		})
 		s.log.Warn("read-path fault detected", "job", lead.id, "operator", opShort(lead.key), "err", err)
 		if lead.params.opt.Recovery.Policy != solvers.RecoveryOff {
+			// A fault that survived solver-level rollback lives in the
+			// resident operator, not the dynamic state; the eviction
+			// above cleared it, so one service-level retry of the whole
+			// group against a freshly built operator completes the
+			// recovery ladder.
 			s.jobsRetried.Add(1)
 			cause := err.Error()
 			s.journal.Append(obs.Event{
@@ -398,7 +243,7 @@ func (s *Server) runBatch(group []*job) {
 			})
 			endRetry := lead.trace.Start(StageRetry)
 			var e2 *cacheEntry
-			results, e2, err = s.solveBatch(group)
+			results, e2, err = s.solveGroup(group)
 			s.observe(StageRetry, endRetry(cause))
 			for _, res := range results {
 				res.Retried = true
@@ -409,6 +254,9 @@ func (s *Server) runBatch(group []*job) {
 		}
 	}
 	for i, j := range group {
+		// The matrix payload and right-hand sides exist to admit and
+		// build; release them so the finished-job history does not pin
+		// them.
 		j.plain = nil
 		j.req.B = nil
 		j.req.RHSBatch = nil
@@ -446,7 +294,7 @@ func (s *Server) runBatch(group []*job) {
 			s.log.Info("job finished", "job", j.id,
 				"iterations", res.Iterations, "converged", res.Converged,
 				"residual", res.ResidualNorm, "cache_hit", res.CacheHit,
-				"batch_width", res.BatchWidth, "coalesced", res.Coalesced,
+				"batch_width", max(res.BatchWidth, 1), "coalesced", res.Coalesced,
 				"rollbacks", res.Rollbacks, "retried", res.Retried,
 				"duration", time.Since(j.submitted))
 		}
@@ -454,12 +302,17 @@ func (s *Server) runBatch(group []*job) {
 	}
 }
 
-// solveBatch executes the group's right-hand sides as one batched solve
-// against the shared operator cache and splits the outcome back into
-// one SolveResult per job. Every column of a job accounts into that
-// job's own counters, so the per-job ABFT deltas stay attributable
-// even though the matrix-side checks are shared.
-func (s *Server) solveBatch(group []*job) ([]*SolveResult, *cacheEntry, error) {
+// solveGroup executes the group's right-hand sides as one solve against
+// the shared operator cache and splits the outcome back into one
+// SolveResult per job. The protected encode happens at most once per
+// operator key (single-flight inside the cache); the solve itself runs
+// under the entry's shared lock so the scrub daemon's in-place repairs
+// never interleave with it. Every column of a job accounts into that
+// job's own counters, so the per-job ABFT deltas stay attributable even
+// though the matrix-side checks are shared. The entry the solve ran
+// against is returned for fault handling (nil when the build itself
+// failed).
+func (s *Server) solveGroup(group []*job) ([]*SolveResult, *cacheEntry, error) {
 	lead := group[0]
 	p := lead.params
 	e, hit, err := s.cache.get(lead.key, s.buildOperator(lead))
@@ -509,14 +362,21 @@ func (s *Server) solveBatch(group []*job) ([]*SolveResult, *cacheEntry, error) {
 	}
 	width := bmv.K()
 
-	a := cachedOperator{e: e, workers: p.opt.Workers}
 	opt := p.opt
 	if e.pre != nil {
+		// The cached preconditioner applies under the same shared lock
+		// as the operator; its in-place repairs are deferred to the
+		// scrub daemon (no-commit mode), so concurrent solves never
+		// write its storage.
 		opt.Preconditioner = e.pre
 	}
 	if s.testStateHook != nil {
 		opt.StateHook = s.testStateHook
 	}
+	// The engine's progress hook feeds the leader's trace: the residual
+	// trajectory iteration by iteration, and one recovery span plus one
+	// journal entry per checkpoint rollback — the per-fault visibility
+	// the lifetime counters on /metrics cannot give.
 	opt.Progress = func(ev solvers.ProgressEvent) {
 		switch ev.Kind {
 		case solvers.ProgressIteration:
@@ -532,11 +392,15 @@ func (s *Server) solveBatch(group []*job) ([]*SolveResult, *cacheEntry, error) {
 			s.log.Warn("solver rollback", "job", lead.id, "iteration", ev.Iteration, "resumed", ev.Resumed)
 		}
 	}
+	detail := p.kind.String()
+	if width > 1 {
+		detail = fmt.Sprintf("%v, %d rhs", p.kind, width)
+	}
 	endSolve := lead.trace.Start(StageSolve)
 	e.mu.RLock()
-	br, serr := solvers.SolveBatch(p.kind, a, xmv, bmv, opt)
+	br, serr := solvers.SolveBatch(p.kind, e.operator(p.opt.Workers), xmv, bmv, opt)
 	e.mu.RUnlock()
-	d := endSolve(fmt.Sprintf("%v, %d rhs", p.kind, width))
+	d := endSolve(detail)
 	s.observe(StageSolve, d)
 	s.observeBatchWidth(width)
 	for _, j := range group[1:] {
@@ -548,22 +412,17 @@ func (s *Server) solveBatch(group []*job) ([]*SolveResult, *cacheEntry, error) {
 
 	results := make([]*SolveResult, len(group))
 	for gi, j := range group {
-		snap := jcs[gi].Snapshot()
 		res := &SolveResult{
 			Options:              resolvedOptions(j),
+			Converged:            true,
 			CacheHit:             hit,
 			Coalesced:            len(group) > 1,
 			Rollbacks:            br.Rollbacks,
 			RecomputedIterations: br.RecomputedIterations,
-			Checks:               snap.Checks,
-			Corrected:            snap.Corrected,
-			Detected:             snap.Detected,
-			Bounds:               snap.Bounds,
 		}
 		if width > 1 {
 			res.BatchWidth = width
 		}
-		res.Converged = true
 		for ci, g := range colJob {
 			if g != gi {
 				continue
@@ -587,6 +446,10 @@ func (s *Server) solveBatch(group []*job) ([]*SolveResult, *cacheEntry, error) {
 			}
 			res.Converged = res.Converged && c.Converged
 		}
+		// Taken after the solutions are decoded: that verified read is
+		// the job's too.
+		snap := jcs[gi].Snapshot()
+		res.Checks, res.Corrected, res.Detected, res.Bounds = snap.Checks, snap.Corrected, snap.Detected, snap.Bounds
 		results[gi] = res
 	}
 	return results, e, nil

@@ -99,11 +99,20 @@ func Clamp(rows, shards int) int {
 	return len(par.Partition(rows, shards, blockLen))
 }
 
-// band is one row shard: global rows [r0, r1), a local protected matrix
-// over the halo-extended column space, and persistent local vectors.
+// localMatrix is what every registered storage format provides: the
+// matrix contract plus the batched and the unverified kernel the one
+// pipeline drives a band through.
+type localMatrix interface {
+	core.ProtectedMatrix
+	core.BatchApplier
+	core.UnverifiedApplier
+}
+
+// band is one row shard: global rows [r0, r1) and a local protected
+// matrix over the halo-extended column space.
 type band struct {
 	r0, r1 int
-	m      core.ProtectedMatrix
+	m      localMatrix
 	// haloCols are the out-of-band global columns this band's rows
 	// couple to, ascending; local column interiorPad+k holds haloCols[k].
 	haloCols []uint32
@@ -116,15 +125,27 @@ type band struct {
 
 func (b *band) rows() int { return b.r1 - b.r0 }
 
-// workspace is one in-flight Apply's set of per-band local vectors:
-// x[i] is band i's halo-extended input ([interior | pad | halo]), y[i]
-// its local product. Workspaces are pooled so concurrent Apply callers
-// (many solve jobs sharing one cached operator) never contend on
-// buffers; the primary workspace persists for the operator's lifetime
-// and is the resident memory halo fault campaigns corrupt.
-type workspace struct {
-	x, y []*core.Vector
+// blocks is the band's interior width in codeword blocks.
+func (b *band) blocks() int { return b.interiorPad / blockLen }
+
+// local is one band's share of a workspace at width k: x holds the
+// halo-extended inputs ([interior | pad | halo] per column), y the local
+// products. buf stages unprotected values between a verified read and
+// the re-encoding write — one chunk of one column during scatter and
+// gather, one boundary run during the exchange — and out assembles one
+// halo block per column.
+type local struct {
+	x, y *core.MultiVector
+	buf  []float64
+	out  [][blockLen]float64
 }
+
+// workspace is one in-flight product's per-band operands. Workspaces are
+// pooled per width so concurrent callers (many solve jobs sharing one
+// cached operator) never contend on buffers; the width-1 primary
+// persists for the operator's lifetime and is the resident memory halo
+// fault campaigns corrupt.
+type workspace []local
 
 // Operator is a row-sharded protected operator. It satisfies
 // core.ProtectedMatrix; Apply runs the bulk-synchronous
@@ -147,14 +168,14 @@ type Operator struct {
 	// shard-local state between phases through it). Set before sharing.
 	hook func(Phase)
 
-	// primary is the operator's resident workspace (Local exposes its
-	// vectors for fault injection); free is the LIFO pool, primary at
-	// the bottom, so a single-threaded caller always reuses it.
-	// batchFree pools ApplyBatch's multivector workspaces per width.
-	primary   *workspace
-	wsMu      sync.Mutex
-	free      []*workspace
-	batchFree map[int][]*batchWorkspace
+	// primary is the operator's resident width-1 workspace (Local
+	// exposes its vectors for fault injection); free holds one LIFO pool
+	// per width, primary at the bottom of width 1's, so a single-threaded
+	// caller always reuses it. A width's first workspace is allocated by
+	// the first product of that width.
+	primary workspace
+	wsMu    sync.Mutex
+	free    map[int][]workspace
 }
 
 // New partitions src into row bands and builds each band's protected
@@ -187,45 +208,49 @@ func New(src *csr.Matrix, opt Options) (*Operator, error) {
 		o.bands = append(o.bands, b)
 		o.nnz += b.m.NNZ()
 	}
-	o.primary = o.newWorkspace()
-	o.free = []*workspace{o.primary}
+	o.primary = o.newWorkspace(1)
+	o.free = map[int][]workspace{1: {o.primary}}
 	return o, nil
 }
 
-// newWorkspace allocates per-band local vectors wired to the current
+// newWorkspace allocates width-k per-band operands wired to the current
 // counters and CRC backend.
-func (o *Operator) newWorkspace() *workspace {
-	ws := &workspace{}
-	for _, b := range o.bands {
-		x := core.NewVector(b.localCols, o.opt.VectorScheme)
-		y := core.NewVector(b.rows(), o.opt.VectorScheme)
-		for _, v := range []*core.Vector{x, y} {
-			v.SetCRCBackend(o.opt.Config.Backend)
-			v.SetCounters(o.counters)
+func (o *Operator) newWorkspace(k int) workspace {
+	ws := make(workspace, len(o.bands))
+	for i, b := range o.bands {
+		l := &ws[i]
+		l.x = core.NewMultiVector(b.localCols, k, o.opt.VectorScheme)
+		l.y = core.NewMultiVector(b.rows(), k, o.opt.VectorScheme)
+		for _, mv := range []*core.MultiVector{l.x, l.y} {
+			mv.SetCRCBackend(o.opt.Config.Backend)
+			mv.SetCounters(o.counters)
 		}
-		ws.x = append(ws.x, x)
-		ws.y = append(ws.y, y)
+		l.buf = make([]float64, packChunk*blockLen)
+		l.out = make([][blockLen]float64, k)
 	}
 	return ws
 }
 
-// getWorkspace pops the most recently released workspace (the primary
-// for single-threaded callers) or allocates a fresh one when every
-// pooled workspace is held by an in-flight Apply.
-func (o *Operator) getWorkspace() *workspace {
+// getWorkspace pops the most recently released width-k workspace (the
+// primary for single-threaded width-1 callers) or allocates a fresh one
+// when every pooled workspace of that width is held by an in-flight
+// product.
+func (o *Operator) getWorkspace(k int) workspace {
 	o.wsMu.Lock()
-	defer o.wsMu.Unlock()
-	if n := len(o.free); n > 0 {
-		ws := o.free[n-1]
-		o.free = o.free[:n-1]
+	if pool := o.free[k]; len(pool) > 0 {
+		ws := pool[len(pool)-1]
+		o.free[k] = pool[:len(pool)-1]
+		o.wsMu.Unlock()
 		return ws
 	}
-	return o.newWorkspace()
+	o.wsMu.Unlock()
+	return o.newWorkspace(k)
 }
 
-func (o *Operator) putWorkspace(ws *workspace) {
+func (o *Operator) putWorkspace(ws workspace) {
+	k := ws[0].x.K()
 	o.wsMu.Lock()
-	o.free = append(o.free, ws)
+	o.free[k] = append(o.free[k], ws)
 	o.wsMu.Unlock()
 }
 
@@ -272,8 +297,13 @@ func newBand(src *csr.Matrix, r0, r1 int, opt Options) (*band, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: rows [%d,%d): %w", r0, r1, err)
 	}
-	if b.m, err = op.New(opt.Format, plain, opt.Config); err != nil {
+	m, err := op.New(opt.Format, plain, opt.Config)
+	if err != nil {
 		return nil, fmt.Errorf("shard: rows [%d,%d): %w", r0, r1, err)
+	}
+	var ok bool
+	if b.m, ok = m.(localMatrix); !ok {
+		return nil, fmt.Errorf("shard: format %v has no batched or no unverified kernel", opt.Format)
 	}
 	return b, nil
 }
@@ -331,7 +361,7 @@ func (o *Operator) Shard(i int) core.ProtectedMatrix { return o.bands[i].m }
 // into (single-threaded callers always draw the primary). Fault
 // campaigns flip bits in its raw storage to model corruption striking a
 // shard's memory between phases.
-func (o *Operator) Local(i int) *core.Vector { return o.primary.x[i] }
+func (o *Operator) Local(i int) *core.Vector { return o.primary[i].x.Col(0) }
 
 // HaloRange returns the element range [lo, hi) of shard i's halo
 // section within its local vector.
@@ -359,17 +389,11 @@ func (o *Operator) SetCounters(c *core.Counters) {
 	}
 	o.wsMu.Lock()
 	defer o.wsMu.Unlock()
-	for _, ws := range o.free {
-		for i := range o.bands {
-			ws.x[i].SetCounters(c)
-			ws.y[i].SetCounters(c)
-		}
-	}
-	for _, pool := range o.batchFree {
+	for _, pool := range o.free {
 		for _, ws := range pool {
-			for i := range o.bands {
-				ws.x[i].SetCounters(c)
-				ws.y[i].SetCounters(c)
+			for _, l := range ws {
+				l.x.SetCounters(c)
+				l.y.SetCounters(c)
 			}
 		}
 	}
@@ -426,10 +450,7 @@ func (o *Operator) fire(p Phase) {
 // workers is the total kernel goroutine budget, divided across shards
 // (each shard always gets its own goroutine).
 func (o *Operator) Apply(dst, x *core.Vector, workers int) error {
-	if !o.mode.Verifies() {
-		return o.ApplyUnverified(dst, x, workers)
-	}
-	return o.apply(dst, x, workers, false)
+	return o.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, !o.mode.Verifies())
 }
 
 // ApplyUnverified runs the same scatter/exchange/local-product pipeline
@@ -441,46 +462,71 @@ func (o *Operator) Apply(dst, x *core.Vector, workers int) error {
 // readers of the same cached operator. It is the inner-solve read path
 // of selective reliability.
 func (o *Operator) ApplyUnverified(dst, x *core.Vector, workers int) error {
-	return o.apply(dst, x, workers, true)
+	return o.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, true)
 }
 
-func (o *Operator) apply(dst, x *core.Vector, workers int, unverified bool) error {
-	if dst.Len() != o.rows || x.Len() != o.cols {
-		return fmt.Errorf("shard: Apply dimension mismatch: dst %d, A %dx%d, x %d",
-			dst.Len(), o.rows, o.cols, x.Len())
+// ApplyBatch computes dst = A x for every column of x across all
+// shards, satisfying core.BatchApplier: the pipeline runs once for the
+// whole batch, each shard's local product goes through its format's
+// batched kernel, and a boundary run is grown once and packed for all k
+// columns — k values per boundary element travel in one protected
+// message — so the matrix sweep's check cost is paid per batch rather
+// than per right-hand side. It always verifies, as every format's
+// ApplyBatch does. Per-column results are bit-identical to k independent
+// Apply calls.
+func (o *Operator) ApplyBatch(dst, x *core.MultiVector, workers int) error {
+	if dst.K() != x.K() {
+		return fmt.Errorf("shard: ApplyBatch width mismatch: dst %d, x %d", dst.K(), x.K())
 	}
-	ws := o.getWorkspace()
+	return o.applyK(columns(dst), columns(x), workers, false)
+}
+
+func columns(mv *core.MultiVector) []*core.Vector {
+	cols := make([]*core.Vector, mv.K())
+	for j := range cols {
+		cols[j] = mv.Col(j)
+	}
+	return cols
+}
+
+// blockReader is one of core.Vector's batched block reads: the commit,
+// the shared (no-commit) or the unverified discipline.
+type blockReader func(v *core.Vector, b0, b1 int, dst []float64) error
+
+// applyK is the one pipeline: dsts[j] = A xs[j] for every j through one
+// scatter, one exchange, one local product per band and one gather.
+// Width is the only parameter; column j sees exactly the reads, writes
+// and checks a width-1 call would give it. With unverified set every
+// read streams masked payload with no decode, no commit and no check
+// accounting, and the local products run unverified too.
+func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
+	for j, x := range xs {
+		if dsts[j].Len() != o.rows || x.Len() != o.cols {
+			return fmt.Errorf("shard: Apply dimension mismatch: dst %d, A %dx%d, x %d",
+				dsts[j].Len(), o.rows, o.cols, x.Len())
+		}
+	}
+	ws := o.getWorkspace(len(xs))
 	defer o.putWorkspace(ws)
-	localWorkers := workers / len(o.bands)
-	if localWorkers < 1 {
-		localWorkers = 1
+	localWorkers := max(workers/len(o.bands), 1)
+	// The caller's operands and the local products have one reader each,
+	// so their repairs commit; a halo source block may be read by several
+	// shards at once, so its repairs are used and counted but not written.
+	read, readHalo := (*core.Vector).ReadBlocksInto, (*core.Vector).ReadBlocksSharedInto
+	if unverified {
+		read, readHalo = (*core.Vector).ReadBlocksUnverifiedInto, (*core.Vector).ReadBlocksUnverifiedInto
 	}
 
-	// Scatter: each shard batch-verifies its own span of the global x
-	// (one ReadBlocksInto call per chunk instead of a per-block check
-	// loop) and re-encodes it into its local interior. Band boundaries
-	// are block-aligned, so shards never touch a shared codeword of x.
-	// Unverified pipelines stream the same spans without decoding them.
-	err := o.forEachBand(func(bi int, b *band) error {
-		var buf [packChunk * blockLen]float64
-		b0 := b.r0 / blockLen
-		nb := (b.rows() + blockLen - 1) / blockLen
-		for k := 0; k < nb; k += packChunk {
-			cn := packChunk
-			if nb-k < cn {
-				cn = nb - k
-			}
-			var err error
-			if unverified {
-				err = x.ReadBlocksUnverifiedInto(b0+k, b0+k+cn, buf[:cn*blockLen])
-			} else {
-				err = x.ReadBlocksInto(b0+k, b0+k+cn, buf[:cn*blockLen])
-			}
-			if err != nil {
-				return fmt.Errorf("shard: scatter into shard %d: %w", bi, err)
-			}
-			for j := 0; j < cn; j++ {
-				ws.x[bi].WriteBlock(k+j, (*[blockLen]float64)(buf[j*blockLen:]))
+	// Scatter: each shard reads its own span of every global column and
+	// re-encodes it into its local interior. Band boundaries are
+	// block-aligned, so shards never touch a shared codeword of x.
+	err := o.forBands(func(lo, hi int) error {
+		for bi := lo; bi < hi; bi++ {
+			b, l := o.bands[bi], &ws[bi]
+			for j, x := range xs {
+				if err := copyBlocks(l.x.Col(j), 0, x, b.r0/blockLen, b.blocks(), read, l.buf); err != nil {
+					return fmt.Errorf("shard: scatter into shard %d: %w", bi, err)
+				}
 			}
 		}
 		return nil
@@ -490,42 +536,31 @@ func (o *Operator) apply(dst, x *core.Vector, workers int, unverified bool) erro
 	}
 	o.fire(PhaseScatter)
 
-	if err := o.exchange(ws, unverified); err != nil {
+	if err := o.exchange(ws, readHalo); err != nil {
 		return err
 	}
 	o.fire(PhaseExchange)
 
 	// Local products, gathered straight into the block-aligned global
-	// destination.
-	err = o.forEachBand(func(bi int, b *band) error {
-		applyLocal := b.m.Apply
-		if unverified {
-			if ua, ok := b.m.(core.UnverifiedApplier); ok {
-				applyLocal = ua.ApplyUnverified
-			}
-		}
-		if err := applyLocal(ws.y[bi], ws.x[bi], localWorkers); err != nil {
-			return fmt.Errorf("shard: shard %d: %w", bi, err)
-		}
-		var buf [packChunk * blockLen]float64
-		b0 := b.r0 / blockLen
-		nb := (b.rows() + blockLen - 1) / blockLen
-		for k := 0; k < nb; k += packChunk {
-			cn := packChunk
-			if nb-k < cn {
-				cn = nb - k
-			}
+	// destinations.
+	err = o.forBands(func(lo, hi int) error {
+		for bi := lo; bi < hi; bi++ {
+			b, l := o.bands[bi], &ws[bi]
 			var err error
 			if unverified {
-				err = ws.y[bi].ReadBlocksUnverifiedInto(k, k+cn, buf[:cn*blockLen])
+				for j := 0; j < len(xs) && err == nil; j++ {
+					err = b.m.ApplyUnverified(l.y.Col(j), l.x.Col(j), localWorkers)
+				}
 			} else {
-				err = ws.y[bi].ReadBlocksInto(k, k+cn, buf[:cn*blockLen])
+				err = b.m.ApplyBatch(l.y, l.x, localWorkers)
 			}
 			if err != nil {
-				return fmt.Errorf("shard: gather from shard %d: %w", bi, err)
+				return fmt.Errorf("shard: shard %d: %w", bi, err)
 			}
-			for j := 0; j < cn; j++ {
-				dst.WriteBlock(b0+k+j, (*[blockLen]float64)(buf[j*blockLen:]))
+			for j, dst := range dsts {
+				if err := copyBlocks(dst, b.r0/blockLen, l.y.Col(j), 0, b.blocks(), read, l.buf); err != nil {
+					return fmt.Errorf("shard: gather from shard %d: %w", bi, err)
+				}
 			}
 		}
 		return nil
@@ -537,80 +572,94 @@ func (o *Operator) apply(dst, x *core.Vector, workers int, unverified bool) erro
 	return nil
 }
 
-// exchange fills every shard's halo section from the owning shards'
-// local vectors through the batched verify-then-stream pack path: the
-// ascending halo columns are split into runs owned by one shard and
-// spanning a contiguous range of source blocks, each run's blocks are
-// verified in a single ReadBlocksSharedInto call (without committing
-// repairs — several shards may read one source block concurrently), and
-// the entries are re-encoded as they land in the destination halo, so
-// corruption in either shard's memory is still caught at the boundary.
-// Unverified pipelines pack the same runs without decoding them.
-func (o *Operator) exchange(ws *workspace, unverified bool) error {
-	return o.forEachBand(func(bi int, b *band) error {
-		n := len(b.haloCols)
-		if n == 0 {
-			return nil
+// copyBlocks moves n blocks from src (starting at block s0) into dst
+// (starting at block d0): one batched read per packChunk blocks instead
+// of a per-block check loop, each block re-encoded as it lands.
+func copyBlocks(dst *core.Vector, d0 int, src *core.Vector, s0, n int, read blockReader, buf []float64) error {
+	for k := 0; k < n; k += packChunk {
+		cn := min(packChunk, n-k)
+		if err := read(src, s0+k, s0+k+cn, buf[:cn*blockLen]); err != nil {
+			return err
 		}
-		var out [blockLen]float64
-		var src []float64
-		for k := 0; k < n; {
-			// Grow a run: same owner, and each column's source block at
-			// most one beyond the last, so every block in [blk0, blkEnd]
-			// holds at least one needed entry — the batched read never
-			// verifies a block the per-block path would have skipped.
-			ow := o.owner(int(b.haloCols[k]))
-			r0, r1 := o.bands[ow].r0, o.bands[ow].r1
-			blk0 := (int(b.haloCols[k]) - r0) / blockLen
-			end, blkEnd := k+1, blk0
-			for end < n && int(b.haloCols[end]) < r1 {
-				blk := (int(b.haloCols[end]) - r0) / blockLen
-				if blk > blkEnd+1 {
-					break
-				}
-				blkEnd = blk
-				end++
-			}
-			need := (blkEnd - blk0 + 1) * blockLen
-			if cap(src) < need {
-				src = make([]float64, need)
-			}
-			src = src[:need]
-			var err error
-			if unverified {
-				err = ws.x[ow].ReadBlocksUnverifiedInto(blk0, blkEnd+1, src)
-			} else {
-				err = ws.x[ow].ReadBlocksSharedInto(blk0, blkEnd+1, src)
-			}
-			if err != nil {
-				return fmt.Errorf("shard: pack shard %d for shard %d: %w", ow, bi, err)
-			}
-			for ; k < end; k++ {
-				lc := int(b.haloCols[k]) - r0
-				out[k%blockLen] = src[lc-blk0*blockLen]
-				if k%blockLen == blockLen-1 {
-					ws.x[bi].WriteBlock(b.interiorPad/blockLen+k/blockLen, &out)
-					out = [blockLen]float64{}
-				}
-			}
+		for i := 0; i < cn; i++ {
+			dst.WriteBlock(d0+k+i, (*[blockLen]float64)(buf[i*blockLen:]))
 		}
-		if n%blockLen != 0 {
-			ws.x[bi].WriteBlock(b.interiorPad/blockLen+(n-1)/blockLen, &out)
-		}
-		return nil
-	})
+	}
+	return nil
 }
 
-// forEachBand runs fn on every band in its own goroutine and waits.
-func (o *Operator) forEachBand(fn func(bi int, b *band) error) error {
-	return par.ForEach(len(o.bands), len(o.bands), 1, func(lo, hi int) error {
+// exchange fills every shard's halo section from the owning shards'
+// local vectors; the phase between the scatter and local barriers.
+func (o *Operator) exchange(ws workspace, read blockReader) error {
+	return o.forBands(func(lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
-			if err := fn(bi, o.bands[bi]); err != nil {
+			if err := o.packHalo(ws, bi, read); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+}
+
+// packHalo fills shard bi's halo through the batched pack path: the
+// ascending halo columns are split into runs owned by one shard and
+// spanning a contiguous range of source blocks, each run is grown once
+// and its blocks read once per column in a single batched call, and the
+// entries are re-encoded as they land in the destination halo, so
+// corruption in either shard's memory is still caught at the boundary.
+func (o *Operator) packHalo(ws workspace, bi int, read blockReader) error {
+	b, l := o.bands[bi], &ws[bi]
+	n := len(b.haloCols)
+	halo0 := b.blocks() // the halo section starts where the padded interior ends
+	clear(l.out)
+	for k := 0; k < n; {
+		// Grow a run: same owner, and each column's source block at
+		// most one beyond the last, so every block in [blk0, blkEnd]
+		// holds at least one needed entry — the batched read never
+		// verifies a block the per-block path would have skipped.
+		ow := o.owner(int(b.haloCols[k]))
+		r0, r1 := o.bands[ow].r0, o.bands[ow].r1
+		blk0 := (int(b.haloCols[k]) - r0) / blockLen
+		end, blkEnd := k+1, blk0
+		for end < n && int(b.haloCols[end]) < r1 {
+			blk := (int(b.haloCols[end]) - r0) / blockLen
+			if blk > blkEnd+1 {
+				break
+			}
+			blkEnd = blk
+			end++
+		}
+		need := (blkEnd - blk0 + 1) * blockLen
+		if len(l.buf) < need {
+			l.buf = make([]float64, need)
+		}
+		for j := range l.out {
+			if err := read(ws[ow].x.Col(j), blk0, blkEnd+1, l.buf[:need]); err != nil {
+				return fmt.Errorf("shard: pack shard %d for shard %d: %w", ow, bi, err)
+			}
+			out := &l.out[j]
+			for c := k; c < end; c++ {
+				out[c%blockLen] = l.buf[int(b.haloCols[c])-r0-blk0*blockLen]
+				if c%blockLen == blockLen-1 {
+					l.x.Col(j).WriteBlock(halo0+c/blockLen, out)
+					*out = [blockLen]float64{}
+				}
+			}
+		}
+		k = end
+	}
+	if n%blockLen != 0 {
+		for j := range l.out {
+			l.x.Col(j).WriteBlock(halo0+(n-1)/blockLen, &l.out[j])
+		}
+	}
+	return nil
+}
+
+// forBands runs fn over the band indices, every band on its own
+// goroutine where the host has the processors, and waits.
+func (o *Operator) forBands(fn func(lo, hi int) error) error {
+	return par.ForEach(len(o.bands), len(o.bands), 1, fn)
 }
 
 // Dot computes the global inner product a . b with per-shard partial
@@ -624,28 +673,29 @@ func (o *Operator) Dot(a, b *core.Vector) (float64, error) {
 			a.Len(), b.Len(), o.rows)
 	}
 	partials := make([]float64, len(o.bands))
-	err := o.forEachBand(func(bi int, bd *band) error {
-		var av, bv [blockLen]float64
-		var s float64
-		b0 := bd.r0 / blockLen
-		nb := (bd.rows() + blockLen - 1) / blockLen
-		vecChecks(a, nb)
-		vecChecks(b, nb)
-		for k := 0; k < nb; k++ {
-			if err := a.ReadBlock(b0+k, &av); err != nil {
-				return fmt.Errorf("shard: dot shard %d: %w", bi, err)
+	err := o.forBands(func(lo, hi int) error {
+		for bi := lo; bi < hi; bi++ {
+			var av, bv [blockLen]float64
+			var s float64
+			b0, nb := o.bands[bi].r0/blockLen, o.bands[bi].blocks()
+			vecChecks(a, nb)
+			vecChecks(b, nb)
+			for k := 0; k < nb; k++ {
+				if err := a.ReadBlock(b0+k, &av); err != nil {
+					return fmt.Errorf("shard: dot shard %d: %w", bi, err)
+				}
+				if err := b.ReadBlock(b0+k, &bv); err != nil {
+					return fmt.Errorf("shard: dot shard %d: %w", bi, err)
+				}
+				// Strict element order keeps every partial bit-identical to
+				// a sequential sweep of the same rows.
+				s += av[0] * bv[0]
+				s += av[1] * bv[1]
+				s += av[2] * bv[2]
+				s += av[3] * bv[3]
 			}
-			if err := b.ReadBlock(b0+k, &bv); err != nil {
-				return fmt.Errorf("shard: dot shard %d: %w", bi, err)
-			}
-			// Strict element order keeps every partial bit-identical to
-			// a sequential sweep of the same rows.
-			s += av[0] * bv[0]
-			s += av[1] * bv[1]
-			s += av[2] * bv[2]
-			s += av[3] * bv[3]
+			partials[bi] = s
 		}
-		partials[bi] = s
 		return nil
 	})
 	if err != nil {

@@ -19,15 +19,13 @@ type BatchOperator interface {
 // operatorApplyBatch computes dst = A x for every column the way the
 // operator prefers: through the batched kernel when the operator (or the
 // matrix behind a MatrixOperator) provides one, otherwise one verified
-// single-RHS product per column. MatrixOperator is unwrapped the way
-// operatorDot is, so the batched path keeps honouring the solve
-// Options' worker count.
+// single-RHS product per column.
 func operatorApplyBatch(op Operator, dst, x *core.MultiVector) error {
-	if mo, ok := op.(MatrixOperator); ok {
-		if ba, ok := mo.M.(core.BatchApplier); ok {
-			return ba.ApplyBatch(dst, x, mo.Workers)
-		}
-	} else if ba, ok := op.(BatchOperator); ok {
+	holder, workers := capabilities(op)
+	switch ba := holder.(type) {
+	case core.BatchApplier:
+		return ba.ApplyBatch(dst, x, workers)
+	case BatchOperator:
 		return ba.ApplyBatch(dst, x)
 	}
 	for j := 0; j < x.K(); j++ {
@@ -61,26 +59,11 @@ type BatchResult struct {
 	Columns []ColumnResult
 }
 
-// newTempBatch allocates a work multivector whose column j matches
-// column j of x in length, protection scheme and counters.
-func newTempBatch(x *core.MultiVector) *core.MultiVector {
-	cols := make([]*core.Vector, x.K())
-	for j := range cols {
-		cols[j] = newTemp(x.Col(j))
-	}
-	mv, err := core.WrapMultiVector(cols...)
-	if err != nil {
-		panic(err) // unreachable: columns are built uniform
-	}
-	return mv
-}
-
 // BlockCG solves A X = B for all k right-hand sides of B at once: k
-// independent CG recurrences advance in lockstep, sharing one batched
-// verified SpMM per iteration, so the matrix sweep's codeword checks —
-// the dominant ABFT cost — are paid once per iteration instead of once
-// per right-hand side. Each column's recurrence performs exactly the
-// kernel operations single-RHS CG would, in the same order, so every
+// independent CG recurrences (cgColumn, the one CG drives alone) advance
+// in lockstep, sharing one batched verified SpMM per iteration, so the
+// matrix sweep's codeword checks — the dominant ABFT cost — are paid
+// once per iteration instead of once per right-hand side, and every
 // column's solution is bit-identical to a separate CG solve of that
 // column (the recurrences are deliberately not coupled: a true block-CG
 // shares search directions across columns and converges differently).
@@ -101,151 +84,90 @@ func BlockCG(a Operator, x, b *core.MultiVector, opt Options) (BatchResult, erro
 	if err != nil {
 		return BatchResult{}, err
 	}
-	opt = e.opt
-	w := e.w
-
-	r := newTempBatch(x)
-	p := newTempBatch(x)
-	wv := newTempBatch(x)
-	var z *core.MultiVector
-	if opt.Preconditioner != nil {
-		z = newTempBatch(x)
+	// The batched product reads every column's p and writes every
+	// column's w: two multivectors over the columns' own work vectors.
+	cols := make([]*cgColumn, k)
+	ps, ws := make([]*core.Vector, k), make([]*core.Vector, k)
+	for j := range cols {
+		cols[j] = e.newColumn(x.Col(j), b.Col(j))
+		ps[j], ws[j] = cols[j].p, cols[j].w
+	}
+	p, err := core.WrapMultiVector(ps...)
+	if err != nil {
+		return BatchResult{}, err
+	}
+	wv, err := core.WrapMultiVector(ws...)
+	if err != nil {
+		return BatchResult{}, err
 	}
 
 	// R = B - A X through one batched product.
-	if err := operatorApplyBatch(a, wv, x); err != nil {
+	err = operatorApplyBatch(a, wv, x)
+	for j := 0; j < k && err == nil; j++ {
+		err = cols[j].init(e)
+	}
+	if err != nil {
 		return BatchResult{Result: e.res}, iterErr("blockcg", 0, err)
 	}
-	rro := make([]float64, k)
-	rr := make([]float64, k)
-	rr0 := make([]float64, k)
 	// colIt records, as a checkpointable scalar, the iteration each
 	// column converged at: rolling back past a column's convergence
 	// must rewind its convergence record too.
 	colIt := make([]float64, k)
-	for j := 0; j < k; j++ {
-		// r = b - A x with r.r from the same fused pass.
-		if rr[j], err = e.updateNorm(r.Col(j), 1, b.Col(j), -1, wv.Col(j)); err != nil {
-			return BatchResult{Result: e.res}, iterErr("blockcg", 0, err)
+	// settle refreshes the batch-wide view — the worst column's residual
+	// norm — and reports whether every column has converged.
+	settle := func() bool {
+		worst, all := 0.0, true
+		for _, c := range cols {
+			worst = max(worst, sqrt(c.rr))
+			all = all && c.converged(e)
 		}
-		zed := r.Col(j)
-		if z != nil {
-			if err := opt.Preconditioner.Apply(z.Col(j), r.Col(j)); err != nil {
-				return BatchResult{Result: e.res}, iterErr("blockcg", 0, err)
-			}
-			zed = z.Col(j)
-		}
-		if err := core.Copy(p.Col(j), zed, w); err != nil {
-			return BatchResult{Result: e.res}, iterErr("blockcg", 0, err)
-		}
-		// Unpreconditioned, r.z is exactly the fused pass's r.r.
-		rro[j] = rr[j]
-		if z != nil {
-			if rro[j], err = e.dot(r.Col(j), zed); err != nil {
-				return BatchResult{Result: e.res}, iterErr("blockcg", 0, err)
-			}
-		}
-		rr0[j] = rr[j]
-	}
-	batchNorm := func() float64 {
-		worst := 0.0
-		for j := 0; j < k; j++ {
-			if n := sqrt(rr[j]); n > worst {
-				worst = n
-			}
-		}
-		return worst
-	}
-	allDone := func() bool {
-		for j := 0; j < k; j++ {
-			if !e.converged(rr[j], rr0[j]) {
-				return false
-			}
-		}
-		return true
+		e.res.ResidualNorm = worst
+		return all
 	}
 	finish := func() BatchResult {
 		br := BatchResult{Result: e.res, Columns: make([]ColumnResult, k)}
-		for j := 0; j < k; j++ {
-			c := &br.Columns[j]
-			c.ResidualNorm = sqrt(rr[j])
-			c.Converged = e.converged(rr[j], rr0[j])
-			if c.Converged {
-				c.Iterations = int(colIt[j])
-			} else {
-				c.Iterations = e.res.Iterations
+		for j, c := range cols {
+			cr := &br.Columns[j]
+			cr.ResidualNorm = sqrt(c.rr)
+			cr.Converged = c.converged(e)
+			cr.Iterations = e.res.Iterations
+			if cr.Converged {
+				cr.Iterations = int(colIt[j])
 			}
 		}
 		return br
 	}
-	e.res.ResidualNorm = batchNorm()
-	if allDone() {
+	if settle() {
 		e.res.Converged = true
 		return finish(), nil
 	}
 
-	// wv and z are scratch (fully rewritten — and thereby re-encoded —
-	// every iteration); every column of X, R and P plus the per-column
-	// recurrence scalars are the dynamic state a checkpoint must cover.
-	for j := 0; j < k; j++ {
-		e.protect(x.Col(j), r.Col(j), p.Col(j))
-		e.state(&rro[j], &rr[j], &rr0[j], &colIt[j])
+	for j, c := range cols {
+		e.protect(c.x, c.r, c.p)
+		e.state(&c.rro, &c.rr, &c.rr0, &colIt[j])
 	}
 	// e.run wraps surviving errors with the iteration they interrupted.
-	res, runErr := e.run(func(it int) (bool, error) {
+	e.res, err = e.run(func(it int) (bool, error) {
 		// W = A P once for the whole batch. Frozen columns ride along
 		// (their products are discarded) so every iteration makes exactly
 		// one verified sweep of the matrix.
 		if err := operatorApplyBatch(a, wv, p); err != nil {
 			return false, err
 		}
-		for j := 0; j < k; j++ {
-			if e.converged(rr[j], rr0[j]) {
+		for j, c := range cols {
+			if c.converged(e) {
 				continue // frozen: converged at colIt[j]
 			}
-			pw, err := e.dot(p.Col(j), wv.Col(j))
-			if err != nil {
+			if _, _, err := c.step(e); err != nil {
 				return false, err
 			}
-			if pw == 0 {
-				return false, errBreakdown
-			}
-			alpha := rro[j] / pw
-			// x += alpha p ; r -= alpha w ; r.r — one fused verified pass.
-			rrNew, err := e.axpyDot(x.Col(j), alpha, p.Col(j), r.Col(j), wv.Col(j))
-			if err != nil {
-				return false, err
-			}
-			zed := r.Col(j)
-			if z != nil {
-				if err := opt.Preconditioner.Apply(z.Col(j), r.Col(j)); err != nil {
-					return false, err
-				}
-				zed = z.Col(j)
-			}
-			// Unpreconditioned, r.z is the fused pass's r.r; preconditioned,
-			// the recurrence needs r.z while the stopping rule keeps r.r.
-			rrn := rrNew
-			if z != nil {
-				if rrn, err = e.dot(r.Col(j), zed); err != nil {
-					return false, err
-				}
-			}
-			beta := rrn / rro[j]
-			if err := core.Xpby(p.Col(j), zed, beta, w); err != nil {
-				return false, err
-			}
-			rro[j] = rrn
-			rr[j] = rrNew
-			if e.converged(rr[j], rr0[j]) {
+			if c.converged(e) {
 				colIt[j] = float64(it)
 			}
 		}
-		e.res.ResidualNorm = batchNorm()
-		return allDone(), nil
+		return settle(), nil
 	})
-	e.res = res
-	return finish(), runErr
+	return finish(), err
 }
 
 // SolveBatch dispatches a k-right-hand-side solve to the named solver.
@@ -259,16 +181,9 @@ func SolveBatch(kind Kind, a Operator, x, b *core.MultiVector, opt Options) (Bat
 	case KindCG, KindBlockCG:
 		return BlockCG(a, x, b, opt)
 	case KindPCG:
-		if err := opt.Validate(); err != nil {
+		opt, err := pcgOptions(a, opt)
+		if err != nil {
 			return BatchResult{}, err
-		}
-		opt = opt.withDefaults()
-		if opt.Preconditioner == nil {
-			pre, err := NewJacobiPreconditioner(a, opt.Workers)
-			if err != nil {
-				return BatchResult{}, err
-			}
-			opt.Preconditioner = pre
 		}
 		return BlockCG(a, x, b, opt)
 	default:

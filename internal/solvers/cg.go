@@ -2,6 +2,108 @@ package solvers
 
 import "abft/internal/core"
 
+// cgColumn is one right-hand side's conjugate-gradient recurrence: its
+// operands, its work vectors and its scalars. CG drives one column and
+// BlockCG k of them in lockstep; what differs between the two is only
+// how w = A p is produced (Operator.Apply, or one batched product for
+// all columns), so a column of a batch performs exactly the kernel
+// operations a lone solve does, in the same order, and is bit-identical
+// to it.
+type cgColumn struct {
+	x, b *core.Vector
+	// r, p and w are the residual, the search direction and A p; z is
+	// M^-1 r, nil unpreconditioned. w and z are scratch (fully rewritten
+	// — and thereby re-encoded — every iteration); x, r, p and the
+	// scalars are the dynamic state a checkpoint must cover.
+	r, p, w, z *core.Vector
+	// rro is the recurrence's r.z, rr the stopping rule's r.r and rr0
+	// its initial value.
+	rro, rr, rr0 float64
+}
+
+// newColumn allocates the work vectors of the recurrence for x and b.
+func (e *engine) newColumn(x, b *core.Vector) *cgColumn {
+	c := &cgColumn{x: x, b: b, r: newTemp(x), p: newTemp(x), w: newTemp(x)}
+	if e.opt.Preconditioner != nil {
+		c.z = newTemp(x)
+	}
+	return c
+}
+
+// precondition applies z = M^-1 r and returns the vector the recurrence
+// continues with: z, or r itself unpreconditioned.
+func (c *cgColumn) precondition(e *engine) (*core.Vector, error) {
+	if c.z == nil {
+		return c.r, nil
+	}
+	return c.z, e.opt.Preconditioner.Apply(c.z, c.r)
+}
+
+// init forms the initial residual from w = A x, which the driver has
+// computed: r = b - w with r.r from the same fused pass, p = z = M^-1 r.
+func (c *cgColumn) init(e *engine) error {
+	var err error
+	if c.rr, err = e.updateNorm(c.r, 1, c.b, -1, c.w); err != nil {
+		return err
+	}
+	zed, err := c.precondition(e)
+	if err != nil {
+		return err
+	}
+	if err := core.Copy(c.p, zed, e.w); err != nil {
+		return err
+	}
+	// Unpreconditioned, r.z is exactly the r.r the fused pass returned.
+	c.rro = c.rr
+	if c.z != nil {
+		if c.rro, err = e.dot(c.r, zed); err != nil {
+			return err
+		}
+	}
+	c.rr0 = c.rr
+	return nil
+}
+
+// step advances the recurrence by one iteration from w = A p, which the
+// driver has computed, and returns the iteration's CG coefficients.
+func (c *cgColumn) step(e *engine) (alpha, beta float64, err error) {
+	pw, err := e.dot(c.p, c.w)
+	if err != nil {
+		return 0, 0, err
+	}
+	if pw == 0 {
+		return 0, 0, errBreakdown
+	}
+	alpha = c.rro / pw
+	// x += alpha p ; r -= alpha w ; r.r — one fused verified pass
+	rrNew, err := e.axpyDot(c.x, alpha, c.p, c.r, c.w)
+	if err != nil {
+		return 0, 0, err
+	}
+	zed, err := c.precondition(e)
+	if err != nil {
+		return 0, 0, err
+	}
+	// Unpreconditioned, r.z is the fused pass's r.r; preconditioned,
+	// the recurrence needs r.z while the stopping rule keeps r.r.
+	rrn := rrNew
+	if c.z != nil {
+		if rrn, err = e.dot(c.r, zed); err != nil {
+			return 0, 0, err
+		}
+	}
+	beta = rrn / c.rro
+	// p = z + beta p
+	if err := core.Xpby(c.p, zed, beta, e.w); err != nil {
+		return 0, 0, err
+	}
+	c.rro, c.rr = rrn, rrNew
+	return alpha, beta, nil
+}
+
+// converged evaluates the stopping rule on the column's residual.
+func (c *cgColumn) converged(e *engine) bool { return e.converged(c.rr, c.rr0) }
+
 // CG solves A x = b by preconditioned conjugate gradients, the solver the
 // paper instruments (TeaLeaf's tl_use_cg path). x carries the initial
 // guess in and the solution out. All vector traffic flows through the
@@ -13,98 +115,32 @@ func CG(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	opt = e.opt
-	w := e.w
-
-	r := e.temp()
-	p := e.temp()
-	wv := e.temp()
-	var z *core.Vector
-	if opt.Preconditioner != nil {
-		z = e.temp()
+	c := e.newColumn(x, b)
+	err = a.Apply(c.w, x)
+	if err == nil {
+		err = c.init(e)
 	}
-
-	// r = b - A x, with r.r from the same fused pass
-	if err := a.Apply(wv, x); err != nil {
-		return e.res, iterErr("cg", 0, err)
-	}
-	rr, err := e.updateNorm(r, 1, b, -1, wv)
 	if err != nil {
 		return e.res, iterErr("cg", 0, err)
 	}
-	// p = z = M^-1 r (or r unpreconditioned); rro = r . z
-	zed := r
-	if z != nil {
-		if err := opt.Preconditioner.Apply(z, r); err != nil {
-			return e.res, iterErr("cg", 0, err)
-		}
-		zed = z
-	}
-	if err := core.Copy(p, zed, w); err != nil {
-		return e.res, iterErr("cg", 0, err)
-	}
-	// Unpreconditioned, r.z is exactly the r.r the fused pass returned.
-	rro := rr
-	if z != nil {
-		if rro, err = e.dot(r, zed); err != nil {
-			return e.res, iterErr("cg", 0, err)
-		}
-	}
-	rr0 := rr
-	e.res.ResidualNorm = sqrt(rr)
-	if e.converged(rr, rr0) {
+	e.res.ResidualNorm = sqrt(c.rr)
+	if c.converged(e) {
 		e.res.Converged = true
 		return e.res, nil
 	}
-
-	// wv and z are scratch (fully rewritten — and thereby re-encoded —
-	// every iteration); x, r, p and the recurrence scalars are the
-	// dynamic state a checkpoint must cover.
-	e.protect(x, r, p)
-	e.state(&rro, &rr, &rr0)
+	e.protect(x, c.r, c.p)
+	e.state(&c.rro, &c.rr, &c.rr0)
 	return e.run(func(it int) (bool, error) {
-		// w = A p
-		if err := a.Apply(wv, p); err != nil {
+		if err := a.Apply(c.w, c.p); err != nil {
 			return false, err
 		}
-		pw, err := e.dot(p, wv)
+		alpha, beta, err := c.step(e)
 		if err != nil {
 			return false, err
 		}
-		if pw == 0 {
-			return false, errBreakdown
-		}
-		alpha := rro / pw
-		// x += alpha p ; r -= alpha w ; r.r — one fused verified pass
-		rrNew, err := e.axpyDot(x, alpha, p, r, wv)
-		if err != nil {
-			return false, err
-		}
-		zed := r
-		if z != nil {
-			if err := opt.Preconditioner.Apply(z, r); err != nil {
-				return false, err
-			}
-			zed = z
-		}
-		// Unpreconditioned, r.z is the fused pass's r.r; preconditioned,
-		// the recurrence needs r.z while the stopping rule keeps r.r.
-		rrn := rrNew
-		if z != nil {
-			if rrn, err = e.dot(r, zed); err != nil {
-				return false, err
-			}
-		}
-		beta := rrn / rro
 		e.res.Alphas = append(e.res.Alphas, alpha)
 		e.res.Betas = append(e.res.Betas, beta)
-		// p = z + beta p
-		if err := core.Xpby(p, zed, beta, w); err != nil {
-			return false, err
-		}
-		rro = rrn
-		rr = rrNew
-		e.res.ResidualNorm = sqrt(rr)
-		return e.converged(rr, rr0), nil
+		e.res.ResidualNorm = sqrt(c.rr)
+		return c.converged(e), nil
 	})
 }

@@ -22,17 +22,12 @@ type BandedOperator interface {
 	BandRanges() [][2]int
 }
 
-// bandRanges returns the operator's band decomposition when it has one,
-// unwrapping MatrixOperator the way operatorDot does. Ranges are
-// trusted to be ckptBlock-aligned (internal/shard guarantees it).
+// bandRanges returns the operator's band decomposition when it has one.
+// Ranges are trusted to be ckptBlock-aligned (internal/shard guarantees
+// it).
 func bandRanges(op Operator) [][2]int {
-	if mo, ok := op.(MatrixOperator); ok {
-		if b, ok := mo.M.(BandedOperator); ok {
-			return b.BandRanges()
-		}
-		return nil
-	}
-	if b, ok := op.(BandedOperator); ok {
+	holder, _ := capabilities(op)
+	if b, ok := holder.(BandedOperator); ok {
 		return b.BandRanges()
 	}
 	return nil

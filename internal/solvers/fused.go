@@ -19,10 +19,7 @@ import "abft/internal/core"
 //
 // The decision is made once per solve in initFuse.
 func (e *engine) initFuse() {
-	inner := any(e.a)
-	if mo, ok := e.a.(MatrixOperator); ok {
-		inner = mo.M
-	}
+	inner, _ := capabilities(e.a)
 	if _, custom := inner.(DotOperator); !custom {
 		e.fuse = core.FusedOptions{Workers: e.w}
 		e.fuseOK = true

@@ -11,16 +11,27 @@ import "abft/internal/core"
 // diagonal, so "pcg" always preconditions — unlike KindCG, which runs
 // unpreconditioned unless told otherwise.
 func PCG(a Operator, x, b *core.Vector, opt Options) (Result, error) {
-	if err := opt.Validate(); err != nil {
+	opt, err := pcgOptions(a, opt)
+	if err != nil {
 		return Result{}, err
+	}
+	return CG(a, x, b, opt)
+}
+
+// pcgOptions resolves opt the way "pcg" means it at any width: when no
+// preconditioner is configured, a Jacobi preconditioner built from the
+// operator's verified diagonal.
+func pcgOptions(a Operator, opt Options) (Options, error) {
+	if err := opt.Validate(); err != nil {
+		return opt, err
 	}
 	opt = opt.withDefaults()
 	if opt.Preconditioner == nil {
 		pre, err := NewJacobiPreconditioner(a, opt.Workers)
 		if err != nil {
-			return Result{}, err
+			return opt, err
 		}
 		opt.Preconditioner = pre
 	}
-	return CG(a, x, b, opt)
+	return opt, nil
 }

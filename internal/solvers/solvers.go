@@ -44,20 +44,28 @@ type DotOperator interface {
 	Dot(a, b *core.Vector) (float64, error)
 }
 
-// operatorDot computes a . b the way the operator prefers: through the
-// DotOperator capability when the operator (or the matrix behind a
-// MatrixOperator) provides one, otherwise through the flat protected
-// kernel. MatrixOperator is unwrapped rather than given a Dot method so
-// the fallback keeps honouring the solve Options' worker count — the
-// knob that controlled these reductions before the capability existed.
-func operatorDot(op Operator, a, b *core.Vector, workers int) (float64, error) {
+// capabilities returns the value whose optional interfaces
+// (DotOperator, BandedOperator, a batched kernel) describe op — the
+// matrix behind a MatrixOperator, else op itself — and the worker count
+// bound to that matrix. MatrixOperator is looked through rather than
+// given the methods, and the worker rule is this one: a kernel of M runs
+// with MatrixOperator.Workers, exactly as Apply does, while every flat
+// fallback (core.Dot, the fused vector kernels) keeps the solve Options'
+// worker count — the knob that controlled those reductions before the
+// capabilities existed.
+func capabilities(op Operator) (holder any, workers int) {
 	if mo, ok := op.(MatrixOperator); ok {
-		if d, ok := mo.M.(DotOperator); ok {
-			return d.Dot(a, b)
-		}
-		return core.Dot(a, b, workers)
+		return mo.M, mo.Workers
 	}
-	if d, ok := op.(DotOperator); ok {
+	return op, 0
+}
+
+// operatorDot computes a . b the way the operator prefers: through the
+// DotOperator capability when it has one, otherwise through the flat
+// protected kernel with the solve's worker count.
+func operatorDot(op Operator, a, b *core.Vector, workers int) (float64, error) {
+	holder, _ := capabilities(op)
+	if d, ok := holder.(DotOperator); ok {
 		return d.Dot(a, b)
 	}
 	return core.Dot(a, b, workers)
