@@ -6,10 +6,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"abft/internal/obs"
+	"abft/internal/service"
 )
 
 // syncBuffer is a mutex-guarded bytes.Buffer: the daemon's structured
@@ -169,7 +173,12 @@ func TestDaemonDebugEndpoints(t *testing.T) {
 	if body := nonEmpty(base + "/metrics"); !strings.Contains(body, "abftd_stage_duration_seconds_bucket") {
 		t.Fatal("stage histograms missing from /metrics")
 	}
-	if body := nonEmpty(base + "/v1/jobs/" + st.ID + "/trace"); !strings.Contains(body, `"stage": "solve"`) {
+	var trace service.TraceSnapshot
+	body := nonEmpty(base + "/v1/jobs/" + st.ID + "/trace")
+	if err := json.Unmarshal([]byte(body), &trace); err != nil {
+		t.Fatalf("trace does not decode: %v: %s", err, body)
+	}
+	if !slices.ContainsFunc(trace.Spans, func(sp obs.Span) bool { return sp.Stage == service.StageSolve }) {
 		t.Fatalf("trace missing solve span: %s", body)
 	}
 	nonEmpty(base + "/v1/events")

@@ -11,6 +11,12 @@
 //	          solve)
 //	mixed     60% single, 20% batch, 20% coalesce
 //
+// Each operator's matrix travels once: the result echoes the digest of
+// the source as sent, and later requests for that matrix send the digest
+// as an operator handle in place of the document, falling back to the
+// document when the service answers 404 (evicted, or no operator under
+// these knobs yet).
+//
 // After the drive it scrapes /metrics and echoes the coalescing
 // counters, so a load run doubles as an end-to-end check that batching
 // actually engaged.
@@ -42,11 +48,35 @@ func main() {
 	}
 }
 
-// request is one pre-built solve payload; building the whole schedule
-// up front keeps the timed section free of JSON encoding and RNG work.
+// request is one pre-built solve payload, the matrix apart from the rest
+// so the body can carry either the matrix or its handle; building the
+// whole schedule up front keeps the timed section free of JSON encoding
+// and RNG work.
 type request struct {
 	scenario string
-	body     []byte
+	matrix   []byte // the "matrix" value
+	rest     []byte // every other field, as the tail of the object: `,"tol":…}`
+}
+
+// body assembles the request around its matrix, or around the handle of
+// an operator the service already holds.
+func (r request) body(handle string) []byte {
+	matrix := r.matrix
+	if handle != "" {
+		matrix = []byte(`{"operator":"` + handle + `"}`)
+	}
+	return append(append([]byte(`{"matrix":`), matrix...), r.rest...)
+}
+
+// driver posts requests and remembers the handle of each matrix sent.
+type driver struct {
+	client *http.Client
+	url    string
+
+	mu       sync.Mutex
+	handles  map[string]string // matrix JSON -> operator handle
+	byHandle int
+	fellBack int
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -80,6 +110,7 @@ func run(args []string, stdout io.Writer) error {
 		Transport: &http.Transport{MaxIdleConnsPerHost: *c},
 	}
 	url := strings.TrimRight(*addr, "/") + "/v1/solve?wait=1"
+	d := &driver{client: client, url: url, handles: make(map[string]string)}
 	durations := make([]time.Duration, len(reqs))
 	errs := make([]error, len(reqs))
 	next := make(chan int)
@@ -91,7 +122,7 @@ func run(args []string, stdout io.Writer) error {
 			defer wg.Done()
 			for i := range next {
 				t0 := time.Now()
-				errs[i] = post(client, url, reqs[i].body)
+				errs[i] = d.post(reqs[i])
 				durations[i] = time.Since(t0)
 			}
 		}()
@@ -119,6 +150,9 @@ func run(args []string, stdout io.Writer) error {
 		elapsed.Round(time.Millisecond), float64(len(reqs))/elapsed.Seconds())
 	fmt.Fprintf(stdout, "latency p50 %v  p99 %v  max %v\n",
 		quantile(durations, 0.50), quantile(durations, 0.99), durations[len(durations)-1])
+
+	fmt.Fprintf(stdout, "operator handles: %d requests sent by handle, %d fell back to the document on 404\n",
+		d.byHandle, d.fellBack)
 
 	if coal, width, err := scrapeCoalescing(client, *addr); err != nil {
 		fmt.Fprintf(stdout, "metrics scrape failed: %v\n", err)
@@ -230,11 +264,17 @@ func buildSchedule(scenario string, n, nx int, rng *rand.Rand) ([]request, error
 	}
 	reqs := make([]request, 0, n)
 	add := func(name string, payload map[string]any) error {
-		body, err := json.Marshal(payload)
+		matrix, err := json.Marshal(payload["matrix"])
 		if err != nil {
 			return err
 		}
-		reqs = append(reqs, request{scenario: name, body: body})
+		delete(payload, "matrix")
+		rest, err := json.Marshal(payload)
+		if err != nil {
+			return err
+		}
+		rest[0] = ',' // every payload has fields besides its matrix
+		reqs = append(reqs, request{scenario: name, matrix: matrix, rest: rest})
 		return nil
 	}
 	for i := 0; len(reqs) < n; i++ {
@@ -278,23 +318,34 @@ func buildSchedule(scenario string, n, nx int, rng *rand.Rand) ([]request, error
 	return reqs, nil
 }
 
-// post submits one solve and demands a finished job in the answer.
-func post(client *http.Client, url string, body []byte) error {
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+// post submits one solve — by handle when the matrix has been sent
+// before, with the document otherwise or when the handle answers 404 —
+// and demands a finished job in the answer.
+func (d *driver) post(req request) error {
+	key := string(req.matrix)
+	d.mu.Lock()
+	handle := d.handles[key]
+	d.mu.Unlock()
+	status, raw, err := d.send(req.body(handle))
+	if err == nil && status == http.StatusNotFound && handle != "" {
+		d.mu.Lock()
+		d.fellBack++
+		d.mu.Unlock()
+		handle = ""
+		status, raw, err = d.send(req.body(""))
+	}
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
+	if status != http.StatusOK {
+		return fmt.Errorf("status %d: %s", status, bytes.TrimSpace(raw))
 	}
 	var st struct {
-		State string `json:"state"`
-		Error string `json:"error"`
+		State  string `json:"state"`
+		Error  string `json:"error"`
+		Result struct {
+			Operator string `json:"operator"`
+		} `json:"result"`
 	}
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return err
@@ -302,7 +353,23 @@ func post(client *http.Client, url string, body []byte) error {
 	if st.State != "done" {
 		return fmt.Errorf("job finished %q: %s", st.State, st.Error)
 	}
+	d.mu.Lock()
+	if handle != "" {
+		d.byHandle++
+	}
+	d.handles[key] = st.Result.Operator
+	d.mu.Unlock()
 	return nil
+}
+
+func (d *driver) send(body []byte) (int, []byte, error) {
+	resp, err := d.client.Post(d.url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, raw, err
 }
 
 // quantile reads the q-th latency quantile from sorted durations.

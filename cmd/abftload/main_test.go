@@ -27,7 +27,7 @@ func TestAbftloadDrivesService(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", scenario, err, out.String())
 		}
-		for _, want := range []string{"0 failed", "solves/sec", "latency p50", "coalesced"} {
+		for _, want := range []string{"0 failed", "solves/sec", "latency p50", "coalesced", "sent by handle"} {
 			if !strings.Contains(out.String(), want) {
 				t.Fatalf("%s report missing %q:\n%s", scenario, want, out.String())
 			}

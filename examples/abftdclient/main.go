@@ -41,10 +41,13 @@ func main() {
 	}
 
 	// The solve: a 64x64 Poisson operator under full SECDED64 element
-	// and row-pointer protection, solved by CG. The first request pays
-	// the ECC encode; repeats of the same matrix are cache hits.
+	// and row-pointer protection, solved by CG. The first request carries
+	// the matrix and pays the ECC encode; its result echoes the digest of
+	// the source, and the repeats send that handle in place of the matrix
+	// — cache hits the service recognises without reading a document.
+	matrix := abft.SolveMatrixSpec{Grid: &abft.SolveGridSpec{NX: 64, NY: 64}}
 	req := abft.SolveRequest{
-		Matrix:       abft.SolveMatrixSpec{Grid: &abft.SolveGridSpec{NX: 64, NY: 64}},
+		Matrix:       matrix,
 		Format:       "csr",
 		Scheme:       "secded64",
 		RowPtrScheme: "secded64",
@@ -53,11 +56,21 @@ func main() {
 		Tol:          1e-10,
 	}
 	var last abft.SolveJobStatus
-	for attempt := 1; attempt <= 2; attempt++ {
-		st := solve(base, req)
+	for attempt := 1; attempt <= 3; attempt++ {
+		st, code := solve(base, req)
+		if code == http.StatusNotFound {
+			// The service no longer holds an operator for the handle
+			// (evicted, or restarted): send the matrix again.
+			req.Matrix = matrix
+			st, code = solve(base, req)
+		}
+		if code != http.StatusOK || st.State != "done" {
+			log.Fatalf("job %s: status %d, %s (%s)", st.ID, code, st.State, st.Error)
+		}
 		r := st.Result
-		fmt.Printf("solve %d: job %s %s — %d iterations, residual %.3e, cache_hit=%v\n",
-			attempt, st.ID, st.State, r.Iterations, r.ResidualNorm, r.CacheHit)
+		fmt.Printf("solve %d: job %s %s — %d iterations, residual %.3e, cache_hit=%v, by handle=%v\n",
+			attempt, st.ID, st.State, r.Iterations, r.ResidualNorm, r.CacheHit, req.Matrix.Operator != "")
+		req.Matrix = abft.SolveMatrixSpec{Operator: r.Operator}
 		last = st
 	}
 
@@ -95,7 +108,9 @@ func main() {
 	}
 }
 
-func solve(base string, req abft.SolveRequest) abft.SolveJobStatus {
+// solve posts one waited request and returns the decoded job with the
+// HTTP status (404: the operator handle is not resident).
+func solve(base string, req abft.SolveRequest) (abft.SolveJobStatus, int) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		log.Fatal(err)
@@ -106,13 +121,12 @@ func solve(base string, req abft.SolveRequest) abft.SolveJobStatus {
 	}
 	defer resp.Body.Close()
 	var st abft.SolveJobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		log.Fatal(err)
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			log.Fatal(err)
+		}
 	}
-	if st.State != "done" {
-		log.Fatalf("job %s: %s (%s)", st.ID, st.State, st.Error)
-	}
-	return st
+	return st, resp.StatusCode
 }
 
 // ramp is a non-trivial right-hand side (the all-ones vector is an

@@ -15,12 +15,14 @@ package mm
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"abft/internal/csr"
 )
@@ -30,7 +32,9 @@ import (
 // value 1. Symmetric matrices are expanded to general storage.
 func Read(r io.Reader) (*csr.Matrix, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines of up to 1 MiB; the buffer starts small and grows to that
+	// only for a line that needs it.
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("mm: empty MatrixMarket input")
 	}
@@ -61,39 +65,51 @@ func Read(r io.Reader) (*csr.Matrix, error) {
 	// Skip comments, read the size line.
 	var rows, cols, nnz int
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '%' {
 			continue
 		}
-		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
+		if _, err := fmt.Sscan(string(line), &rows, &cols, &nnz); err != nil {
 			return nil, fmt.Errorf("mm: bad size line %q: %w", line, err)
+		}
+		if nnz < 0 {
+			return nil, fmt.Errorf("mm: bad size line %q: negative entry count", line)
 		}
 		break
 	}
-	entries := make([]csr.Entry, 0, nnz)
+	// The declared count sizes the slice only up to a bound, so a short
+	// document cannot claim gigabytes; past it the entries that actually
+	// arrive grow it.
+	entries := make([]csr.Entry, 0, min(nnz, 1<<20))
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '%' {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) < 2 {
+		// Two or three fields, cut where they lie: no string per line, no
+		// slice of fields.
+		var f [3][]byte
+		n := cutFields(line, f[:])
+		if n < 0 {
+			n = copy(f[:], bytes.Fields(line))
+		}
+		if n < 2 {
 			return nil, fmt.Errorf("mm: bad entry line %q", line)
 		}
-		row, err := strconv.Atoi(f[0])
+		row, err := strconv.Atoi(string(f[0]))
 		if err != nil {
 			return nil, fmt.Errorf("mm: bad row in %q: %w", line, err)
 		}
-		col, err := strconv.Atoi(f[1])
+		col, err := strconv.Atoi(string(f[1]))
 		if err != nil {
 			return nil, fmt.Errorf("mm: bad col in %q: %w", line, err)
 		}
 		val := 1.0
 		if field != "pattern" {
-			if len(f) < 3 {
+			if n < 3 {
 				return nil, fmt.Errorf("mm: missing value in %q", line)
 			}
-			val, err = strconv.ParseFloat(f[2], 64)
+			val, err = strconv.ParseFloat(string(f[2]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("mm: bad value in %q: %w", line, err)
 			}
@@ -110,6 +126,34 @@ func Read(r io.Reader) (*csr.Matrix, error) {
 		return nil, fmt.Errorf("mm: expected %d entries, found %d", nnz, len(entries))
 	}
 	return csr.New(rows, cols, entries)
+}
+
+// cutFields stores the leading whitespace-separated fields of an ASCII
+// line in f, as many as fit, and returns how many the line has (capped
+// at len(f)). It returns -1 on a non-ASCII byte: whitespace is Unicode's
+// in this format's accepted language (strings.Fields), so such a line
+// goes through bytes.Fields.
+func cutFields(line []byte, f [][]byte) int {
+	n, start := 0, -1
+	for i, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			return -1
+		case c == ' ' || '\t' <= c && c <= '\r':
+			if start >= 0 && n < len(f) {
+				f[n] = line[start:i]
+				n++
+			}
+			start = -1
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 && n < len(f) {
+		f[n] = line[start:]
+		n++
+	}
+	return n
 }
 
 // ReadString parses a MatrixMarket document held in memory, the form

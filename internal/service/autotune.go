@@ -115,12 +115,13 @@ const (
 
 // autotune fills the knobs req left unpinned — storage format, shard
 // count, SELL-C-sigma chunk window — from the operator's structural
-// profile, mutating p in place before shard finalization. It returns nil
+// profile (computed when the source was first read, remembered per
+// digest since), mutating p in place before shard finalization. It returns nil
 // when every tunable knob was pinned by the request. The tuned values
 // flow through the same finalizeShards and operatorKey path as pinned
 // ones, so an autotuned solve is bit-identical to (and shares its cached
 // operator with) an explicit request for the same configuration.
-func autotune(req *SolveRequest, p *solveParams, src *csr.Matrix, cfg Config) *AutotuneDecision {
+func autotune(req *SolveRequest, p *solveParams, prof MatrixProfile, cfg Config) *AutotuneDecision {
 	// Format is tunable only when nothing in the request constrains the
 	// storage layout: an explicit format, a row-pointer scheme (CSR
 	// only) or a shard-local format all pin it — though a shard format
@@ -133,7 +134,6 @@ func autotune(req *SolveRequest, p *solveParams, src *csr.Matrix, cfg Config) *A
 	if !formatFree && !shardsFree && !sigmaFree {
 		return nil
 	}
-	prof := profileMatrix(src)
 	d := &AutotuneDecision{Profile: prof}
 	var reasons []string
 

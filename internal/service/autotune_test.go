@@ -60,7 +60,7 @@ func TestAutotuneSelectsRegularFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.finalizeShards(src.Rows())
-		d := autotune(&req, &p, src, cfg)
+		d := autotune(&req, &p, profileMatrix(src), cfg)
 		p.finalizeShards(src.Rows())
 		return d, p
 	}

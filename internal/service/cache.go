@@ -4,40 +4,81 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"sync"
 	"time"
 
 	"abft/internal/core"
-	"abft/internal/csr"
 	"abft/internal/precond"
 )
 
-// operatorKey identifies a protected operator by content and protection
-// configuration: two requests share a cached operator exactly when the
-// decoded matrix and every knob that shapes its protected image agree.
-func operatorKey(m *csr.Matrix, p solveParams) string {
+// ErrUnknownOperator reports a solve addressed by an operator handle
+// ({"operator": "<digest>"}) whose source the service no longer holds:
+// never sent, or evicted with the last operator built from it. The
+// request carried no document to rebuild from, so the client resends it
+// (HTTP 404).
+var ErrUnknownOperator = errors.New("not resident (never sent, or evicted): resend the request with the matrix document in place of the handle")
+
+func unknownOperator(digest string) error {
+	return fmt.Errorf("operator %s: %w", digest, ErrUnknownOperator)
+}
+
+// sourceDigest addresses an operator source by the bytes the client
+// sent, before anything is parsed: SHA-256 (hex) over a per-kind domain
+// tag and the source as sent — the MatrixMarket document, the grid
+// dimensions, or the dimensions and triplets of a raw specification.
+// quoted, when non-nil, is an HTTP request's matrix_market value as it
+// lay in the body (a JSON string, quotes and escapes included); it is
+// hashed where it lies under a tag of its own, so the same document sent
+// through Submit addresses a second, equally correct entry. An operator
+// handle is its own digest. Two sources share a digest only when they
+// are byte-identical; two that merely parse to the same matrix build
+// twice and never serve each other's operator.
+func sourceDigest(spec *MatrixSpec, quoted []byte) (string, error) {
+	if err := spec.check(quoted); err != nil {
+		return "", err
+	}
+	if spec.Operator != "" {
+		return spec.Operator, nil
+	}
 	h := sha256.New()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(m.Rows()))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(m.Cols32()))
-	h.Write(hdr[:])
-	var w [8]byte
-	for _, r := range m.RowPtr {
-		binary.LittleEndian.PutUint32(w[:4], r)
-		h.Write(w[:4])
+	switch {
+	case quoted != nil:
+		io.WriteString(h, "matrix_market/json\x00")
+		h.Write(quoted)
+	case spec.MatrixMarket != "":
+		io.WriteString(h, "matrix_market\x00")
+		io.WriteString(h, spec.MatrixMarket)
+	case spec.Grid != nil:
+		fmt.Fprintf(h, "grid\x00%dx%d", spec.Grid.NX, spec.Grid.NY)
+	default:
+		fmt.Fprintf(h, "entries\x00%dx%d", spec.Rows, spec.Cols)
+		buf := make([]byte, 0, 24*128)
+		for _, t := range spec.Entries {
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Row))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Col))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.Val))
+		}
+		h.Write(buf)
 	}
-	for _, c := range m.Cols {
-		binary.LittleEndian.PutUint32(w[:4], c)
-		h.Write(w[:4])
-	}
-	for _, v := range m.Vals {
-		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
-		h.Write(w[:])
-	}
-	key := fmt.Sprintf("%x|%v|%v|%v|%d", h.Sum(nil), p.format, p.scheme, p.rowptr, p.sigma)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// operatorKey identifies a protected operator by source digest and
+// protection configuration: two requests share a cached operator exactly
+// when their sources are byte-identical and every knob that shapes the
+// protected image agrees.
+func operatorKey(digest string, p solveParams) string {
+	key := fmt.Sprintf("%s|%v|%v|%v|%d", digest, p.format, p.scheme, p.rowptr, p.sigma)
 	if p.shards > 1 {
 		// A sharded operator is a different resident structure: the band
 		// count and the halo-buffer protection both shape its image.
@@ -60,6 +101,9 @@ func operatorKey(m *csr.Matrix, p solveParams) string {
 // same codewords.
 type cacheEntry struct {
 	key string
+	// digest is the source digest the entry was built from (the key's
+	// content half); the entry holds one reference on its sources memo.
+	digest string
 	// ready is closed once build completes (m, diag and buildErr are
 	// set); concurrent requests for a building operator wait on it
 	// instead of encoding a duplicate.
@@ -98,6 +142,12 @@ type CacheStats struct {
 	Hits uint64
 	// BuildErrors counts failed encode attempts.
 	BuildErrors uint64
+	// SourceParses counts operator sources read and assembled (a
+	// MatrixMarket parse, a grid generated, triplets sorted into CSR): one
+	// per admission of an unknown digest, plus one per build for a job
+	// admitted on a known one (its entry evicted since, or none yet under
+	// its knobs).
+	SourceParses uint64
 	// EvictedLRU counts capacity evictions.
 	EvictedLRU uint64
 	// EvictedFault counts operators dropped because scrubbing found a
@@ -121,10 +171,24 @@ type operatorCache struct {
 	max     int
 	lru     *list.List // front = most recently used; values are *cacheEntry
 	entries map[string]*cacheEntry
+	// sources remembers, per source digest, the structural profile (row
+	// count included) admission needs of an operator it has already read
+	// once, so a request for a known digest never re-reads its document.
+	// It is not a second store: a digest is remembered for exactly as
+	// long as some resident or building entry was built from it, and
+	// leaves with the last such entry on LRU, fault or scrub eviction.
+	sources map[string]*sourceMemo
 	stats   CacheStats
 	// retired accumulates the ABFT counters of evicted operators so the
 	// service totals survive eviction.
 	retired core.CounterSnapshot
+}
+
+// sourceMemo is one remembered operator source: its admission-time
+// profile and the number of cache entries built from it.
+type sourceMemo struct {
+	profile MatrixProfile
+	entries int
 }
 
 func newOperatorCache(max int, log *slog.Logger) *operatorCache {
@@ -136,15 +200,35 @@ func newOperatorCache(max int, log *slog.Logger) *operatorCache {
 		max:     max,
 		lru:     list.New(),
 		entries: make(map[string]*cacheEntry),
+		sources: make(map[string]*sourceMemo),
 	}
+}
+
+// profile returns the remembered profile of a source digest, and whether
+// the digest is known.
+func (c *operatorCache) profile(digest string) (MatrixProfile, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m, ok := c.sources[digest]; ok {
+		return m.profile, true
+	}
+	return MatrixProfile{}, false
+}
+
+// countParse records one operator source read and assembled.
+func (c *operatorCache) countParse() {
+	c.mu.Lock()
+	c.stats.SourceParses++
+	c.mu.Unlock()
 }
 
 // get returns the entry for key, building it with build on a miss (the
 // builder returns the operator, its verified diagonal and the cached
-// preconditioner, which may be nil). The second return reports whether
-// the encode cost was amortised (a hit on a resident or
+// preconditioner, which may be nil); the new entry remembers prof under
+// its source digest for as long as it lives. The second return reports
+// whether the encode cost was amortised (a hit on a resident or
 // concurrently-building operator).
-func (c *operatorCache) get(key string, build func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error)) (*cacheEntry, bool, error) {
+func (c *operatorCache) get(key, digest string, prof MatrixProfile, build func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error)) (*cacheEntry, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
@@ -156,9 +240,15 @@ func (c *operatorCache) get(key string, build func() (core.ProtectedMatrix, []fl
 		}
 		return e, true, nil
 	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
+	e := &cacheEntry{key: key, digest: digest, ready: make(chan struct{})}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
+	memo := c.sources[digest]
+	if memo == nil {
+		memo = &sourceMemo{profile: prof}
+		c.sources[digest] = memo
+	}
+	memo.entries++
 	c.mu.Unlock()
 
 	buildStart := time.Now()
@@ -190,6 +280,13 @@ func (c *operatorCache) get(key string, build func() (core.ProtectedMatrix, []fl
 		return nil, false, err
 	}
 	return e, false, nil
+}
+
+// has reports whether an entry for key is resident or building.
+func (c *operatorCache) has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries[key] != nil
 }
 
 // lookup returns the resident, fully built entry for key, or nil.
@@ -257,6 +354,10 @@ func (c *operatorCache) removeLocked(e *cacheEntry) {
 	}
 	delete(c.entries, e.key)
 	c.lru.Remove(e.elem)
+	memo := c.sources[e.digest]
+	if memo.entries--; memo.entries == 0 {
+		delete(c.sources, e.digest)
+	}
 }
 
 // OperatorCounters aggregates the ABFT counters of every operator the

@@ -42,7 +42,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, hit, err := c.get("k", build)
+			e, hit, err := c.get("k", "d", MatrixProfile{}, build)
 			if err != nil || e == nil {
 				t.Errorf("get: %v", err)
 				return
@@ -71,7 +71,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		return testOperator(t), nil, nil, nil
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.get(fmt.Sprintf("k%d", i), build); err != nil {
+		if _, _, err := c.get(fmt.Sprintf("k%d", i), "d", MatrixProfile{}, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,10 +83,10 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal("oldest entry survived eviction")
 	}
 	// Touching k1 promotes it; inserting k3 must now evict k2.
-	if _, hit, err := c.get("k1", build); err != nil || !hit {
+	if _, hit, err := c.get("k1", "d", MatrixProfile{}, build); err != nil || !hit {
 		t.Fatalf("re-get k1: hit=%v err=%v", hit, err)
 	}
-	if _, _, err := c.get("k3", build); err != nil {
+	if _, _, err := c.get("k3", "d", MatrixProfile{}, build); err != nil {
 		t.Fatal(err)
 	}
 	if c.lookup("k2") != nil {
@@ -100,7 +100,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheBuildErrorNotCached(t *testing.T) {
 	c := newOperatorCache(2, obs.NopLogger())
 	boom := fmt.Errorf("boom")
-	if _, _, err := c.get("k", func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) { return nil, nil, nil, boom }); err != boom {
+	if _, _, err := c.get("k", "d", MatrixProfile{}, func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) { return nil, nil, nil, boom }); err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	s := c.Stats()
@@ -108,28 +108,44 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 		t.Fatalf("stats %+v", s)
 	}
 	// The failed key is retried, not poisoned.
-	if _, hit, err := c.get("k", func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
+	if _, hit, err := c.get("k", "d", MatrixProfile{}, func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
 		return testOperator(t), nil, nil, nil
 	}); err != nil || hit {
 		t.Fatalf("retry: hit=%v err=%v", hit, err)
 	}
 }
 
-// TestOperatorKeyDistinguishesConfigs: the same content under different
-// protection configurations must not share an operator, while a
-// re-assembled identical matrix must.
-func TestOperatorKeyDistinguishesConfigs(t *testing.T) {
-	plain := csr.Laplacian2D(6, 6)
-	base := SolveRequest{Scheme: "secded64"}
-	p0, err := base.resolve(Config{}.withDefaults())
+// digestOf is the source digest admission would compute for spec sent
+// through Submit.
+func digestOf(t *testing.T, spec MatrixSpec) string {
+	t.Helper()
+	d, err := sourceDigest(&spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0.finalizeShards(plain.Rows())
-	k0 := operatorKey(plain, p0)
+	return d
+}
 
-	if k := operatorKey(csr.Laplacian2D(6, 6), p0); k != k0 {
-		t.Fatal("identical content and config produced different keys")
+// gridKey is the operator cache key of request r against an nx-by-ny
+// grid source.
+func gridKey(t *testing.T, r SolveRequest, nx, ny int) string {
+	t.Helper()
+	p, err := r.resolve(Config{}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.finalizeShards(nx * ny)
+	return operatorKey(digestOf(t, MatrixSpec{Grid: &GridSpec{NX: nx, NY: ny}}), p)
+}
+
+// TestOperatorKeyDistinguishesConfigs: the same source under different
+// protection configurations must not share an operator, while the same
+// bytes sent again must.
+func TestOperatorKeyDistinguishesConfigs(t *testing.T) {
+	base := SolveRequest{Scheme: "secded64"}
+	k0 := gridKey(t, base, 6, 6)
+	if k := gridKey(t, base, 6, 6); k != k0 {
+		t.Fatal("identical source and config produced different keys")
 	}
 	for _, alt := range []SolveRequest{
 		{Scheme: "sed"},
@@ -137,16 +153,11 @@ func TestOperatorKeyDistinguishesConfigs(t *testing.T) {
 		{Scheme: "secded64", Format: "coo"},
 		{Scheme: "secded64", Format: "sellcs", Sigma: 8},
 	} {
-		p, err := alt.resolve(Config{}.withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.finalizeShards(plain.Rows())
-		if k := operatorKey(plain, p); k == k0 {
+		if k := gridKey(t, alt, 6, 6); k == k0 {
 			t.Fatalf("config %+v collided with base key", alt)
 		}
 	}
-	if k := operatorKey(csr.Laplacian2D(6, 7), p0); k == k0 {
+	if k := gridKey(t, base, 6, 7); k == k0 {
 		t.Fatal("different content collided with base key")
 	}
 }
@@ -155,15 +166,7 @@ func TestOperatorKeyDistinguishesConfigs(t *testing.T) {
 // (rowptr scheme outside CSR, sigma outside SELL) must not split the
 // cache between semantically identical operators.
 func TestOperatorKeyIgnoresIrrelevantKnobs(t *testing.T) {
-	plain := csr.Laplacian2D(6, 6)
-	key := func(r SolveRequest) string {
-		p, err := r.resolve(Config{}.withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.finalizeShards(plain.Rows())
-		return operatorKey(plain, p)
-	}
+	key := func(r SolveRequest) string { return gridKey(t, r, 6, 6) }
 	if key(SolveRequest{Format: "coo", Scheme: "secded64"}) !=
 		key(SolveRequest{Format: "coo", Scheme: "secded64", RowPtrScheme: "sed"}) {
 		t.Fatal("rowptr scheme split the key for COO, which ignores it")

@@ -91,6 +91,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("abftd_cache_builds_total", "Protected operators encoded (cache misses).", cs.Builds)
 	counter("abftd_cache_hits_total", "Solves served by a resident operator.", cs.Hits)
 	counter("abftd_cache_build_errors_total", "Failed operator builds.", cs.BuildErrors)
+	counter("abftd_cache_source_parses_total", "Operator sources read and assembled (admissions of an unknown digest, and builds for jobs admitted on a known one).", cs.SourceParses)
 	fmt.Fprintf(w, "# HELP abftd_cache_evictions_total Operators evicted, by reason.\n")
 	fmt.Fprintf(w, "# TYPE abftd_cache_evictions_total counter\n")
 	fmt.Fprintf(w, "abftd_cache_evictions_total{reason=\"lru\"} %d\n", cs.EvictedLRU)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"abft/internal/core"
 	"abft/internal/csr"
 	"abft/internal/ecc"
+	"abft/internal/mm"
 	"abft/internal/obs"
 	"abft/internal/solvers"
 )
@@ -84,8 +86,8 @@ func (c Config) withDefaults() Config {
 // Stage names of the per-job trace spans and the per-stage latency
 // histograms on /metrics.
 const (
-	// StageAdmission covers request validation, matrix assembly,
-	// content hashing and autotuning.
+	// StageAdmission covers request validation, hashing the operator
+	// source, assembling it when the digest is unknown, and autotuning.
 	StageAdmission = "admission"
 	// StageQueueWait covers enqueue to worker pickup.
 	StageQueueWait = "queue_wait"
@@ -121,9 +123,21 @@ type job struct {
 	id     string
 	req    SolveRequest
 	params solveParams
-	plain  *csr.Matrix
-	tuned  *AutotuneDecision
-	key    string
+	// quoted is an HTTP request's matrix_market document as it lay in the
+	// body (a JSON string, still quoted); with req.Matrix it is the
+	// source the operator is built from, retained until the job finishes.
+	quoted []byte
+	// plain is the assembled source, nil when admission knew the digest
+	// and so never read the document: the build closure then assembles
+	// it if the entry has been evicted since.
+	plain *csr.Matrix
+	// digest addresses the source by its bytes; profile is what admission
+	// knows of it (immutable after admission, so loggers may read it
+	// while a worker owns the job).
+	digest  string
+	profile MatrixProfile
+	tuned   *AutotuneDecision
+	key     string
 	// trace accumulates the job's stage spans, residual trajectory and
 	// fault counters; it has its own lock, so the worker appends while
 	// status readers snapshot.
@@ -406,7 +420,7 @@ func (s *Server) worker() {
 // Submit enqueues a solve programmatically (the in-process equivalent
 // of POST /v1/solve) and returns the job id.
 func (s *Server) Submit(req SolveRequest) (string, error) {
-	j, err := s.admit(req)
+	j, err := s.admit(req, nil)
 	if err != nil {
 		return "", err
 	}
@@ -429,24 +443,37 @@ func (s *Server) Wait(id string) (JobStatus, error) {
 }
 
 // admit validates a request and prepares the job: symbolic names are
-// resolved against the registries and the source matrix is assembled
-// and content-hashed, so every usage error surfaces before queueing.
-func (s *Server) admit(req SolveRequest) (*job, error) {
+// resolved against the registries and the operator source is addressed
+// by the digest of its bytes, so every usage error surfaces before
+// queueing. A digest the cache knows brings its remembered profile and
+// the source is not read; an unknown one is assembled, checked and
+// profiled here. quoted is an HTTP request's matrix_market value still
+// in its JSON quoting (nil through Submit).
+func (s *Server) admit(req SolveRequest, quoted []byte) (*job, error) {
 	admitStart := time.Now()
 	params, err := req.resolve(s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	plain, err := req.Matrix.Build()
+	digest, err := sourceDigest(&req.Matrix, quoted)
 	if err != nil {
 		return nil, err
 	}
-	if plain.Rows() != plain.Cols32() {
-		return nil, fmt.Errorf("matrix is %dx%d; iterative solvers need a square operator",
-			plain.Rows(), plain.Cols32())
+	var plain *csr.Matrix
+	prof, known := s.cache.profile(digest)
+	if !known {
+		if plain, err = s.assemble(&req.Matrix, quoted); err != nil {
+			return nil, err
+		}
+		if plain.Rows() != plain.Cols32() {
+			return nil, fmt.Errorf("matrix is %dx%d; iterative solvers need a square operator",
+				plain.Rows(), plain.Cols32())
+		}
+		prof = profileMatrix(plain)
 	}
-	if len(req.B) > 0 && len(req.B) != plain.Rows() {
-		return nil, fmt.Errorf("rhs length %d does not match %d rows", len(req.B), plain.Rows())
+	rows := prof.Rows
+	if len(req.B) > 0 && len(req.B) != rows {
+		return nil, fmt.Errorf("rhs length %d does not match %d rows", len(req.B), rows)
 	}
 	if len(req.RHSBatch) > 0 {
 		if len(req.B) > 0 {
@@ -456,8 +483,8 @@ func (s *Server) admit(req SolveRequest) (*job, error) {
 			return nil, fmt.Errorf("rhs_batch width %d exceeds the maximum %d", len(req.RHSBatch), maxBatchWidth)
 		}
 		for i, col := range req.RHSBatch {
-			if len(col) != plain.Rows() {
-				return nil, fmt.Errorf("rhs_batch[%d] length %d does not match %d rows", i, len(col), plain.Rows())
+			if len(col) != rows {
+				return nil, fmt.Errorf("rhs_batch[%d] length %d does not match %d rows", i, len(col), rows)
 			}
 		}
 	}
@@ -468,23 +495,32 @@ func (s *Server) admit(req SolveRequest) (*job, error) {
 	// re-establishes the shard/format/knob invariants over the tuned
 	// values, so they flow through exactly the clamping and cache-key
 	// path a pinned request takes.
-	params.finalizeShards(plain.Rows())
-	tuned := autotune(&req, &params, plain, s.cfg)
+	params.finalizeShards(rows)
+	tuned := autotune(&req, &params, prof, s.cfg)
 	if tuned != nil {
-		params.finalizeShards(plain.Rows())
+		params.finalizeShards(rows)
 		if tuned.Shards > 0 {
 			// Echo the post-clamp band count (0 when clamping collapsed
 			// the sharded solve back to a single band).
 			tuned.Shards = params.shards
 		}
 	}
+	key := operatorKey(digest, params)
+	if req.Matrix.Operator != "" && !s.cache.has(key) {
+		// The source is known but no operator under these knobs is
+		// resident, and a handle carries nothing to build one from.
+		return nil, unknownOperator(digest)
+	}
 	j := &job{
 		id:        fmt.Sprintf("j%08d", s.nextID.Add(1)),
 		req:       req,
+		quoted:    quoted,
 		params:    params,
 		plain:     plain,
+		digest:    digest,
+		profile:   prof,
 		tuned:     tuned,
-		key:       operatorKey(plain, params),
+		key:       key,
 		state:     StateQueued,
 		submitted: admitStart,
 		done:      make(chan struct{}),
@@ -504,6 +540,24 @@ func (s *Server) admit(req SolveRequest) (*job, error) {
 	return j, nil
 }
 
+// assemble reads an operator source into the unprotected CSR matrix it
+// describes — the one place the service parses a document, generates a
+// grid or sorts triplets, counted in CacheStats.SourceParses.
+func (s *Server) assemble(spec *MatrixSpec, quoted []byte) (*csr.Matrix, error) {
+	if spec.Operator != "" {
+		return nil, unknownOperator(spec.Operator)
+	}
+	s.cache.countParse()
+	if quoted == nil {
+		return spec.Build()
+	}
+	var doc string
+	if err := json.Unmarshal(quoted, &doc); err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	return mm.ReadString(doc)
+}
+
 // errQueueFull reports a saturated job queue (HTTP 503).
 var errQueueFull = fmt.Errorf("service: job queue full")
 
@@ -519,9 +573,6 @@ func (s *Server) enqueue(j *job) error {
 	s.jobMu.Lock()
 	s.jobs[j.id] = j
 	s.jobMu.Unlock()
-	// Once the job is on the queue a worker owns it (and releases
-	// j.plain when done), so anything logged about it is read first.
-	rows := j.plain.Rows()
 	select {
 	case s.queue <- j:
 		s.inflight.Add(1)
@@ -548,7 +599,7 @@ func (s *Server) enqueue(j *job) error {
 		}
 		s.log.Info("job queued",
 			"job", j.id, "operator", opShort(j.key), "solver", j.params.kind.String(),
-			"rows", rows, "shards", j.params.shards, "autotuned", j.tuned != nil)
+			"rows", j.profile.Rows, "shards", j.params.shards, "autotuned", j.tuned != nil)
 		return nil
 	default:
 		s.jobMu.Lock()
@@ -627,9 +678,7 @@ func (s *Server) retire(j *job) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 type errorBody struct {
@@ -645,17 +694,27 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server shutting down"))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, 64<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req SolveRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var quoted []byte
+	body, err := readBody(w, r, maxBody)
+	if err == nil {
+		req, quoted, err = decodeSolveRequest(body)
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	j, err := s.admit(req)
+	j, err := s.admit(req, quoted)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		if errors.Is(err, ErrUnknownOperator) {
+			code = http.StatusNotFound
+		}
+		writeError(w, code, err)
 		return
 	}
 	if err := s.enqueue(j); err != nil {

@@ -91,15 +91,7 @@ func TestShardedSolveEndToEnd(t *testing.T) {
 // matrix size, and the shard format defaults to the request format.
 func TestShardParamResolution(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	key := func(r SolveRequest, rows int) string {
-		p, err := r.resolve(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain := csr.Laplacian2D(rows, rows)
-		p.finalizeShards(plain.Rows())
-		return operatorKey(plain, p)
-	}
+	key := func(r SolveRequest, nx int) string { return gridKey(t, r, nx, nx) }
 
 	base := SolveRequest{Scheme: "secded64"}
 	if key(base, 6) != key(SolveRequest{Scheme: "secded64", Shards: 1}, 6) {
@@ -138,7 +130,7 @@ func TestShardParamResolution(t *testing.T) {
 	j, err := s.admit(SolveRequest{
 		Matrix: MatrixSpec{Grid: &GridSpec{NX: 2, NY: 2}},
 		Shards: 10_000,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +142,7 @@ func TestShardParamResolution(t *testing.T) {
 	// into the effective format: the job is the plain unsharded request.
 	plainJob, err := s.admit(SolveRequest{
 		Matrix: MatrixSpec{Grid: &GridSpec{NX: 2, NY: 2}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +150,7 @@ func TestShardParamResolution(t *testing.T) {
 		Matrix:      MatrixSpec{Grid: &GridSpec{NX: 2, NY: 2}},
 		Shards:      10_000,
 		ShardFormat: "sellcs",
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,21 +107,31 @@ func (s *Server) buildOperator(j *job) func() (core.ProtectedMatrix, []float64, 
 			Backend:      s.cfg.CRCBackend,
 			Sigma:        p.sigma,
 		}
-		var m core.ProtectedMatrix
+		plain := j.plain
 		var err error
+		if plain == nil {
+			// Admission knew the digest and never read the source, yet
+			// here is a build: the entry has been evicted since (LRU,
+			// fault, scrub), or these knobs had none. The retained
+			// document is read now.
+			if plain, err = s.assemble(&j.req.Matrix, j.quoted); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		var m core.ProtectedMatrix
 		if p.shards > 1 {
 			// Row-partition the operator: each band holds its own
 			// protected local matrix in the effective format, and the
 			// request's vector scheme protects the halo buffers the
 			// bands exchange through.
-			m, err = shard.New(j.plain, shard.Options{
+			m, err = shard.New(plain, shard.Options{
 				Shards:       p.shards,
 				Format:       p.format,
 				Config:       cfg,
 				VectorScheme: p.vectors,
 			})
 		} else {
-			m, err = op.New(p.format, j.plain, cfg)
+			m, err = op.New(p.format, plain, cfg)
 		}
 		if err != nil {
 			return nil, nil, nil, err
@@ -143,7 +153,7 @@ func (s *Server) buildOperator(j *job) func() (core.ProtectedMatrix, []float64, 
 		// shard decomposition for its band-parallel applications.
 		var pre precond.Preconditioner
 		if p.precond != precond.None {
-			pre, err = precond.For(p.precond, m, j.plain, precond.Options{
+			pre, err = precond.For(p.precond, m, plain, precond.Options{
 				Scheme:  p.scheme,
 				Backend: s.cfg.CRCBackend,
 				// The entry outlives this job and Workers is per-request
@@ -254,12 +264,12 @@ func (s *Server) runJob(lead *job) {
 		}
 	}
 	for i, j := range group {
-		// The matrix payload and right-hand sides exist to admit and
+		// The operator source and right-hand sides exist to admit and
 		// build; release them so the finished-job history does not pin
-		// them.
+		// them (a MatrixMarket request is hundreds of kilobytes).
 		j.plain = nil
-		j.req.B = nil
-		j.req.RHSBatch = nil
+		j.quoted = nil
+		j.req = SolveRequest{}
 		var res *SolveResult
 		if i < len(results) {
 			res = results[i]
@@ -315,7 +325,7 @@ func (s *Server) runJob(lead *job) {
 func (s *Server) solveGroup(group []*job) ([]*SolveResult, *cacheEntry, error) {
 	lead := group[0]
 	p := lead.params
-	e, hit, err := s.cache.get(lead.key, s.buildOperator(lead))
+	e, hit, err := s.cache.get(lead.key, lead.digest, lead.profile, s.buildOperator(lead))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -416,6 +426,7 @@ func (s *Server) solveGroup(group []*job) ([]*SolveResult, *cacheEntry, error) {
 			Options:              resolvedOptions(j),
 			Converged:            true,
 			CacheHit:             hit,
+			Operator:             j.digest,
 			Coalesced:            len(group) > 1,
 			Rollbacks:            br.Rollbacks,
 			RecomputedIterations: br.RecomputedIterations,

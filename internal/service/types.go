@@ -53,10 +53,17 @@ type MatrixSpec struct {
 	// MatrixMarket holds an inline MatrixMarket coordinate document
 	// (general or symmetric), the interchange path for real collections.
 	MatrixMarket string `json:"matrix_market,omitempty"`
+	// Operator addresses a source the service already holds by the
+	// handle an earlier result echoed (SolveResult.Operator), sparing the
+	// client the document. A handle the service no longer knows fails
+	// with ErrUnknownOperator (HTTP 404): resend the document.
+	Operator string `json:"operator,omitempty"`
 }
 
-// Build assembles the unprotected CSR matrix the spec describes.
-func (s *MatrixSpec) Build() (*csr.Matrix, error) {
+// check enforces the exactly-one-source rule. inline reports a
+// matrix_market document held outside the spec (an HTTP request's
+// still-quoted value).
+func (s *MatrixSpec) check(inline []byte) error {
 	sources := 0
 	if s.Grid != nil {
 		sources++
@@ -64,13 +71,27 @@ func (s *MatrixSpec) Build() (*csr.Matrix, error) {
 	if len(s.Entries) > 0 {
 		sources++
 	}
-	if s.MatrixMarket != "" {
+	if s.MatrixMarket != "" || inline != nil {
+		sources++
+	}
+	if s.Operator != "" {
 		sources++
 	}
 	if sources != 1 {
-		return nil, fmt.Errorf("matrix spec needs exactly one of grid, entries, matrix_market (got %d)", sources)
+		return fmt.Errorf("matrix spec needs exactly one of grid, entries, matrix_market, operator (got %d)", sources)
+	}
+	return nil
+}
+
+// Build assembles the unprotected CSR matrix the spec describes. An
+// operator handle describes none: it fails with ErrUnknownOperator.
+func (s *MatrixSpec) Build() (*csr.Matrix, error) {
+	if err := s.check(nil); err != nil {
+		return nil, err
 	}
 	switch {
+	case s.Operator != "":
+		return nil, unknownOperator(s.Operator)
 	case s.Grid != nil:
 		if s.Grid.NX < 2 || s.Grid.NY < 2 {
 			return nil, fmt.Errorf("grid %dx%d too small (need >= 2x2)", s.Grid.NX, s.Grid.NY)
@@ -382,6 +403,10 @@ type SolveResult struct {
 	// CacheHit reports whether the protected operator was already
 	// resident (the encode cost was amortised away).
 	CacheHit bool `json:"cache_hit"`
+	// Operator is the digest of the request's operator source as sent:
+	// the handle a later request may pass as matrix.operator instead of
+	// the document, for as long as an operator built from it is resident.
+	Operator string `json:"operator"`
 	// Rollbacks counts the solver's checkpoint rollbacks past detected
 	// uncorrectable faults in its dynamic state, and
 	// RecomputedIterations the iterations re-run because of them
