@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"time"
@@ -6,20 +6,20 @@ import (
 	"abft/internal/ecc"
 )
 
-// CRCRow is one backend's CRC32C throughput measurement (the paper's
+// crcRow is one backend's CRC32C throughput measurement (the paper's
 // hardware-accelerated vs software comparison, sections IV and VII).
-type CRCRow struct {
-	Backend    ecc.Backend
-	BufferSize int
-	Throughput float64 // MB/s
+type crcRow struct {
+	backend    ecc.Backend
+	bufferSize int
+	throughput float64 // MB/s
 }
 
-// CRCThroughput measures both CRC32C backends over buffers shaped like
+// crcThroughput measures both CRC32C backends over buffers shaped like
 // the actual codewords: a 60-byte TeaLeaf matrix row, the 32-byte vector
 // and row-pointer groups, and a large streaming buffer for peak rates.
-func CRCThroughput() []CRCRow {
+func crcThroughput() []crcRow {
 	sizes := []int{32, 60, 4096, 1 << 20}
-	var rows []CRCRow
+	var rows []crcRow
 	for _, size := range sizes {
 		buf := make([]byte, size)
 		for i := range buf {
@@ -38,10 +38,10 @@ func CRCThroughput() []CRCRow {
 				_ = sink
 				if elapsed > 50*time.Millisecond || iters > 1<<26 {
 					bytes := float64(size) * float64(iters)
-					rows = append(rows, CRCRow{
-						Backend:    b,
-						BufferSize: size,
-						Throughput: bytes / elapsed.Seconds() / 1e6,
+					rows = append(rows, crcRow{
+						backend:    b,
+						bufferSize: size,
+						throughput: bytes / elapsed.Seconds() / 1e6,
 					})
 					break
 				}

@@ -3,17 +3,18 @@
 // and dense vector protection (Figures 4, 5, 9), check-interval sweeps
 // (Figures 6-8), the combined full-protection overhead compared with the
 // paper's 8.1 percent hardware-ECC reference, the convergence perturbation
-// study, the hardware-vs-software CRC32C comparison, and the PCG-vs-CG
-// experiment over the protected preconditioners.
+// study and the hardware-vs-software CRC32C comparison.
+//
+// Every overhead is the same TeaLeaf CG run at scheme none against the
+// protected run, each timed as the fastest of -runs repetitions with a
+// garbage collection before each. Layer costs and the protected-over-plain
+// headline live in the repo benchmark (BENCHMARK.json, benchmark/run.sh).
 //
 // Usage:
 //
 //	abftbench -fig all
 //	abftbench -fig 4 -nx 512 -steps 5 -runs 5
 //	abftbench -fig 8 -maxexp 7
-//	abftbench -fig pcg -precond jacobi,sgs
-//	abftbench -fig recovery -ckpt-intervals 8,32,128
-//	abftbench -fig all -json BENCH_$(date +%Y%m%d).json
 package main
 
 import (
@@ -21,12 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
-
-	"abft/internal/bench"
-	"abft/internal/precond"
-	"abft/internal/solvers"
 )
 
 func main() {
@@ -36,279 +32,129 @@ func main() {
 	}
 }
 
+// figure is one -fig choice: it measures and prints itself.
+type figure struct {
+	name string
+	run  func(c config, w io.Writer) error
+}
+
+// figures lists the -fig choices in print order.
+var figures = []figure{
+	{"4", rowsFigure("Figure 4: CSR element protection overhead", fig4)},
+	{"5", rowsFigure("Figure 5: row-pointer protection overhead", fig5)},
+	{"6", seriesFigure("Figure 6: full-CSR SED overhead vs check interval", fig6)},
+	{"7", seriesFigure("Figure 7: full-CSR SECDED64 overhead vs check interval", fig7)},
+	{"8", seriesFigure("Figure 8: full-CSR CRC32C (software) overhead vs check interval", fig8)},
+	{"9", rowsFigure("Figure 9: dense vector protection overhead", fig9)},
+	{"full", func(c config, w io.Writer) error {
+		r, err := fullProtection(c)
+		if err != nil {
+			return err
+		}
+		printRows(w, "Full protection (section VII-B)", []row{r})
+		fmt.Fprintf(w, "paper reference: %.1f%% hardware-ECC overhead (NVIDIA K40), %.0f%% software target\n\n",
+			hardwareECCTargetPct, 11.0)
+		return nil
+	}},
+	{"conv", func(c config, w io.Writer) error {
+		rows, err := convergence(c)
+		if err != nil {
+			return err
+		}
+		printConvergence(w, rows)
+		return nil
+	}},
+	{"crc", func(_ config, w io.Writer) error {
+		printCRC(w, crcThroughput())
+		return nil
+	}},
+}
+
+func rowsFigure(title string, fig func(config) ([]row, error)) func(config, io.Writer) error {
+	return func(c config, w io.Writer) error {
+		rows, err := fig(c)
+		if err != nil {
+			return err
+		}
+		printRows(w, title, rows)
+		return nil
+	}
+}
+
+func seriesFigure(title string, fig func(config) (series, error)) func(config, io.Writer) error {
+	return func(c config, w io.Writer) error {
+		s, err := fig(c)
+		if err != nil {
+			return err
+		}
+		printSeries(w, title, s)
+		return nil
+	}
+}
+
+// figureChoices is the -fig vocabulary, "all" included.
+func figureChoices() string {
+	names := make([]string, 0, len(figures)+1)
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
+// selectFigures resolves a comma-separated -fig list; a name outside the
+// table is an error that lists the choices.
+func selectFigures(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		known := false
+		for _, f := range figures {
+			if name == "all" || name == f.name {
+				want[f.name], known = true, true
+			}
+		}
+		if !known {
+			return nil, fmt.Errorf("unknown figure %q (choices: %s)", name, figureChoices())
+		}
+	}
+	return want, nil
+}
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("abftbench", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	var (
-		fig     = fs.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,full,conv,crc,formats,shards,spmv,spmm,pcg,recovery,selective,vecops,all")
-		nx      = fs.Int("nx", 128, "grid cells per side (paper: 2048)")
-		steps   = fs.Int("steps", 2, "timesteps per run (paper: 5)")
-		runs    = fs.Int("runs", 3, "repetitions averaged (paper: 5)")
-		eps     = fs.Float64("eps", 1e-8, "solver tolerance (relative)")
-		workers = fs.Int("workers", 1, "kernel goroutines")
-		maxExp  = fs.Int("maxexp", 7, "largest interval exponent for figures 6-8 (2^n)")
-		shards  = fs.String("shards", "2,4,8", "shard counts for the shard-scaling experiment")
-		pre     = fs.String("precond", "", "preconditioners for the pcg experiment (comma list of jacobi, bjacobi, sgs; default all)")
-		rec     = fs.String("recovery", "rollback", "recovery policy for the checkpoint-overhead experiment (rollback, restart)")
-		ckpts   = fs.String("ckpt-intervals", "8,32,128", "checkpoint intervals for the recovery experiment")
-		jsonOut = fs.String("json", "", "also write machine-readable results (name, ns/op, iterations, overhead %) to this file; - writes to stdout")
-		quiet   = fs.Bool("quiet", false, "suppress progress output")
-	)
+	var c config
+	fig := fs.String("fig", "all", "figures to regenerate, comma-separated: "+figureChoices())
+	fs.IntVar(&c.nx, "nx", 128, "grid cells per side (paper: 2048)")
+	fs.IntVar(&c.steps, "steps", 2, "timesteps per run (paper: 5)")
+	fs.IntVar(&c.runs, "runs", 3, "repetitions per configuration; the fastest is reported (paper: mean of 5)")
+	fs.Float64Var(&c.eps, "eps", 1e-8, "solver tolerance (relative)")
+	fs.IntVar(&c.workers, "workers", 1, "kernel goroutines")
+	fs.IntVar(&c.maxExp, "maxexp", 7, "largest interval exponent for figures 6-8 (2^n)")
+	quiet := fs.Bool("quiet", false, "suppress progress output")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	opt := bench.Options{
-		NX:             *nx,
-		Steps:          *steps,
-		Runs:           *runs,
-		Eps:            *eps,
-		Workers:        *workers,
-		MaxIntervalExp: *maxExp,
-		Verbose:        !*quiet,
-		Log:            os.Stderr,
+	want, err := selectFigures(*fig)
+	if err != nil {
+		return err
 	}
-	out := stdout
-
-	fmt.Fprintf(out, "abftbench: grid %dx%d, %d steps, mean of %d runs, eps %g\n",
-		*nx, *nx, *steps, *runs, *eps)
-	fmt.Fprintf(out, "(the paper's testbed: 2048x2048, 5 steps, mean of 5 runs)\n\n")
-
-	want := map[string]bool{}
-	for _, f := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(f)] = true
+	if c.runs < 1 {
+		return fmt.Errorf("-runs %d: need at least one repetition", c.runs)
 	}
-	all := want["all"]
-
-	// Machine-readable samples accumulated across every overhead
-	// figure that ran, for the -json perf-trajectory record.
-	var results []bench.JSONResult
-	collect := func(figure string, rows []bench.Row) {
-		results = append(results, bench.RowsJSON(figure, *runs, rows)...)
+	if !*quiet {
+		c.log = os.Stderr
 	}
 
-	if all || want["4"] {
-		rows, err := bench.Fig4(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "Figure 4: CSR element protection overhead", rows)
-		collect("fig4", rows)
-	}
-	if all || want["5"] {
-		rows, err := bench.Fig5(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "Figure 5: row-pointer protection overhead", rows)
-		collect("fig5", rows)
-	}
-	if all || want["6"] {
-		s, err := bench.Fig6(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintSeries(out, "Figure 6: full-CSR SED overhead vs check interval", s)
-		results = append(results, bench.SeriesJSON("fig6", *runs, s)...)
-	}
-	if all || want["7"] {
-		s, err := bench.Fig7(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintSeries(out, "Figure 7: full-CSR SECDED64 overhead vs check interval", s)
-		results = append(results, bench.SeriesJSON("fig7", *runs, s)...)
-	}
-	if all || want["8"] {
-		s, err := bench.Fig8(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintSeries(out, "Figure 8: full-CSR CRC32C (software) overhead vs check interval", s)
-		results = append(results, bench.SeriesJSON("fig8", *runs, s)...)
-	}
-	if all || want["9"] {
-		rows, err := bench.Fig9(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "Figure 9: dense vector protection overhead", rows)
-		collect("fig9", rows)
-	}
-	if all || want["full"] {
-		row, err := bench.FullProtection(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "Full protection (section VII-B)", []bench.Row{row})
-		fmt.Fprintf(out, "paper reference: %.1f%% hardware-ECC overhead (NVIDIA K40), %.0f%% software target\n\n",
-			bench.HardwareECCTargetPct, 11.0)
-		collect("full", []bench.Row{row})
-	}
-	if all || want["formats"] {
-		rows, err := bench.FormatComparison(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "Storage formats: element protection overhead per format", rows)
-		collect("formats", rows)
-	}
-	if all || want["spmv"] {
-		counts, err := parseShardCounts(*shards)
-		if err != nil {
-			return err
-		}
-		spmvCounts := []int{0}
-		for _, c := range counts {
-			if c > 1 {
-				spmvCounts = append(spmvCounts, c)
-				break
+	fmt.Fprintf(stdout, "abftbench: grid %dx%d, %d steps, fastest of %d runs, eps %g\n",
+		c.nx, c.nx, c.steps, c.runs, c.eps)
+	fmt.Fprintf(stdout, "(the paper's testbed: 2048x2048, 5 steps, mean of 5 runs)\n\n")
+	for _, f := range figures {
+		if want[f.name] {
+			if err := f.run(c, stdout); err != nil {
+				return fmt.Errorf("figure %s: %w", f.name, err)
 			}
-		}
-		rows, err := bench.SpMVOverhead(opt, spmvCounts)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "SpMV: verified read-path overhead per format (no solver)", rows)
-		collect("spmv", rows)
-	}
-	if all || want["spmm"] {
-		rows, err := bench.SpMMAmortization(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "SpMM: verified per-RHS cost vs batch width (amortized read path)", rows)
-		collect("spmm", rows)
-	}
-	if all || want["shards"] {
-		counts, err := parseShardCounts(*shards)
-		if err != nil {
-			return err
-		}
-		rows, err := bench.ShardScaling(opt, counts)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "Sharded solve: overhead vs the unsharded operator (negative = speedup)", rows)
-		collect("shards", rows)
-	}
-	if all || want["recovery"] {
-		policy, err := solvers.ParseRecovery(*rec)
-		if err != nil {
-			return err
-		}
-		if policy == solvers.RecoveryOff {
-			return fmt.Errorf("the recovery experiment needs a policy (choices: rollback, restart)")
-		}
-		intervals, err := parseIntervals(*ckpts)
-		if err != nil {
-			return err
-		}
-		rows, err := bench.RecoveryOverhead(opt, policy, intervals)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "Recovery: fault-free checkpoint overhead vs cadence (full SECDED64)", rows)
-		collect("recovery", rows)
-	}
-	if all || want["selective"] {
-		rows, err := bench.SelectiveReliability(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "Selective reliability: FGMRES full vs unverified inner solve (per outer Arnoldi step; verified-reads rows count checks, not ns)", rows)
-		collect("selective", rows)
-	}
-	if all || want["vecops"] {
-		rows, err := bench.VectorOps(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintRows(out, "Vector ops: CG tail unfused vs fused, spawn vs pool dispatch (decode-checks rows count checks, not ns)", rows)
-		collect("vecops", rows)
-	}
-	if all || want["pcg"] {
-		kinds, err := parsePrecondKinds(*pre)
-		if err != nil {
-			return err
-		}
-		rows, err := bench.PCGComparison(opt, kinds)
-		if err != nil {
-			return err
-		}
-		bench.PrintPCG(out, rows)
-	}
-	if all || want["conv"] {
-		rows, err := bench.Convergence(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintConvergence(out, rows)
-	}
-	if all || want["crc"] {
-		bench.PrintCRC(out, bench.CRCThroughput())
-	}
-	if *jsonOut != "" {
-		w := out
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := bench.WriteJSON(w, results); err != nil {
-			return err
-		}
-		if *jsonOut != "-" {
-			fmt.Fprintf(out, "wrote %d benchmark samples to %s\n", len(results), *jsonOut)
 		}
 	}
 	return nil
-}
-
-// parseIntervals parses the -ckpt-intervals comma list.
-func parseIntervals(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad checkpoint interval %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// parsePrecondKinds parses the -precond comma list (empty sweeps all).
-func parsePrecondKinds(s string) ([]precond.Kind, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []precond.Kind
-	for _, part := range strings.Split(s, ",") {
-		k, err := precond.ParseKind(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		if k == precond.None {
-			return nil, fmt.Errorf("the pcg experiment needs a preconditioner (choices: %s)", precond.KindNames())
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-// parseShardCounts parses the -shards comma list.
-func parseShardCounts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad shard count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

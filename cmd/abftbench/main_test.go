@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 )
@@ -18,7 +16,7 @@ func TestRunSmoke(t *testing.T) {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	s := out.String()
-	for _, want := range []string{"abftbench:", "CRC32C backends", "hardware"} {
+	for _, want := range []string{"abftbench:", "fastest of", "CRC32C backends", "hardware"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
@@ -30,92 +28,26 @@ func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-nope"}, &out); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	if err := run([]string{"-fig", "4", "-runs", "0"}, &out); err == nil {
+		t.Fatal("zero repetitions accepted")
+	}
 }
 
-// TestRunPCGExperiment runs the PCG-vs-CG experiment restricted to one
-// preconditioner at a tiny size.
-func TestRunPCGExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark harness in -short mode")
-	}
-	var out bytes.Buffer
-	err := run([]string{"-fig", "pcg", "-precond", "sgs", "-nx", "16", "-steps", "1", "-runs", "1", "-quiet"}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
-	for _, want := range []string{"Preconditioned CG", "sgs", "iter saving"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
+// TestRunRejectsUnknownFigure: a retired figure or a typo fails before
+// anything is measured, and the error lists the choices, matching the
+// ParseFormat convention.
+func TestRunRejectsUnknownFigure(t *testing.T) {
+	for _, fig := range []string{"vecops", "10", "4,formats", ""} {
+		var out bytes.Buffer
+		err := run([]string{"-fig", fig, "-quiet"}, &out)
+		if err == nil {
+			t.Fatalf("-fig %q accepted", fig)
 		}
-	}
-}
-
-// TestRunRejectsUnknownPrecond: the -precond error must list the
-// registered choices, matching the ParseFormat convention.
-func TestRunRejectsUnknownPrecond(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-fig", "pcg", "-precond", "ilu"}, &out)
-	if err == nil {
-		t.Fatal("unknown preconditioner accepted")
-	}
-	if want := "choices: none, jacobi, bjacobi, sgs"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not list %q", err, want)
-	}
-}
-
-// TestRunRecoveryExperiment runs the checkpoint-overhead experiment at
-// a tiny size and checks the -json trajectory output round-trips.
-func TestRunRecoveryExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark harness in -short mode")
-	}
-	path := t.TempDir() + "/bench.json"
-	var out bytes.Buffer
-	err := run([]string{"-fig", "recovery", "-ckpt-intervals", "16", "-nx", "16",
-		"-steps", "1", "-runs", "1", "-quiet", "-json", path}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "rollback/interval-16") {
-		t.Fatalf("missing recovery row:\n%s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Meta struct {
-			GoVersion  string `json:"go_version"`
-			GOMAXPROCS int    `json:"gomaxprocs"`
-		} `json:"meta"`
-		Results []struct {
-			Name        string  `json:"name"`
-			NsPerOp     int64   `json:"ns_per_op"`
-			Iterations  int     `json:"iterations"`
-			OverheadPct float64 `json:"overhead_pct"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("bad json: %v\n%s", err, data)
-	}
-	if report.Meta.GoVersion == "" || report.Meta.GOMAXPROCS < 1 {
-		t.Fatalf("run metadata incomplete: %+v\n%s", report.Meta, data)
-	}
-	results := report.Results
-	if len(results) != 1 || results[0].Name != "recovery/rollback/interval-16" ||
-		results[0].NsPerOp <= 0 || results[0].Iterations != 1 {
-		t.Fatalf("unexpected samples: %+v", results)
-	}
-}
-
-// TestRunRejectsRecoveryOff pins the usage error for -fig recovery
-// without a policy.
-func TestRunRejectsRecoveryOff(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-fig", "recovery", "-recovery", "off"}, &out); err == nil {
-		t.Fatal("recovery experiment without a policy accepted")
-	}
-	if err := run([]string{"-fig", "recovery", "-ckpt-intervals", "0"}, &out); err == nil {
-		t.Fatal("zero checkpoint interval accepted")
+		if want := "choices: 4, 5, 6, 7, 8, 9, full, conv, crc, all"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("-fig %q: error %q does not list %q", fig, err, want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-fig %q printed before failing:\n%s", fig, out.String())
+		}
 	}
 }

@@ -20,10 +20,17 @@
 //   - internal/coo      — the protected coordinate format
 //   - internal/sell     — the protected SELL-C-sigma format
 //   - internal/op       — the storage-format registry
-//   - internal/solvers  — CG, Jacobi, Chebyshev and PPCG
+//   - internal/shard    — the row-sharded operator with protected halos
+//   - internal/precond  — protected Jacobi, block-Jacobi and SGS
+//   - internal/solvers  — CG, PCG, BlockCG, Jacobi, Chebyshev, PPCG and
+//     FGMRES with checkpoint/rollback recovery
 //   - internal/tealeaf  — the TeaLeaf heat-conduction mini-app workload
 //   - internal/faults   — fault injection and outcome classification
-//   - internal/bench    — reproduction of the paper's figures
+//   - internal/mm       — MatrixMarket reader and writer
+//   - internal/service  — the abftd solve service
+//
+// The paper's figures are regenerated by cmd/abftbench; the repo's
+// benchmark is the separate benchmark/ module (BENCHMARK.json).
 //
 // # Quick start
 //

@@ -22,12 +22,19 @@ func bitsEqual(a, b float64) bool {
 
 // TestFusedAxpyDotMatchesUnfused drives the fused CG tail update and the
 // unfused three-kernel sequence over identical inputs and demands
-// bit-identical vectors and norm, per scheme and per worker count.
+// bit-identical vectors and norm, per scheme and per worker count — and
+// exactly two thirds of the codeword checks: the fused pass decodes each
+// of x, p, r, q once, the unfused sequence six vectors' worth (x, p; r,
+// q; r twice in r·r).
 func TestFusedAxpyDotMatchesUnfused(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	const n = 103
 	const alpha = 0.8125
+	// Codewords per four-word vector block: one per word under SED and
+	// SECDED64, one per word pair under SECDED128, one per block under
+	// CRC32C.
+	codewordsPerBlock := map[Scheme]uint64{None: 0, SED: 4, SECDED64: 4, SECDED128: 2, CRC32C: 1}
 	for _, s := range Schemes {
 		for _, workers := range []int{1, 4} {
 			x1 := fusedTestVec(n, s, 1)
@@ -35,6 +42,13 @@ func TestFusedAxpyDotMatchesUnfused(t *testing.T) {
 			r1 := fusedTestVec(n, s, 3)
 			q1 := fusedTestVec(n, s, 4)
 			x2, p2, r2, q2 := x1.Clone(), p1.Clone(), r1.Clone(), q1.Clone()
+			unfused, fused := &Counters{}, &Counters{}
+			for _, v := range []*Vector{x1, p1, r1, q1} {
+				v.SetCounters(unfused)
+			}
+			for _, v := range []*Vector{x2, p2, r2, q2} {
+				v.SetCounters(fused)
+			}
 
 			if err := Axpy(x1, alpha, p1, workers); err != nil {
 				t.Fatal(err)
@@ -64,6 +78,13 @@ func TestFusedAxpyDotMatchesUnfused(t *testing.T) {
 				if r2.Raw()[i] != w {
 					t.Fatalf("%v workers=%d: r word %d differs", s, workers, i)
 				}
+			}
+			perVector := uint64(x1.Blocks()) * codewordsPerBlock[s]
+			if got, want := unfused.Checks(), 6*perVector; got != want {
+				t.Fatalf("%v workers=%d: unfused tail made %d checks, want %d", s, workers, got, want)
+			}
+			if got, want := fused.Checks(), 4*perVector; got != want {
+				t.Fatalf("%v workers=%d: fused tail made %d checks, want %d", s, workers, got, want)
 			}
 		}
 	}

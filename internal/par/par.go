@@ -74,35 +74,6 @@ func Run(ranges [][2]int, fn func(lo, hi int) error) error {
 	return sharedPool().run(ranges, fn)
 }
 
-// RunSpawn executes fn over every range on freshly spawned goroutines,
-// one per range — the pre-pool dispatch strategy, kept as the ablation
-// baseline the pool is benchmarked against. Semantics match Run.
-func RunSpawn(ranges [][2]int, fn func(lo, hi int) error) error {
-	if len(ranges) == 0 {
-		return nil
-	}
-	if len(ranges) == 1 {
-		return fn(ranges[0][0], ranges[0][1])
-	}
-	errs := make([]error, len(ranges))
-	done := make(chan int, len(ranges))
-	for i, r := range ranges {
-		go func(i int, lo, hi int) {
-			errs[i] = fn(lo, hi)
-			done <- i
-		}(i, r[0], r[1])
-	}
-	for range ranges {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ForEach runs fn over [0,n) split across workers with the given
 // alignment; a convenience wrapper combining Ranges and Run.
 func ForEach(n, workers, align int, fn func(lo, hi int) error) error {

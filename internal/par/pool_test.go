@@ -212,58 +212,20 @@ func TestStatsReportDispatch(t *testing.T) {
 	}
 }
 
-func TestRunSpawnParity(t *testing.T) {
-	// The spawn baseline keeps Run's exact semantics; the vecops figure
-	// depends on the two being interchangeable.
-	var sum atomic.Int64
-	if err := RunSpawn(manyRanges(100, 5), func(lo, hi int) error {
-		sum.Add(int64(hi - lo))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 100 {
-		t.Fatalf("spawn baseline lost work: %d", sum.Load())
-	}
-	want := errors.New("first")
-	err := RunSpawn([][2]int{{0, 1}, {1, 2}}, func(lo, hi int) error {
-		if lo == 0 {
-			return want
-		}
-		return errors.New("second")
-	})
-	if err != want {
-		t.Fatalf("spawn baseline error order: %v", err)
-	}
-}
-
-// BenchmarkParDispatch measures one Run over an 8-range no-op workload:
-// pool (resident workers, recycled tasks) against spawn (fresh
-// goroutines and channels per call). Allocations are reported so the
-// zero-allocs steady state is visible next to the spawn baseline's
-// per-call garbage.
+// BenchmarkParDispatch measures one Run over an 8-range no-op workload
+// through the resident pool. Allocations are reported so the zero-allocs
+// steady state is visible in the CI benchmark smoke.
 func BenchmarkParDispatch(b *testing.B) {
 	ranges := manyRanges(1024, 8)
 	fn := func(lo, hi int) error { return nil }
-	b.Run("pool", func(b *testing.B) {
-		Run(ranges, fn)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := Run(ranges, fn); err != nil {
-				b.Fatal(err)
-			}
+	Run(ranges, fn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Run(ranges, fn); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("spawn", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := RunSpawn(ranges, fn); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // TestPoolFreeListExhaustion holds more dispatches in flight than the

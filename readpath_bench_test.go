@@ -22,11 +22,9 @@ import (
 // "none" bar; the scanner is reset each sweep to re-verify from cold.
 func BenchmarkRowScanner(b *testing.B) {
 	plain := csr.Laplacian2D(128, 128)
-	for _, v := range figureVariants {
-		b.Run(v.name, func(b *testing.B) {
-			m, err := core.NewMatrix(plain, core.MatrixOptions{
-				ElemScheme: v.scheme, RowPtrScheme: v.scheme, Backend: v.backend,
-			})
+	for _, scheme := range core.Schemes {
+		b.Run(scheme.String(), func(b *testing.B) {
+			m, err := core.NewMatrix(plain, core.MatrixOptions{ElemScheme: scheme, RowPtrScheme: scheme})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -62,14 +60,14 @@ func BenchmarkReadBlocks(b *testing.B) {
 	for i := range data {
 		data[i] = rng.NormFloat64()
 	}
-	for _, v := range figureVariants {
-		vec := core.VectorFromSlice(data, v.scheme)
-		vec.SetCRCBackend(v.backend)
+	for _, s := range core.Schemes {
+		vec := core.VectorFromSlice(data, s)
+		name := s.String()
 		nb := vec.Blocks()
 		var blk [4]float64
 		batch := make([]float64, 64*4)
 
-		b.Run(v.name+"/nocheck", func(b *testing.B) {
+		b.Run(name+"/nocheck", func(b *testing.B) {
 			b.SetBytes(n * 8)
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < nb; j++ {
@@ -77,7 +75,7 @@ func BenchmarkReadBlocks(b *testing.B) {
 				}
 			}
 		})
-		b.Run(v.name+"/verified", func(b *testing.B) {
+		b.Run(name+"/verified", func(b *testing.B) {
 			b.SetBytes(n * 8)
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < nb; j++ {
@@ -87,7 +85,7 @@ func BenchmarkReadBlocks(b *testing.B) {
 				}
 			}
 		})
-		b.Run(v.name+"/shared", func(b *testing.B) {
+		b.Run(name+"/shared", func(b *testing.B) {
 			b.SetBytes(n * 8)
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < nb; j++ {
@@ -97,7 +95,7 @@ func BenchmarkReadBlocks(b *testing.B) {
 				}
 			}
 		})
-		b.Run(v.name+"/batched", func(b *testing.B) {
+		b.Run(name+"/batched", func(b *testing.B) {
 			b.SetBytes(n * 8)
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < nb; j += 64 {
