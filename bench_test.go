@@ -293,8 +293,8 @@ func shardedOperator(b *testing.B, shards int, format op.Format) *shard.Operator
 }
 
 // BenchmarkShardedSpMV measures the distributed matrix-vector product —
-// scatter, protected halo exchange, per-shard products, gather — across
-// shard counts and storage formats.
+// scatter, protected halo exchange, per-shard products written into the
+// destination — across shard counts and storage formats.
 func BenchmarkShardedSpMV(b *testing.B) {
 	for _, format := range op.Formats {
 		for _, shards := range []int{1, 2, 4, 8} {

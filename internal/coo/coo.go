@@ -788,14 +788,14 @@ func (m *Matrix) Scrub() (corrected int, err error) { return m.CheckAll() }
 // codeword, satisfying core.ElemSpanner: single triplets under
 // SED/SECDED64, consecutive pairs under SECDED128, 8-entry groups under
 // CRC32C.
-func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span, stride int) {
+func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 	switch m.scheme {
 	case core.SECDED128:
-		return pick(len(m.vals)/2) * 2, 2, 1
+		return pick(len(m.vals)/2) * 2, 2
 	case core.CRC32C:
-		return pick(len(m.vals)/crcGroup) * crcGroup, crcGroup, 1
+		return pick(len(m.vals)/crcGroup) * crcGroup, crcGroup
 	}
-	return pick(len(m.vals)), 1, 1
+	return pick(len(m.vals)), 1
 }
 
 // CounterSnapshot returns a copy of the attached counters.

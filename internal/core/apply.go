@@ -280,7 +280,7 @@ func (m *Matrix) streamRow(sums []float64, xbufs [][]float64, lo, hi int, mask u
 // since the verify that flagged the row already accounted the checks and
 // the correction — and the stage streams into every sum in entry order.
 func (m *Matrix) stageRow(el *ColElems, sums []float64, xbufs [][]float64, r, lo, hi int) error {
-	cols, vals, err := el.DecodeLocal(r, lo, hi-lo, 1)
+	cols, vals, err := el.DecodeLocal(r, lo, hi-lo)
 	if err != nil {
 		return err
 	}

@@ -19,8 +19,9 @@ import (
 //
 //	SED, SECDED64  one storage entry
 //	SECDED128      the storage-consecutive pair (2t, 2t+1)
-//	CRC32C         a run of n entries at base, base+stride, ... — a CSR
-//	               row is a run of stride 1, a SELL lane one of stride C
+//	CRC32C         a run of n >= 4 storage-consecutive entries at base —
+//	               a CSR row, or a chunk of at most 13 columns of a SELL
+//	               slice (column-major, so contiguous)
 //
 // The codec holds no state of its own: every check takes the commit
 // discipline and the counters to record into explicitly (nil counts
@@ -84,20 +85,19 @@ func (e *ColElems) Encode(lo, hi int) {
 	}
 }
 
-// EncodeRun recomputes the CRC32C of the run of n entries at base,
-// base+stride, ...: a checksum over the run's 12-byte (value, masked
-// column) records in run order, stored byte-wise in the top bytes of the
-// run's first four column indices. buf is scratch of at least 12n bytes.
-func (e *ColElems) EncodeRun(base, n, stride int, buf []byte) {
-	msg := buf[:12*n]
-	for j, k := 0, base; j < n; j, k = j+1, k+stride {
-		e.Cols[k] &= eccColMask
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(e.Vals[k]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], e.Cols[k])
+// EncodeRun recomputes the CRC32C of the run of n >= 4 entries at base:
+// ecc.RunChecksum's message — the run's values, then its column indices
+// with every top byte cleared — stored byte-wise in the top bytes of the
+// run's last four column indices. The checksum is taken over storage
+// where it lies; nothing is serialised.
+func (e *ColElems) EncodeRun(base, n int) {
+	cols := e.Cols[base : base+n]
+	for j := range cols {
+		cols[j] &= eccColMask
 	}
-	crc := ecc.Checksum(msg, e.Backend)
-	for j := 0; j < 4 && j < n; j++ {
-		e.Cols[base+j*stride] |= (crc >> (8 * uint(j)) & 0xFF) << 24
+	crc, _ := ecc.RunChecksum(e.Vals[base:base+n], cols, e.Backend)
+	for i := 0; i < 4; i++ {
+		cols[n-4+i] |= (crc >> (8 * uint(i)) & 0xFF) << 24
 	}
 }
 
@@ -200,83 +200,110 @@ func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (dirty bool, chec
 }
 
 // CheckRun verifies the CRC32C codeword of the run of n entries at base,
-// base+stride, ..., repairing up to two flips in storage when commit is
-// true; id names the run (the CSR row, the SELL lane) in the FaultError.
-// buf is scratch of at least 12n bytes and holds the run's *corrected*
-// image on a nil return — the 12-byte (value, masked column) records the
-// checksum covers. A run wider than the scratch or reaching past the end
-// of storage means the structure that delimits runs (the CSR row
-// pointers) is itself corrupted beyond repair; that is reported as a
-// fault, not a crash. The first return is check64's.
-func (e *ColElems) CheckRun(id, base, n, stride int, buf []byte, commit bool, c *Counters) (bool, error) {
-	if n < 0 || 12*n > len(buf) || base+(n-1)*stride >= len(e.Cols) {
-		return false, e.fault(c, id, "run bounds exceed the widest run (corrupted row pointers)")
+// repairing up to two flips in storage when commit is true; id names the
+// run (the CSR row, the SELL chunk) in the FaultError. The clean path is
+// one ecc.RunChecksum over storage where it lies; only a mismatch builds
+// the serialised message (repairRun). A run shorter than the checksum or
+// reaching past the end of storage means the structure that delimits
+// runs (the CSR row pointers) is itself corrupted beyond repair; that is
+// reported as a fault, not a crash. The first return is check64's.
+func (e *ColElems) CheckRun(id, base, n int, commit bool, c *Counters) (bool, error) {
+	if err := e.runBounds(id, base, n, c); err != nil {
+		return false, err
 	}
-	msg := buf[:12*n]
-	var stored uint32
-	for j, k := 0, base; j < n; j, k = j+1, k+stride {
-		col := e.Cols[k]
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(e.Vals[k]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], col&eccColMask)
-		if j < 4 {
-			stored |= (col >> 24) << (8 * uint(j))
-		}
-	}
-	crc := ecc.Checksum(msg, e.Backend)
+	crc, stored := ecc.RunChecksum(e.Vals[base:base+n], e.Cols[base:base+n], e.Backend)
 	if crc == stored {
 		return false, nil
 	}
-	flips, ok := ecc.CorrectCodeword(msg, stored, crc)
-	if !ok {
-		return false, e.fault(c, id, "crc32c mismatch beyond correction depth")
+	if err := e.repairRun(id, base, n, e.runImage(base, n), crc, stored, commit, c); err != nil {
+		return false, err
 	}
-	for _, f := range flips {
-		if f.InCRC {
-			// Checksum-slot flip: the records in msg are already right,
-			// only the stored redundancy needs repair.
-			if commit {
-				e.Cols[base+f.Bit/8*stride] ^= 1 << uint(24+f.Bit%8)
-			}
-			continue
-		}
-		k, bit := base+f.Bit/96*stride, f.Bit%96
-		if bit >= 88 {
-			return false, e.fault(c, id, "crc flip located in reserved byte")
-		}
-		if commit && bit < 64 {
-			e.Vals[k] = math.Float64frombits(math.Float64bits(e.Vals[k]) ^ 1<<uint(bit))
-		} else if commit {
-			e.Cols[k] ^= 1 << uint(bit-64)
-		}
-		msg[f.Bit/8] ^= 1 << uint(f.Bit%8)
-	}
-	c.AddCorrected(1)
 	return true, nil
 }
 
+// runBounds reports a run that cannot be a codeword: shorter than its
+// four checksum slots or reaching past the end of storage.
+func (e *ColElems) runBounds(id, base, n int, c *Counters) error {
+	if n < 4 || base+n > len(e.Cols) {
+		return e.fault(c, id, "run shorter than its checksum or past the end of storage (corrupted row pointers)")
+	}
+	return nil
+}
+
+// runImage serialises the message of the run of n entries at base: the
+// values little-endian, then the column indices little-endian with the
+// four slot bytes cleared — the bytes ecc.RunChecksum covers.
+func (e *ColElems) runImage(base, n int) []byte {
+	msg := make([]byte, 12*n)
+	for j, v := range e.Vals[base : base+n] {
+		binary.LittleEndian.PutUint64(msg[8*j:], math.Float64bits(v))
+	}
+	for j, col := range e.Cols[base : base+n] {
+		if j >= n-4 {
+			col &= eccColMask
+		}
+		binary.LittleEndian.PutUint32(msg[8*n+4*j:], col)
+	}
+	return msg
+}
+
+// repairRun is the cold path of a run whose checksum crc disagreed with
+// the stored one: it locates up to two flips that explain the syndrome
+// and applies them to msg (the run's image, runImage), and to storage
+// when commit is true, counting one correction into c. An explanation
+// that puts a flip in a slot byte of the message — always zero, so no
+// stored bit can have flipped there — is a detected fault; so is no
+// explanation at all. Nothing is written unless every flip is sound.
+func (e *ColElems) repairRun(id, base, n int, msg []byte, crc, stored uint32, commit bool, c *Counters) error {
+	flips, ok := ecc.CorrectCodeword(msg, stored, crc)
+	if !ok {
+		return e.fault(c, id, "crc32c mismatch beyond correction depth")
+	}
+	for _, f := range flips {
+		if b := f.Bit - 64*n; !f.InCRC && b >= 0 && b/32 >= n-4 && b%32 >= 24 {
+			return e.fault(c, id, "crc flip located in a checksum slot of the message")
+		}
+	}
+	vals, cols := e.Vals[base:base+n], e.Cols[base:base+n]
+	for _, f := range flips {
+		if f.InCRC {
+			// The message is already right; only the stored checksum
+			// byte needs repair.
+			if commit {
+				cols[n-4+f.Bit/8] ^= 1 << uint(24+f.Bit%8)
+			}
+			continue
+		}
+		msg[f.Bit/8] ^= 1 << uint(f.Bit%8)
+		if !commit {
+			continue
+		}
+		if f.Bit < 64*n {
+			vals[f.Bit/64] = math.Float64frombits(math.Float64bits(vals[f.Bit/64]) ^ 1<<uint(f.Bit%64))
+		} else {
+			cols[(f.Bit-64*n)/32] ^= 1 << uint((f.Bit-64*n)%32)
+		}
+	}
+	c.AddCorrected(1)
+	return nil
+}
+
 // DecodeLocal is the corrective fallback of the verify-then-stream
-// protocol (DESIGN.md section 12): it stages the n entries at base,
-// base+stride, ... — masked column and value, every correction applied —
+// protocol (DESIGN.md section 12): it stages the n storage-consecutive
+// entries at base — masked column and value, every correction applied —
 // in fresh slices, writing nothing to storage and counting nothing. A
 // kernel whose verify pass reported a block dirty (a correction it could
 // not commit) streams this stage instead of storage; the verify pass
 // already accounted the checks and the correction. SECDED words decode
-// into locals; a CRC32C run (named id, as in CheckRun) re-runs its
-// repair without commit.
-func (e *ColElems) DecodeLocal(id, base, n, stride int) (cols []uint32, vals []float64, err error) {
-	cols, vals = make([]uint32, n), make([]float64, n)
+// into locals; under CRC32C the entries are exactly one run (named id,
+// as in CheckRun), whose repair re-runs without commit.
+func (e *ColElems) DecodeLocal(id, base, n int) (cols []uint32, vals []float64, err error) {
 	if e.Scheme == CRC32C {
-		buf := make([]byte, 12*n)
-		if _, err := e.CheckRun(id, base, n, stride, buf, false, nil); err != nil {
-			return nil, nil, err
-		}
-		for j := range cols {
-			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[12*j:]))
-			cols[j] = binary.LittleEndian.Uint32(buf[12*j+8:])
-		}
-		return cols, vals, nil
+		return e.decodeRun(id, base, n)
 	}
-	for j, k := 0, base; j < n; j, k = j+1, k+stride {
+	cols, vals = make([]uint32, n), make([]float64, n)
+	for j := range cols {
+		k := base + j
 		vals[j], cols[j] = e.Vals[k], e.Cols[k]
 		switch e.Scheme {
 		case SECDED64:
@@ -297,6 +324,27 @@ func (e *ColElems) DecodeLocal(id, base, n, stride int) (cols []uint32, vals []f
 			}
 		}
 		cols[j] &= e.Mask()
+	}
+	return cols, vals, nil
+}
+
+// decodeRun is DecodeLocal for one CRC32C run: its image, repaired
+// without commit when the checksum disagrees, split into masked columns
+// and values.
+func (e *ColElems) decodeRun(id, base, n int) (cols []uint32, vals []float64, err error) {
+	if err := e.runBounds(id, base, n, nil); err != nil {
+		return nil, nil, err
+	}
+	msg := e.runImage(base, n)
+	if crc, stored := ecc.RunChecksum(e.Vals[base:base+n], e.Cols[base:base+n], e.Backend); crc != stored {
+		if err := e.repairRun(id, base, n, msg, crc, stored, false, nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	cols, vals = make([]uint32, n), make([]float64, n)
+	for j := range cols {
+		vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(msg[8*j:]))
+		cols[j] = binary.LittleEndian.Uint32(msg[8*n+4*j:]) & e.Mask()
 	}
 	return cols, vals, nil
 }

@@ -8,69 +8,116 @@ import (
 	"testing"
 )
 
-// The column-element codec is addressed by storage position, so the same
-// run of (value, column) entries must behave identically wherever a
-// format lays it out: contiguously (a CSR row, stride 1) or interleaved
-// with other lanes (a SELL lane, stride 4). These tests pin that seam —
-// result class, counter deltas, commit discipline and DecodeLocal's
-// stage — against an oracle derived from the schemes' stated capability,
-// not against the kernels that happen to call the codec today.
+// The column-element codec is addressed by storage position: a CRC32C
+// codeword is a run of storage-consecutive entries, whatever format laid
+// them out — a CSR row, or a chunk of at most 13 four-entry columns of a
+// SELL slice. These tests pin that seam — result class, counter deltas,
+// commit discipline and DecodeLocal's stage — against an oracle derived
+// from the schemes' stated capability, not against the kernels that
+// happen to call the codec today.
 
 const (
-	ceRunLen = 6 // entries per run: >= 4 (CRC32C slots) and spans three pairs
-	ceBase   = 2 // first storage position of the run (pair-aligned)
-	ceRunID  = 7 // the id CheckRun reports in its FaultError
+	ceBase = 2 // first storage position of the layout (pair-aligned)
+	ceID0  = 7 // the id CheckRun reports for the layout's first run
 )
 
-// ceFlip addresses one bit of a run: bit b of entry j's 96-bit record,
-// value bits 0..63 then the stored column word 64..95 (slot bits
-// included).
-type ceFlip struct{ entry, bit int }
-
-// ceLayout is one run laid out in storage at a given stride, surrounded
-// by unrelated but valid filler entries.
-type ceLayout struct {
-	el     ColElems
-	stride int
-	cols   []uint32 // the run's payload, masked
-	vals   []float64
-	buf    []byte
+// ceShape is one storage layout of entries: its CRC32C runs, in order.
+type ceShape struct {
+	name string
+	runs []int
 }
 
-func newCELayout(s Scheme, seed int64, stride int) *ceLayout {
-	payload := rand.New(rand.NewSource(seed))
-	filler := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
-	n := ceBase + ceRunLen*stride
+// ceShapes are the layouts every scheme is struck in: a CSR row of six
+// entries (three SECDED128 pairs), a SELL slice of width 5 (one run of
+// 20), and a SELL slice of width 14, which splits into a chunk of 13
+// columns and one of 1.
+var ceShapes = []ceShape{
+	{"row6", []int{6}},
+	{"slice5", []int{20}},
+	{"slice14", []int{52, 4}},
+}
+
+func (sh ceShape) entries() int {
+	n := 0
+	for _, r := range sh.runs {
+		n += r
+	}
+	return n
+}
+
+// run returns the index of the run holding entry j and the run's first
+// entry.
+func (sh ceShape) run(j int) (i, first int) {
+	for i, r := range sh.runs {
+		if j < first+r {
+			return i, first
+		}
+		first += r
+	}
+	panic("entry outside the layout")
+}
+
+// ceFlip addresses one bit of the layout: bit b of entry j's 96-bit
+// record, value bits 0..63 then the stored column word 64..95 (slot and
+// reserved bits included).
+type ceFlip struct{ entry, bit int }
+
+// ceLayout is one shape laid out in storage after ceBase unrelated but
+// valid filler entries.
+type ceLayout struct {
+	el    ColElems
+	shape ceShape
+	cols  []uint32 // the payload, masked
+	vals  []float64
+}
+
+// splitmix64 returns a seeded stream of 64-bit words, cheap enough to
+// seed once per case (seeding math/rand costs more than a case).
+func splitmix64(seed int64) func() uint64 {
+	x := uint64(seed)
+	return func() uint64 {
+		x += 0x9E3779B97F4A7C15
+		z := x
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		return z ^ z>>31
+	}
+}
+
+func newCELayout(s Scheme, seed int64, sh ceShape) *ceLayout {
+	payload, filler := splitmix64(seed), splitmix64(seed^0x5DEECE66D)
+	n := sh.entries()
 	l := &ceLayout{
-		el:     ColElems{Scheme: s, Vals: make([]float64, n), Cols: make([]uint32, n)},
-		stride: stride,
-		cols:   make([]uint32, ceRunLen),
-		vals:   make([]float64, ceRunLen),
-		buf:    make([]byte, 12*ceRunLen),
+		el:    ColElems{Scheme: s, Vals: make([]float64, ceBase+n), Cols: make([]uint32, ceBase+n)},
+		shape: sh,
+		cols:  make([]uint32, n),
+		vals:  make([]float64, n),
 	}
 	mask := l.el.Mask()
 	for k := range l.el.Vals {
-		l.el.Vals[k] = math.Float64frombits(filler.Uint64())
-		l.el.Cols[k] = filler.Uint32() & mask
+		l.el.Vals[k] = math.Float64frombits(filler())
+		l.el.Cols[k] = uint32(filler()) & mask
 	}
 	for j := range l.cols {
-		l.vals[j] = math.Float64frombits(payload.Uint64())
-		l.cols[j] = payload.Uint32() & mask
-		l.el.Vals[l.pos(j)], l.el.Cols[l.pos(j)] = l.vals[j], l.cols[j]
+		l.vals[j] = math.Float64frombits(payload())
+		l.cols[j] = uint32(payload()) & mask
+		l.el.Vals[ceBase+j], l.el.Cols[ceBase+j] = l.vals[j], l.cols[j]
 	}
 	if s == CRC32C {
-		l.el.EncodeRun(ceBase, ceRunLen, stride, l.buf)
+		base := ceBase
+		for _, r := range sh.runs {
+			l.el.EncodeRun(base, r)
+			base += r
+		}
 	} else {
-		l.el.Encode(0, n)
+		l.el.Encode(0, len(l.el.Cols))
 	}
 	return l
 }
 
-func (l *ceLayout) pos(j int) int { return ceBase + j*l.stride }
-
 func (l *ceLayout) strike(flips []ceFlip) {
 	for _, f := range flips {
-		k := l.pos(f.entry)
+		k := ceBase + f.entry
 		if f.bit < 64 {
 			l.el.Vals[k] = math.Float64frombits(math.Float64bits(l.el.Vals[k]) ^ 1<<uint(f.bit))
 		} else {
@@ -79,15 +126,42 @@ func (l *ceLayout) strike(flips []ceFlip) {
 	}
 }
 
-// check runs the codec's verify over the run: the per-entry schemes scan
-// the whole storage range, CRC32C the run itself.
+// check runs the codec's verify over the layout: the per-entry schemes
+// scan the whole storage range, CRC32C checks every run in order,
+// continuing past a fault so the full damage is counted (as
+// sell.checkSlice does).
 func (l *ceLayout) check(commit bool, c *Counters) (checks uint64, err error) {
-	if l.el.Scheme == CRC32C {
-		_, err = l.el.CheckRun(ceRunID, ceBase, ceRunLen, l.stride, l.buf, commit, c)
-		return 1, err
+	if l.el.Scheme != CRC32C {
+		_, checks, err = l.el.Check(0, len(l.el.Cols), commit, c)
+		return checks, err
 	}
-	_, checks, err = l.el.Check(0, len(l.el.Cols), commit, c)
+	base := ceBase
+	for i, r := range l.shape.runs {
+		checks++
+		if _, e := l.el.CheckRun(ceID0+i, base, r, commit, c); e != nil && err == nil {
+			err = e
+		}
+		base += r
+	}
 	return checks, err
+}
+
+// stage is DecodeLocal over the layout: the whole range for the
+// per-entry schemes, run by run under CRC32C.
+func (l *ceLayout) stage() (cols []uint32, vals []float64, err error) {
+	if l.el.Scheme != CRC32C {
+		return l.el.DecodeLocal(ceID0, ceBase, l.shape.entries())
+	}
+	base := ceBase
+	for i, r := range l.shape.runs {
+		c, v, err := l.el.DecodeLocal(ceID0+i, base, r)
+		if err != nil {
+			return nil, nil, err
+		}
+		cols, vals = append(cols, c...), append(vals, v...)
+		base += r
+	}
+	return cols, vals, nil
 }
 
 func (l *ceLayout) snapshot() ([]uint64, []uint32) {
@@ -107,30 +181,27 @@ func sameStorage(av []uint64, ac []uint32, bv []uint64, bc []uint32) bool {
 	return true
 }
 
-// ceOutcome is what one case observably did; two layouts of the same run
-// must agree on it whenever the struck codewords do not depend on the
-// layout.
+// ceOutcome is what one case observably did.
 type ceOutcome struct {
 	corrected, detected uint64
 	failed              bool
 }
 
-// ceExpect derives the outcome the schemes' stated capability demands.
-// silent marks SED's blind spot (an even number of flips in one entry):
-// the class is clean but the payload is wrong, so it is not compared.
+// ceExpect derives the outcome the schemes' stated capability demands:
+// per codeword, SECDED corrects one flip and detects two, CRC32C corrects
+// up to two wherever they land in the run — value, column, reserved or
+// slot byte. silent marks SED's blind spot (an even number of flips in
+// one entry): the class is clean but the payload is wrong, so it is not
+// compared.
 func ceExpect(l *ceLayout, flips []ceFlip) (want ceOutcome, silent bool) {
-	hits := map[int]int{} // visible flips per codeword
+	hits := map[int]int{} // flips per codeword
 	for _, f := range flips {
 		switch l.el.Scheme {
 		case SECDED128:
-			hits[l.pos(f.entry)/2]++
+			hits[(ceBase+f.entry)/2]++
 		case CRC32C:
-			// The top byte of entries past the fourth holds no checksum
-			// slot and is masked out of the message: flips there are
-			// invisible and harmless.
-			if f.bit < 88 || f.entry < 4 {
-				hits[0]++
-			}
+			run, _ := l.shape.run(f.entry)
+			hits[run]++
 		default:
 			hits[f.entry]++
 		}
@@ -151,19 +222,18 @@ func ceExpect(l *ceLayout, flips []ceFlip) (want ceOutcome, silent bool) {
 	return want, silent
 }
 
-// runCECase encodes the seeded run at the given stride, strikes it,
-// verifies it and asserts every invariant of the seam against the
-// oracle. It returns the observed outcome for cross-layout comparison.
-func runCECase(t *testing.T, s Scheme, seed int64, stride int, flips []ceFlip, commit bool) ceOutcome {
+// runCECase encodes the seeded layout, strikes it, verifies it and
+// asserts every invariant of the seam against the oracle.
+func runCECase(t *testing.T, s Scheme, seed int64, sh ceShape, flips []ceFlip, commit bool) {
 	t.Helper()
-	name := fmt.Sprintf("%v stride=%d commit=%v flips=%v", s, stride, commit, flips)
-	l := newCELayout(s, seed, stride)
+	name := fmt.Sprintf("%v %s commit=%v flips=%v", s, sh.name, commit, flips)
+	l := newCELayout(s, seed, sh)
 	l.strike(flips)
 	struckV, struckC := l.snapshot()
 	want, silent := ceExpect(l, flips)
 
 	// The stage, taken from struck storage before any verify touched it.
-	cols, vals, stageErr := l.el.DecodeLocal(ceRunID, ceBase, ceRunLen, stride)
+	cols, vals, stageErr := l.stage()
 	checkStage := func(when string) {
 		t.Helper()
 		if stageErr != nil {
@@ -206,118 +276,106 @@ func runCECase(t *testing.T, s Scheme, seed int64, stride int, flips []ceFlip, c
 	if s == SECDED128 {
 		wantChecks /= 2
 	} else if s == CRC32C {
-		wantChecks = 1
+		wantChecks = uint64(len(sh.runs))
 	}
 	if checks != wantChecks {
 		t.Fatalf("%s: %d checks, want %d", name, checks, wantChecks)
 	}
 
-	// Commit discipline: a committed repair restores the encoded storage
-	// (invisible flips aside); everything else leaves storage as struck.
+	// Commit discipline: a committed repair restores the encoded storage;
+	// everything else leaves storage as struck.
 	wantV, wantC := struckV, struckC
 	if commit && want.corrected > 0 && !want.failed {
-		restored := newCELayout(s, seed, stride)
-		for _, f := range flips {
-			if s == CRC32C && f.bit >= 88 && f.entry >= 4 {
-				restored.strike([]ceFlip{f})
-			}
-		}
-		wantV, wantC = restored.snapshot()
+		wantV, wantC = newCELayout(s, seed, sh).snapshot()
 	}
 	if v, cc := l.snapshot(); !sameStorage(v, cc, wantV, wantC) {
 		t.Fatalf("%s: storage after verify is neither repaired nor untouched as the mode demands", name)
 	}
 	if commit && !want.failed && !silent {
-		cols, vals, stageErr = l.el.DecodeLocal(ceRunID, ceBase, ceRunLen, stride)
+		cols, vals, stageErr = l.stage()
 		checkStage("after committed repair")
 	}
-	return got
 }
 
-// layoutIndependent reports whether the struck codewords are the same
-// whatever the stride. Only SECDED128 can disagree: its pairs are
-// storage-consecutive, so two flips in neighbouring run entries share a
-// codeword at stride 1 and not at stride 4 — by design, the pair
-// geometry belongs to storage, not to the run.
-func layoutIndependent(s Scheme, flips []ceFlip) bool {
-	return s != SECDED128 || len(flips) < 2 || flips[0].entry == flips[1].entry
-}
-
-func runCEBothLayouts(t *testing.T, s Scheme, seed int64, flips []ceFlip, commit bool) {
-	t.Helper()
-	contiguous := runCECase(t, s, seed, 1, flips, commit)
-	strided := runCECase(t, s, seed, 4, flips, commit)
-	if layoutIndependent(s, flips) && contiguous != strided {
-		t.Fatalf("%v commit=%v flips=%v: stride 1 %+v, stride 4 %+v", s, commit, flips, contiguous, strided)
+// ceCases lists the clean layout, every single-bit flip of it and 600
+// seeded double flips, half of them inside one entry.
+func ceCases(rng *rand.Rand, n int) [][]ceFlip {
+	cases := [][]ceFlip{nil}
+	for j := 0; j < n; j++ {
+		for b := 0; b < 96; b++ {
+			cases = append(cases, []ceFlip{{j, b}})
+		}
 	}
+	for i := 0; len(cases) < 1+96*n+600; i++ {
+		a := ceFlip{rng.Intn(n), rng.Intn(96)}
+		b := ceFlip{rng.Intn(n), rng.Intn(96)}
+		if i%2 == 0 {
+			b.entry = a.entry
+		}
+		if a != b {
+			cases = append(cases, []ceFlip{a, b})
+		}
+	}
+	return cases
 }
 
-// TestColElemsSingleAndDoubleFlips walks every single-bit flip of a run
-// and a seeded sample of double flips — value, column and slot bits —
-// through every scheme, both commit modes and both layouts.
+// TestColElemsSingleAndDoubleFlips walks every single-bit flip of each
+// layout and 600 seeded double flips — value, column, reserved and slot
+// bits — through every scheme and both commit modes.
 func TestColElemsSingleAndDoubleFlips(t *testing.T) {
 	for _, s := range ProtectingSchemes {
-		rng := rand.New(rand.NewSource(int64(s) + 15))
-		var cases [][]ceFlip
-		cases = append(cases, nil) // the clean run
-		for j := 0; j < ceRunLen; j++ {
-			for b := 0; b < 96; b++ {
-				cases = append(cases, []ceFlip{{j, b}})
-			}
-		}
-		for i := 0; i < 300; i++ {
-			a := ceFlip{rng.Intn(ceRunLen), rng.Intn(96)}
-			b := ceFlip{rng.Intn(ceRunLen), rng.Intn(96)}
-			if i%2 == 0 {
-				b.entry = a.entry
-			}
-			if a != b {
-				cases = append(cases, []ceFlip{a, b})
-			}
-		}
-		for _, flips := range cases {
-			for _, commit := range []bool{true, false} {
-				runCEBothLayouts(t, s, int64(s)*1000+int64(len(flips)), flips, commit)
+		for _, sh := range ceShapes {
+			rng := rand.New(rand.NewSource(int64(s) + 15))
+			for _, flips := range ceCases(rng, sh.entries()) {
+				for _, commit := range []bool{true, false} {
+					runCECase(t, s, int64(s)*1000+int64(len(flips)), sh, flips, commit)
+				}
 			}
 		}
 	}
 }
 
-// TestColElemsCheckRunBoundsGuard: a run wider than the scratch, or one
-// whose stride carries it past the end of storage, is what corrupted run
+// TestColElemsCheckRunBoundsGuard: a run shorter than its four checksum
+// slots, or one reaching past the end of storage, is what corrupted run
 // delimiters (CSR row pointers) produce. It must surface as a counted
-// FaultError naming the run, never as an out-of-range access.
+// FaultError naming the run, never as an out-of-range access, from the
+// verify and from the stage alike.
 func TestColElemsCheckRunBoundsGuard(t *testing.T) {
-	for _, stride := range []int{1, 4} {
-		l := newCELayout(CRC32C, 9, stride)
-		for name, run := range map[string][2]int{
-			"wider than scratch":  {ceBase, ceRunLen + 1},
-			"past end of storage": {ceBase + stride, ceRunLen},
-			"negative width":      {ceBase, -1},
-		} {
-			var c Counters
-			_, err := l.el.CheckRun(ceRunID, run[0], run[1], stride, l.buf, true, &c)
-			var fe *FaultError
-			if !errors.As(err, &fe) || fe.Index != ceRunID || c.Detected() != 1 {
-				t.Fatalf("stride %d, %s: err %v, counters %+v", stride, name, err, c.Snapshot())
-			}
+	l := newCELayout(CRC32C, 9, ceShapes[0])
+	n := ceShapes[0].entries()
+	for name, run := range map[string][2]int{
+		"shorter than the checksum": {ceBase, 3},
+		"empty":                     {ceBase, 0},
+		"past end of storage":       {ceBase + 1, n},
+		"negative width":            {ceBase, -1},
+	} {
+		var c Counters
+		_, err := l.el.CheckRun(ceID0, run[0], run[1], true, &c)
+		var fe *FaultError
+		if !errors.As(err, &fe) || fe.Index != ceID0 || c.Detected() != 1 {
+			t.Fatalf("%s: err %v, counters %+v", name, err, c.Snapshot())
+		}
+		if _, _, err := l.el.DecodeLocal(ceID0, run[0], run[1]); !errors.As(err, &fe) || fe.Index != ceID0 {
+			t.Fatalf("%s: DecodeLocal err %v", name, err)
 		}
 	}
 }
 
-// FuzzColElems drives the same invariants from arbitrary payloads and
-// flip positions.
+// FuzzColElems drives the same invariants from arbitrary payloads, flip
+// positions and layouts.
 func FuzzColElems(f *testing.F) {
-	f.Add(uint8(0), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), false, true)
-	f.Add(uint8(1), int64(2), uint8(3), uint8(40), uint8(3), uint8(95), true, false)
-	f.Add(uint8(2), int64(3), uint8(0), uint8(91), uint8(1), uint8(12), true, true)
-	f.Add(uint8(3), int64(4), uint8(5), uint8(90), uint8(0), uint8(88), true, false)
-	f.Fuzz(func(t *testing.T, scheme uint8, seed int64, e0, b0, e1, b1 uint8, double, commit bool) {
+	f.Add(uint8(0), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), false, true, uint8(0))
+	f.Add(uint8(1), int64(2), uint8(3), uint8(40), uint8(3), uint8(95), true, false, uint8(1))
+	f.Add(uint8(2), int64(3), uint8(0), uint8(91), uint8(1), uint8(12), true, true, uint8(2))
+	f.Add(uint8(3), int64(4), uint8(5), uint8(90), uint8(0), uint8(88), true, false, uint8(2))
+	f.Fuzz(func(t *testing.T, scheme uint8, seed int64, e0, b0, e1, b1 uint8, double, commit bool, shape uint8) {
 		s := ProtectingSchemes[int(scheme)%len(ProtectingSchemes)]
-		flips := []ceFlip{{int(e0) % ceRunLen, int(b0) % 96}}
-		if second := (ceFlip{int(e1) % ceRunLen, int(b1) % 96}); double && second != flips[0] {
+		sh := ceShapes[int(shape)%len(ceShapes)]
+		n := sh.entries()
+		flips := []ceFlip{{int(e0) % n, int(b0) % 96}}
+		if second := (ceFlip{int(e1) % n, int(b1) % 96}); double && second != flips[0] {
 			flips = append(flips, second)
 		}
-		runCEBothLayouts(t, s, seed, flips, commit)
+		runCECase(t, s, seed, sh, flips, commit)
 	})
 }

@@ -55,8 +55,9 @@ type FaultError struct {
 	Structure Structure
 	Scheme    Scheme
 	// Index locates the first affected codeword: the group index for
-	// vectors and row pointers, the element index (or row for CRC32C) for
-	// matrix elements.
+	// vectors and row pointers, the element index for matrix elements
+	// (under CRC32C the CSR row, or the first storage position of the
+	// SELL slice chunk).
 	Index int
 	// Detail describes the check that failed.
 	Detail string

@@ -40,7 +40,7 @@ type Matrix struct {
 	backend    ecc.Backend
 	rows, cols int
 	nnz        int
-	maxRow     int // widest row, sizes CRC scratch buffers
+	maxRow     int // widest row
 
 	rowptr []uint32 // rows+1 entries padded to a group multiple
 	colIdx []uint32
@@ -481,13 +481,12 @@ func (m *Matrix) encodeElementsAll() {
 		el.Encode(0, len(m.colIdx))
 		return
 	}
-	// One CRC32C codeword per row: a run of stride 1.
-	buf := make([]byte, m.maxRow*12)
+	// One CRC32C codeword per row.
 	cur := rowPtrCursor{m: m, check: false, group: -1}
 	for r := 0; r < m.rows; r++ {
 		lo, _ := cur.value(r)
 		hi, _ := cur.value(r + 1)
-		el.EncodeRun(int(lo), int(hi-lo), 1, buf)
+		el.EncodeRun(int(lo), int(hi-lo))
 	}
 }
 
@@ -524,7 +523,6 @@ func (m *Matrix) CheckAll() (corrected int, err error) {
 		record(e)
 	} else {
 		checks += uint64(m.rows)
-		buf := make([]byte, m.maxRow*12)
 		cur := rowPtrCursor{m: m, check: false, group: -1}
 		for r := 0; r < m.rows; r++ {
 			lo, e := cur.value(r)
@@ -532,7 +530,7 @@ func (m *Matrix) CheckAll() (corrected int, err error) {
 			hi, e2 := cur.value(r + 1)
 			record(e2)
 			if e == nil && e2 == nil && lo <= hi {
-				_, e3 := el.CheckRun(r, int(lo), int(hi-lo), 1, buf, true, &acc)
+				_, e3 := el.CheckRun(r, int(lo), int(hi-lo), true, &acc)
 				record(e3)
 			}
 		}

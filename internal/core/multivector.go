@@ -57,6 +57,29 @@ func WrapMultiVector(cols ...*Vector) (*MultiVector, error) {
 	return &MultiVector{cols: cols, n: n, k: len(cols)}, nil
 }
 
+// View makes mv a width-len(parents) view of the n elements starting at
+// block b0 of every parent: column j shares parents[j]'s words (blocks
+// [b0, b0+⌈n/4⌉), which must lie inside it), scheme, CRC backend and
+// counters, so a write through mv is a write to the parents and both
+// read the same codewords. mv keeps its column headers while the width
+// stays the same, so re-pointing a view allocates nothing; the zero
+// MultiVector allocates its headers on first use. The sharded operator
+// writes each band's product through such a view straight into the
+// caller's destinations.
+func (mv *MultiVector) View(parents []*Vector, b0, n int) {
+	if len(mv.cols) != len(parents) {
+		hdrs := make([]Vector, len(parents))
+		mv.cols = make([]*Vector, len(parents))
+		for j := range hdrs {
+			mv.cols[j] = &hdrs[j]
+		}
+	}
+	for j, p := range parents {
+		mv.cols[j].view(p, b0, n)
+	}
+	mv.n, mv.k = n, len(parents)
+}
+
 // Len returns the per-column logical element count.
 func (mv *MultiVector) Len() int { return mv.n }
 

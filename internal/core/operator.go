@@ -67,27 +67,28 @@ type UnverifiedApplier interface {
 // fault injectors, which need to confine flips to a single codeword when
 // measuring per-codeword capability (the paper's nECmED budget). pick is
 // the caller's uniform random chooser over [0, n). The codeword covers
-// storage positions base, base+stride, ..., base+(span-1)*stride of the
-// value and column arrays. All formats in this repository implement it.
+// storage positions [base, base+span) of the value and column arrays:
+// every element codeword in this repository is a contiguous storage
+// range. All formats in this repository implement it.
 type ElemSpanner interface {
-	ElemCodewordSpan(pick func(n int) int) (base, span, stride int)
+	ElemCodewordSpan(pick func(n int) int) (base, span int)
 }
 
 // ElemCodewordSpan reports the positions of one randomly chosen element
 // codeword, satisfying ElemSpanner: single entries under SED/SECDED64,
 // consecutive pairs under SECDED128, a whole matrix row under CRC32C.
-func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span, stride int) {
+func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 	switch m.elemScheme {
 	case SECDED128:
-		return pick(len(m.colIdx)/2) * 2, 2, 1
+		return pick(len(m.colIdx)/2) * 2, 2
 	case CRC32C:
 		r := pick(m.rows)
 		lo, hi, err := m.RowRange(r)
 		if err == nil && hi > lo {
-			return lo, hi - lo, 1
+			return lo, hi - lo
 		}
 	}
-	return pick(len(m.colIdx)), 1, 1
+	return pick(len(m.colIdx)), 1
 }
 
 // Scheme returns the element protection scheme, satisfying

@@ -28,7 +28,7 @@ import "fmt"
 type RowScanner struct {
 	m   *Matrix
 	cur rowPtrCursor // row-pointer cursor (locally corrected decode)
-	ver rowVerifier  // element verify state (CRC32C scratch, SECDED128 memo)
+	ver rowVerifier  // element verify state (SECDED128 memo)
 }
 
 // NewRowScanner returns a scanner over m's rows.
@@ -88,7 +88,7 @@ func (s *RowScanner) Row(r int, fn func(col int, val float64)) error {
 	}
 	if dirty {
 		// Stage the dirty row, stream the stage.
-		cols, vals, err := s.ver.el.DecodeLocal(r, lo, hi-lo, 1)
+		cols, vals, err := s.ver.el.DecodeLocal(r, lo, hi-lo)
 		if err != nil {
 			return err
 		}

@@ -69,6 +69,22 @@ func VectorFromSlice(data []float64, s Scheme) *Vector {
 	return v
 }
 
+// view makes v a view of the n elements of parent that start at block
+// b0: v shares parent's words (blocks [b0, b0+⌈n/4⌉), which must lie
+// inside parent), scheme, CRC backend and counters, so a write through v
+// is a write to parent and both read the same codewords. v's previous
+// header is overwritten; re-pointing a view allocates nothing.
+func (v *Vector) view(parent *Vector, b0, n int) {
+	lo, hi := b0*vecBlock, (b0*vecBlock+n+vecBlock-1)/vecBlock*vecBlock
+	*v = Vector{
+		scheme:   parent.scheme,
+		backend:  parent.backend,
+		n:        n,
+		words:    parent.words[lo:hi:hi],
+		counters: parent.counters,
+	}
+}
+
 // Len returns the logical element count.
 func (v *Vector) Len() int { return v.n }
 

@@ -365,3 +365,34 @@ func TestVectorAnySingleFlipNeverSilentQuick(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiVectorView: a view's column j is blocks [b0, b0+⌈n/4⌉) of
+// parent j — a block written through the view is that block of the
+// parent, encoded under the parent's scheme and verified by the parent's
+// reads — it carries the parent's counters, and re-pointing a view of the
+// same width allocates nothing.
+func TestMultiVectorView(t *testing.T) {
+	for _, s := range Schemes {
+		var ca, cb Counters
+		parents := []*Vector{NewVector(30, s), NewVector(30, s)}
+		parents[0].SetCounters(&ca)
+		parents[1].SetCounters(&cb)
+		var mv MultiVector
+		mv.View(parents, 6, 6) // rows 24..29, the last, partial, block included
+		if mv.K() != 2 || mv.Len() != 6 || mv.Blocks() != 2 || mv.Col(1).Counters() != &cb {
+			t.Fatalf("%v: view k=%d len=%d blocks=%d", s, mv.K(), mv.Len(), mv.Blocks())
+		}
+		src := [vecBlock]float64{1.5, -2} // rows 28, 29; 30 and 31 are padding
+		mv.Col(1).WriteBlock(1, &src)
+		got := make([]float64, 30)
+		if err := parents[1].CopyTo(got); err != nil {
+			t.Fatalf("%v: parent read of a block written through the view: %v", s, err)
+		}
+		if got[28] != parents[1].Mask(1.5) || got[29] != parents[1].Mask(-2) || got[27] != 0 {
+			t.Fatalf("%v: parent rows 27..29 = %v", s, got[27:])
+		}
+		if allocs := testing.AllocsPerRun(10, func() { mv.View(parents, 0, 8) }); allocs != 0 {
+			t.Fatalf("%v: re-pointing a view allocates %v times", s, allocs)
+		}
+	}
+}

@@ -8,9 +8,6 @@ type rowVerifier struct {
 	m      *Matrix
 	el     ColElems
 	commit bool
-	// scratch is the CRC32C row buffer (12 bytes per entry of the widest
-	// row), allocated by the first row that verifies under that scheme.
-	scratch []byte
 	// lastPair memoises the last verified SECDED128 pair across
 	// consecutive rows so a codeword straddling a row boundary is checked
 	// once; a straddling pair whose correction was not committed is left
@@ -65,11 +62,8 @@ func (v *rowVerifier) row(r, lo, hi int) (dirty bool, checks uint64, err error) 
 			v.lastPair = last
 		}
 	case CRC32C:
-		if v.scratch == nil {
-			v.scratch = make([]byte, v.m.maxRow*12)
-		}
 		checks++
-		corrected, err := el.CheckRun(r, lo, hi-lo, 1, v.scratch, commit, c)
+		corrected, err := el.CheckRun(r, lo, hi-lo, commit, c)
 		if err != nil {
 			return false, checks, err
 		}

@@ -2,13 +2,16 @@ package ecc
 
 import (
 	"encoding/binary"
+	"math"
 	"unsafe"
 )
 
-// In-place checksums of the two fixed 32-byte codewords whose CRC is
-// interleaved with the message: the vector block (four float64 words, one
-// CRC byte in the low byte of each) and the index group (eight 28-bit
-// indices, one CRC nibble in the top nibble of each).
+// In-place checksums of the three codewords whose CRC is interleaved with
+// the message: the vector block (four float64 words, one CRC byte in the
+// low byte of each), the index group (eight 28-bit indices, one CRC
+// nibble in the top nibble of each) and the column-element run (n values
+// then n 24-bit column indices, one CRC byte in the top byte of each of
+// the last four indices).
 //
 // Serialising such a codeword into a scratch message costs a heap
 // allocation per call: hash/crc32 reaches its Castagnoli kernel through a
@@ -36,15 +39,20 @@ var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // blockSlot[i][v] is rawCRC of a 32-byte message that is zero except for
 // byte v at offset 8i: the contribution of vector-block slot i.
 // groupSlot[i][n] is the same for nibble n in the high half of the byte
-// at offset 4i+3: the contribution of index-group slot i.
+// at offset 4i+3: the contribution of index-group slot i. runSlot[i][v]
+// is rawCRC of byte v followed by 12-4i zero bytes: the contribution of
+// element-run slot i, the top byte of the run's (n-4+i)-th column index,
+// which ends the message or sits 4, 8 or 12 bytes before its end whatever
+// the run's length n.
 var (
 	blockSlot [4][256]uint32
 	groupSlot [8][16]uint32
+	runSlot   [4][256]uint32
 )
 
-// buildSlotTables fills blockSlot and groupSlot. rawCRC reads slicing16,
-// so crc32c.go's init calls this after building that table rather than
-// this file (which sorts first) having an init of its own.
+// buildSlotTables fills blockSlot, groupSlot and runSlot. rawCRC reads
+// slicing16, so crc32c.go's init calls this after building that table
+// rather than this file (which sorts first) having an init of its own.
 func buildSlotTables() {
 	var msg [32]byte
 	// only returns rawCRC of msg with byte v at offset off; leading zeros
@@ -63,6 +71,11 @@ func buildSlotTables() {
 	for i := range groupSlot {
 		for n := range groupSlot[i] {
 			groupSlot[i][n] = only(4*i+3, byte(n<<4))
+		}
+	}
+	for i := range runSlot {
+		for v := range runSlot[i] {
+			runSlot[i][v] = only(len(msg)-13+4*i, byte(v))
 		}
 	}
 }
@@ -122,4 +135,54 @@ func groupChecksumPortable(e *[8]uint32) (crc, stored uint32) {
 		stored |= (x >> 28) << (4 * uint(i))
 	}
 	return updateSoftware(0, msg[:]), stored
+}
+
+// RunChecksum returns, for a stored run of n >= 4 column elements (vals
+// and cols of equal length n), the CRC32C of its message and the checksum
+// held in its slots. The message is the n values serialised
+// little-endian followed by the n column indices serialised
+// little-endian, with the top byte of each of the last four indices
+// cleared; byte i of the checksum lives in the top byte of index n-4+i.
+// The run is clean when the two agree. The top bytes of the other
+// indices are part of the message: a run encodes with them zero. Encoding
+// is the same call on a run whose slot bytes are zero: OR the returned
+// crc into the slots.
+//
+// It is two Update calls over the arrays where they lie and four table
+// lookups, whatever n. vals and cols must be views of storage that
+// outlives the call (they are handed to hash/crc32).
+func RunChecksum(vals []float64, cols []uint32, b Backend) (crc, stored uint32) {
+	if !littleEndian {
+		return runChecksumPortable(vals, cols)
+	}
+	n := len(cols)
+	slots := cols[n-4 : n : n]
+	s0, s1, s2, s3 := byte(slots[0]>>24), byte(slots[1]>>24), byte(slots[2]>>24), byte(slots[3]>>24)
+	vb := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
+	cb := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(cols))), 4*n)
+	crc = Update(Checksum(vb, b), cb, b) ^
+		runSlot[0][s0] ^ runSlot[1][s1] ^ runSlot[2][s2] ^ runSlot[3][s3]
+	stored = uint32(s0) | uint32(s1)<<8 | uint32(s2)<<16 | uint32(s3)<<24
+	return crc, stored
+}
+
+// runChecksumPortable is RunChecksum by serialisation, one word at a
+// time through the slicing-by-16 kernel, for hosts whose byte order
+// differs from the message's.
+func runChecksumPortable(vals []float64, cols []uint32) (crc, stored uint32) {
+	var w [8]byte
+	for _, v := range vals {
+		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
+		crc = updateSoftware(crc, w[:])
+	}
+	first := len(cols) - 4
+	for j, c := range cols {
+		if j >= first {
+			stored |= c >> 24 << (8 * uint(j-first))
+			c &= 0x00FF_FFFF
+		}
+		binary.LittleEndian.PutUint32(w[:4], c)
+		crc = updateSoftware(crc, w[:4])
+	}
+	return crc, stored
 }

@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -146,4 +147,199 @@ func TestBlockChecksumZeroAllocs(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// serialisedRun is the definition RunChecksum must equal: the values
+// serialised little-endian, then the column indices with the top bytes of
+// the last four cleared, checksummed as one message; the slot bytes
+// gathered into the stored checksum.
+func serialisedRun(vals []float64, cols []uint32, b Backend) (crc, stored uint32) {
+	n := len(cols)
+	msg := make([]byte, 12*n)
+	for j, v := range vals {
+		binary.LittleEndian.PutUint64(msg[8*j:], math.Float64bits(v))
+	}
+	for j, c := range cols {
+		if i := j - (n - 4); i >= 0 {
+			stored |= c >> 24 << (8 * uint(i))
+			c &= 0x00FF_FFFF
+		}
+		binary.LittleEndian.PutUint32(msg[8*n+4*j:], c)
+	}
+	return Checksum(msg, b), stored
+}
+
+// checkRunWords compares every route to a run's (crc, stored) pair.
+func checkRunWords(t *testing.T, vals []float64, cols []uint32) {
+	t.Helper()
+	for _, b := range []Backend{Hardware, Software} {
+		wantCRC, wantStored := serialisedRun(vals, cols, b)
+		if crc, stored := RunChecksum(vals, cols, b); crc != wantCRC || stored != wantStored {
+			t.Fatalf("%v: RunChecksum(n=%d) = (%08x, %08x), serialised (%08x, %08x)",
+				b, len(cols), crc, stored, wantCRC, wantStored)
+		}
+	}
+	wantCRC, wantStored := serialisedRun(vals, cols, Software)
+	if crc, stored := runChecksumPortable(vals, cols); crc != wantCRC || stored != wantStored {
+		t.Fatalf("runChecksumPortable(n=%d) = (%08x, %08x), serialised (%08x, %08x)",
+			len(cols), crc, stored, wantCRC, wantStored)
+	}
+}
+
+// randomRun fills a run of n elements with arbitrary words, slot and
+// reserved bytes included.
+func randomRun(rng *rand.Rand, n int) ([]float64, []uint32) {
+	vals, cols := make([]float64, n), make([]uint32, n)
+	for j := range vals {
+		vals[j] = math.Float64frombits(rng.Uint64())
+		cols[j] = rng.Uint32()
+	}
+	return vals, cols
+}
+
+// FuzzRunChecksum asserts that the in-place run checksum equals
+// serialise-then-Checksum and the portable fallback for arbitrary words,
+// slot and reserved bytes included, at a fuzzer-chosen run length.
+func FuzzRunChecksum(f *testing.F) {
+	f.Add(uint8(0), int64(1))
+	f.Add(uint8(1), int64(2))
+	f.Add(uint8(48), int64(3))
+	f.Add(uint8(50), int64(4))
+	f.Fuzz(func(t *testing.T, n uint8, seed int64) {
+		vals, cols := randomRun(rand.New(rand.NewSource(seed)), 4+int(n)%61)
+		checkRunWords(t, vals, cols)
+	})
+}
+
+// TestRunChecksumSlotTables walks every value of every slot byte, and of
+// the reserved top byte of a non-slot index, over random runs of the
+// shortest, a SELL-chunk and the longest HD-6 length, so each table entry
+// is compared with serialisation even when the fuzz corpus is not
+// extended.
+func TestRunChecksumSlotTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, n := range []int{4, 20, 54} {
+		vals, cols := randomRun(rng, n)
+		for _, j := range []int{0, n - 4, n - 3, n - 2, n - 1} {
+			saved := cols[j]
+			for v := uint32(0); v < 256; v++ {
+				cols[j] = saved&0x00FF_FFFF | v<<24
+				checkRunWords(t, vals, cols)
+			}
+			cols[j] = saved
+		}
+	}
+}
+
+// TestRunChecksumEncodeIsCheck pins the encode direction: with cleared top
+// bytes the kernel returns the message's checksum and a zero stored
+// value, and writing that checksum into the slots yields a clean run.
+func TestRunChecksumEncodeIsCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		vals, cols := randomRun(rng, 4+rng.Intn(60))
+		for j := range cols {
+			cols[j] &= 0x00FF_FFFF
+		}
+		crc, stored := RunChecksum(vals, cols, Auto)
+		if stored != 0 {
+			t.Fatalf("cleared slots read back %08x", stored)
+		}
+		n := len(cols)
+		for i := 0; i < 4; i++ {
+			cols[n-4+i] |= crc >> (8 * uint(i)) & 0xFF << 24
+		}
+		if got, stored := RunChecksum(vals, cols, Auto); got != crc || stored != crc {
+			t.Fatalf("encoded run not clean: crc %08x stored %08x want %08x", got, stored, crc)
+		}
+	}
+}
+
+// TestRunChecksumZeroAllocs: checking a run that lives on the heap
+// allocates nothing, on either backend.
+func TestRunChecksumZeroAllocs(t *testing.T) {
+	vals, cols := randomRun(rand.New(rand.NewSource(18)), 52)
+	var sink uint32
+	for _, b := range []Backend{Hardware, Software} {
+		if n := testing.AllocsPerRun(100, func() {
+			crc, stored := RunChecksum(vals, cols, b)
+			sink ^= crc ^ stored
+		}); n != 0 {
+			t.Errorf("%v: RunChecksum allocates %v times per call", b, n)
+		}
+	}
+	_ = sink
+}
+
+// TestRunCodewordDetectsFiveFlips is the HD-6 claim as a property of the
+// element-run codeword, over every run length whose codeword (96 bits per
+// element plus the 32-bit checksum) stays inside CRC32C's HD-6 range: 4
+// to 54 elements, i.e. every CSR row the claim covers and every SELL
+// chunk of 1 to 13 four-entry columns. The checksum is affine in the
+// stored bits, so a flip pattern goes unnoticed exactly when the XOR of
+// its bits' syndromes is zero. Every 1- and 2-flip pattern is covered
+// exhaustively (every stored bit's syndrome is non-zero and no two are
+// equal); 3-, 4- and 5-flip patterns by a seeded sample, each also struck
+// into storage and checked through RunChecksum.
+func TestRunCodewordDetectsFiveFlips(t *testing.T) {
+	maxN := (HD6MaxBits - 32) / 96
+	if maxN != 54 {
+		t.Fatalf("HD-6 run length %d, want 54", maxN)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for n := 4; n <= maxN; n++ {
+		vals, cols := randomRun(rng, n)
+		for j := range cols {
+			cols[j] &= 0x00FF_FFFF
+		}
+		crc, _ := RunChecksum(vals, cols, Auto)
+		for i := 0; i < 4; i++ {
+			cols[n-4+i] |= crc >> (8 * uint(i)) & 0xFF << 24
+		}
+		flip := func(bit int) {
+			if bit < 64*n {
+				vals[bit/64] = math.Float64frombits(math.Float64bits(vals[bit/64]) ^ 1<<uint(bit%64))
+			} else {
+				cols[(bit-64*n)/32] ^= 1 << uint((bit-64*n)%32)
+			}
+		}
+		syndrome := func() uint32 {
+			crc, stored := RunChecksum(vals, cols, Auto)
+			return crc ^ stored
+		}
+		bits := 96 * n
+		syn := make([]uint32, bits)
+		seen := make(map[uint32]int, bits)
+		for b := range syn {
+			flip(b)
+			syn[b] = syndrome()
+			flip(b)
+			if syn[b] == 0 {
+				t.Fatalf("n=%d: a flip of stored bit %d goes unnoticed", n, b)
+			}
+			if a, dup := seen[syn[b]]; dup {
+				t.Fatalf("n=%d: flips of stored bits %d and %d cancel", n, a, b)
+			}
+			seen[syn[b]] = b
+		}
+		for trial := 0; trial < 1200; trial++ {
+			k := 3 + trial%3
+			picked := map[int]bool{}
+			for len(picked) < k {
+				picked[rng.Intn(bits)] = true
+			}
+			var want uint32
+			for b := range picked {
+				want ^= syn[b]
+				flip(b)
+			}
+			got := syndrome()
+			for b := range picked {
+				flip(b)
+			}
+			if got == 0 || got != want {
+				t.Fatalf("n=%d: %d flips at %v: syndrome %08x, linear prediction %08x", n, k, picked, got, want)
+			}
+		}
+	}
 }

@@ -202,21 +202,21 @@ func flipFloat(x float64, bit uint) float64 {
 }
 
 // elemCodewordSpan picks a random element codeword and returns the entry
-// positions base, base+stride, ... (span positions) that belong to it,
-// delegating to the format's own geometry (core.ElemSpanner). A format
-// without the capability degrades to a scheme-generic span, which under
-// CRC32C cannot locate the multi-element codeword and confines flips to
-// a single word instead — every format in this repository implements
-// the capability, so the fallback only guards external implementations.
-func (in *Injector) elemCodewordSpan(m core.ProtectedMatrix, words int) (base, span, stride int) {
+// positions [base, base+span) that belong to it, delegating to the
+// format's own geometry (core.ElemSpanner). A format without the
+// capability degrades to a scheme-generic span, which under CRC32C cannot
+// locate the multi-element codeword and confines flips to a single word
+// instead — every format in this repository implements the capability,
+// so the fallback only guards external implementations.
+func (in *Injector) elemCodewordSpan(m core.ProtectedMatrix, words int) (base, span int) {
 	if sp, ok := m.(core.ElemSpanner); ok {
 		return sp.ElemCodewordSpan(in.rng.Intn)
 	}
 	switch m.Scheme() {
 	case core.SECDED128:
-		return in.rng.Intn(words/2) * 2, 2, 1
+		return in.rng.Intn(words/2) * 2, 2
 	}
-	return in.rng.Intn(words), 1, 1
+	return in.rng.Intn(words), 1
 }
 
 // RandomMatrixFlips picks n distinct flips in the chosen structure of a
@@ -238,7 +238,7 @@ func (in *Injector) RandomMatrixFlips(m core.ProtectedMatrix, target MatrixTarge
 	if words == 0 {
 		return nil
 	}
-	base, span, stride := 0, words, 1
+	base, span := 0, words
 	if sameCodeword {
 		if c, ok := m.(*core.Matrix); ok && target == TargetRowPtr {
 			g := c.RowPtrScheme().RowPtrGroup()
@@ -247,11 +247,11 @@ func (in *Injector) RandomMatrixFlips(m core.ProtectedMatrix, target MatrixTarge
 		} else {
 			// COO row indices share the element codeword layout, so the
 			// element span covers every non-CSR target.
-			base, span, stride = in.elemCodewordSpan(m, words)
+			base, span = in.elemCodewordSpan(m, words)
 		}
 	}
 	return in.distinctFlips(n, func() Flip {
-		return Flip{Word: base + in.rng.Intn(span)*stride, Bit: in.rng.Intn(bits)}
+		return Flip{Word: base + in.rng.Intn(span), Bit: in.rng.Intn(bits)}
 	})
 }
 

@@ -17,10 +17,11 @@
 //	SECDED128  9 check bits across two consecutive stored elements
 //	           (slices hold a multiple of C=4 entries, so pairs always
 //	           align); cols <= 2^24-1
-//	CRC32C     one CRC32C per stored row — a lane, addressed to the codec
-//	           as a run of stride C — byte-wise in the top bytes of the
-//	           row's first four entries (slice widths are padded to >= 4
-//	           under this scheme); cols <= 2^24-1
+//	CRC32C     one CRC32C per slice — stored column-major, so one
+//	           contiguous run of the codec — split into chunks of at most
+//	           13 columns (52 entries, 5,024 bits with the checksum: the
+//	           largest inside CRC32C's HD-6 range), byte-wise in the top
+//	           bytes of each chunk's last four entries; cols <= 2^24-1
 //
 // The structural metadata — slice offsets, the row permutation and the
 // per-row lengths — is trusted: it is small, rebuildable from the source
@@ -44,6 +45,13 @@ import (
 // codeword block of internal/core, so a slice's output rows always form
 // whole protected-vector blocks.
 const C = 4
+
+// chunkCols is the widest CRC32C codeword in slice columns: the most
+// 96-bit elements whose codeword, with its 32-bit checksum, stays inside
+// CRC32C's HD-6 range, rounded down to whole columns of C entries — 13
+// columns, 52 entries, 5,024 bits. Every non-empty chunk holds at least
+// one column, so at least the four entries its checksum slots need.
+const chunkCols = (ecc.HD6MaxBits - 32) / 96 / C
 
 // DefaultSigma is the sorting-window size used when Options.Sigma is zero.
 const DefaultSigma = 32
@@ -72,7 +80,6 @@ type Matrix struct {
 	slicePtr []uint32 // entry offset of each slice, len slices+1
 	perm     []uint32 // stored row -> original row; padRow for dummy lanes
 	rowLen   []uint32 // real entries of each stored row
-	maxWidth int      // widest slice, sizes CRC scratch buffers
 
 	colIdx []uint32 // column indices + embedded ECC, column-major per slice
 	vals   []float64
@@ -136,8 +143,7 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 		}
 	}
 
-	// Size the slices: each is padded to its widest row, and under CRC32C
-	// to at least four entries so every lane can hold its checksum.
+	// Size the slices: each is padded to its widest row.
 	slices := padded / C
 	m.slicePtr = make([]uint32, slices+1)
 	for sl := 0; sl < slices; sl++ {
@@ -146,12 +152,6 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 			if n := int(m.rowLen[sl*C+l]); n > width {
 				width = n
 			}
-		}
-		if s == core.CRC32C && width < 4 {
-			width = 4
-		}
-		if width > m.maxWidth {
-			m.maxWidth = width
 		}
 		m.slicePtr[sl+1] = m.slicePtr[sl] + uint32(width*C)
 	}
@@ -257,25 +257,32 @@ func (m *Matrix) elems() core.ColElems {
 	return core.ColElems{Scheme: m.scheme, Backend: m.backend, Vals: m.vals, Cols: m.colIdx}
 }
 
-// laneRun addresses lane l of slice sl as a codec run: its FaultError id
-// (the stored row), first storage position, entry count and stride.
-func (m *Matrix) laneRun(sl, l int) (id, base, n, stride int) {
-	return sl*C + l, int(m.slicePtr[sl]) + l, m.sliceWidth(sl), C
+// chunks returns the number of CRC32C codewords of slice sl: one per
+// chunkCols columns or part of it, none for a slice of width 0.
+func (m *Matrix) chunks(sl int) int {
+	return (m.sliceWidth(sl) + chunkCols - 1) / chunkCols
+}
+
+// chunk addresses chunk i of slice sl as a codec run: its first storage
+// position, which is also the id its FaultError reports, and its entry
+// count.
+func (m *Matrix) chunk(sl, i int) (base, n int) {
+	lo, hi := m.SliceRange(sl)
+	base = lo + i*chunkCols*C
+	return base, min(chunkCols*C, hi-base)
 }
 
 // encodeAll embeds the redundancy: per-entry codewords in storage order,
-// or one CRC32C per lane.
+// or one CRC32C per slice chunk.
 func (m *Matrix) encodeAll() {
 	el := m.elems()
 	if m.scheme != core.CRC32C {
 		el.Encode(0, len(m.vals))
 		return
 	}
-	buf := make([]byte, m.maxWidth*12)
 	for sl := 0; sl < m.Slices(); sl++ {
-		for l := 0; l < C; l++ {
-			_, base, n, stride := m.laneRun(sl, l)
-			el.EncodeRun(base, n, stride, buf)
+		for i := 0; i < m.chunks(sl); i++ {
+			el.EncodeRun(m.chunk(sl, i))
 		}
 	}
 }
@@ -285,19 +292,18 @@ func (m *Matrix) encodeAll() {
 // true and counting corrections and detections into c — the batch-verify
 // half of the verify-then-stream protocol. It returns whether the slice
 // is dirty (a correction was found but not committed, so storage still
-// holds a raw fault and the caller must stage each lane through
+// holds a raw fault and the caller must stage the slice through
 // DecodeLocal instead of streaming storage), the number of codeword
-// checks performed, and the first error. buf is the CRC32C lane scratch
-// (12*maxWidth bytes, unused by other schemes).
-func (m *Matrix) checkSlice(el *core.ColElems, sl int, buf []byte, commit bool, c *core.Counters) (dirty bool, checks uint64, err error) {
+// checks performed, and the first error.
+func (m *Matrix) checkSlice(el *core.ColElems, sl int, commit bool, c *core.Counters) (dirty bool, checks uint64, err error) {
 	if m.scheme != core.CRC32C {
 		lo, hi := m.SliceRange(sl)
 		return el.Check(lo, hi, commit, c)
 	}
-	for l := 0; l < C; l++ {
+	for i := 0; i < m.chunks(sl); i++ {
 		checks++
-		id, base, n, stride := m.laneRun(sl, l)
-		corrected, e := el.CheckRun(id, base, n, stride, buf, commit, c)
+		base, n := m.chunk(sl, i)
+		corrected, e := el.CheckRun(base, base, n, commit, c)
 		if e != nil && err == nil {
 			err = e
 		}
@@ -315,13 +321,9 @@ func (m *Matrix) CheckAll() (corrected int, err error) {
 	// for untracked matrices too, and the scrub never writes m.counters.
 	var acc core.Counters
 	el := m.elems()
-	var buf []byte
-	if m.scheme == core.CRC32C {
-		buf = make([]byte, m.maxWidth*12)
-	}
 	var checks uint64
 	for sl := 0; sl < m.Slices(); sl++ {
-		_, n, e := m.checkSlice(&el, sl, buf, true, &acc)
+		_, n, e := m.checkSlice(&el, sl, true, &acc)
 		checks += n
 		if e != nil && err == nil {
 			err = e
@@ -339,20 +341,19 @@ func (m *Matrix) Scrub() (corrected int, err error) { return m.CheckAll() }
 
 // ElemCodewordSpan reports the positions of one randomly chosen element
 // codeword, satisfying core.ElemSpanner: single entries under
-// SED/SECDED64, storage-consecutive pairs under SECDED128, and a strided
-// lane (entries base, base+C, ...) under CRC32C.
-func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span, stride int) {
+// SED/SECDED64, storage-consecutive pairs under SECDED128, and a slice
+// chunk under CRC32C.
+func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 	switch m.scheme {
 	case core.SECDED128:
-		return pick(len(m.vals)/2) * 2, 2, 1
+		return pick(len(m.vals)/2) * 2, 2
 	case core.CRC32C:
 		sl := pick(m.Slices())
-		lo, hi := m.SliceRange(sl)
-		if width := (hi - lo) / C; width > 0 {
-			return lo + pick(C), width, C
+		if chunks := m.chunks(sl); chunks > 0 {
+			return m.chunk(sl, pick(chunks))
 		}
 	}
-	return pick(len(m.vals)), 1, 1
+	return pick(len(m.vals)), 1
 }
 
 // ---------------------------------------------------------------------------
@@ -417,12 +418,8 @@ func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) e
 			if k > 1 {
 				sums = make([]float64, k)
 			}
-			var buf []byte
-			if m.scheme == core.CRC32C && !unverified {
-				buf = make([]byte, m.maxWidth*12)
-			}
 			for w := wlo; w < whi; w++ {
-				if err := m.applyWindow(dsts, xbufs, accs, sums, buf, w, unverified); err != nil {
+				if err := m.applyWindow(dsts, xbufs, accs, sums, w, unverified); err != nil {
 					return err
 				}
 			}
@@ -433,8 +430,8 @@ func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) e
 
 // applyWindow multiplies the slices of sigma-window w into the window's
 // accumulators and commits the window's output rows per column. sums is
-// the k-wide lane scratch (nil at width 1), buf the CRC32C lane scratch.
-func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums []float64, buf []byte, w int, unverified bool) error {
+// the k-wide lane scratch (nil at width 1).
+func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums []float64, w int, unverified bool) error {
 	base := w * m.sigma
 	top := base + m.sigma
 	if top > m.rows {
@@ -454,7 +451,7 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 		if m.scheme != core.None && !unverified {
 			var n uint64
 			var err error
-			dirty, n, err = m.checkSlice(&el, sl, buf, m.mode.Commits(), m.counters)
+			dirty, n, err = m.checkSlice(&el, sl, m.mode.Commits(), m.counters)
 			checks += n
 			if err != nil {
 				return err
@@ -541,29 +538,51 @@ func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base i
 
 // stageSlice is the corrective fallback for a slice whose verify found a
 // correction it could not commit (a shared matrix hit a live fault):
-// storage still holds the raw fault, so each lane is staged through
+// storage still holds the raw fault, so the slice is staged through
 // DecodeLocal — uncounted, nothing written — and the stage streams into
-// every accumulator in the lane's entry order.
+// every accumulator in each lane's entry order.
 func (m *Matrix) stageSlice(el *core.ColElems, accs, xbufs [][]float64, sl, base int) error {
+	cols, vals, err := m.decodeSlice(el, sl)
+	if err != nil {
+		return err
+	}
+	lo, _ := m.SliceRange(sl)
+	width := m.sliceWidth(sl)
 	for l := 0; l < C; l++ {
 		r := m.perm[sl*C+l]
 		if r == padRow {
 			continue
 		}
-		cols, vals, err := el.DecodeLocal(m.laneRun(sl, l))
-		if err != nil {
-			return err
-		}
-		for j, col := range cols {
-			if col >= uint32(m.cols) {
-				return m.boundsErr(m.entryIndex(sl, l, j), col)
+		for j := 0; j < width; j++ {
+			k := j*C + l
+			if cols[k] >= uint32(m.cols) {
+				return m.boundsErr(lo+k, cols[k])
 			}
 			for c, acc := range accs {
-				acc[int(r)-base] += vals[j] * xbufs[c][col]
+				acc[int(r)-base] += vals[k] * xbufs[c][cols[k]]
 			}
 		}
 	}
 	return nil
+}
+
+// decodeSlice stages slice sl in storage order: chunk by chunk under
+// CRC32C, one DecodeLocal over the slice's range under every other
+// scheme.
+func (m *Matrix) decodeSlice(el *core.ColElems, sl int) (cols []uint32, vals []float64, err error) {
+	lo, hi := m.SliceRange(sl)
+	if m.scheme != core.CRC32C {
+		return el.DecodeLocal(lo, lo, hi-lo)
+	}
+	for i := 0; i < m.chunks(sl); i++ {
+		base, n := m.chunk(sl, i)
+		c, v, err := el.DecodeLocal(base, base, n)
+		if err != nil {
+			return nil, nil, err
+		}
+		cols, vals = append(cols, c...), append(vals, v...)
+	}
+	return cols, vals, nil
 }
 
 // boundsErr counts and builds the range-check error for a decoded column

@@ -156,19 +156,33 @@ func TestColumnLimitEnforced(t *testing.T) {
 	}
 }
 
+// TestCRCWidthPadding: CRC32C needs no slice padding. Its codeword is a
+// slice chunk, and even a one-column chunk holds the four entries its
+// checksum slots need, so single-entry rows are stored as they are — a
+// diagonal matrix keeps one stored entry per row — and every slot byte
+// still corrects.
 func TestCRCWidthPadding(t *testing.T) {
-	// Single-entry rows must still hold a 4-byte CRC per lane.
-	plain := skewed(t, 8, 8)
+	var entries []csr.Entry
+	for r := 0; r < 8; r++ {
+		entries = append(entries, csr.Entry{Row: r, Col: r, Val: 1 + float64(r)})
+	}
+	plain, err := csr.New(8, 8, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m, err := NewMatrix(plain, Options{Scheme: core.CRC32C})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sl := 0; sl < m.Slices(); sl++ {
-		if lo, hi := m.SliceRange(sl); (hi-lo)/C < 4 {
-			t.Fatalf("slice %d width %d below CRC minimum", sl, (hi-lo)/C)
-		}
+	if m.StoredEntries() != 8 || m.chunks(0) != 1 || m.chunks(1) != 1 {
+		t.Fatalf("%d stored entries, %d and %d chunks; want 8, 1, 1", m.StoredEntries(), m.chunks(0), m.chunks(1))
 	}
-	if _, err := m.CheckAll(); err != nil {
-		t.Fatal(err)
+	for k := range m.colIdx {
+		for bit := 24; bit < 32; bit++ {
+			m.colIdx[k] ^= 1 << bit
+			if corrected, err := m.CheckAll(); corrected != 1 || err != nil {
+				t.Fatalf("entry %d column bit %d: corrected %d, %v", k, bit, corrected, err)
+			}
+		}
 	}
 }

@@ -37,9 +37,9 @@ import (
 const blockLen = 4
 
 // packChunk is how many vector blocks one batched verified read covers
-// during scatter and gather: large enough to amortise the per-call
-// verify accounting, small enough to keep the stack-friendly scratch
-// buffer out of the allocator's large-object path.
+// during scatter: large enough to amortise the per-call verify
+// accounting, small enough to keep the stack-friendly scratch buffer out
+// of the allocator's large-object path.
 const packChunk = 64
 
 // Phase names one bulk-synchronous step of a sharded Apply; the phase
@@ -53,8 +53,8 @@ const (
 	// PhaseExchange: boundary entries packed from neighbour shards into
 	// the local halos.
 	PhaseExchange
-	// PhaseLocal: per-shard protected products computed and gathered
-	// into the global destination.
+	// PhaseLocal: per-shard protected products computed straight into
+	// the global destination.
 	PhaseLocal
 )
 
@@ -129,15 +129,20 @@ func (b *band) rows() int { return b.r1 - b.r0 }
 func (b *band) blocks() int { return b.interiorPad / blockLen }
 
 // local is one band's share of a workspace at width k: x holds the
-// halo-extended inputs ([interior | pad | halo] per column), y the local
-// products. buf stages unprotected values between a verified read and
-// the re-encoding write — one chunk of one column during scatter and
-// gather, one boundary run during the exchange — and out assembles one
-// halo block per column.
+// halo-extended inputs ([interior | pad | halo] per column), and y is a
+// view of the band's rows of every caller destination (the band's
+// boundaries are block-aligned), re-pointed by each product, so the local
+// product is written where the caller reads it — no local copy, no
+// gather; the views keep the last product's destinations reachable until
+// the workspace's next product. buf stages unprotected values between a verified read and the
+// re-encoding write — one chunk of one column during scatter, one
+// boundary run during the exchange — and out assembles one halo block
+// per column.
 type local struct {
-	x, y *core.MultiVector
-	buf  []float64
-	out  [][blockLen]float64
+	x   *core.MultiVector
+	y   core.MultiVector
+	buf []float64
+	out [][blockLen]float64
 }
 
 // workspace is one in-flight product's per-band operands. Workspaces are
@@ -220,11 +225,8 @@ func (o *Operator) newWorkspace(k int) workspace {
 	for i, b := range o.bands {
 		l := &ws[i]
 		l.x = core.NewMultiVector(b.localCols, k, o.opt.VectorScheme)
-		l.y = core.NewMultiVector(b.rows(), k, o.opt.VectorScheme)
-		for _, mv := range []*core.MultiVector{l.x, l.y} {
-			mv.SetCRCBackend(o.opt.Config.Backend)
-			mv.SetCounters(o.counters)
-		}
+		l.x.SetCRCBackend(o.opt.Config.Backend)
+		l.x.SetCounters(o.counters)
 		l.buf = make([]float64, packChunk*blockLen)
 		l.out = make([][blockLen]float64, k)
 	}
@@ -379,9 +381,10 @@ func (o *Operator) HaloRange(i int) (lo, hi int) {
 func (o *Operator) SetPhaseHook(fn func(Phase)) { o.hook = fn }
 
 // SetCounters attaches a statistics accumulator to every shard's matrix
-// and workspace vector, satisfying core.ProtectedMatrix. Must be called
-// before the operator is shared (workspaces allocated for later
-// concurrent Apply calls inherit the accumulator).
+// and workspace input vector, satisfying core.ProtectedMatrix. Must be
+// called before the operator is shared (workspaces allocated for later
+// concurrent Apply calls inherit the accumulator). The local products
+// are views of the caller's destinations and count into theirs.
 func (o *Operator) SetCounters(c *core.Counters) {
 	o.counters = c
 	for _, b := range o.bands {
@@ -393,7 +396,6 @@ func (o *Operator) SetCounters(c *core.Counters) {
 		for _, ws := range pool {
 			for _, l := range ws {
 				l.x.SetCounters(c)
-				l.y.SetCounters(c)
 			}
 		}
 	}
@@ -425,11 +427,11 @@ func (o *Operator) RawCols() []uint32 { return o.bands[0].m.RawCols() }
 
 // ElemCodewordSpan delegates to shard 0's format geometry, satisfying
 // core.ElemSpanner for same-codeword fault campaigns.
-func (o *Operator) ElemCodewordSpan(pick func(n int) int) (base, span, stride int) {
+func (o *Operator) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 	if sp, ok := o.bands[0].m.(core.ElemSpanner); ok {
 		return sp.ElemCodewordSpan(pick)
 	}
-	return pick(len(o.RawVals())), 1, 1
+	return pick(len(o.RawVals())), 1
 }
 
 // owner returns the index of the band owning global column c.
@@ -446,7 +448,8 @@ func (o *Operator) fire(p Phase) {
 // Apply computes dst = A x across all shards, satisfying
 // core.ProtectedMatrix: scatter the verified global x into the shard
 // interiors, exchange boundary entries through the protected pack path,
-// then run the per-shard protected products and gather the results.
+// then run the per-shard protected products straight into dst's rows.
+// dst may be x: the scatter has read all of x before any product writes.
 // workers is the total kernel goroutine budget, divided across shards
 // (each shard always gets its own goroutine).
 func (o *Operator) Apply(dst, x *core.Vector, workers int) error {
@@ -455,9 +458,9 @@ func (o *Operator) Apply(dst, x *core.Vector, workers int) error {
 
 // ApplyUnverified runs the same scatter/exchange/local-product pipeline
 // through the no-decode fast path regardless of the stored read mode:
-// scatter, halo pack and gather stream masked payload blocks without
-// verifying them, and each band's local product runs through its
-// format's ApplyUnverified. Nothing is committed and the check counters
+// scatter and halo pack stream masked payload blocks without verifying
+// them, and each band's local product runs through its format's
+// ApplyUnverified. Nothing is committed and the check counters
 // stay untouched, so the pipeline can run concurrently with verified
 // readers of the same cached operator. It is the inner-solve read path
 // of selective reliability.
@@ -494,11 +497,12 @@ func columns(mv *core.MultiVector) []*core.Vector {
 type blockReader func(v *core.Vector, b0, b1 int, dst []float64) error
 
 // applyK is the one pipeline: dsts[j] = A xs[j] for every j through one
-// scatter, one exchange, one local product per band and one gather.
-// Width is the only parameter; column j sees exactly the reads, writes
-// and checks a width-1 call would give it. With unverified set every
-// read streams masked payload with no decode, no commit and no check
-// accounting, and the local products run unverified too.
+// scatter, one exchange and one local product per band, written through
+// a view into the band's rows of dsts. Width is the only parameter;
+// column j sees exactly the reads, writes and checks a width-1 call
+// would give it. With unverified set every read streams masked payload
+// with no decode, no commit and no check accounting, and the local
+// products run unverified too.
 func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
 	for j, x := range xs {
 		if dsts[j].Len() != o.rows || x.Len() != o.cols {
@@ -509,9 +513,9 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 	ws := o.getWorkspace(len(xs))
 	defer o.putWorkspace(ws)
 	localWorkers := max(workers/len(o.bands), 1)
-	// The caller's operands and the local products have one reader each,
-	// so their repairs commit; a halo source block may be read by several
-	// shards at once, so its repairs are used and counted but not written.
+	// Each block of the caller's x has one reader, so its repairs commit;
+	// a halo source block may be read by several shards at once, so its
+	// repairs are used and counted but not written.
 	read, readHalo := (*core.Vector).ReadBlocksInto, (*core.Vector).ReadBlocksSharedInto
 	if unverified {
 		read, readHalo = (*core.Vector).ReadBlocksUnverifiedInto, (*core.Vector).ReadBlocksUnverifiedInto
@@ -524,7 +528,7 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 		for bi := lo; bi < hi; bi++ {
 			b, l := o.bands[bi], &ws[bi]
 			for j, x := range xs {
-				if err := copyBlocks(l.x.Col(j), 0, x, b.r0/blockLen, b.blocks(), read, l.buf); err != nil {
+				if err := scatterBlocks(l.x.Col(j), x, b.r0/blockLen, b.blocks(), read, l.buf); err != nil {
 					return fmt.Errorf("shard: scatter into shard %d: %w", bi, err)
 				}
 			}
@@ -541,26 +545,22 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 	}
 	o.fire(PhaseExchange)
 
-	// Local products, gathered straight into the block-aligned global
-	// destinations.
+	// Local products, written through views straight into the
+	// block-aligned band rows of the global destinations.
 	err = o.forBands(func(lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
 			b, l := o.bands[bi], &ws[bi]
+			l.y.View(dsts, b.r0/blockLen, b.rows())
 			var err error
 			if unverified {
 				for j := 0; j < len(xs) && err == nil; j++ {
 					err = b.m.ApplyUnverified(l.y.Col(j), l.x.Col(j), localWorkers)
 				}
 			} else {
-				err = b.m.ApplyBatch(l.y, l.x, localWorkers)
+				err = b.m.ApplyBatch(&l.y, l.x, localWorkers)
 			}
 			if err != nil {
 				return fmt.Errorf("shard: shard %d: %w", bi, err)
-			}
-			for j, dst := range dsts {
-				if err := copyBlocks(dst, b.r0/blockLen, l.y.Col(j), 0, b.blocks(), read, l.buf); err != nil {
-					return fmt.Errorf("shard: gather from shard %d: %w", bi, err)
-				}
 			}
 		}
 		return nil
@@ -572,17 +572,17 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 	return nil
 }
 
-// copyBlocks moves n blocks from src (starting at block s0) into dst
-// (starting at block d0): one batched read per packChunk blocks instead
-// of a per-block check loop, each block re-encoded as it lands.
-func copyBlocks(dst *core.Vector, d0 int, src *core.Vector, s0, n int, read blockReader, buf []float64) error {
+// scatterBlocks moves n blocks of src, starting at block s0, into the
+// first n blocks of dst: one batched read per packChunk blocks instead of
+// a per-block check loop, each block re-encoded as it lands.
+func scatterBlocks(dst, src *core.Vector, s0, n int, read blockReader, buf []float64) error {
 	for k := 0; k < n; k += packChunk {
 		cn := min(packChunk, n-k)
 		if err := read(src, s0+k, s0+k+cn, buf[:cn*blockLen]); err != nil {
 			return err
 		}
 		for i := 0; i < cn; i++ {
-			dst.WriteBlock(d0+k+i, (*[blockLen]float64)(buf[i*blockLen:]))
+			dst.WriteBlock(k+i, (*[blockLen]float64)(buf[i*blockLen:]))
 		}
 	}
 	return nil

@@ -28,7 +28,7 @@ func batchInputs(t *testing.T, plain *csr.Matrix, k int) (x *core.MultiVector, w
 
 // TestShardedApplyBatchMatchesApply: the batched bulk-synchronous
 // pipeline — scatter, k-column halo exchange, per-format batched local
-// kernels, gather — is bit-identical to k independent Apply calls for
+// kernels into views of the destinations — is bit-identical to k independent Apply calls for
 // every local format. A second pass over the same operator reuses the
 // pooled batch workspace.
 func TestShardedApplyBatchMatchesApply(t *testing.T) {
@@ -320,28 +320,20 @@ func TestWidthParity(t *testing.T) {
 	}
 }
 
-// strikeAfter strikes a band's local products after the format kernel
-// has written them and before the gather reads them.
-type strikeAfter struct {
-	localMatrix
-	hit func(y *core.MultiVector)
-}
-
-func (s strikeAfter) ApplyBatch(dst, x *core.MultiVector, workers int) error {
-	err := s.localMatrix.ApplyBatch(dst, x, workers)
-	s.hit(dst)
-	return err
-}
-
 // TestWidthFaultParity strikes one column of a product with one flip
 // (corrected in flight) and with one more than the scheme can correct
 // (detected: two under SECDED64, three under CRC32C) at each place the
 // pipeline reads protected vector storage — the caller's column during
-// scatter, a halo source block two shards read, a local product during
-// gather — and requires the struck column's delivered values, the struck
-// storage afterwards, the corrected/detected counts and the error's
-// prefix to be the same at width 3 as at width 1. The halo read is
-// shared: at the exchange barrier the flip is still in storage.
+// scatter and a halo source block two shards read — and requires the
+// struck column's delivered values, the struck storage afterwards, the
+// corrected/detected counts and the error's prefix to be the same at
+// width 3 as at width 1. The halo read is shared: at the exchange
+// barrier the flip is still in storage. The third site, "gather", is
+// where the band products land: the caller's destination, which the
+// pipeline once re-read from a band-local copy and now writes through a
+// view without reading. A flip struck into its band rows before the call
+// is overwritten by the product — no error, nothing corrected or
+// detected, the destination exactly the clean product.
 func TestWidthFaultParity(t *testing.T) {
 	plain := chainMatrix(t, false)
 	n := plain.Rows()
@@ -350,6 +342,7 @@ func TestWidthFaultParity(t *testing.T) {
 		dst         []float64
 		atExchange  []uint64 // struck storage at the exchange barrier (halo site)
 		after       []uint64 // struck storage when the call returns
+		clean       []uint64 // the unstruck product (gather site)
 		fixed, seen uint64
 	}
 	sites := []struct {
@@ -357,7 +350,7 @@ func TestWidthFaultParity(t *testing.T) {
 	}{
 		{"scatter", "shard: scatter into shard 1: "},
 		{"halo", "shard: pack shard 1 for shard 0: "},
-		{"gather", "shard: gather from shard 2: "},
+		{"gather", ""},
 	}
 	for _, f := range op.Formats {
 		for _, s := range []core.Scheme{core.SECDED64, core.CRC32C} {
@@ -422,13 +415,9 @@ func TestWidthFaultParity(t *testing.T) {
 									}
 								})
 							case "gather":
-								struck = ws[2].y.Col(j)
-								o.bands[2].m = strikeAfter{o.bands[2].m, func(y *core.MultiVector) {
-									if y.Col(j) != struck {
-										t.Error("the struck call drew another workspace")
-									}
-									struck.Raw()[1] ^= mask
-								}}
+								struck = dsts[j]
+								out.clean = append([]uint64(nil), struck.Raw()...)
+								struck.Raw()[9] ^= mask // a block of band 2's rows
 							}
 							before := c.Snapshot()
 							if err := call(); err != nil {
@@ -448,20 +437,153 @@ func TestWidthFaultParity(t *testing.T) {
 						if !reflect.DeepEqual(one, three) {
 							t.Fatalf("width 1 and width 3 disagree:\n  k=1 %+v\n  k=3 %+v", one, three)
 						}
-						if !detect {
+						if site.name == "gather" {
+							if one.err != "" || one.fixed != 0 || one.seen != 0 || !reflect.DeepEqual(one.after, one.clean) {
+								t.Fatalf("a flip in the destination was read, or survived the product: %+v", one)
+							}
+						} else if !detect {
 							if one.err != "" || one.fixed == 0 || one.seen != 0 {
 								t.Fatalf("single flip: %+v", one)
 							}
 							if site.name == "halo" && one.atExchange[1]&mask == 0 {
 								t.Fatal("the shared halo read committed its repair")
 							}
-							if one.after[map[string]int{"scatter": 6, "halo": 1, "gather": 1}[site.name]]&mask != 0 {
+							if one.after[map[string]int{"scatter": 6, "halo": 1}[site.name]]&mask != 0 {
 								t.Fatal("the flip is still in storage after the call")
 							}
 						} else if !strings.HasPrefix(one.err, site.prefix) || one.seen == 0 {
 							t.Fatalf("uncorrectable flips: error %q (want prefix %q), %d detected", one.err, site.prefix, one.seen)
 						}
 					})
+				}
+			}
+		}
+	}
+}
+
+// TestBandProductsLandInDst: each band's local product is written through
+// a view straight into the band's rows of the caller's destination and is
+// never read back. The view aliases dst's storage; the local phase
+// verifies exactly the band matrices and one decode of every band's
+// halo-extended input; the destination's own counters see no read; and a
+// flip struck into dst after the call is left for the next verified
+// reader, which corrects one and detects one more than the scheme can
+// correct.
+func TestBandProductsLandInDst(t *testing.T) {
+	plain := generalMatrix(t, 30)
+	n := plain.Rows()
+	for _, f := range op.Formats {
+		for _, s := range []core.Scheme{core.SECDED64, core.CRC32C} {
+			t.Run(fmt.Sprintf("%v_%v", f, s), func(t *testing.T) {
+				build := func(vs core.Scheme, c *core.Counters) *Operator {
+					o, err := New(plain, Options{
+						Shards: 3, Format: f, VectorScheme: vs,
+						Config: op.Config{Scheme: s, RowPtrScheme: s},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.SetCounters(c)
+					return o
+				}
+				var mc core.Counters
+				if err := build(core.None, &mc).Apply(core.NewVector(n, core.None), widthColumns(n, 1, core.None)[0], 1); err != nil {
+					t.Fatal(err)
+				}
+
+				var oc, dc core.Counters
+				o := build(s, &oc)
+				x, dst := widthColumns(n, 1, s)[0], core.NewVector(n, s)
+				x.SetCounters(&oc)
+				dst.SetCounters(&dc)
+				var atExchange uint64
+				o.SetPhaseHook(func(p Phase) {
+					if p == PhaseExchange {
+						atExchange = oc.Checks()
+					}
+				})
+				if err := o.Apply(dst, x, 1); err != nil {
+					t.Fatal(err)
+				}
+				var decodes uint64
+				for bi, b := range o.bands {
+					l := &o.primary[bi]
+					decodes += uint64(l.x.Blocks()) * uint64(blockLen/s.VecGroup())
+					if &l.y.Col(0).Raw()[0] != &dst.Raw()[b.r0] {
+						t.Fatalf("band %d's product is not a view of dst's rows %d..", bi, b.r0)
+					}
+				}
+				if local := oc.Checks() - atExchange; local != mc.Checks()+decodes {
+					t.Fatalf("local phase made %d checks, want %d matrix-side + %d band-input", local, mc.Checks(), decodes)
+				}
+				if dc.Snapshot() != (core.CounterSnapshot{}) {
+					t.Fatalf("the product read its destination: %+v", dc.Snapshot())
+				}
+
+				clean := append([]uint64(nil), dst.Raw()...)
+				want := decode(t, dst)
+				k := 4 * (o.bands[2].r0/blockLen + 1) // a block of the last band
+				dc = core.Counters{}
+				dst.Raw()[k] ^= 1 << 33
+				if got := decode(t, dst); !reflect.DeepEqual(got, want) || dc.Corrected() != 1 || dst.Raw()[k] != clean[k] {
+					t.Fatalf("one flip in dst: corrected %d, repaired %v", dc.Corrected(), dst.Raw()[k] == clean[k])
+				}
+				mask := uint64(1)<<33 | 1<<41
+				if s == core.CRC32C {
+					mask |= 1 << 52
+				}
+				dst.Raw()[k] ^= mask
+				var fe *core.FaultError
+				if err := dst.CopyTo(make([]float64, n)); !errors.As(err, &fe) || dc.Detected() != 1 {
+					t.Fatalf("uncorrectable flips in dst: %v, detected %d", err, dc.Detected())
+				}
+			})
+		}
+	}
+}
+
+// TestApplyInPlace: dst may be x. The scatter has read every block of x
+// before any band writes its product, so Apply(v, v) — and ApplyBatch
+// with one multivector as both operands — leaves exactly the words a
+// product into a separate destination writes, for every format, scheme
+// and shard count.
+func TestApplyInPlace(t *testing.T) {
+	plain := generalMatrix(t, 30)
+	n := plain.Rows()
+	for _, f := range op.Formats {
+		for _, s := range []core.Scheme{core.None, core.SECDED64, core.CRC32C} {
+			for shards := 1; shards <= 3; shards++ {
+				o, err := New(plain, Options{
+					Shards: shards, Format: f, VectorScheme: s,
+					Config: op.Config{Scheme: s, RowPtrScheme: s},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%v %v shards=%d", f, s, shards)
+				xs := widthColumns(n, 3, s)
+				want := make([]*core.Vector, len(xs))
+				for j, x := range xs {
+					want[j] = core.NewVector(n, s)
+					if err := o.Apply(want[j], x, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				v := xs[0].Clone()
+				if err := o.Apply(v, v, 1); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(v.Raw(), want[0].Raw()) {
+					t.Fatalf("%s: Apply(v, v) differs from Apply(dst, v)", name)
+				}
+				mv := wrapColumns(t, xs)
+				if err := o.ApplyBatch(mv, mv, 1); err != nil {
+					t.Fatal(err)
+				}
+				for j := range xs {
+					if !reflect.DeepEqual(xs[j].Raw(), want[j].Raw()) {
+						t.Fatalf("%s: ApplyBatch(v, v) column %d differs from Apply(dst, v)", name, j)
+					}
 				}
 			}
 		}
