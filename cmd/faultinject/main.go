@@ -57,11 +57,6 @@ func parseFormats(s string) ([]op.Format, error) {
 	return out, nil
 }
 
-// tally accumulates per-format outcome totals for the summary.
-type tally struct {
-	benign, corrected, detected, sdc int
-}
-
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("faultinject", flag.ContinueOnError)
 	fs.SetOutput(stdout)
@@ -185,36 +180,12 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("unknown phase %q (choices: %s)", *phase, faults.PhaseInner)
 		}
 		// Phase campaigns strike a solve in flight, not a resident
-		// structure: one row per format/scheme/flip-count.
-		for _, f := range formats {
-			for _, s := range schemes {
-				for _, b := range bitCounts {
-					res, err := faults.Run(faults.CampaignConfig{
-						Scheme:             s,
-						Phase:              faults.PhaseInner,
-						Format:             f,
-						Bits:               b,
-						Trials:             *trials,
-						Seed:               *seed,
-						Size:               *size,
-						Matrix:             plain,
-						Shards:             *shards,
-						Recovery:           recovery,
-						CheckpointInterval: *ckpt,
-					})
-					if err != nil {
-						return err
-					}
-					fmt.Fprintf(stdout, "%-7s %-11s %-11s %5d %9d %10d %10d %10d %8d %7.1f%%\n",
-						f, s, *phase, b, res.Benign, res.Corrected, res.Detected, res.Recovered,
-						res.SDC, 100*res.Rate(faults.SDC))
-				}
-			}
-		}
-		return nil
+		// structure: one row per format/scheme/flip-count, labelled with
+		// the phase, and no per-format totals or footer.
+		structures = []core.Structure{core.StructSolverState}
 	}
 
-	tallies := map[op.Format]*tally{}
+	tallies := map[op.Format]faults.CampaignResult{}
 	for _, st := range structures {
 		for _, f := range formats {
 			if (st == core.StructVector || st == core.StructPrecond) && f != formats[0] {
@@ -225,7 +196,10 @@ func run(args []string, stdout io.Writer) error {
 					f, "-", st)
 				continue
 			}
-			fname := f.String()
+			fname, sname := f.String(), st.String()
+			if *phase != "" {
+				sname = *phase
+			}
 			if st == core.StructVector {
 				fname = "-"
 			}
@@ -237,6 +211,7 @@ func run(args []string, stdout io.Writer) error {
 					res, err := faults.Run(faults.CampaignConfig{
 						Scheme:             s,
 						Structure:          st,
+						Phase:              *phase,
 						Format:             f,
 						Bits:               b,
 						Trials:             *trials,
@@ -254,21 +229,21 @@ func run(args []string, stdout io.Writer) error {
 					}
 					if st != core.StructVector && st != core.StructPrecond && st != core.StructSolverState {
 						tl := tallies[f]
-						if tl == nil {
-							tl = &tally{}
-							tallies[f] = tl
-						}
-						tl.benign += res.Benign
-						tl.corrected += res.Corrected
-						tl.detected += res.Detected
-						tl.sdc += res.SDC
+						tl.Benign += res.Benign
+						tl.Corrected += res.Corrected
+						tl.Detected += res.Detected
+						tl.SDC += res.SDC
+						tallies[f] = tl
 					}
 					fmt.Fprintf(stdout, "%-7s %-11s %-11s %5d %9d %10d %10d %10d %8d %7.1f%%\n",
-						fname, s, st, b, res.Benign, res.Corrected, res.Detected, res.Recovered,
+						fname, s, sname, b, res.Benign, res.Corrected, res.Detected, res.Recovered,
 						res.SDC, 100*res.Rate(faults.SDC))
 				}
 			}
 		}
+	}
+	if *phase != "" {
+		return nil
 	}
 
 	if len(tallies) > 0 {
@@ -276,17 +251,16 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-7s %9s %10s %10s %8s %16s\n",
 			"format", "benign", "corrected", "detected", "sdc", "handled rate")
 		for _, f := range formats {
-			tl := tallies[f]
-			if tl == nil {
+			tl, ok := tallies[f]
+			if !ok {
 				continue
 			}
-			total := tl.benign + tl.corrected + tl.detected + tl.sdc
 			handled := 0.0
-			if total > 0 {
-				handled = 100 * float64(tl.corrected+tl.detected) / float64(total)
+			if total := tl.Total(); total > 0 {
+				handled = 100 * float64(tl.Corrected+tl.Detected) / float64(total)
 			}
 			fmt.Fprintf(stdout, "%-7s %9d %10d %10d %8d %15.1f%%\n",
-				f, tl.benign, tl.corrected, tl.detected, tl.sdc, handled)
+				f, tl.Benign, tl.Corrected, tl.Detected, tl.SDC, handled)
 		}
 	}
 

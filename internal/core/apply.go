@@ -8,13 +8,10 @@ import (
 	"abft/internal/par"
 )
 
-// BatchApplier is an optional capability of ProtectedMatrix
-// implementations: a batched sparse matrix–multivector product that
-// makes one verify-then-stream pass over the matrix and feeds k
-// accumulators, so every matrix-side integrity check is paid once per
-// pass instead of once per right-hand side. All formats in this
-// repository (CSR here, internal/coo, internal/sell) and the sharded
-// composite implement it.
+// BatchApplier is the ProtectedMatrix kernel of a batched sparse
+// matrix–multivector product that makes one verify-then-stream pass over
+// the matrix and feeds k accumulators, so every matrix-side integrity
+// check is paid once per pass instead of once per right-hand side.
 type BatchApplier interface {
 	ApplyBatch(dst, x *MultiVector, workers int) error
 }

@@ -9,8 +9,14 @@ package core
 //
 // Implementations embed their redundancy in otherwise-unused bits of their
 // own storage (zero overhead), verify the codewords they stream through
-// during Apply, and repair what their scheme can correct.
+// during Apply, and repair what their scheme can correct. Every one also
+// provides the batched kernel, the unverified kernel and its element
+// codeword geometry; the three stay named interfaces so a wrapper can
+// forward just the kernels it needs.
 type ProtectedMatrix interface {
+	BatchApplier
+	UnverifiedApplier
+	ElemSpanner
 	// Rows returns the number of rows.
 	Rows() int
 	// Cols returns the number of columns.
@@ -50,26 +56,23 @@ type ProtectedMatrix interface {
 	RawCols() []uint32
 }
 
-// UnverifiedApplier is an optional capability of ProtectedMatrix
-// implementations: a per-call ModeUnverified Apply that skips codeword
-// decode entirely (payload stream plus column mask and bounds checks
-// only), never commits, and leaves the check counters untouched. It
+// UnverifiedApplier is the ProtectedMatrix kernel of a per-call
+// ModeUnverified Apply that skips codeword decode entirely (payload
+// stream plus column mask and bounds checks only), never commits, and leaves the check counters untouched. It
 // exists so a cached shared operator can serve a selective-reliability
 // inner solve concurrently with verified readers without its stored
-// read mode ever being mutated mid-solve. All formats in this
-// repository and the sharded composite implement it.
+// read mode ever being mutated mid-solve.
 type UnverifiedApplier interface {
 	ApplyUnverified(dst, x *Vector, workers int) error
 }
 
-// ElemSpanner is an optional capability of ProtectedMatrix
-// implementations: it exposes the format's element-codeword geometry to
-// fault injectors, which need to confine flips to a single codeword when
-// measuring per-codeword capability (the paper's nECmED budget). pick is
+// ElemSpanner is the ProtectedMatrix capability that exposes the
+// format's element-codeword geometry to fault injectors, which need to
+// confine flips to a single codeword when measuring per-codeword capability (the paper's nECmED budget). pick is
 // the caller's uniform random chooser over [0, n). The codeword covers
 // storage positions [base, base+span) of the value and column arrays:
 // every element codeword in this repository is a contiguous storage
-// range. All formats in this repository implement it.
+// range.
 type ElemSpanner interface {
 	ElemCodewordSpan(pick func(n int) int) (base, span int)
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -148,7 +149,9 @@ func (r *CampaignResult) add(o Outcome) {
 	}
 }
 
-// Run executes the campaign.
+// Run executes the campaign: it picks the trial kind once, then builds
+// and runs Trials fresh trials of it from one injector, so a campaign's
+// tables depend on its configuration and seed alone.
 func Run(cfg CampaignConfig) (CampaignResult, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 100
@@ -160,30 +163,24 @@ func Run(cfg CampaignConfig) (CampaignResult, error) {
 		cfg.Size = 32
 	}
 	res := CampaignResult{Config: cfg}
+	var kind func(CampaignConfig, *Injector) (*trial, error)
+	switch {
+	case cfg.Phase != "" && cfg.Phase != PhaseInner:
+		return res, fmt.Errorf("faults: unknown phase %q (choices: %s)", cfg.Phase, PhaseInner)
+	case cfg.Phase == PhaseInner, cfg.Structure == core.StructSolverState:
+		kind = solveTrial
+	case cfg.Structure == core.StructVector:
+		kind = vectorTrial
+	case cfg.Structure == core.StructHalo:
+		kind = haloTrial
+	case cfg.Structure == core.StructPrecond:
+		kind = precondTrial
+	default:
+		kind = matrixTrial
+	}
 	in := NewInjector(cfg.Seed)
-	for trial := 0; trial < cfg.Trials; trial++ {
-		var (
-			o   Outcome
-			err error
-		)
-		switch {
-		case cfg.Phase == PhaseInner:
-			o, err = innerTrial(cfg, in)
-		case cfg.Phase != "":
-			return res, fmt.Errorf("faults: unknown phase %q (choices: %s)", cfg.Phase, PhaseInner)
-		case cfg.Structure == core.StructVector:
-			o, err = vectorTrial(cfg, in)
-		case cfg.Structure == core.StructHalo:
-			o, err = haloTrial(cfg, in)
-		case cfg.Structure == core.StructPrecond:
-			o, err = precondTrial(cfg, in)
-		case cfg.Structure == core.StructSolverState:
-			o, err = solverStateTrial(cfg, in)
-		case cfg.Shards > 1:
-			o, err = shardedMatrixTrial(cfg, in)
-		default:
-			o, err = matrixTrial(cfg, in)
-		}
+	for i := 0; i < cfg.Trials; i++ {
+		o, err := runTrial(kind(cfg, in))
 		if err != nil {
 			return res, err
 		}
@@ -192,33 +189,107 @@ func Run(cfg CampaignConfig) (CampaignResult, error) {
 			cfg.Journal.Append(obs.Event{
 				Kind:     "campaign_" + o.String(),
 				Operator: fmt.Sprintf("%v/%v/%v", cfg.Format, cfg.Scheme, cfg.Structure),
-				Detail:   fmt.Sprintf("trial %d: %d bit flips", trial, cfg.Bits),
+				Detail:   fmt.Sprintf("trial %d: %d bit flips", i, cfg.Bits),
 			})
 		}
 	}
 	return res, nil
 }
 
-// vectorTrial corrupts a fresh protected vector and classifies the result.
-func vectorTrial(cfg CampaignConfig, in *Injector) (Outcome, error) {
-	rng := rand.New(rand.NewSource(in.rng.Int63()))
-	data := make([]float64, cfg.Size)
-	for i := range data {
-		data[i] = rng.NormFloat64()
-	}
-	v := core.NewVector(cfg.Size, cfg.Scheme)
-	v.SetCRCBackend(cfg.Backend)
-	for i, x := range data {
-		if err := v.Set(i, x); err != nil {
-			return 0, err
-		}
-	}
-	want := make([]float64, cfg.Size)
-	if err := v.CopyTo(want); err != nil {
+// A trial is one campaign repetition. Its kind's constructor builds a
+// fresh structure and draws the trial's input; runTrial then takes it
+// through the steps every kind shares: a fault-free reference run of
+// result, strike, a second run of result that observes the strike,
+// classify. Every random draw of a trial happens in that order.
+type trial struct {
+	// result is the checked read, product or solve the trial observes;
+	// failed reports a fault it caught (or an honest non-convergence),
+	// err a campaign that cannot run.
+	result func() (got []float64, failed bool, err error)
+	// strike puts the trial's flips into the structure, or arms the hook
+	// that puts them there while result runs.
+	strike func() error
+	// tol is the comparison tolerance relative to the reference; zero
+	// compares exactly.
+	tol float64
+	// recovered, when set, reports that a recovery mechanism stood
+	// between the strike and the result.
+	recovered func() bool
+	// c is attached to the struck structure and counts its corrections.
+	c core.Counters
+}
+
+// runTrial runs a freshly built trial (or returns its build error).
+func runTrial(t *trial, err error) (Outcome, error) {
+	if err != nil {
 		return 0, err
 	}
-	var c core.Counters
-	v.SetCounters(&c)
+	want, failed, err := t.result()
+	if err == nil && failed {
+		err = errors.New("a check failed")
+	}
+	if err != nil {
+		return 0, fmt.Errorf("faults: fault-free reference: %w", err)
+	}
+	if err := t.strike(); err != nil {
+		return 0, err
+	}
+	got, failed, err := t.result()
+	if err != nil {
+		return 0, err
+	}
+	recovered := t.recovered != nil && t.recovered()
+	return classify(failed, differs(got, want, t.tol), recovered, t.c.Corrected() > 0), nil
+}
+
+// classify is the campaign outcome order (DESIGN.md section 7): a fault
+// the checks caught is Detected whatever else happened; a wrong result
+// that passed them is SDC; a right one is Recovered when a recovery
+// mechanism produced it, Corrected when a codeword was repaired, and
+// Benign otherwise.
+func classify(failed, unequal, recovered, corrected bool) Outcome {
+	switch {
+	case failed:
+		return Detected
+	case unequal:
+		return SDC
+	case recovered:
+		return Recovered
+	case corrected:
+		return Corrected
+	}
+	return Benign
+}
+
+// differs reports whether got departs from want: exactly when tol is
+// zero, by more than tol relative to want otherwise.
+func differs(got, want []float64, tol float64) bool {
+	if len(got) != len(want) {
+		return true
+	}
+	for i, w := range want {
+		if tol == 0 && got[i] != w || math.Abs(got[i]-w) > tol*(1+math.Abs(w)) {
+			return true
+		}
+	}
+	return false
+}
+
+// normals draws a trial input's seed from the injector and returns n
+// standard normal samples of it.
+func normals(in *Injector, n int) []float64 {
+	rng := rand.New(rand.NewSource(in.rng.Int63()))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+	}
+	return xs
+}
+
+// strike puts the trial's flips into a protected vector: cfg.Bits random
+// flips, or one BurstWindow burst. The random flips are drawn even when
+// the burst replaces them.
+func strike(cfg CampaignConfig, in *Injector, v *core.Vector) {
 	flips := in.RandomVectorFlips(v, cfg.Bits, cfg.SameCodeword)
 	if cfg.BurstWindow > 0 {
 		flips = in.BurstVectorFlips(v, cfg.BurstWindow)
@@ -226,41 +297,18 @@ func vectorTrial(cfg CampaignConfig, in *Injector) (Outcome, error) {
 	for _, f := range flips {
 		FlipVectorBit(v, f)
 	}
-	got := make([]float64, cfg.Size)
-	if err := v.CopyTo(got); err != nil {
-		return Detected, nil
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return SDC, nil
-		}
-	}
-	if c.Corrected() > 0 {
-		return Corrected, nil
-	}
-	// Values intact without a correction: flips landed in padding or
-	// cancelled out of the observable data.
-	return Benign, nil
 }
 
-// decodable is the slice of ProtectedMatrix every format also implements:
-// decoding back to plain CSR for exact outcome classification.
-type decodable interface {
-	core.ProtectedMatrix
-	ToCSR() (*csr.Matrix, error)
-}
-
-// campaignMatrix returns the matrix campaigns' source operator: the
-// ingested matrix when configured, a generated stencil otherwise.
-func campaignMatrix(cfg CampaignConfig) *csr.Matrix {
-	if cfg.Matrix != nil {
-		return cfg.Matrix
+// strikeMatrix puts cfg.Bits flips into the target structure of m.
+func strikeMatrix(cfg CampaignConfig, in *Injector, m core.ProtectedMatrix, target MatrixTarget) error {
+	flips := in.RandomMatrixFlips(m, target, cfg.Bits, cfg.SameCodeword)
+	if flips == nil {
+		return fmt.Errorf("faults: format %v has no %v structure", cfg.Format, target)
 	}
-	side := cfg.Size
-	if side < 4 {
-		side = 4
+	for _, f := range flips {
+		FlipMatrixBit(m, target, f)
 	}
-	return csr.Laplacian2D(side, side)
+	return nil
 }
 
 // pickTarget selects which stored structure of a matrix receives the
@@ -275,527 +323,258 @@ func pickTarget(cfg CampaignConfig, in *Injector) MatrixTarget {
 	return TargetValues
 }
 
-// shardedMatrixTrial corrupts one randomly chosen shard's local matrix
-// of a fresh sharded operator and classifies via a full per-shard scrub
-// plus global decoded comparison.
-func shardedMatrixTrial(cfg CampaignConfig, in *Injector) (Outcome, error) {
-	plain := campaignMatrix(cfg)
-	o, err := shard.New(plain, shard.Options{
-		Shards: cfg.Shards,
-		Format: cfg.Format,
-		Config: op.Config{
-			Scheme:       cfg.Scheme,
-			RowPtrScheme: cfg.Scheme,
-			Backend:      cfg.Backend,
-		},
-		VectorScheme: cfg.Scheme,
-	})
-	if err != nil {
-		return 0, err
+// campaignMatrix returns the campaign's source operator: the ingested
+// matrix when configured, otherwise a generated one — a nonsymmetric
+// convection-diffusion operator for the inner phase, whose natural
+// solver is FGMRES, and a five-point stencil for everything else.
+func campaignMatrix(cfg CampaignConfig) *csr.Matrix {
+	if cfg.Matrix != nil {
+		return cfg.Matrix
 	}
-	want, err := o.ToCSR()
-	if err != nil {
-		return 0, err
+	side := max(cfg.Size, 4)
+	if cfg.Phase == PhaseInner {
+		return csr.ConvectionDiffusion2D(side, side, 1.5, 0.5)
 	}
-	var c core.Counters
-	o.SetCounters(&c)
-
-	target := pickTarget(cfg, in)
-	m := o.Shard(in.rng.Intn(o.Shards()))
-	flips := in.RandomMatrixFlips(m, target, cfg.Bits, cfg.SameCodeword)
-	if flips == nil {
-		return 0, fmt.Errorf("faults: format %v has no %v structure", cfg.Format, target)
-	}
-	for _, f := range flips {
-		FlipMatrixBit(m, target, f)
-	}
-	if _, err := o.Scrub(); err != nil {
-		return Detected, nil
-	}
-	got, err := o.ToCSR()
-	if err != nil {
-		return Detected, nil
-	}
-	if !csrEqual(want, got) {
-		return SDC, nil
-	}
-	if c.Corrected() > 0 {
-		return Corrected, nil
-	}
-	return Benign, nil
+	return csr.Laplacian2D(side, side)
 }
 
-// haloTrial corrupts a random shard's resident halo-extended local
+// newOperator builds the campaign operator over plain in the configured
+// format, row-partitioned when cfg.Shards > 1, its matrix under the
+// scheme under test when protect is set and unprotected otherwise. A
+// sharded operator's resident vectors always carry the scheme.
+func newOperator(cfg CampaignConfig, plain *csr.Matrix, protect bool) (core.ProtectedMatrix, error) {
+	conf := op.Config{Backend: cfg.Backend}
+	if protect {
+		conf.Scheme, conf.RowPtrScheme = cfg.Scheme, cfg.Scheme
+	}
+	if cfg.Shards > 1 {
+		return shard.New(plain, shard.Options{
+			Shards: cfg.Shards, Format: cfg.Format, Config: conf, VectorScheme: cfg.Scheme,
+		})
+	}
+	return op.New(cfg.Format, plain, conf)
+}
+
+// product returns a result step observing apply's output into a plain
+// vector of n rows.
+func product(n int, apply func(dst *core.Vector) error) func() ([]float64, bool, error) {
+	return func() ([]float64, bool, error) {
+		dst := core.NewVector(n, core.None)
+		got := make([]float64, n)
+		return got, apply(dst) != nil || dst.CopyTo(got) != nil, nil
+	}
+}
+
+// vectorTrial strikes a fresh protected vector and reads it back. Values
+// intact without a correction are Benign: the flips landed in padding
+// or cancelled out of the observable data.
+func vectorTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
+	v := core.VectorFromSlice(normals(in, cfg.Size), cfg.Scheme)
+	v.SetCRCBackend(cfg.Backend)
+	t := &trial{strike: func() error { strike(cfg, in, v); return nil }}
+	v.SetCounters(&t.c)
+	t.result = func() ([]float64, bool, error) {
+		got := make([]float64, cfg.Size)
+		return got, v.CopyTo(got) != nil, nil
+	}
+	return t, nil
+}
+
+// matrixTrial strikes one stored structure of a fresh protected matrix
+// of the configured format — of one randomly chosen shard's local
+// matrix when the operator is sharded — and observes a full scrub plus
+// the decoded matrix.
+func matrixTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
+	m, err := newOperator(cfg, campaignMatrix(cfg), true)
+	if err != nil {
+		return nil, err
+	}
+	d, ok := m.(interface{ ToCSR() (*csr.Matrix, error) })
+	if !ok {
+		return nil, fmt.Errorf("faults: format %v does not decode to CSR", cfg.Format)
+	}
+	t := &trial{}
+	m.SetCounters(&t.c)
+	t.result = func() ([]float64, bool, error) {
+		if _, err := m.Scrub(); err != nil {
+			return nil, true, nil
+		}
+		a, err := d.ToCSR()
+		if err != nil {
+			return nil, true, nil
+		}
+		// One slice of dimensions, row pointers, columns and values.
+		got := []float64{float64(a.Rows()), float64(a.NNZ())}
+		for _, w := range a.RowPtr {
+			got = append(got, float64(w))
+		}
+		for _, w := range a.Cols {
+			got = append(got, float64(w))
+		}
+		return append(got, a.Vals...), false, nil
+	}
+	t.strike = func() error {
+		target, struck := pickTarget(cfg, in), m
+		if o, ok := m.(*shard.Operator); ok {
+			struck = o.Shard(in.rng.Intn(o.Shards()))
+		}
+		return strikeMatrix(cfg, in, struck, target)
+	}
+	return t, nil
+}
+
+// haloTrial strikes a random shard's resident halo-extended local
 // vector between the scatter and exchange phases of a sharded product —
 // the moment corruption in one shard's memory is about to cross a shard
-// boundary — and classifies the product's outcome. The scheme under
-// test protects the halo buffers; the shard matrices run unprotected so
-// every detection and correction is attributable to the exchange and
-// kernel vector paths.
-func haloTrial(cfg CampaignConfig, in *Injector) (Outcome, error) {
+// boundary — and observes the product. The scheme under test protects
+// the halo buffers; the shard matrices run unprotected so every
+// detection and correction is attributable to the exchange and kernel
+// vector paths.
+func haloTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 	if cfg.Shards < 2 {
-		return 0, fmt.Errorf("faults: halo campaigns need Shards >= 2 (got %d)", cfg.Shards)
+		return nil, fmt.Errorf("faults: halo campaigns need Shards >= 2 (got %d)", cfg.Shards)
 	}
-	plain := campaignMatrix(cfg)
-	o, err := shard.New(plain, shard.Options{
-		Shards:       cfg.Shards,
-		Format:       cfg.Format,
-		Config:       op.Config{Backend: cfg.Backend},
-		VectorScheme: cfg.Scheme,
-	})
+	m, err := newOperator(cfg, campaignMatrix(cfg), false)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(in.rng.Int63()))
-	xs := make([]float64, o.Cols())
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
+	o := m.(*shard.Operator)
+	x := core.VectorFromSlice(normals(in, o.Cols()), core.None)
+	t := &trial{result: product(o.Rows(), func(dst *core.Vector) error { return o.Apply(dst, x, 1) })}
+	o.SetCounters(&t.c)
+	t.strike = func() error {
+		o.SetPhaseHook(func(p shard.Phase) {
+			if p == shard.PhaseScatter {
+				strike(cfg, in, o.Local(in.rng.Intn(o.Shards())))
+			}
+		})
+		return nil
 	}
-	x := core.VectorFromSlice(xs, core.None)
-	want := core.NewVector(o.Rows(), core.None)
-	if err := o.Apply(want, x, 1); err != nil {
-		return 0, err
-	}
-	ref := make([]float64, o.Rows())
-	if err := want.CopyTo(ref); err != nil {
-		return 0, err
-	}
-
-	var c core.Counters
-	o.SetCounters(&c)
-	o.SetPhaseHook(func(p shard.Phase) {
-		if p != shard.PhaseScatter {
-			return
-		}
-		v := o.Local(in.rng.Intn(o.Shards()))
-		flips := in.RandomVectorFlips(v, cfg.Bits, cfg.SameCodeword)
-		if cfg.BurstWindow > 0 {
-			flips = in.BurstVectorFlips(v, cfg.BurstWindow)
-		}
-		for _, f := range flips {
-			FlipVectorBit(v, f)
-		}
-	})
-	dst := core.NewVector(o.Rows(), core.None)
-	if err := o.Apply(dst, x, 1); err != nil {
-		return Detected, nil
-	}
-	got := make([]float64, o.Rows())
-	if err := dst.CopyTo(got); err != nil {
-		return Detected, nil
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			return SDC, nil
-		}
-	}
-	if c.Corrected() > 0 {
-		return Corrected, nil
-	}
-	return Benign, nil
+	return t, nil
 }
 
-// precondTrial corrupts the resident setup product of a fresh protected
+// precondTrial strikes the resident setup product of a fresh protected
 // preconditioner — the state Elliott/Hoemmen/Mueller identify as the
-// hiding place for silent corruption in opaque preconditioners — and
-// classifies a subsequent application: the flips land between solver
-// iterations, exactly when resident preconditioner memory is exposed.
-func precondTrial(cfg CampaignConfig, in *Injector) (Outcome, error) {
+// hiding place for silent corruption in opaque preconditioners — between
+// two applications, exactly when resident preconditioner memory is
+// exposed.
+func precondTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 	kind := cfg.Precond
 	if kind == precond.None {
 		kind = precond.Jacobi
 	}
 	plain := campaignMatrix(cfg)
-	build := func() (precond.Preconditioner, error) {
-		return precond.New(kind, plain, precond.Options{
-			Scheme:  cfg.Scheme,
-			Backend: cfg.Backend,
-		})
-	}
-	ref, err := build()
+	p, err := precond.New(kind, plain, precond.Options{Scheme: cfg.Scheme, Backend: cfg.Backend})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(in.rng.Int63()))
-	rs := make([]float64, plain.Rows())
-	for i := range rs {
-		rs[i] = rng.NormFloat64()
-	}
-	r := core.VectorFromSlice(rs, core.None)
-	wantV := core.NewVector(plain.Rows(), core.None)
-	if err := ref.Apply(wantV, r); err != nil {
-		return 0, err
-	}
-	want := make([]float64, plain.Rows())
-	if err := wantV.CopyTo(want); err != nil {
-		return 0, err
-	}
-
-	p, err := build()
-	if err != nil {
-		return 0, err
-	}
-	var c core.Counters
-	p.SetCounters(&c)
+	r := core.VectorFromSlice(normals(in, plain.Rows()), core.None)
+	t := &trial{result: product(plain.Rows(), func(dst *core.Vector) error { return p.Apply(dst, r) })}
+	p.SetCounters(&t.c)
 	// The injection surface is the whole setup product: the protected
-	// state vectors plus, for Gauss-Seidel, the protected matrix copy
-	// its sweeps stream (by far its dominant resident state).
-	surfaces := len(p.RawState())
-	var pm core.ProtectedMatrix
-	if mp, ok := p.(interface{ Matrix() *core.Matrix }); ok {
-		pm = mp.Matrix()
-		surfaces++
-	}
-	if pick := in.rng.Intn(surfaces); pick < len(p.RawState()) {
-		state := p.RawState()[pick]
-		flips := in.RandomVectorFlips(state, cfg.Bits, cfg.SameCodeword)
-		if cfg.BurstWindow > 0 {
-			flips = in.BurstVectorFlips(state, cfg.BurstWindow)
+	// state vectors plus, for Gauss-Seidel, the protected matrix copy its
+	// sweeps stream (by far its dominant resident state).
+	t.strike = func() error {
+		state := p.RawState()
+		mp, hasMatrix := p.(interface{ Matrix() *core.Matrix })
+		surfaces := len(state)
+		if hasMatrix {
+			surfaces++
 		}
-		for _, f := range flips {
-			FlipVectorBit(state, f)
+		if pick := in.rng.Intn(surfaces); pick < len(state) {
+			strike(cfg, in, state[pick])
+			return nil
 		}
-	} else {
-		target := TargetValues
-		if in.rng.Intn(3) == 0 {
-			target = TargetCols
-		}
-		for _, f := range in.RandomMatrixFlips(pm, target, cfg.Bits, cfg.SameCodeword) {
-			FlipMatrixBit(pm, target, f)
-		}
+		return strikeMatrix(cfg, in, mp.Matrix(), pickTarget(cfg, in))
 	}
-	dst := core.NewVector(plain.Rows(), core.None)
-	if err := p.Apply(dst, r); err != nil {
-		return Detected, nil
-	}
-	got := make([]float64, plain.Rows())
-	if err := dst.CopyTo(got); err != nil {
-		return Detected, nil
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return SDC, nil
-		}
-	}
-	if c.Corrected() > 0 {
-		return Corrected, nil
-	}
-	return Benign, nil
+	return t, nil
 }
 
-// solverStateTrial corrupts a live iteration vector of a CG solve in
-// flight — x, r or p, the dynamic state no resident protected structure
-// covers — and classifies the solve's outcome under the configured
-// recovery policy. The scheme under test protects the solve's dense
-// vectors; the operator runs unprotected (in any format, sharded when
-// configured) so every detection, correction and rollback is
-// attributable to the dynamic-state paths. The trial solution is
-// compared against a fault-free solve of the identical configuration:
-// agreement after a rollback classifies as Recovered — the outcome the
-// checkpoint controller exists to produce.
-func solverStateTrial(cfg CampaignConfig, in *Injector) (Outcome, error) {
+// solveTrial strikes a solve in flight and compares its solution with a
+// fault-free solve of the identical configuration, at a threshold well
+// above the solver tolerance and the checkpoint scheme's masking
+// perturbation but far below any solution-visible corruption.
+//
+// The solverstate structure strikes a live CG iteration vector — x, r or
+// p, the dynamic state no resident protected structure covers — early in
+// the solve, under the configured recovery policy. The scheme protects
+// the solve's vectors and the operator runs unprotected, so every
+// detection, correction and rollback is the dynamic-state paths'; a
+// right answer after a rollback is Recovered.
+//
+// The inner phase strikes the one deliberately unprotected place in a
+// selective-reliability solve: the plain scratch of FGMRES's unverified
+// inner iteration, at one random hook firing early in the solve. Matrix
+// and vectors carry the scheme, so the inner phase streams masked
+// codeword payloads while the outer iteration stays fully verified. No
+// detection is possible inside the unverified phase, so a struck solve
+// that still converges to the reference was absorbed by the verified
+// outer iteration and is Recovered too; the SDC is what the design must
+// not produce.
+func solveTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 	if cfg.Matrix == nil && cfg.Size > 32 {
-		// Clamp generated operators: each trial is a full solve.
-		cfg.Size = 32
+		cfg.Size = 32 // clamp generated operators: each trial is a full solve
 	}
-	plain := campaignMatrix(cfg)
-	var a solvers.Operator
-	if cfg.Shards > 1 {
-		o, err := shard.New(plain, shard.Options{
-			Shards:       cfg.Shards,
-			Format:       cfg.Format,
-			Config:       op.Config{Backend: cfg.Backend},
-			VectorScheme: cfg.Scheme,
-		})
-		if err != nil {
-			return 0, err
-		}
-		a = solvers.MatrixOperator{M: o, Workers: 1}
-	} else {
-		m, err := op.New(cfg.Format, plain, op.Config{Backend: cfg.Backend})
-		if err != nil {
-			return 0, err
-		}
-		a = solvers.MatrixOperator{M: m, Workers: 1}
+	inner := cfg.Phase == PhaseInner
+	m, err := newOperator(cfg, campaignMatrix(cfg), inner)
+	if err != nil {
+		return nil, err
 	}
-
-	rows := plain.Rows()
-	rng := rand.New(rand.NewSource(in.rng.Int63()))
-	bs := make([]float64, rows)
-	for i := range bs {
-		bs[i] = rng.NormFloat64()
-	}
-	newVecs := func() (x, b *core.Vector) {
-		x = core.NewVector(rows, cfg.Scheme)
-		b = core.VectorFromSlice(bs, cfg.Scheme)
-		for _, v := range []*core.Vector{x, b} {
-			v.SetCRCBackend(cfg.Backend)
-		}
-		return x, b
-	}
+	a := solvers.MatrixOperator{M: m, Workers: 1}
+	bs := normals(in, m.Rows())
 	opt := solvers.Options{
 		Tol: 1e-8, RelativeTol: true, Workers: 1,
 		Recovery: solvers.Recovery{Policy: cfg.Recovery, Interval: cfg.CheckpointInterval},
 	}
-
-	// Fault-free reference under the identical configuration.
-	x, b := newVecs()
-	res, err := solvers.CG(a, x, b, opt)
-	if err != nil || !res.Converged {
-		return 0, fmt.Errorf("faults: fault-free reference solve: %v", err)
+	solve := solvers.CG
+	if inner {
+		opt.Reliability, solve = solvers.ReliabilitySelective, solvers.FGMRES
 	}
-	want := make([]float64, rows)
-	if err := x.CopyTo(want); err != nil {
-		return 0, err
-	}
-
-	// The trial: strike one random live vector early in the solve.
-	x, b = newVecs()
-	var c core.Counters
-	x.SetCounters(&c)
-	b.SetCounters(&c)
-	strikeAt := 1 + in.rng.Intn(4)
-	struck := false
-	opt.StateHook = func(it int, live []*core.Vector) {
-		if struck || it != strikeAt {
-			return
-		}
-		struck = true
-		v := live[in.rng.Intn(len(live))]
-		flips := in.RandomVectorFlips(v, cfg.Bits, cfg.SameCodeword)
-		if cfg.BurstWindow > 0 {
-			flips = in.BurstVectorFlips(v, cfg.BurstWindow)
-		}
-		for _, f := range flips {
-			FlipVectorBit(v, f)
-		}
-	}
-	res, err = solvers.CG(a, x, b, opt)
-	if err != nil {
-		if solvers.IsFault(err) {
-			return Detected, nil
-		}
-		return 0, err
-	}
-	if !res.Converged {
-		// Recomputed iterations can exhaust a tight budget; the solver
-		// honestly reported the non-convergence, so the application can
-		// react — nothing silent happened.
-		return Detected, nil
-	}
-	got := make([]float64, rows)
-	if err := x.CopyTo(got); err != nil {
-		return Detected, nil
-	}
-	// Converged solutions are compared at a threshold well above the
-	// solver tolerance and the checkpoint scheme's masking perturbation
-	// but far below any solution-visible corruption.
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
-			return SDC, nil
-		}
-	}
-	if res.Rollbacks > 0 {
-		return Recovered, nil
-	}
-	if c.Corrected() > 0 {
-		return Corrected, nil
-	}
-	return Benign, nil
-}
-
-// innerTrial strikes the one deliberately unprotected place in a
-// selective-reliability solve: the plain float64 scratch of FGMRES's
-// unverified inner iteration, observed live through Options.InnerHook.
-// The operator is nonsymmetric (convection-diffusion) so FGMRES is the
-// natural solver; matrix and vectors carry the scheme under test, which
-// means the inner phase streams masked codeword payloads through the
-// no-decode path while the outer iteration stays fully verified. No
-// detection is possible inside the unverified phase by construction, so
-// the classification measures the absorption contract directly: a trial
-// that converges to the fault-free solution is Recovered (the verified
-// outer iteration absorbed the corrupted search direction), a trial
-// that honestly fails to converge is Detected, and a converged-but-wrong
-// solution is the SDC the design must not produce.
-func innerTrial(cfg CampaignConfig, in *Injector) (Outcome, error) {
-	if cfg.Matrix == nil && cfg.Size > 32 {
-		// Clamp generated operators: each trial is a full solve.
-		cfg.Size = 32
-	}
-	plain := cfg.Matrix
-	if plain == nil {
-		side := cfg.Size
-		if side < 4 {
-			side = 4
-		}
-		plain = csr.ConvectionDiffusion2D(side, side, 1.5, 0.5)
-	}
-	var a solvers.Operator
-	if cfg.Shards > 1 {
-		o, err := shard.New(plain, shard.Options{
-			Shards: cfg.Shards,
-			Format: cfg.Format,
-			Config: op.Config{
-				Scheme:       cfg.Scheme,
-				RowPtrScheme: cfg.Scheme,
-				Backend:      cfg.Backend,
-			},
-			VectorScheme: cfg.Scheme,
-		})
-		if err != nil {
-			return 0, err
-		}
-		a = solvers.MatrixOperator{M: o, Workers: 1}
-	} else {
-		m, err := op.New(cfg.Format, plain, op.Config{
-			Scheme:       cfg.Scheme,
-			RowPtrScheme: cfg.Scheme,
-			Backend:      cfg.Backend,
-		})
-		if err != nil {
-			return 0, err
-		}
-		a = solvers.MatrixOperator{M: m, Workers: 1}
-	}
-
-	rows := plain.Rows()
-	rng := rand.New(rand.NewSource(in.rng.Int63()))
-	bs := make([]float64, rows)
-	for i := range bs {
-		bs[i] = rng.NormFloat64()
-	}
-	newVecs := func() (x, b *core.Vector) {
-		x = core.NewVector(rows, cfg.Scheme)
-		b = core.VectorFromSlice(bs, cfg.Scheme)
+	var (
+		res    solvers.Result
+		struck bool
+	)
+	t := &trial{tol: 1e-6}
+	t.result = func() ([]float64, bool, error) {
+		x := core.NewVector(len(bs), cfg.Scheme)
+		b := core.VectorFromSlice(bs, cfg.Scheme)
 		for _, v := range []*core.Vector{x, b} {
 			v.SetCRCBackend(cfg.Backend)
+			v.SetCounters(&t.c)
 		}
-		return x, b
-	}
-	opt := solvers.Options{
-		Tol: 1e-8, RelativeTol: true, Workers: 1,
-		Reliability: solvers.ReliabilitySelective,
-		Recovery:    solvers.Recovery{Policy: cfg.Recovery, Interval: cfg.CheckpointInterval},
-	}
-
-	// Fault-free reference under the identical configuration.
-	x, b := newVecs()
-	res, err := solvers.FGMRES(a, x, b, opt)
-	if err != nil || !res.Converged {
-		return 0, fmt.Errorf("faults: fault-free reference solve: %v", err)
-	}
-	want := make([]float64, rows)
-	if err := x.CopyTo(want); err != nil {
-		return 0, err
-	}
-
-	// The trial: flip Bits random bits of random words of the live inner
-	// scratch at one random hook firing early in the solve.
-	x, b = newVecs()
-	strikeAt := in.rng.Intn(4)
-	calls, struck := 0, false
-	opt.InnerHook = func(cycle, j, step int, z []float64) {
-		if struck {
-			return
+		var err error
+		if res, err = solve(a, x, b, opt); err != nil && !solvers.IsFault(err) {
+			return nil, false, err
 		}
-		if calls++; calls-1 != strikeAt {
-			return
+		// A non-convergence (recomputed iterations can exhaust a tight
+		// budget) is honestly reported, so nothing silent happened.
+		got := make([]float64, len(bs))
+		return got, err != nil || !res.Converged || x.CopyTo(got) != nil, nil
+	}
+	t.recovered = func() bool { return res.Rollbacks > 0 || inner && struck }
+	t.strike = func() error {
+		if inner {
+			strikeAt, calls := in.rng.Intn(4), 0
+			opt.InnerHook = func(_, _, _ int, z []float64) {
+				if !struck && calls == strikeAt {
+					struck = true
+					for i := 0; i < cfg.Bits; i++ {
+						w := in.rng.Intn(len(z))
+						z[w] = flipFloatBits(z[w], 1<<uint(in.rng.Intn(64)))
+					}
+				}
+				calls++
+			}
+			return nil
 		}
-		struck = true
-		for i := 0; i < cfg.Bits; i++ {
-			w := in.rng.Intn(len(z))
-			z[w] = flipFloatBits(z[w], 1<<uint(in.rng.Intn(64)))
+		strikeAt := 1 + in.rng.Intn(4)
+		opt.StateHook = func(it int, live []*core.Vector) {
+			if !struck && it == strikeAt {
+				struck = true
+				strike(cfg, in, live[in.rng.Intn(len(live))])
+			}
 		}
+		return nil
 	}
-	res, err = solvers.FGMRES(a, x, b, opt)
-	if err != nil {
-		if solvers.IsFault(err) {
-			return Detected, nil
-		}
-		return 0, err
-	}
-	if !struck {
-		return Benign, nil
-	}
-	if !res.Converged {
-		// The solver honestly reported non-convergence: nothing silent.
-		return Detected, nil
-	}
-	got := make([]float64, rows)
-	if err := x.CopyTo(got); err != nil {
-		return Detected, nil
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
-			return SDC, nil
-		}
-	}
-	// Converged to the reference solution with a fault injected into the
-	// unverified phase: absorbed by the verified outer iteration — the
-	// selective-reliability analogue of a rollback recovery.
-	return Recovered, nil
-}
-
-// matrixTrial corrupts a fresh protected matrix of the configured storage
-// format and classifies via a full scrub plus decoded comparison.
-func matrixTrial(cfg CampaignConfig, in *Injector) (Outcome, error) {
-	plain := campaignMatrix(cfg)
-	pm, err := op.New(cfg.Format, plain, op.Config{
-		Scheme:       cfg.Scheme,
-		RowPtrScheme: cfg.Scheme,
-		Backend:      cfg.Backend,
-	})
-	if err != nil {
-		return 0, err
-	}
-	m, ok := pm.(decodable)
-	if !ok {
-		return 0, fmt.Errorf("faults: format %v does not decode to CSR", cfg.Format)
-	}
-	want, err := m.ToCSR()
-	if err != nil {
-		return 0, err
-	}
-	var c core.Counters
-	m.SetCounters(&c)
-
-	target := pickTarget(cfg, in)
-	flips := in.RandomMatrixFlips(m, target, cfg.Bits, cfg.SameCodeword)
-	if flips == nil {
-		return 0, fmt.Errorf("faults: format %v has no %v structure", cfg.Format, target)
-	}
-	for _, f := range flips {
-		FlipMatrixBit(m, target, f)
-	}
-	if _, err := m.Scrub(); err != nil {
-		return Detected, nil
-	}
-	got, err := m.ToCSR()
-	if err != nil {
-		return Detected, nil
-	}
-	if !csrEqual(want, got) {
-		return SDC, nil
-	}
-	if c.Corrected() > 0 {
-		return Corrected, nil
-	}
-	return Benign, nil
-}
-
-func csrEqual(a, b *csr.Matrix) bool {
-	if a.Rows() != b.Rows() || a.NNZ() != b.NNZ() {
-		return false
-	}
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != b.RowPtr[i] {
-			return false
-		}
-	}
-	for i := range a.Cols {
-		if a.Cols[i] != b.Cols[i] || a.Vals[i] != b.Vals[i] {
-			return false
-		}
-	}
-	return true
+	return t, nil
 }

@@ -201,24 +201,6 @@ func flipFloat(x float64, bit uint) float64 {
 	return flipFloatBits(x, 1<<bit)
 }
 
-// elemCodewordSpan picks a random element codeword and returns the entry
-// positions [base, base+span) that belong to it, delegating to the
-// format's own geometry (core.ElemSpanner). A format without the
-// capability degrades to a scheme-generic span, which under CRC32C cannot
-// locate the multi-element codeword and confines flips to a single word
-// instead — every format in this repository implements the capability,
-// so the fallback only guards external implementations.
-func (in *Injector) elemCodewordSpan(m core.ProtectedMatrix, words int) (base, span int) {
-	if sp, ok := m.(core.ElemSpanner); ok {
-		return sp.ElemCodewordSpan(in.rng.Intn)
-	}
-	switch m.Scheme() {
-	case core.SECDED128:
-		return in.rng.Intn(words/2) * 2, 2
-	}
-	return in.rng.Intn(words), 1
-}
-
 // RandomMatrixFlips picks n distinct flips in the chosen structure of a
 // protected matrix of any format. With sameCodeword the flips stay within
 // one ECC codeword (an element codeword spans the value and index of its
@@ -246,8 +228,9 @@ func (in *Injector) RandomMatrixFlips(m core.ProtectedMatrix, target MatrixTarge
 			span = g
 		} else {
 			// COO row indices share the element codeword layout, so the
-			// element span covers every non-CSR target.
-			base, span = in.elemCodewordSpan(m, words)
+			// format's element span (core.ElemSpanner) covers every
+			// non-CSR target.
+			base, span = m.ElemCodewordSpan(in.rng.Intn)
 		}
 	}
 	return in.distinctFlips(n, func() Flip {

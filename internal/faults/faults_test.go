@@ -7,6 +7,7 @@ import (
 	"abft/internal/csr"
 	"abft/internal/obs"
 	"abft/internal/op"
+	"abft/internal/precond"
 	"abft/internal/solvers"
 )
 
@@ -571,5 +572,65 @@ func TestInnerPhaseCampaignFormatsAndSharded(t *testing.T) {
 func TestCampaignRejectsUnknownPhase(t *testing.T) {
 	if _, err := Run(CampaignConfig{Phase: "outer"}); err == nil {
 		t.Fatal("unknown phase accepted")
+	}
+}
+
+// promisedFlips lists, per scheme, the same-codeword flip counts the
+// paper's section IV promises are never silent: parity catches every odd
+// count, SECDED corrects one and detects two, CRC32C's Hamming distance
+// 6 covers up to five.
+var promisedFlips = map[core.Scheme][]int{
+	core.SED:       {1, 3, 5},
+	core.SECDED64:  {1, 2},
+	core.SECDED128: {1, 2},
+	core.CRC32C:    {1, 2, 3, 4, 5},
+}
+
+// TestNoSDCWherePromised is the capability gate over every campaign
+// structure, storage format and scheme: at the flip counts a scheme
+// promises to handle, no trial may end in silent data corruption. The
+// inner phase promises absorption at every count, since the verified
+// outer iteration, not a codeword, stands behind it.
+func TestNoSDCWherePromised(t *testing.T) {
+	type cell struct {
+		name string
+		cfg  CampaignConfig
+	}
+	var cells []cell
+	add := func(name string, cfg CampaignConfig) { cells = append(cells, cell{name, cfg}) }
+	add("vector", CampaignConfig{Structure: core.StructVector})
+	for _, k := range precond.ProtectingKinds {
+		add("precond/"+k.String(), CampaignConfig{Structure: core.StructPrecond, Precond: k})
+	}
+	for _, f := range op.Formats {
+		add("elements/"+f.String(), CampaignConfig{Structure: core.StructElements, Format: f})
+		add("elements/"+f.String()+"/shards=3", CampaignConfig{Structure: core.StructElements, Format: f, Shards: 3})
+		if f != op.SELLCS {
+			add("rowptr/"+f.String(), CampaignConfig{Structure: core.StructRowPtr, Format: f})
+		}
+		add("halo/"+f.String(), CampaignConfig{Structure: core.StructHalo, Format: f, Shards: 2})
+		add("solverstate/"+f.String(), CampaignConfig{
+			Structure: core.StructSolverState, Format: f, Recovery: solvers.RecoveryRollback,
+		})
+		add("inner/"+f.String(), CampaignConfig{Phase: PhaseInner, Format: f})
+	}
+	for _, c := range cells {
+		if testing.Short() && (c.cfg.Phase != "" || c.cfg.Structure == core.StructSolverState) {
+			continue // two full solves per trial
+		}
+		for _, s := range core.ProtectingSchemes {
+			counts := promisedFlips[s]
+			if c.cfg.Phase == PhaseInner {
+				counts = []int{1, 2, 3, 4, 5}
+			}
+			for _, bits := range counts {
+				cfg := c.cfg
+				cfg.Scheme, cfg.Bits, cfg.SameCodeword = s, bits, true
+				cfg.Size, cfg.Trials = 12, 10
+				if res := runCampaign(t, cfg); res.SDC != 0 {
+					t.Errorf("%s %v %d flips: %d SDCs: %v", c.name, s, bits, res.SDC, res)
+				}
+			}
+		}
 	}
 }

@@ -25,8 +25,6 @@ type blockJacobiPre struct {
 	inv   *core.Vector
 	bands [][2]int
 	mode  core.ReadMode
-	applies
-	counters *core.Counters
 }
 
 func newBlockJacobi(src *csr.Matrix, opt Options) (*blockJacobiPre, error) {
@@ -137,7 +135,6 @@ func (p *blockJacobiPre) Apply(z, r *core.Vector) error {
 		return fmt.Errorf("precond: bjacobi Apply length mismatch: z %d, r %d, rows %d",
 			z.Len(), r.Len(), p.rows)
 	}
-	p.bump()
 	return par.Run(p.bands, func(lo, hi int) error {
 		var rv, out [blockLen]float64
 		// One diagonal block's inverse spans four consecutive vector
@@ -183,14 +180,8 @@ func (p *blockJacobiPre) Bands() [][2]int { return p.bands }
 // Scrub patrols the protected inverse-block storage.
 func (p *blockJacobiPre) Scrub() (int, error) { return p.inv.CheckAll() }
 
-// Stats reports apply counts and integrity statistics.
-func (p *blockJacobiPre) Stats() Stats {
-	return Stats{Applies: p.n.Load(), Counters: p.counters.Snapshot()}
-}
-
 // SetCounters attaches a statistics accumulator to the state vector.
 func (p *blockJacobiPre) SetCounters(c *core.Counters) {
-	p.counters = c
 	p.inv.SetCounters(c)
 }
 

@@ -18,8 +18,6 @@ type jacobiPre struct {
 	inv     *core.Vector
 	workers int
 	mode    core.ReadMode
-	applies
-	counters *core.Counters
 }
 
 func newJacobi(src *csr.Matrix, opt Options) (*jacobiPre, error) {
@@ -38,7 +36,6 @@ func (p *jacobiPre) Apply(z, r *core.Vector) error {
 		return fmt.Errorf("precond: jacobi Apply length mismatch: z %d, r %d, rows %d",
 			z.Len(), r.Len(), p.rows)
 	}
-	p.bump()
 	return par.ForEach(p.inv.Blocks(), p.workers, 1, func(lo, hi int) error {
 		var dv, rv, out [blockLen]float64
 		if p.mode.Verifies() {
@@ -70,14 +67,8 @@ func (p *jacobiPre) Kind() Kind { return Jacobi }
 // Scrub patrols the protected inverse diagonal.
 func (p *jacobiPre) Scrub() (int, error) { return p.inv.CheckAll() }
 
-// Stats reports apply counts and integrity statistics.
-func (p *jacobiPre) Stats() Stats {
-	return Stats{Applies: p.n.Load(), Counters: p.counters.Snapshot()}
-}
-
 // SetCounters attaches a statistics accumulator to the state vector.
 func (p *jacobiPre) SetCounters(c *core.Counters) {
-	p.counters = c
 	p.inv.SetCounters(c)
 }
 

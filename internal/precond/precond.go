@@ -28,7 +28,6 @@ package precond
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"abft/internal/core"
 	"abft/internal/csr"
@@ -116,15 +115,6 @@ type Options struct {
 	Bands [][2]int
 }
 
-// Stats is a point-in-time summary of preconditioner activity.
-type Stats struct {
-	// Applies counts Apply calls performed.
-	Applies uint64
-	// Counters snapshots the integrity-check statistics of the
-	// protected preconditioner state.
-	Counters core.CounterSnapshot
-}
-
 // Preconditioner is an ECC-protected preconditioner: Apply computes
 // z = M^-1 r through codeword-verified state, Scrub patrols that state
 // like a cached matrix, and RawState exposes the protected storage to
@@ -143,8 +133,6 @@ type Preconditioner interface {
 	// uncorrectable error — the patrol contract of
 	// core.ProtectedMatrix.Scrub.
 	Scrub() (corrected int, err error)
-	// Stats reports apply counts and integrity-check statistics.
-	Stats() Stats
 	// SetCounters attaches a statistics accumulator (shared or nil).
 	SetCounters(*core.Counters)
 	// SetReadMode selects the read discipline for the protected state.
@@ -280,8 +268,3 @@ func decode(v *core.Vector, dst []float64, mode core.ReadMode) error {
 	}
 	return nil
 }
-
-// applies is the shared Apply counter every implementation embeds.
-type applies struct{ n atomic.Uint64 }
-
-func (a *applies) bump() { a.n.Add(1) }

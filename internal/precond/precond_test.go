@@ -178,9 +178,6 @@ func TestSingleFlipHandled(t *testing.T) {
 		if corrected, err := p.Scrub(); err != nil || corrected != 0 {
 			t.Fatalf("repair not committed: corrected=%d err=%v", corrected, err)
 		}
-		if st := p.Stats(); st.Applies != 1 || st.Counters.Corrected == 0 {
-			t.Fatalf("stats did not record activity: %+v", st)
-		}
 	})
 }
 

@@ -30,9 +30,7 @@ type sgsPre struct {
 	rows int
 	m    *core.Matrix
 	inv  *core.Vector
-	applies
-	counters *core.Counters
-	mode     core.ReadMode
+	mode core.ReadMode
 
 	mu   sync.Mutex
 	free []*sgsScratch
@@ -87,7 +85,6 @@ func (p *sgsPre) Apply(z, r *core.Vector) error {
 		return fmt.Errorf("precond: sgs Apply length mismatch: z %d, r %d, rows %d",
 			z.Len(), r.Len(), p.rows)
 	}
-	p.bump()
 	ws := p.getScratch()
 	defer p.putScratch(ws)
 	// A fresh sweep re-verifies codewords memoised by a previous one.
@@ -158,15 +155,9 @@ func (p *sgsPre) Scrub() (corrected int, err error) {
 	return corrected, err
 }
 
-// Stats reports apply counts and integrity statistics.
-func (p *sgsPre) Stats() Stats {
-	return Stats{Applies: p.n.Load(), Counters: p.counters.Snapshot()}
-}
-
 // SetCounters attaches a statistics accumulator to every protected
 // structure.
 func (p *sgsPre) SetCounters(c *core.Counters) {
-	p.counters = c
 	p.m.SetCounters(c)
 	p.inv.SetCounters(c)
 }

@@ -27,17 +27,13 @@ func (o cachedOperator) Apply(dst, x *core.Vector) error {
 	return o.e.m.Apply(dst, x, o.workers)
 }
 
-// ApplyUnverified forwards to the cached operator's no-decode fast path
-// when its format has one (all in-tree formats do), satisfying
-// solvers.UnverifiedOperator so a selective-reliability FGMRES can run
-// its inner SpMVs unverified against the shared entry — the capability
-// is per call, so the entry's stored read mode is never mutated under
-// concurrent solves.
+// ApplyUnverified forwards to the cached operator's no-decode fast path,
+// satisfying solvers.UnverifiedOperator so a selective-reliability
+// FGMRES can run its inner SpMVs unverified against the shared entry —
+// the capability is per call, so the entry's stored read mode is never
+// mutated under concurrent solves.
 func (o cachedOperator) ApplyUnverified(dst, x *core.Vector) error {
-	if ua, ok := o.e.m.(core.UnverifiedApplier); ok {
-		return ua.ApplyUnverified(dst, x, o.workers)
-	}
-	return o.Apply(dst, x)
+	return o.e.m.ApplyUnverified(dst, x, o.workers)
 }
 
 func (o cachedOperator) Diagonal(dst []float64) error {
@@ -48,20 +44,11 @@ func (o cachedOperator) Diagonal(dst []float64) error {
 	return nil
 }
 
-// ApplyBatch forwards to the cached operator's batched kernel
-// (satisfying solvers.BatchOperator, so BlockCG amortises the matrix
-// checks over the batch), with a per-column fallback for formats
-// without one.
+// ApplyBatch forwards to the cached operator's batched kernel,
+// satisfying solvers.BatchOperator so BlockCG amortises the matrix
+// checks over the batch.
 func (o cachedOperator) ApplyBatch(dst, x *core.MultiVector) error {
-	if ba, ok := o.e.m.(core.BatchApplier); ok {
-		return ba.ApplyBatch(dst, x, o.workers)
-	}
-	for j := 0; j < x.K(); j++ {
-		if err := o.Apply(dst.Col(j), x.Col(j)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.e.m.ApplyBatch(dst, x, o.workers)
 }
 
 // cachedBanded adds the two capabilities only a sharded operator has.

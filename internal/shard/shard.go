@@ -99,20 +99,11 @@ func Clamp(rows, shards int) int {
 	return len(par.Partition(rows, shards, blockLen))
 }
 
-// localMatrix is what every registered storage format provides: the
-// matrix contract plus the batched and the unverified kernel the one
-// pipeline drives a band through.
-type localMatrix interface {
-	core.ProtectedMatrix
-	core.BatchApplier
-	core.UnverifiedApplier
-}
-
 // band is one row shard: global rows [r0, r1) and a local protected
 // matrix over the halo-extended column space.
 type band struct {
 	r0, r1 int
-	m      localMatrix
+	m      core.ProtectedMatrix
 	// haloCols are the out-of-band global columns this band's rows
 	// couple to, ascending; local column interiorPad+k holds haloCols[k].
 	haloCols []uint32
@@ -299,13 +290,8 @@ func newBand(src *csr.Matrix, r0, r1 int, opt Options) (*band, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: rows [%d,%d): %w", r0, r1, err)
 	}
-	m, err := op.New(opt.Format, plain, opt.Config)
-	if err != nil {
+	if b.m, err = op.New(opt.Format, plain, opt.Config); err != nil {
 		return nil, fmt.Errorf("shard: rows [%d,%d): %w", r0, r1, err)
-	}
-	var ok bool
-	if b.m, ok = m.(localMatrix); !ok {
-		return nil, fmt.Errorf("shard: format %v has no batched or no unverified kernel", opt.Format)
 	}
 	return b, nil
 }
@@ -428,10 +414,7 @@ func (o *Operator) RawCols() []uint32 { return o.bands[0].m.RawCols() }
 // ElemCodewordSpan delegates to shard 0's format geometry, satisfying
 // core.ElemSpanner for same-codeword fault campaigns.
 func (o *Operator) ElemCodewordSpan(pick func(n int) int) (base, span int) {
-	if sp, ok := o.bands[0].m.(core.ElemSpanner); ok {
-		return sp.ElemCodewordSpan(pick)
-	}
-	return pick(len(o.RawVals())), 1
+	return o.bands[0].m.ElemCodewordSpan(pick)
 }
 
 // owner returns the index of the band owning global column c.

@@ -303,10 +303,8 @@ func newInnerSolver(a Operator, n int, opt Options) (*innerSolver, error) {
 func (in *innerSolver) innerApplier() func(dst, x *core.Vector) error {
 	if in.selective {
 		if mo, ok := in.a.(MatrixOperator); ok {
-			if ua, ok := mo.M.(core.UnverifiedApplier); ok {
-				return func(dst, x *core.Vector) error {
-					return ua.ApplyUnverified(dst, x, mo.Workers)
-				}
+			return func(dst, x *core.Vector) error {
+				return mo.M.ApplyUnverified(dst, x, mo.Workers)
 			}
 		}
 		if ua, ok := in.a.(UnverifiedOperator); ok {

@@ -6,59 +6,34 @@ import "abft/internal/core"
 // Chebyshev iterations on A z = r from z = 0 — the polynomial
 // preconditioner at the heart of PPCG (TeaLeaf's tl_ppcg_inner_steps).
 type chebPreconditioner struct {
-	a            Operator
-	theta, delta float64
-	sigma        float64
-	steps        int
-	workers      int
-	rr, p, t     *core.Vector
+	cheb  *chebRecurrence
+	steps int
+	rr, p *core.Vector
 }
 
 func newChebPreconditioner(a Operator, model *core.Vector, eigMin, eigMax float64, steps, workers int) *chebPreconditioner {
-	theta := (eigMax + eigMin) / 2
-	delta := (eigMax - eigMin) / 2
 	return &chebPreconditioner{
-		a:       a,
-		theta:   theta,
-		delta:   delta,
-		sigma:   theta / delta,
-		steps:   steps,
-		workers: workers,
-		rr:      newTemp(model),
-		p:       newTemp(model),
-		t:       newTemp(model),
+		cheb:  newChebRecurrence(a, nil, eigMin, eigMax, workers, newTemp(model), nil),
+		steps: steps,
+		rr:    newTemp(model),
+		p:     newTemp(model),
 	}
 }
 
 // Apply runs the inner Chebyshev smoothing: z starts at 0 and absorbs
 // `steps` polynomial corrections toward A^-1 r.
 func (c *chebPreconditioner) Apply(z, r *core.Vector) error {
-	w := c.workers
 	z.Fill(0)
-	if err := core.Copy(c.rr, r, w); err != nil {
+	if err := core.Copy(c.rr, r, c.cheb.w); err != nil {
 		return err
 	}
-	// p = rr / theta
-	if err := core.Waxpby(c.p, 1/c.theta, c.rr, 0, c.rr, w); err != nil {
+	if err := c.cheb.start(c.rr, c.p); err != nil {
 		return err
 	}
-	rho := 1 / c.sigma
 	for j := 0; j < c.steps; j++ {
-		// z += p ; rr -= A p
-		if err := core.Axpy(z, 1, c.p, w); err != nil {
+		if err := c.cheb.step(z, c.rr, c.p); err != nil {
 			return err
 		}
-		if err := c.a.Apply(c.t, c.p); err != nil {
-			return err
-		}
-		if err := core.Axpy(c.rr, -1, c.t, w); err != nil {
-			return err
-		}
-		rhoNew := 1 / (2*c.sigma - rho)
-		if err := core.Waxpby(c.p, rhoNew*rho, c.p, 2*rhoNew/c.delta, c.rr, w); err != nil {
-			return err
-		}
-		rho = rhoNew
 	}
 	return nil
 }

@@ -195,6 +195,11 @@ func TestChebyshevSolver(t *testing.T) {
 	if res.EigMin <= 0 || res.EigMax <= res.EigMin {
 		t.Fatalf("bad spectrum estimate [%g, %g]", res.EigMin, res.EigMax)
 	}
+	// The recurrence is serial and deterministic: pin its trajectory.
+	if res.Iterations != 37 || math.Float64bits(res.ResidualNorm) != 0x3e0f42a79f9bd068 {
+		t.Fatalf("chebyshev trajectory moved: %d iters, residual %v (%#x); want 37, %#x",
+			res.Iterations, res.ResidualNorm, math.Float64bits(res.ResidualNorm), uint64(0x3e0f42a79f9bd068))
+	}
 }
 
 func TestPPCGSolver(t *testing.T) {
@@ -215,6 +220,11 @@ func TestPPCGSolver(t *testing.T) {
 	}
 	if d := maxAbsDiff(got, xTrue); d > 1e-6 {
 		t.Fatalf("solution off by %g", d)
+	}
+	// The inner smoothing is serial and deterministic: pin the trajectory.
+	if res.Iterations != 10 || math.Float64bits(res.ResidualNorm) != 0x3dd92b1c54cd087e {
+		t.Fatalf("ppcg trajectory moved: %d iters, residual %v (%#x); want 10, %#x",
+			res.Iterations, res.ResidualNorm, math.Float64bits(res.ResidualNorm), uint64(0x3dd92b1c54cd087e))
 	}
 
 	// PPCG must need fewer outer iterations than plain CG.
