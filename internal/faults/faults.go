@@ -239,10 +239,13 @@ func (in *Injector) RandomMatrixFlips(m core.ProtectedMatrix, target MatrixTarge
 }
 
 // InjectingOperator wraps a solver operator and fires Inject just before
-// the ApplyCount-th application — the mid-solve soft error scenario.
+// the InjectAt-th application — the mid-solve soft error scenario. It
+// forwards every product of the operator contract, so a wrapped solve
+// runs the same products as an unwrapped one.
 type InjectingOperator struct {
 	Op solvers.Operator
-	// InjectAt is the zero-based Apply call to precede with an injection.
+	// InjectAt is the zero-based application to precede with an
+	// injection; Apply, ApplyBatch and ApplyUnverified each count as one.
 	InjectAt int
 	// Inject performs the corruption.
 	Inject func()
@@ -258,9 +261,26 @@ func (o *InjectingOperator) Diagonal(dst []float64) error { return o.Op.Diagonal
 
 // Apply fires the injection when scheduled, then delegates.
 func (o *InjectingOperator) Apply(dst, x *core.Vector) error {
+	o.tick()
+	return o.Op.Apply(dst, x)
+}
+
+// ApplyBatch fires the injection when scheduled, then delegates.
+func (o *InjectingOperator) ApplyBatch(dst, x *core.MultiVector) error {
+	o.tick()
+	return o.Op.ApplyBatch(dst, x)
+}
+
+// ApplyUnverified fires the injection when scheduled, then delegates.
+func (o *InjectingOperator) ApplyUnverified(dst, x *core.Vector) error {
+	o.tick()
+	return o.Op.ApplyUnverified(dst, x)
+}
+
+// tick counts one application, firing Inject before the InjectAt-th.
+func (o *InjectingOperator) tick() {
 	if o.calls == o.InjectAt && o.Inject != nil {
 		o.Inject()
 	}
 	o.calls++
-	return o.Op.Apply(dst, x)
 }

@@ -217,6 +217,110 @@ func TestInjectingOperatorUncorrectableMidSolve(t *testing.T) {
 	}
 }
 
+// TestInjectingOperatorKeepsContract: wrapping an operator must not
+// change which products a solver runs. Through the wrapper, selective
+// FGMRES still runs its inner solve unverified — the unwrapped selective
+// count of matrix checks, not the full-reliability count — and a width-4
+// BlockCG still makes one batched application per iteration, which
+// InjectAt counts like any other.
+func TestInjectingOperatorKeepsContract(t *testing.T) {
+	protect := func(plain *csr.Matrix) (*core.Matrix, *core.Counters) {
+		m, err := core.NewMatrix(plain, core.MatrixOptions{
+			ElemScheme: core.SECDED64, RowPtrScheme: core.SECDED64,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := new(core.Counters)
+		m.SetCounters(c)
+		return m, c
+	}
+	rhs := func(n int) []float64 {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = float64(i%7) - 3
+		}
+		return b
+	}
+
+	t.Run("selective_fgmres", func(t *testing.T) {
+		plain := csr.ConvectionDiffusion2D(8, 8, 1, 0.5)
+		checks := func(wrap bool, rel solvers.Reliability) uint64 {
+			m, c := protect(plain)
+			var a solvers.Operator = solvers.MatrixOperator{M: m}
+			if wrap {
+				a = &InjectingOperator{Op: a}
+			}
+			x := core.NewVector(plain.Rows(), core.SECDED64)
+			b := core.VectorFromSlice(rhs(plain.Rows()), core.SECDED64)
+			res, err := solvers.FGMRES(a, x, b, solvers.Options{
+				Tol: 1e-8, InnerSteps: 4, Reliability: rel,
+			})
+			if err != nil || !res.Converged {
+				t.Fatalf("wrap=%v %v: %v %+v", wrap, rel, err, res)
+			}
+			return c.Checks()
+		}
+		selective := checks(false, solvers.ReliabilitySelective)
+		full := checks(false, solvers.ReliabilityFull)
+		if selective >= full {
+			t.Fatalf("selective %d checks not below full %d", selective, full)
+		}
+		if got := checks(true, solvers.ReliabilitySelective); got != selective {
+			t.Fatalf("wrapped selective FGMRES made %d matrix checks, unwrapped %d (full %d)",
+				got, selective, full)
+		}
+	})
+
+	t.Run("blockcg", func(t *testing.T) {
+		plain := csr.Laplacian2D(8, 8)
+		n, k := plain.Rows(), 4
+		// solve runs a width-k BlockCG, through an InjectingOperator that
+		// flips one matrix bit before application injectAt when wrapped.
+		solve := func(wrap bool, injectAt int) (res solvers.BatchResult, calls int, c *core.Counters) {
+			m, c := protect(plain)
+			cols := make([]*core.Vector, k)
+			for j := range cols {
+				b := rhs(n)
+				b[j] += 1
+				cols[j] = core.VectorFromSlice(b, core.SECDED64)
+			}
+			b, err := core.WrapMultiVector(cols...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var a solvers.Operator = solvers.MatrixOperator{M: m}
+			inj := &InjectingOperator{Op: a, InjectAt: injectAt, Inject: func() {
+				FlipMatrixBit(m, TargetValues, Flip{Word: 40, Bit: 17})
+			}}
+			if wrap {
+				a = inj
+			}
+			res, err = solvers.BlockCG(a, core.NewMultiVector(n, k, core.SECDED64), b, solvers.Options{Tol: 1e-10})
+			if err != nil || !res.Converged {
+				t.Fatalf("wrap=%v: %v %+v", wrap, err, res.Result)
+			}
+			return res, inj.calls, c
+		}
+		plainRes, _, plainC := solve(false, -1)
+		res, calls, c := solve(true, -1)
+		// One product forms the initial residual, then one per iteration.
+		if want := res.Iterations + 1; calls != want {
+			t.Fatalf("wrapped BlockCG made %d applications over %d iterations, want %d",
+				calls, res.Iterations, want)
+		}
+		if res.Iterations != plainRes.Iterations || c.Checks() != plainC.Checks() {
+			t.Fatalf("wrapped BlockCG: %d iterations, %d checks; unwrapped %d, %d",
+				res.Iterations, c.Checks(), plainRes.Iterations, plainC.Checks())
+		}
+		// InjectAt counts batched applications: a single flip planted
+		// before the third product is corrected by it.
+		if _, calls, c = solve(true, 2); calls <= 2 || c.Corrected() == 0 {
+			t.Fatalf("injection at ApplyBatch 2 of %d: corrected %d", calls, c.Corrected())
+		}
+	})
+}
+
 func TestVectorCRCBurstNeverSilent(t *testing.T) {
 	// Paper section IV: CRC32C detects all burst errors up to 32 bits.
 	// Any burst confined to a 32-bit window of a codeword must therefore

@@ -86,8 +86,10 @@ func (d *scrubDaemon) Stop() {
 // entry's cached preconditioner is patrolled under the same exclusive
 // lock, and an uncorrectable fault in either structure evicts the whole
 // entry — the next request rebuilds operator and preconditioner clean.
+// A fault is counted in the stats before its eviction, so no observer
+// (a /metrics scrape mid-pass) sees the eviction without the fault.
 func (d *scrubDaemon) Pass() {
-	var scrubbed, shards, preconds, corrected, faults uint64
+	var scrubbed, shards, preconds, corrected uint64
 	for _, e := range d.cache.resident() {
 		e.mu.Lock()
 		n, err := e.m.Scrub()
@@ -111,7 +113,9 @@ func (d *scrubDaemon) Pass() {
 			d.log.Info("scrub corrected", "operator", opShort(e.key), "codewords", n)
 		}
 		if err != nil {
-			faults++
+			d.mu.Lock()
+			d.stats.Faults++
+			d.mu.Unlock()
 			d.cache.evictFault(e)
 			d.journal.Append(obs.Event{
 				Kind: obs.EventScrubEviction, Operator: opShort(e.key),
@@ -126,7 +130,6 @@ func (d *scrubDaemon) Pass() {
 	d.stats.Shards += shards
 	d.stats.Preconditioners += preconds
 	d.stats.Corrected += corrected
-	d.stats.Faults += faults
 	d.mu.Unlock()
 }
 

@@ -28,10 +28,9 @@ func (o cachedOperator) Apply(dst, x *core.Vector) error {
 }
 
 // ApplyUnverified forwards to the cached operator's no-decode fast path,
-// satisfying solvers.UnverifiedOperator so a selective-reliability
-// FGMRES can run its inner SpMVs unverified against the shared entry —
-// the capability is per call, so the entry's stored read mode is never
-// mutated under concurrent solves.
+// where a selective-reliability FGMRES runs its inner SpMVs against the
+// shared entry — the read mode is per call, so the entry's stored read
+// mode is never mutated under concurrent solves.
 func (o cachedOperator) ApplyUnverified(dst, x *core.Vector) error {
 	return o.e.m.ApplyUnverified(dst, x, o.workers)
 }
@@ -44,19 +43,16 @@ func (o cachedOperator) Diagonal(dst []float64) error {
 	return nil
 }
 
-// ApplyBatch forwards to the cached operator's batched kernel,
-// satisfying solvers.BatchOperator so BlockCG amortises the matrix
-// checks over the batch.
+// ApplyBatch forwards to the cached operator's batched kernel, so
+// BlockCG amortises the matrix checks over the batch.
 func (o cachedOperator) ApplyBatch(dst, x *core.MultiVector) error {
 	return o.e.m.ApplyBatch(dst, x, o.workers)
 }
 
-// cachedBanded adds the two capabilities only a sharded operator has.
-// They are a separate type because the solver engine reads their
-// presence: an operator advertising Dot without bands cannot have its
-// reduction mirrored by the fused vector kernels and loses the fused CG
-// tail, which is what every unsharded solve would pay if the base type
-// carried them.
+// cachedBanded adds solvers.BandedOperator, which only a sharded
+// operator has. It is a separate type because the solver engine reads
+// the capability's presence: a banded operator's inner products reduce
+// over its bands in a tree, an unbanded one's flat.
 type cachedBanded struct {
 	cachedOperator
 	so *shard.Operator
@@ -66,7 +62,7 @@ type cachedBanded struct {
 // the cached operator's decomposition.
 func (o cachedBanded) Dot(a, b *core.Vector) (float64, error) { return o.so.Dot(a, b) }
 
-// BandRanges satisfies solvers.BandedOperator: the engine's fused vector
+// BandRanges completes solvers.BandedOperator: the engine's fused vector
 // kernels and per-band checkpoint copies follow the same shard layout
 // Dot reduces over.
 func (o cachedBanded) BandRanges() [][2]int { return o.so.BandRanges() }

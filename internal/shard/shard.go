@@ -647,9 +647,9 @@ func (o *Operator) forBands(fn func(lo, hi int) error) error {
 
 // Dot computes the global inner product a . b with per-shard partial
 // sums reduced pairwise in a binary tree — the deterministic in-process
-// analogue of an MPI allreduce. Solvers pick it up through the
-// solvers.DotOperator capability, so every CG inner product over a
-// sharded operator reduces this way.
+// analogue of an MPI allreduce. With BandRanges it makes the operator a
+// solvers.BandedOperator, so every CG inner product over a sharded
+// operator reduces this way.
 func (o *Operator) Dot(a, b *core.Vector) (float64, error) {
 	if a.Len() != o.rows || b.Len() != o.rows {
 		return 0, fmt.Errorf("shard: Dot length mismatch: %d and %d over %d rows",

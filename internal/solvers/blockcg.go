@@ -6,36 +6,6 @@ import (
 	"abft/internal/core"
 )
 
-// BatchOperator is an optional Operator capability: an operator that can
-// multiply a whole multivector in one verified pass (the batched SpMM
-// kernels of the storage formats and the sharded composite) exposes it
-// so BlockCG amortises the matrix-side codeword checks over the batch.
-// Operators without it fall back to one Apply per column — correct, but
-// paying the full verification cost per right-hand side.
-type BatchOperator interface {
-	ApplyBatch(dst, x *core.MultiVector) error
-}
-
-// operatorApplyBatch computes dst = A x for every column the way the
-// operator prefers: through the batched kernel when the operator (or the
-// matrix behind a MatrixOperator) provides one, otherwise one verified
-// single-RHS product per column.
-func operatorApplyBatch(op Operator, dst, x *core.MultiVector) error {
-	holder, workers := capabilities(op)
-	switch ba := holder.(type) {
-	case core.BatchApplier:
-		return ba.ApplyBatch(dst, x, workers)
-	case BatchOperator:
-		return ba.ApplyBatch(dst, x)
-	}
-	for j := 0; j < x.K(); j++ {
-		if err := op.Apply(dst.Col(j), x.Col(j)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ColumnResult reports the outcome of one right-hand side of a batched
 // solve.
 type ColumnResult struct {
@@ -102,7 +72,7 @@ func BlockCG(a Operator, x, b *core.MultiVector, opt Options) (BatchResult, erro
 	}
 
 	// R = B - A X through one batched product.
-	err = operatorApplyBatch(a, wv, x)
+	err = a.ApplyBatch(wv, x)
 	for j := 0; j < k && err == nil; j++ {
 		err = cols[j].init(e)
 	}
@@ -151,7 +121,7 @@ func BlockCG(a Operator, x, b *core.MultiVector, opt Options) (BatchResult, erro
 		// W = A P once for the whole batch. Frozen columns ride along
 		// (their products are discarded) so every iteration makes exactly
 		// one verified sweep of the matrix.
-		if err := operatorApplyBatch(a, wv, p); err != nil {
+		if err := a.ApplyBatch(wv, p); err != nil {
 			return false, err
 		}
 		for j, c := range cols {

@@ -12,27 +12,6 @@ import (
 // checkpoint copies never share a codeword block.
 const ckptBlock = 4
 
-// BandedOperator is an optional Operator capability: an operator with a
-// row-band decomposition (the sharded composite of internal/shard)
-// exposes its band ranges so the recovery controller can snapshot and
-// restore the live solver vectors per band, on per-band goroutines,
-// instead of through one flat global copy — sharded solves roll back
-// without a global barrier over a single sweep.
-type BandedOperator interface {
-	BandRanges() [][2]int
-}
-
-// bandRanges returns the operator's band decomposition when it has one.
-// Ranges are trusted to be ckptBlock-aligned (internal/shard guarantees
-// it).
-func bandRanges(op Operator) [][2]int {
-	holder, _ := capabilities(op)
-	if b, ok := holder.(BandedOperator); ok {
-		return b.BandRanges()
-	}
-	return nil
-}
-
 // checkpoint is one snapshot of the solver's live state: protected
 // copies of every registered vector, the registered recurrence scalars,
 // and the Result bookkeeping needed to rewind cleanly.
@@ -74,12 +53,13 @@ type engine struct {
 	// good checkpoint intact, never a mix of two iterations.
 	spare   []*core.Vector
 	hasCkpt bool
-	bands   [][2]int
 
-	// fuse carries the fused-kernel decomposition mirroring this
-	// operator's dot reduction; fuseOK gates the rewire (initFuse).
-	fuse   core.FusedOptions
-	fuseOK bool
+	// band is the operator's band decomposition (nil for a flat one):
+	// bands its ranges, which per-band checkpoint copies follow, and fuse
+	// the fused-kernel options mirroring its dot reduction (initFuse).
+	band  BandedOperator
+	bands [][2]int
+	fuse  core.FusedOptions
 }
 
 // newEngine validates the options and prepares an engine for one solve.
@@ -102,9 +82,7 @@ func newEngine(solver string, a Operator, x, b *core.Vector, opt Options) (*engi
 	if e.adaptive {
 		e.interval = defaultCheckpointInterval
 	}
-	if e.recovering() {
-		e.bands = bandRanges(a)
-	}
+	e.band = banded(a)
 	e.initFuse()
 	return e, nil
 }
@@ -121,9 +99,14 @@ func (e *engine) protect(vs ...*core.Vector) { e.live = append(e.live, vs...) }
 // state registers the recurrence scalars a checkpoint must cover.
 func (e *engine) state(ss ...*float64) { e.scalars = append(e.scalars, ss...) }
 
-// dot routes an inner product through the operator's preferred reduction.
+// dot computes a . b through the operator's band reduction when it has
+// one, otherwise through the flat protected kernel with the solve's
+// worker count.
 func (e *engine) dot(a, b *core.Vector) (float64, error) {
-	return operatorDot(e.a, a, b, e.w)
+	if e.band != nil {
+		return e.band.Dot(a, b)
+	}
+	return core.Dot(a, b, e.w)
 }
 
 // converged evaluates the stopping rule on squared residual norms.

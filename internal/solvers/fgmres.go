@@ -6,16 +6,6 @@ import (
 	"abft/internal/core"
 )
 
-// UnverifiedOperator is an optional Operator capability mirroring
-// core.UnverifiedApplier at the Operator shape: an Apply that streams
-// through protected storage with no codeword decode, never commits,
-// and leaves the check counters untouched. The solve service's cached
-// operator exposes it so selective FGMRES can run its inner SpMVs
-// unverified against a shared operator without mutating its read mode.
-type UnverifiedOperator interface {
-	ApplyUnverified(dst, x *core.Vector) error
-}
-
 // FGMRES solves A x = b by flexible restarted GMRES — the nonsymmetric
 // solver, and the repository's selective-reliability host (Bridges,
 // Ferreira, Heroux & Hoemmen: run the bulk of the work in a fast
@@ -245,9 +235,9 @@ func FGMRES(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 //
 // on plain float64 scratch. Under selective reliability every read it
 // performs — the source basis vector, the SpMV inside each step, the
-// product read-back — goes through the unverified no-decode path, and
-// the step SpMV uses the operator's unverified capability when it has
-// one, so a cached shared operator's stored read mode is never touched.
+// product read-back — goes through the unverified no-decode path; the
+// step SpMV is the operator's per-call ApplyUnverified, so a cached
+// shared operator's stored read mode is never touched.
 type innerSolver struct {
 	a         Operator
 	pre       Preconditioner
@@ -292,26 +282,11 @@ func newInnerSolver(a Operator, n int, opt Options) (*innerSolver, error) {
 	in.wbuf = make([]float64, n)
 	in.zv = core.NewVector(n, core.None)
 	in.wz = core.NewVector(n, core.None)
-	in.applyInner = in.innerApplier()
-	return in, nil
-}
-
-// innerApplier picks the SpMV the Richardson steps run: the operator's
-// unverified capability under selective reliability (unwrapping
-// MatrixOperator to reach the format's ApplyUnverified), the ordinary
-// verified Apply otherwise.
-func (in *innerSolver) innerApplier() func(dst, x *core.Vector) error {
+	in.applyInner = a.Apply
 	if in.selective {
-		if mo, ok := in.a.(MatrixOperator); ok {
-			return func(dst, x *core.Vector) error {
-				return mo.M.ApplyUnverified(dst, x, mo.Workers)
-			}
-		}
-		if ua, ok := in.a.(UnverifiedOperator); ok {
-			return ua.ApplyUnverified
-		}
+		in.applyInner = a.ApplyUnverified
 	}
-	return in.a.Apply
+	return in, nil
 }
 
 // solve computes z ~= M^-1 v. z is always written through the verified

@@ -6,48 +6,38 @@ import (
 	"abft/internal/core"
 )
 
-// bandedFake is a custom operator with both the DotOperator and
-// BandedOperator capabilities — the shape of the sharded composite —
-// so the engine must take the banded fuse path (band decomposition +
-// tree reduction in the fused kernels).
+// bandedFake is a wrapper with the BandedOperator capability — the shape
+// of the sharded composite — so the engine must take the banded fuse
+// path (band decomposition + tree reduction in the fused kernels).
 type bandedFake struct {
-	m     *core.Matrix
+	MatrixOperator
 	bands [][2]int
 }
 
-func (o bandedFake) Rows() int                              { return o.m.Rows() }
-func (o bandedFake) Apply(dst, x *core.Vector) error        { return o.m.Apply(dst, x, 1) }
-func (o bandedFake) Diagonal(dst []float64) error           { return o.m.Diagonal(dst) }
 func (o bandedFake) Dot(a, b *core.Vector) (float64, error) { return core.Dot(a, b, 1) }
 func (o bandedFake) BandRanges() [][2]int                   { return o.bands }
 
-// dotFake has a custom Dot but no band structure: the engine cannot
-// mirror its reduction inside a fused kernel and must fall back to the
-// unfused sequence.
-type dotFake struct {
-	m *core.Matrix
+// wrapperFake is a wrapper without band structure (the shape of
+// faults.InjectingOperator): the engine does not look through it, so it
+// reduces flat and fuses flat.
+type wrapperFake struct {
+	MatrixOperator
 }
 
-func (o dotFake) Rows() int                              { return o.m.Rows() }
-func (o dotFake) Apply(dst, x *core.Vector) error        { return o.m.Apply(dst, x, 1) }
-func (o dotFake) Diagonal(dst []float64) error           { return o.m.Diagonal(dst) }
-func (o dotFake) Dot(a, b *core.Vector) (float64, error) { return core.Dot(a, b, 1) }
-
-// TestFusePathsSolve drives CG through all three engine fuse decisions
-// — flat fuse (plain matrix operator), banded fuse (DotOperator with
-// band ranges), and the unfused fallback (DotOperator without bands) —
-// and checks each against the dense solve. The bit-level equivalence
-// of fused and unfused tails is pinned by the core and op conformance
-// suites; this test pins that every decision path produces a correct
-// converged solve.
+// TestFusePathsSolve drives CG through the engine's fuse decisions —
+// flat fuse (plain matrix operator), banded fuse (BandedOperator), and
+// a non-banded wrapper ("fallback"), which fuses flat — and checks each
+// against the dense solve. The bit-level equivalence of fused and
+// unfused tails is pinned by the core and op conformance suites; this
+// test pins that every decision path produces a correct converged solve.
 func TestFusePathsSolve(t *testing.T) {
 	a, xTrue, b := spdSystem(t, 8, 8)
 	m := protect(t, a, core.SECDED64, core.SECDED64)
 	n := a.Rows()
 	operators := map[string]Operator{
 		"flat":     MatrixOperator{M: m},
-		"banded":   bandedFake{m: m, bands: [][2]int{{0, 16}, {16, 40}, {40, n}}},
-		"fallback": dotFake{m: m},
+		"banded":   bandedFake{MatrixOperator{M: m}, [][2]int{{0, 16}, {16, 40}, {40, n}}},
+		"fallback": wrapperFake{MatrixOperator{M: m}},
 	}
 	for name, op := range operators {
 		t.Run(name, func(t *testing.T) {
@@ -73,8 +63,9 @@ func TestFusePathsSolve(t *testing.T) {
 
 // TestFusedTailFaultPropagation corrupts a live vector with an
 // uncorrectable double flip and checks the detected fault surfaces
-// through both tail paths — the fused kernel and the unfused fallback —
-// for the update and the residual-formation idiom alike.
+// through the fused tail — of a plain operator and of a non-banded
+// wrapper ("fallback") alike — for the update and the residual-formation
+// idiom.
 func TestFusedTailFaultPropagation(t *testing.T) {
 	a, _, b := spdSystem(t, 6, 6)
 	m := protect(t, a, core.SECDED64, core.SECDED64)
@@ -88,7 +79,7 @@ func TestFusedTailFaultPropagation(t *testing.T) {
 	}
 	for name, op := range map[string]Operator{
 		"fused":    MatrixOperator{M: m},
-		"fallback": dotFake{m: m},
+		"fallback": wrapperFake{MatrixOperator{M: m}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			x0 := core.NewVector(n, core.SECDED64)
@@ -97,8 +88,8 @@ func TestFusedTailFaultPropagation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.fuseOK != (name == "fused") {
-				t.Fatalf("fuseOK = %v for %s", e.fuseOK, name)
+			if e.band != nil || e.fuse.TreeReduce {
+				t.Fatalf("%s: want a flat fuse, got opts=%+v", name, e.fuse)
 			}
 
 			x, p, r, q := vecs()
@@ -121,9 +112,8 @@ func TestFusedTailFaultPropagation(t *testing.T) {
 }
 
 // TestFuseDecision checks the engine's fuse classification directly:
-// flat operators fuse flat, banded dot operators fuse with the band
-// decomposition and tree reduction, custom dot operators without band
-// structure do not fuse.
+// flat operators fuse flat, banded operators fuse with the band
+// decomposition and tree reduction, and a non-banded wrapper fuses flat.
 func TestFuseDecision(t *testing.T) {
 	a, _, b := spdSystem(t, 6, 6)
 	m := protect(t, a, core.None, core.None)
@@ -138,15 +128,18 @@ func TestFuseDecision(t *testing.T) {
 		return e
 	}
 
-	e := newEng(MatrixOperator{M: m})
-	if !e.fuseOK || e.fuse.BlockBands != nil || e.fuse.TreeReduce {
-		t.Fatalf("flat operator: want flat fuse, got ok=%v opts=%+v", e.fuseOK, e.fuse)
+	flat := func(what string, e *engine) {
+		t.Helper()
+		if e.band != nil || e.fuse.BlockBands != nil || e.fuse.TreeReduce {
+			t.Fatalf("%s: want flat fuse, got opts=%+v", what, e.fuse)
+		}
 	}
+	flat("flat operator", newEng(MatrixOperator{M: m}))
 
 	bands := [][2]int{{0, 16}, {16, n}}
-	e = newEng(bandedFake{m: m, bands: bands})
-	if !e.fuseOK || !e.fuse.TreeReduce {
-		t.Fatalf("banded operator: want banded fuse, got ok=%v opts=%+v", e.fuseOK, e.fuse)
+	e := newEng(bandedFake{MatrixOperator{M: m}, bands})
+	if e.band == nil || !e.fuse.TreeReduce {
+		t.Fatalf("banded operator: want banded fuse, got opts=%+v", e.fuse)
 	}
 	wantBlocks := [][2]int{{0, 4}, {4, (n + 3) / 4}}
 	if len(e.fuse.BlockBands) != len(wantBlocks) {
@@ -158,8 +151,5 @@ func TestFuseDecision(t *testing.T) {
 		}
 	}
 
-	e = newEng(dotFake{m: m})
-	if e.fuseOK {
-		t.Fatalf("custom dot without bands must not fuse: opts=%+v", e.fuse)
-	}
+	flat("non-banded wrapper", newEng(wrapperFake{MatrixOperator{M: m}}))
 }

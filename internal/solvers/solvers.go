@@ -24,51 +24,51 @@ import (
 
 // Operator is the linear operator a solver iterates with: a protected
 // matrix of any storage format bound to a worker count, adapted via
-// MatrixOperator.
+// MatrixOperator. Every method is part of the contract — every storage
+// format and the sharded composite has the batched and the unverified
+// kernel — so no solver probes for a product or falls back to another
+// one: BlockCG multiplies batched and selective FGMRES's inner solve
+// unverified through any operator, a wrapper included.
 type Operator interface {
 	// Rows returns the operator dimension.
 	Rows() int
 	// Apply computes dst = A x.
 	Apply(dst, x *core.Vector) error
+	// ApplyBatch computes dst = A x for every column in one verified
+	// pass, so BlockCG pays the matrix checks once per iteration.
+	ApplyBatch(dst, x *core.MultiVector) error
+	// ApplyUnverified computes dst = A x through the no-decode read path
+	// (core.UnverifiedApplier): nothing committed, counters untouched.
+	// Only selective FGMRES's inner solve calls it.
+	ApplyUnverified(dst, x *core.Vector) error
 	// Diagonal extracts the main diagonal (for Jacobi preconditioning).
 	Diagonal(dst []float64) error
 }
 
-// DotOperator is an optional Operator capability: a distributed
-// operator (the sharded composite of internal/shard) supplies its own
-// global inner product — per-shard partial sums reduced in a tree, the
-// in-process analogue of an MPI allreduce. Solvers route every inner
-// product through it when present, so reductions follow the operator's
-// decomposition instead of the flat kernel.
-type DotOperator interface {
+// BandedOperator is the one optional Operator capability: an operator
+// with a row-band decomposition (the sharded composite of internal/shard)
+// supplies its own global inner product — per-band partial sums reduced
+// in a binary tree, the in-process analogue of an MPI allreduce — and the
+// band ranges it reduces over, aligned to ckptBlock. The engine routes
+// every inner product through Dot, mirrors its reduction in the fused
+// CG tail and checkpoints per band. The two come together: a Dot whose
+// reduction the fused kernels cannot mirror has no way to be expressed.
+type BandedOperator interface {
 	Dot(a, b *core.Vector) (float64, error)
+	BandRanges() [][2]int
 }
 
-// capabilities returns the value whose optional interfaces
-// (DotOperator, BandedOperator, a batched kernel) describe op — the
-// matrix behind a MatrixOperator, else op itself — and the worker count
-// bound to that matrix. MatrixOperator is looked through rather than
-// given the methods, and the worker rule is this one: a kernel of M runs
-// with MatrixOperator.Workers, exactly as Apply does, while every flat
-// fallback (core.Dot, the fused vector kernels) keeps the solve Options'
-// worker count — the knob that controlled those reductions before the
-// capabilities existed.
-func capabilities(op Operator) (holder any, workers int) {
+// banded returns op's band decomposition, or nil when it has none. A
+// MatrixOperator is looked through to the matrix behind it, so a sharded
+// operator bound by the library facade is banded too; any other wrapper
+// is banded only if it says so.
+func banded(op Operator) BandedOperator {
+	var holder any = op
 	if mo, ok := op.(MatrixOperator); ok {
-		return mo.M, mo.Workers
+		holder = mo.M
 	}
-	return op, 0
-}
-
-// operatorDot computes a . b the way the operator prefers: through the
-// DotOperator capability when it has one, otherwise through the flat
-// protected kernel with the solve's worker count.
-func operatorDot(op Operator, a, b *core.Vector, workers int) (float64, error) {
-	holder, _ := capabilities(op)
-	if d, ok := holder.(DotOperator); ok {
-		return d.Dot(a, b)
-	}
-	return core.Dot(a, b, workers)
+	b, _ := holder.(BandedOperator)
+	return b
 }
 
 // MatrixOperator adapts any format's protected matrix (CSR, COO,
@@ -91,6 +91,18 @@ func (o MatrixOperator) Apply(dst, x *core.Vector) error {
 	return o.M.Apply(dst, x, o.Workers)
 }
 
+// ApplyBatch computes dst = M x for every column with the configured
+// worker count.
+func (o MatrixOperator) ApplyBatch(dst, x *core.MultiVector) error {
+	return o.M.ApplyBatch(dst, x, o.Workers)
+}
+
+// ApplyUnverified computes dst = M x through the no-decode read path with
+// the configured worker count.
+func (o MatrixOperator) ApplyUnverified(dst, x *core.Vector) error {
+	return o.M.ApplyUnverified(dst, x, o.Workers)
+}
+
 // Diagonal extracts the main diagonal of the protected matrix.
 func (o MatrixOperator) Diagonal(dst []float64) error { return o.M.Diagonal(dst) }
 
@@ -104,7 +116,8 @@ type Options struct {
 	RelativeTol bool
 	// MaxIter bounds the iteration count (default 10000).
 	MaxIter int
-	// Workers is the kernel goroutine count for vector operations.
+	// Workers is the kernel goroutine count for vector operations (the
+	// matrix kernels run with the operator's own, MatrixOperator.Workers).
 	Workers int
 	// Preconditioner, when non-nil, is applied as z = M^-1 r each
 	// iteration (CG, PCG and Chebyshev; PPCG supplies its own
