@@ -17,6 +17,9 @@
 // document when the service answers 404 (evicted, or no operator under
 // these knobs yet).
 //
+// A solve the service turns away with 429 (queue full) is counted as a
+// rejection, apart from failures, and does not fail the drive.
+//
 // After the drive it scrapes /metrics and echoes the coalescing
 // counters, so a load run doubles as an end-to-end check that batching
 // actually engaged.
@@ -29,6 +32,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -134,9 +138,12 @@ func run(args []string, stdout io.Writer) error {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	failures := 0
+	failures, rejected := 0, 0
 	for i, e := range errs {
-		if e != nil {
+		switch {
+		case errors.Is(e, errRejected):
+			rejected++
+		case e != nil:
 			failures++
 			if failures <= 5 {
 				fmt.Fprintf(stdout, "request %d (%s): %v\n", i, reqs[i].scenario, e)
@@ -144,8 +151,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	sort.Slice(durations, func(a, b int) bool { return durations[a] < durations[b] })
-	fmt.Fprintf(stdout, "abftload: %d requests (%s), concurrency %d, %d failed\n",
-		len(reqs), *scenario, *c, failures)
+	fmt.Fprintf(stdout, "abftload: %d requests (%s), concurrency %d, %d failed, %d rejected (queue full)\n",
+		len(reqs), *scenario, *c, failures, rejected)
 	fmt.Fprintf(stdout, "elapsed %v, %.1f solves/sec\n",
 		elapsed.Round(time.Millisecond), float64(len(reqs))/elapsed.Seconds())
 	fmt.Fprintf(stdout, "latency p50 %v  p99 %v  max %v\n",
@@ -337,6 +344,9 @@ func (d *driver) post(req request) error {
 	if err != nil {
 		return err
 	}
+	if status == http.StatusTooManyRequests {
+		return errRejected
+	}
 	if status != http.StatusOK {
 		return fmt.Errorf("status %d: %s", status, bytes.TrimSpace(raw))
 	}
@@ -361,6 +371,10 @@ func (d *driver) post(req request) error {
 	d.mu.Unlock()
 	return nil
 }
+
+// errRejected is a solve the service turned away with 429 because its
+// queue was full: overload the drive reports as such, not a failure.
+var errRejected = errors.New("rejected: queue full (429)")
 
 func (d *driver) send(body []byte) (int, []byte, error) {
 	resp, err := d.client.Post(d.url, "application/json", bytes.NewReader(body))

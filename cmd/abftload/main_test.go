@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -47,5 +48,23 @@ func TestAbftloadBadInputs(t *testing.T) {
 	// No server listening: the drive must report the failures.
 	if err := run([]string{"-addr", "http://127.0.0.1:1", "-n", "2", "-c", "1"}, &out); err == nil {
 		t.Fatal("unreachable server reported success")
+	}
+}
+
+// TestAbftloadCountsRejections: a 429 from a full queue is reported as
+// a rejection, not as a failure of unknown cause, and does not fail the
+// drive.
+func TestAbftloadCountsRejections(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, `{"error":"service: job queue full"}`, http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+	var out strings.Builder
+	if err := run([]string{"-addr", ts.URL, "-n", "4", "-c", "2", "-nx", "8"}, &out); err != nil {
+		t.Fatalf("rejections failed the drive: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "0 failed, 4 rejected (queue full)") {
+		t.Fatalf("report does not count the rejections:\n%s", out.String())
 	}
 }

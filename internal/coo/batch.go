@@ -15,9 +15,5 @@ func (m *Matrix) ApplyBatch(dst, x *core.MultiVector, workers int) error {
 	if dst.K() != x.K() {
 		return fmt.Errorf("coo: SpMM width mismatch: dst %d, x %d", dst.K(), x.K())
 	}
-	dsts, xs := make([]*core.Vector, x.K()), make([]*core.Vector, x.K())
-	for j := range xs {
-		dsts[j], xs[j] = dst.Col(j), x.Col(j)
-	}
-	return m.applyK(dsts, xs, workers, false)
+	return m.applyK(dst.Cols(), x.Cols(), workers, false)
 }

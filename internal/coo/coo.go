@@ -508,7 +508,8 @@ func (m *Matrix) ApplyUnverified(dst *core.Vector, x *core.Vector, workers int) 
 // per sweep whatever the width, and its entries scatter into k dense
 // accumulators; per-column results are bit-identical to k independent
 // width-1 calls because entries scatter in the same order into each
-// column's own accumulator.
+// column's own accumulator. Dot requests pending on dsts
+// (core.DotRequest) are answered from the sweep.
 func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
 	for j, x := range xs {
 		if dsts[j].Len() != m.rows || x.Len() != m.cols {
@@ -521,37 +522,37 @@ func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) e
 	for i := range accs {
 		accs[i] = newAccs(len(xs), m.rows)
 	}
-	err := core.DecodeSources(xs, unverified, func(xbufs [][]float64) error {
-		return par.Run(ranges, func(lo, hi int) error {
+	return core.DecodeSources(dsts, xs, unverified, func(xbufs [][]float64, ep *core.DotEpilogue) error {
+		err := par.Run(ranges, func(lo, hi int) error {
 			i := 0
 			for ranges[i][0] != lo {
 				i++
 			}
 			return m.scatterK(accs[i], xbufs, lo, hi, unverified)
 		})
-	})
-	if err != nil {
-		return err
-	}
-	// Reduce the per-range accumulators block-wise, per column. Ranges are
-	// row-aligned, so every row was summed left-to-right inside exactly one
-	// accumulator and the result is bit-identical for any worker count
-	// (a single range reduces to 0 + acc, which is acc: an accumulator
-	// that starts at +0 never holds -0).
-	return par.ForEach((m.rows+3)/4, workers, 1, func(blo, bhi int) error {
-		for j, dst := range dsts {
-			for blk := blo; blk < bhi; blk++ {
-				var out [4]float64
-				for _, acc := range accs {
-					col := acc[j]
-					for i := 0; i < 4 && blk*4+i < m.rows; i++ {
-						out[i] += col[blk*4+i]
-					}
-				}
-				dst.WriteBlock(blk, &out)
-			}
+		if err != nil {
+			return err
 		}
-		return nil
+		// Reduce the per-range accumulators block-wise, per column. Ranges
+		// are row-aligned, so every row was summed left-to-right inside
+		// exactly one accumulator and the result is bit-identical for any
+		// worker count (a single range reduces to 0 + acc, which is acc:
+		// an accumulator that starts at +0 never holds -0).
+		return par.ForEach((m.rows+3)/4, workers, 1, func(blo, bhi int) error {
+			for j, dst := range dsts {
+				for blk := blo; blk < bhi; blk++ {
+					var out [4]float64
+					for _, acc := range accs {
+						col := acc[j]
+						for i := 0; i < 4 && blk*4+i < m.rows; i++ {
+							out[i] += col[blk*4+i]
+						}
+					}
+					ep.WriteBlock(j, dst, blk, &out)
+				}
+			}
+			return nil
+		})
 	})
 }
 

@@ -72,7 +72,8 @@ func (m *Matrix) ApplyBatch(dst, x *MultiVector, workers int) error {
 // column j accumulates in the order a width-1 call uses, so results are
 // bit-identical per column for any width and worker count. With
 // unverified set nothing is decoded or counted — masked payload plus
-// bounds checks only, the ModeUnverified contract.
+// bounds checks only, the ModeUnverified contract. Dot requests pending
+// on dsts (DotRequest) are answered from the sweep.
 func (m *Matrix) applyK(dsts, xs []*Vector, workers int, unverified bool) error {
 	for j, x := range xs {
 		if dsts[j].Len() != m.rows || x.Len() != m.cols {
@@ -83,15 +84,16 @@ func (m *Matrix) applyK(dsts, xs []*Vector, workers int, unverified bool) error 
 	fullCheck := !unverified && m.StartSweep()
 	ranges := par.Ranges(m.rows, workers, 8)
 	if m.elemScheme == None && m.rowScheme == None && xs[0].scheme == None {
-		return par.Run(ranges, func(lo, hi int) error {
-			m.rawRows(dsts, xs, lo, hi)
+		ep := startDots(dsts, xs)
+		return ep.finish(par.Run(ranges, func(lo, hi int) error {
+			m.rawRows(dsts, xs, lo, hi, ep)
 			return nil
-		})
+		}))
 	}
 	commit := fullCheck && m.mode.Commits() && len(ranges) <= 1
-	return DecodeSources(xs, unverified, func(xbufs [][]float64) error {
+	return DecodeSources(dsts, xs, unverified, func(xbufs [][]float64, ep *DotEpilogue) error {
 		return par.Run(ranges, func(lo, hi int) error {
-			return m.applyRows(dsts, xbufs, lo, hi, fullCheck, commit)
+			return m.applyRows(dsts, xbufs, lo, hi, fullCheck, commit, ep)
 		})
 	})
 }
@@ -112,7 +114,11 @@ var sourcePool = sync.Pool{New: func() any { return new(sources) }}
 // DecodeSources is the source-vector prologue every format's apply
 // skeleton shares: it decodes each of xs (which must agree in length)
 // once into a dense, block-padded buffer and calls use with the k
-// buffers, which are valid only until use returns. The decode runs on
+// buffers, which are valid only until use returns, and with the sweep's
+// dot epilogue: nil unless a dot request is pending on one of dsts for a
+// product from its x (DotRequest), in which case use writes every output
+// block through it and the requests are answered from the same buffers
+// once use has succeeded. The decode runs on
 // the calling goroutine, before use fans out to any worker, and the
 // source vectors are the caller's own operands (the operator's read
 // mode describes the operator, not them), so every codeword is verified
@@ -123,12 +129,17 @@ var sourcePool = sync.Pool{New: func() any { return new(sources) }}
 // The buffers are unprotected for the length of one sweep: a fault
 // striking xs after the decode is caught by the next verified reader of
 // that vector, not by this sweep.
-func DecodeSources(xs []*Vector, unverified bool, use func(xbufs [][]float64) error) error {
+func DecodeSources(dsts, xs []*Vector, unverified bool, use func(xbufs [][]float64, ep *DotEpilogue) error) error {
 	s := sourcePool.Get().(*sources)
+	ep := startDots(dsts, xs)
 	err := s.decode(xs, unverified)
 	if err == nil {
-		err = use(s.cols)
+		if ep != nil {
+			ep.xbufs = s.cols
+		}
+		err = use(s.cols, ep)
 	}
+	err = ep.finish(err)
 	sourcePool.Put(s)
 	return err
 }
@@ -170,7 +181,7 @@ func (s *sources) decode(xs []*Vector, unverified bool) error {
 // through ColElems.DecodeLocal and the stage streamed instead
 // (stageRow), so the fallback's cost is paid per faulty row, not per
 // sweep. The verify work per row is the same whatever the width.
-func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCheck, commit bool) error {
+func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCheck, commit bool, ep *DotEpilogue) error {
 	cur := rowPtrCursor{m: m, check: fullCheck, commit: commit, group: -1}
 	ver := m.newRowVerifier(commit)
 	colMask := ver.el.Mask()
@@ -220,7 +231,7 @@ func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCh
 		}
 		if r%vecBlock == vecBlock-1 {
 			for j, dst := range dsts {
-				dst.WriteBlock(r/vecBlock, &outs[j])
+				ep.WriteBlock(j, dst, r/vecBlock, &outs[j])
 			}
 		}
 	}
@@ -229,7 +240,7 @@ func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCh
 			for i := hi % vecBlock; i < vecBlock; i++ {
 				outs[j][i] = 0
 			}
-			dst.WriteBlock(hi/vecBlock, &outs[j])
+			ep.WriteBlock(j, dst, hi/vecBlock, &outs[j])
 		}
 	}
 	return nil
@@ -297,7 +308,7 @@ func (m *Matrix) stageRow(el *ColElems, sums []float64, xbufs [][]float64, r, lo
 // scheme none): rows [lo,hi) multiply straight from raw storage, the
 // source words indexed in place with no decode and no copy, one column
 // at a time through the plain CSR loop.
-func (m *Matrix) rawRows(dsts, xs []*Vector, lo, hi int) {
+func (m *Matrix) rawRows(dsts, xs []*Vector, lo, hi int, ep *DotEpilogue) {
 	for j, x := range xs {
 		var out [vecBlock]float64
 		for r := lo; r < hi; r++ {
@@ -308,14 +319,14 @@ func (m *Matrix) rawRows(dsts, xs []*Vector, lo, hi int) {
 			}
 			out[r%vecBlock] = sum
 			if r%vecBlock == vecBlock-1 {
-				dsts[j].WriteBlock(r/vecBlock, &out)
+				ep.WriteBlock(j, dsts[j], r/vecBlock, &out)
 			}
 		}
 		if hi%vecBlock != 0 {
 			for i := hi % vecBlock; i < vecBlock; i++ {
 				out[i] = 0
 			}
-			dsts[j].WriteBlock(hi/vecBlock, &out)
+			ep.WriteBlock(j, dsts[j], hi/vecBlock, &out)
 		}
 	}
 }

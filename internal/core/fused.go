@@ -46,8 +46,10 @@ func (o FusedOptions) ranges(blocks int) [][2]int {
 	return par.Ranges(blocks, o.Workers, 1)
 }
 
-// reduce combines per-range partial dot sums in the configured order.
-func (o FusedOptions) reduce(partials []float64) float64 {
+// Reduce combines per-range partial dot sums in the configured order,
+// overwriting partials: the one combine every fused kernel, the dot
+// epilogue and the sharded operator's Dot share.
+func (o FusedOptions) Reduce(partials []float64) float64 {
 	if o.TreeReduce {
 		for step := 1; step < len(partials); step *= 2 {
 			for i := 0; i+step < len(partials); i += 2 * step {
@@ -134,7 +136,7 @@ func FusedAxpyDot(x *Vector, alpha float64, p, r, q *Vector, opt FusedOptions) (
 	if err != nil {
 		return 0, err
 	}
-	return opt.reduce(partials), nil
+	return opt.Reduce(partials), nil
 }
 
 // FusedUpdateNorm computes dst = alpha*x + beta*y and returns dst.dst
@@ -189,7 +191,7 @@ func FusedUpdateNorm(dst *Vector, alpha float64, x *Vector, beta float64, y *Vec
 	if err != nil {
 		return 0, err
 	}
-	return opt.reduce(partials), nil
+	return opt.Reduce(partials), nil
 }
 
 // readFused reads one block under the fused kernels' mode ladder:

@@ -95,6 +95,10 @@ func (mv *MultiVector) Blocks() int { return mv.cols[0].Blocks() }
 // Col returns column j.
 func (mv *MultiVector) Col(j int) *Vector { return mv.cols[j] }
 
+// Cols returns the column vectors, shared with mv: the form the apply
+// skeletons take their k operands in. Callers must not modify the slice.
+func (mv *MultiVector) Cols() []*Vector { return mv.cols }
+
 // SetCounters attaches one accumulator to every column.
 func (mv *MultiVector) SetCounters(c *Counters) {
 	for _, col := range mv.cols {

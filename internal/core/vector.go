@@ -33,6 +33,9 @@ type Vector struct {
 	n        int      // logical length
 	words    []uint64 // padded raw storage, len multiple of vecBlock
 	counters *Counters
+	// dot is the inner product the next product written into v is asked
+	// for (DotRequest), nil almost always.
+	dot *DotRequest
 }
 
 // NewVector returns a zero-filled protected vector of length n.

@@ -240,8 +240,10 @@ func (in *Injector) RandomMatrixFlips(m core.ProtectedMatrix, target MatrixTarge
 
 // InjectingOperator wraps a solver operator and fires Inject just before
 // the InjectAt-th application — the mid-solve soft error scenario. It
-// forwards every product of the operator contract, so a wrapped solve
-// runs the same products as an unwrapped one.
+// forwards every product of the operator contract and names Op through
+// Unwrap so the solver engine finds Op's band decomposition behind it: a
+// wrapped solve runs the same products and the same reductions as an
+// unwrapped one, bit for bit.
 type InjectingOperator struct {
 	Op solvers.Operator
 	// InjectAt is the zero-based application to precede with an
@@ -276,6 +278,10 @@ func (o *InjectingOperator) ApplyUnverified(dst, x *core.Vector) error {
 	o.tick()
 	return o.Op.ApplyUnverified(dst, x)
 }
+
+// Unwrap returns the wrapped operator, through which the solver engine
+// finds Op's band decomposition (solvers.BandedOperator).
+func (o *InjectingOperator) Unwrap() solvers.Operator { return o.Op }
 
 // tick counts one application, firing Inject before the InjectAt-th.
 func (o *InjectingOperator) tick() {

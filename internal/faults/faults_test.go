@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 
 	"abft/internal/core"
@@ -8,6 +9,7 @@ import (
 	"abft/internal/obs"
 	"abft/internal/op"
 	"abft/internal/precond"
+	"abft/internal/shard"
 	"abft/internal/solvers"
 )
 
@@ -317,6 +319,61 @@ func TestInjectingOperatorKeepsContract(t *testing.T) {
 		// before the third product is corrected by it.
 		if _, calls, c = solve(true, 2); calls <= 2 || c.Corrected() == 0 {
 			t.Fatalf("injection at ApplyBatch 2 of %d: corrected %d", calls, c.Corrected())
+		}
+	})
+
+	t.Run("sharded_cg", func(t *testing.T) {
+		// Through the wrapper the engine still finds the sharded
+		// operator's bands, so inner products and fused tails reduce in
+		// its tree and every bit of x matches the unwrapped solve (a flat
+		// reduction converges as fast and differs in 52 of 256 entries).
+		plain := csr.Laplacian2D(16, 16)
+		n := plain.Rows()
+		solve := func(wrap bool) ([]float64, solvers.Result, int) {
+			so, err := shard.New(plain, shard.Options{
+				Shards: 3, Format: op.CSR, VectorScheme: core.SECDED64,
+				Config: op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := make([]float64, n)
+			for k := range b {
+				b[k] = math.Sin(float64(k))
+			}
+			var a solvers.Operator = solvers.MatrixOperator{M: so}
+			inj := &InjectingOperator{Op: a, InjectAt: -1}
+			if wrap {
+				a = inj
+			}
+			x := core.NewVector(n, core.SECDED64)
+			res, err := solvers.CG(a, x, core.VectorFromSlice(b, core.SECDED64), solvers.Options{Tol: 1e-10})
+			if err != nil || !res.Converged {
+				t.Fatalf("wrap=%v: %v %+v", wrap, err, res)
+			}
+			got := make([]float64, n)
+			if err := x.CopyTo(got); err != nil {
+				t.Fatal(err)
+			}
+			return got, res, inj.calls
+		}
+		want, plainRes, _ := solve(false)
+		got, res, calls := solve(true)
+		if res.Iterations != plainRes.Iterations {
+			t.Fatalf("wrapped CG %d iterations, unwrapped %d", res.Iterations, plainRes.Iterations)
+		}
+		differ := 0
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				differ++
+			}
+		}
+		if differ != 0 {
+			t.Fatalf("wrapped sharded CG: %d of %d entries of x differ in their bits", differ, n)
+		}
+		// The initial residual's Apply, then one per iteration.
+		if want := res.Iterations + 1; calls != want {
+			t.Fatalf("wrapped CG made %d applications over %d iterations, want %d", calls, res.Iterations, want)
 		}
 	})
 }

@@ -154,7 +154,12 @@ func TestCSRSolveAllocationCeiling(t *testing.T) {
 // verify one CRC32C codeword per SELL slice where they verified one per
 // lane (4 per slice, 1,225 slices) and no longer re-read the 1,225 output
 // blocks they write: 492,809 - 22 x (3 x 1,225 + 1,225) = 385,009
-// (DESIGN.md section 24).
+// (DESIGN.md section 24). Both solvers then take p.w from the product's
+// own sweep (the dot epilogue, DESIGN.md section 27), so the iteration's
+// dot no longer verifies p and w again — one check per row per vector
+// under SECDED64, one per block under CRC32C: cg_csr 3,704,860 -
+// 2 x 9,216 x 27 = 3,207,196 and pcg_shard 385,009 - 2 x 1,225 x 21 =
+// 333,559.
 func TestSolveCheckCountsPinned(t *testing.T) {
 	rhs := func(seed int64, n int) []float64 {
 		rng := rand.New(rand.NewSource(seed))
@@ -190,8 +195,8 @@ func TestSolveCheckCountsPinned(t *testing.T) {
 	res, checks := solve(m, rhs(16, grid.Rows()), core.SECDED64, func(a solvers.Operator, x, b *core.Vector) (solvers.Result, error) {
 		return solvers.CG(a, x, b, solvers.Options{Tol: 1e-8, RelativeTol: true, Workers: 1})
 	})
-	if res.Iterations != 27 || checks != 3_704_860 {
-		t.Errorf("cg_csr: %d iterations, %d checks; want 27 and 3,704,860", res.Iterations, checks)
+	if res.Iterations != 27 || checks != 3_207_196 {
+		t.Errorf("cg_csr: %d iterations, %d checks; want 27 and 3,207,196", res.Iterations, checks)
 	}
 
 	grid = csr.Laplacian2D(70, 70)
@@ -212,7 +217,7 @@ func TestSolveCheckCountsPinned(t *testing.T) {
 			Recovery: solvers.Recovery{Policy: solvers.RecoveryRollback, Interval: 8, Scheme: core.CRC32C},
 		})
 	})
-	if res.Iterations != 21 || checks != 385_009 {
-		t.Errorf("pcg_shard: %d iterations, %d checks; want 21 and 385,009", res.Iterations, checks)
+	if res.Iterations != 21 || checks != 333_559 {
+		t.Errorf("pcg_shard: %d iterations, %d checks; want 21 and 333,559", res.Iterations, checks)
 	}
 }

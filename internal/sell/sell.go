@@ -396,7 +396,8 @@ func (m *Matrix) ApplyUnverified(dst, x *core.Vector, workers int) error {
 // results are bit-identical to k independent width-1 calls because each
 // lane's sum runs in the same entry order per column. With unverified
 // set nothing is decoded or counted — masked payload plus bounds checks
-// only, the ModeUnverified contract.
+// only, the ModeUnverified contract. Dot requests pending on dsts
+// (core.DotRequest) are answered from the sweep.
 func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
 	k := len(xs)
 	for j, x := range xs {
@@ -406,7 +407,7 @@ func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) e
 		}
 	}
 	windows := (m.rows + m.sigma - 1) / m.sigma
-	return core.DecodeSources(xs, unverified, func(xbufs [][]float64) error {
+	return core.DecodeSources(dsts, xs, unverified, func(xbufs [][]float64, ep *core.DotEpilogue) error {
 		return par.ForEach(windows, workers, 1, func(wlo, whi int) error {
 			// One flat allocation for the window accumulators, sliced per column.
 			aflat := make([]float64, k*m.sigma)
@@ -419,7 +420,7 @@ func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) e
 				sums = make([]float64, k)
 			}
 			for w := wlo; w < whi; w++ {
-				if err := m.applyWindow(dsts, xbufs, accs, sums, w, unverified); err != nil {
+				if err := m.applyWindow(dsts, xbufs, accs, sums, w, unverified, ep); err != nil {
 					return err
 				}
 			}
@@ -430,8 +431,9 @@ func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) e
 
 // applyWindow multiplies the slices of sigma-window w into the window's
 // accumulators and commits the window's output rows per column. sums is
-// the k-wide lane scratch (nil at width 1).
-func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums []float64, w int, unverified bool) error {
+// the k-wide lane scratch (nil at width 1), ep the sweep's dot epilogue
+// (nil without one).
+func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums []float64, w int, unverified bool, ep *core.DotEpilogue) error {
 	base := w * m.sigma
 	top := base + m.sigma
 	if top > m.rows {
@@ -477,7 +479,7 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 					out[i] = 0
 				}
 			}
-			dsts[c].WriteBlock(blk, &out)
+			ep.WriteBlock(c, dsts[c], blk, &out)
 		}
 	}
 	return nil

@@ -24,7 +24,8 @@ type Config struct {
 	// Workers is the solve worker-pool size (default 4).
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker
-	// (default 64); a full queue rejects new solves with 503.
+	// (default 64); a full queue rejects new solves with 429 and a
+	// Retry-After header.
 	QueueDepth int
 	// CacheOperators bounds the number of resident protected operators
 	// (default 16); least-recently-used operators are evicted beyond it.
@@ -558,8 +559,13 @@ func (s *Server) assemble(spec *MatrixSpec, quoted []byte) (*csr.Matrix, error) 
 	return mm.ReadString(doc)
 }
 
-// errQueueFull reports a saturated job queue (HTTP 503).
+// errQueueFull reports a saturated job queue: HTTP 429 with a
+// Retry-After of queueRetrySeconds, so a client backs off and tries
+// again instead of treating the answer as an outage (503 is shutdown).
 var errQueueFull = fmt.Errorf("service: job queue full")
+
+// queueRetrySeconds is the Retry-After a full queue answers with.
+const queueRetrySeconds = "1"
 
 func (s *Server) enqueue(j *job) error {
 	s.qmu.RLock()
@@ -718,7 +724,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.enqueue(j); err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
+		code := http.StatusServiceUnavailable
+		if errors.Is(err, errQueueFull) {
+			code = http.StatusTooManyRequests
+			w.Header().Set("Retry-After", queueRetrySeconds)
+		}
+		writeError(w, code, err)
 		return
 	}
 	wait := req.Wait

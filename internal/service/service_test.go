@@ -556,6 +556,50 @@ func TestQueueFullRejects(t *testing.T) {
 	srv.Close()
 }
 
+// TestQueueFullAnswers429: over HTTP a saturated queue answers 429 Too
+// Many Requests with a Retry-After header — a load signal to back off,
+// not the 503 of a server shutting down.
+func TestQueueFullAnswers429(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	first, err := srv.Submit(SolveRequest{
+		Matrix: MatrixSpec{Grid: &GridSpec{NX: 48, NY: 48}},
+		Scheme: "crc32c", Solver: "jacobi", Tol: 1e-12, MaxIter: 200000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Asynchronous, non-coalescing posts: each takes a queue slot until
+	// one finds the queue full.
+	const quick = `{"matrix": {"grid": {"nx": 4, "ny": 4}}, "solver": "jacobi", "tol": 1e-8}`
+	var resp *http.Response
+	for i := 0; i < 64; i++ {
+		r, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(quick))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusAccepted {
+			resp = r
+			break
+		}
+	}
+	if resp == nil {
+		t.Fatal("queue never rejected while saturated")
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("full queue answered %d, want 429", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != queueRetrySeconds {
+		t.Fatalf("Retry-After %q, want %q", got, queueRetrySeconds)
+	}
+	if _, err := srv.Wait(first); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+}
+
 func flipFloat(x float64, bit int) float64 {
 	return flipBits(x, 1<<uint(bit))
 }

@@ -464,15 +464,44 @@ func (o *Operator) ApplyBatch(dst, x *core.MultiVector, workers int) error {
 	if dst.K() != x.K() {
 		return fmt.Errorf("shard: ApplyBatch width mismatch: dst %d, x %d", dst.K(), x.K())
 	}
-	return o.applyK(columns(dst), columns(x), workers, false)
+	return o.applyK(dst.Cols(), x.Cols(), workers, false)
 }
 
-func columns(mv *core.MultiVector) []*core.Vector {
-	cols := make([]*core.Vector, mv.K())
-	for j := range cols {
-		cols[j] = mv.Col(j)
+// pendingDots returns the dot requests pending on dsts that this product
+// can answer (core.DotRequest), indexed by column, or nil when it can
+// answer none. It answers a request that reduces as Dot does — one block
+// range per band, combined in the binary tree, which is what the solver
+// engine asks a banded operator for — and only while a band's decode of
+// its interior is x itself, that is unless the halo vectors' scheme
+// reserves more bits than x's.
+func (o *Operator) pendingDots(dsts, xs []*core.Vector) []*core.DotRequest {
+	var reqs []*core.DotRequest
+	halo := o.opt.VectorScheme.VecReservedBits() > xs[0].Scheme().VecReservedBits()
+	for j, dst := range dsts {
+		r := dst.PendingDot(xs[j])
+		if r == nil || halo || !o.reducesAs(r.Options()) {
+			continue
+		}
+		if reqs == nil {
+			reqs = make([]*core.DotRequest, len(dsts))
+		}
+		reqs[j] = r
 	}
-	return cols
+	return reqs
+}
+
+// reducesAs reports whether opt is the operator's own dot reduction: one
+// block range per band, combined in the binary tree.
+func (o *Operator) reducesAs(opt core.FusedOptions) bool {
+	if !opt.TreeReduce || len(opt.BlockBands) != len(o.bands) {
+		return false
+	}
+	for i, b := range o.bands {
+		if opt.BlockBands[i] != [2]int{b.r0 / blockLen, b.r0/blockLen + b.blocks()} {
+			return false
+		}
+	}
+	return true
 }
 
 // blockReader is one of core.Vector's batched block reads: the commit,
@@ -485,7 +514,10 @@ type blockReader func(v *core.Vector, b0, b1 int, dst []float64) error
 // column j sees exactly the reads, writes and checks a width-1 call
 // would give it. With unverified set every read streams masked payload
 // with no decode, no commit and no check accounting, and the local
-// products run unverified too.
+// products run unverified too. A dot request pending on a destination
+// (pendingDots) is passed down to every band's local product, which
+// answers it over the band's interior from its own sweep, and the band
+// answers reduce through Dot's tree.
 func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
 	for j, x := range xs {
 		if dsts[j].Len() != o.rows || x.Len() != o.cols {
@@ -493,6 +525,7 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 				dsts[j].Len(), o.rows, o.cols, x.Len())
 		}
 	}
+	reqs := o.pendingDots(dsts, xs)
 	ws := o.getWorkspace(len(xs))
 	defer o.putWorkspace(ws)
 	localWorkers := max(workers/len(o.bands), 1)
@@ -529,11 +562,23 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 	o.fire(PhaseExchange)
 
 	// Local products, written through views straight into the
-	// block-aligned band rows of the global destinations.
+	// block-aligned band rows of the global destinations. Band bi's
+	// request for column j is bandReqs[bi*k+j]; allocated per call, so
+	// the operator holds no product state.
+	k := len(xs)
+	var bandReqs []core.DotRequest
+	if reqs != nil {
+		bandReqs = make([]core.DotRequest, len(o.bands)*k)
+	}
 	err = o.forBands(func(lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
 			b, l := o.bands[bi], &ws[bi]
 			l.y.View(dsts, b.r0/blockLen, b.rows())
+			for j, r := range reqs {
+				if r != nil {
+					bandReqs[bi*k+j].Ask(l.y.Col(j), l.x.Col(j), bandDot)
+				}
+			}
 			var err error
 			if unverified {
 				for j := 0; j < len(xs) && err == nil; j++ {
@@ -548,12 +593,48 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 		}
 		return nil
 	})
+	for i := range bandReqs {
+		bandReqs[i].Take()
+	}
 	if err != nil {
 		return err
 	}
 	o.fire(PhaseLocal)
+	o.answer(reqs, bandReqs)
 	return nil
 }
+
+// answer reduces each column's band answers through Dot's tree into the
+// column's request. A column some band left unanswered stays unanswered,
+// and its caller runs Dot after the product.
+func (o *Operator) answer(reqs []*core.DotRequest, bandReqs []core.DotRequest) {
+	k := len(reqs)
+	parts := make([]float64, len(o.bands))
+	for j, r := range reqs {
+		if r == nil {
+			continue
+		}
+		answered := true
+		for bi := range parts {
+			var ok bool
+			parts[bi], ok = bandReqs[bi*k+j].Take()
+			answered = answered && ok
+		}
+		if answered {
+			r.Answer(treeReduce.Reduce(parts))
+		}
+	}
+}
+
+// treeReduce combines per-band partial sums pairwise in a binary tree,
+// the deterministic in-process analogue of an MPI allreduce.
+var treeReduce = core.FusedOptions{TreeReduce: true}
+
+// bandDot is a band's own partial inner product: its interior blocks as
+// one range, summed in element order as Dot's per-band partial is. (The
+// flat combine of one partial, 0 + s, is s: a sum begun at +0 is never
+// -0.)
+var bandDot = core.FusedOptions{Workers: 1}
 
 // scatterBlocks moves n blocks of src, starting at block s0, into the
 // first n blocks of dst: one batched read per packChunk blocks instead of
@@ -684,12 +765,7 @@ func (o *Operator) Dot(a, b *core.Vector) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for step := 1; step < len(partials); step *= 2 {
-		for i := 0; i+step < len(partials); i += 2 * step {
-			partials[i] += partials[i+step]
-		}
-	}
-	return partials[0], nil
+	return treeReduce.Reduce(partials), nil
 }
 
 // Diagonal extracts the fully verified global main diagonal, satisfying

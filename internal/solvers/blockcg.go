@@ -79,6 +79,7 @@ func BlockCG(a Operator, x, b *core.MultiVector, opt Options) (BatchResult, erro
 	if err != nil {
 		return BatchResult{Result: e.res}, iterErr("blockcg", 0, err)
 	}
+	pws := make([]float64, k)
 	// colIt records, as a checkpointable scalar, the iteration each
 	// column converged at: rolling back past a column's convergence
 	// must rewind its convergence record too.
@@ -118,17 +119,17 @@ func BlockCG(a Operator, x, b *core.MultiVector, opt Options) (BatchResult, erro
 	}
 	// e.run wraps surviving errors with the iteration they interrupted.
 	e.res, err = e.run(func(it int) (bool, error) {
-		// W = A P once for the whole batch. Frozen columns ride along
-		// (their products are discarded) so every iteration makes exactly
-		// one verified sweep of the matrix.
-		if err := a.ApplyBatch(wv, p); err != nil {
+		// W = A P and every column's p . w once for the whole batch.
+		// Frozen columns ride along (their products are discarded) so
+		// every iteration makes exactly one verified sweep of the matrix.
+		if err := e.product(wv, p, pws); err != nil {
 			return false, err
 		}
 		for j, c := range cols {
 			if c.converged(e) {
 				continue // frozen: converged at colIt[j]
 			}
-			if _, _, err := c.step(e); err != nil {
+			if _, _, err := c.step(e, pws[j]); err != nil {
 				return false, err
 			}
 			if c.converged(e) {

@@ -5,8 +5,8 @@ import "abft/internal/core"
 // cgColumn is one right-hand side's conjugate-gradient recurrence: its
 // operands, its work vectors and its scalars. CG drives one column and
 // BlockCG k of them in lockstep; what differs between the two is only
-// how w = A p is produced (Operator.Apply, or one batched product for
-// all columns), so a column of a batch performs exactly the kernel
+// the width of the product that yields w = A p and p . w
+// (engine.product), so a column of a batch performs exactly the kernel
 // operations a lone solve does, in the same order, and is bit-identical
 // to it.
 type cgColumn struct {
@@ -64,13 +64,10 @@ func (c *cgColumn) init(e *engine) error {
 	return nil
 }
 
-// step advances the recurrence by one iteration from w = A p, which the
-// driver has computed, and returns the iteration's CG coefficients.
-func (c *cgColumn) step(e *engine) (alpha, beta float64, err error) {
-	pw, err := e.dot(c.p, c.w)
-	if err != nil {
-		return 0, 0, err
-	}
+// step advances the recurrence by one iteration from w = A p and p . w,
+// which CG or BlockCG has computed (engine.product), and returns the
+// iteration's CG coefficients.
+func (c *cgColumn) step(e *engine, pw float64) (alpha, beta float64, err error) {
 	if pw == 0 {
 		return 0, 0, errBreakdown
 	}
@@ -130,11 +127,21 @@ func CG(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 	}
 	e.protect(x, c.r, c.p)
 	e.state(&c.rro, &c.rr, &c.rr0)
+	// w = A p and p . w as a width-one product (engine.product).
+	p, err := core.WrapMultiVector(c.p)
+	if err != nil {
+		return e.res, err
+	}
+	w, err := core.WrapMultiVector(c.w)
+	if err != nil {
+		return e.res, err
+	}
+	pw := make([]float64, 1)
 	return e.run(func(it int) (bool, error) {
-		if err := a.Apply(c.w, c.p); err != nil {
+		if err := e.product(w, p, pw); err != nil {
 			return false, err
 		}
-		alpha, beta, err := c.step(e)
+		alpha, beta, err := c.step(e, pw[0])
 		if err != nil {
 			return false, err
 		}

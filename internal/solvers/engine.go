@@ -60,6 +60,8 @@ type engine struct {
 	band  BandedOperator
 	bands [][2]int
 	fuse  core.FusedOptions
+	// dots are product's requests for p . w, one per column.
+	dots []core.DotRequest
 }
 
 // newEngine validates the options and prepares an engine for one solve.
@@ -107,6 +109,39 @@ func (e *engine) dot(a, b *core.Vector) (float64, error) {
 		return e.band.Dot(a, b)
 	}
 	return core.Dot(a, b, e.w)
+}
+
+// product computes w = A p for every column — Apply at width one,
+// ApplyBatch wider — and pws[j] = p_j . w_j. Each w_j carries a request
+// for p_j . w_j reduced as e.dot reduces (core.DotRequest), so the
+// format sweep that writes w_j hands the dot back from values it holds
+// anyway, however the operator is wrapped; a column whose product left
+// the request unanswered gets e.dot after the product. Both give the
+// same bits.
+func (e *engine) product(w, p *core.MultiVector, pws []float64) error {
+	if len(e.dots) < len(pws) {
+		e.dots = make([]core.DotRequest, len(pws))
+	}
+	for j := range pws {
+		e.dots[j].Ask(w.Col(j), p.Col(j), e.fuse)
+	}
+	var err error
+	if p.K() == 1 {
+		err = e.a.Apply(w.Col(0), p.Col(0))
+	} else {
+		err = e.a.ApplyBatch(w, p)
+	}
+	for j := range pws {
+		pw, ok := e.dots[j].Take()
+		switch {
+		case err != nil:
+		case ok:
+			pws[j] = pw
+		default:
+			pws[j], err = e.dot(p.Col(j), w.Col(j))
+		}
+	}
+	return err
 }
 
 // converged evaluates the stopping rule on squared residual norms.

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"abft/internal/core"
+	"abft/internal/op"
+	"abft/internal/shard"
 )
 
 // bandedFake is a wrapper with the BandedOperator capability — the shape
@@ -27,17 +29,26 @@ type wrapperFake struct {
 // TestFusePathsSolve drives CG through the engine's fuse decisions —
 // flat fuse (plain matrix operator), banded fuse (BandedOperator), and
 // a non-banded wrapper ("fallback"), which fuses flat — and checks each
-// against the dense solve. The bit-level equivalence of fused and
-// unfused tails is pinned by the core and op conformance suites; this
+// against the dense solve. A non-banded wrapper around a sharded
+// operator ("sharded fallback") also reduces flat: the operator cannot
+// answer the engine's flat p . w request from its bands, so the engine
+// runs the flat dot after the product. The bit-level equivalence of fused
+// and unfused tails is pinned by the core and op conformance suites; this
 // test pins that every decision path produces a correct converged solve.
 func TestFusePathsSolve(t *testing.T) {
 	a, xTrue, b := spdSystem(t, 8, 8)
 	m := protect(t, a, core.SECDED64, core.SECDED64)
 	n := a.Rows()
+	so, err := shard.New(a, shard.Options{Shards: 3, Format: op.CSR,
+		Config: op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64}, VectorScheme: core.SECDED64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	operators := map[string]Operator{
-		"flat":     MatrixOperator{M: m},
-		"banded":   bandedFake{MatrixOperator{M: m}, [][2]int{{0, 16}, {16, 40}, {40, n}}},
-		"fallback": wrapperFake{MatrixOperator{M: m}},
+		"flat":             MatrixOperator{M: m},
+		"banded":           bandedFake{MatrixOperator{M: m}, [][2]int{{0, 16}, {16, 40}, {40, n}}},
+		"fallback":         wrapperFake{MatrixOperator{M: m}},
+		"sharded fallback": wrapperFake{MatrixOperator{M: so}},
 	}
 	for name, op := range operators {
 		t.Run(name, func(t *testing.T) {

@@ -29,6 +29,12 @@ import (
 // kernel — so no solver probes for a product or falls back to another
 // one: BlockCG multiplies batched and selective FGMRES's inner solve
 // unverified through any operator, a wrapper included.
+//
+// CG's and BlockCG's dst carries a request for x . dst
+// (core.DotRequest), which the matrix sweep writing dst from x answers.
+// A wrapper that hands dst and x to the matrix unchanged passes the
+// request on with them; one that writes dst itself after that product
+// must withdraw the answer (dst.PendingDot(nil)).
 type Operator interface {
 	// Rows returns the operator dimension.
 	Rows() int
@@ -58,17 +64,27 @@ type BandedOperator interface {
 	BandRanges() [][2]int
 }
 
-// banded returns op's band decomposition, or nil when it has none. A
-// MatrixOperator is looked through to the matrix behind it, so a sharded
-// operator bound by the library facade is banded too; any other wrapper
-// is banded only if it says so.
+// banded returns op's band decomposition, or nil when it has none. It
+// looks at op itself, at the matrix behind a MatrixOperator, and at the
+// operator behind a wrapper that names it with Unwrap
+// (faults.InjectingOperator), so a sharded operator bound by the library
+// facade or wrapped for fault injection reduces as it does bare; any
+// other wrapper is banded only if it says so.
 func banded(op Operator) BandedOperator {
-	var holder any = op
-	if mo, ok := op.(MatrixOperator); ok {
-		holder = mo.M
+	for {
+		if b, ok := op.(BandedOperator); ok {
+			return b
+		}
+		switch w := op.(type) {
+		case MatrixOperator:
+			b, _ := w.M.(BandedOperator)
+			return b
+		case interface{ Unwrap() Operator }:
+			op = w.Unwrap()
+		default:
+			return nil
+		}
 	}
-	b, _ := holder.(BandedOperator)
-	return b
 }
 
 // MatrixOperator adapts any format's protected matrix (CSR, COO,
