@@ -15,10 +15,11 @@ type crcRow struct {
 }
 
 // crcThroughput measures both CRC32C backends over buffers shaped like
-// the actual codewords: a 60-byte TeaLeaf matrix row, the 32-byte vector
-// and row-pointer groups, and a large streaming buffer for peak rates.
+// the actual codewords: the 32-byte row-pointer group, a 60-byte TeaLeaf
+// matrix row, the 64-byte vector block, and a large streaming buffer for
+// peak rates.
 func crcThroughput() []crcRow {
-	sizes := []int{32, 60, 4096, 1 << 20}
+	sizes := []int{32, 60, 64, 4096, 1 << 20}
 	var rows []crcRow
 	for _, size := range sizes {
 		buf := make([]byte, size)

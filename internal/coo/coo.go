@@ -538,14 +538,14 @@ func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) e
 		// exactly one accumulator and the result is bit-identical for any
 		// worker count (a single range reduces to 0 + acc, which is acc:
 		// an accumulator that starts at +0 never holds -0).
-		return par.ForEach((m.rows+3)/4, workers, 1, func(blo, bhi int) error {
+		return par.ForEach(dsts[0].Blocks(), workers, 1, func(blo, bhi int) error {
 			for j, dst := range dsts {
 				for blk := blo; blk < bhi; blk++ {
-					var out [4]float64
+					var out [core.BlockLen]float64
+					lo := blk * core.BlockLen
 					for _, acc := range accs {
-						col := acc[j]
-						for i := 0; i < 4 && blk*4+i < m.rows; i++ {
-							out[i] += col[blk*4+i]
+						for i, v := range acc[j][lo:min(lo+core.BlockLen, m.rows)] {
+							out[i] += v
 						}
 					}
 					ep.WriteBlock(j, dst, blk, &out)

@@ -147,7 +147,7 @@ func DecodeSources(dsts, xs []*Vector, unverified bool, use func(xbufs [][]float
 // decode fills s.cols with the dense decode of every vector of xs.
 func (s *sources) decode(xs []*Vector, unverified bool) error {
 	blocks := xs[0].Blocks()
-	n := blocks * vecBlock
+	n := blocks * BlockLen
 	if cap(s.flat) < len(xs)*n {
 		s.flat = make([]float64, len(xs)*n)
 	}
@@ -192,7 +192,7 @@ func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCh
 	}()
 
 	sums := make([]float64, len(xbufs))
-	outs := make([][vecBlock]float64, len(xbufs))
+	outs := make([][BlockLen]float64, len(xbufs))
 	// Row r's end pointer is row r+1's start pointer: carry it across
 	// iterations so each row costs one cursor lookup, not two.
 	rlo32, err := cur.value(lo)
@@ -227,20 +227,20 @@ func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCh
 		}
 		rlo32 = rhi32
 		for j, s := range sums {
-			outs[j][r%vecBlock] = s
+			outs[j][r%BlockLen] = s
 		}
-		if r%vecBlock == vecBlock-1 {
+		if r%BlockLen == BlockLen-1 {
 			for j, dst := range dsts {
-				ep.WriteBlock(j, dst, r/vecBlock, &outs[j])
+				ep.WriteBlock(j, dst, r/BlockLen, &outs[j])
 			}
 		}
 	}
-	if hi%vecBlock != 0 {
+	if hi%BlockLen != 0 {
 		for j, dst := range dsts {
-			for i := hi % vecBlock; i < vecBlock; i++ {
+			for i := hi % BlockLen; i < BlockLen; i++ {
 				outs[j][i] = 0
 			}
-			ep.WriteBlock(j, dst, hi/vecBlock, &outs[j])
+			ep.WriteBlock(j, dst, hi/BlockLen, &outs[j])
 		}
 	}
 	return nil
@@ -310,23 +310,23 @@ func (m *Matrix) stageRow(el *ColElems, sums []float64, xbufs [][]float64, r, lo
 // at a time through the plain CSR loop.
 func (m *Matrix) rawRows(dsts, xs []*Vector, lo, hi int, ep *DotEpilogue) {
 	for j, x := range xs {
-		var out [vecBlock]float64
+		var out [BlockLen]float64
 		for r := lo; r < hi; r++ {
 			rlo, rhi := m.rowptr[r], m.rowptr[r+1]
 			var sum float64
 			for k := rlo; k < rhi; k++ {
 				sum += m.vals[k] * math.Float64frombits(x.words[m.colIdx[k]])
 			}
-			out[r%vecBlock] = sum
-			if r%vecBlock == vecBlock-1 {
-				ep.WriteBlock(j, dsts[j], r/vecBlock, &out)
+			out[r%BlockLen] = sum
+			if r%BlockLen == BlockLen-1 {
+				ep.WriteBlock(j, dsts[j], r/BlockLen, &out)
 			}
 		}
-		if hi%vecBlock != 0 {
-			for i := hi % vecBlock; i < vecBlock; i++ {
+		if hi%BlockLen != 0 {
+			for i := hi % BlockLen; i < BlockLen; i++ {
 				out[i] = 0
 			}
-			ep.WriteBlock(j, dsts[j], hi/vecBlock, &out)
+			ep.WriteBlock(j, dsts[j], hi/BlockLen, &out)
 		}
 	}
 }

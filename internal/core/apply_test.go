@@ -22,7 +22,7 @@ func TestMultiVectorBasics(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		mv.Col(j).Fill(float64(j + 1))
 	}
-	buf := make([]float64, mv.Blocks()*vecBlock)
+	buf := make([]float64, mv.Blocks()*BlockLen)
 	for j := 0; j < 3; j++ {
 		if err := mv.Col(j).ReadBlocksInto(0, mv.Blocks(), buf); err != nil {
 			t.Fatal(err)
@@ -81,9 +81,9 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 			}
 			x := NewMultiVector(src.Cols32(), k, vs)
 			for j := range xs {
-				for b := 0; b*vecBlock < len(xs[j]); b++ {
-					var blk [vecBlock]float64
-					copy(blk[:], xs[j][b*vecBlock:])
+				for b := 0; b*BlockLen < len(xs[j]); b++ {
+					var blk [BlockLen]float64
+					copy(blk[:], xs[j][b*BlockLen:])
 					x.Col(j).WriteBlock(b, &blk)
 				}
 			}
@@ -145,9 +145,9 @@ func TestApplyBatchCorrectsFaultInFlight(t *testing.T) {
 	x := NewMultiVector(src.Cols32(), k, None)
 	for j := 0; j < k; j++ {
 		data := randSlice(rng, src.Cols32())
-		for b := 0; b*vecBlock < len(data); b++ {
-			var blk [vecBlock]float64
-			copy(blk[:], data[b*vecBlock:])
+		for b := 0; b*BlockLen < len(data); b++ {
+			var blk [BlockLen]float64
+			copy(blk[:], data[b*BlockLen:])
 			x.Col(j).WriteBlock(b, &blk)
 		}
 	}

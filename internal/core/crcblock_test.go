@@ -22,32 +22,38 @@ import (
 var crcBackends = []ecc.Backend{ecc.Hardware, ecc.Software}
 
 // ---------------------------------------------------------------------------
-// Oracles: the serialising codecs as they stood before the in-place check.
+// Oracles: the serialising codecs, the definition the in-place checks
+// must reproduce. The vector block's message is its eight words
+// serialised little-endian with the four checksum slots (the low bytes
+// of words 0-3) cleared; the low bytes of words 4-7 are message bytes.
 
-// oracleWriteCRCBlock is the old CRC32C arm of Vector.WriteBlock.
-func oracleWriteCRCBlock(w []uint64, src *[vecBlock]float64, backend ecc.Backend) {
-	var buf [32]byte
+// oracleWriteCRCBlock is the serialising CRC32C arm of Vector.WriteBlock.
+func oracleWriteCRCBlock(w []uint64, src *[BlockLen]float64, backend ecc.Backend) {
+	var buf [8 * BlockLen]byte
 	for i, x := range src {
 		bits := math.Float64bits(x) &^ 0xFF
 		w[i] = bits
 		binary.LittleEndian.PutUint64(buf[8*i:], bits)
 	}
 	crc := ecc.Checksum(buf[:], backend)
-	for i := range w {
+	for i := 0; i < 4; i++ {
 		w[i] |= uint64(crc>>(8*uint(i))) & 0xFF
 	}
 }
 
-// oracleReadCRCBlock is the old CRC32C arm of Vector.readBlock over the
-// four storage words w, counting into c.
-func oracleReadCRCBlock(w []uint64, dst *[vecBlock]float64, commit bool, backend ecc.Backend, c *Counters) error {
-	var lw [vecBlock]uint64
+// oracleReadCRCBlock is the serialising CRC32C arm of Vector.readBlock
+// over the storage words w, counting into c.
+func oracleReadCRCBlock(w []uint64, dst *[BlockLen]float64, commit bool, backend ecc.Backend, c *Counters) error {
+	var lw [BlockLen]uint64
 	copy(lw[:], w)
-	var buf [32]byte
+	var buf [8 * BlockLen]byte
 	var stored uint32
 	for i, x := range lw {
-		binary.LittleEndian.PutUint64(buf[8*i:], x&^0xFF)
-		stored |= uint32(x&0xFF) << (8 * uint(i))
+		if i < 4 {
+			stored |= uint32(x&0xFF) << (8 * uint(i))
+			x &^= 0xFF
+		}
+		binary.LittleEndian.PutUint64(buf[8*i:], x)
 	}
 	crc := ecc.Checksum(buf[:], backend)
 	if crc != stored {
@@ -66,7 +72,7 @@ func oracleReadCRCBlock(w []uint64, dst *[vecBlock]float64, commit bool, backend
 	return nil
 }
 
-// oracleDecodeCRCRowGroup is the old CRC32C arm of Matrix.decodeRowGroup
+// oracleDecodeCRCRowGroup is the serialising CRC32C arm of Matrix.decodeRowGroup
 // over the eight storage entries e, counting into c.
 func oracleDecodeCRCRowGroup(e []uint32, dst *[8]uint32, commit bool, backend ecc.Backend, c *Counters) (corrected bool, err error) {
 	var buf [32]byte
@@ -114,10 +120,10 @@ func TestCRCBlockEncodeMatchesSerialisingOracle(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.SmallestNonzeroFloat64, math.MaxFloat64, 1, -1}
 	for _, backend := range crcBackends {
-		v := NewVector(vecBlock, CRC32C)
+		v := NewVector(BlockLen, CRC32C)
 		v.SetCRCBackend(backend)
 		for trial := 0; trial < 500; trial++ {
-			var src [vecBlock]float64
+			var src [BlockLen]float64
 			for i := range src {
 				if rng.Intn(4) == 0 {
 					src[i] = special[rng.Intn(len(special))]
@@ -125,26 +131,31 @@ func TestCRCBlockEncodeMatchesSerialisingOracle(t *testing.T) {
 					src[i] = math.Float64frombits(rng.Uint64())
 				}
 			}
-			var want [vecBlock]uint64
+			var want [BlockLen]uint64
 			oracleWriteCRCBlock(want[:], &src, backend)
 			v.WriteBlock(0, &src)
-			if got := *(*[vecBlock]uint64)(v.Raw()); got != want {
+			if got := *(*[BlockLen]uint64)(v.Raw()); got != want {
 				t.Fatalf("%v: WriteBlock(%x) stored %x, oracle %x", backend, src, got, want)
 			}
 		}
 	}
 }
 
-// crcBlockFlipSets returns every single flip of a 256-bit block — message
-// and slot bits alike — and a seeded sample of double flips.
-func crcBlockFlipSets() [][]int {
+// crcFlipSets returns every single flip of a codeword of the given
+// stored bits — message and slot bits alike — and a seeded sample of
+// double flips, the first of every other pair drawn from within (a nil
+// within draws every pair anywhere).
+func crcFlipSets(bits int, within []int) [][]int {
 	var sets [][]int
-	for bit := 0; bit < 256; bit++ {
+	for bit := 0; bit < bits; bit++ {
 		sets = append(sets, []int{bit})
 	}
 	rng := rand.New(rand.NewSource(32))
-	for len(sets) < 256+600 {
-		a, b := rng.Intn(256), rng.Intn(256)
+	for len(sets) < bits+600 {
+		a, b := rng.Intn(bits), rng.Intn(bits)
+		if within != nil && len(sets)%2 == 0 {
+			a = within[rng.Intn(len(within))]
+		}
 		if a != b {
 			sets = append(sets, []int{a, b})
 		}
@@ -152,16 +163,31 @@ func crcBlockFlipSets() [][]int {
 	return sets
 }
 
+// lowByteBits lists the bits of the low bytes of a vector block's eight
+// words: the checksum slots of words 0-3 and the zero-encoded message
+// bytes of words 4-7.
+func lowByteBits() []int {
+	var bits []int
+	for w := 0; w < BlockLen; w++ {
+		for b := 0; b < 8; b++ {
+			bits = append(bits, 64*w+b)
+		}
+	}
+	return bits
+}
+
 // TestCRCVectorBlockConformsToSerialisingOracle strikes one CRC32C block
-// with every single flip and a sample of double flips and demands the old
-// routine's outcome exactly: result class, delivered values, counter
-// deltas, and the commit discipline (exclusive reads repair storage,
-// shared reads leave it as struck).
+// with every single flip and a sample of double flips — half of them
+// with one flip in a low byte — and demands the serialising routine's
+// outcome exactly: result class, delivered values, counter deltas, and
+// the commit discipline (exclusive reads repair storage, shared reads
+// leave it as struck). Every single flip, a low-byte one of words 4-7
+// included, is corrected.
 func TestCRCVectorBlockConformsToSerialisingOracle(t *testing.T) {
-	clean := VectorFromSlice([]float64{1.5, -2.25e-7, 3.125e11, -9}, CRC32C)
+	clean := VectorFromSlice([]float64{1.5, -2.25e-7, 3.125e11, -9, 0.5, -7e-300, 6.02e23, 11}, CRC32C)
 	for _, backend := range crcBackends {
 		for _, commit := range []bool{true, false} {
-			for _, flips := range crcBlockFlipSets() {
+			for _, flips := range crcFlipSets(64*BlockLen, lowByteBits()) {
 				v := clean.Clone()
 				v.SetCRCBackend(backend)
 				var got, want Counters
@@ -169,10 +195,10 @@ func TestCRCVectorBlockConformsToSerialisingOracle(t *testing.T) {
 				for _, bit := range flips {
 					v.Raw()[bit/64] ^= 1 << uint(bit%64)
 				}
-				struck := *(*[vecBlock]uint64)(v.Raw())
+				struck := *(*[BlockLen]uint64)(v.Raw())
 				oracleWords := struck
 
-				var gotDst, wantDst [vecBlock]float64
+				var gotDst, wantDst [BlockLen]float64
 				wantErr := oracleReadCRCBlock(oracleWords[:], &wantDst, commit, backend, &want)
 				var gotErr error
 				if commit {
@@ -186,6 +212,9 @@ func TestCRCVectorBlockConformsToSerialisingOracle(t *testing.T) {
 				if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && !errors.As(gotErr, &fe)) {
 					t.Fatalf("%s: error %v, oracle %v", name, gotErr, wantErr)
 				}
+				if len(flips) == 1 && (gotErr != nil || got.Corrected() != 1) {
+					t.Fatalf("%s: single flip not corrected: %v", name, gotErr)
+				}
 				if got.Snapshot() != want.Snapshot() {
 					t.Fatalf("%s: counters %+v, oracle %+v", name, got.Snapshot(), want.Snapshot())
 				}
@@ -197,14 +226,14 @@ func TestCRCVectorBlockConformsToSerialisingOracle(t *testing.T) {
 						}
 					}
 				}
-				stored := *(*[vecBlock]uint64)(v.Raw())
+				stored := *(*[BlockLen]uint64)(v.Raw())
 				if stored != oracleWords {
 					t.Fatalf("%s: storage %x, oracle %x", name, stored, oracleWords)
 				}
 				if !commit && stored != struck {
 					t.Fatalf("%s: shared read wrote storage: %x -> %x", name, struck, stored)
 				}
-				if commit && gotErr == nil && stored != *(*[vecBlock]uint64)(clean.Raw()) && len(flips) == 1 {
+				if commit && gotErr == nil && stored != *(*[BlockLen]uint64)(clean.Raw()) && len(flips) == 1 {
 					t.Fatalf("%s: exclusive read left a single flip in storage: %x", name, stored)
 				}
 			}
@@ -225,7 +254,7 @@ func TestCRCRowGroupConformsToSerialisingOracle(t *testing.T) {
 		e := m.RawRowPtr()[8*g : 8*g+8]
 		clean := *(*[8]uint32)(e)
 		for _, commit := range []bool{true, false} {
-			for _, flips := range crcBlockFlipSets() {
+			for _, flips := range crcFlipSets(256, nil) {
 				var got, want Counters
 				m.SetCounters(&got)
 				copy(e, clean[:])
@@ -265,15 +294,15 @@ func TestCRCRowGroupConformsToSerialisingOracle(t *testing.T) {
 // buffer escaping into hash/crc32 once cost 700k allocations per solve.
 func TestVectorBlockOpsZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	data := randSlice(rng, 64)
+	data := randSlice(rng, 16*BlockLen)
 	for _, s := range Schemes {
 		for _, backend := range crcBackends {
 			v := VectorFromSlice(data, s)
 			v.SetCRCBackend(backend)
 			var c Counters
 			v.SetCounters(&c)
-			var blk [vecBlock]float64
-			batch := make([]float64, 8*vecBlock)
+			var blk [BlockLen]float64
+			batch := make([]float64, 8*BlockLen)
 			var err error
 			ops := map[string]func(){
 				"ReadBlock":       func() { err = v.ReadBlock(3, &blk) },
@@ -334,7 +363,7 @@ func TestVectorCheckAllDoesNotRaceWithSharedReaders(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				dst := make([]float64, v.Blocks()*vecBlock)
+				dst := make([]float64, v.Blocks()*BlockLen)
 				for pass := 0; pass < 50; pass++ {
 					if err := v.ReadBlocksSharedInto(0, v.Blocks(), dst); err != nil {
 						t.Error(err)
@@ -383,15 +412,15 @@ func TestNewVectorReplicatesEncodedZeroBlock(t *testing.T) {
 	for _, s := range Schemes {
 		for _, n := range []int{0, 1, 4, 37} {
 			v := NewVector(n, s)
-			var zeros [vecBlock]float64
-			want := NewVector(vecBlock, s)
+			var zeros [BlockLen]float64
+			want := NewVector(BlockLen, s)
 			want.WriteBlock(0, &zeros)
-			if len(v.Raw())%vecBlock != 0 || len(v.Raw()) < n {
+			if len(v.Raw())%BlockLen != 0 || len(v.Raw()) < n {
 				t.Fatalf("%v n=%d: %d storage words", s, n, len(v.Raw()))
 			}
 			for i, w := range v.Raw() {
-				if w != want.Raw()[i%vecBlock] {
-					t.Fatalf("%v n=%d: word %d = %x, encoded zero block has %x", s, n, i, w, want.Raw()[i%vecBlock])
+				if w != want.Raw()[i%BlockLen] {
+					t.Fatalf("%v n=%d: word %d = %x, encoded zero block has %x", s, n, i, w, want.Raw()[i%BlockLen])
 				}
 			}
 			if _, err := v.CheckAll(); err != nil {
@@ -413,10 +442,10 @@ func BenchmarkVectorBlockCRC32C(b *testing.B) {
 		v := VectorFromSlice(data, CRC32C)
 		v.SetCRCBackend(backend)
 		nb := v.Blocks()
-		var blk [vecBlock]float64
+		var blk [BlockLen]float64
 		b.Run(backend.String()+"/read", func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(vecBlock * 8)
+			b.SetBytes(BlockLen * 8)
 			for i := 0; i < b.N; i++ {
 				if err := v.ReadBlock(i%nb, &blk); err != nil {
 					b.Fatal(err)
@@ -425,7 +454,7 @@ func BenchmarkVectorBlockCRC32C(b *testing.B) {
 		})
 		b.Run(backend.String()+"/write", func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(vecBlock * 8)
+			b.SetBytes(BlockLen * 8)
 			for i := 0; i < b.N; i++ {
 				v.WriteBlock(i%nb, &blk)
 			}

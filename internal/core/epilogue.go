@@ -127,7 +127,7 @@ func startDots(dsts, xs []*Vector) *DotEpilogue {
 	if ep == nil {
 		return nil
 	}
-	n := ep.blocks * vecBlock
+	n := ep.blocks * BlockLen
 	if cap(ep.flat) < len(dsts)*n {
 		ep.flat = make([]float64, len(dsts)*n)
 	}
@@ -146,14 +146,14 @@ func startDots(dsts, xs []*Vector) *DotEpilogue {
 // column has a request, keeps the block masked as a verified read of dst
 // would return it — the values FusedAxpyDot's norm reads of the residual
 // it writes.
-func (ep *DotEpilogue) WriteBlock(j int, dst *Vector, blk int, out *[vecBlock]float64) {
+func (ep *DotEpilogue) WriteBlock(j int, dst *Vector, blk int, out *[BlockLen]float64) {
 	dst.WriteBlock(blk, out)
 	if ep == nil || ep.outs[j] == nil {
 		return
 	}
 	mask := dst.scheme.vecMask()
-	e := blk * vecBlock
-	w := ep.outs[j][e : e+vecBlock : e+vecBlock]
+	e := blk * BlockLen
+	w := ep.outs[j][e : e+BlockLen : e+BlockLen]
 	for i, v := range out {
 		w[i] = math.Float64frombits(math.Float64bits(v) & mask)
 	}
@@ -201,21 +201,18 @@ func (ep *DotEpilogue) reduce() error {
 			}
 			var s float64
 			if p != nil {
-				for e := lo * vecBlock; e < hi*vecBlock; e += vecBlock {
-					s += p[e] * w[e]
-					s += p[e+1] * w[e+1]
-					s += p[e+2] * w[e+2]
-					s += p[e+3] * w[e+3]
+				w := w[lo*BlockLen : hi*BlockLen]
+				for e, pe := range p[lo*BlockLen : hi*BlockLen] {
+					s += pe * w[e]
 				}
 			} else {
-				var xb [vecBlock]float64
+				var xb [BlockLen]float64
 				for blk := lo; blk < hi; blk++ {
 					x.ReadBlockNoCheck(blk, &xb)
-					e := blk * vecBlock
-					s += xb[0] * w[e]
-					s += xb[1] * w[e+1]
-					s += xb[2] * w[e+2]
-					s += xb[3] * w[e+3]
+					wb := w[blk*BlockLen : (blk+1)*BlockLen]
+					for i, xe := range xb {
+						s += xe * wb[i]
+					}
 				}
 			}
 			partials[i] = s

@@ -84,7 +84,7 @@ func FusedAxpyDot(x *Vector, alpha float64, p, r, q *Vector, opt FusedOptions) (
 	partials := make([]float64, len(ranges))
 	nalpha := -alpha
 	err := par.Run(ranges, func(lo, hi int) error {
-		var pv, xv, qv, rv, outX, outR [vecBlock]float64
+		var pv, xv, qv, rv, outX, outR [BlockLen]float64
 		commit := opt.Mode.Commits()
 		if opt.Mode.Verifies() {
 			nb := uint64(hi - lo)
@@ -116,14 +116,10 @@ func FusedAxpyDot(x *Vector, alpha float64, p, r, q *Vector, opt FusedOptions) (
 			// The norm reads the residual the storage now holds: masking
 			// reproduces the encode/decode round trip bit for bit, in the
 			// same strict element order as the standalone Dot.
-			m0 := r.Mask(outR[0])
-			m1 := r.Mask(outR[1])
-			m2 := r.Mask(outR[2])
-			m3 := r.Mask(outR[3])
-			s += m0 * m0
-			s += m1 * m1
-			s += m2 * m2
-			s += m3 * m3
+			for _, v := range outR {
+				m := r.Mask(v)
+				s += m * m
+			}
 		}
 		for i := range ranges {
 			if ranges[i][0] == lo {
@@ -152,7 +148,7 @@ func FusedUpdateNorm(dst *Vector, alpha float64, x *Vector, beta float64, y *Vec
 	ranges := opt.ranges(dst.Blocks())
 	partials := make([]float64, len(ranges))
 	err := par.Run(ranges, func(lo, hi int) error {
-		var xv, yv, out [vecBlock]float64
+		var xv, yv, out [BlockLen]float64
 		commit := opt.Mode.Commits()
 		if opt.Mode.Verifies() {
 			nb := uint64(hi - lo)
@@ -171,14 +167,10 @@ func FusedUpdateNorm(dst *Vector, alpha float64, x *Vector, beta float64, y *Vec
 				out[i] = alpha*xv[i] + beta*yv[i]
 			}
 			dst.WriteBlock(blk, &out)
-			m0 := dst.Mask(out[0])
-			m1 := dst.Mask(out[1])
-			m2 := dst.Mask(out[2])
-			m3 := dst.Mask(out[3])
-			s += m0 * m0
-			s += m1 * m1
-			s += m2 * m2
-			s += m3 * m3
+			for _, v := range out {
+				m := dst.Mask(v)
+				s += m * m
+			}
 		}
 		for i := range ranges {
 			if ranges[i][0] == lo {
@@ -198,7 +190,7 @@ func FusedUpdateNorm(dst *Vector, alpha float64, x *Vector, beta float64, y *Vec
 // unverified streams the masked payload without decode or counter
 // traffic; the verifying modes decode and, for the exclusive owner,
 // commit corrections back to storage.
-func readFused(v *Vector, blk int, dst *[vecBlock]float64, mode ReadMode, commit bool) error {
+func readFused(v *Vector, blk int, dst *[BlockLen]float64, mode ReadMode, commit bool) error {
 	if !mode.Verifies() {
 		v.ReadBlockNoCheck(blk, dst)
 		return nil

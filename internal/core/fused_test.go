@@ -31,10 +31,14 @@ func TestFusedAxpyDotMatchesUnfused(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	const n = 103
 	const alpha = 0.8125
-	// Codewords per four-word vector block: one per word under SED and
-	// SECDED64, one per word pair under SECDED128, one per block under
-	// CRC32C.
-	codewordsPerBlock := map[Scheme]uint64{None: 0, SED: 4, SECDED64: 4, SECDED128: 2, CRC32C: 1}
+	// Codewords per vector block: one per word under SED and SECDED64,
+	// one per word pair under SECDED128, one per block under CRC32C.
+	codewordsPerBlock := func(s Scheme) uint64 {
+		if s == None {
+			return 0
+		}
+		return uint64(BlockLen / s.VecGroup())
+	}
 	for _, s := range Schemes {
 		for _, workers := range []int{1, 4} {
 			x1 := fusedTestVec(n, s, 1)
@@ -79,7 +83,7 @@ func TestFusedAxpyDotMatchesUnfused(t *testing.T) {
 					t.Fatalf("%v workers=%d: r word %d differs", s, workers, i)
 				}
 			}
-			perVector := uint64(x1.Blocks()) * codewordsPerBlock[s]
+			perVector := uint64(x1.Blocks()) * codewordsPerBlock(s)
 			if got, want := unfused.Checks(), 6*perVector; got != want {
 				t.Fatalf("%v workers=%d: unfused tail made %d checks, want %d", s, workers, got, want)
 			}
@@ -132,7 +136,7 @@ func TestFusedUpdateNormMatchesUnfused(t *testing.T) {
 // the sharded operators' Dot discipline — against a hand-rolled
 // reference over the same bands.
 func TestFusedTreeReduceMatchesBandedReference(t *testing.T) {
-	const n = 120 // 30 blocks
+	const n = 30 * BlockLen
 	bands := [][2]int{{0, 8}, {8, 16}, {16, 24}, {24, 30}}
 	for _, s := range Schemes {
 		x := fusedTestVec(n, s, 1)
@@ -152,16 +156,15 @@ func TestFusedTreeReduceMatchesBandedReference(t *testing.T) {
 		}
 		partials := make([]float64, len(bands))
 		for bi, bd := range bands {
-			var rv [4]float64
+			var rv [BlockLen]float64
 			var sum float64
 			for blk := bd[0]; blk < bd[1]; blk++ {
 				if err := r.ReadBlock(blk, &rv); err != nil {
 					t.Fatal(err)
 				}
-				sum += rv[0] * rv[0]
-				sum += rv[1] * rv[1]
-				sum += rv[2] * rv[2]
-				sum += rv[3] * rv[3]
+				for _, v := range rv {
+					sum += v * v
+				}
 			}
 			partials[bi] = sum
 		}

@@ -16,7 +16,7 @@ func Dot(a, b *Vector, workers int) (float64, error) {
 	ranges := par.Ranges(a.Blocks(), workers, 1)
 	sums := make([]float64, len(ranges))
 	err := par.Run(ranges, func(lo, hi int) error {
-		var av, bv [vecBlock]float64
+		var av, bv [BlockLen]float64
 		var s float64
 		commit := len(ranges) == 1
 		a.counters.AddChecks(uint64(hi-lo) * a.checksPerBlock())
@@ -30,10 +30,9 @@ func Dot(a, b *Vector, workers int) (float64, error) {
 			}
 			// Strict element order keeps results bit-identical to the
 			// sequential reference loop.
-			s += av[0] * bv[0]
-			s += av[1] * bv[1]
-			s += av[2] * bv[2]
-			s += av[3] * bv[3]
+			for i, x := range av {
+				s += x * bv[i]
+			}
 		}
 		for i := range ranges {
 			if ranges[i][0] == lo {
@@ -60,7 +59,7 @@ func Waxpby(dst *Vector, alpha float64, x *Vector, beta float64, y *Vector, work
 		return fmt.Errorf("core: Waxpby length mismatch %d/%d/%d", dst.Len(), x.Len(), y.Len())
 	}
 	return par.ForEach(dst.Blocks(), workers, 1, func(lo, hi int) error {
-		var xv, yv, out [vecBlock]float64
+		var xv, yv, out [BlockLen]float64
 		x.counters.AddChecks(uint64(hi-lo) * x.checksPerBlock())
 		y.counters.AddChecks(uint64(hi-lo) * y.checksPerBlock())
 		for blk := lo; blk < hi; blk++ {
@@ -106,7 +105,7 @@ func Copy(dst, src *Vector, workers int) error {
 // recovery controller uses to checkpoint banded operators per band;
 // concurrent callers on disjoint block ranges never share a block.
 func CopyBlocks(dst, src *Vector, b0, b1 int) error {
-	var buf [vecBlock]float64
+	var buf [BlockLen]float64
 	src.counters.AddChecks(uint64(b1-b0) * src.checksPerBlock())
 	for blk := b0; blk < b1; blk++ {
 		if err := src.readBlock(blk, &buf, true); err != nil {
@@ -128,13 +127,13 @@ func DiagScale(dst *Vector, diag []float64, x *Vector, workers int) error {
 	}
 	n := x.Len()
 	return par.ForEach(dst.Blocks(), workers, 1, func(lo, hi int) error {
-		var xv, out [vecBlock]float64
+		var xv, out [BlockLen]float64
 		x.counters.AddChecks(uint64(hi-lo) * x.checksPerBlock())
 		for blk := lo; blk < hi; blk++ {
 			if err := x.readBlock(blk, &xv, true); err != nil {
 				return err
 			}
-			base := blk * vecBlock
+			base := blk * BlockLen
 			for i := range out {
 				if base+i < n {
 					out[i] = diag[base+i] * xv[i]

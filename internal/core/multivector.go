@@ -59,8 +59,8 @@ func WrapMultiVector(cols ...*Vector) (*MultiVector, error) {
 
 // View makes mv a width-len(parents) view of the n elements starting at
 // block b0 of every parent: column j shares parents[j]'s words (blocks
-// [b0, b0+⌈n/4⌉), which must lie inside it), scheme, CRC backend and
-// counters, so a write through mv is a write to the parents and both
+// [b0, b0+⌈n/BlockLen⌉), which must lie inside it), scheme, CRC backend
+// and counters, so a write through mv is a write to the parents and both
 // read the same codewords. mv keeps its column headers while the width
 // stays the same, so re-pointing a view allocates nothing; the zero
 // MultiVector allocates its headers on first use. The sharded operator
@@ -89,7 +89,7 @@ func (mv *MultiVector) K() int { return mv.k }
 // Scheme returns the shared protection scheme.
 func (mv *MultiVector) Scheme() Scheme { return mv.cols[0].Scheme() }
 
-// Blocks returns the per-column number of 4-element blocks.
+// Blocks returns the per-column number of BlockLen-element blocks.
 func (mv *MultiVector) Blocks() int { return mv.cols[0].Blocks() }
 
 // Col returns column j.

@@ -90,13 +90,14 @@ func SchemeNames() string {
 	return strings.Join(names, ", ")
 }
 
-// VecGroup returns the number of float64 elements per vector codeword.
+// VecGroup returns the number of float64 elements per vector codeword:
+// the whole BlockLen-element block under CRC32C.
 func (s Scheme) VecGroup() int {
 	switch s {
 	case SECDED128:
 		return 2
 	case CRC32C:
-		return 4
+		return BlockLen
 	default:
 		return 1
 	}

@@ -37,7 +37,7 @@ func TestSchemeGroupSizes(t *testing.T) {
 		SED:       {1, 1, 1},
 		SECDED64:  {1, 1, 2},
 		SECDED128: {2, 2, 4},
-		CRC32C:    {4, 0, 8},
+		CRC32C:    {BlockLen, 0, 8},
 	}
 	for s, want := range cases {
 		if s.VecGroup() != want[0] {

@@ -24,7 +24,7 @@ import (
 // Oracles: one Word4 and one Check per codeword, in storage order.
 
 // oracleWriteSECDEDBlock is the old SECDED arms of Vector.WriteBlock.
-func oracleWriteSECDEDBlock(s Scheme, w []uint64, src *[vecBlock]float64) {
+func oracleWriteSECDEDBlock(s Scheme, w []uint64, src *[BlockLen]float64) {
 	if s == SECDED64 {
 		for i, x := range src {
 			cw := ecc.Word4{math.Float64bits(x) &^ 0xFF}
@@ -33,7 +33,7 @@ func oracleWriteSECDEDBlock(s Scheme, w []uint64, src *[vecBlock]float64) {
 		}
 		return
 	}
-	for g := 0; g < 2; g++ {
+	for g := 0; g < BlockLen/2; g++ {
 		cw := ecc.Word4{math.Float64bits(src[2*g]) &^ 0x1F, math.Float64bits(src[2*g+1]) &^ 0x1F}
 		codecVec128.Encode(&cw)
 		w[2*g], w[2*g+1] = cw[0], cw[1]
@@ -41,8 +41,8 @@ func oracleWriteSECDEDBlock(s Scheme, w []uint64, src *[vecBlock]float64) {
 }
 
 // oracleReadSECDEDBlock is the old SECDED arms of Vector.readBlock over
-// the four storage words w of the block starting at element base.
-func oracleReadSECDEDBlock(s Scheme, w []uint64, base int, dst *[vecBlock]float64, commit bool, c *Counters) error {
+// the storage words w of the block starting at element base.
+func oracleReadSECDEDBlock(s Scheme, w []uint64, base int, dst *[BlockLen]float64, commit bool, c *Counters) error {
 	if s == SECDED64 {
 		for i := range dst {
 			cw := ecc.Word4{w[i]}
@@ -60,7 +60,7 @@ func oracleReadSECDEDBlock(s Scheme, w []uint64, base int, dst *[vecBlock]float6
 		}
 		return nil
 	}
-	for g := 0; g < 2; g++ {
+	for g := 0; g < BlockLen/2; g++ {
 		cw := ecc.Word4{w[2*g], w[2*g+1]}
 		switch res, _ := codecVec128.Check(&cw); res {
 		case ecc.Corrected:
@@ -274,9 +274,9 @@ func TestSECDEDBlockEncodeMatchesPerWordOracle(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		math.SmallestNonzeroFloat64, math.MaxFloat64, 1, -1}
 	for _, s := range secdedSchemes {
-		v := NewVector(vecBlock, s)
+		v := NewVector(BlockLen, s)
 		for trial := 0; trial < 500; trial++ {
-			var src [vecBlock]float64
+			var src [BlockLen]float64
 			for i := range src {
 				if rng.Intn(4) == 0 {
 					src[i] = special[rng.Intn(len(special))]
@@ -284,10 +284,10 @@ func TestSECDEDBlockEncodeMatchesPerWordOracle(t *testing.T) {
 					src[i] = math.Float64frombits(rng.Uint64())
 				}
 			}
-			var want [vecBlock]uint64
+			var want [BlockLen]uint64
 			oracleWriteSECDEDBlock(s, want[:], &src)
 			v.WriteBlock(0, &src)
-			if got := *(*[vecBlock]uint64)(v.Raw()); got != want {
+			if got := *(*[BlockLen]uint64)(v.Raw()); got != want {
 				t.Fatalf("%v: WriteBlock(%x) stored %x, oracle %x", s, src, got, want)
 			}
 		}
@@ -302,21 +302,21 @@ func TestSECDEDBlockFaultParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for _, s := range secdedSchemes {
 		cwBits := 64 * s.VecGroup()
-		v := VectorFromSlice(randSlice(rng, 3*vecBlock), s)
+		v := VectorFromSlice(randSlice(rng, 3*BlockLen), s)
 		const blk = 1
 		clean := append([]uint64(nil), v.Raw()...)
-		for _, flips := range flipSets(rng, 64*vecBlock, cwBits, 300) {
+		for _, flips := range flipSets(rng, 64*BlockLen, cwBits, 300) {
 			for _, commit := range []bool{true, false} {
 				copy(v.Raw(), clean)
 				oracle := append([]uint64(nil), clean...)
 				for _, b := range flips {
-					v.Raw()[blk*vecBlock+b/64] ^= 1 << uint(b%64)
-					oracle[blk*vecBlock+b/64] ^= 1 << uint(b%64)
+					v.Raw()[blk*BlockLen+b/64] ^= 1 << uint(b%64)
+					oracle[blk*BlockLen+b/64] ^= 1 << uint(b%64)
 				}
-				var got, want [vecBlock]float64
+				var got, want [BlockLen]float64
 				var gc, wc Counters
 				gerr := v.readBlockCounting(blk, &got, commit, &gc)
-				werr := oracleReadSECDEDBlock(s, oracle[blk*vecBlock:(blk+1)*vecBlock], blk*vecBlock, &want, commit, &wc)
+				werr := oracleReadSECDEDBlock(s, oracle[blk*BlockLen:(blk+1)*BlockLen], blk*BlockLen, &want, commit, &wc)
 				name := fmt.Sprintf("%v flips %v commit %v", s, flips, commit)
 				if !sameFault(gerr, werr) {
 					t.Fatalf("%s: error %v, oracle %v", name, gerr, werr)
@@ -346,7 +346,7 @@ func TestSECDEDBlockFaultParity(t *testing.T) {
 // codeword it struck, whichever worker meets it.
 func TestSECDEDVectorKernelParallelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	const n = 16 * vecBlock
+	const n = 16 * BlockLen
 	for _, s := range secdedSchemes {
 		a := VectorFromSlice(randSlice(rng, n), s)
 		b := VectorFromSlice(randSlice(rng, n), s)
@@ -362,9 +362,9 @@ func TestSECDEDVectorKernelParallelParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			cleanChecks := c.Checks()
-			a.Raw()[3*vecBlock+1] ^= 1 << 40  // first worker's range
-			a.Raw()[11*vecBlock+2] ^= 1 << 3  // second worker's range, a check bit
-			a.Raw()[12*vecBlock+0] ^= 1 << 63 // and a sign bit
+			a.Raw()[3*BlockLen+1] ^= 1 << 40  // first worker's range
+			a.Raw()[11*BlockLen+2] ^= 1 << 3  // second worker's range, a check bit
+			a.Raw()[12*BlockLen+0] ^= 1 << 63 // and a sign bit
 			struck := append([]uint64(nil), a.Raw()...)
 			c = Counters{}
 			got, err := Dot(a, b, workers)
@@ -386,11 +386,11 @@ func TestSECDEDVectorKernelParallelParity(t *testing.T) {
 			}
 
 			copy(a.Raw(), clean)
-			a.Raw()[11*vecBlock+2] ^= 1<<17 | 1<<44
+			a.Raw()[11*BlockLen+2] ^= 1<<17 | 1<<44
 			c = Counters{}
 			_, err = Dot(a, b, workers)
 			var fe *FaultError
-			if !errors.As(err, &fe) || fe.Structure != StructVector || fe.Index != (11*vecBlock+2)/s.VecGroup() || c.Detected() != 1 {
+			if !errors.As(err, &fe) || fe.Structure != StructVector || fe.Index != (11*BlockLen+2)/s.VecGroup() || c.Detected() != 1 {
 				t.Fatalf("%v workers %d: double flip reported as %v (detected %d)", s, workers, err, c.Detected())
 			}
 		}
@@ -404,11 +404,11 @@ func TestSECDEDVectorKernelParallelParity(t *testing.T) {
 func TestVectorBlockOpsZeroAllocsOnFaultyBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for _, s := range secdedSchemes {
-		v := VectorFromSlice(randSlice(rng, 8*vecBlock), s)
+		v := VectorFromSlice(randSlice(rng, 8*BlockLen), s)
 		var c Counters
 		v.SetCounters(&c)
-		v.Raw()[3*vecBlock+2] ^= 1 << 29
-		var blk [vecBlock]float64
+		v.Raw()[3*BlockLen+2] ^= 1 << 29
+		var blk [BlockLen]float64
 		var err error
 		if n := testing.AllocsPerRun(50, func() { err = v.ReadBlockShared(3, &blk) }); n != 0 || err != nil {
 			t.Errorf("%v: ReadBlockShared of a struck block allocates %v times per call (err %v), want 0", s, n, err)

@@ -8,21 +8,25 @@ import (
 	"abft/internal/ecc"
 )
 
-// vecBlock is the element granularity shared by all vector kernels: the
-// least common multiple of every scheme's codeword group size. Vectors are
-// padded to a multiple of vecBlock so kernels can stream whole blocks
-// without tail special-casing; the padding is encoded zeros.
-const vecBlock = 4
+// BlockLen is the element granularity shared by all vector kernels: one
+// 64-byte cache line of eight float64 words, a multiple of every scheme's
+// codeword group size (the CRC32C codeword is the whole block). Vectors
+// are padded to a multiple of BlockLen so kernels can stream whole blocks
+// without tail special-casing; the padding is encoded zeros. Every layer
+// that partitions a protected vector — shard bands, preconditioner bands,
+// checkpoint copies, SELL windows — aligns to it, so no two owners ever
+// share a codeword.
+const BlockLen = 8
 
 // Vector is a dense float64 vector whose redundancy is embedded in the
 // least significant mantissa bits of its own elements (paper section VI-B).
 // Reads return values with the reserved bits masked to zero, bounding the
 // perturbation at 2^-(52-reserved) relative; writes mask before encoding.
 //
-// The natural unit of access is the codeword group (1, 2 or 4 elements
-// depending on scheme). ReadBlock/WriteBlock move whole 4-element blocks
-// and are what the kernels use; At/Set are the random-access paths, with
-// Set paying the read-modify-write penalty the paper's buffered kernels
+// The natural unit of access is the codeword group (1, 2 or 8 elements
+// depending on scheme). ReadBlock/WriteBlock move whole blocks and are
+// what the kernels use; At/Set are the random-access paths, with Set
+// paying the read-modify-write penalty the paper's buffered kernels
 // avoid.
 //
 // A Vector is safe for concurrent readers; concurrent writers must not
@@ -31,7 +35,7 @@ type Vector struct {
 	scheme   Scheme
 	backend  ecc.Backend
 	n        int      // logical length
-	words    []uint64 // padded raw storage, len multiple of vecBlock
+	words    []uint64 // padded raw storage, len multiple of BlockLen
 	counters *Counters
 	// dot is the inner product the next product written into v is asked
 	// for (DotRequest), nil almost always.
@@ -43,15 +47,15 @@ func NewVector(n int, s Scheme) *Vector {
 	if n < 0 {
 		panic("core: negative vector length")
 	}
-	pad := (n + vecBlock - 1) / vecBlock * vecBlock
+	pad := (n + BlockLen - 1) / BlockLen * BlockLen
 	v := &Vector{scheme: s, n: n, words: make([]uint64, pad)}
 	// Encode the zero contents so every codeword is initially clean: every
 	// block is the same codeword, so encode the first and replicate it.
 	if pad > 0 {
-		var zeros [vecBlock]float64
+		var zeros [BlockLen]float64
 		v.WriteBlock(0, &zeros)
-		for b := vecBlock; b < pad; b += vecBlock {
-			copy(v.words[b:b+vecBlock], v.words[:vecBlock])
+		for b := BlockLen; b < pad; b += BlockLen {
+			copy(v.words[b:b+BlockLen], v.words[:BlockLen])
 		}
 	}
 	return v
@@ -60,25 +64,17 @@ func NewVector(n int, s Scheme) *Vector {
 // VectorFromSlice builds a protected vector holding a copy of data.
 func VectorFromSlice(data []float64, s Scheme) *Vector {
 	v := NewVector(len(data), s)
-	var buf [vecBlock]float64
-	for b := 0; b*vecBlock < len(data); b++ {
-		lo := b * vecBlock
-		n := copy(buf[:], data[lo:])
-		for i := n; i < vecBlock; i++ {
-			buf[i] = 0
-		}
-		v.WriteBlock(b, &buf)
-	}
+	v.CopyFrom(data)
 	return v
 }
 
 // view makes v a view of the n elements of parent that start at block
-// b0: v shares parent's words (blocks [b0, b0+⌈n/4⌉), which must lie
-// inside parent), scheme, CRC backend and counters, so a write through v
-// is a write to parent and both read the same codewords. v's previous
+// b0: v shares parent's words (blocks [b0, b0+⌈n/BlockLen⌉), which must
+// lie inside parent), scheme, CRC backend and counters, so a write
+// through v is a write to parent and both read the same codewords. v's previous
 // header is overwritten; re-pointing a view allocates nothing.
 func (v *Vector) view(parent *Vector, b0, n int) {
-	lo, hi := b0*vecBlock, (b0*vecBlock+n+vecBlock-1)/vecBlock*vecBlock
+	lo, hi := b0*BlockLen, (b0*BlockLen+n+BlockLen-1)/BlockLen*BlockLen
 	*v = Vector{
 		scheme:   parent.scheme,
 		backend:  parent.backend,
@@ -94,8 +90,9 @@ func (v *Vector) Len() int { return v.n }
 // Scheme returns the protection scheme.
 func (v *Vector) Scheme() Scheme { return v.scheme }
 
-// Blocks returns the number of 4-element blocks (including padding).
-func (v *Vector) Blocks() int { return len(v.words) / vecBlock }
+// Blocks returns the number of BlockLen-element blocks (including
+// padding).
+func (v *Vector) Blocks() int { return len(v.words) / BlockLen }
 
 // SetCounters attaches a statistics accumulator (may be shared or nil).
 func (v *Vector) SetCounters(c *Counters) { v.counters = c }
@@ -124,7 +121,7 @@ func (v *Vector) checksPerBlock() uint64 {
 	if v.scheme == None {
 		return 0
 	}
-	return uint64(vecBlock / v.scheme.VecGroup())
+	return uint64(BlockLen / v.scheme.VecGroup())
 }
 
 // faultErr builds the uncorrectable-error value for codeword group g,
@@ -134,11 +131,11 @@ func (v *Vector) faultErr(c *Counters, g int, detail string) error {
 	return &FaultError{Structure: StructVector, Scheme: v.scheme, Index: g, Detail: detail}
 }
 
-// WriteBlock encodes and stores the 4-element block b from src. Reserved
-// bits of the incoming values are discarded.
-func (v *Vector) WriteBlock(b int, src *[vecBlock]float64) {
-	base := b * vecBlock
-	w := v.words[base : base+vecBlock : base+vecBlock]
+// WriteBlock encodes and stores block b from src. Reserved bits of the
+// incoming values are discarded.
+func (v *Vector) WriteBlock(b int, src *[BlockLen]float64) {
+	base := b * BlockLen
+	w := v.words[base : base+BlockLen : base+BlockLen]
 	switch v.scheme {
 	case None:
 		for i, x := range src {
@@ -150,18 +147,21 @@ func (v *Vector) WriteBlock(b int, src *[vecBlock]float64) {
 			w[i] = bits | ecc.Parity64(bits)
 		}
 	case SECDED64:
-		codecVec64.EncodeBlock64((*[vecBlock]uint64)(w), src)
+		codecVec64.EncodeBlock64((*[BlockLen]uint64)(w), src)
 	case SECDED128:
-		codecVec128.EncodeBlock128((*[vecBlock]uint64)(w), src, v.scheme.vecMask())
+		codecVec128.EncodeBlock128((*[BlockLen]uint64)(w), src, v.scheme.vecMask())
 	case CRC32C:
-		// Store the message, checksum it where it lies, fill the slots.
+		// Store the message, checksum it where it lies, fill the slots:
+		// the checksum's four bytes go to the low bytes of words 0-3, and
+		// words 4-7 keep theirs zero.
 		for i, x := range src {
 			w[i] = math.Float64bits(x) &^ 0xFF
 		}
-		crc, _ := ecc.BlockChecksum((*[vecBlock]uint64)(w), v.backend)
-		for i := range w {
-			w[i] |= uint64(crc>>(8*uint(i))) & 0xFF
-		}
+		crc, _ := ecc.BlockChecksum((*[BlockLen]uint64)(w), v.backend)
+		w[0] |= uint64(byte(crc))
+		w[1] |= uint64(byte(crc >> 8))
+		w[2] |= uint64(byte(crc >> 16))
+		w[3] |= uint64(byte(crc >> 24))
 	}
 }
 
@@ -169,7 +169,7 @@ func (v *Vector) WriteBlock(b int, src *[vecBlock]float64) {
 // the scheme allows, and stores the masked values in dst. On an
 // uncorrectable error dst is left in an unspecified state and a
 // *FaultError is returned.
-func (v *Vector) ReadBlock(b int, dst *[vecBlock]float64) error {
+func (v *Vector) ReadBlock(b int, dst *[BlockLen]float64) error {
 	return v.readBlock(b, dst, true)
 }
 
@@ -178,15 +178,15 @@ func (v *Vector) ReadBlock(b int, dst *[vecBlock]float64) error {
 // so that only the owning goroutine ever writes a block; the corrected
 // values are still used for computation and the stored fault is repaired
 // by the next serial check.
-func (v *Vector) readBlock(b int, dst *[vecBlock]float64, commit bool) error {
+func (v *Vector) readBlock(b int, dst *[BlockLen]float64, commit bool) error {
 	return v.readBlockCounting(b, dst, commit, v.counters)
 }
 
 // readBlockCounting is readBlock reporting corrections and detections to c
 // instead of the attached counters (nil discards them).
-func (v *Vector) readBlockCounting(b int, dst *[vecBlock]float64, commit bool, c *Counters) error {
-	base := b * vecBlock
-	w := v.words[base : base+vecBlock : base+vecBlock]
+func (v *Vector) readBlockCounting(b int, dst *[BlockLen]float64, commit bool, c *Counters) error {
+	base := b * BlockLen
+	w := v.words[base : base+BlockLen : base+BlockLen]
 	switch v.scheme {
 	case None:
 		for i := range dst {
@@ -204,7 +204,7 @@ func (v *Vector) readBlockCounting(b int, dst *[vecBlock]float64, commit bool, c
 	case SECDED64:
 		// One kernel call over the block where it lies; only a non-zero
 		// accumulator pays for the per-codeword resolve.
-		if codecVec64.AccBlock64((*[vecBlock]uint64)(w)) != 0 {
+		if codecVec64.AccBlock64((*[BlockLen]uint64)(w)) != 0 {
 			return v.resolveSECDEDBlock(base, w, dst, commit, c)
 		}
 		for i := range dst {
@@ -212,7 +212,7 @@ func (v *Vector) readBlockCounting(b int, dst *[vecBlock]float64, commit bool, c
 		}
 		return nil
 	case SECDED128:
-		if codecVec128.AccBlock128((*[vecBlock]uint64)(w)) != 0 {
+		if codecVec128.AccBlock128((*[BlockLen]uint64)(w)) != 0 {
 			return v.resolveSECDEDBlock(base, w, dst, commit, c)
 		}
 		for i := range dst {
@@ -222,7 +222,7 @@ func (v *Vector) readBlockCounting(b int, dst *[vecBlock]float64, commit bool, c
 	case CRC32C:
 		// Checksum the storage words as stored; only a mismatch pays for
 		// a serialised copy.
-		if crc, stored := ecc.BlockChecksum((*[vecBlock]uint64)(w), v.backend); crc != stored {
+		if crc, stored := ecc.BlockChecksum((*[BlockLen]uint64)(w), v.backend); crc != stored {
 			return v.repairCRCBlock(b, w, dst, commit, c)
 		}
 		for i := range dst {
@@ -240,7 +240,7 @@ func (v *Vector) readBlockCounting(b int, dst *[vecBlock]float64, commit bool, c
 // the first uncorrectable one is the one reported, single flips are
 // repaired in the delivered values (and in storage when commit is true)
 // and each is counted into c.
-func (v *Vector) resolveSECDEDBlock(base int, w []uint64, dst *[vecBlock]float64, commit bool, c *Counters) error {
+func (v *Vector) resolveSECDEDBlock(base int, w []uint64, dst *[BlockLen]float64, commit bool, c *Counters) error {
 	if v.scheme == SECDED64 {
 		for i := range dst {
 			cw := ecc.Word4{w[i]}
@@ -257,7 +257,7 @@ func (v *Vector) resolveSECDEDBlock(base int, w []uint64, dst *[vecBlock]float64
 		}
 		return nil
 	}
-	for g := 0; g < 2; g++ {
+	for g := 0; g < BlockLen/2; g++ {
 		cw := ecc.Word4{w[2*g], w[2*g+1]}
 		switch res, _ := codecVec128.Check(&cw); res {
 		case ecc.Corrected:
@@ -280,14 +280,17 @@ func (v *Vector) resolveSECDEDBlock(base int, w []uint64, dst *[vecBlock]float64
 // flips that explain the syndrome, and delivers the repaired values in
 // dst, committing them to storage when commit is true and counting the
 // outcome into c.
-func (v *Vector) repairCRCBlock(b int, w []uint64, dst *[vecBlock]float64, commit bool, c *Counters) error {
-	var lw [vecBlock]uint64
+func (v *Vector) repairCRCBlock(b int, w []uint64, dst *[BlockLen]float64, commit bool, c *Counters) error {
+	var lw [BlockLen]uint64
 	copy(lw[:], w)
-	var buf [32]byte
+	var buf [8 * BlockLen]byte
 	var stored uint32
 	for i, x := range lw {
-		binary.LittleEndian.PutUint64(buf[8*i:], x&^0xFF)
-		stored |= uint32(x&0xFF) << (8 * uint(i))
+		if i < 4 {
+			stored |= uint32(x&0xFF) << (8 * uint(i))
+			x &^= 0xFF
+		}
+		binary.LittleEndian.PutUint64(buf[8*i:], x)
 	}
 	crc := ecc.Checksum(buf[:], v.backend)
 	if crc != stored {
@@ -307,9 +310,11 @@ func (v *Vector) repairCRCBlock(b int, w []uint64, dst *[vecBlock]float64, commi
 
 // correctCRCVecBlock attempts syndrome-search correction of a
 // CRC32C-protected block: up to two flips in the message bits, the stored
-// checksum bits, or one of each. On success the words are repaired and it
+// checksum bits, or one of each. A message flip may land in the low byte
+// of words 4-7 (message bytes encoded as zero) but not in that of words
+// 0-3, which hold the checksum. On success the words are repaired and it
 // returns true.
-func correctCRCVecBlock(w *[vecBlock]uint64, msg []byte, stored, computed uint32) bool {
+func correctCRCVecBlock(w *[BlockLen]uint64, msg []byte, stored, computed uint32) bool {
 	flips, ok := ecc.CorrectCodeword(msg, stored, computed)
 	if !ok {
 		return false
@@ -322,8 +327,8 @@ func correctCRCVecBlock(w *[vecBlock]uint64, msg []byte, stored, computed uint32
 		} else {
 			word := f.Bit / 64
 			bit := f.Bit % 64
-			if bit < 8 {
-				return false // message flips cannot land in reserved bytes
+			if word < 4 && bit < 8 {
+				return false // message flips cannot land in checksum slots
 			}
 			w[word] ^= 1 << uint(bit)
 		}
@@ -338,12 +343,12 @@ func correctCRCVecBlock(w *[vecBlock]uint64, msg []byte, stored, computed uint32
 // left for the owning goroutine's next serial check or re-encode to
 // clear. The sharded operator's halo exchange packs neighbour data
 // through this path.
-func (v *Vector) ReadBlockShared(b int, dst *[vecBlock]float64) error {
+func (v *Vector) ReadBlockShared(b int, dst *[BlockLen]float64) error {
 	return v.readBlock(b, dst, false)
 }
 
 // ReadBlocksInto verifies blocks [b0,b1) and stores their masked values
-// into dst, which must hold at least (b1-b0)*4 elements. It is the
+// into dst, which must hold at least (b1-b0)*BlockLen elements. It is the
 // block-verified sweep primitive: one call verifies a whole contiguous
 // span and batches the check accounting into the counters once, instead
 // of per-block atomic updates. Corrections are committed to storage.
@@ -364,15 +369,15 @@ func (v *Vector) readBlocks(b0, b1 int, dst []float64, commit bool) error {
 	if b0 < 0 || b1 > v.Blocks() || b0 > b1 {
 		return fmt.Errorf("core: block range [%d,%d) out of range [0,%d)", b0, b1, v.Blocks())
 	}
-	if len(dst) < (b1-b0)*vecBlock {
-		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), (b1-b0)*vecBlock)
+	if len(dst) < (b1-b0)*BlockLen {
+		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), (b1-b0)*BlockLen)
 	}
 	if v.scheme == None {
 		return v.ReadBlocksUnverifiedInto(b0, b1, dst) // nothing to verify: one plain copy
 	}
 	v.counters.AddChecks(uint64(b1-b0) * v.checksPerBlock())
 	for b := b0; b < b1; b++ {
-		if err := v.readBlock(b, (*[vecBlock]float64)(dst[(b-b0)*vecBlock:]), commit); err != nil {
+		if err := v.readBlock(b, (*[BlockLen]float64)(dst[(b-b0)*BlockLen:]), commit); err != nil {
 			return err
 		}
 	}
@@ -389,11 +394,11 @@ func (v *Vector) ReadBlocksUnverifiedInto(b0, b1 int, dst []float64) error {
 	if b0 < 0 || b1 > v.Blocks() || b0 > b1 {
 		return fmt.Errorf("core: block range [%d,%d) out of range [0,%d)", b0, b1, v.Blocks())
 	}
-	if len(dst) < (b1-b0)*vecBlock {
-		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), (b1-b0)*vecBlock)
+	if len(dst) < (b1-b0)*BlockLen {
+		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), (b1-b0)*BlockLen)
 	}
 	mask := v.scheme.vecMask()
-	for i, w := range v.words[b0*vecBlock : b1*vecBlock] {
+	for i, w := range v.words[b0*BlockLen : b1*BlockLen] {
 		dst[i] = math.Float64frombits(w & mask)
 	}
 	return nil
@@ -402,8 +407,8 @@ func (v *Vector) ReadBlocksUnverifiedInto(b0, b1 int, dst []float64) error {
 // ReadBlockNoCheck returns the masked values of block b without integrity
 // checking; the less-frequent-checking mode uses it for vectors that are
 // known-clean within the interval. Exposed for kernels and tests.
-func (v *Vector) ReadBlockNoCheck(b int, dst *[vecBlock]float64) {
-	base := b * vecBlock
+func (v *Vector) ReadBlockNoCheck(b int, dst *[BlockLen]float64) {
+	base := b * BlockLen
 	mask := v.scheme.vecMask()
 	for i := range dst {
 		dst[i] = math.Float64frombits(v.words[base+i] & mask)
@@ -415,12 +420,12 @@ func (v *Vector) At(i int) (float64, error) {
 	if i < 0 || i >= v.n {
 		return 0, fmt.Errorf("core: vector index %d out of range [0,%d)", i, v.n)
 	}
-	var buf [vecBlock]float64
+	var buf [BlockLen]float64
 	v.counters.AddChecks(v.checksPerBlock())
-	if err := v.ReadBlock(i/vecBlock, &buf); err != nil {
+	if err := v.ReadBlock(i/BlockLen, &buf); err != nil {
 		return 0, err
 	}
-	return buf[i%vecBlock], nil
+	return buf[i%BlockLen], nil
 }
 
 // Set stores element i, paying the full read-modify-write cost: the
@@ -430,13 +435,13 @@ func (v *Vector) Set(i int, x float64) error {
 	if i < 0 || i >= v.n {
 		return fmt.Errorf("core: vector index %d out of range [0,%d)", i, v.n)
 	}
-	var buf [vecBlock]float64
-	b := i / vecBlock
+	var buf [BlockLen]float64
+	b := i / BlockLen
 	v.counters.AddChecks(v.checksPerBlock())
 	if err := v.ReadBlock(b, &buf); err != nil {
 		return err
 	}
-	buf[i%vecBlock] = x
+	buf[i%BlockLen] = x
 	v.WriteBlock(b, &buf)
 	return nil
 }
@@ -450,7 +455,7 @@ func (v *Vector) CheckAll() (corrected int, err error) {
 	// untracked vectors or counters shared with concurrent work, and v is
 	// only read, so a scrub never races with ReadBlockShared readers.
 	var acc Counters
-	var buf [vecBlock]float64
+	var buf [BlockLen]float64
 	for b := 0; b < v.Blocks(); b++ {
 		if e := v.readBlockCounting(b, &buf, true, &acc); e != nil && err == nil {
 			err = e
@@ -469,13 +474,13 @@ func (v *Vector) CopyTo(dst []float64) error {
 		return fmt.Errorf("core: CopyTo destination too short: %d < %d", len(dst), v.n)
 	}
 	v.counters.AddChecks(uint64(v.Blocks()) * v.checksPerBlock())
-	var buf [vecBlock]float64
+	var buf [BlockLen]float64
 	for b := 0; b < v.Blocks(); b++ {
 		if err := v.ReadBlock(b, &buf); err != nil {
 			return err
 		}
-		lo := b * vecBlock
-		for i := 0; i < vecBlock && lo+i < v.n; i++ {
+		lo := b * BlockLen
+		for i := 0; i < BlockLen && lo+i < v.n; i++ {
 			dst[lo+i] = buf[i]
 		}
 	}
@@ -489,27 +494,39 @@ func (v *Vector) CopyToUnverified(dst []float64) error {
 	if len(dst) < v.n {
 		return fmt.Errorf("core: CopyTo destination too short: %d < %d", len(dst), v.n)
 	}
-	var buf [vecBlock]float64
+	var buf [BlockLen]float64
 	for b := 0; b < v.Blocks(); b++ {
 		v.ReadBlockNoCheck(b, &buf)
-		lo := b * vecBlock
-		for i := 0; i < vecBlock && lo+i < v.n; i++ {
+		lo := b * BlockLen
+		for i := 0; i < BlockLen && lo+i < v.n; i++ {
 			dst[lo+i] = buf[i]
 		}
 	}
 	return nil
 }
 
+// CopyFrom encodes the first Len elements of src into v block by block,
+// the padding as zeros: CopyTo's inverse, with no read of v's old
+// contents. src must hold at least Len elements.
+func (v *Vector) CopyFrom(src []float64) {
+	var buf [BlockLen]float64
+	for b := 0; b < v.Blocks(); b++ {
+		n := copy(buf[:], src[b*BlockLen:v.n])
+		clear(buf[n:])
+		v.WriteBlock(b, &buf)
+	}
+}
+
 // Fill sets every element to x.
 func (v *Vector) Fill(x float64) {
-	var buf [vecBlock]float64
+	var buf [BlockLen]float64
 	for i := range buf {
 		buf[i] = x
 	}
 	last := v.Blocks() - 1
 	for b := 0; b <= last; b++ {
 		if b == last {
-			for i := v.n - last*vecBlock; i < vecBlock; i++ {
+			for i := v.n - last*BlockLen; i < BlockLen; i++ {
 				buf[i] = 0
 			}
 		}

@@ -169,7 +169,7 @@ func TestVectorCRCDoubleFlipCorrected(t *testing.T) {
 	if err := v.CopyTo(want); err != nil {
 		t.Fatal(err)
 	}
-	// Two flips in one 4-element codeword: within CRC's correction depth.
+	// Two flips in one 8-element codeword: within CRC's correction depth.
 	v.Raw()[1] ^= 1 << 30
 	v.Raw()[2] ^= 1 << 50
 	got := make([]float64, 8)
@@ -263,7 +263,7 @@ func TestVectorClone(t *testing.T) {
 func TestVectorReadBlockNoCheck(t *testing.T) {
 	v := VectorFromSlice([]float64{1, 2, 3, 4}, SED)
 	v.Raw()[0] ^= 1 << 10 // corrupt; NoCheck must not care
-	var buf [4]float64
+	var buf [BlockLen]float64
 	v.ReadBlockNoCheck(0, &buf)
 	if buf[1] != v.Mask(2) {
 		t.Fatalf("NoCheck read wrong: %v", buf)
@@ -366,7 +366,7 @@ func TestVectorAnySingleFlipNeverSilentQuick(t *testing.T) {
 	}
 }
 
-// TestMultiVectorView: a view's column j is blocks [b0, b0+⌈n/4⌉) of
+// TestMultiVectorView: a view's column j is blocks [b0, b0+⌈n/BlockLen⌉) of
 // parent j — a block written through the view is that block of the
 // parent, encoded under the parent's scheme and verified by the parent's
 // reads — it carries the parent's counters, and re-pointing a view of the
@@ -374,22 +374,23 @@ func TestVectorAnySingleFlipNeverSilentQuick(t *testing.T) {
 func TestMultiVectorView(t *testing.T) {
 	for _, s := range Schemes {
 		var ca, cb Counters
-		parents := []*Vector{NewVector(30, s), NewVector(30, s)}
+		const n, last = 7*BlockLen - 2, 6 * BlockLen // the last block has two padding rows
+		parents := []*Vector{NewVector(n, s), NewVector(n, s)}
 		parents[0].SetCounters(&ca)
 		parents[1].SetCounters(&cb)
 		var mv MultiVector
-		mv.View(parents, 6, 6) // rows 24..29, the last, partial, block included
-		if mv.K() != 2 || mv.Len() != 6 || mv.Blocks() != 2 || mv.Col(1).Counters() != &cb {
+		mv.View(parents, 5, n-5*BlockLen) // blocks 5 and 6, the last, partial, block included
+		if mv.K() != 2 || mv.Len() != n-5*BlockLen || mv.Blocks() != 2 || mv.Col(1).Counters() != &cb {
 			t.Fatalf("%v: view k=%d len=%d blocks=%d", s, mv.K(), mv.Len(), mv.Blocks())
 		}
-		src := [vecBlock]float64{1.5, -2} // rows 28, 29; 30 and 31 are padding
+		src := [BlockLen]float64{1.5, -2} // rows last and last+1
 		mv.Col(1).WriteBlock(1, &src)
-		got := make([]float64, 30)
+		got := make([]float64, n)
 		if err := parents[1].CopyTo(got); err != nil {
 			t.Fatalf("%v: parent read of a block written through the view: %v", s, err)
 		}
-		if got[28] != parents[1].Mask(1.5) || got[29] != parents[1].Mask(-2) || got[27] != 0 {
-			t.Fatalf("%v: parent rows 27..29 = %v", s, got[27:])
+		if got[last] != parents[1].Mask(1.5) || got[last+1] != parents[1].Mask(-2) || got[last-1] != 0 {
+			t.Fatalf("%v: parent rows %d.. = %v", s, last-1, got[last-1:])
 		}
 		if allocs := testing.AllocsPerRun(10, func() { mv.View(parents, 0, 8) }); allocs != 0 {
 			t.Fatalf("%v: re-pointing a view allocates %v times", s, allocs)

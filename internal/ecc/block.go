@@ -7,11 +7,12 @@ import (
 )
 
 // In-place checksums of the three codewords whose CRC is interleaved with
-// the message: the vector block (four float64 words, one CRC byte in the
-// low byte of each), the index group (eight 28-bit indices, one CRC
-// nibble in the top nibble of each) and the column-element run (n values
-// then n 24-bit column indices, one CRC byte in the top byte of each of
-// the last four indices).
+// the message: the vector block (eight float64 words, one 64-byte cache
+// line, one CRC byte in the low byte of each of the first four), the
+// index group (eight 28-bit indices, one CRC nibble in the top nibble of
+// each) and the column-element run (n values then n 24-bit column
+// indices, one CRC byte in the top byte of each of the last four
+// indices).
 //
 // Serialising such a codeword into a scratch message costs a heap
 // allocation per call: hash/crc32 reaches its Castagnoli kernel through a
@@ -36,14 +37,14 @@ import (
 // byte first, i.e. whether storage can be checksummed where it lies.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// blockSlot[i][v] is rawCRC of a 32-byte message that is zero except for
+// blockSlot[i][v] is rawCRC of a 64-byte message that is zero except for
 // byte v at offset 8i: the contribution of vector-block slot i.
-// groupSlot[i][n] is the same for nibble n in the high half of the byte
-// at offset 4i+3: the contribution of index-group slot i. runSlot[i][v]
-// is rawCRC of byte v followed by 12-4i zero bytes: the contribution of
-// element-run slot i, the top byte of the run's (n-4+i)-th column index,
-// which ends the message or sits 4, 8 or 12 bytes before its end whatever
-// the run's length n.
+// groupSlot[i][n] is the same for a 32-byte message and nibble n in the
+// high half of the byte at offset 4i+3: the contribution of index-group
+// slot i. runSlot[i][v] is rawCRC of byte v followed by 12-4i zero bytes:
+// the contribution of element-run slot i, the top byte of the run's
+// (n-4+i)-th column index, which ends the message or sits 4, 8 or 12
+// bytes before its end whatever the run's length n.
 var (
 	blockSlot [4][256]uint32
 	groupSlot [8][16]uint32
@@ -54,47 +55,50 @@ var (
 // slicing16, so crc32c.go's init calls this after building that table
 // rather than this file (which sorts first) having an init of its own.
 func buildSlotTables() {
-	var msg [32]byte
-	// only returns rawCRC of msg with byte v at offset off; leading zeros
-	// leave a zero-initialised register untouched, so the suffix suffices.
-	only := func(off int, v byte) uint32 {
+	var msg [64]byte
+	// only returns rawCRC of a size-byte message holding byte v at offset
+	// off and zeros elsewhere; leading zeros leave a zero-initialised
+	// register untouched, so the suffix suffices.
+	only := func(size, off int, v byte) uint32 {
 		msg[off] = v
-		crc := rawCRC(msg[off:])
+		crc := rawCRC(msg[off:size])
 		msg[off] = 0
 		return crc
 	}
 	for i := range blockSlot {
 		for v := range blockSlot[i] {
-			blockSlot[i][v] = only(8*i, byte(v))
+			blockSlot[i][v] = only(64, 8*i, byte(v))
 		}
 	}
 	for i := range groupSlot {
 		for n := range groupSlot[i] {
-			groupSlot[i][n] = only(4*i+3, byte(n<<4))
+			groupSlot[i][n] = only(32, 4*i+3, byte(n<<4))
 		}
 	}
 	for i := range runSlot {
 		for v := range runSlot[i] {
-			runSlot[i][v] = only(len(msg)-13+4*i, byte(v))
+			runSlot[i][v] = only(16, 3+4*i, byte(v))
 		}
 	}
 }
 
 // BlockChecksum returns, for a stored vector block, the CRC32C of its
-// message — the four words serialised little-endian with their low bytes
-// cleared — and the checksum held in those low bytes (bits 8i..8i+7 of
-// the CRC in word i). The block is clean when the two agree. Encoding is
-// the same call on words whose low bytes are zero: OR the returned crc
-// into the slots.
+// message — the eight words serialised little-endian with the low bytes
+// of words 0-3 cleared — and the checksum held in those low bytes (bits
+// 8i..8i+7 of the CRC in word i). The block is clean when the two agree.
+// The low bytes of words 4-7 are message bytes like any other; a vector
+// encodes them as zero. Encoding is the same call on words whose slot
+// bytes are zero: OR the returned crc into the slots.
 //
-// w must point into storage that outlives the call (it is handed to
-// hash/crc32, so a local array would be moved to the heap).
-func BlockChecksum(w *[4]uint64, b Backend) (crc, stored uint32) {
+// It is one hash/crc32 call over the 64 bytes where they lie and four
+// table lookups. w must point into storage that outlives the call (it is
+// handed to hash/crc32, so a local array would be moved to the heap).
+func BlockChecksum(w *[8]uint64, b Backend) (crc, stored uint32) {
 	if !littleEndian {
 		return blockChecksumPortable(w)
 	}
 	s0, s1, s2, s3 := byte(w[0]), byte(w[1]), byte(w[2]), byte(w[3])
-	crc = Checksum((*[32]byte)(unsafe.Pointer(w))[:], b) ^
+	crc = Checksum((*[64]byte)(unsafe.Pointer(w))[:], b) ^
 		blockSlot[0][s0] ^ blockSlot[1][s1] ^ blockSlot[2][s2] ^ blockSlot[3][s3]
 	stored = uint32(s0) | uint32(s1)<<8 | uint32(s2)<<16 | uint32(s3)<<24
 	return crc, stored
@@ -102,11 +106,14 @@ func BlockChecksum(w *[4]uint64, b Backend) (crc, stored uint32) {
 
 // blockChecksumPortable is BlockChecksum by serialisation, for hosts whose
 // byte order differs from the message's.
-func blockChecksumPortable(w *[4]uint64) (crc, stored uint32) {
-	var msg [32]byte
+func blockChecksumPortable(w *[8]uint64) (crc, stored uint32) {
+	var msg [64]byte
 	for i, x := range w {
-		binary.LittleEndian.PutUint64(msg[8*i:], x&^0xFF)
-		stored |= uint32(x&0xFF) << (8 * uint(i))
+		if i < 4 {
+			stored |= uint32(x&0xFF) << (8 * uint(i))
+			x &^= 0xFF
+		}
+		binary.LittleEndian.PutUint64(msg[8*i:], x)
 	}
 	return updateSoftware(0, msg[:]), stored
 }

@@ -8,13 +8,16 @@ import (
 )
 
 // serialisedBlock is the definition BlockChecksum must equal: serialise
-// the four words little-endian with the slot bytes cleared, checksum the
-// copy, gather the slot bytes.
-func serialisedBlock(w *[4]uint64, b Backend) (crc, stored uint32) {
-	var msg [32]byte
+// the eight words little-endian with the slot bytes (the low bytes of
+// words 0-3) cleared, checksum the copy, gather the slot bytes.
+func serialisedBlock(w *[8]uint64, b Backend) (crc, stored uint32) {
+	var msg [64]byte
 	for i, x := range w {
-		binary.LittleEndian.PutUint64(msg[8*i:], x&^0xFF)
-		stored |= uint32(x&0xFF) << (8 * uint(i))
+		if i < 4 {
+			stored |= uint32(x&0xFF) << (8 * uint(i))
+			x &^= 0xFF
+		}
+		binary.LittleEndian.PutUint64(msg[8*i:], x)
 	}
 	return Checksum(msg[:], b), stored
 }
@@ -29,8 +32,9 @@ func serialisedGroup(e *[8]uint32, b Backend) (crc, stored uint32) {
 	return Checksum(msg[:], b), stored
 }
 
-// checkBlockWords compares every route to a block's (crc, stored) pair.
-func checkBlockWords(t *testing.T, w [4]uint64) {
+// checkBlockWords compares every route to a block's (crc, stored) pair,
+// and to that of the index group held in its first four words.
+func checkBlockWords(t *testing.T, w [8]uint64) {
 	t.Helper()
 	e := [8]uint32{
 		uint32(w[0]), uint32(w[0] >> 32), uint32(w[1]), uint32(w[1] >> 32),
@@ -63,32 +67,38 @@ func checkBlockWords(t *testing.T, w [4]uint64) {
 }
 
 // FuzzBlockChecksum asserts that the in-place primitives equal
-// serialise-then-Checksum for arbitrary words, slot bits included, on
-// both backends and through the portable fallback.
+// serialise-then-Checksum for arbitrary words, slot bits and the low
+// bytes of words 4-7 included, on both backends and through the portable
+// fallback.
 func FuzzBlockChecksum(f *testing.F) {
-	f.Add(uint64(0), uint64(0), uint64(0), uint64(0))
-	f.Add(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
-	f.Add(uint64(0xFF), uint64(0xFF00), uint64(0xF000_0000), uint64(0xF000_0000_0000_0000))
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
+	f.Add(uint64(0xFF), uint64(0xFF00), uint64(0xF000_0000), uint64(0xF000_0000_0000_0000),
+		uint64(0xFF), uint64(0x80), uint64(0x01), uint64(0xFF00_0000_0000_00FF))
 	f.Add(uint64(0x3FF0_0000_0000_0000), uint64(0x4000_0000_0000_0001),
-		uint64(0xBFF8_0000_0000_00A5), uint64(0x7FF0_0000_0000_0000))
-	f.Fuzz(func(t *testing.T, w0, w1, w2, w3 uint64) {
-		checkBlockWords(t, [4]uint64{w0, w1, w2, w3})
+		uint64(0xBFF8_0000_0000_00A5), uint64(0x7FF0_0000_0000_0000),
+		uint64(0x3FF8_0000_0000_0000), uint64(0xC000_0000_0000_0000),
+		uint64(0x0010_0000_0000_0000), uint64(0x8000_0000_0000_005A))
+	f.Fuzz(func(t *testing.T, w0, w1, w2, w3, w4, w5, w6, w7 uint64) {
+		checkBlockWords(t, [8]uint64{w0, w1, w2, w3, w4, w5, w6, w7})
 	})
 }
 
-// TestBlockChecksumSlotTables walks every slot value of every slot over a
-// random message, so each table entry is compared with serialisation once
-// even when the fuzz corpus is not extended.
+// TestBlockChecksumSlotTables walks every slot value of every slot, and
+// every value of the low byte of words 4-7 (message bytes a vector
+// encodes as zero), over a random message, so each table entry is
+// compared with serialisation once even when the fuzz corpus is not
+// extended.
 func TestBlockChecksumSlotTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	var base [4]uint64
+	var base [8]uint64
 	for i := range base {
 		base[i] = rng.Uint64()
 	}
-	for slot := 0; slot < 4; slot++ {
+	for word := 0; word < 8; word++ {
 		for v := 0; v < 256; v++ {
 			w := base
-			w[slot] = w[slot]&^0xFF | uint64(v)
+			w[word] = w[word]&^0xFF | uint64(v)
 			checkBlockWords(t, w)
 		}
 	}
@@ -109,7 +119,7 @@ func TestBlockChecksumSlotTables(t *testing.T) {
 func TestBlockChecksumEncodeIsCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 200; trial++ {
-		var w [4]uint64
+		var w [8]uint64
 		for i := range w {
 			w[i] = rng.Uint64() &^ 0xFF
 		}
@@ -117,7 +127,7 @@ func TestBlockChecksumEncodeIsCheck(t *testing.T) {
 		if stored != 0 {
 			t.Fatalf("cleared slots read back %08x", stored)
 		}
-		for i := range w {
+		for i := 0; i < 4; i++ {
 			w[i] |= uint64(crc>>(8*uint(i))) & 0xFF
 		}
 		if got, stored := BlockChecksum(&w, Auto); got != crc || stored != crc {
@@ -129,12 +139,12 @@ func TestBlockChecksumEncodeIsCheck(t *testing.T) {
 // TestBlockChecksumZeroAllocs pins the point of the primitive: checking
 // words that already live on the heap allocates nothing.
 func TestBlockChecksumZeroAllocs(t *testing.T) {
-	words := make([]uint64, 4)
+	words := make([]uint64, 8)
 	idx := make([]uint32, 8)
 	var sink uint32
 	for _, b := range []Backend{Hardware, Software} {
 		if n := testing.AllocsPerRun(100, func() {
-			crc, stored := BlockChecksum((*[4]uint64)(words), b)
+			crc, stored := BlockChecksum((*[8]uint64)(words), b)
 			sink ^= crc ^ stored
 		}); n != 0 {
 			t.Errorf("%v: BlockChecksum allocates %v times per call", b, n)
@@ -147,6 +157,93 @@ func TestBlockChecksumZeroAllocs(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// TestBlockCodewordDetectsFiveFlips is the HD-6 claim as a property of
+// the vector-block codeword: the 512-bit message (eight words, those
+// slot bytes a vector stores the checksum in counted as the zero message
+// bytes they stand for) and its 32-bit checksum, 544 bits, inside
+// CRC32C's HD-6 range. Codeword bit i < 512 is message bit i (bit i%64 of
+// word i/64), bit 512+k is checksum bit k. Every 1- and 2-flip pattern
+// is explained by CorrectCodeword exactly and undone; 3-, 4- and 5-flip
+// patterns are sampled, and every one leaves a non-zero syndrome equal to
+// the XOR of its bits' syndromes (the checksum is affine).
+func TestBlockCodewordDetectsFiveFlips(t *testing.T) {
+	const msgBits, bits = 64 * 8, 64*8 + 32
+	if bits < HD6MinBits || bits > HD6MaxBits {
+		t.Fatalf("block codeword of %d bits outside the HD-6 range", bits)
+	}
+	rng := rand.New(rand.NewSource(20))
+	var msg [64]byte
+	rng.Read(msg[:])
+	for i := 0; i < 4; i++ {
+		msg[8*i] = 0
+	}
+	clean, crc := msg, Checksum(msg[:], Auto)
+	stored := crc
+	flip := func(b int) {
+		if b < msgBits {
+			msg[b/8] ^= 1 << uint(b%8)
+		} else {
+			stored ^= 1 << uint(b-msgBits)
+		}
+	}
+	syndrome := func() uint32 { return Checksum(msg[:], Auto) ^ stored }
+	correct := func(a, b int) {
+		t.Helper()
+		found, ok := CorrectCodeword(msg[:], stored, Checksum(msg[:], Auto))
+		if !ok {
+			t.Fatalf("flips of bits %d and %d not corrected", a, b)
+		}
+		for _, f := range found {
+			if f.InCRC {
+				flip(msgBits + f.Bit)
+			} else {
+				flip(f.Bit)
+			}
+		}
+		if msg != clean || stored != crc {
+			t.Fatalf("flips of bits %d and %d corrected to another codeword", a, b)
+		}
+	}
+	syn := make([]uint32, bits)
+	seen := make(map[uint32]int, bits)
+	for b := range syn {
+		flip(b)
+		syn[b] = syndrome()
+		if syn[b] == 0 {
+			t.Fatalf("a flip of bit %d goes unnoticed", b)
+		}
+		if a, dup := seen[syn[b]]; dup {
+			t.Fatalf("flips of bits %d and %d cancel", a, b)
+		}
+		seen[syn[b]] = b
+		correct(b, b)
+	}
+	for a := 0; a < bits; a++ {
+		for b := a + 1; b < bits; b++ {
+			flip(a)
+			flip(b)
+			correct(a, b)
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		k := 3 + trial%3
+		picked := map[int]bool{}
+		for len(picked) < k {
+			picked[rng.Intn(bits)] = true
+		}
+		var want uint32
+		for b := range picked {
+			want ^= syn[b]
+			flip(b)
+		}
+		got := syndrome()
+		msg, stored = clean, crc
+		if got == 0 || got != want {
+			t.Fatalf("%d flips at %v: syndrome %08x, linear prediction %08x", k, picked, got, want)
+		}
+	}
 }
 
 // serialisedRun is the definition RunChecksum must equal: the values

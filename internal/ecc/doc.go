@@ -12,7 +12,7 @@
 // which structure are spare; this package only knows about codewords of up
 // to 256 bits: as a [4]uint64 (Word4) for arbitrary layouts and for
 // locating and undoing a flip, and — for the widths the repository
-// stores — by value, as the words of one codeword, a block of four vector
+// stores — by value, as the words of one codeword, a block of eight vector
 // words or a run of (value, column) entries read where they lie
 // (kernels.go), which is how every clean codeword is checked.
 //

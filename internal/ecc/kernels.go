@@ -67,18 +67,21 @@ func (c *SECDED) Acc256(x, y, z, v uint64) uint16 {
 		fold8((*lane)(t[16:24]), z) ^ fold8((*lane)(t[24:]), v)
 }
 
-// AccBlock64 checks a vector block of four 64-bit codewords in one call:
-// the OR of their accumulators, zero exactly when all four are clean.
-func (c *SECDED) AccBlock64(w *[4]uint64) uint16 {
+// AccBlock64 checks a vector block of eight 64-bit codewords — one
+// 64-byte cache line — in one call: the OR of their accumulators, zero
+// exactly when all eight are clean.
+func (c *SECDED) AccBlock64(w *[8]uint64) uint16 {
 	t := c.t8
-	return fold8(t, w[0]) | fold8(t, w[1]) | fold8(t, w[2]) | fold8(t, w[3])
+	return fold8(t, w[0]) | fold8(t, w[1]) | fold8(t, w[2]) | fold8(t, w[3]) |
+		fold8(t, w[4]) | fold8(t, w[5]) | fold8(t, w[6]) | fold8(t, w[7])
 }
 
-// AccBlock128 is AccBlock64 for a block of two 128-bit codewords,
-// (w[0], w[1]) and (w[2], w[3]).
-func (c *SECDED) AccBlock128(w *[4]uint64) uint16 {
+// AccBlock128 is AccBlock64 for a block of four 128-bit codewords,
+// (w[0], w[1]) through (w[6], w[7]).
+func (c *SECDED) AccBlock128(w *[8]uint64) uint16 {
 	lo, hi := (*lane)(c.t16[:8]), (*lane)(c.t16[8:])
-	return (fold8(lo, w[0]) ^ fold8(hi, w[1])) | (fold8(lo, w[2]) ^ fold8(hi, w[3]))
+	return (fold8(lo, w[0]) ^ fold8(hi, w[1])) | (fold8(lo, w[2]) ^ fold8(hi, w[3])) |
+		(fold8(lo, w[4]) ^ fold8(hi, w[5])) | (fold8(lo, w[6]) ^ fold8(hi, w[7]))
 }
 
 // AccRun96 checks a run of 96-bit (value, column) codewords — entry k is
@@ -153,7 +156,7 @@ func (c *SECDED) Encode256(x, y, z, v uint64) (uint64, uint64, uint64, uint64) {
 
 // EncodeBlock64 encodes a vector block in one call: dst[i] becomes the
 // 64-bit codeword carrying the data bits of src[i].
-func (c *SECDED) EncodeBlock64(dst *[4]uint64, src *[4]float64) {
+func (c *SECDED) EncodeBlock64(dst *[8]uint64, src *[8]float64) {
 	t, clr := c.t8, c.clearMask[0]
 	for i, f := range src {
 		x := math.Float64bits(f) & clr
@@ -161,13 +164,13 @@ func (c *SECDED) EncodeBlock64(dst *[4]uint64, src *[4]float64) {
 	}
 }
 
-// EncodeBlock128 is EncodeBlock64 for a block of two 128-bit codewords,
-// (dst[0], dst[1]) and (dst[2], dst[3]). Each source word is ANDed with
-// keep first: a layout that reserves more bits than the code fills
+// EncodeBlock128 is EncodeBlock64 for a block of four 128-bit codewords,
+// (dst[0], dst[1]) through (dst[6], dst[7]). Each source word is ANDed
+// with keep first: a layout that reserves more bits than the code fills
 // (protected zero padding) clears them there.
-func (c *SECDED) EncodeBlock128(dst *[4]uint64, src *[4]float64, keep uint64) {
+func (c *SECDED) EncodeBlock128(dst *[8]uint64, src *[8]float64, keep uint64) {
 	lo, hi := (*lane)(c.t16[:8]), (*lane)(c.t16[8:])
-	for i := 0; i < 4; i += 2 {
+	for i := 0; i < len(src); i += 2 {
 		x := math.Float64bits(src[i]) & keep & c.clearMask[0]
 		y := math.Float64bits(src[i+1]) & keep & c.clearMask[1]
 		a := fold8(lo, x) ^ fold8(hi, y)

@@ -213,8 +213,8 @@ func TestSECDEDBlockAndRunKernels(t *testing.T) {
 	elem64 := MustSECDED(96, []int{88, 89, 90, 91, 92, 93, 94, 95})
 	elem128 := MustSECDED(192, []int{88, 89, 90, 91, 92, 184, 185, 186, 187})
 	for trial := 0; trial < 50; trial++ {
-		var data, blk64, blk128 [4]uint64
-		var src [4]float64
+		var data, blk64, blk128 [8]uint64
+		var src [8]float64
 		for i := range data {
 			data[i] = rng.Uint64()
 			src[i] = math.Float64frombits(data[i])
@@ -227,7 +227,7 @@ func TestSECDEDBlockAndRunKernels(t *testing.T) {
 				t.Fatalf("EncodeBlock64 word %d: %x, Encode64 %x", i, blk64[i], vec64.Encode64(x))
 			}
 		}
-		for g := 0; g < 2; g++ {
+		for g := 0; g < 4; g++ {
 			if x, y := vec128.Encode128(data[2*g]&keep, data[2*g+1]&keep); blk128[2*g] != x || blk128[2*g+1] != y {
 				t.Fatalf("EncodeBlock128 pair %d: %x %x, Encode128 %x %x", g, blk128[2*g], blk128[2*g+1], x, y)
 			}
@@ -235,7 +235,7 @@ func TestSECDEDBlockAndRunKernels(t *testing.T) {
 		if vec64.AccBlock64(&blk64) != 0 || vec128.AccBlock128(&blk128) != 0 {
 			t.Fatal("clean block has a non-zero accumulator")
 		}
-		for bit := 0; bit < 256; bit++ {
+		for bit := 0; bit < 512; bit++ {
 			w64, w128 := blk64, blk128
 			w64[bit/64] ^= 1 << uint(bit%64)
 			w128[bit/64] ^= 1 << uint(bit%64)
@@ -298,13 +298,13 @@ func TestSECDEDKernelWrongWidthPanics(t *testing.T) {
 func TestSECDEDKernelsZeroAllocs(t *testing.T) {
 	vec := MustSECDED(64, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	elem := MustSECDED(96, []int{88, 89, 90, 91, 92, 93, 94, 95})
-	words := make([]uint64, 4)
-	src := [4]float64{1, 2, 3, 4}
+	words := make([]uint64, 8)
+	src := [8]float64{1, 2, 3, 4, 5, 6, 7, 8}
 	vals := make([]float64, 5)
 	cols := make([]uint32, 5)
 	var sink uint16
 	if n := testing.AllocsPerRun(100, func() {
-		blk := (*[4]uint64)(words)
+		blk := (*[8]uint64)(words)
 		vec.EncodeBlock64(blk, &src)
 		sink |= vec.AccBlock64(blk) | vec.Acc64(words[0]) | elem.AccRun96(vals, cols)
 		words[1] = vec.Encode64(words[1])
@@ -352,7 +352,7 @@ var benchSink uint16
 
 // BenchmarkSECDEDWord measures the by-value kernels at the three
 // granularities protected structures call them at — one word, one vector
-// block of four words, one five-entry (value, column) run, a row of the
+// block of eight words, one five-entry (value, column) run, a row of the
 // five-point stencil — in both directions, streaming over 4,096 resident
 // words as a solver does. ns/op is per codeword. Every line must report
 // 0 allocs/op.
@@ -393,9 +393,9 @@ func BenchmarkSECDEDWord(b *testing.B) {
 		}
 		return a
 	})
-	sweep("check/block4", words, func() (a uint16) {
-		for i := 0; i < words; i += 4 {
-			a |= vec.AccBlock64((*[4]uint64)(ws[i:]))
+	sweep("check/block8", words, func() (a uint16) {
+		for i := 0; i < words; i += 8 {
+			a |= vec.AccBlock64((*[8]uint64)(ws[i:]))
 		}
 		return a
 	})
@@ -411,9 +411,9 @@ func BenchmarkSECDEDWord(b *testing.B) {
 		}
 		return 0
 	})
-	sweep("encode/block4", words, func() uint16 {
-		for i := 0; i < words; i += 4 {
-			vec.EncodeBlock64((*[4]uint64)(ws[i:]), (*[4]float64)(src[i:]))
+	sweep("encode/block8", words, func() uint16 {
+		for i := 0; i < words; i += 8 {
+			vec.EncodeBlock64((*[8]uint64)(ws[i:]), (*[8]float64)(src[i:]))
 		}
 		return 0
 	})

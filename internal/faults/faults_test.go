@@ -396,6 +396,7 @@ func TestVectorCRCBurstNeverSilent(t *testing.T) {
 
 func TestBurstFlipsStayInWindow(t *testing.T) {
 	v := core.NewVector(64, core.CRC32C)
+	size := v.Scheme().VecGroup() // words per codeword group
 	in := NewInjector(3)
 	for trial := 0; trial < 200; trial++ {
 		flips := in.BurstVectorFlips(v, 32)
@@ -405,8 +406,8 @@ func TestBurstFlipsStayInWindow(t *testing.T) {
 		lo, hi := 1<<30, -1
 		group := -1
 		for _, f := range flips {
-			bit := (f.Word%4)*64 + f.Bit
-			if g := f.Word / 4; group == -1 {
+			bit := (f.Word%size)*64 + f.Bit
+			if g := f.Word / size; group == -1 {
 				group = g
 			} else if g != group {
 				t.Fatal("burst crossed codeword groups")

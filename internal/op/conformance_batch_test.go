@@ -251,7 +251,7 @@ func TestConformanceSourceFlipCommitRule(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: correctable flip in x surfaced as error: %v", tag, err)
 				}
-				perSweep := uint64(k*x.Blocks()) * uint64(4/s.VecGroup())
+				perSweep := uint64(k*x.Blocks()) * uint64(core.BlockLen/s.VecGroup())
 				if got := snap.Checks - checksBefore; got != perSweep || snap.Corrected != 1 || snap.Detected != 0 {
 					t.Fatalf("%s: %d source checks (want %d), counters %+v", tag, got, perSweep, snap)
 				}

@@ -2,7 +2,8 @@
 // destination from its own sweep (core.DotRequest) is a performance
 // knob, never a semantic one. For every format, scheme, read mode,
 // worker split, shard count and width, on stencil grids and on a random
-// sparsity pattern with empty rows, a dense row and n % 4 != 0, the
+// sparsity pattern with empty rows, a dense row and a partial last vector
+// block, the
 // product with requests attached must write the words the product
 // writes, answer with the bits the engine's inner product returns over
 // the two vectors afterwards, and make none of that inner product's
@@ -23,9 +24,10 @@ import (
 	"abft/internal/solvers"
 )
 
-// epilogueMatrices are the square operators under test: a grid with
-// n % 4 == 0, a grid with n % 4 == 3, and a random pattern with empty
-// rows, one dense row and n % 4 == 1.
+// epilogueMatrices are the square operators under test: a grid whose
+// last vector block is full (n % core.BlockLen == 0), grids whose last
+// block holds 4 and 3 rows, and a random pattern with empty rows, one
+// dense row and a last block of 5 rows. Every one splits into 3 shards.
 func epilogueMatrices(t *testing.T) map[string]*csr.Matrix {
 	t.Helper()
 	const n = 37
@@ -49,9 +51,10 @@ func epilogueMatrices(t *testing.T) map[string]*csr.Matrix {
 		t.Fatal(err)
 	}
 	return map[string]*csr.Matrix{
-		"grid12x9": csr.Laplacian2D(12, 9),
-		"grid7x5":  csr.Laplacian2D(7, 5),
-		"random37": random,
+		"grid12x10": csr.Laplacian2D(12, 10),
+		"grid12x9":  csr.Laplacian2D(12, 9),
+		"grid7x5":   csr.Laplacian2D(7, 5),
+		"random37":  random,
 	}
 }
 
@@ -76,7 +79,7 @@ func epilogueOperator(t *testing.T, plain *csr.Matrix, f op.Format, s, vec core.
 	}
 	var bands [][2]int
 	for _, b := range so.BandRanges() {
-		bands = append(bands, [2]int{b[0] / 4, (b[1] + 3) / 4})
+		bands = append(bands, [2]int{b[0] / core.BlockLen, (b[1] + core.BlockLen - 1) / core.BlockLen})
 	}
 	return so, core.FusedOptions{BlockBands: bands, TreeReduce: true}
 }
@@ -259,7 +262,8 @@ func hide(a solvers.MatrixOperator) solvers.Operator {
 // answered dot requests — coefficients, residual history, iterations and
 // every bit of every solution — over every format, flat and sharded,
 // with the inner products split across workers; answered, each iteration
-// makes exactly two vector checks per row (SECDED64) fewer.
+// makes exactly two vector checks per stored row (SECDED64, padding to
+// whole blocks included) fewer.
 func TestEpilogueConformanceSolvers(t *testing.T) {
 	for _, f := range op.Formats {
 		for _, shards := range []int{1, 3} {
@@ -335,10 +339,11 @@ func TestEpilogueConformanceSolvers(t *testing.T) {
 					}
 					if kind != solvers.KindBlockCG {
 						// Every iteration's p . w verified p and w: one
-						// SECDED64 check per row each.
-						if saved := wantChecks - checks; saved != uint64(2*n*gotRes[0].Iterations) {
+						// SECDED64 check per stored row each.
+						stored := (n + core.BlockLen - 1) / core.BlockLen * core.BlockLen
+						if saved := wantChecks - checks; saved != uint64(2*stored*gotRes[0].Iterations) {
 							t.Fatalf("the epilogue saved %d checks over %d iterations, want %d",
-								saved, gotRes[0].Iterations, 2*n*gotRes[0].Iterations)
+								saved, gotRes[0].Iterations, 2*stored*gotRes[0].Iterations)
 						}
 					} else if checks >= wantChecks {
 						t.Fatalf("BlockCG made %d checks with the epilogue, %d without", checks, wantChecks)

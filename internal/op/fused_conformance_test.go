@@ -131,7 +131,7 @@ func TestFusedConformanceSharded(t *testing.T) {
 		bands := sh.BandRanges()
 		blockBands := make([][2]int, len(bands))
 		for i, bd := range bands {
-			blockBands[i] = [2]int{bd[0] / 4, (bd[1] + 3) / 4}
+			blockBands[i] = [2]int{bd[0] / core.BlockLen, (bd[1] + core.BlockLen - 1) / core.BlockLen}
 		}
 		x2, p2, r2, q2 := fusedIterationVectors(t, sh, core.SECDED64)
 		got, err := core.FusedAxpyDot(x2, alpha, p2, r2, q2,

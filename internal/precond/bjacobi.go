@@ -9,19 +9,25 @@ import (
 	"abft/internal/par"
 )
 
-// blockJacobiPre is the block-Jacobi preconditioner over the codeword
-// blocks: the diagonal 4x4 blocks of A (the protected vectors' codeword
-// granularity, so no block ever straddles two ECC groups) are densely
-// inverted at setup and the inverses stored row-by-row in one
-// codeword-protected vector. Apply solves every block system with four
-// verified reads per block and runs band-parallel; over a sharded
+// diagBlock is the order of block-Jacobi's diagonal blocks. It divides
+// core.BlockLen, so a protected-vector block of r or z holds whole
+// diagonal blocks (two) and a band aligned to the vector block never
+// splits one.
+const diagBlock = 4
+
+// blockJacobiPre is the block-Jacobi preconditioner: the diagonal 4x4
+// blocks of A are densely inverted at setup and the inverses stored
+// row-by-row in one codeword-protected vector, so one block's inverse is
+// two vector blocks. Apply solves the block systems one vector block of
+// r at a time — the two diagonal blocks it holds, their inverses read in
+// one batch-verified call — and runs band-parallel; over a sharded
 // operator the bands follow the shard decomposition, so the
 // preconditioner applies per-band on goroutines matching the shard
 // layout.
 type blockJacobiPre struct {
 	rows int
-	// inv holds the block inverses: vector block 4*b+i is row i of
-	// diagonal block b's inverse.
+	// inv holds the block inverses: elements [16b, 16b+16) are diagonal
+	// block b's inverse, row by row.
 	inv   *core.Vector
 	bands [][2]int
 	mode  core.ReadMode
@@ -29,33 +35,34 @@ type blockJacobiPre struct {
 
 func newBlockJacobi(src *csr.Matrix, opt Options) (*blockJacobiPre, error) {
 	n := src.Rows()
-	nb := (n + blockLen - 1) / blockLen
-	blocks := make([][blockLen][blockLen]float64, nb)
-	// Padding rows beyond n get an identity diagonal so every block
-	// stays invertible; their solution components are never read.
+	// Whole vector blocks of diagonal blocks: padding rows beyond n get
+	// an identity diagonal so every block stays invertible; their
+	// solution components are never read.
+	nb := (n + core.BlockLen - 1) / core.BlockLen * (core.BlockLen / diagBlock)
+	blocks := make([][diagBlock][diagBlock]float64, nb)
 	for b := range blocks {
-		for i := 0; i < blockLen; i++ {
-			if b*blockLen+i >= n {
+		for i := 0; i < diagBlock; i++ {
+			if b*diagBlock+i >= n {
 				blocks[b][i][i] = 1
 			}
 		}
 	}
 	for r := 0; r < n; r++ {
-		b, i := r/blockLen, r%blockLen
+		b, i := r/diagBlock, r%diagBlock
 		for k := src.RowPtr[r]; k < src.RowPtr[r+1]; k++ {
-			if c := int(src.Cols[k]); c/blockLen == b {
-				blocks[b][i][c%blockLen] += src.Vals[k]
+			if c := int(src.Cols[k]); c/diagBlock == b {
+				blocks[b][i][c%diagBlock] += src.Vals[k]
 			}
 		}
 	}
-	flat := make([]float64, nb*blockLen*blockLen)
+	flat := make([]float64, nb*diagBlock*diagBlock)
 	for b := range blocks {
 		if !invertBlock(&blocks[b]) {
 			return nil, fmt.Errorf("precond: singular diagonal block at rows [%d,%d)",
-				b*blockLen, b*blockLen+blockLen)
+				b*diagBlock, b*diagBlock+diagBlock)
 		}
-		for i := 0; i < blockLen; i++ {
-			copy(flat[(b*blockLen+i)*blockLen:], blocks[b][i][:])
+		for i := 0; i < diagBlock; i++ {
+			copy(flat[(b*diagBlock+i)*diagBlock:], blocks[b][i][:])
 		}
 	}
 	inv := core.VectorFromSlice(flat, opt.Scheme)
@@ -63,14 +70,14 @@ func newBlockJacobi(src *csr.Matrix, opt Options) (*blockJacobiPre, error) {
 
 	bands := opt.Bands
 	if len(bands) == 0 {
-		bands = par.Ranges(n, opt.Workers, blockLen)
+		bands = par.Ranges(n, opt.Workers, core.BlockLen)
 	}
 	// The bands must tile [0, rows) exactly: a gap leaves z rows
 	// unwritten (a silently singular preconditioner), an overlap races
 	// concurrent writes of one codeword block.
 	next := 0
 	for _, bd := range bands {
-		if bd[0]%blockLen != 0 {
+		if bd[0]%core.BlockLen != 0 {
 			return nil, fmt.Errorf("precond: band start %d not aligned to the codeword block", bd[0])
 		}
 		if bd[0] != next || bd[1] <= bd[0] {
@@ -88,14 +95,14 @@ func newBlockJacobi(src *csr.Matrix, opt Options) (*blockJacobiPre, error) {
 // invertBlock inverts a dense block in place by Gauss-Jordan
 // elimination with partial pivoting; it reports false for a singular
 // (or numerically singular) block.
-func invertBlock(a *[blockLen][blockLen]float64) bool {
-	var inv [blockLen][blockLen]float64
+func invertBlock(a *[diagBlock][diagBlock]float64) bool {
+	var inv [diagBlock][diagBlock]float64
 	for i := range inv {
 		inv[i][i] = 1
 	}
-	for col := 0; col < blockLen; col++ {
+	for col := 0; col < diagBlock; col++ {
 		pivot := col
-		for r := col + 1; r < blockLen; r++ {
+		for r := col + 1; r < diagBlock; r++ {
 			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
 				pivot = r
 			}
@@ -106,11 +113,11 @@ func invertBlock(a *[blockLen][blockLen]float64) bool {
 		a[col], a[pivot] = a[pivot], a[col]
 		inv[col], inv[pivot] = inv[pivot], inv[col]
 		p := a[col][col]
-		for j := 0; j < blockLen; j++ {
+		for j := 0; j < diagBlock; j++ {
 			a[col][j] /= p
 			inv[col][j] /= p
 		}
-		for r := 0; r < blockLen; r++ {
+		for r := 0; r < diagBlock; r++ {
 			if r == col {
 				continue
 			}
@@ -118,7 +125,7 @@ func invertBlock(a *[blockLen][blockLen]float64) bool {
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < blockLen; j++ {
+			for j := 0; j < diagBlock; j++ {
 				a[r][j] -= f * a[col][j]
 				inv[r][j] -= f * inv[col][j]
 			}
@@ -128,7 +135,7 @@ func invertBlock(a *[blockLen][blockLen]float64) bool {
 	return true
 }
 
-// Apply computes z = M^-1 r band-parallel: every codeword block's
+// Apply computes z = M^-1 r band-parallel: every diagonal block's
 // system is solved with the protected precomputed inverse.
 func (p *blockJacobiPre) Apply(z, r *core.Vector) error {
 	if z.Len() != p.rows || r.Len() != p.rows {
@@ -136,31 +143,25 @@ func (p *blockJacobiPre) Apply(z, r *core.Vector) error {
 			z.Len(), r.Len(), p.rows)
 	}
 	return par.Run(p.bands, func(lo, hi int) error {
-		var rv, out [blockLen]float64
-		// One diagonal block's inverse spans four consecutive vector
-		// blocks, so the whole 4x4 inverse is batch-verified in a single
-		// ReadBlocks call instead of four per-row reads.
-		var iv [blockLen * blockLen]float64
-		readInv := p.inv.ReadBlocksInto
-		switch p.mode {
-		case core.ModeShared:
-			readInv = p.inv.ReadBlocksSharedInto
-		case core.ModeUnverified:
-			readInv = p.inv.ReadBlocksUnverifiedInto
-		}
-		b0 := lo / blockLen
-		nb := (hi - lo + blockLen - 1) / blockLen
+		var rv, out [core.BlockLen]float64
+		// The inverses of the diagonal blocks one vector block of r holds
+		// span diagBlock consecutive vector blocks of inv, batch-verified
+		// in a single ReadBlocks call.
+		var iv [core.BlockLen * diagBlock]float64
+		b0 := lo / core.BlockLen
+		nb := (hi - lo + core.BlockLen - 1) / core.BlockLen
 		vecChecks(r, nb)
 		for blk := b0; blk < b0+nb; blk++ {
 			if err := r.ReadBlock(blk, &rv); err != nil {
 				return err
 			}
-			if err := readInv(blk*blockLen, (blk+1)*blockLen, iv[:]); err != nil {
+			if err := readBlocks(p.inv, blk*diagBlock, (blk+1)*diagBlock, iv[:], p.mode); err != nil {
 				return err
 			}
-			for i := 0; i < blockLen; i++ {
-				row := iv[i*blockLen:]
-				out[i] = row[0]*rv[0] + row[1]*rv[1] + row[2]*rv[2] + row[3]*rv[3]
+			for i := range out {
+				row := iv[i*diagBlock:]
+				x := rv[i/diagBlock*diagBlock:]
+				out[i] = row[0]*x[0] + row[1]*x[1] + row[2]*x[2] + row[3]*x[3]
 			}
 			z.WriteBlock(blk, &out)
 		}

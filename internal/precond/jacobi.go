@@ -37,7 +37,7 @@ func (p *jacobiPre) Apply(z, r *core.Vector) error {
 			z.Len(), r.Len(), p.rows)
 	}
 	return par.ForEach(p.inv.Blocks(), p.workers, 1, func(lo, hi int) error {
-		var dv, rv, out [blockLen]float64
+		var dv, rv, out [core.BlockLen]float64
 		if p.mode.Verifies() {
 			vecChecks(p.inv, hi-lo)
 		}

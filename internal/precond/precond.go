@@ -14,9 +14,9 @@
 // Three implementations cover the classic spectrum:
 //
 //   - Jacobi: a protected inverse-diagonal vector, z = D^-1 r.
-//   - Block-Jacobi: protected dense inverses of the diagonal blocks
-//     aligned to the vector codeword blocks, applied band-parallel; over
-//     a sharded operator the bands follow the shard decomposition.
+//   - Block-Jacobi: protected dense inverses of the 4x4 diagonal blocks,
+//     two to a protected-vector block, applied band-parallel; over a
+//     sharded operator the bands follow the shard decomposition.
 //   - Symmetric Gauss-Seidel: forward and backward triangular sweeps
 //     through a protected CSR copy of the operator,
 //     z = (D+U)^-1 D (D+L)^-1 r.
@@ -42,8 +42,8 @@ const (
 	None Kind = iota
 	// Jacobi scales by the protected inverse diagonal.
 	Jacobi
-	// BlockJacobi solves the codeword-block diagonal systems with
-	// protected precomputed inverses.
+	// BlockJacobi solves the 4x4 diagonal-block systems with protected
+	// precomputed inverses.
 	BlockJacobi
 	// SGS runs protected symmetric Gauss-Seidel sweeps.
 	SGS
@@ -203,15 +203,11 @@ func invertDiagonal(src *csr.Matrix) ([]float64, error) {
 	return d, nil
 }
 
-// blockLen is the protected-vector codeword block (core's vecBlock):
-// the granularity of all state reads and of block-Jacobi's blocks.
-const blockLen = 4
-
 // readBlk reads one block of a protected state vector under the given
 // read discipline: verified with repairs committed only when the
 // preconditioner is exclusively owned, streamed without decode under
 // ModeUnverified.
-func readBlk(v *core.Vector, blk int, dst *[blockLen]float64, mode core.ReadMode) error {
+func readBlk(v *core.Vector, blk int, dst *[core.BlockLen]float64, mode core.ReadMode) error {
 	switch mode {
 	case core.ModeUnverified:
 		v.ReadBlockNoCheck(blk, dst)
@@ -223,11 +219,25 @@ func readBlk(v *core.Vector, blk int, dst *[blockLen]float64, mode core.ReadMode
 	}
 }
 
+// readBlocks is readBlk for the blocks [b0, b1) in one batched call. It
+// calls the read directly rather than through a method value, so a
+// caller's stack buffer handed to it stays on the stack.
+func readBlocks(v *core.Vector, b0, b1 int, dst []float64, mode core.ReadMode) error {
+	switch mode {
+	case core.ModeUnverified:
+		return v.ReadBlocksUnverifiedInto(b0, b1, dst)
+	case core.ModeShared:
+		return v.ReadBlocksSharedInto(b0, b1, dst)
+	default:
+		return v.ReadBlocksInto(b0, b1, dst)
+	}
+}
+
 // vecChecks batches blocks verified reads into v's counters, mirroring
 // the kernels' per-call accounting.
 func vecChecks(v *core.Vector, blocks int) {
 	if s := v.Scheme(); s != core.None {
-		v.Counters().AddChecks(uint64(blocks) * uint64(blockLen/s.VecGroup()))
+		v.Counters().AddChecks(uint64(blocks) * uint64(core.BlockLen/s.VecGroup()))
 	}
 }
 
@@ -239,21 +249,14 @@ func vecChecks(v *core.Vector, blocks int) {
 // per-block read.
 func decode(v *core.Vector, dst []float64, mode core.ReadMode) error {
 	nb := v.Blocks()
-	full := len(dst) / blockLen
+	full := len(dst) / core.BlockLen
 	if full > nb {
 		full = nb
 	}
-	read := v.ReadBlocksInto
-	switch mode {
-	case core.ModeShared:
-		read = v.ReadBlocksSharedInto
-	case core.ModeUnverified:
-		read = v.ReadBlocksUnverifiedInto
-	}
-	if err := read(0, full, dst[:full*blockLen]); err != nil {
+	if err := readBlocks(v, 0, full, dst[:full*core.BlockLen], mode); err != nil {
 		return err
 	}
-	var buf [blockLen]float64
+	var buf [core.BlockLen]float64
 	if mode.Verifies() {
 		vecChecks(v, nb-full)
 	}
@@ -261,8 +264,8 @@ func decode(v *core.Vector, dst []float64, mode core.ReadMode) error {
 		if err := readBlk(v, b, &buf, mode); err != nil {
 			return err
 		}
-		lo := b * blockLen
-		for i := 0; i < blockLen && lo+i < len(dst); i++ {
+		lo := b * core.BlockLen
+		for i := 0; i < core.BlockLen && lo+i < len(dst); i++ {
 			dst[lo+i] = buf[i]
 		}
 	}

@@ -448,19 +448,20 @@ func TestRejectsBadInputs(t *testing.T) {
 	// Block-Jacobi bands must tile [0, rows) exactly: a gap leaves z
 	// rows unwritten, an overlap races concurrent block writes.
 	src := testMatrix()
+	const b = core.BlockLen
 	for _, bands := range [][][2]int{
-		{{0, 8}},                  // gap at the tail
-		{{0, 8}, {4, src.Rows()}}, // overlap
-		{{4, src.Rows()}},         // gap at the head
-		{{0, 6}, {6, src.Rows()}}, // unaligned boundary
-		{{0, src.Rows()}, {0, 0}}, // empty band
-		{{0, src.Rows()}, {8, 4}}, // inverted band
+		{{0, b}},                          // gap at the tail
+		{{0, 2 * b}, {b, src.Rows()}},     // overlap
+		{{b, src.Rows()}},                 // gap at the head
+		{{0, b + 2}, {b + 2, src.Rows()}}, // unaligned boundary
+		{{0, src.Rows()}, {0, 0}},         // empty band
+		{{0, src.Rows()}, {2 * b, b}},     // inverted band
 	} {
 		if _, err := New(BlockJacobi, src, Options{Bands: bands}); err == nil {
 			t.Errorf("bands %v accepted", bands)
 		}
 	}
-	if _, err := New(BlockJacobi, src, Options{Bands: [][2]int{{0, 8}, {8, src.Rows()}}}); err != nil {
+	if _, err := New(BlockJacobi, src, Options{Bands: [][2]int{{0, b}, {b, src.Rows()}}}); err != nil {
 		t.Errorf("valid bands rejected: %v", err)
 	}
 }

@@ -119,18 +119,7 @@ func (p *sgsPre) Apply(z, r *core.Vector) error {
 		}
 		ws.zv[i] = ws.y[i] - ws.invd[i]*s
 	}
-	var buf [blockLen]float64
-	for blk := 0; blk*blockLen < p.rows; blk++ {
-		lo := blk * blockLen
-		for i := 0; i < blockLen; i++ {
-			if lo+i < p.rows {
-				buf[i] = ws.zv[lo+i]
-			} else {
-				buf[i] = 0
-			}
-		}
-		z.WriteBlock(blk, &buf)
-	}
+	z.CopyFrom(ws.zv)
 	return nil
 }
 

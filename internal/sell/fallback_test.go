@@ -215,15 +215,16 @@ func TestSECDEDSliceStrikesAllModes(t *testing.T) {
 	}
 }
 
-// crcSlices builds an 8x20 operator whose two slices (Sigma = C, so no
-// row leaves its slice) are 14 columns wide — two CRC32C chunks, of 13
-// columns and 1 — and 5 columns wide — one chunk. Row lengths vary inside
-// each slice, so every chunk holds padding entries too.
+// crcSlices builds an 8x20 operator whose two slices (one sigma window of
+// core.BlockLen rows, sorted by length) are 14 columns wide — two CRC32C
+// chunks, of 13 columns and 1 — and 5 columns wide — one chunk. Row
+// lengths vary inside each slice, so every chunk holds padding entries
+// too.
 func crcSlices(t *testing.T) *csr.Matrix {
 	t.Helper()
 	rng := rand.New(rand.NewSource(26))
 	var entries []csr.Entry
-	for r, n := range []int{14, 3, 9, 1, 5, 2, 4, 5} {
+	for r, n := range []int{14, 3, 9, 1, 5, 2, 5, 5} {
 		for _, c := range rng.Perm(20)[:n] {
 			entries = append(entries, csr.Entry{Row: r, Col: c, Val: rng.NormFloat64()})
 		}
@@ -251,7 +252,7 @@ func TestCRCSliceStrikesAllModes(t *testing.T) {
 		xs[i] = float64(i%7) - 3
 	}
 	x := core.VectorFromSlice(xs, core.None)
-	m, err := NewMatrix(plain, Options{Scheme: core.CRC32C, Sigma: C})
+	m, err := NewMatrix(plain, Options{Scheme: core.CRC32C, Sigma: core.BlockLen})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,9 +41,9 @@ import (
 	"abft/internal/par"
 )
 
-// C is the slice height (stored rows per slice). It equals the vector
-// codeword block of internal/core, so a slice's output rows always form
-// whole protected-vector blocks.
+// C is the slice height (stored rows per slice). It divides the vector
+// block of internal/core (core.BlockLen), so sigma windows — whole
+// numbers of vector blocks — hold whole slices.
 const C = 4
 
 // chunkCols is the widest CRC32C codeword in slice columns: the most
@@ -63,8 +63,9 @@ type Options struct {
 	// Backend selects the CRC32C implementation.
 	Backend ecc.Backend
 	// Sigma is the row-sorting window in rows; it is rounded up to a
-	// multiple of C and defaults to DefaultSigma. Larger windows reduce
-	// padding at the cost of a wider output scatter.
+	// multiple of the vector block (core.BlockLen, itself a multiple of
+	// C) and defaults to DefaultSigma. Larger windows reduce padding at
+	// the cost of a wider output scatter.
 	Sigma int
 }
 
@@ -105,7 +106,7 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 	if sigma <= 0 {
 		sigma = DefaultSigma
 	}
-	sigma = (sigma + C - 1) / C * C
+	sigma = (sigma + core.BlockLen - 1) / core.BlockLen * core.BlockLen
 
 	rows := src.Rows()
 	padded := (rows + C - 1) / C * C
@@ -469,16 +470,12 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 			return err
 		}
 	}
-	var out [C]float64
+	var out [core.BlockLen]float64
 	for c, acc := range accs {
-		for blk := base / C; blk*C < top; blk++ {
-			for i := 0; i < C; i++ {
-				if idx := blk*C + i; idx < m.rows {
-					out[i] = acc[idx-base]
-				} else {
-					out[i] = 0
-				}
-			}
+		for blk := base / core.BlockLen; blk*core.BlockLen < top; blk++ {
+			lo := blk*core.BlockLen - base
+			n := copy(out[:], acc[lo:top-base])
+			clear(out[n:])
 			ep.WriteBlock(c, dsts[c], blk, &out)
 		}
 	}

@@ -103,7 +103,7 @@ func TestSortingTightensSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsorted, err := NewMatrix(plain, Options{Sigma: C}) // window = slice: no reordering across slices
+	unsorted, err := NewMatrix(plain, Options{Sigma: core.BlockLen}) // the smallest window: one vector block, two slices
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,8 @@ func TestSigmaRoundsToSliceMultiple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Sigma()%C != 0 {
-		t.Fatalf("sigma %d not a multiple of C", m.Sigma())
+	if m.Sigma()%core.BlockLen != 0 || m.Sigma()%C != 0 {
+		t.Fatalf("sigma %d not a multiple of the vector block and of C", m.Sigma())
 	}
 }
 

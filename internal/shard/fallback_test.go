@@ -21,7 +21,7 @@ func TestShardedVerifyThenStreamFallback(t *testing.T) {
 			for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
 				shared := mode == core.ModeShared
 				t.Run(fmt.Sprintf("%v_%v_shared=%v", f, s, shared), func(t *testing.T) {
-					plain := generalMatrix(t, 30)
+					plain := generalMatrix(t, 60)
 					xs := refVector(plain.Cols32())
 					want := make([]float64, plain.Rows())
 					plain.SpMV(want, xs)

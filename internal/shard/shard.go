@@ -31,11 +31,6 @@ import (
 	"abft/internal/par"
 )
 
-// blockLen is the protected-vector codeword block (core's vecBlock).
-// Band boundaries are aligned to it so no two shards ever share a
-// codeword block of a global vector.
-const blockLen = 4
-
 // packChunk is how many vector blocks one batched verified read covers
 // during scatter: large enough to amortise the per-call verify
 // accounting, small enough to keep the stack-friendly scratch buffer out
@@ -91,12 +86,15 @@ type Options struct {
 
 // Clamp returns the effective shard count for a matrix with rows rows:
 // the largest band count <= shards whose boundaries stay aligned to the
-// protection codeword block.
+// protected-vector block (core.BlockLen rows), so no two shards ever
+// share a codeword block of a global vector. The smallest band is one
+// block, so the count is at most ⌈rows/core.BlockLen⌉: a 17-row matrix
+// takes 3 shards, a 16-row one 2.
 func Clamp(rows, shards int) int {
 	if shards < 1 {
 		shards = 1
 	}
-	return len(par.Partition(rows, shards, blockLen))
+	return len(par.Partition(rows, shards, core.BlockLen))
 }
 
 // band is one row shard: global rows [r0, r1) and a local protected
@@ -117,7 +115,7 @@ type band struct {
 func (b *band) rows() int { return b.r1 - b.r0 }
 
 // blocks is the band's interior width in codeword blocks.
-func (b *band) blocks() int { return b.interiorPad / blockLen }
+func (b *band) blocks() int { return b.interiorPad / core.BlockLen }
 
 // local is one band's share of a workspace at width k: x holds the
 // halo-extended inputs ([interior | pad | halo] per column), and y is a
@@ -133,7 +131,7 @@ type local struct {
 	x   *core.MultiVector
 	y   core.MultiVector
 	buf []float64
-	out [][blockLen]float64
+	out [][core.BlockLen]float64
 }
 
 // workspace is one in-flight product's per-band operands. Workspaces are
@@ -196,7 +194,7 @@ func New(src *csr.Matrix, opt Options) (*Operator, error) {
 		cols: src.Cols32(),
 		opt:  opt,
 	}
-	for _, r := range par.Partition(src.Rows(), opt.Shards, blockLen) {
+	for _, r := range par.Partition(src.Rows(), opt.Shards, core.BlockLen) {
 		b, err := newBand(src, r[0], r[1], opt)
 		if err != nil {
 			return nil, err
@@ -218,8 +216,8 @@ func (o *Operator) newWorkspace(k int) workspace {
 		l.x = core.NewMultiVector(b.localCols, k, o.opt.VectorScheme)
 		l.x.SetCRCBackend(o.opt.Config.Backend)
 		l.x.SetCounters(o.counters)
-		l.buf = make([]float64, packChunk*blockLen)
-		l.out = make([][blockLen]float64, k)
+		l.buf = make([]float64, packChunk*core.BlockLen)
+		l.out = make([][core.BlockLen]float64, k)
 	}
 	return ws
 }
@@ -252,7 +250,7 @@ func (o *Operator) putWorkspace(ws workspace) {
 // the result in the configured format.
 func newBand(src *csr.Matrix, r0, r1 int, opt Options) (*band, error) {
 	b := &band{r0: r0, r1: r1}
-	b.interiorPad = (b.rows() + blockLen - 1) / blockLen * blockLen
+	b.interiorPad = (b.rows() + core.BlockLen - 1) / core.BlockLen * core.BlockLen
 
 	// First pass: collect the distinct out-of-band columns.
 	seen := make(map[uint32]bool)
@@ -300,7 +298,7 @@ func newBand(src *csr.Matrix, r0, r1 int, opt Options) (*band, error) {
 // mirroring the kernels' per-call batching.
 func vecChecks(v *core.Vector, blocks int) {
 	if s := v.Scheme(); s != core.None {
-		v.Counters().AddChecks(uint64(blocks) * uint64(blockLen/s.VecGroup()))
+		v.Counters().AddChecks(uint64(blocks) * uint64(core.BlockLen/s.VecGroup()))
 	}
 }
 
@@ -497,7 +495,7 @@ func (o *Operator) reducesAs(opt core.FusedOptions) bool {
 		return false
 	}
 	for i, b := range o.bands {
-		if opt.BlockBands[i] != [2]int{b.r0 / blockLen, b.r0/blockLen + b.blocks()} {
+		if opt.BlockBands[i] != [2]int{b.r0 / core.BlockLen, b.r0/core.BlockLen + b.blocks()} {
 			return false
 		}
 	}
@@ -544,7 +542,7 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 		for bi := lo; bi < hi; bi++ {
 			b, l := o.bands[bi], &ws[bi]
 			for j, x := range xs {
-				if err := scatterBlocks(l.x.Col(j), x, b.r0/blockLen, b.blocks(), read, l.buf); err != nil {
+				if err := scatterBlocks(l.x.Col(j), x, b.r0/core.BlockLen, b.blocks(), read, l.buf); err != nil {
 					return fmt.Errorf("shard: scatter into shard %d: %w", bi, err)
 				}
 			}
@@ -573,7 +571,7 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 	err = o.forBands(func(lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
 			b, l := o.bands[bi], &ws[bi]
-			l.y.View(dsts, b.r0/blockLen, b.rows())
+			l.y.View(dsts, b.r0/core.BlockLen, b.rows())
 			for j, r := range reqs {
 				if r != nil {
 					bandReqs[bi*k+j].Ask(l.y.Col(j), l.x.Col(j), bandDot)
@@ -642,11 +640,11 @@ var bandDot = core.FusedOptions{Workers: 1}
 func scatterBlocks(dst, src *core.Vector, s0, n int, read blockReader, buf []float64) error {
 	for k := 0; k < n; k += packChunk {
 		cn := min(packChunk, n-k)
-		if err := read(src, s0+k, s0+k+cn, buf[:cn*blockLen]); err != nil {
+		if err := read(src, s0+k, s0+k+cn, buf[:cn*core.BlockLen]); err != nil {
 			return err
 		}
 		for i := 0; i < cn; i++ {
-			dst.WriteBlock(k+i, (*[blockLen]float64)(buf[i*blockLen:]))
+			dst.WriteBlock(k+i, (*[core.BlockLen]float64)(buf[i*core.BlockLen:]))
 		}
 	}
 	return nil
@@ -683,17 +681,17 @@ func (o *Operator) packHalo(ws workspace, bi int, read blockReader) error {
 		// verifies a block the per-block path would have skipped.
 		ow := o.owner(int(b.haloCols[k]))
 		r0, r1 := o.bands[ow].r0, o.bands[ow].r1
-		blk0 := (int(b.haloCols[k]) - r0) / blockLen
+		blk0 := (int(b.haloCols[k]) - r0) / core.BlockLen
 		end, blkEnd := k+1, blk0
 		for end < n && int(b.haloCols[end]) < r1 {
-			blk := (int(b.haloCols[end]) - r0) / blockLen
+			blk := (int(b.haloCols[end]) - r0) / core.BlockLen
 			if blk > blkEnd+1 {
 				break
 			}
 			blkEnd = blk
 			end++
 		}
-		need := (blkEnd - blk0 + 1) * blockLen
+		need := (blkEnd - blk0 + 1) * core.BlockLen
 		if len(l.buf) < need {
 			l.buf = make([]float64, need)
 		}
@@ -703,18 +701,18 @@ func (o *Operator) packHalo(ws workspace, bi int, read blockReader) error {
 			}
 			out := &l.out[j]
 			for c := k; c < end; c++ {
-				out[c%blockLen] = l.buf[int(b.haloCols[c])-r0-blk0*blockLen]
-				if c%blockLen == blockLen-1 {
-					l.x.Col(j).WriteBlock(halo0+c/blockLen, out)
-					*out = [blockLen]float64{}
+				out[c%core.BlockLen] = l.buf[int(b.haloCols[c])-r0-blk0*core.BlockLen]
+				if c%core.BlockLen == core.BlockLen-1 {
+					l.x.Col(j).WriteBlock(halo0+c/core.BlockLen, out)
+					*out = [core.BlockLen]float64{}
 				}
 			}
 		}
 		k = end
 	}
-	if n%blockLen != 0 {
+	if n%core.BlockLen != 0 {
 		for j := range l.out {
-			l.x.Col(j).WriteBlock(halo0+(n-1)/blockLen, &l.out[j])
+			l.x.Col(j).WriteBlock(halo0+(n-1)/core.BlockLen, &l.out[j])
 		}
 	}
 	return nil
@@ -739,9 +737,9 @@ func (o *Operator) Dot(a, b *core.Vector) (float64, error) {
 	partials := make([]float64, len(o.bands))
 	err := o.forBands(func(lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
-			var av, bv [blockLen]float64
+			var av, bv [core.BlockLen]float64
 			var s float64
-			b0, nb := o.bands[bi].r0/blockLen, o.bands[bi].blocks()
+			b0, nb := o.bands[bi].r0/core.BlockLen, o.bands[bi].blocks()
 			vecChecks(a, nb)
 			vecChecks(b, nb)
 			for k := 0; k < nb; k++ {
@@ -753,10 +751,9 @@ func (o *Operator) Dot(a, b *core.Vector) (float64, error) {
 				}
 				// Strict element order keeps every partial bit-identical to
 				// a sequential sweep of the same rows.
-				s += av[0] * bv[0]
-				s += av[1] * bv[1]
-				s += av[2] * bv[2]
-				s += av[3] * bv[3]
+				for i, x := range av {
+					s += x * bv[i]
+				}
 			}
 			partials[bi] = s
 		}

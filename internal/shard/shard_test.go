@@ -44,13 +44,17 @@ func refVector(n int) []float64 {
 	return out
 }
 
+// TestClamp: the smallest band is one vector block of core.BlockLen
+// rows, so two whole blocks take at most two shards, one block one, and
+// two blocks and a partial third three.
 func TestClamp(t *testing.T) {
+	const b = core.BlockLen
 	for _, tc := range []struct{ rows, shards, want int }{
 		{100, 1, 1},
 		{100, 4, 4},
-		{8, 64, 2},
-		{4, 3, 1},
-		{10, 3, 3},
+		{2 * b, 64, 2},
+		{b, 3, 1},
+		{2*b + 2, 3, 3},
 	} {
 		if got := Clamp(tc.rows, tc.shards); got != tc.want {
 			t.Errorf("Clamp(%d,%d) = %d, want %d", tc.rows, tc.shards, got, tc.want)
@@ -62,7 +66,7 @@ func TestClamp(t *testing.T) {
 // sharded composite against the unprotected reference for every format
 // and several shard counts, including counts that clamp.
 func TestShardedApplyMatchesReference(t *testing.T) {
-	plain := generalMatrix(t, 30)
+	plain := generalMatrix(t, 60)
 	xs := refVector(plain.Cols32())
 	want := make([]float64, plain.Rows())
 	plain.SpMV(want, xs)
@@ -106,7 +110,7 @@ func TestShardedApplyMatchesReference(t *testing.T) {
 // solve over a general MatrixMarket operator converges to the same
 // solution and residual as the unsharded solve in all three formats.
 func TestShardedCGMatchesUnsharded(t *testing.T) {
-	plain := generalMatrix(t, 36)
+	plain := generalMatrix(t, 72)
 	n := plain.Rows()
 	bs := refVector(n)
 
@@ -155,7 +159,7 @@ func TestShardedCGMatchesUnsharded(t *testing.T) {
 
 // TestShardedDiagonalMatchesReference checks Diagonal parity per format.
 func TestShardedDiagonalMatchesReference(t *testing.T) {
-	plain := generalMatrix(t, 25)
+	plain := generalMatrix(t, 50)
 	want := make([]float64, plain.Rows())
 	plain.Diagonal(want)
 	for _, f := range op.Formats {
@@ -179,7 +183,7 @@ func TestShardedDiagonalMatchesReference(t *testing.T) {
 // TestDotMatchesFlatKernel compares the tree-reduced inner product with
 // the flat kernel.
 func TestDotMatchesFlatKernel(t *testing.T) {
-	plain := generalMatrix(t, 40)
+	plain := generalMatrix(t, 80)
 	o, err := New(plain, Options{Shards: 5, Config: op.Config{Scheme: core.SECDED64}})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +215,7 @@ func TestDotMatchesFlatKernel(t *testing.T) {
 // halo exchange must detect it (SED) or transparently correct it
 // (SECDED64) before the value crosses the shard boundary.
 func TestExchangeDetectsHaloFlip(t *testing.T) {
-	plain := generalMatrix(t, 32)
+	plain := generalMatrix(t, 64)
 	xs := refVector(plain.Cols32())
 	want := make([]float64, plain.Rows())
 	plain.SpMV(want, xs)
@@ -291,7 +295,7 @@ func TestExchangeDetectsHaloFlip(t *testing.T) {
 // TestShardedScrubRepairsFlip flips a bit inside one shard's matrix:
 // Scrub must repair it and count it, leaving the operator clean.
 func TestShardedScrubRepairsFlip(t *testing.T) {
-	plain := generalMatrix(t, 28)
+	plain := generalMatrix(t, 56)
 	for _, f := range op.Formats {
 		o, err := New(plain, Options{Shards: 3, Format: f,
 			Config: op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64}})
@@ -316,7 +320,7 @@ func TestShardedScrubRepairsFlip(t *testing.T) {
 // for every format (SECDED64 adds no structural padding, so the decode
 // is exact).
 func TestShardedToCSRRoundTrip(t *testing.T) {
-	plain := generalMatrix(t, 26)
+	plain := generalMatrix(t, 52)
 	for _, f := range op.Formats {
 		o, err := New(plain, Options{Shards: 3, Format: f,
 			Config: op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64}})
@@ -340,7 +344,7 @@ func TestShardedToCSRRoundTrip(t *testing.T) {
 
 // TestApplyValidation covers dimension checking and halo bookkeeping.
 func TestApplyValidation(t *testing.T) {
-	plain := generalMatrix(t, 20)
+	plain := generalMatrix(t, 40)
 	o, err := New(plain, Options{Shards: 2, Config: op.Config{Scheme: core.SECDED64}})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +367,7 @@ func TestApplyValidation(t *testing.T) {
 	if lo, hi := o.HaloRange(0); hi <= lo {
 		t.Fatal("shard 0 has no halo on a coupled matrix")
 	}
-	if r0, r1 := o.ShardRange(1); r0%4 != 0 || r1 != o.Rows() {
+	if r0, r1 := o.ShardRange(1); r0%core.BlockLen != 0 || r1 != o.Rows() {
 		t.Fatalf("unexpected shard range [%d,%d)", r0, r1)
 	}
 }
@@ -373,7 +377,7 @@ func TestApplyValidation(t *testing.T) {
 // concurrently. Workspaces come from the pool, so the products proceed
 // in parallel and every caller gets the exact reference result.
 func TestConcurrentApplySharedOperator(t *testing.T) {
-	plain := generalMatrix(t, 40)
+	plain := generalMatrix(t, 80)
 	o, err := New(plain, Options{Shards: 3,
 		Config:       op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64},
 		VectorScheme: core.SECDED64})
@@ -443,7 +447,7 @@ func TestBandRangesBlockAligned(t *testing.T) {
 			if r[0] != next || r[1] <= r[0] {
 				t.Fatalf("shards=%d: range %d = %v does not tile from %d", shards, i, r, next)
 			}
-			if r[0]%blockLen != 0 {
+			if r[0]%core.BlockLen != 0 {
 				t.Fatalf("shards=%d: boundary %d not aligned to the codeword block", shards, r[0])
 			}
 			next = r[1]

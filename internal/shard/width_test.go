@@ -35,7 +35,7 @@ func TestShardedApplyBatchMatchesApply(t *testing.T) {
 	for _, f := range op.Formats {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%v_workers=%d", f, workers), func(t *testing.T) {
-				plain := generalMatrix(t, 30)
+				plain := generalMatrix(t, 60)
 				const k = 3
 				x, want := batchInputs(t, plain, k)
 
@@ -89,7 +89,7 @@ func TestShardedApplyBatchFallback(t *testing.T) {
 		for _, mode := range []core.ReadMode{core.ModeExclusive, core.ModeShared} {
 			shared := mode == core.ModeShared
 			t.Run(fmt.Sprintf("%v_shared=%v", f, shared), func(t *testing.T) {
-				plain := generalMatrix(t, 30)
+				plain := generalMatrix(t, 60)
 				const k = 3
 				x, want := batchInputs(t, plain, k)
 
@@ -148,7 +148,7 @@ func TestShardedApplyBatchFallback(t *testing.T) {
 // TestShardedApplyBatchShapeErrors: dimension and width mismatches are
 // rejected before the pipeline starts.
 func TestShardedApplyBatchShapeErrors(t *testing.T) {
-	plain := generalMatrix(t, 20)
+	plain := generalMatrix(t, 40)
 	o, err := New(plain, Options{Shards: 2, Config: op.Config{Scheme: core.SECDED64}})
 	if err != nil {
 		t.Fatal(err)
@@ -195,25 +195,27 @@ func decode(t *testing.T, v *core.Vector) []float64 {
 	return out
 }
 
-// chainMatrix is a 12x12 tridiagonal operator that three shards split
-// into single-block bands. With decoupled set, rows 0-3 couple only to
-// each other, so band 0 has an empty halo; otherwise rows 0 and 9 also
-// reach into band 1's only block, which then has two readers.
+// chainMatrix is a tridiagonal operator of three vector blocks that
+// three shards split into single-block bands. With decoupled set, the
+// rows of block 0 couple only to each other, so band 0 has an empty halo;
+// otherwise row 0 and row 2b+1 (b = core.BlockLen) also reach into band
+// 1's only block, which then has two readers.
 func chainMatrix(t *testing.T, decoupled bool) *csr.Matrix {
 	t.Helper()
-	const n = 12
+	const b = core.BlockLen
+	const n = 3 * b
 	var es []csr.Entry
 	for i := 0; i < n; i++ {
 		es = append(es, csr.Entry{Row: i, Col: i, Val: 4 + float64(i)/8})
 		for _, c := range []int{i - 1, i + 1} {
-			if c < 0 || c >= n || (decoupled && (i < 4) != (c < 4)) {
+			if c < 0 || c >= n || (decoupled && (i < b) != (c < b)) {
 				continue
 			}
 			es = append(es, csr.Entry{Row: i, Col: c, Val: -1 - float64(i+c)/16})
 		}
 	}
 	if !decoupled {
-		es = append(es, csr.Entry{Row: 0, Col: 5, Val: 0.5}, csr.Entry{Row: 9, Col: 6, Val: 0.25})
+		es = append(es, csr.Entry{Row: 0, Col: b + 1, Val: 0.5}, csr.Entry{Row: 2*b + 1, Col: b + 2, Val: 0.25})
 	}
 	m, err := csr.New(n, n, es)
 	if err != nil {
@@ -235,7 +237,7 @@ func TestWidthParity(t *testing.T) {
 	}
 	shapes := []shape{{"chain_emptyhalo_3", chainMatrix(t, true), 3}, {"chain_shared_3", chainMatrix(t, false), 3}}
 	for shards := 1; shards <= 3; shards++ {
-		shapes = append(shapes, shape{fmt.Sprintf("general_%d", shards), generalMatrix(t, 30), shards})
+		shapes = append(shapes, shape{fmt.Sprintf("general_%d", shards), generalMatrix(t, 60), shards})
 	}
 	for _, sh := range shapes {
 		for _, f := range op.Formats {
@@ -304,7 +306,7 @@ func TestWidthParity(t *testing.T) {
 						}
 						// Two passes plus the k decodes just made (the same
 						// per-column read a width-1 result gets).
-						decodes := uint64(k) * uint64(dsts[0].Blocks()) * uint64(blockLen/max(s.VecGroup(), 1))
+						decodes := uint64(k) * uint64(dsts[0].Blocks()) * uint64(core.BlockLen/max(s.VecGroup(), 1))
 						if s == core.None {
 							decodes = 0
 						}
@@ -337,6 +339,7 @@ func TestWidthParity(t *testing.T) {
 func TestWidthFaultParity(t *testing.T) {
 	plain := chainMatrix(t, false)
 	n := plain.Rows()
+	const scatterWord = core.BlockLen + 2 // a word of band 1's rows
 	type outcome struct {
 		err         string
 		dst         []float64
@@ -403,7 +406,7 @@ func TestWidthFaultParity(t *testing.T) {
 							switch site.name {
 							case "scatter":
 								struck = xs[j]
-								struck.Raw()[6] ^= mask
+								struck.Raw()[scatterWord] ^= mask
 							case "halo":
 								struck = ws[1].x.Col(j)
 								o.SetPhaseHook(func(p Phase) {
@@ -417,7 +420,7 @@ func TestWidthFaultParity(t *testing.T) {
 							case "gather":
 								struck = dsts[j]
 								out.clean = append([]uint64(nil), struck.Raw()...)
-								struck.Raw()[9] ^= mask // a block of band 2's rows
+								struck.Raw()[2*core.BlockLen+1] ^= mask // a block of band 2's rows
 							}
 							before := c.Snapshot()
 							if err := call(); err != nil {
@@ -448,7 +451,7 @@ func TestWidthFaultParity(t *testing.T) {
 							if site.name == "halo" && one.atExchange[1]&mask == 0 {
 								t.Fatal("the shared halo read committed its repair")
 							}
-							if one.after[map[string]int{"scatter": 6, "halo": 1}[site.name]]&mask != 0 {
+							if one.after[map[string]int{"scatter": scatterWord, "halo": 1}[site.name]]&mask != 0 {
 								t.Fatal("the flip is still in storage after the call")
 							}
 						} else if !strings.HasPrefix(one.err, site.prefix) || one.seen == 0 {
@@ -470,7 +473,7 @@ func TestWidthFaultParity(t *testing.T) {
 // reader, which corrects one and detects one more than the scheme can
 // correct.
 func TestBandProductsLandInDst(t *testing.T) {
-	plain := generalMatrix(t, 30)
+	plain := generalMatrix(t, 60)
 	n := plain.Rows()
 	for _, f := range op.Formats {
 		for _, s := range []core.Scheme{core.SECDED64, core.CRC32C} {
@@ -508,7 +511,7 @@ func TestBandProductsLandInDst(t *testing.T) {
 				var decodes uint64
 				for bi, b := range o.bands {
 					l := &o.primary[bi]
-					decodes += uint64(l.x.Blocks()) * uint64(blockLen/s.VecGroup())
+					decodes += uint64(l.x.Blocks()) * uint64(core.BlockLen/s.VecGroup())
 					if &l.y.Col(0).Raw()[0] != &dst.Raw()[b.r0] {
 						t.Fatalf("band %d's product is not a view of dst's rows %d..", bi, b.r0)
 					}
@@ -522,7 +525,7 @@ func TestBandProductsLandInDst(t *testing.T) {
 
 				clean := append([]uint64(nil), dst.Raw()...)
 				want := decode(t, dst)
-				k := 4 * (o.bands[2].r0/blockLen + 1) // a block of the last band
+				k := o.bands[2].r0 + 4 // a word of the last band's first block
 				dc = core.Counters{}
 				dst.Raw()[k] ^= 1 << 33
 				if got := decode(t, dst); !reflect.DeepEqual(got, want) || dc.Corrected() != 1 || dst.Raw()[k] != clean[k] {
@@ -548,7 +551,7 @@ func TestBandProductsLandInDst(t *testing.T) {
 // product into a separate destination writes, for every format, scheme
 // and shard count.
 func TestApplyInPlace(t *testing.T) {
-	plain := generalMatrix(t, 30)
+	plain := generalMatrix(t, 60)
 	n := plain.Rows()
 	for _, f := range op.Formats {
 		for _, s := range []core.Scheme{core.None, core.SECDED64, core.CRC32C} {
@@ -597,7 +600,7 @@ func TestPhaseOrder(t *testing.T) {
 	if PhaseScatter != 0 || PhaseExchange != 1 || PhaseLocal != 2 {
 		t.Fatalf("phase values %d, %d, %d; want 0, 1, 2", PhaseScatter, PhaseExchange, PhaseLocal)
 	}
-	plain := generalMatrix(t, 30)
+	plain := generalMatrix(t, 60)
 	n := plain.Rows()
 	o, err := New(plain, Options{Shards: 3, VectorScheme: core.SECDED64, Config: op.Config{Scheme: core.SECDED64}})
 	if err != nil {
@@ -626,7 +629,7 @@ func TestPhaseOrder(t *testing.T) {
 // and its workspace — flips resident in the caller's x and in a shard's
 // matrix are still there afterwards.
 func TestApplyUnverifiedTouchesNothing(t *testing.T) {
-	plain := generalMatrix(t, 30)
+	plain := generalMatrix(t, 60)
 	n := plain.Rows()
 	for _, f := range op.Formats {
 		for _, s := range []core.Scheme{core.SECDED64, core.CRC32C} {

@@ -7,11 +7,6 @@ import (
 	"abft/internal/par"
 )
 
-// ckptBlock is the protected-vector codeword block (core's vecBlock).
-// Band boundaries of a sharded operator are aligned to it, so per-band
-// checkpoint copies never share a codeword block.
-const ckptBlock = 4
-
 // checkpoint is one snapshot of the solver's live state: protected
 // copies of every registered vector, the registered recurrence scalars,
 // and the Result bookkeeping needed to rewind cleanly.
@@ -156,7 +151,7 @@ func (e *engine) copyVec(dst, src *core.Vector) error {
 		return core.Copy(dst, src, e.w)
 	}
 	return par.Run(e.bands, func(lo, hi int) error {
-		return core.CopyBlocks(dst, src, lo/ckptBlock, (hi+ckptBlock-1)/ckptBlock)
+		return core.CopyBlocks(dst, src, lo/core.BlockLen, (hi+core.BlockLen-1)/core.BlockLen)
 	})
 }
 

@@ -318,7 +318,7 @@ func (in *innerSolver) solve(z, v *core.Vector, cycle, j int) error {
 			break
 		}
 	}
-	writeVec(z, in.zbuf)
+	z.CopyFrom(in.zbuf)
 	return nil
 }
 
@@ -333,7 +333,7 @@ func (in *innerSolver) richardson(cycle, j int) error {
 		in.hook(cycle, j, 0, in.zbuf)
 	}
 	for s := 1; s < in.steps; s++ {
-		writeVec(in.zv, in.zbuf)
+		in.zv.CopyFrom(in.zbuf)
 		if err := in.applyInner(in.wz, in.zv); err != nil {
 			return err
 		}
@@ -357,21 +357,4 @@ func (in *innerSolver) readVec(dst []float64, v *core.Vector) error {
 		return v.CopyToUnverified(dst)
 	}
 	return v.CopyTo(dst)
-}
-
-// writeVec encodes plain scratch into a protected vector block-wise —
-// the clean re-encode that closes the unreliable phase.
-func writeVec(dst *core.Vector, src []float64) {
-	n := dst.Len()
-	var blk [ckptBlock]float64
-	for b := 0; b*ckptBlock < n; b++ {
-		for i := 0; i < ckptBlock; i++ {
-			if idx := b*ckptBlock + i; idx < n {
-				blk[i] = src[idx]
-			} else {
-				blk[i] = 0
-			}
-		}
-		dst.WriteBlock(b, &blk)
-	}
 }

@@ -27,12 +27,12 @@ func (e *engine) initFuse() {
 }
 
 // blockBandsOf converts row-band ranges to codeword-block ranges. Band
-// boundaries are ckptBlock-aligned (internal/shard guarantees it), so
+// boundaries are core.BlockLen-aligned (internal/shard guarantees it), so
 // the block bands tile the vector's blocks exactly.
 func blockBandsOf(bands [][2]int) [][2]int {
 	out := make([][2]int, len(bands))
 	for i, bd := range bands {
-		out[i] = [2]int{bd[0] / ckptBlock, (bd[1] + ckptBlock - 1) / ckptBlock}
+		out[i] = [2]int{bd[0] / core.BlockLen, (bd[1] + core.BlockLen - 1) / core.BlockLen}
 	}
 	return out
 }

@@ -147,12 +147,12 @@ func TestFuseDecision(t *testing.T) {
 	}
 	flat("flat operator", newEng(MatrixOperator{M: m}))
 
-	bands := [][2]int{{0, 16}, {16, n}}
+	bands := [][2]int{{0, 4 * core.BlockLen}, {4 * core.BlockLen, n}}
 	e := newEng(bandedFake{MatrixOperator{M: m}, bands})
 	if e.band == nil || !e.fuse.TreeReduce {
 		t.Fatalf("banded operator: want banded fuse, got opts=%+v", e.fuse)
 	}
-	wantBlocks := [][2]int{{0, 4}, {4, (n + 3) / 4}}
+	wantBlocks := [][2]int{{0, 4}, {4, (n + core.BlockLen - 1) / core.BlockLen}}
 	if len(e.fuse.BlockBands) != len(wantBlocks) {
 		t.Fatalf("block bands %v want %v", e.fuse.BlockBands, wantBlocks)
 	}

@@ -55,7 +55,7 @@ type Operator interface {
 // with a row-band decomposition (the sharded composite of internal/shard)
 // supplies its own global inner product — per-band partial sums reduced
 // in a binary tree, the in-process analogue of an MPI allreduce — and the
-// band ranges it reduces over, aligned to ckptBlock. The engine routes
+// band ranges it reduces over, aligned to core.BlockLen. The engine routes
 // every inner product through Dot, mirrors its reduction in the fused
 // CG tail and checkpoints per band. The two come together: a Dot whose
 // reduction the fused kernels cannot mirror has no way to be expressed.

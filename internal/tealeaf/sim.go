@@ -256,18 +256,8 @@ func (s *Simulation) advanceOnce() (StepResult, error) {
 	}
 	b := s.newVec()
 	x := s.newVec()
-	var buf [4]float64
-	for blk := 0; blk*4 < n; blk++ {
-		for i := 0; i < 4; i++ {
-			if idx := blk*4 + i; idx < n {
-				buf[i] = u0[idx]
-			} else {
-				buf[i] = 0
-			}
-		}
-		b.WriteBlock(blk, &buf)
-		x.WriteBlock(blk, &buf) // initial guess = rhs, as TeaLeaf
-	}
+	b.CopyFrom(u0)
+	x.CopyFrom(u0) // initial guess = rhs, as TeaLeaf
 
 	opt := solvers.Options{
 		Tol:         cfg.Eps,

@@ -64,8 +64,8 @@ func BenchmarkReadBlocks(b *testing.B) {
 		vec := core.VectorFromSlice(data, s)
 		name := s.String()
 		nb := vec.Blocks()
-		var blk [4]float64
-		batch := make([]float64, 64*4)
+		var blk [core.BlockLen]float64
+		batch := make([]float64, 64*core.BlockLen)
 
 		b.Run(name+"/nocheck", func(b *testing.B) {
 			b.SetBytes(n * 8)
