@@ -86,25 +86,33 @@ func (d *scrubDaemon) Stop() {
 // entry's cached preconditioner is patrolled under the same exclusive
 // lock, and an uncorrectable fault in either structure evicts the whole
 // entry — the next request rebuilds operator and preconditioner clean.
-// A fault is counted in the stats before its eviction, so no observer
-// (a /metrics scrape mid-pass) sees the eviction without the fault.
+// An entry's scrub, repairs and fault are counted in the stats as soon
+// as its lock is released, before the journal, the log and the eviction,
+// so an observer (a test, a /metrics scrape mid-pass) that has seen the
+// operator's own counter move or the entry evicted finds them counted.
 func (d *scrubDaemon) Pass() {
-	var scrubbed, shards, preconds, corrected uint64
 	for _, e := range d.cache.resident() {
 		e.mu.Lock()
 		n, err := e.m.Scrub()
+		var preconds uint64
 		if e.pre != nil {
 			np, perr := e.pre.Scrub()
 			n += np
 			if err == nil {
 				err = perr
 			}
-			preconds++
+			preconds = 1
 		}
 		e.mu.Unlock()
-		scrubbed++
-		shards += uint64(e.shards)
-		corrected += uint64(n)
+		d.mu.Lock()
+		d.stats.Scrubbed++
+		d.stats.Shards += uint64(e.shards)
+		d.stats.Preconditioners += preconds
+		d.stats.Corrected += uint64(n)
+		if err != nil {
+			d.stats.Faults++
+		}
+		d.mu.Unlock()
 		if n > 0 {
 			d.journal.Append(obs.Event{
 				Kind: obs.EventScrubCorrection, Operator: opShort(e.key),
@@ -113,9 +121,6 @@ func (d *scrubDaemon) Pass() {
 			d.log.Info("scrub corrected", "operator", opShort(e.key), "codewords", n)
 		}
 		if err != nil {
-			d.mu.Lock()
-			d.stats.Faults++
-			d.mu.Unlock()
 			d.cache.evictFault(e)
 			d.journal.Append(obs.Event{
 				Kind: obs.EventScrubEviction, Operator: opShort(e.key),
@@ -126,10 +131,6 @@ func (d *scrubDaemon) Pass() {
 	}
 	d.mu.Lock()
 	d.stats.Passes++
-	d.stats.Scrubbed += scrubbed
-	d.stats.Shards += shards
-	d.stats.Preconditioners += preconds
-	d.stats.Corrected += corrected
 	d.mu.Unlock()
 }
 
