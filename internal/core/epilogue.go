@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"sync"
-
-	"abft/internal/par"
 )
 
 // The dot epilogue. A CG iteration needs p.w right after w = A p; as a
@@ -188,40 +186,34 @@ func (ep *DotEpilogue) reduce() error {
 		if cap(ep.partials) < len(ranges) {
 			ep.partials = make([]float64, len(ranges))
 		}
-		partials := ep.partials[:len(ranges)]
 		w, x := ep.outs[j], ep.xs[j]
 		var p []float64
 		if ep.xbufs != nil {
 			p = ep.xbufs[j]
 		}
-		err := par.Run(ranges, func(lo, hi int) error {
-			i := 0
-			for ranges[i][0] != lo {
-				i++
-			}
+		dot, err := r.opt.sum(ranges, ep.partials[:len(ranges)], func(lo, hi int) (float64, error) {
 			var s float64
 			if p != nil {
 				w := w[lo*BlockLen : hi*BlockLen]
 				for e, pe := range p[lo*BlockLen : hi*BlockLen] {
 					s += pe * w[e]
 				}
-			} else {
-				var xb [BlockLen]float64
-				for blk := lo; blk < hi; blk++ {
-					x.ReadBlockNoCheck(blk, &xb)
-					wb := w[blk*BlockLen : (blk+1)*BlockLen]
-					for i, xe := range xb {
-						s += xe * wb[i]
-					}
+				return s, nil
+			}
+			var xb [BlockLen]float64
+			for blk := lo; blk < hi; blk++ {
+				x.ReadBlockNoCheck(blk, &xb)
+				wb := w[blk*BlockLen : (blk+1)*BlockLen]
+				for i, xe := range xb {
+					s += xe * wb[i]
 				}
 			}
-			partials[i] = s
-			return nil
+			return s, nil
 		})
 		if err != nil {
 			return err
 		}
-		r.Answer(r.opt.Reduce(partials))
+		r.Answer(dot)
 	}
 	return nil
 }

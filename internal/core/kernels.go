@@ -7,75 +7,17 @@ import (
 )
 
 // Dot returns the inner product of a and b, verifying every codeword it
-// reads. Partial sums are accumulated per worker and reduced in range
-// order, so results are deterministic for a fixed worker count.
+// reads (a vector named twice is read once). Partial sums are taken per
+// worker range and reduced in range order, so results are deterministic
+// for a fixed worker count.
 func Dot(a, b *Vector, workers int) (float64, error) {
-	if a.Len() != b.Len() {
-		return 0, fmt.Errorf("core: Dot length mismatch %d vs %d", a.Len(), b.Len())
-	}
-	ranges := par.Ranges(a.Blocks(), workers, 1)
-	sums := make([]float64, len(ranges))
-	err := par.Run(ranges, func(lo, hi int) error {
-		var av, bv [BlockLen]float64
-		var s float64
-		commit := len(ranges) == 1
-		a.counters.AddChecks(uint64(hi-lo) * a.checksPerBlock())
-		b.counters.AddChecks(uint64(hi-lo) * b.checksPerBlock())
-		for blk := lo; blk < hi; blk++ {
-			if err := a.readBlock(blk, &av, commit); err != nil {
-				return err
-			}
-			if err := b.readBlock(blk, &bv, commit); err != nil {
-				return err
-			}
-			// Strict element order keeps results bit-identical to the
-			// sequential reference loop.
-			for i, x := range av {
-				s += x * bv[i]
-			}
-		}
-		for i := range ranges {
-			if ranges[i][0] == lo {
-				sums[i] = s
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for _, s := range sums {
-		total += s
-	}
-	return total, nil
+	return Pass(FusedOptions{Workers: workers}, DotOf{a, b})
 }
 
 // Waxpby computes dst = alpha*x + beta*y block-wise; dst may alias x or y.
-// It is the general update kernel behind the CG vector operations.
 func Waxpby(dst *Vector, alpha float64, x *Vector, beta float64, y *Vector, workers int) error {
-	if dst.Len() != x.Len() || dst.Len() != y.Len() {
-		return fmt.Errorf("core: Waxpby length mismatch %d/%d/%d", dst.Len(), x.Len(), y.Len())
-	}
-	return par.ForEach(dst.Blocks(), workers, 1, func(lo, hi int) error {
-		var xv, yv, out [BlockLen]float64
-		x.counters.AddChecks(uint64(hi-lo) * x.checksPerBlock())
-		y.counters.AddChecks(uint64(hi-lo) * y.checksPerBlock())
-		for blk := lo; blk < hi; blk++ {
-			if err := x.readBlock(blk, &xv, true); err != nil {
-				return err
-			}
-			if err := y.readBlock(blk, &yv, true); err != nil {
-				return err
-			}
-			for i := range out {
-				out[i] = alpha*xv[i] + beta*yv[i]
-			}
-			dst.WriteBlock(blk, &out)
-		}
-		return nil
-	})
+	_, err := Pass(FusedOptions{Workers: workers}, DotOf{}, Lin{Dst: dst, A: alpha, X: x, B: beta, Y: y})
+	return err
 }
 
 // Axpy computes y += alpha*x.
@@ -83,37 +25,28 @@ func Axpy(y *Vector, alpha float64, x *Vector, workers int) error {
 	return Waxpby(y, alpha, x, 1, y, workers)
 }
 
-// Xpby computes y = x + beta*y (the CG search-direction update).
-func Xpby(y *Vector, x *Vector, beta float64, workers int) error {
-	return Waxpby(y, 1, x, beta, y, workers)
-}
-
 // Copy transfers src into dst block-wise, re-encoding under dst's scheme
 // (the two vectors may use different protection).
 func Copy(dst, src *Vector, workers int) error {
-	if dst.Len() != src.Len() {
-		return fmt.Errorf("core: Copy length mismatch %d vs %d", dst.Len(), src.Len())
-	}
-	return par.ForEach(dst.Blocks(), workers, 1, func(lo, hi int) error {
-		return CopyBlocks(dst, src, lo, hi)
-	})
+	_, err := Pass(FusedOptions{Workers: workers}, DotOf{}, Lin{Dst: dst, X: src})
+	return err
 }
 
-// CopyBlocks is Copy restricted to blocks [b0, b1): each block of src
-// is verified (corrections committed) and re-encoded into dst, with the
-// kernels' per-call checks accounting. It is the primitive the solver
-// recovery controller uses to checkpoint banded operators per band;
-// concurrent callers on disjoint block ranges never share a block.
-func CopyBlocks(dst, src *Vector, b0, b1 int) error {
-	var buf [BlockLen]float64
-	src.counters.AddChecks(uint64(b1-b0) * src.checksPerBlock())
-	for blk := b0; blk < b1; blk++ {
-		if err := src.readBlock(blk, &buf, true); err != nil {
-			return err
-		}
-		dst.WriteBlock(blk, &buf)
-	}
-	return nil
+// FusedAxpyDot performs the CG tail update in one verified pass:
+//
+//	x += alpha*p;  r -= alpha*q;  return r.r
+//
+// bit-identical to Axpy, Axpy and Dot back to back over the same
+// decomposition, with each of p, x, q and r read once.
+func FusedAxpyDot(x *Vector, alpha float64, p, r, q *Vector, opt FusedOptions) (float64, error) {
+	return Pass(opt, DotOf{r, r}, Lin{Dst: x, A: alpha, X: p, B: 1, Y: x}, Lin{Dst: r, A: -alpha, X: q, B: 1, Y: r})
+}
+
+// FusedUpdateNorm computes dst = alpha*x + beta*y and returns dst.dst
+// from the same pass — the residual-formation idiom (r = b - A*x
+// followed by r.r). dst may alias x or y.
+func FusedUpdateNorm(dst *Vector, alpha float64, x *Vector, beta float64, y *Vector, opt FusedOptions) (float64, error) {
+	return Pass(opt, DotOf{dst, dst}, Lin{Dst: dst, A: alpha, X: x, B: beta, Y: y})
 }
 
 // DiagScale computes dst[i] = diag[i] * x[i] for a plain coefficient

@@ -276,7 +276,7 @@ func TestWaxpbyAliasing(t *testing.T) {
 	p := []float64{10, 20, 30, 40, 50}
 	rv := VectorFromSlice(r, SECDED64)
 	pv := VectorFromSlice(p, SECDED64)
-	if err := Xpby(pv, rv, 0.5, 1); err != nil {
+	if err := Waxpby(pv, 1, rv, 0.5, pv, 1); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float64, 5)

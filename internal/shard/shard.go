@@ -22,6 +22,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -153,6 +154,9 @@ type Operator struct {
 	nnz        int
 	opt        Options
 	bands      []*band
+	// reduce is the global inner product's reduction: one block range
+	// per band, combined in the binary tree.
+	reduce core.FusedOptions
 
 	counters *core.Counters
 	// mode mirrors the read discipline propagated to the bands; see
@@ -201,7 +205,9 @@ func New(src *csr.Matrix, opt Options) (*Operator, error) {
 		}
 		o.bands = append(o.bands, b)
 		o.nnz += b.m.NNZ()
+		o.reduce.BlockBands = append(o.reduce.BlockBands, [2]int{r[0] / core.BlockLen, r[0]/core.BlockLen + b.blocks()})
 	}
+	o.reduce.TreeReduce = true
 	o.primary = o.newWorkspace(1)
 	o.free = map[int][]workspace{1: {o.primary}}
 	return o, nil
@@ -292,14 +298,6 @@ func newBand(src *csr.Matrix, r0, r1 int, opt Options) (*band, error) {
 		return nil, fmt.Errorf("shard: rows [%d,%d): %w", r0, r1, err)
 	}
 	return b, nil
-}
-
-// vecChecks accounts blocks verified reads against v's counters,
-// mirroring the kernels' per-call batching.
-func vecChecks(v *core.Vector, blocks int) {
-	if s := v.Scheme(); s != core.None {
-		v.Counters().AddChecks(uint64(blocks) * uint64(core.BlockLen/s.VecGroup()))
-	}
 }
 
 // Rows returns the global row count, satisfying core.ProtectedMatrix.
@@ -491,15 +489,7 @@ func (o *Operator) pendingDots(dsts, xs []*core.Vector) []*core.DotRequest {
 // reducesAs reports whether opt is the operator's own dot reduction: one
 // block range per band, combined in the binary tree.
 func (o *Operator) reducesAs(opt core.FusedOptions) bool {
-	if !opt.TreeReduce || len(opt.BlockBands) != len(o.bands) {
-		return false
-	}
-	for i, b := range o.bands {
-		if opt.BlockBands[i] != [2]int{b.r0 / core.BlockLen, b.r0/core.BlockLen + b.blocks()} {
-			return false
-		}
-	}
-	return true
+	return opt.TreeReduce && slices.Equal(opt.BlockBands, o.reduce.BlockBands)
 }
 
 // blockReader is one of core.Vector's batched block reads: the commit,
@@ -619,14 +609,10 @@ func (o *Operator) answer(reqs []*core.DotRequest, bandReqs []core.DotRequest) {
 			answered = answered && ok
 		}
 		if answered {
-			r.Answer(treeReduce.Reduce(parts))
+			r.Answer(o.reduce.Reduce(parts))
 		}
 	}
 }
-
-// treeReduce combines per-band partial sums pairwise in a binary tree,
-// the deterministic in-process analogue of an MPI allreduce.
-var treeReduce = core.FusedOptions{TreeReduce: true}
 
 // bandDot is a band's own partial inner product: its interior blocks as
 // one range, summed in element order as Dot's per-band partial is. (The
@@ -726,7 +712,8 @@ func (o *Operator) forBands(fn func(lo, hi int) error) error {
 
 // Dot computes the global inner product a . b with per-shard partial
 // sums reduced pairwise in a binary tree — the deterministic in-process
-// analogue of an MPI allreduce. With BandRanges it makes the operator a
+// analogue of an MPI allreduce — in one core.Pass over the band
+// decomposition. With BandRanges it makes the operator a
 // solvers.BandedOperator, so every CG inner product over a sharded
 // operator reduces this way.
 func (o *Operator) Dot(a, b *core.Vector) (float64, error) {
@@ -734,35 +721,7 @@ func (o *Operator) Dot(a, b *core.Vector) (float64, error) {
 		return 0, fmt.Errorf("shard: Dot length mismatch: %d and %d over %d rows",
 			a.Len(), b.Len(), o.rows)
 	}
-	partials := make([]float64, len(o.bands))
-	err := o.forBands(func(lo, hi int) error {
-		for bi := lo; bi < hi; bi++ {
-			var av, bv [core.BlockLen]float64
-			var s float64
-			b0, nb := o.bands[bi].r0/core.BlockLen, o.bands[bi].blocks()
-			vecChecks(a, nb)
-			vecChecks(b, nb)
-			for k := 0; k < nb; k++ {
-				if err := a.ReadBlock(b0+k, &av); err != nil {
-					return fmt.Errorf("shard: dot shard %d: %w", bi, err)
-				}
-				if err := b.ReadBlock(b0+k, &bv); err != nil {
-					return fmt.Errorf("shard: dot shard %d: %w", bi, err)
-				}
-				// Strict element order keeps every partial bit-identical to
-				// a sequential sweep of the same rows.
-				for i, x := range av {
-					s += x * bv[i]
-				}
-			}
-			partials[bi] = s
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return treeReduce.Reduce(partials), nil
+	return core.Pass(o.reduce, core.DotOf{A: a, B: b})
 }
 
 // Diagonal extracts the fully verified global main diagonal, satisfying

@@ -50,7 +50,7 @@ func (c *cgColumn) init(e *engine) error {
 	if err != nil {
 		return err
 	}
-	if err := core.Copy(c.p, zed, e.w); err != nil {
+	if err := e.copyVec(c.p, zed); err != nil {
 		return err
 	}
 	// Unpreconditioned, r.z is exactly the r.r the fused pass returned.
@@ -91,7 +91,7 @@ func (c *cgColumn) step(e *engine, pw float64) (alpha, beta float64, err error) 
 	}
 	beta = rrn / c.rro
 	// p = z + beta p
-	if err := core.Xpby(c.p, zed, beta, e.w); err != nil {
+	if _, err := e.pass(core.DotOf{}, core.Lin{Dst: c.p, A: 1, X: zed, B: beta, Y: c.p}); err != nil {
 		return 0, 0, err
 	}
 	c.rro, c.rr = rrn, rrNew

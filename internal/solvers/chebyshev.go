@@ -19,7 +19,6 @@ func Chebyshev(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	opt = e.opt
-	w := e.w
 
 	eigMin, eigMax, err := estimateSpectrum(a, x, b, opt)
 	if err != nil {
@@ -34,16 +33,14 @@ func Chebyshev(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 	if opt.Preconditioner != nil {
 		z = e.temp()
 	}
-	c := newChebRecurrence(a, opt.Preconditioner, eigMin, eigMax, w, t, z)
+	c := newChebRecurrence(a, opt.Preconditioner, eigMin, eigMax, e.fuse, t, z)
 
-	// r = b - A x ; p = z / theta with z = M^-1 r (or r unpreconditioned)
+	// r = b - A x and r.r in one pass; p = z / theta with z = M^-1 r (or
+	// r unpreconditioned)
 	if err := a.Apply(t, x); err != nil {
 		return e.res, iterErr("chebyshev", 0, err)
 	}
-	if err := core.Waxpby(r, 1, b, -1, t, w); err != nil {
-		return e.res, iterErr("chebyshev", 0, err)
-	}
-	rr0, err := e.dot(r, r)
+	rr0, err := e.updateNorm(r, 1, b, -1, t)
 	if err != nil {
 		return e.res, iterErr("chebyshev", 0, err)
 	}
@@ -61,10 +58,7 @@ func Chebyshev(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 	e.protect(x, r, p)
 	e.state(&c.rho, &rr0)
 	return e.run(func(it int) (bool, error) {
-		if err := c.step(x, r, p); err != nil {
-			return false, err
-		}
-		rr, err := e.dot(r, r)
+		rr, err := c.step(x, r, p, true)
 		if err != nil {
 			return false, err
 		}
@@ -77,19 +71,21 @@ func Chebyshev(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 // eigenvalue interval [eigMin, eigMax], shared by the Chebyshev solver
 // and PPCG's polynomial preconditioner. The caller owns x, r and p; t
 // (and z, when pre is set) are scratch. rho is the recurrence's scalar
-// state, which the Chebyshev solver checkpoints with x, r and p.
+// state, which the Chebyshev solver checkpoints with x, r and p. Its
+// vector passes run under opt, whose decomposition a returned r.r
+// reduces over.
 type chebRecurrence struct {
 	a                        Operator
 	pre                      Preconditioner
 	theta, delta, sigma, rho float64
-	w                        int
+	opt                      core.FusedOptions
 	t, z                     *core.Vector
 }
 
-func newChebRecurrence(a Operator, pre Preconditioner, eigMin, eigMax float64, w int, t, z *core.Vector) *chebRecurrence {
+func newChebRecurrence(a Operator, pre Preconditioner, eigMin, eigMax float64, opt core.FusedOptions, t, z *core.Vector) *chebRecurrence {
 	theta := (eigMax + eigMin) / 2
 	delta := (eigMax - eigMin) / 2
-	return &chebRecurrence{a: a, pre: pre, theta: theta, delta: delta, sigma: theta / delta, w: w, t: t, z: z}
+	return &chebRecurrence{a: a, pre: pre, theta: theta, delta: delta, sigma: theta / delta, opt: opt, t: t, z: z}
 }
 
 // smooth returns z = M^-1 r, or r itself unpreconditioned.
@@ -107,29 +103,39 @@ func (c *chebRecurrence) start(r, p *core.Vector) error {
 		return err
 	}
 	c.rho = 1 / c.sigma
-	return core.Waxpby(p, 1/c.theta, z, 0, z, c.w)
+	_, err = core.Pass(c.opt, core.DotOf{}, core.Lin{Dst: p, A: 1 / c.theta, X: z, B: 0, Y: z})
+	return err
 }
 
-// step advances the recurrence once: x += p ; r -= A p ; then
-// p = rho' rho p + (2 rho' / delta) z with rho' = 1 / (2 sigma - rho).
-func (c *chebRecurrence) step(x, r, p *core.Vector) error {
-	if err := core.Axpy(x, 1, p, c.w); err != nil {
-		return err
-	}
+// step advances the recurrence once in two vector passes: r -= A p,
+// returning r.r when norm is set; then x += p and
+// p = rho' rho p + (2 rho' / delta) z with rho' = 1 / (2 sigma - rho),
+// which read the old p once. Nothing in between reads x, and no
+// checkpoint or state hook falls inside a step, so updating x last
+// changes no iterate and no snapshot.
+func (c *chebRecurrence) step(x, r, p *core.Vector, norm bool) (float64, error) {
 	if err := c.a.Apply(c.t, p); err != nil {
-		return err
+		return 0, err
 	}
-	if err := core.Axpy(r, -1, c.t, c.w); err != nil {
-		return err
+	var dot core.DotOf
+	if norm {
+		dot = core.DotOf{A: r, B: r}
+	}
+	rr, err := core.Pass(c.opt, dot, core.Lin{Dst: r, A: -1, X: c.t, B: 1, Y: r})
+	if err != nil {
+		return 0, err
 	}
 	z, err := c.smooth(r)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	rhoNew := 1 / (2*c.sigma - c.rho)
-	if err := core.Waxpby(p, rhoNew*c.rho, p, 2*rhoNew/c.delta, z, c.w); err != nil {
-		return err
+	_, err = core.Pass(c.opt, core.DotOf{},
+		core.Lin{Dst: x, A: 1, X: p, B: 1, Y: x},
+		core.Lin{Dst: p, A: rhoNew * c.rho, X: p, B: 2 * rhoNew / c.delta, Y: z})
+	if err != nil {
+		return 0, err
 	}
 	c.rho = rhoNew
-	return nil
+	return rr, nil
 }

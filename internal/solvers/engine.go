@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"abft/internal/core"
-	"abft/internal/par"
 )
 
 // checkpoint is one snapshot of the solver's live state: protected
@@ -49,12 +48,11 @@ type engine struct {
 	spare   []*core.Vector
 	hasCkpt bool
 
-	// band is the operator's band decomposition (nil for a flat one):
-	// bands its ranges, which per-band checkpoint copies follow, and fuse
-	// the fused-kernel options mirroring its dot reduction (initFuse).
-	band  BandedOperator
-	bands [][2]int
-	fuse  core.FusedOptions
+	// band is the operator's band decomposition (nil for a flat one) and
+	// fuse the options of every vector pass, mirroring its dot reduction
+	// (initFuse).
+	band BandedOperator
+	fuse core.FusedOptions
 	// dots are product's requests for p . w, one per column.
 	dots []core.DotRequest
 }
@@ -143,16 +141,11 @@ func (e *engine) product(w, p *core.MultiVector, pws []float64) error {
 func (e *engine) converged(rr, rr0 float64) bool { return converged(rr, rr0, e.opt) }
 
 // copyVec transfers src into dst through the verified read / re-encode
-// path: per band on per-band goroutines when the operator is banded,
-// through the flat Copy kernel otherwise. Band boundaries are aligned
-// to the codeword block, so per-band copies never share a block.
+// path: one pass under the solve's decomposition, so a banded operator's
+// vectors copy per band on per-band goroutines.
 func (e *engine) copyVec(dst, src *core.Vector) error {
-	if len(e.bands) < 2 {
-		return core.Copy(dst, src, e.w)
-	}
-	return par.Run(e.bands, func(lo, hi int) error {
-		return core.CopyBlocks(dst, src, lo/core.BlockLen, (hi+core.BlockLen-1)/core.BlockLen)
-	})
+	_, err := e.pass(core.DotOf{}, core.Lin{Dst: dst, X: src})
+	return err
 }
 
 // snapshot copies every registered vector and scalar into the protected

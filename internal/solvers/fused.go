@@ -2,19 +2,17 @@ package solvers
 
 import "abft/internal/core"
 
-// Fused-kernel routing. The CG-family recurrences run their tails on
-// core.FusedAxpyDot / core.FusedUpdateNorm — one verified decode per
-// block per iteration instead of one per kernel — with options that
-// mirror the reduction e.dot uses, so every iterate bit is the one the
-// unfused sequence would produce:
+// Vector-pass routing. Every solver's vector updates run as core.Pass —
+// one verified decode per block per pass instead of one per kernel —
+// with options that mirror the reduction e.dot uses, so a dot a pass
+// returns is bit for bit the one e.dot would compute after it:
 //
-//   - flat operators reduce in range order (core.Dot), which the fused
-//     kernels reproduce with the same par.Ranges split;
+//   - flat operators reduce in range order (core.Dot), which a pass
+//     reproduces with the same par.Ranges split;
 //   - banded operators (the sharded composite, directly or through a
 //     wrapper that forwards BandedOperator) reduce per-band partials
-//     through a pairwise binary tree (shard.Operator.Dot), which the
-//     fused kernels reproduce from the band structure converted to block
-//     ranges.
+//     through a pairwise binary tree (shard.Operator.Dot), which a pass
+//     reproduces from the band structure converted to block ranges.
 //
 // The options are chosen once per solve in initFuse.
 func (e *engine) initFuse() {
@@ -22,8 +20,7 @@ func (e *engine) initFuse() {
 		e.fuse = core.FusedOptions{Workers: e.w}
 		return
 	}
-	e.bands = e.band.BandRanges()
-	e.fuse = core.FusedOptions{BlockBands: blockBandsOf(e.bands), TreeReduce: true}
+	e.fuse = core.FusedOptions{BlockBands: blockBandsOf(e.band.BandRanges()), TreeReduce: true}
 }
 
 // blockBandsOf converts row-band ranges to codeword-block ranges. Band
@@ -35,6 +32,11 @@ func blockBandsOf(bands [][2]int) [][2]int {
 		out[i] = [2]int{bd[0] / core.BlockLen, (bd[1] + core.BlockLen - 1) / core.BlockLen}
 	}
 	return out
+}
+
+// pass runs one core.Pass under the solve's decomposition.
+func (e *engine) pass(dot core.DotOf, outs ...core.Lin) (float64, error) {
+	return core.Pass(e.fuse, dot, outs...)
 }
 
 // axpyDot performs the CG tail — x += alpha*p; r -= alpha*q; r.r — in

@@ -22,9 +22,7 @@ func Jacobi(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	w := e.w
-
-	pre, err := NewJacobiPreconditioner(a, w)
+	pre, err := NewJacobiPreconditioner(a, e.w)
 	if err != nil {
 		return e.res, err
 	}
@@ -38,10 +36,7 @@ func Jacobi(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 		if err := a.Apply(t, x); err != nil {
 			return false, err
 		}
-		if err := core.Waxpby(r, 1, b, -1, t, w); err != nil {
-			return false, err
-		}
-		rr, err := e.dot(r, r)
+		rr, err := e.updateNorm(r, 1, b, -1, t)
 		if err != nil {
 			return false, err
 		}
@@ -55,7 +50,7 @@ func Jacobi(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 		if err := pre.Apply(t, r); err != nil {
 			return false, err
 		}
-		if err := core.Axpy(x, 1, t, w); err != nil {
+		if _, err := e.pass(core.DotOf{}, core.Lin{Dst: x, A: 1, X: t, B: 1, Y: x}); err != nil {
 			return false, err
 		}
 		return false, nil

@@ -13,7 +13,7 @@ type chebPreconditioner struct {
 
 func newChebPreconditioner(a Operator, model *core.Vector, eigMin, eigMax float64, steps, workers int) *chebPreconditioner {
 	return &chebPreconditioner{
-		cheb:  newChebRecurrence(a, nil, eigMin, eigMax, workers, newTemp(model), nil),
+		cheb:  newChebRecurrence(a, nil, eigMin, eigMax, core.FusedOptions{Workers: workers}, newTemp(model), nil),
 		steps: steps,
 		rr:    newTemp(model),
 		p:     newTemp(model),
@@ -24,14 +24,14 @@ func newChebPreconditioner(a Operator, model *core.Vector, eigMin, eigMax float6
 // `steps` polynomial corrections toward A^-1 r.
 func (c *chebPreconditioner) Apply(z, r *core.Vector) error {
 	z.Fill(0)
-	if err := core.Copy(c.rr, r, c.cheb.w); err != nil {
+	if _, err := core.Pass(c.cheb.opt, core.DotOf{}, core.Lin{Dst: c.rr, X: r}); err != nil {
 		return err
 	}
 	if err := c.cheb.start(c.rr, c.p); err != nil {
 		return err
 	}
 	for j := 0; j < c.steps; j++ {
-		if err := c.cheb.step(z, c.rr, c.p); err != nil {
+		if _, err := c.cheb.step(z, c.rr, c.p, false); err != nil {
 			return err
 		}
 	}
