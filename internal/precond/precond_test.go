@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -179,6 +180,129 @@ func TestSingleFlipHandled(t *testing.T) {
 			t.Fatalf("repair not committed: corrected=%d err=%v", corrected, err)
 		}
 	})
+}
+
+// TestApplyReadCountsPinned pins what one Apply reads, per kind, state
+// scheme and read mode: the exact codeword checks, corrections and
+// detections counted against the state vector and against r, with one
+// correctable flip planted in the state. The verifying modes correct it
+// (exclusive in storage, shared in the returned values only) and z is
+// the clean product; unverified mode leaves the state's storage and
+// counters untouched and z is the product over the masked stored state,
+// flip included. The 12x9 operator has 14 vector blocks; block-Jacobi's
+// state holds 56.
+func TestApplyReadCountsPinned(t *testing.T) {
+	type pin struct {
+		kind   Kind
+		scheme core.Scheme
+		mode   core.ReadMode
+		state  core.CounterSnapshot
+		r      uint64
+	}
+	var pins []pin
+	for _, s := range []core.Scheme{core.SECDED64, core.CRC32C} {
+		perBlock := map[core.Scheme]uint64{core.SECDED64: 8, core.CRC32C: 1}[s]
+		for _, k := range ProtectingKinds {
+			stateBlocks := map[Kind]uint64{Jacobi: 14, BlockJacobi: 56, SGS: 14}[k]
+			verified := core.CounterSnapshot{Checks: stateBlocks * perBlock, Corrected: 1}
+			pins = append(pins,
+				pin{k, s, core.ModeExclusive, verified, 14 * perBlock},
+				pin{k, s, core.ModeShared, verified, 14 * perBlock},
+				pin{k, s, core.ModeUnverified, core.CounterSnapshot{}, 14 * perBlock})
+		}
+	}
+	src := testMatrix()
+	rs := refVector(src.Rows())
+	for _, pn := range pins {
+		t.Run(fmt.Sprintf("%v_%v_%v", pn.kind, pn.scheme, pn.mode), func(t *testing.T) {
+			p, err := New(pn.kind, src, Options{Scheme: pn.scheme})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetReadMode(pn.mode)
+			st := p.RawState()[0]
+			var sc, rc core.Counters
+			st.SetCounters(&sc)
+			st.Raw()[0] ^= 1 << 40
+			struck := append([]uint64(nil), st.Raw()...)
+			r := core.VectorFromSlice(rs, pn.scheme)
+			r.SetCounters(&rc)
+			z := core.NewVector(src.Rows(), core.None)
+			if err := p.Apply(z, r); err != nil {
+				t.Fatal(err)
+			}
+			if got := sc.Snapshot(); got != pn.state {
+				t.Errorf("state counters %+v, want %+v", got, pn.state)
+			}
+			if got := rc.Snapshot(); got != (core.CounterSnapshot{Checks: pn.r}) {
+				t.Errorf("r counters %+v, want %d checks", got, pn.r)
+			}
+			repaired := !slices.Equal(st.Raw(), struck)
+			if repaired != (pn.mode == core.ModeExclusive) {
+				t.Errorf("state storage repaired = %v in %v mode", repaired, pn.mode)
+			}
+			want := refApply(t, pn.kind, src, rs)
+			if pn.mode == core.ModeUnverified {
+				want = storedStateApply(pn.kind, src, st, rs)
+			}
+			got := make([]float64, src.Rows())
+			if err := z.CopyTo(got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-11*math.Max(1, math.Abs(want[i])) {
+					t.Fatalf("row %d: got %v want %v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// storedStateApply computes z = M^-1 r for kind with the preconditioner
+// state taken as st stores it, masked and undecoded: what an unverified
+// Apply must produce whatever flips the storage holds.
+func storedStateApply(kind Kind, src *csr.Matrix, st *core.Vector, r []float64) []float64 {
+	state := make([]float64, len(st.Raw()))
+	for i, w := range st.Raw() {
+		state[i] = st.Mask(math.Float64frombits(w))
+	}
+	n := src.Rows()
+	z := make([]float64, n)
+	switch kind {
+	case Jacobi:
+		for i := range z {
+			z[i] = state[i] * r[i]
+		}
+	case BlockJacobi:
+		for i := range z {
+			b := i / diagBlock * diagBlock
+			row := state[i*diagBlock:]
+			for c := 0; c < diagBlock && b+c < n; c++ {
+				z[i] += row[c] * r[b+c]
+			}
+		}
+	case SGS:
+		y := make([]float64, n)
+		for i := 0; i < n; i++ {
+			s := r[i]
+			for k := src.RowPtr[i]; k < src.RowPtr[i+1]; k++ {
+				if c := int(src.Cols[k]); c < i {
+					s -= src.Vals[k] * y[c]
+				}
+			}
+			y[i] = s * state[i]
+		}
+		for i := n - 1; i >= 0; i-- {
+			var s float64
+			for k := src.RowPtr[i]; k < src.RowPtr[i+1]; k++ {
+				if c := int(src.Cols[k]); c > i {
+					s += src.Vals[k] * z[c]
+				}
+			}
+			z[i] = y[i] - state[i]*s
+		}
+	}
+	return z
 }
 
 // TestDoubleFlipDetected: two flips in one SECDED64 codeword of the
