@@ -94,7 +94,7 @@ func NewProtectedMatrix(f Format, src *CSRMatrix, opt FormatOptions) (ProtectedM
 // codewords — the trust ladder of the read path.
 type ReadMode = core.ReadMode
 
-// Read modes for ProtectedMatrix.SetReadMode and Vector reads.
+// Read modes for ProtectedMatrix.SetReadMode and Vector.Read.
 const (
 	// ModeExclusive verifies every codeword and commits repairs in
 	// place (the default; requires exclusive ownership of the storage).

@@ -151,16 +151,14 @@ func (s *sources) decode(xs []*Vector, unverified bool) error {
 	if cap(s.flat) < len(xs)*n {
 		s.flat = make([]float64, len(xs)*n)
 	}
+	mode := ModeExclusive
+	if unverified {
+		mode = ModeUnverified
+	}
 	s.cols = s.cols[:0]
 	for j, x := range xs {
 		buf := s.flat[j*n : (j+1)*n]
-		var err error
-		if unverified {
-			err = x.ReadBlocksUnverifiedInto(0, blocks, buf)
-		} else {
-			err = x.ReadBlocksInto(0, blocks, buf)
-		}
-		if err != nil {
+		if err := x.Read(0, blocks, buf, mode); err != nil {
 			return err
 		}
 		s.cols = append(s.cols, buf)

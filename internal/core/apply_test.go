@@ -24,7 +24,7 @@ func TestMultiVectorBasics(t *testing.T) {
 	}
 	buf := make([]float64, mv.Blocks()*BlockLen)
 	for j := 0; j < 3; j++ {
-		if err := mv.Col(j).ReadBlocksInto(0, mv.Blocks(), buf); err != nil {
+		if err := mv.Col(j).Read(0, mv.Blocks(), buf, ModeExclusive); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {

@@ -200,12 +200,12 @@ func TestCRCVectorBlockConformsToSerialisingOracle(t *testing.T) {
 
 				var gotDst, wantDst [BlockLen]float64
 				wantErr := oracleReadCRCBlock(oracleWords[:], &wantDst, commit, backend, &want)
-				var gotErr error
-				if commit {
-					gotErr = v.ReadBlock(0, &gotDst)
-				} else {
-					gotErr = v.ReadBlockShared(0, &gotDst)
+				want.AddChecks(1) // Read counts the block's one check itself
+				mode := ModeExclusive
+				if !commit {
+					mode = ModeShared
 				}
+				gotErr := v.Read(0, 1, gotDst[:], mode)
 
 				name := fmt.Sprintf("%v commit=%v flips=%v", backend, commit, flips)
 				var fe *FaultError
@@ -305,10 +305,10 @@ func TestVectorBlockOpsZeroAllocs(t *testing.T) {
 			batch := make([]float64, 8*BlockLen)
 			var err error
 			ops := map[string]func(){
-				"ReadBlock":       func() { err = v.ReadBlock(3, &blk) },
-				"ReadBlockShared": func() { err = v.ReadBlockShared(3, &blk) },
-				"WriteBlock":      func() { v.WriteBlock(5, &blk) },
-				"ReadBlocksInto":  func() { err = v.ReadBlocksInto(2, 10, batch) },
+				"Read exclusive": func() { err = v.Read(3, 4, blk[:], ModeExclusive) },
+				"Read shared":    func() { err = v.Read(3, 4, blk[:], ModeShared) },
+				"WriteBlock":     func() { v.WriteBlock(5, &blk) },
+				"Read of a run":  func() { err = v.Read(2, 10, batch, ModeExclusive) },
 			}
 			for name, op := range ops {
 				if n := testing.AllocsPerRun(50, op); n != 0 || err != nil {
@@ -365,7 +365,7 @@ func TestVectorCheckAllDoesNotRaceWithSharedReaders(t *testing.T) {
 				defer wg.Done()
 				dst := make([]float64, v.Blocks()*BlockLen)
 				for pass := 0; pass < 50; pass++ {
-					if err := v.ReadBlocksSharedInto(0, v.Blocks(), dst); err != nil {
+					if err := v.Read(0, v.Blocks(), dst, ModeShared); err != nil {
 						t.Error(err)
 						return
 					}
@@ -447,7 +447,7 @@ func BenchmarkVectorBlockCRC32C(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(BlockLen * 8)
 			for i := 0; i < b.N; i++ {
-				if err := v.ReadBlock(i%nb, &blk); err != nil {
+				if err := v.Read(i%nb, i%nb+1, blk[:], ModeExclusive); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -202,7 +202,7 @@ func (ep *DotEpilogue) reduce() error {
 			}
 			var xb [BlockLen]float64
 			for blk := lo; blk < hi; blk++ {
-				x.ReadBlockNoCheck(blk, &xb)
+				x.payload(blk, &xb)
 				wb := w[blk*BlockLen : (blk+1)*BlockLen]
 				for i, xe := range xb {
 					s += xe * wb[i]

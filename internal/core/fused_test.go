@@ -159,7 +159,7 @@ func TestFusedTreeReduceMatchesBandedReference(t *testing.T) {
 			var rv [BlockLen]float64
 			var sum float64
 			for blk := bd[0]; blk < bd[1]; blk++ {
-				if err := r.ReadBlock(blk, &rv); err != nil {
+				if err := r.Read(blk, blk+1, rv[:], ModeExclusive); err != nil {
 					t.Fatal(err)
 				}
 				for _, v := range rv {

@@ -228,7 +228,7 @@ func (p *pass) run(lo, hi int) (float64, error) {
 	for blk := lo; blk < hi; blk++ {
 		for k, v := range p.src[:p.ns] {
 			if !verify {
-				v.ReadBlockNoCheck(blk, &buf[k])
+				v.payload(blk, &buf[k])
 			} else if err := v.readBlock(blk, &buf[k], commit); err != nil {
 				return 0, err
 			}
@@ -246,7 +246,7 @@ func (p *pass) run(lo, hi int) (float64, error) {
 			}
 			o.dst.WriteBlock(blk, w)
 			if o.dotted {
-				o.dst.ReadBlockNoCheck(blk, &buf[outSlot+j])
+				o.dst.payload(blk, &buf[outSlot+j])
 			}
 		}
 		if p.dot {

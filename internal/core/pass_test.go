@@ -115,7 +115,7 @@ func TestPassCopyIsVerbatim(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got [BlockLen]float64
-		if err := dst.ReadBlock(0, &got); err != nil {
+		if err := dst.Read(0, 1, got[:], ModeExclusive); err != nil {
 			t.Fatal(err)
 		}
 		if bits := math.Float64bits(got[1]); bits != snan {

@@ -17,7 +17,7 @@ import "fmt"
 // always streamable. In shared mode (Matrix.SetReadMode(ModeShared))
 // nothing is ever written back; a row whose verify found a correction it
 // could not commit is staged through ColElems.DecodeLocal — the
-// matrix-element analogue of Vector.ReadBlockShared — so the visitor
+// matrix-element analogue of a shared-mode Vector.Read — so the visitor
 // still receives the corrected values while the stored fault stays for
 // the owner's Scrub to clear.
 //

@@ -79,7 +79,7 @@ func TestRowScannerMatchesReference(t *testing.T) {
 // TestRowScannerSharedUsesCorrectedValues pins the shared-mode
 // contract: a correctable flip is never committed, but the visitor
 // receives the corrected value — the matrix-element analogue of
-// Vector.ReadBlockShared.
+// a shared-mode Vector.Read.
 func TestRowScannerSharedUsesCorrectedValues(t *testing.T) {
 	for _, s := range []Scheme{SECDED64, SECDED128, CRC32C} {
 		clean := scannerMatrix(t, s, s)

@@ -406,8 +406,8 @@ func TestVectorBlockOpsZeroAllocsOnFaultyBlock(t *testing.T) {
 		v.Raw()[3*BlockLen+2] ^= 1 << 29
 		var blk [BlockLen]float64
 		var err error
-		if n := testing.AllocsPerRun(50, func() { err = v.ReadBlockShared(3, &blk) }); n != 0 || err != nil {
-			t.Errorf("%v: ReadBlockShared of a struck block allocates %v times per call (err %v), want 0", s, n, err)
+		if n := testing.AllocsPerRun(50, func() { err = v.Read(3, 4, blk[:], ModeShared) }); n != 0 || err != nil {
+			t.Errorf("%v: a shared Read of a struck block allocates %v times per call (err %v), want 0", s, n, err)
 		}
 		if c.Corrected() == 0 {
 			t.Errorf("%v: the struck block never took the cold path", s)

@@ -24,8 +24,8 @@ const BlockLen = 8
 // perturbation at 2^-(52-reserved) relative; writes mask before encoding.
 //
 // The natural unit of access is the codeword group (1, 2 or 8 elements
-// depending on scheme). ReadBlock/WriteBlock move whole blocks and are
-// what the kernels use; At/Set are the random-access paths, with Set
+// depending on scheme). Read/WriteBlock move whole blocks and are what
+// the kernels use; At/Set are the random-access paths, with Set
 // paying the read-modify-write penalty the paper's buffered kernels
 // avoid.
 //
@@ -165,19 +165,11 @@ func (v *Vector) WriteBlock(b int, src *[BlockLen]float64) {
 	}
 }
 
-// ReadBlock verifies block b, correcting single-bit errors in place when
-// the scheme allows, and stores the masked values in dst. On an
-// uncorrectable error dst is left in an unspecified state and a
-// *FaultError is returned.
-func (v *Vector) ReadBlock(b int, dst *[BlockLen]float64) error {
-	return v.readBlock(b, dst, true)
-}
-
-// readBlock is ReadBlock with control over whether corrections are written
-// back to storage. Parallel kernels read shared vectors with commit=false
-// so that only the owning goroutine ever writes a block; the corrected
-// values are still used for computation and the stored fault is repaired
-// by the next serial check.
+// readBlock verifies block b, correcting single-bit errors in the values
+// it stores in dst and, when commit is true, in storage; it counts no
+// checks (its callers count per span). Readers that may share a block
+// with other goroutines pass commit=false, so only the owner ever writes
+// it; the stored fault is repaired by the next committing check.
 func (v *Vector) readBlock(b int, dst *[BlockLen]float64, commit bool) error {
 	return v.readBlockCounting(b, dst, commit, v.counters)
 }
@@ -336,78 +328,44 @@ func correctCRCVecBlock(w *[BlockLen]uint64, msg []byte, stored, computed uint32
 	return true
 }
 
-// ReadBlockShared is ReadBlock for vectors read concurrently by several
-// goroutines: the block is fully verified and corrections are used for
-// the returned values (and counted), but never written back to storage,
-// so concurrent readers of one block never race. The stored fault is
-// left for the owning goroutine's next serial check or re-encode to
-// clear. The sharded operator's halo exchange packs neighbour data
-// through this path.
-func (v *Vector) ReadBlockShared(b int, dst *[BlockLen]float64) error {
-	return v.readBlock(b, dst, false)
-}
-
-// ReadBlocksInto verifies blocks [b0,b1) and stores their masked values
-// into dst, which must hold at least (b1-b0)*BlockLen elements. It is the
-// block-verified sweep primitive: one call verifies a whole contiguous
-// span and batches the check accounting into the counters once, instead
-// of per-block atomic updates. Corrections are committed to storage.
-// Callers that sweep many consecutive blocks (preconditioner decodes,
-// halo packing) use it in place of per-block ReadBlock loops.
-func (v *Vector) ReadBlocksInto(b0, b1 int, dst []float64) error {
-	return v.readBlocks(b0, b1, dst, true)
-}
-
-// ReadBlocksSharedInto is ReadBlocksInto under the no-commit discipline
-// of ReadBlockShared: corrections are used for the returned values (and
-// counted) but never written back, so concurrent readers never race.
-func (v *Vector) ReadBlocksSharedInto(b0, b1 int, dst []float64) error {
-	return v.readBlocks(b0, b1, dst, false)
-}
-
-func (v *Vector) readBlocks(b0, b1 int, dst []float64, commit bool) error {
+// Read stores the masked values of blocks [b0, b1) in dst, which must
+// hold at least (b1-b0)*BlockLen elements: the one read of a protected
+// vector. Range and length errors are reported in every mode. Under the
+// verifying modes every codeword of the span is checked, single-bit
+// errors are repaired in the returned values — and in storage when
+// mode.Commits() — and the span's checks are counted once per call: a
+// read counts its own checks. On an uncorrectable error dst is left in an
+// unspecified state and a *FaultError is returned. Under ModeUnverified,
+// and for scheme None, which has nothing to verify, the masked payload is
+// copied with no decode, no commit and no counting, so it never races a
+// verified reader of the same storage.
+func (v *Vector) Read(b0, b1 int, dst []float64, mode ReadMode) error {
 	if b0 < 0 || b1 > v.Blocks() || b0 > b1 {
 		return fmt.Errorf("core: block range [%d,%d) out of range [0,%d)", b0, b1, v.Blocks())
 	}
 	if len(dst) < (b1-b0)*BlockLen {
-		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), (b1-b0)*BlockLen)
+		return fmt.Errorf("core: Read destination too short: %d < %d", len(dst), (b1-b0)*BlockLen)
 	}
-	if v.scheme == None {
-		return v.ReadBlocksUnverifiedInto(b0, b1, dst) // nothing to verify: one plain copy
+	if !mode.Verifies() || v.scheme == None {
+		mask := v.scheme.vecMask()
+		for i, w := range v.words[b0*BlockLen : b1*BlockLen] {
+			dst[i] = math.Float64frombits(w & mask)
+		}
+		return nil
 	}
 	v.counters.AddChecks(uint64(b1-b0) * v.checksPerBlock())
 	for b := b0; b < b1; b++ {
-		if err := v.readBlock(b, (*[BlockLen]float64)(dst[(b-b0)*BlockLen:]), commit); err != nil {
+		if err := v.readBlock(b, (*[BlockLen]float64)(dst[(b-b0)*BlockLen:]), mode.Commits()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReadBlocksUnverifiedInto streams the masked payload of blocks [b0,b1)
-// into dst with no codeword decode at all: ModeUnverified's block-sweep
-// primitive. Range and length errors are still reported — the unverified
-// contract drops integrity checks, not memory safety — but nothing is
-// verified, nothing is committed, and the check counters are untouched,
-// so concurrent verified readers of the same storage never race with it.
-func (v *Vector) ReadBlocksUnverifiedInto(b0, b1 int, dst []float64) error {
-	if b0 < 0 || b1 > v.Blocks() || b0 > b1 {
-		return fmt.Errorf("core: block range [%d,%d) out of range [0,%d)", b0, b1, v.Blocks())
-	}
-	if len(dst) < (b1-b0)*BlockLen {
-		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), (b1-b0)*BlockLen)
-	}
-	mask := v.scheme.vecMask()
-	for i, w := range v.words[b0*BlockLen : b1*BlockLen] {
-		dst[i] = math.Float64frombits(w & mask)
-	}
-	return nil
-}
-
-// ReadBlockNoCheck returns the masked values of block b without integrity
-// checking; the less-frequent-checking mode uses it for vectors that are
-// known-clean within the interval. Exposed for kernels and tests.
-func (v *Vector) ReadBlockNoCheck(b int, dst *[BlockLen]float64) {
+// payload stores the masked values of block b in dst with no decode and
+// no counting: a pass's per-block unverified read, and the read-back of
+// a block a kernel has just written.
+func (v *Vector) payload(b int, dst *[BlockLen]float64) {
 	base := b * BlockLen
 	mask := v.scheme.vecMask()
 	for i := range dst {
@@ -421,8 +379,8 @@ func (v *Vector) At(i int) (float64, error) {
 		return 0, fmt.Errorf("core: vector index %d out of range [0,%d)", i, v.n)
 	}
 	var buf [BlockLen]float64
-	v.counters.AddChecks(v.checksPerBlock())
-	if err := v.ReadBlock(i/BlockLen, &buf); err != nil {
+	b := i / BlockLen
+	if err := v.Read(b, b+1, buf[:], ModeExclusive); err != nil {
 		return 0, err
 	}
 	return buf[i%BlockLen], nil
@@ -437,8 +395,7 @@ func (v *Vector) Set(i int, x float64) error {
 	}
 	var buf [BlockLen]float64
 	b := i / BlockLen
-	v.counters.AddChecks(v.checksPerBlock())
-	if err := v.ReadBlock(b, &buf); err != nil {
+	if err := v.Read(b, b+1, buf[:], ModeExclusive); err != nil {
 		return err
 	}
 	buf[i%BlockLen] = x
@@ -453,7 +410,7 @@ func (v *Vector) Set(i int, x float64) error {
 func (v *Vector) CheckAll() (corrected int, err error) {
 	// Count into a local accumulator: the tally is exact even for
 	// untracked vectors or counters shared with concurrent work, and v is
-	// only read, so a scrub never races with ReadBlockShared readers.
+	// only read, so a scrub never races with shared-mode readers.
 	var acc Counters
 	var buf [BlockLen]float64
 	for b := 0; b < v.Blocks(); b++ {
@@ -468,40 +425,21 @@ func (v *Vector) CheckAll() (corrected int, err error) {
 }
 
 // CopyTo writes the masked logical contents into dst, which must have
-// length >= Len. The integrity of every codeword is verified.
+// length >= Len: Read of the whole blocks straight into dst, then of the
+// partial tail block through a buffer, verified and committed.
 func (v *Vector) CopyTo(dst []float64) error {
 	if len(dst) < v.n {
 		return fmt.Errorf("core: CopyTo destination too short: %d < %d", len(dst), v.n)
 	}
-	v.counters.AddChecks(uint64(v.Blocks()) * v.checksPerBlock())
-	var buf [BlockLen]float64
-	for b := 0; b < v.Blocks(); b++ {
-		if err := v.ReadBlock(b, &buf); err != nil {
-			return err
-		}
-		lo := b * BlockLen
-		for i := 0; i < BlockLen && lo+i < v.n; i++ {
-			dst[lo+i] = buf[i]
-		}
+	full := v.n / BlockLen
+	if err := v.Read(0, full, dst, ModeExclusive); err != nil || full == v.Blocks() {
+		return err
 	}
-	return nil
-}
-
-// CopyToUnverified is CopyTo with no codeword decode: the masked payload
-// streams out as stored, nothing is verified or committed, and the check
-// counters are untouched. It is the whole-vector read of ModeUnverified.
-func (v *Vector) CopyToUnverified(dst []float64) error {
-	if len(dst) < v.n {
-		return fmt.Errorf("core: CopyTo destination too short: %d < %d", len(dst), v.n)
+	var tail [BlockLen]float64
+	if err := v.Read(full, full+1, tail[:], ModeExclusive); err != nil {
+		return err
 	}
-	var buf [BlockLen]float64
-	for b := 0; b < v.Blocks(); b++ {
-		v.ReadBlockNoCheck(b, &buf)
-		lo := b * BlockLen
-		for i := 0; i < BlockLen && lo+i < v.n; i++ {
-			dst[lo+i] = buf[i]
-		}
-	}
+	copy(dst[full*BlockLen:v.n], tail[:])
 	return nil
 }
 

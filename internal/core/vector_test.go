@@ -264,7 +264,7 @@ func TestVectorReadBlockNoCheck(t *testing.T) {
 	v := VectorFromSlice([]float64{1, 2, 3, 4}, SED)
 	v.Raw()[0] ^= 1 << 10 // corrupt; NoCheck must not care
 	var buf [BlockLen]float64
-	v.ReadBlockNoCheck(0, &buf)
+	v.payload(0, &buf)
 	if buf[1] != v.Mask(2) {
 		t.Fatalf("NoCheck read wrong: %v", buf)
 	}

@@ -143,27 +143,29 @@ func (p *blockJacobiPre) Apply(z, r *core.Vector) error {
 			z.Len(), r.Len(), p.rows)
 	}
 	return par.Run(p.bands, func(lo, hi int) error {
-		var rv, out [core.BlockLen]float64
+		var rv [chunk * core.BlockLen]float64
+		var out [core.BlockLen]float64
 		// The inverses of the diagonal blocks one vector block of r holds
-		// span diagBlock consecutive vector blocks of inv, batch-verified
-		// in a single ReadBlocks call.
+		// span diagBlock consecutive vector blocks of inv, read in one
+		// call.
 		var iv [core.BlockLen * diagBlock]float64
-		b0 := lo / core.BlockLen
-		nb := (hi - lo + core.BlockLen - 1) / core.BlockLen
-		vecChecks(r, nb)
-		for blk := b0; blk < b0+nb; blk++ {
-			if err := r.ReadBlock(blk, &rv); err != nil {
+		b1 := (hi + core.BlockLen - 1) / core.BlockLen
+		for c0 := lo / core.BlockLen; c0 < b1; c0 += chunk {
+			c1 := min(c0+chunk, b1)
+			if err := r.Read(c0, c1, rv[:], core.ModeExclusive); err != nil {
 				return err
 			}
-			if err := readBlocks(p.inv, blk*diagBlock, (blk+1)*diagBlock, iv[:], p.mode); err != nil {
-				return err
+			for blk := c0; blk < c1; blk++ {
+				if err := p.inv.Read(blk*diagBlock, (blk+1)*diagBlock, iv[:], p.mode); err != nil {
+					return err
+				}
+				for i := range out {
+					row := iv[i*diagBlock:]
+					x := rv[(blk-c0)*core.BlockLen+i/diagBlock*diagBlock:]
+					out[i] = row[0]*x[0] + row[1]*x[1] + row[2]*x[2] + row[3]*x[3]
+				}
+				z.WriteBlock(blk, &out)
 			}
-			for i := range out {
-				row := iv[i*diagBlock:]
-				x := rv[i/diagBlock*diagBlock:]
-				out[i] = row[0]*x[0] + row[1]*x[1] + row[2]*x[2] + row[3]*x[3]
-			}
-			z.WriteBlock(blk, &out)
 		}
 		return nil
 	})

@@ -37,22 +37,21 @@ func (p *jacobiPre) Apply(z, r *core.Vector) error {
 			z.Len(), r.Len(), p.rows)
 	}
 	return par.ForEach(p.inv.Blocks(), p.workers, 1, func(lo, hi int) error {
-		var dv, rv, out [core.BlockLen]float64
-		if p.mode.Verifies() {
-			vecChecks(p.inv, hi-lo)
-		}
-		vecChecks(r, hi-lo)
-		for blk := lo; blk < hi; blk++ {
-			if err := readBlk(p.inv, blk, &dv, p.mode); err != nil {
+		var dv, rv [chunk * core.BlockLen]float64
+		for c0 := lo; c0 < hi; c0 += chunk {
+			c1 := min(c0+chunk, hi)
+			if err := p.inv.Read(c0, c1, dv[:], p.mode); err != nil {
 				return err
 			}
-			if err := r.ReadBlock(blk, &rv); err != nil {
+			if err := r.Read(c0, c1, rv[:], core.ModeExclusive); err != nil {
 				return err
 			}
-			for i := range out {
-				out[i] = dv[i] * rv[i]
+			for i := range dv[:(c1-c0)*core.BlockLen] {
+				dv[i] *= rv[i]
 			}
-			z.WriteBlock(blk, &out)
+			for blk := c0; blk < c1; blk++ {
+				z.WriteBlock(blk, (*[core.BlockLen]float64)(dv[(blk-c0)*core.BlockLen:]))
+			}
 		}
 		return nil
 	})

@@ -203,71 +203,7 @@ func invertDiagonal(src *csr.Matrix) ([]float64, error) {
 	return d, nil
 }
 
-// readBlk reads one block of a protected state vector under the given
-// read discipline: verified with repairs committed only when the
-// preconditioner is exclusively owned, streamed without decode under
-// ModeUnverified.
-func readBlk(v *core.Vector, blk int, dst *[core.BlockLen]float64, mode core.ReadMode) error {
-	switch mode {
-	case core.ModeUnverified:
-		v.ReadBlockNoCheck(blk, dst)
-		return nil
-	case core.ModeShared:
-		return v.ReadBlockShared(blk, dst)
-	default:
-		return v.ReadBlock(blk, dst)
-	}
-}
-
-// readBlocks is readBlk for the blocks [b0, b1) in one batched call. It
-// calls the read directly rather than through a method value, so a
-// caller's stack buffer handed to it stays on the stack.
-func readBlocks(v *core.Vector, b0, b1 int, dst []float64, mode core.ReadMode) error {
-	switch mode {
-	case core.ModeUnverified:
-		return v.ReadBlocksUnverifiedInto(b0, b1, dst)
-	case core.ModeShared:
-		return v.ReadBlocksSharedInto(b0, b1, dst)
-	default:
-		return v.ReadBlocksInto(b0, b1, dst)
-	}
-}
-
-// vecChecks batches blocks verified reads into v's counters, mirroring
-// the kernels' per-call accounting.
-func vecChecks(v *core.Vector, blocks int) {
-	if s := v.Scheme(); s != core.None {
-		v.Counters().AddChecks(uint64(blocks) * uint64(core.BlockLen/s.VecGroup()))
-	}
-}
-
-// decode reads the whole state vector into dst (len >= v.Len()) under
-// the given read discipline: batch-verified (respecting the shared
-// no-commit rule) for the verifying modes, a raw masked-payload stream
-// under ModeUnverified. Blocks fully covered by dst go through one
-// ReadBlocks sweep; only a partial tail block falls back to a buffered
-// per-block read.
-func decode(v *core.Vector, dst []float64, mode core.ReadMode) error {
-	nb := v.Blocks()
-	full := len(dst) / core.BlockLen
-	if full > nb {
-		full = nb
-	}
-	if err := readBlocks(v, 0, full, dst[:full*core.BlockLen], mode); err != nil {
-		return err
-	}
-	var buf [core.BlockLen]float64
-	if mode.Verifies() {
-		vecChecks(v, nb-full)
-	}
-	for b := full; b < nb; b++ {
-		if err := readBlk(v, b, &buf, mode); err != nil {
-			return err
-		}
-		lo := b * core.BlockLen
-		for i := 0; i < core.BlockLen && lo+i < len(dst); i++ {
-			dst[lo+i] = buf[i]
-		}
-	}
-	return nil
-}
+// chunk is how many vector blocks of r one Read covers in Jacobi's and
+// block-Jacobi's Apply: a stack buffer's worth, so a band's checks are
+// counted once per chunk rather than once per block.
+const chunk = 32

@@ -69,7 +69,7 @@ func (p *sgsPre) getScratch() *sgsScratch {
 		rv:   make([]float64, p.rows),
 		y:    make([]float64, p.rows),
 		zv:   make([]float64, p.rows),
-		invd: make([]float64, p.rows),
+		invd: make([]float64, p.inv.Blocks()*core.BlockLen),
 	}
 }
 
@@ -89,7 +89,7 @@ func (p *sgsPre) Apply(z, r *core.Vector) error {
 	defer p.putScratch(ws)
 	// A fresh sweep re-verifies codewords memoised by a previous one.
 	ws.scan.Reset()
-	if err := decode(p.inv, ws.invd, p.mode); err != nil {
+	if err := p.inv.Read(0, p.inv.Blocks(), ws.invd, p.mode); err != nil {
 		return err
 	}
 	if err := r.CopyTo(ws.rv); err != nil {

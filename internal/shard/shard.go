@@ -492,10 +492,6 @@ func (o *Operator) reducesAs(opt core.FusedOptions) bool {
 	return opt.TreeReduce && slices.Equal(opt.BlockBands, o.reduce.BlockBands)
 }
 
-// blockReader is one of core.Vector's batched block reads: the commit,
-// the shared (no-commit) or the unverified discipline.
-type blockReader func(v *core.Vector, b0, b1 int, dst []float64) error
-
 // applyK is the one pipeline: dsts[j] = A xs[j] for every j through one
 // scatter, one exchange and one local product per band, written through
 // a view into the band's rows of dsts. Width is the only parameter;
@@ -520,9 +516,9 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 	// Each block of the caller's x has one reader, so its repairs commit;
 	// a halo source block may be read by several shards at once, so its
 	// repairs are used and counted but not written.
-	read, readHalo := (*core.Vector).ReadBlocksInto, (*core.Vector).ReadBlocksSharedInto
+	xMode, haloMode := core.ModeExclusive, core.ModeShared
 	if unverified {
-		read, readHalo = (*core.Vector).ReadBlocksUnverifiedInto, (*core.Vector).ReadBlocksUnverifiedInto
+		xMode, haloMode = core.ModeUnverified, core.ModeUnverified
 	}
 
 	// Scatter: each shard reads its own span of every global column and
@@ -532,7 +528,7 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 		for bi := lo; bi < hi; bi++ {
 			b, l := o.bands[bi], &ws[bi]
 			for j, x := range xs {
-				if err := scatterBlocks(l.x.Col(j), x, b.r0/core.BlockLen, b.blocks(), read, l.buf); err != nil {
+				if err := scatterBlocks(l.x.Col(j), x, b.r0/core.BlockLen, b.blocks(), xMode, l.buf); err != nil {
 					return fmt.Errorf("shard: scatter into shard %d: %w", bi, err)
 				}
 			}
@@ -544,7 +540,7 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 	}
 	o.fire(PhaseScatter)
 
-	if err := o.exchange(ws, readHalo); err != nil {
+	if err := o.exchange(ws, haloMode); err != nil {
 		return err
 	}
 	o.fire(PhaseExchange)
@@ -623,10 +619,10 @@ var bandDot = core.FusedOptions{Workers: 1}
 // scatterBlocks moves n blocks of src, starting at block s0, into the
 // first n blocks of dst: one batched read per packChunk blocks instead of
 // a per-block check loop, each block re-encoded as it lands.
-func scatterBlocks(dst, src *core.Vector, s0, n int, read blockReader, buf []float64) error {
+func scatterBlocks(dst, src *core.Vector, s0, n int, mode core.ReadMode, buf []float64) error {
 	for k := 0; k < n; k += packChunk {
 		cn := min(packChunk, n-k)
-		if err := read(src, s0+k, s0+k+cn, buf[:cn*core.BlockLen]); err != nil {
+		if err := src.Read(s0+k, s0+k+cn, buf[:cn*core.BlockLen], mode); err != nil {
 			return err
 		}
 		for i := 0; i < cn; i++ {
@@ -638,10 +634,10 @@ func scatterBlocks(dst, src *core.Vector, s0, n int, read blockReader, buf []flo
 
 // exchange fills every shard's halo section from the owning shards'
 // local vectors; the phase between the scatter and local barriers.
-func (o *Operator) exchange(ws workspace, read blockReader) error {
+func (o *Operator) exchange(ws workspace, mode core.ReadMode) error {
 	return o.forBands(func(lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
-			if err := o.packHalo(ws, bi, read); err != nil {
+			if err := o.packHalo(ws, bi, mode); err != nil {
 				return err
 			}
 		}
@@ -655,7 +651,7 @@ func (o *Operator) exchange(ws workspace, read blockReader) error {
 // and its blocks read once per column in a single batched call, and the
 // entries are re-encoded as they land in the destination halo, so
 // corruption in either shard's memory is still caught at the boundary.
-func (o *Operator) packHalo(ws workspace, bi int, read blockReader) error {
+func (o *Operator) packHalo(ws workspace, bi int, mode core.ReadMode) error {
 	b, l := o.bands[bi], &ws[bi]
 	n := len(b.haloCols)
 	halo0 := b.blocks() // the halo section starts where the padded interior ends
@@ -682,7 +678,7 @@ func (o *Operator) packHalo(ws workspace, bi int, read blockReader) error {
 			l.buf = make([]float64, need)
 		}
 		for j := range l.out {
-			if err := read(ws[ow].x.Col(j), blk0, blkEnd+1, l.buf[:need]); err != nil {
+			if err := ws[ow].x.Col(j).Read(blk0, blkEnd+1, l.buf[:need], mode); err != nil {
 				return fmt.Errorf("shard: pack shard %d for shard %d: %w", ow, bi, err)
 			}
 			out := &l.out[j]

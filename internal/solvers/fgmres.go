@@ -277,9 +277,11 @@ func newInnerSolver(a Operator, n int, opt Options) (*innerSolver, error) {
 		d[i] = 1 / x
 	}
 	in.invd = d
-	in.vbuf = make([]float64, n)
+	// vbuf and wbuf take whole blocks straight from Read.
+	padded := (n + core.BlockLen - 1) / core.BlockLen * core.BlockLen
+	in.vbuf = make([]float64, padded)
 	in.zbuf = make([]float64, n)
-	in.wbuf = make([]float64, n)
+	in.wbuf = make([]float64, padded)
 	in.zv = core.NewVector(n, core.None)
 	in.wz = core.NewVector(n, core.None)
 	in.applyInner = a.Apply
@@ -350,11 +352,12 @@ func (in *innerSolver) richardson(cycle, j int) error {
 	return nil
 }
 
-// readVec streams a protected vector into plain scratch: unverified
-// under selective reliability, fully verified otherwise.
+// readVec streams a protected vector's blocks into plain scratch:
+// unverified under selective reliability, fully verified otherwise.
 func (in *innerSolver) readVec(dst []float64, v *core.Vector) error {
+	mode := core.ModeExclusive
 	if in.selective {
-		return v.CopyToUnverified(dst)
+		mode = core.ModeUnverified
 	}
-	return v.CopyTo(dst)
+	return v.Read(0, v.Blocks(), dst, mode)
 }

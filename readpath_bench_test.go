@@ -45,14 +45,14 @@ func BenchmarkRowScanner(b *testing.B) {
 	}
 }
 
-// BenchmarkReadBlocks streams a protected vector through each of its
-// block-read paths, per scheme:
+// BenchmarkReadBlocks streams a protected vector through Vector.Read in
+// each read mode, per scheme:
 //
-//	nocheck  — ReadBlockNoCheck, the unguarded floor
-//	verified — ReadBlock per block (exclusive mode, commits repairs)
-//	shared   — ReadBlockShared per block (no write-back)
-//	batched  — one ReadBlocksInto spanning 64 blocks, the shard
-//	           pack/unpack and block-Jacobi access pattern
+//	nocheck  — one block per Read, unverified: the unguarded floor
+//	verified — one block per Read, exclusive (commits repairs)
+//	shared   — one block per Read, shared (no write-back)
+//	batched  — 64 blocks per Read, exclusive: the shard pack/unpack and
+//	           preconditioner access pattern
 func BenchmarkReadBlocks(b *testing.B) {
 	const n = 1 << 12
 	rng := rand.New(rand.NewSource(3))
@@ -64,50 +64,28 @@ func BenchmarkReadBlocks(b *testing.B) {
 		vec := core.VectorFromSlice(data, s)
 		name := s.String()
 		nb := vec.Blocks()
-		var blk [core.BlockLen]float64
 		batch := make([]float64, 64*core.BlockLen)
-
-		b.Run(name+"/nocheck", func(b *testing.B) {
-			b.SetBytes(n * 8)
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < nb; j++ {
-					vec.ReadBlockNoCheck(j, &blk)
-				}
-			}
-		})
-		b.Run(name+"/verified", func(b *testing.B) {
-			b.SetBytes(n * 8)
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < nb; j++ {
-					if err := vec.ReadBlock(j, &blk); err != nil {
-						b.Fatal(err)
+		for _, arm := range []struct {
+			name string
+			mode core.ReadMode
+			span int
+		}{
+			{"nocheck", core.ModeUnverified, 1},
+			{"verified", core.ModeExclusive, 1},
+			{"shared", core.ModeShared, 1},
+			{"batched", core.ModeExclusive, 64},
+		} {
+			b.Run(name+"/"+arm.name, func(b *testing.B) {
+				b.SetBytes(n * 8)
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < nb; j += arm.span {
+						hi := min(j+arm.span, nb)
+						if err := vec.Read(j, hi, batch[:(hi-j)*core.BlockLen], arm.mode); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
-			}
-		})
-		b.Run(name+"/shared", func(b *testing.B) {
-			b.SetBytes(n * 8)
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < nb; j++ {
-					if err := vec.ReadBlockShared(j, &blk); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(name+"/batched", func(b *testing.B) {
-			b.SetBytes(n * 8)
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < nb; j += 64 {
-					hi := j + 64
-					if hi > nb {
-						hi = nb
-					}
-					if err := vec.ReadBlocksInto(j, hi, batch[:(hi-j)*4]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
+			})
+		}
 	}
 }
