@@ -344,9 +344,11 @@ func (m *Matrix) checkPair(t int, commit bool, c *core.Counters) (bool, error) {
 }
 
 // checkGroupCRC verifies 8-element group g with check64's contract. img
-// receives the group's *corrected* image (16 bytes per element: value,
-// masked row, column), so a caller that cannot commit a correction to
-// shared storage can still stream the repaired group.
+// receives the group's codeword image (16 bytes per element: value, row,
+// column; the rows' checksum nibbles cleared on a clean group, the
+// corrected checksum in them after a repair), so a caller that cannot
+// commit a correction to shared storage can still stream the repaired
+// group by masking the indices.
 func (m *Matrix) checkGroupCRC(g int, commit bool, c *core.Counters, img *[16 * crcGroup]byte) (bool, error) {
 	base := g * crcGroup
 	var stored uint32
@@ -361,44 +363,24 @@ func (m *Matrix) checkGroupCRC(g int, commit bool, c *core.Counters, img *[16 * 
 	if crc == stored {
 		return false, nil
 	}
-	flips, ok := ecc.CorrectCodeword(img[:], stored, crc)
-	if !ok {
+	if !ecc.RepairCodeword(img[:], groupSlot, stored, crc) {
 		return false, m.fault(c, g, "crc32c mismatch beyond correction depth")
 	}
-	for _, f := range flips {
-		if f.InCRC {
-			// Checksum-slot flip: the data records in img are already
-			// right, only the stored redundancy needs repair.
-			if commit {
-				m.rowIdx[base+f.Bit/4] ^= 1 << uint(28+f.Bit%4)
-			}
-			continue
+	if commit {
+		for i := 0; i < crcGroup; i++ {
+			k := base + i
+			m.vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(img[16*i:]))
+			m.rowIdx[k] = binary.LittleEndian.Uint32(img[16*i+8:])
+			m.colIdx[k] = binary.LittleEndian.Uint32(img[16*i+12:])
 		}
-		elem := f.Bit / 128
-		bit := f.Bit % 128
-		k := base + elem
-		switch {
-		case bit < 64:
-			if commit {
-				m.vals[k] = math.Float64frombits(math.Float64bits(m.vals[k]) ^ 1<<uint(bit))
-			}
-		case bit < 96:
-			if bit-64 >= 28 {
-				return false, m.fault(c, g, "crc flip located in reserved nibble")
-			}
-			if commit {
-				m.rowIdx[k] ^= 1 << uint(bit-64)
-			}
-		default:
-			if commit {
-				m.colIdx[k] ^= 1 << uint(bit-96)
-			}
-		}
-		img[f.Bit/8] ^= 1 << uint(f.Bit%8)
 	}
 	c.AddCorrected(1)
 	return true, nil
 }
+
+// groupSlot places bit k of a group's checksum in its codeword image
+// (DESIGN.md section 31): bit 28+k%4 of element k/4's row index.
+func groupSlot(k int) int { return 128*(k/4) + 92 + k%4 }
 
 // checkRange verifies every codeword covering entries [lo,hi) (a
 // codeword-aligned range) in one tight per-scheme pass, repairing

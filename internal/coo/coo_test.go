@@ -404,3 +404,48 @@ func TestParallelApplyCorrectsInPlace(t *testing.T) {
 		t.Fatalf("repair not committed: corrected=%d err=%v", corrected, err)
 	}
 }
+
+// TestCOOCRCUncorrectableWritesNothing strikes group 1 with a data flip
+// at image bit p0 and a stored checksum that also explains a message
+// flip on slot bit p1 > p0. No stored bit can have flipped there, so the
+// explanation is unsound: CheckAll must report a fault and leave storage
+// exactly as struck, p0's flip included.
+func TestCOOCRCUncorrectableWritesNothing(t *testing.T) {
+	const g = 1
+	syn := ecc.BitSyndromes(16 * crcGroup)
+	for k := 0; k < 32; k++ {
+		p1 := groupSlot(k)
+		elem := p1 / 128
+		for _, p0 := range []int{5, 128*elem + 64 + 27} { // a value bit of element 0, the top row bit below the slots
+			m, err := NewMatrix(buildSrc(t), Options{Scheme: core.CRC32C})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k0 := g*crcGroup + p0/128
+			switch b := p0 % 128; {
+			case b < 64:
+				m.vals[k0] = flipFloat(m.vals[k0], uint(b))
+			default:
+				m.rowIdx[k0] ^= 1 << uint(b-64)
+			}
+			for j := 0; j < 32; j++ {
+				if syn[p1]>>uint(j)&1 != 0 {
+					m.rowIdx[g*crcGroup+j/4] ^= 1 << uint(28+j%4)
+				}
+			}
+			vals := append([]float64(nil), m.vals...)
+			rows := append([]uint32(nil), m.rowIdx...)
+			cols := append([]uint32(nil), m.colIdx...)
+
+			var fe *core.FaultError
+			if _, err := m.CheckAll(); !errors.As(err, &fe) {
+				t.Fatalf("slot %d, p0 %d: CheckAll = %v, want a FaultError", k, p0, err)
+			}
+			for i := range vals {
+				if math.Float64bits(m.vals[i]) != math.Float64bits(vals[i]) || m.rowIdx[i] != rows[i] || m.colIdx[i] != cols[i] {
+					t.Fatalf("slot %d, p0 %d: an uncorrectable verdict wrote element %d", k, p0, i)
+				}
+			}
+		}
+	}
+}

@@ -203,10 +203,11 @@ func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (dirty bool, chec
 // repairing up to two flips in storage when commit is true; id names the
 // run (the CSR row, the SELL chunk) in the FaultError. The clean path is
 // one ecc.RunChecksum over storage where it lies; only a mismatch builds
-// the serialised message (repairRun). A run shorter than the checksum or
-// reaching past the end of storage means the structure that delimits
-// runs (the CSR row pointers) is itself corrupted beyond repair; that is
-// reported as a fault, not a crash. The first return is check64's.
+// the run's codeword image and repairs it with ecc.RepairCodeword
+// (DESIGN.md section 31). A run shorter than the checksum or reaching
+// past the end of storage means the structure that delimits runs (the
+// CSR row pointers) is itself corrupted beyond repair; that is reported
+// as a fault, not a crash. The first return is check64's.
 func (e *ColElems) CheckRun(id, base, n int, commit bool, c *Counters) (bool, error) {
 	if err := e.runBounds(id, base, n, c); err != nil {
 		return false, err
@@ -215,8 +216,13 @@ func (e *ColElems) CheckRun(id, base, n int, commit bool, c *Counters) (bool, er
 	if crc == stored {
 		return false, nil
 	}
-	if err := e.repairRun(id, base, n, e.runImage(base, n), crc, stored, commit, c); err != nil {
-		return false, err
+	img := e.runImage(base, n)
+	if !ecc.RepairCodeword(img, runSlot(n), stored, crc) {
+		return false, e.fault(c, id, "crc32c mismatch beyond correction depth")
+	}
+	c.AddCorrected(1)
+	if commit {
+		splitRun(img, e.Vals[base:base+n], e.Cols[base:base+n])
 	}
 	return true, nil
 }
@@ -247,45 +253,20 @@ func (e *ColElems) runImage(base, n int) []byte {
 	return msg
 }
 
-// repairRun is the cold path of a run whose checksum crc disagreed with
-// the stored one: it locates up to two flips that explain the syndrome
-// and applies them to msg (the run's image, runImage), and to storage
-// when commit is true, counting one correction into c. An explanation
-// that puts a flip in a slot byte of the message — always zero, so no
-// stored bit can have flipped there — is a detected fault; so is no
-// explanation at all. Nothing is written unless every flip is sound.
-func (e *ColElems) repairRun(id, base, n int, msg []byte, crc, stored uint32, commit bool, c *Counters) error {
-	flips, ok := ecc.CorrectCodeword(msg, stored, crc)
-	if !ok {
-		return e.fault(c, id, "crc32c mismatch beyond correction depth")
+// runSlot places bit k of the checksum of a run of n entries in its
+// codeword image: bit 24+k%8 of column index n-4+k/8.
+func runSlot(n int) func(k int) int {
+	return func(k int) int { return 64*n + 32*(n-4+k/8) + 24 + k%8 }
+}
+
+// splitRun reads a run's codeword image back into its values and raw
+// column indices.
+func splitRun(img []byte, vals []float64, cols []uint32) {
+	n := len(vals)
+	for j := range vals {
+		vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(img[8*j:]))
+		cols[j] = binary.LittleEndian.Uint32(img[8*n+4*j:])
 	}
-	for _, f := range flips {
-		if b := f.Bit - 64*n; !f.InCRC && b >= 0 && b/32 >= n-4 && b%32 >= 24 {
-			return e.fault(c, id, "crc flip located in a checksum slot of the message")
-		}
-	}
-	vals, cols := e.Vals[base:base+n], e.Cols[base:base+n]
-	for _, f := range flips {
-		if f.InCRC {
-			// The message is already right; only the stored checksum
-			// byte needs repair.
-			if commit {
-				cols[n-4+f.Bit/8] ^= 1 << uint(24+f.Bit%8)
-			}
-			continue
-		}
-		msg[f.Bit/8] ^= 1 << uint(f.Bit%8)
-		if !commit {
-			continue
-		}
-		if f.Bit < 64*n {
-			vals[f.Bit/64] = math.Float64frombits(math.Float64bits(vals[f.Bit/64]) ^ 1<<uint(f.Bit%64))
-		} else {
-			cols[(f.Bit-64*n)/32] ^= 1 << uint((f.Bit-64*n)%32)
-		}
-	}
-	c.AddCorrected(1)
-	return nil
 }
 
 // DecodeLocal is the corrective fallback of the verify-then-stream
@@ -328,23 +309,22 @@ func (e *ColElems) DecodeLocal(id, base, n int) (cols []uint32, vals []float64, 
 	return cols, vals, nil
 }
 
-// decodeRun is DecodeLocal for one CRC32C run: its image, repaired
-// without commit when the checksum disagrees, split into masked columns
-// and values.
+// decodeRun is DecodeLocal for one CRC32C run: its codeword image,
+// repaired when the checksum disagrees, split into masked columns and
+// values.
 func (e *ColElems) decodeRun(id, base, n int) (cols []uint32, vals []float64, err error) {
 	if err := e.runBounds(id, base, n, nil); err != nil {
 		return nil, nil, err
 	}
-	msg := e.runImage(base, n)
-	if crc, stored := ecc.RunChecksum(e.Vals[base:base+n], e.Cols[base:base+n], e.Backend); crc != stored {
-		if err := e.repairRun(id, base, n, msg, crc, stored, false, nil); err != nil {
-			return nil, nil, err
-		}
+	img := e.runImage(base, n)
+	crc, stored := ecc.RunChecksum(e.Vals[base:base+n], e.Cols[base:base+n], e.Backend)
+	if crc != stored && !ecc.RepairCodeword(img, runSlot(n), stored, crc) {
+		return nil, nil, e.fault(nil, id, "crc32c mismatch beyond correction depth")
 	}
 	cols, vals = make([]uint32, n), make([]float64, n)
+	splitRun(img, vals, cols)
 	for j := range cols {
-		vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(msg[8*j:]))
-		cols[j] = binary.LittleEndian.Uint32(msg[8*n+4*j:]) & e.Mask()
+		cols[j] &= e.Mask()
 	}
 	return cols, vals, nil
 }

@@ -57,7 +57,19 @@ func oracleReadCRCBlock(w []uint64, dst *[BlockLen]float64, commit bool, backend
 	}
 	crc := ecc.Checksum(buf[:], backend)
 	if crc != stored {
-		if !correctCRCVecBlock(&lw, buf[:], stored, crc) {
+		flips, ok := ecc.CorrectCodeword(buf[:], stored, crc)
+		for _, f := range flips {
+			if f.InCRC {
+				// Bit k of the checksum is bit k%8 of word k/8's low byte.
+				lw[f.Bit/8] ^= 1 << uint(f.Bit%8)
+				continue
+			}
+			if f.Bit/64 < 4 && f.Bit%64 < 8 {
+				ok = false // a message flip cannot land in a checksum slot
+			}
+			lw[f.Bit/64] ^= 1 << uint(f.Bit%64)
+		}
+		if !ok {
 			c.AddDetected(1)
 			return &FaultError{Structure: StructVector, Scheme: CRC32C, Detail: "crc32c mismatch beyond correction depth"}
 		}
@@ -281,6 +293,45 @@ func TestCRCRowGroupConformsToSerialisingOracle(t *testing.T) {
 				if stored := *(*[8]uint32)(e); stored != oracleEntries {
 					t.Fatalf("%s: storage %x, oracle %x", name, stored, oracleEntries)
 				}
+			}
+		}
+	}
+}
+
+// TestCRCRowGroupUncorrectableWritesNothing strikes a row-pointer group
+// with a data flip at image bit p0 and a stored checksum that also
+// explains a message flip on slot bit p1 > p0. No stored bit can have
+// flipped there, so the explanation is unsound: the committing decode
+// must report a fault and leave storage exactly as struck, p0's flip
+// included.
+func TestCRCRowGroupUncorrectableWritesNothing(t *testing.T) {
+	plain := csr.Laplacian2D(6, 6)
+	const g = 1
+	syn := ecc.BitSyndromes(32)
+	m, err := NewMatrix(plain, MatrixOptions{ElemScheme: SECDED64, RowPtrScheme: CRC32C})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := m.RawRowPtr()[8*g : 8*g+8]
+	clean := *(*[8]uint32)(e)
+	for k := 0; k < 32; k++ {
+		p1 := rowSlot(k)
+		for _, p0 := range []int{3, p1 - 28 - k%4 + 27} { // entry 0, the top data bit below the slots
+			copy(e, clean[:])
+			e[p0/32] ^= 1 << uint(p0%32)
+			for j := 0; j < 32; j++ {
+				if syn[p1]>>uint(j)&1 != 0 {
+					e[j/4] ^= 1 << uint(28+j%4)
+				}
+			}
+			struck := *(*[8]uint32)(e)
+			var dst [8]uint32
+			var fe *FaultError
+			if _, err := m.decodeRowGroup(g, true, &dst); !errors.As(err, &fe) {
+				t.Fatalf("slot %d, p0 %d: decode = %v, want a FaultError", k, p0, err)
+			}
+			if got := *(*[8]uint32)(e); got != struck {
+				t.Fatalf("slot %d, p0 %d: an uncorrectable verdict wrote storage: %x -> %x", k, p0, struck, got)
 			}
 		}
 	}

@@ -40,8 +40,8 @@ type DotRequest struct {
 }
 
 // Ask attaches r to dst for a product dst = A x whose x.dst reduces over
-// opt's decomposition in opt's order (Workers, BlockBands and TreeReduce
-// apply; Mode does not, the product's own reads are the dot's).
+// opt's decomposition in opt's order (Workers and BlockBands apply;
+// Mode does not, the product's own reads are the dot's).
 func (r *DotRequest) Ask(dst, x *Vector, opt FusedOptions) {
 	*r = DotRequest{dst: dst, x: x, opt: opt}
 	dst.dot = r

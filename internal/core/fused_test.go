@@ -176,7 +176,7 @@ func TestFusedTreeReduceMatchesBandedReference(t *testing.T) {
 		want := partials[0]
 
 		got, err := FusedAxpyDot(xf, alpha, pf, rf, qf,
-			FusedOptions{BlockBands: bands, TreeReduce: true})
+			FusedOptions{BlockBands: bands})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -319,11 +319,26 @@ func (m *Matrix) decodeRowGroupCounting(g int, commit bool, dst *[8]uint32, c *C
 		}
 		dst[0], dst[1], dst[2], dst[3] = e[0]&rowPtrMask, e[1]&rowPtrMask, e[2]&rowPtrMask, e[3]&rowPtrMask
 	case CRC32C:
-		// Checksum the group as stored; only a mismatch pays for a
-		// serialised copy.
+		// Checksum the group as stored; only a mismatch pays for the
+		// codeword image and its repair (DESIGN.md section 31).
 		e := (*[8]uint32)(m.rowptr[8*g : 8*g+8])
 		if crc, stored := ecc.GroupChecksum(e, m.backend); crc != stored {
-			return m.repairCRCRowGroup(g, commit, dst, c)
+			var img [32]byte
+			for i, x := range e {
+				binary.LittleEndian.PutUint32(img[4*i:], x&rowPtrMask)
+			}
+			if !ecc.RepairCodeword(img[:], rowSlot, stored, crc) {
+				return false, m.rowPtrFault(c, g, "crc32c mismatch beyond correction depth")
+			}
+			c.AddCorrected(1)
+			for i := range e {
+				x := binary.LittleEndian.Uint32(img[4*i:])
+				if commit {
+					e[i] = x
+				}
+				dst[i] = x & rowPtrMask
+			}
+			return true, nil
 		}
 		for i, x := range e {
 			dst[i] = x & rowPtrMask
@@ -363,47 +378,9 @@ func (m *Matrix) resolveRowGroup(g int, commit bool, dst *[8]uint32, c *Counters
 	return corrected, nil
 }
 
-// repairCRCRowGroup is the CRC32C slow path of decodeRowGroup, entered
-// when the in-place check of group g disagreed. It re-derives the verdict
-// from its own serialised copy of the message, searches for the flips
-// that explain the syndrome and delivers the repaired entries in dst,
-// committing them to storage when commit is true and counting into c.
-func (m *Matrix) repairCRCRowGroup(g int, commit bool, dst *[8]uint32, c *Counters) (corrected bool, err error) {
-	e := m.rowptr[8*g : 8*g+8]
-	var buf [32]byte
-	var stored uint32
-	for i, x := range e {
-		binary.LittleEndian.PutUint32(buf[4*i:], x&rowPtrMask)
-		stored |= (x >> 28) << (4 * uint(i))
-	}
-	if crc := ecc.Checksum(buf[:], m.backend); crc != stored {
-		flips, ok := ecc.CorrectCodeword(buf[:], stored, crc)
-		if !ok {
-			return false, m.rowPtrFault(c, g, "crc32c mismatch beyond correction depth")
-		}
-		for _, f := range flips {
-			if f.InCRC {
-				if commit {
-					e[f.Bit/4] ^= 1 << uint(28+f.Bit%4)
-				}
-				continue
-			}
-			if f.Bit%32 >= 28 {
-				return false, m.rowPtrFault(c, g, "crc flip located in reserved bits")
-			}
-			buf[f.Bit/8] ^= 1 << uint(f.Bit%8)
-			if commit {
-				e[f.Bit/32] ^= 1 << uint(f.Bit%32)
-			}
-		}
-		corrected = true
-		c.AddCorrected(1)
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(buf[4*i:])
-	}
-	return corrected, nil
-}
+// rowSlot places bit k of a row-pointer group's checksum in its codeword
+// image: bit 28+k%4 of entry k/4.
+func rowSlot(k int) int { return 32*(k/4) + 28 + k%4 }
 
 // rowPtrCursor streams row-pointer values with one integrity check per
 // codeword group. Values are read through a locally decoded copy of the

@@ -28,14 +28,12 @@ type FusedOptions struct {
 	// The zero value is ModeExclusive.
 	Mode ReadMode
 	// BlockBands, when set, fixes the block-index decomposition — one
-	// partial sum per band — instead of the par.Ranges split. Banded
-	// (sharded) operators pass their band structure here so the pass's
-	// dot reproduces their per-shard partials.
+	// partial sum per band — instead of the par.Ranges split, and
+	// combines the partials in the pairwise binary tree (the sharded
+	// operators' deterministic allreduce analogue) instead of the flat
+	// range-order sum. Banded (sharded) operators pass their band
+	// structure here so the pass's dot reproduces their reduction.
 	BlockBands [][2]int
-	// TreeReduce selects the pairwise binary-tree reduction over the
-	// partial sums (the sharded operators' deterministic allreduce
-	// analogue) instead of the flat range-order sum.
-	TreeReduce bool
 }
 
 // ranges returns the block decomposition for a vector of blocks blocks.
@@ -50,7 +48,7 @@ func (o FusedOptions) ranges(blocks int) [][2]int {
 // overwriting partials: the one combine every pass, the dot epilogue and
 // the sharded operator's product answers share.
 func (o FusedOptions) Reduce(partials []float64) float64 {
-	if o.TreeReduce {
+	if len(o.BlockBands) > 0 {
 		for step := 1; step < len(partials); step *= 2 {
 			for i := 0; i+step < len(partials); i += 2 * step {
 				partials[i] += partials[i+step]

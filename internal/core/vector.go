@@ -213,9 +213,27 @@ func (v *Vector) readBlockCounting(b int, dst *[BlockLen]float64, commit bool, c
 		return nil
 	case CRC32C:
 		// Checksum the storage words as stored; only a mismatch pays for
-		// a serialised copy.
+		// the codeword image and its repair (DESIGN.md section 31).
 		if crc, stored := ecc.BlockChecksum((*[BlockLen]uint64)(w), v.backend); crc != stored {
-			return v.repairCRCBlock(b, w, dst, commit, c)
+			var img [8 * BlockLen]byte
+			for i, x := range w {
+				if i < 4 {
+					x &^= 0xFF
+				}
+				binary.LittleEndian.PutUint64(img[8*i:], x)
+			}
+			if !ecc.RepairCodeword(img[:], vecSlot, stored, crc) {
+				return v.faultErr(c, b, "crc32c mismatch beyond correction depth")
+			}
+			c.AddCorrected(1)
+			for i := range dst {
+				x := binary.LittleEndian.Uint64(img[8*i:])
+				if commit {
+					w[i] = x
+				}
+				dst[i] = math.Float64frombits(x &^ 0xFF)
+			}
+			return nil
 		}
 		for i := range dst {
 			dst[i] = math.Float64frombits(w[i] &^ 0xFF)
@@ -266,67 +284,9 @@ func (v *Vector) resolveSECDEDBlock(base int, w []uint64, dst *[BlockLen]float64
 	return nil
 }
 
-// repairCRCBlock is the CRC32C slow path of readBlock, entered when the
-// in-place check of block b (stored in w) disagreed. It re-derives the
-// verdict from its own serialised copy of the message, searches for the
-// flips that explain the syndrome, and delivers the repaired values in
-// dst, committing them to storage when commit is true and counting the
-// outcome into c.
-func (v *Vector) repairCRCBlock(b int, w []uint64, dst *[BlockLen]float64, commit bool, c *Counters) error {
-	var lw [BlockLen]uint64
-	copy(lw[:], w)
-	var buf [8 * BlockLen]byte
-	var stored uint32
-	for i, x := range lw {
-		if i < 4 {
-			stored |= uint32(x&0xFF) << (8 * uint(i))
-			x &^= 0xFF
-		}
-		binary.LittleEndian.PutUint64(buf[8*i:], x)
-	}
-	crc := ecc.Checksum(buf[:], v.backend)
-	if crc != stored {
-		if !correctCRCVecBlock(&lw, buf[:], stored, crc) {
-			return v.faultErr(c, b, "crc32c mismatch beyond correction depth")
-		}
-		c.AddCorrected(1)
-		if commit {
-			copy(w, lw[:])
-		}
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(lw[i] &^ 0xFF)
-	}
-	return nil
-}
-
-// correctCRCVecBlock attempts syndrome-search correction of a
-// CRC32C-protected block: up to two flips in the message bits, the stored
-// checksum bits, or one of each. A message flip may land in the low byte
-// of words 4-7 (message bytes encoded as zero) but not in that of words
-// 0-3, which hold the checksum. On success the words are repaired and it
-// returns true.
-func correctCRCVecBlock(w *[BlockLen]uint64, msg []byte, stored, computed uint32) bool {
-	flips, ok := ecc.CorrectCodeword(msg, stored, computed)
-	if !ok {
-		return false
-	}
-	for _, f := range flips {
-		if f.InCRC {
-			// Checksum slot flip: bit k of the CRC lives in bit k%8 of
-			// word k/8's reserved byte.
-			w[f.Bit/8] ^= 1 << uint(f.Bit%8)
-		} else {
-			word := f.Bit / 64
-			bit := f.Bit % 64
-			if word < 4 && bit < 8 {
-				return false // message flips cannot land in checksum slots
-			}
-			w[word] ^= 1 << uint(bit)
-		}
-	}
-	return true
-}
+// vecSlot places bit k of a vector block's checksum in its codeword
+// image: bit k%8 of the low byte of word k/8.
+func vecSlot(k int) int { return 64*(k/8) + k%8 }
 
 // Read stores the masked values of blocks [b0, b1) in dst, which must
 // hold at least (b1-b0)*BlockLen elements: the one read of a protected

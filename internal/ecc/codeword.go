@@ -54,3 +54,40 @@ func CorrectCodeword(msg []byte, stored, computed uint32) ([]CodewordFlip, bool)
 	}
 	return nil, false
 }
+
+// RepairCodeword repairs a CRC32C codeword whose checksum disagreed: img
+// holds the codeword's message with its 32 checksum slot bits cleared,
+// bit k of the stored checksum lives at image bit slot(k), and crc is the
+// checksum of img. It explains stored^crc with CorrectCodeword and
+// rejects the whole explanation if any message flip falls on a slot bit,
+// which always reads zero in the message, so no stored bit can have
+// flipped there. Only when every flip is sound does it apply the message
+// flips and write the corrected checksum into the slots, leaving img the
+// corrected raw codeword; otherwise img is unchanged and it returns
+// false. Image bit i is bit i%8 of img[i/8].
+func RepairCodeword(img []byte, slot func(k int) int, stored, crc uint32) bool {
+	flips, ok := CorrectCodeword(img, stored, crc)
+	if !ok {
+		return false
+	}
+	for _, f := range flips {
+		for k := 0; k < 32; k++ {
+			if !f.InCRC && slot(k) == f.Bit {
+				return false
+			}
+		}
+	}
+	for _, f := range flips {
+		if f.InCRC {
+			stored ^= 1 << uint(f.Bit)
+		} else {
+			img[f.Bit/8] ^= 1 << uint(f.Bit%8)
+		}
+	}
+	for k := 0; k < 32; k++ {
+		if stored>>uint(k)&1 != 0 {
+			img[slot(k)/8] |= 1 << uint(slot(k)%8)
+		}
+	}
+	return true
+}

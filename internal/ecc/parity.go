@@ -35,17 +35,7 @@ func (w *Word4) SetBit(i int, b uint64) {
 	w[i>>6] = (w[i>>6] &^ (1 << uint(i&63))) | (b&1)<<uint(i&63)
 }
 
-// And returns the bitwise AND of w and m.
-func (w *Word4) And(m *Word4) Word4 {
-	return Word4{w[0] & m[0], w[1] & m[1], w[2] & m[2], w[3] & m[3]}
-}
-
 // Parity returns the parity of the whole codeword.
 func (w *Word4) Parity() uint64 {
 	return Parity64(w[0] ^ w[1] ^ w[2] ^ w[3])
-}
-
-// MaskedParity returns the parity of w AND m without materialising the AND.
-func (w *Word4) MaskedParity(m *Word4) uint64 {
-	return Parity64((w[0] & m[0]) ^ (w[1] & m[1]) ^ (w[2] & m[2]) ^ (w[3] & m[3]))
 }

@@ -81,7 +81,7 @@ func epilogueOperator(t *testing.T, plain *csr.Matrix, f op.Format, s, vec core.
 	for _, b := range so.BandRanges() {
 		bands = append(bands, [2]int{b[0] / core.BlockLen, (b[1] + core.BlockLen - 1) / core.BlockLen})
 	}
-	return so, core.FusedOptions{BlockBands: bands, TreeReduce: true}
+	return so, core.FusedOptions{BlockBands: bands}
 }
 
 // referenceDot is the engine's inner product under opt: the operator's

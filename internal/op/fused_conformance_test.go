@@ -135,7 +135,7 @@ func TestFusedConformanceSharded(t *testing.T) {
 		}
 		x2, p2, r2, q2 := fusedIterationVectors(t, sh, core.SECDED64)
 		got, err := core.FusedAxpyDot(x2, alpha, p2, r2, q2,
-			core.FusedOptions{BlockBands: blockBands, TreeReduce: true})
+			core.FusedOptions{BlockBands: blockBands})
 		if err != nil {
 			t.Fatal(err)
 		}

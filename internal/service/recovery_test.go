@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"abft/internal/core"
 )
 
 func recoveryRequest() SolveRequest {
@@ -200,5 +202,57 @@ func TestShutdownDeadlineExpires(t *testing.T) {
 	cancel()
 	if err := srv.Shutdown(ctx); err == nil {
 		t.Fatal("expired deadline reported a clean drain")
+	}
+}
+
+// TestSolvePanicFailsOnlyItsJob pins the containment of a panicking
+// solve: the job fails with the panic as its error and the stack in the
+// leader's solve span, the one worker survives to finish the next job,
+// and the entry's shared lock is released, so a scrub pass, which takes
+// the exclusive one, returns.
+func TestSolvePanicFailsOnlyItsJob(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	req := SolveRequest{Matrix: MatrixSpec{Grid: &GridSpec{NX: 6, NY: 6}}, Solver: "cg", Tol: 1e-8}
+
+	srv.testStateHook = func(int, []*core.Vector) { panic("injected kernel panic") }
+	id, err := srv.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "injected kernel panic") {
+		t.Fatalf("panicking solve: state %s, error %q", st.State, st.Error)
+	}
+	srv.jobMu.RLock()
+	trace := srv.jobs[id].trace.Snapshot()
+	srv.jobMu.RUnlock()
+	stack := false
+	for _, sp := range trace.Spans {
+		stack = stack || (sp.Stage == StageSolve && strings.Contains(sp.Detail, "runtime/debug.Stack"))
+	}
+	if !stack {
+		t.Fatalf("no stack in the leader's solve span: %+v", trace.Spans)
+	}
+
+	srv.testStateHook = nil
+	if id, err = srv.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = srv.Wait(id); err != nil || st.State != StateDone {
+		t.Fatalf("job after the panic: state %s, error %q (%v)", st.State, st.Error, err)
+	}
+	scrubbed := make(chan struct{})
+	go func() {
+		srv.ScrubNow()
+		close(scrubbed)
+	}()
+	select {
+	case <-scrubbed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("scrub pass blocked: the panicking solve kept its read lock")
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"abft/internal/core"
@@ -390,9 +391,22 @@ func (s *Server) solveGroup(group []*job) ([]*SolveResult, *cacheEntry, error) {
 		detail = fmt.Sprintf("%v, %d rhs", p.kind, width)
 	}
 	endSolve := lead.trace.Start(StageSolve)
-	e.mu.RLock()
-	br, serr := solvers.SolveBatch(p.kind, e.operator(p.opt.Workers), xmv, bmv, opt)
-	e.mu.RUnlock()
+	var br solvers.BatchResult
+	serr := func() (err error) {
+		// A panicking solve fails its group, not the daemon, and must
+		// release the entry's shared lock, or the scrub daemon's
+		// exclusive one would wait for it forever.
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("service: solve panicked: %v", r)
+				detail = fmt.Sprintf("%s: %v\n%s", detail, err, debug.Stack())
+			}
+		}()
+		br, err = solvers.SolveBatch(p.kind, e.operator(p.opt.Workers), xmv, bmv, opt)
+		return err
+	}()
 	d := endSolve(detail)
 	s.observe(StageSolve, d)
 	s.observeBatchWidth(width)

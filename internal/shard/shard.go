@@ -207,7 +207,6 @@ func New(src *csr.Matrix, opt Options) (*Operator, error) {
 		o.nnz += b.m.NNZ()
 		o.reduce.BlockBands = append(o.reduce.BlockBands, [2]int{r[0] / core.BlockLen, r[0]/core.BlockLen + b.blocks()})
 	}
-	o.reduce.TreeReduce = true
 	o.primary = o.newWorkspace(1)
 	o.free = map[int][]workspace{1: {o.primary}}
 	return o, nil
@@ -489,7 +488,7 @@ func (o *Operator) pendingDots(dsts, xs []*core.Vector) []*core.DotRequest {
 // reducesAs reports whether opt is the operator's own dot reduction: one
 // block range per band, combined in the binary tree.
 func (o *Operator) reducesAs(opt core.FusedOptions) bool {
-	return opt.TreeReduce && slices.Equal(opt.BlockBands, o.reduce.BlockBands)
+	return len(opt.BlockBands) > 0 && slices.Equal(opt.BlockBands, o.reduce.BlockBands)
 }
 
 // applyK is the one pipeline: dsts[j] = A xs[j] for every j through one

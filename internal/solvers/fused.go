@@ -20,7 +20,7 @@ func (e *engine) initFuse() {
 		e.fuse = core.FusedOptions{Workers: e.w}
 		return
 	}
-	e.fuse = core.FusedOptions{BlockBands: blockBandsOf(e.band.BandRanges()), TreeReduce: true}
+	e.fuse = core.FusedOptions{BlockBands: blockBandsOf(e.band.BandRanges())}
 }
 
 // blockBandsOf converts row-band ranges to codeword-block ranges. Band

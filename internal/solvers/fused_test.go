@@ -99,7 +99,7 @@ func TestFusedTailFaultPropagation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.band != nil || e.fuse.TreeReduce {
+			if e.band != nil || e.fuse.BlockBands != nil {
 				t.Fatalf("%s: want a flat fuse, got opts=%+v", name, e.fuse)
 			}
 
@@ -141,7 +141,7 @@ func TestFuseDecision(t *testing.T) {
 
 	flat := func(what string, e *engine) {
 		t.Helper()
-		if e.band != nil || e.fuse.BlockBands != nil || e.fuse.TreeReduce {
+		if e.band != nil || e.fuse.BlockBands != nil {
 			t.Fatalf("%s: want flat fuse, got opts=%+v", what, e.fuse)
 		}
 	}
@@ -149,7 +149,7 @@ func TestFuseDecision(t *testing.T) {
 
 	bands := [][2]int{{0, 4 * core.BlockLen}, {4 * core.BlockLen, n}}
 	e := newEng(bandedFake{MatrixOperator{M: m}, bands})
-	if e.band == nil || !e.fuse.TreeReduce {
+	if e.band == nil || len(e.fuse.BlockBands) == 0 {
 		t.Fatalf("banded operator: want banded fuse, got opts=%+v", e.fuse)
 	}
 	wantBlocks := [][2]int{{0, 4}, {4, (n + core.BlockLen - 1) / core.BlockLen}}
