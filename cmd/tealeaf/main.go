@@ -51,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 		rowptr   = fs.String("rowptr", "", "row-pointer protection scheme")
 		vectors  = fs.String("vectors", "", "dense vector protection scheme")
 		interval = fs.Int("interval", 0, "full matrix checks every n-th sweep")
-		crc      = fs.String("crc", "", "crc32c backend: hardware, software")
+		crc      = fs.String("crc", "", "crc32c backend: "+ecc.BackendNames)
 		workers  = fs.Int("workers", 0, "kernel goroutines")
 		shards   = fs.Int("shards", 0, "row-partition the operator into this many bands with protected halo exchanges")
 		retry    = fs.Bool("retry", false, "reprotect and retry a step after an uncorrectable fault")
@@ -117,14 +117,12 @@ func run(args []string, stdout io.Writer) error {
 	if *interval > 0 {
 		cfg.CheckInterval = *interval
 	}
-	switch *crc {
-	case "":
-	case "hardware", "hw":
-		cfg.CRCBackend = ecc.Hardware
-	case "software", "sw":
-		cfg.CRCBackend = ecc.Software
-	default:
-		return fmt.Errorf("unknown crc backend %q", *crc)
+	if *crc != "" {
+		b, err := ecc.ParseBackend(*crc)
+		if err != nil {
+			return err
+		}
+		cfg.CRCBackend = b
 	}
 	if *workers > 0 {
 		cfg.Workers = *workers

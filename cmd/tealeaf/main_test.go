@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"abft/internal/ecc"
+	"abft/internal/tealeaf"
 )
 
 func TestRunSmoke(t *testing.T) {
@@ -69,6 +72,7 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 		{[]string{"-format", "ellpack"}, "choices: csr, coo, sellcs"},
 		{[]string{"-solver", "gmres"}, "choices: cg, jacobi, chebyshev, ppcg, pcg"},
 		{[]string{"-precond", "ilu"}, "choices: none, jacobi, bjacobi, sgs"},
+		{[]string{"-crc", "abacus"}, "choices: " + ecc.BackendNames},
 	}
 	for _, c := range cases {
 		var out bytes.Buffer
@@ -103,5 +107,23 @@ func TestRunRecoveryFlag(t *testing.T) {
 	}
 	if err := run([]string{"-recovery", "bogus"}, &out); err == nil {
 		t.Fatal("unknown recovery policy accepted")
+	}
+}
+
+// TestRunCRCNamesMatchDeck: -crc and the deck's abft_crc accept the same
+// backend names and map each to the same backend.
+func TestRunCRCNamesMatchDeck(t *testing.T) {
+	for _, name := range strings.Split(ecc.BackendNames, ", ") {
+		cfg, err := tealeaf.ParseInput(strings.NewReader("abft_crc=" + name))
+		if err != nil {
+			t.Fatalf("deck abft_crc=%s: %v", name, err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"-nx", "8", "-steps", "1", "-elements", "crc32c", "-crc", name}, &out); err != nil {
+			t.Fatalf("-crc %s: %v", name, err)
+		}
+		if want := "crc=" + cfg.CRCBackend.String(); !strings.Contains(out.String(), want) {
+			t.Errorf("-crc %s: output lacks %q, the deck's backend:\n%s", name, want, out.String())
+		}
 	}
 }

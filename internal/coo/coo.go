@@ -51,20 +51,15 @@ const (
 	crcGroup   = 8
 )
 
-// Matrix is a sparse matrix in COO format with embedded ECC.
+// Matrix is a sparse matrix in COO format with embedded ECC; its NNZ
+// counts logical entries, excluding group padding.
 type Matrix struct {
-	scheme     core.Scheme
-	backend    ecc.Backend
-	rows, cols int
-	nnz        int // logical entries (excluding group padding)
+	core.Shell
+	backend ecc.Backend
 
 	rowIdx []uint32
 	colIdx []uint32
 	vals   []float64
-
-	counters *core.Counters
-	// mode is the read discipline Apply runs under; see SetReadMode.
-	mode core.ReadMode
 }
 
 // Options configures COO protection.
@@ -99,13 +94,8 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 		return nil, fmt.Errorf("coo: %dx%d exceeds %s index limit %d",
 			src.Rows(), src.Cols32(), s, maxDim(s))
 	}
-	m := &Matrix{
-		scheme:  s,
-		backend: opt.Backend,
-		rows:    src.Rows(),
-		cols:    src.Cols32(),
-		nnz:     src.NNZ(),
-	}
+	m := &Matrix{backend: opt.Backend}
+	m.Init(m, src.Rows(), src.Cols32(), src.NNZ(), s, s != core.None)
 	pad := src.NNZ()
 	switch s {
 	case core.SECDED128:
@@ -129,32 +119,6 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 	return m, nil
 }
 
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
-// NNZ returns the number of logical entries.
-func (m *Matrix) NNZ() int { return m.nnz }
-
-// Scheme returns the protection scheme.
-func (m *Matrix) Scheme() core.Scheme { return m.scheme }
-
-// SetCounters attaches a statistics accumulator.
-func (m *Matrix) SetCounters(c *core.Counters) { m.counters = c }
-
-// SetReadMode selects the read discipline for Apply. ModeShared marks
-// the matrix as applied concurrently from multiple goroutines: Apply
-// stops committing corrections to storage (they are still counted and
-// the checks still detect), leaving repair to Scrub, which the owner
-// must serialize against Apply. Set before the matrix becomes visible
-// to other goroutines.
-func (m *Matrix) SetReadMode(mode core.ReadMode) { m.mode = mode }
-
-// ReadMode returns the configured read discipline.
-func (m *Matrix) ReadMode() core.ReadMode { return m.mode }
-
 // RawRows exposes the stored row indices for fault injection.
 func (m *Matrix) RawRows() []uint32 { return m.rowIdx }
 
@@ -166,7 +130,7 @@ func (m *Matrix) RawVals() []float64 { return m.vals }
 
 // idxMask returns the AND-mask isolating the data bits of an index.
 func (m *Matrix) idxMask() uint32 {
-	switch m.scheme {
+	switch m.Scheme() {
 	case core.None:
 		return 0xFFFF_FFFF
 	case core.SED:
@@ -177,7 +141,7 @@ func (m *Matrix) idxMask() uint32 {
 }
 
 func (m *Matrix) encodeAll() {
-	switch m.scheme {
+	switch m.Scheme() {
 	case core.None:
 	case core.SED:
 		for k := range m.vals {
@@ -283,7 +247,7 @@ func (m *Matrix) fault(c *core.Counters, idx int, detail string) error {
 	c.AddDetected(1)
 	return &core.FaultError{
 		Structure: core.StructElements,
-		Scheme:    m.scheme,
+		Scheme:    m.Scheme(),
 		Index:     idx,
 		Detail:    detail,
 	}
@@ -401,7 +365,7 @@ func (m *Matrix) checkRange(lo, hi int, commit bool, c *core.Counters, img *[16 
 			dirty = true
 		}
 	}
-	switch m.scheme {
+	switch m.Scheme() {
 	case core.SED:
 		for k := lo; k < hi; k++ {
 			checks++
@@ -426,25 +390,19 @@ func (m *Matrix) checkRange(lo, hi int, commit bool, c *core.Counters, img *[16 
 	return dirty, checks, err
 }
 
-// CheckAll verifies and repairs every codeword, returning the number of
-// corrections and the first uncorrectable error.
-func (m *Matrix) CheckAll() (corrected int, err error) {
-	// Count into a local accumulator and forward it: the tally is exact
-	// for untracked matrices too, and the scrub never writes m.counters.
-	var acc core.Counters
+// VerifyAll verifies and repairs every codeword, satisfying
+// core.Layout: the body of Shell.CheckAll.
+func (m *Matrix) VerifyAll(acc *core.Counters) (checks uint64, err error) {
 	var img [16 * crcGroup]byte
-	_, checks, err := m.checkRange(0, len(m.vals), true, &acc, &img)
-	m.counters.AddChecks(checks)
-	m.counters.AddCorrected(acc.Corrected())
-	m.counters.AddDetected(acc.Detected())
-	return int(acc.Corrected()), err
+	_, checks, err = m.checkRange(0, len(m.vals), true, acc, &img)
+	return checks, err
 }
 
 // groupSize returns the number of entries per element codeword, the
 // alignment parallel entry ranges must respect so no two workers ever
 // touch the same codeword.
 func (m *Matrix) groupSize() int {
-	switch m.scheme {
+	switch m.Scheme() {
 	case core.SECDED128:
 		return 2
 	case core.CRC32C:
@@ -454,63 +412,37 @@ func (m *Matrix) groupSize() int {
 	}
 }
 
-// SpMV computes dst = m * x serially; a convenience wrapper around Apply.
-func (m *Matrix) SpMV(dst *core.Vector, x *core.Vector) error {
-	return m.Apply(dst, x, 1)
-}
-
-// Apply computes dst = m * x with full integrity checking: every element
-// codeword is verified before use, indices are range-checked, and the
-// result is committed to the protected output block-wise through a dense
-// accumulator (COO scatter cannot stream output codewords directly; this
-// is the buffered-write strategy of paper section VI-C applied to a
-// scatter pattern). Workers above 1 split the entry stream into
-// codeword-aligned ranges, scatter into per-worker accumulators, and
-// reduce block-wise — each codeword and each output block has exactly one
-// owner, so the parallel path is race-free and bit-identical to serial.
-func (m *Matrix) Apply(dst *core.Vector, x *core.Vector, workers int) error {
-	return m.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, !m.mode.Verifies())
-}
-
-// ApplyUnverified computes dst = m * x through the no-decode fast path
-// regardless of the stored read mode: the source vector and every
-// element triplet stream as masked payload with only index range checks
-// applied — no codeword verification, no corrections, no commit, and
-// the check counters stay untouched — so it can run concurrently with
-// verified readers of the same shared storage. It is the inner-solve
-// read path of selective reliability.
-func (m *Matrix) ApplyUnverified(dst *core.Vector, x *core.Vector, workers int) error {
-	return m.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, true)
-}
-
-// applyK is the one apply skeleton: dsts[j] = m * xs[j] for every j in a
-// single pass over the entry stream. Each source vector is decoded once
-// into a dense buffer (core.DecodeSources, the prologue all formats
-// share), each chunk of element codewords is verified once
-// per sweep whatever the width, and its entries scatter into k dense
+// Product computes dsts[j] = m xs[j] for every j in a single pass over
+// the entry stream, satisfying core.Layout. Each source vector is
+// decoded once into a dense buffer (core.DecodeSources, the prologue all
+// formats share), each chunk of element codewords is verified once per
+// full sweep whatever the width, and its entries scatter into k dense
 // accumulators; per-column results are bit-identical to k independent
 // width-1 calls because entries scatter in the same order into each
-// column's own accumulator. Dot requests pending on dsts
-// (core.DotRequest) are answered from the sweep.
-func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
-	for j, x := range xs {
-		if dsts[j].Len() != m.rows || x.Len() != m.cols {
-			return fmt.Errorf("coo: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
-				dsts[j].Len(), m.rows, m.cols, x.Len())
-		}
-	}
+// column's own accumulator. The result is committed to the protected
+// output block-wise through the accumulators (COO scatter cannot stream
+// output codewords directly; this is the buffered-write strategy of
+// paper section VI-C applied to a scatter pattern). Dot requests pending
+// on dsts (core.DotRequest) are answered from the sweep.
+//
+// Workers above 1 split the entry stream into codeword-aligned ranges,
+// scatter into per-worker accumulators, and reduce block-wise — each
+// codeword and each output block has exactly one owner, so the parallel
+// path is race-free and bit-identical to serial.
+func (m *Matrix) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) error {
+	rows := m.Rows()
 	ranges := m.entryRanges(workers)
 	accs := make([][][]float64, len(ranges))
 	for i := range accs {
-		accs[i] = newAccs(len(xs), m.rows)
+		accs[i] = newAccs(len(xs), rows)
 	}
-	return core.DecodeSources(dsts, xs, unverified, func(xbufs [][]float64, ep *core.DotEpilogue) error {
+	return core.DecodeSources(dsts, xs, !sw.Sources, func(xbufs [][]float64, ep *core.DotEpilogue) error {
 		err := par.Run(ranges, func(lo, hi int) error {
 			i := 0
 			for ranges[i][0] != lo {
 				i++
 			}
-			return m.scatterK(accs[i], xbufs, lo, hi, unverified)
+			return m.scatterK(accs[i], xbufs, lo, hi, sw)
 		})
 		if err != nil {
 			return err
@@ -526,7 +458,7 @@ func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) e
 					var out [core.BlockLen]float64
 					lo := blk * core.BlockLen
 					for _, acc := range accs {
-						for i, v := range acc[j][lo:min(lo+core.BlockLen, m.rows)] {
+						for i, v := range acc[j][lo:min(lo+core.BlockLen, rows)] {
 							out[i] += v
 						}
 					}
@@ -597,10 +529,10 @@ const verifyChunk = 64
 // matrix is shared across Apply callers (ModeShared) and a live fault
 // was hit — is staged and streamed from the stage, so the slow path is
 // paid per faulty chunk, not per sweep. Ranges are codeword-aligned, so
-// workers never share a codeword. With unverified set no chunk is
+// workers never share a codeword. Unless sw is a full sweep no chunk is
 // verified or counted.
-func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, unverified bool) error {
-	if m.scheme == core.None && !unverified {
+func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, sw core.Sweep) error {
+	if m.Scheme() == core.None && sw.Sources {
 		// Unprotected storage read by its owner: indices are raw exactly
 		// as in an unprotected solver, so neither mask nor range check
 		// applies. ApplyUnverified takes the range-checked loops below
@@ -620,23 +552,22 @@ func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, unverified bool) 
 		}
 		return nil
 	}
-	commit := m.mode.Commits()
 	step := verifyChunk
 	var img *[16 * crcGroup]byte
-	if m.scheme == core.CRC32C && !unverified {
+	if m.Scheme() == core.CRC32C && sw.Full {
 		// One group per chunk; the image escapes into hash/crc32, so it is
 		// allocated once per range.
 		step, img = crcGroup, new([16 * crcGroup]byte)
 	}
 	var checks uint64
-	defer func() { m.counters.AddChecks(checks) }()
+	defer func() { m.Counters().AddChecks(checks) }()
 	for base := lo; base < hi; base += step {
 		end := base + step
 		if end > hi {
 			end = hi
 		}
-		if !unverified {
-			dirty, n, err := m.checkRange(base, end, commit, m.counters, img)
+		if sw.Full {
+			dirty, n, err := m.checkRange(base, end, sw.Commit, m.Counters(), img)
 			checks += n
 			if err != nil {
 				return err
@@ -659,12 +590,12 @@ func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, unverified bool) 
 // column: the fast second half of verify-then-stream, applying only the
 // index mask and the range checks, once per entry whatever the width.
 func (m *Matrix) scatterClean(accs, xbufs [][]float64, lo, hi int) error {
-	mask := m.idxMask()
+	mask, rows, cols := m.idxMask(), uint32(m.Rows()), uint32(m.Cols())
 	if len(accs) == 1 {
 		acc, xbuf := accs[0], xbufs[0]
 		for k := lo; k < hi; k++ {
 			row, col := m.rowIdx[k]&mask, m.colIdx[k]&mask
-			if row >= uint32(m.rows) || col >= uint32(m.cols) {
+			if row >= rows || col >= cols {
 				return m.boundsErr(k, row, col)
 			}
 			acc[row] += m.vals[k] * xbuf[col]
@@ -673,7 +604,7 @@ func (m *Matrix) scatterClean(accs, xbufs [][]float64, lo, hi int) error {
 	}
 	for k := lo; k < hi; k++ {
 		row, col := m.rowIdx[k]&mask, m.colIdx[k]&mask
-		if row >= uint32(m.rows) || col >= uint32(m.cols) {
+		if row >= rows || col >= cols {
 			return m.boundsErr(k, row, col)
 		}
 		v := m.vals[k]
@@ -693,7 +624,7 @@ func (m *Matrix) scatterClean(accs, xbufs [][]float64, lo, hi int) error {
 func (m *Matrix) scatterStaged(accs, xbufs [][]float64, lo, hi int, img *[16 * crcGroup]byte) error {
 	var rows, cols [verifyChunk]uint32
 	var vals [verifyChunk]float64
-	switch m.scheme {
+	switch m.Scheme() {
 	case core.SECDED64:
 		for k := lo; k < hi; k++ {
 			cw := m.word64(k)
@@ -728,7 +659,7 @@ func (m *Matrix) scatterStaged(accs, xbufs [][]float64, lo, hi int, img *[16 * c
 	}
 	for i := 0; i < hi-lo; i++ {
 		row, col := rows[i]&eccIdxMask, cols[i]&eccIdxMask
-		if row >= uint32(m.rows) || col >= uint32(m.cols) {
+		if row >= uint32(m.Rows()) || col >= uint32(m.Cols()) {
 			return m.boundsErr(lo+i, row, col)
 		}
 		for j, acc := range accs {
@@ -741,38 +672,19 @@ func (m *Matrix) scatterStaged(accs, xbufs [][]float64, lo, hi int, img *[16 * c
 // boundsErr counts and builds the range-check error for element k, whose
 // masked row or column index is out of range (the row is reported first).
 func (m *Matrix) boundsErr(k int, row, col uint32) error {
-	m.counters.AddBounds(1)
-	if row >= uint32(m.rows) {
-		return &core.BoundsError{Structure: core.StructElements, Index: k, Value: row, Limit: uint32(m.rows)}
+	m.Counters().AddBounds(1)
+	if rows := uint32(m.Rows()); row >= rows {
+		return &core.BoundsError{Structure: core.StructElements, Index: k, Value: row, Limit: rows}
 	}
-	return &core.BoundsError{Structure: core.StructElements, Index: k, Value: col, Limit: uint32(m.cols)}
+	return &core.BoundsError{Structure: core.StructElements, Index: k, Value: col, Limit: uint32(m.Cols())}
 }
-
-// Diagonal extracts the main diagonal into dst (length >= Rows), fully
-// verifying every codeword on the way. Used to build Jacobi
-// preconditioners.
-func (m *Matrix) Diagonal(dst []float64) error {
-	if len(dst) < m.rows {
-		return fmt.Errorf("coo: Diagonal destination too short")
-	}
-	plain, err := m.ToCSR()
-	if err != nil {
-		return err
-	}
-	plain.Diagonal(dst)
-	return nil
-}
-
-// Scrub verifies and repairs every codeword, satisfying
-// core.ProtectedMatrix; it is CheckAll under the interface's name.
-func (m *Matrix) Scrub() (corrected int, err error) { return m.CheckAll() }
 
 // ElemCodewordSpan reports the positions of one randomly chosen element
 // codeword, satisfying core.ElemSpanner: single triplets under
 // SED/SECDED64, consecutive pairs under SECDED128, 8-entry groups under
 // CRC32C.
 func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
-	switch m.scheme {
+	switch m.Scheme() {
 	case core.SECDED128:
 		return pick(len(m.vals)/2) * 2, 2
 	case core.CRC32C:
@@ -781,18 +693,16 @@ func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 	return pick(len(m.vals)), 1
 }
 
-// CounterSnapshot returns a copy of the attached counters.
-func (m *Matrix) CounterSnapshot() core.CounterSnapshot { return m.counters.Snapshot() }
-
-// ToCSR decodes and verifies the matrix back into CSR form.
+// ToCSR decodes and verifies the matrix back into CSR form, satisfying
+// core.Layout.
 func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 	if _, err := m.CheckAll(); err != nil {
 		return nil, err
 	}
 	mask := m.idxMask()
-	entries := make([]csr.Entry, 0, m.nnz)
+	entries := make([]csr.Entry, 0, m.NNZ())
 	for k := 0; k < len(m.vals); k++ {
-		if k >= m.nnz && m.vals[k] == 0 {
+		if k >= m.NNZ() && m.vals[k] == 0 {
 			continue // group padding
 		}
 		entries = append(entries, csr.Entry{
@@ -801,5 +711,5 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 			Val: m.vals[k],
 		})
 	}
-	return csr.New(m.rows, m.cols, entries)
+	return csr.New(m.Rows(), m.Cols(), entries)
 }

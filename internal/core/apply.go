@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -22,78 +21,33 @@ func SpMV(dst *Vector, m *Matrix, x *Vector, workers int) error {
 	return m.Apply(dst, x, workers)
 }
 
-// Apply computes dst = m x, satisfying ProtectedMatrix. Matrix codewords
-// are verified on checking sweeps (see Matrix.SetCheckInterval) and
-// range-checked otherwise; every source-vector codeword is verified once
-// per sweep (DecodeSources); results are committed one output codeword
-// block at a time so no read-modify-write is ever needed.
+// Product computes dsts[j] = m xs[j] for every j in a single pass over
+// the rows, satisfying Layout. Every source vector is decoded once into
+// a dense buffer (DecodeSources), each row's codewords are verified once
+// per full sweep whatever the width and range-checked on the sweeps
+// between, and the row streams into k running sums; column j
+// accumulates in the order a width-1 call uses, so results are
+// bit-identical per column for any width and worker count. Results are
+// committed one output codeword block at a time, so no read-modify-write
+// is ever needed. Dot requests pending on dsts (DotRequest) are answered
+// from the sweep.
 //
 // In parallel runs, workers never write to matrix codewords they do not
 // own: corrections discovered there are used for the computation but
 // left in storage for the next serial check or scrub to repair.
-func (m *Matrix) Apply(dst, x *Vector, workers int) error {
-	return m.applyK([]*Vector{dst}, []*Vector{x}, workers, !m.mode.Verifies())
-}
-
-// ApplyUnverified multiplies dst = m x through the no-decode fast path
-// regardless of the stored read mode: row pointers, elements and source
-// vector stream as masked payload with bounds checks only — no codeword
-// verification, no corrections, no commit, and the check counters stay
-// untouched — so it can run concurrently with verified readers of the
-// same shared storage. It is the inner-solve read path of selective
-// reliability: whatever corruption streams through is absorbed (or
-// detected) by the caller's verified outer iteration, never silently
-// committed.
-//
-// It is not a kernel of its own: the matrix side is exactly the
-// range-check-only sweep that interval checking runs between full checks
-// (applyRows with fullCheck false). Unlike an interval sweep it does not
-// advance the sweep counter and does not decode the source vector.
-func (m *Matrix) ApplyUnverified(dst, x *Vector, workers int) error {
-	return m.applyK([]*Vector{dst}, []*Vector{x}, workers, true)
-}
-
-// ApplyBatch computes dst = m * x for every column of x in one verified
-// pass over the matrix, satisfying BatchApplier: applyK at width x.K(),
-// so the matrix-side check cost is paid per pass instead of per
-// right-hand side and per-column results are bit-identical to k
-// independent Apply calls.
-func (m *Matrix) ApplyBatch(dst, x *MultiVector, workers int) error {
-	if dst.K() != x.K() {
-		return fmt.Errorf("core: SpMM width mismatch: dst %d, x %d", dst.K(), x.K())
-	}
-	return m.applyK(dst.cols, x.cols, workers, false)
-}
-
-// applyK is the one apply skeleton: dsts[j] = m * xs[j] for every j in a
-// single pass over the rows. Every source vector is decoded once into a
-// dense buffer (DecodeSources), each row's codewords are verified once
-// per sweep whatever the width, and the row streams into k running sums;
-// column j accumulates in the order a width-1 call uses, so results are
-// bit-identical per column for any width and worker count. With
-// unverified set nothing is decoded or counted — masked payload plus
-// bounds checks only, the ModeUnverified contract. Dot requests pending
-// on dsts (DotRequest) are answered from the sweep.
-func (m *Matrix) applyK(dsts, xs []*Vector, workers int, unverified bool) error {
-	for j, x := range xs {
-		if dsts[j].Len() != m.rows || x.Len() != m.cols {
-			return fmt.Errorf("core: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
-				dsts[j].Len(), m.rows, m.cols, x.Len())
-		}
-	}
-	fullCheck := !unverified && m.StartSweep()
+func (m *Matrix) Product(dsts, xs []*Vector, workers int, sw Sweep) error {
 	ranges := par.Ranges(m.rows, workers, 8)
-	if m.elemScheme == None && m.rowScheme == None && xs[0].scheme == None {
+	if m.scheme == None && m.rowScheme == None && xs[0].scheme == None {
 		ep := startDots(dsts, xs)
 		return ep.finish(par.Run(ranges, func(lo, hi int) error {
 			m.rawRows(dsts, xs, lo, hi, ep)
 			return nil
 		}))
 	}
-	commit := fullCheck && m.mode.Commits() && len(ranges) <= 1
-	return DecodeSources(dsts, xs, unverified, func(xbufs [][]float64, ep *DotEpilogue) error {
+	commit := sw.Commit && len(ranges) <= 1
+	return DecodeSources(dsts, xs, !sw.Sources, func(xbufs [][]float64, ep *DotEpilogue) error {
 		return par.Run(ranges, func(lo, hi int) error {
-			return m.applyRows(dsts, xbufs, lo, hi, fullCheck, commit, ep)
+			return m.applyRows(dsts, xbufs, lo, hi, sw.Full, commit, ep)
 		})
 	})
 }
@@ -180,7 +134,7 @@ func (s *sources) decode(xs []*Vector, unverified bool) error {
 // (stageRow), so the fallback's cost is paid per faulty row, not per
 // sweep. The verify work per row is the same whatever the width.
 func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCheck, commit bool, ep *DotEpilogue) error {
-	cur := rowPtrCursor{m: m, check: fullCheck, commit: commit, group: -1}
+	cur := rowPtrCursor{m: m, check: fullCheck && m.rowScheme != None, commit: commit, group: -1}
 	ver := m.newRowVerifier(commit)
 	colMask := ver.el.Mask()
 
@@ -207,7 +161,7 @@ func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCh
 		}
 		rlo, rhi := int(rlo32), int(rhi32)
 		dirty := false
-		if fullCheck && m.elemScheme != None {
+		if fullCheck && m.scheme != None {
 			var checks uint64
 			dirty, checks, err = ver.row(r, rlo, rhi)
 			elemChecks += checks
@@ -258,7 +212,7 @@ func (m *Matrix) streamRow(sums []float64, xbufs [][]float64, lo, hi int, mask u
 		var sum float64
 		for k := lo; k < hi; k++ {
 			col := m.colIdx[k] & mask
-			if m.elemScheme != None && col >= uint32(m.cols) {
+			if m.scheme != None && col >= uint32(m.cols) {
 				return m.boundsErr(StructElements, k, col, uint32(m.cols))
 			}
 			sum += m.vals[k] * xbuf[col]
@@ -269,7 +223,7 @@ func (m *Matrix) streamRow(sums []float64, xbufs [][]float64, lo, hi int, mask u
 	clear(sums)
 	for k := lo; k < hi; k++ {
 		col := m.colIdx[k] & mask
-		if m.elemScheme != None && col >= uint32(m.cols) {
+		if m.scheme != None && col >= uint32(m.cols) {
 			return m.boundsErr(StructElements, k, col, uint32(m.cols))
 		}
 		v := m.vals[k]

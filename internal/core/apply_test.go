@@ -190,10 +190,11 @@ func TestApplySourceChecksExact(t *testing.T) {
 	for _, s := range Schemes {
 		for _, workers := range []int{1, 3} {
 			for _, k := range []int{1, 3} {
-				m, err := NewMatrix(src, MatrixOptions{ElemScheme: s, RowPtrScheme: s, CheckInterval: 2})
+				m, err := NewMatrix(src, MatrixOptions{ElemScheme: s, RowPtrScheme: s})
 				if err != nil {
 					t.Fatal(err)
 				}
+				m.SetCheckInterval(2)
 				x := NewMultiVector(src.Cols32(), k, s)
 				dst := NewMultiVector(src.Rows(), k, s)
 				var xc, mc Counters
@@ -208,7 +209,7 @@ func TestApplySourceChecksExact(t *testing.T) {
 					case unverified && k == 1:
 						err = m.ApplyUnverified(dst.Col(0), x.Col(0), workers)
 					case unverified:
-						err = m.applyK(dst.cols, x.cols, workers, true)
+						err = m.Product(dst.cols, x.cols, workers, Sweep{})
 					case k == 1:
 						err = m.Apply(dst.Col(0), x.Col(0), workers)
 					default:
@@ -315,7 +316,7 @@ func TestApplyDifferentialRandomSparsity(t *testing.T) {
 						if k == 1 {
 							err = m.Apply(dst.Col(0), x.Col(0), workers)
 						} else if mode == ModeUnverified {
-							err = m.applyK(dst.cols, x.cols, workers, true)
+							err = m.Product(dst.cols, x.cols, workers, Sweep{})
 						} else {
 							err = m.ApplyBatch(dst, x, workers)
 						}

@@ -161,10 +161,11 @@ func TestSpMVBoundsCheckStopsWildIndex(t *testing.T) {
 	// the sweep fails with BoundsError instead of panicking (paper
 	// section VI-A-2).
 	src := csr.Laplacian2D(8, 8)
-	m, err := NewMatrix(src, MatrixOptions{ElemScheme: SED, RowPtrScheme: SED, CheckInterval: 100})
+	m, err := NewMatrix(src, MatrixOptions{ElemScheme: SED, RowPtrScheme: SED})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetCheckInterval(100)
 	x := NewVector(64, None)
 	dst := NewVector(64, None)
 	if err := SpMV(dst, m, x, 1); err != nil { // sweep 0: full check, clean
@@ -180,10 +181,11 @@ func TestSpMVBoundsCheckStopsWildIndex(t *testing.T) {
 
 func TestSpMVIntervalSkipsChecks(t *testing.T) {
 	src := csr.Laplacian2D(8, 8)
-	m, err := NewMatrix(src, MatrixOptions{ElemScheme: SECDED64, RowPtrScheme: SECDED64, CheckInterval: 4})
+	m, err := NewMatrix(src, MatrixOptions{ElemScheme: SECDED64, RowPtrScheme: SECDED64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetCheckInterval(4)
 	var c Counters
 	m.SetCounters(&c)
 	x := NewVector(64, None)

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"abft/internal/csr"
 	"abft/internal/ecc"
@@ -20,14 +19,6 @@ type MatrixOptions struct {
 	RowPtrScheme Scheme
 	// Backend selects the CRC32C implementation (hardware by default).
 	Backend ecc.Backend
-	// CheckInterval performs full integrity checks only on every n-th
-	// sweep through the matrix; other sweeps use cheap range checks
-	// (paper section VI-A-2). Zero or one checks every sweep.
-	CheckInterval int
-	// DisableAutoPad rejects matrices that violate a scheme's structural
-	// requirements instead of padding them with explicit zeros (CRC32C
-	// needs >=4 entries per row; SECDED128 needs an even entry count).
-	DisableAutoPad bool
 }
 
 // Matrix is a CSR sparse matrix whose three vectors carry embedded ECC
@@ -35,32 +26,20 @@ type MatrixOptions struct {
 // lives in the spare bits of the integer vectors, so no precision is lost
 // and no extra memory is used.
 type Matrix struct {
-	elemScheme Scheme
-	rowScheme  Scheme
-	backend    ecc.Backend
-	rows, cols int
-	nnz        int
-	maxRow     int // widest row
+	Shell
+	rowScheme Scheme
+	backend   ecc.Backend
+	maxRow    int // widest row
 
 	rowptr []uint32 // rows+1 entries padded to a group multiple
 	colIdx []uint32
 	vals   []float64
-
-	counters *Counters
-	interval int
-	// mode is the read discipline Apply and the scanners run under; see
-	// SetReadMode.
-	mode ReadMode
-	// sweep is atomic so concurrent SpMVs over one shared matrix (the
-	// solve service runs many jobs against a cached operator) stay
-	// race-free; each Apply still observes a unique sweep number.
-	sweep atomic.Uint64
 }
 
 // NewMatrix builds a protected copy of src. The source matrix is not
-// retained. Construction fails when the matrix exceeds a scheme's size
-// constraints (column count, NNZ) or, with DisableAutoPad, violates its
-// structural requirements.
+// retained. Rows too short for CRC32C and an odd entry count under
+// SECDED128 are padded with explicit zeros; construction fails when the
+// matrix exceeds a scheme's size constraints (column count, NNZ).
 func NewMatrix(src *csr.Matrix, opt MatrixOptions) (*Matrix, error) {
 	if err := src.Validate(); err != nil {
 		return nil, err
@@ -71,17 +50,9 @@ func NewMatrix(src *csr.Matrix, opt MatrixOptions) (*Matrix, error) {
 	}
 	work := src
 	if es == CRC32C && work.MinRowEntries() < 4 {
-		if opt.DisableAutoPad {
-			return nil, fmt.Errorf("core: crc32c element protection needs >=4 entries per row (min %d)",
-				work.MinRowEntries())
-		}
 		work = work.PadRows(4)
 	}
 	if es == SECDED128 && work.NNZ()%2 == 1 {
-		if opt.DisableAutoPad {
-			return nil, fmt.Errorf("core: secded128 element protection needs an even entry count (nnz %d)",
-				work.NNZ())
-		}
 		work = padOneEntry(work)
 	}
 	if work.NNZ() > rs.MaxNNZ() {
@@ -95,17 +66,13 @@ func NewMatrix(src *csr.Matrix, opt MatrixOptions) (*Matrix, error) {
 	g := rs.RowPtrGroup()
 	padded := (rows + 1 + g - 1) / g * g
 	m := &Matrix{
-		elemScheme: es,
-		rowScheme:  rs,
-		backend:    opt.Backend,
-		rows:       rows,
-		cols:       work.Cols32(),
-		nnz:        work.NNZ(),
-		rowptr:     make([]uint32, padded),
-		colIdx:     append([]uint32(nil), work.Cols...),
-		vals:       append([]float64(nil), work.Vals...),
-		interval:   opt.CheckInterval,
+		rowScheme: rs,
+		backend:   opt.Backend,
+		rowptr:    make([]uint32, padded),
+		colIdx:    append([]uint32(nil), work.Cols...),
+		vals:      append([]float64(nil), work.Vals...),
 	}
+	m.Init(m, rows, work.Cols32(), work.NNZ(), es, es != None || rs != None)
 	copy(m.rowptr, work.RowPtr)
 	for r := 0; r < rows; r++ {
 		if n := int(work.RowPtr[r+1] - work.RowPtr[r]); n > m.maxRow {
@@ -131,53 +98,18 @@ func padOneEntry(src *csr.Matrix) *csr.Matrix {
 	return out
 }
 
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
-// NNZ returns the number of stored entries (including protective padding).
-func (m *Matrix) NNZ() int { return m.nnz }
-
 // MaxRowEntries returns the widest row's entry count.
 func (m *Matrix) MaxRowEntries() int { return m.maxRow }
 
-// ElemScheme returns the element protection scheme.
-func (m *Matrix) ElemScheme() Scheme { return m.elemScheme }
+// ElemScheme returns the element protection scheme: Scheme under the
+// name that pairs with RowPtrScheme.
+func (m *Matrix) ElemScheme() Scheme { return m.scheme }
 
 // RowPtrScheme returns the row-pointer protection scheme.
 func (m *Matrix) RowPtrScheme() Scheme { return m.rowScheme }
 
-// SetCounters attaches a statistics accumulator (may be shared or nil).
-func (m *Matrix) SetCounters(c *Counters) { m.counters = c }
-
-// Counters returns the attached statistics accumulator, or nil.
-func (m *Matrix) Counters() *Counters { return m.counters }
-
 // SetCRCBackend selects the CRC32C implementation.
 func (m *Matrix) SetCRCBackend(b ecc.Backend) { m.backend = b }
-
-// SetReadMode selects the read discipline for Apply and the scanners.
-// ModeShared marks the matrix as applied concurrently from multiple
-// goroutines (the solve service shares one cached operator across
-// jobs): kernels then never commit corrections to storage — the same
-// no-commit discipline the parallel SpMV path already uses for
-// codewords a worker does not own — leaving repair to CheckAll/Scrub,
-// which the owner must serialize against Apply. ModeUnverified is
-// normally exercised per call through ApplyUnverified rather than
-// stored here. Set before the matrix becomes visible to other
-// goroutines.
-func (m *Matrix) SetReadMode(mode ReadMode) { m.mode = mode }
-
-// ReadMode returns the configured read discipline.
-func (m *Matrix) ReadMode() ReadMode { return m.mode }
-
-// SetCheckInterval adjusts the full-check cadence; see MatrixOptions.
-func (m *Matrix) SetCheckInterval(n int) { m.interval = n }
-
-// CheckInterval returns the configured cadence.
-func (m *Matrix) CheckInterval() int { return m.interval }
 
 // RawVals exposes stored values for fault injection.
 func (m *Matrix) RawVals() []float64 { return m.vals }
@@ -189,18 +121,6 @@ func (m *Matrix) RawCols() []uint32 { return m.colIdx }
 // RawRowPtr exposes the stored row-pointer entries (data + embedded ECC)
 // for fault injection.
 func (m *Matrix) RawRowPtr() []uint32 { return m.rowptr }
-
-// StartSweep advances the sweep counter and reports whether this sweep
-// must perform full integrity checks (true) or only range checks (false).
-// SpMV calls it once per multiplication; the first sweep always checks.
-func (m *Matrix) StartSweep() bool {
-	sweep := m.sweep.Add(1) - 1
-	full := m.interval <= 1 || sweep%uint64(m.interval) == 0
-	if m.elemScheme == None && m.rowScheme == None {
-		return false
-	}
-	return full
-}
 
 // rowPtrFault counts and builds the uncorrectable-error value for
 // row-pointer group g.
@@ -449,12 +369,12 @@ func (m *Matrix) RowRange(r int) (lo, hi int, err error) {
 // arrays. The view is built per call, not stored: it costs a few register
 // moves and keeps the matrix exactly as large as its storage.
 func (m *Matrix) elems() ColElems {
-	return ColElems{Scheme: m.elemScheme, Backend: m.backend, Vals: m.vals, Cols: m.colIdx}
+	return ColElems{Scheme: m.scheme, Backend: m.backend, Vals: m.vals, Cols: m.colIdx}
 }
 
 func (m *Matrix) encodeElementsAll() {
 	el := m.elems()
-	if m.elemScheme != CRC32C {
+	if m.scheme != CRC32C {
 		el.Encode(0, len(m.colIdx))
 		return
 	}
@@ -470,32 +390,26 @@ func (m *Matrix) encodeElementsAll() {
 // ---------------------------------------------------------------------------
 // Whole-matrix operations
 
-// CheckAll verifies and repairs every codeword of the matrix: the
-// end-of-timestep scrub required by interval checking. It returns the
-// number of corrections and the first uncorrectable error, continuing past
-// errors so the full damage is counted.
-func (m *Matrix) CheckAll() (corrected int, err error) {
-	// Count into a local accumulator and forward it: the tally is exact
-	// for untracked matrices too, and the scrub never writes m.counters.
-	var acc Counters
+// VerifyAll verifies and repairs every row-pointer group and element
+// codeword, satisfying Layout: the body of Shell.CheckAll.
+func (m *Matrix) VerifyAll(acc *Counters) (checks uint64, err error) {
 	record := func(e error) {
 		if e != nil && err == nil {
 			err = e
 		}
 	}
-	var checks uint64
 	if m.rowScheme != None {
 		groups := len(m.rowptr) / m.rowScheme.RowPtrGroup()
 		checks += uint64(groups)
 		var tmp [8]uint32
 		for g := 0; g < groups; g++ {
-			_, e := m.decodeRowGroupCounting(g, true, &tmp, &acc)
+			_, e := m.decodeRowGroupCounting(g, true, &tmp, acc)
 			record(e)
 		}
 	}
 	el := m.elems()
-	if m.elemScheme != CRC32C {
-		_, n, e := el.Check(0, len(m.colIdx), true, &acc)
+	if m.scheme != CRC32C {
+		_, n, e := el.Check(0, len(m.colIdx), true, acc)
 		checks += n
 		record(e)
 	} else {
@@ -507,19 +421,16 @@ func (m *Matrix) CheckAll() (corrected int, err error) {
 			hi, e2 := cur.value(r + 1)
 			record(e2)
 			if e == nil && e2 == nil && lo <= hi {
-				_, e3 := el.CheckRun(r, int(lo), int(hi-lo), true, &acc)
+				_, e3 := el.CheckRun(r, int(lo), int(hi-lo), true, acc)
 				record(e3)
 			}
 		}
 	}
-	m.counters.AddChecks(checks)
-	m.counters.AddCorrected(acc.Corrected())
-	m.counters.AddDetected(acc.Detected())
-	return int(acc.Corrected()), err
+	return checks, err
 }
 
 // ToCSR decodes the matrix back into an unprotected CSR structure,
-// verifying every codeword on the way. Primarily for tests and interop.
+// verifying every codeword on the way, satisfying Layout.
 func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 	if _, err := m.CheckAll(); err != nil {
 		return nil, err
@@ -546,18 +457,4 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 		}
 	}
 	return csr.New(m.rows, m.cols, entries)
-}
-
-// Diagonal extracts the main diagonal into dst (length >= Rows), fully
-// verifying the codewords it reads. Used to build Jacobi preconditioners.
-func (m *Matrix) Diagonal(dst []float64) error {
-	if len(dst) < m.rows {
-		return fmt.Errorf("core: Diagonal destination too short")
-	}
-	plain, err := m.ToCSR()
-	if err != nil {
-		return err
-	}
-	plain.Diagonal(dst)
-	return nil
 }

@@ -146,13 +146,10 @@ func TestMatrixConstraints(t *testing.T) {
 		t.Fatalf("sed should allow 2^25 columns: %v", err)
 	}
 
-	// CRC32C needs >=4 entries per row: autopad fixes, DisableAutoPad rejects.
+	// CRC32C needs >=4 entries per row: autopad widens thin rows.
 	thin, err := csr.New(2, 8, []csr.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 3, Val: 2}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := NewMatrix(thin, MatrixOptions{ElemScheme: CRC32C, DisableAutoPad: true}); err == nil {
-		t.Fatal("thin rows accepted with autopad disabled")
 	}
 	m, err := NewMatrix(thin, MatrixOptions{ElemScheme: CRC32C})
 	if err != nil {
@@ -177,9 +174,6 @@ func TestMatrixConstraints(t *testing.T) {
 	odd, err := csr.New(2, 2, []csr.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: 2}, {Row: 1, Col: 1, Val: 3}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := NewMatrix(odd, MatrixOptions{ElemScheme: SECDED128, DisableAutoPad: true}); err == nil {
-		t.Fatal("odd nnz accepted with autopad disabled")
 	}
 	m2, err := NewMatrix(odd, MatrixOptions{ElemScheme: SECDED128})
 	if err != nil {
@@ -342,10 +336,11 @@ func TestMatrixRowRange(t *testing.T) {
 
 func TestMatrixStartSweepInterval(t *testing.T) {
 	src := testMatrix(t, 4, 4)
-	m, err := NewMatrix(src, MatrixOptions{ElemScheme: SED, RowPtrScheme: SED, CheckInterval: 4})
+	m, err := NewMatrix(src, MatrixOptions{ElemScheme: SED, RowPtrScheme: SED})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetCheckInterval(4)
 	var got []bool
 	for i := 0; i < 9; i++ {
 		got = append(got, m.StartSweep())
@@ -416,10 +411,11 @@ func TestMatrixCRCSurvivesShreddedRowPtr(t *testing.T) {
 
 func TestMatrixAccessors(t *testing.T) {
 	src := testMatrix(t, 4, 3)
-	m, err := NewMatrix(src, MatrixOptions{ElemScheme: CRC32C, RowPtrScheme: CRC32C, CheckInterval: 8})
+	m, err := NewMatrix(src, MatrixOptions{ElemScheme: CRC32C, RowPtrScheme: CRC32C})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetCheckInterval(8)
 	if m.Rows() != 12 || m.Cols() != 12 || m.NNZ() != src.NNZ() {
 		t.Fatalf("dims wrong: %d %d %d", m.Rows(), m.Cols(), m.NNZ())
 	}

@@ -12,7 +12,9 @@ package core
 // during Apply, and repair what their scheme can correct. Every one also
 // provides the batched kernel, the unverified kernel and its element
 // codeword geometry; the three stay named interfaces so a wrapper can
-// forward just the kernels it needs.
+// forward just the kernels it needs. The three storage formats write the
+// contract once: each embeds a Shell and supplies only its Layout, its
+// raw arrays and its codeword geometry.
 type ProtectedMatrix interface {
 	BatchApplier
 	UnverifiedApplier
@@ -81,7 +83,7 @@ type ElemSpanner interface {
 // codeword, satisfying ElemSpanner: single entries under SED/SECDED64,
 // consecutive pairs under SECDED128, a whole matrix row under CRC32C.
 func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
-	switch m.elemScheme {
+	switch m.scheme {
 	case SECDED128:
 		return pick(len(m.colIdx)/2) * 2, 2
 	case CRC32C:
@@ -93,15 +95,3 @@ func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 	}
 	return pick(len(m.colIdx)), 1
 }
-
-// Scheme returns the element protection scheme, satisfying
-// ProtectedMatrix. The row-pointer vector may carry a different scheme;
-// see RowPtrScheme.
-func (m *Matrix) Scheme() Scheme { return m.elemScheme }
-
-// Scrub verifies and repairs every codeword, satisfying ProtectedMatrix;
-// it is CheckAll under the interface's name.
-func (m *Matrix) Scrub() (corrected int, err error) { return m.CheckAll() }
-
-// CounterSnapshot returns a copy of the attached counters.
-func (m *Matrix) CounterSnapshot() CounterSnapshot { return m.counters.Snapshot() }

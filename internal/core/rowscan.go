@@ -78,7 +78,7 @@ func (s *RowScanner) Row(r int, fn func(col int, val float64)) error {
 	}
 	lo, hi := int(lo32), int(hi32)
 	dirty := false
-	if m.elemScheme != None && m.mode.Verifies() {
+	if m.scheme != None && m.mode.Verifies() {
 		var ec uint64
 		dirty, ec, err = s.ver.row(r, lo, hi)
 		checks += ec

@@ -164,3 +164,44 @@ func TestRowScannerRejectsBadRow(t *testing.T) {
 		t.Fatal("past-the-end row accepted")
 	}
 }
+
+// TestFullSweepsCountAlike: one Apply, one RowScanner sweep and CheckAll
+// each verify every codeword of the matrix exactly once, so they count
+// the same checks for every (element, row-pointer) scheme pair. An
+// unprotected row-pointer vector has no codewords and counts none.
+func TestFullSweepsCountAlike(t *testing.T) {
+	for _, es := range Schemes {
+		for _, rs := range Schemes {
+			m, err := NewMatrix(csr.Laplacian2D(8, 8), MatrixOptions{ElemScheme: es, RowPtrScheme: rs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c Counters
+			m.SetCounters(&c)
+			count := func(run func() error) uint64 {
+				t.Helper()
+				before := c.Checks()
+				if err := run(); err != nil {
+					t.Fatalf("elements %v rowptr %v: %v", es, rs, err)
+				}
+				return c.Checks() - before
+			}
+			x := NewVector(m.Cols(), None)
+			apply := count(func() error { return m.Apply(NewVector(m.Rows(), None), x, 1) })
+			scan := count(func() error {
+				s := m.NewRowScanner()
+				for r := 0; r < m.Rows(); r++ {
+					if err := s.Row(r, func(int, float64) {}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			all := count(func() error { _, err := m.CheckAll(); return err })
+			if apply != all || scan != all {
+				t.Errorf("elements %v rowptr %v: Apply %d, RowScanner %d, CheckAll %d checks; want all equal",
+					es, rs, apply, scan, all)
+			}
+		}
+	}
+}

@@ -51,6 +51,23 @@ func (b Backend) String() string {
 	}
 }
 
+// BackendNames lists the names ParseBackend accepts, for error messages
+// and command-line help.
+const BackendNames = "hardware, hw, auto, software, sw"
+
+// ParseBackend converts a CRC32C backend name to a Backend. "auto"
+// names the hardware path, which is what Auto selects.
+func ParseBackend(s string) (Backend, error) {
+	switch s {
+	case "hardware", "hw", "auto":
+		return Hardware, nil
+	case "software", "sw":
+		return Software, nil
+	default:
+		return Auto, fmt.Errorf("ecc: unknown crc backend %q (choices: %s)", s, BackendNames)
+	}
+}
+
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
 // slicing16 holds the 16 lookup tables for the slicing-by-16 algorithm.

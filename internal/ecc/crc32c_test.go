@@ -3,6 +3,7 @@ package ecc
 import (
 	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -201,5 +202,20 @@ func TestSyndromeCacheReuse(t *testing.T) {
 	b := syndromesFor(24)
 	if a != b {
 		t.Fatal("syndrome table not cached")
+	}
+}
+
+// TestParseBackend: every listed name parses, "auto" names the hardware
+// path, and an unknown name is rejected with the choices listed.
+func TestParseBackend(t *testing.T) {
+	want := map[string]Backend{"hardware": Hardware, "hw": Hardware, "auto": Hardware, "software": Software, "sw": Software}
+	for _, name := range strings.Split(BackendNames, ", ") {
+		b, err := ParseBackend(name)
+		if err != nil || b != want[name] {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v", name, b, err, want[name])
+		}
+	}
+	if _, err := ParseBackend("abacus"); err == nil || !strings.Contains(err.Error(), BackendNames) {
+		t.Errorf("unknown name: error %v does not list the choices", err)
 	}
 }

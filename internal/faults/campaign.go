@@ -8,7 +8,6 @@ import (
 
 	"abft/internal/core"
 	"abft/internal/csr"
-	"abft/internal/ecc"
 	"abft/internal/obs"
 	"abft/internal/op"
 	"abft/internal/precond"
@@ -45,8 +44,6 @@ type CampaignConfig struct {
 	// one codeword (vector campaigns only). CRC32C guarantees detection
 	// of bursts up to 32 bits.
 	BurstWindow int
-	// Backend selects the CRC32C implementation.
-	Backend ecc.Backend
 	// Size scales the structure (vector length or grid side; default 32).
 	Size int
 	// Matrix, when non-nil, replaces the generated five-point stencil as
@@ -343,7 +340,7 @@ func campaignMatrix(cfg CampaignConfig) *csr.Matrix {
 // scheme under test when protect is set and unprotected otherwise. A
 // sharded operator's resident vectors always carry the scheme.
 func newOperator(cfg CampaignConfig, plain *csr.Matrix, protect bool) (core.ProtectedMatrix, error) {
-	conf := op.Config{Backend: cfg.Backend}
+	var conf op.Config
 	if protect {
 		conf.Scheme, conf.RowPtrScheme = cfg.Scheme, cfg.Scheme
 	}
@@ -370,7 +367,6 @@ func product(n int, apply func(dst *core.Vector) error) func() ([]float64, bool,
 // or cancelled out of the observable data.
 func vectorTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 	v := core.VectorFromSlice(normals(in, cfg.Size), cfg.Scheme)
-	v.SetCRCBackend(cfg.Backend)
 	t := &trial{strike: func() error { strike(cfg, in, v); return nil }}
 	v.SetCounters(&t.c)
 	t.result = func() ([]float64, bool, error) {
@@ -464,7 +460,7 @@ func precondTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 		kind = precond.Jacobi
 	}
 	plain := campaignMatrix(cfg)
-	p, err := precond.New(kind, plain, precond.Options{Scheme: cfg.Scheme, Backend: cfg.Backend})
+	p, err := precond.New(kind, plain, precond.Options{Scheme: cfg.Scheme})
 	if err != nil {
 		return nil, err
 	}
@@ -539,7 +535,6 @@ func solveTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 		x := core.NewVector(len(bs), cfg.Scheme)
 		b := core.VectorFromSlice(bs, cfg.Scheme)
 		for _, v := range []*core.Vector{x, b} {
-			v.SetCRCBackend(cfg.Backend)
 			v.SetCounters(&t.c)
 		}
 		var err error

@@ -147,18 +147,3 @@ func TestShardedConformanceScrubParity(t *testing.T) {
 		}
 	})
 }
-
-// TestShardedConformanceCheckIntervalRules: the sharded operator must
-// inherit the formats' knob validation — a check interval above one is
-// CSR-only, sharded or not.
-func TestShardedConformanceCheckIntervalRules(t *testing.T) {
-	plain := shardTestMatrix()
-	if _, err := shard.New(plain, shard.Options{Shards: 2, Format: op.COO,
-		Config: op.Config{Scheme: core.SED, CheckInterval: 4}}); err == nil {
-		t.Fatal("sharded COO accepted a check interval")
-	}
-	if _, err := shard.New(plain, shard.Options{Shards: 2, Format: op.CSR,
-		Config: op.Config{Scheme: core.SED, CheckInterval: 4}}); err != nil {
-		t.Fatalf("sharded CSR rejected a check interval: %v", err)
-	}
-}

@@ -85,8 +85,8 @@ type Config struct {
 	// Backend selects the CRC32C implementation.
 	Backend ecc.Backend
 	// CheckInterval performs full integrity checks only on every n-th
-	// sweep. CSR only: New rejects values above 1 for other formats
-	// rather than silently checking every sweep.
+	// sweep and range checks on the sweeps between, in every format
+	// (core.Shell.SetCheckInterval); zero or one checks every sweep.
 	CheckInterval int
 	// Sigma is the SELL-C-sigma sorting window (SELL only; zero uses
 	// the format default).
@@ -97,26 +97,25 @@ type Config struct {
 // CSR source. The result is used exclusively through the
 // core.ProtectedMatrix interface.
 func New(f Format, src *csr.Matrix, cfg Config) (core.ProtectedMatrix, error) {
-	if cfg.CheckInterval > 1 && f != CSR {
-		// Fail loudly rather than silently checking every sweep: interval
-		// measurements on a format that ignores the knob would be wrong.
-		return nil, fmt.Errorf("op: check interval is not supported by format %v (CSR only)", f)
+	var m interface {
+		core.ProtectedMatrix
+		SetCheckInterval(n int)
 	}
+	var err error
 	switch f {
 	case CSR:
-		return core.NewMatrix(src, core.MatrixOptions{
-			ElemScheme:    cfg.Scheme,
-			RowPtrScheme:  cfg.RowPtrScheme,
-			Backend:       cfg.Backend,
-			CheckInterval: cfg.CheckInterval,
+		m, err = core.NewMatrix(src, core.MatrixOptions{
+			ElemScheme:   cfg.Scheme,
+			RowPtrScheme: cfg.RowPtrScheme,
+			Backend:      cfg.Backend,
 		})
 	case COO:
-		return coo.NewMatrix(src, coo.Options{
+		m, err = coo.NewMatrix(src, coo.Options{
 			Scheme:  cfg.Scheme,
 			Backend: cfg.Backend,
 		})
 	case SELLCS:
-		return sell.NewMatrix(src, sell.Options{
+		m, err = sell.NewMatrix(src, sell.Options{
 			Scheme:  cfg.Scheme,
 			Backend: cfg.Backend,
 			Sigma:   cfg.Sigma,
@@ -124,4 +123,9 @@ func New(f Format, src *csr.Matrix, cfg Config) (core.ProtectedMatrix, error) {
 	default:
 		return nil, fmt.Errorf("op: unknown format %v", f)
 	}
+	if err != nil {
+		return nil, err
+	}
+	m.SetCheckInterval(cfg.CheckInterval)
+	return m, nil
 }

@@ -69,13 +69,12 @@ type Options struct {
 	Sigma int
 }
 
-// Matrix is a sparse matrix in SELL-C-sigma format with embedded ECC.
+// Matrix is a sparse matrix in SELL-C-sigma format with embedded ECC; its NNZ
+// counts logical entries, excluding slice padding.
 type Matrix struct {
-	scheme     core.Scheme
-	backend    ecc.Backend
-	rows, cols int
-	nnz        int // logical entries (excluding slice padding)
-	sigma      int
+	core.Shell
+	backend ecc.Backend
+	sigma   int
 
 	// Trusted structural metadata (see the package comment).
 	slicePtr []uint32 // entry offset of each slice, len slices+1
@@ -84,10 +83,6 @@ type Matrix struct {
 
 	colIdx []uint32 // column indices + embedded ECC, column-major per slice
 	vals   []float64
-
-	counters *core.Counters
-	// mode is the read discipline Apply runs under; see SetReadMode.
-	mode core.ReadMode
 }
 
 // padRow marks a dummy lane added to fill the last slice.
@@ -111,15 +106,12 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 	rows := src.Rows()
 	padded := (rows + C - 1) / C * C
 	m := &Matrix{
-		scheme:  s,
 		backend: opt.Backend,
-		rows:    rows,
-		cols:    src.Cols32(),
-		nnz:     src.NNZ(),
 		sigma:   sigma,
 		perm:    make([]uint32, padded),
 		rowLen:  make([]uint32, padded),
 	}
+	m.Init(m, rows, src.Cols32(), src.NNZ(), s, s != core.None)
 	// Sort rows by descending length inside each sigma window; the stable
 	// tie-break keeps the permutation deterministic.
 	for sr := range m.perm {
@@ -170,8 +162,8 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 			pad := uint32(0)
 			if r != padRow {
 				pad = r
-				if int(pad) >= m.cols {
-					pad = uint32(m.cols - 1)
+				if int(pad) >= m.Cols() {
+					pad = uint32(m.Cols() - 1)
 				}
 			}
 			for j := 0; j < width; j++ {
@@ -201,18 +193,6 @@ func (m *Matrix) sliceWidth(sl int) int {
 	return int(m.slicePtr[sl+1]-m.slicePtr[sl]) / C
 }
 
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
-// NNZ returns the number of logical entries.
-func (m *Matrix) NNZ() int { return m.nnz }
-
-// Scheme returns the protection scheme.
-func (m *Matrix) Scheme() core.Scheme { return m.scheme }
-
 // Sigma returns the row-sorting window.
 func (m *Matrix) Sigma() int { return m.sigma }
 
@@ -228,23 +208,6 @@ func (m *Matrix) SliceRange(sl int) (lo, hi int) {
 	return int(m.slicePtr[sl]), int(m.slicePtr[sl+1])
 }
 
-// SetCounters attaches a statistics accumulator.
-func (m *Matrix) SetCounters(c *core.Counters) { m.counters = c }
-
-// SetReadMode selects the read discipline for Apply. ModeShared marks
-// the matrix as applied concurrently from multiple goroutines: Apply
-// stops committing corrections to storage (they are still counted and
-// the checks still detect), leaving repair to Scrub, which the owner
-// must serialize against Apply. Set before the matrix becomes visible
-// to other goroutines.
-func (m *Matrix) SetReadMode(mode core.ReadMode) { m.mode = mode }
-
-// ReadMode returns the configured read discipline.
-func (m *Matrix) ReadMode() core.ReadMode { return m.mode }
-
-// CounterSnapshot returns a copy of the attached counters.
-func (m *Matrix) CounterSnapshot() core.CounterSnapshot { return m.counters.Snapshot() }
-
 // RawVals exposes the stored values for fault injection.
 func (m *Matrix) RawVals() []float64 { return m.vals }
 
@@ -255,7 +218,7 @@ func (m *Matrix) RawCols() []uint32 { return m.colIdx }
 // elems returns the column-element codec over this matrix's own element
 // arrays (a view built per call, never a copy).
 func (m *Matrix) elems() core.ColElems {
-	return core.ColElems{Scheme: m.scheme, Backend: m.backend, Vals: m.vals, Cols: m.colIdx}
+	return core.ColElems{Scheme: m.Scheme(), Backend: m.backend, Vals: m.vals, Cols: m.colIdx}
 }
 
 // chunks returns the number of CRC32C codewords of slice sl: one per
@@ -277,7 +240,7 @@ func (m *Matrix) chunk(sl, i int) (base, n int) {
 // or one CRC32C per slice chunk.
 func (m *Matrix) encodeAll() {
 	el := m.elems()
-	if m.scheme != core.CRC32C {
+	if m.Scheme() != core.CRC32C {
 		el.Encode(0, len(m.vals))
 		return
 	}
@@ -297,7 +260,7 @@ func (m *Matrix) encodeAll() {
 // DecodeLocal instead of streaming storage), the number of codeword
 // checks performed, and the first error.
 func (m *Matrix) checkSlice(el *core.ColElems, sl int, commit bool, c *core.Counters) (dirty bool, checks uint64, err error) {
-	if m.scheme != core.CRC32C {
+	if m.Scheme() != core.CRC32C {
 		lo, hi := m.SliceRange(sl)
 		return el.Check(lo, hi, commit, c)
 	}
@@ -315,37 +278,26 @@ func (m *Matrix) checkSlice(el *core.ColElems, sl int, commit bool, c *core.Coun
 	return dirty, checks, err
 }
 
-// CheckAll verifies and repairs every codeword, returning the number of
-// corrections and the first uncorrectable error.
-func (m *Matrix) CheckAll() (corrected int, err error) {
-	// Count into a local accumulator and forward it: the tally is exact
-	// for untracked matrices too, and the scrub never writes m.counters.
-	var acc core.Counters
+// VerifyAll verifies and repairs every codeword, satisfying
+// core.Layout: the body of Shell.CheckAll.
+func (m *Matrix) VerifyAll(acc *core.Counters) (checks uint64, err error) {
 	el := m.elems()
-	var checks uint64
 	for sl := 0; sl < m.Slices(); sl++ {
-		_, n, e := m.checkSlice(&el, sl, true, &acc)
+		_, n, e := m.checkSlice(&el, sl, true, acc)
 		checks += n
 		if e != nil && err == nil {
 			err = e
 		}
 	}
-	m.counters.AddChecks(checks)
-	m.counters.AddCorrected(acc.Corrected())
-	m.counters.AddDetected(acc.Detected())
-	return int(acc.Corrected()), err
+	return checks, err
 }
-
-// Scrub verifies and repairs every codeword, satisfying
-// core.ProtectedMatrix; it is CheckAll under the interface's name.
-func (m *Matrix) Scrub() (corrected int, err error) { return m.CheckAll() }
 
 // ElemCodewordSpan reports the positions of one randomly chosen element
 // codeword, satisfying core.ElemSpanner: single entries under
 // SED/SECDED64, storage-consecutive pairs under SECDED128, and a slice
 // chunk under CRC32C.
 func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
-	switch m.scheme {
+	switch m.Scheme() {
 	case core.SECDED128:
 		return pick(len(m.vals)/2) * 2, 2
 	case core.CRC32C:
@@ -360,55 +312,28 @@ func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 // ---------------------------------------------------------------------------
 // Kernels
 
-// SpMV computes dst = m * x serially; a convenience wrapper around Apply.
-func (m *Matrix) SpMV(dst, x *core.Vector) error { return m.Apply(dst, x, 1) }
-
-// Apply computes dst = m * x with full integrity checking. Each slice's
-// codewords are verified (and repaired) in storage order before its lanes
-// accumulate, decoded column indices are range-checked, and results are
-// committed block-wise through a window-local accumulator — the sigma
-// sort scatters a slice's outputs within its window, so the window is the
-// smallest unit whose output blocks have a single owner.
+// Product computes dsts[j] = m xs[j] for every j in a single pass over
+// the slices, satisfying core.Layout. Each source vector is decoded once
+// into a dense buffer (core.DecodeSources, the prologue all formats
+// share); on a full sweep each slice's codewords are verified (and
+// repaired) in storage order once whatever the width, before its lanes
+// stream into k window-local accumulators; per-column results are
+// bit-identical to k independent width-1 calls because each lane's sum
+// runs in the same entry order per column. Results are committed
+// block-wise per window — the sigma sort scatters a slice's outputs
+// within its window, so the window is the smallest unit whose output
+// blocks have a single owner. Dot requests pending on dsts
+// (core.DotRequest) are answered from the sweep.
 //
 // Workers above 1 split the sigma windows across goroutines. Codewords
 // never cross a slice, slices never cross a window, and windows are
 // vector-block aligned, so every codeword and every output block has
 // exactly one owner: the parallel path is race-free and bit-identical to
 // the serial one.
-func (m *Matrix) Apply(dst, x *core.Vector, workers int) error {
-	return m.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, !m.mode.Verifies())
-}
-
-// ApplyUnverified computes dst = m * x through the no-decode fast path
-// regardless of the stored read mode: slices stream as masked payload
-// with only column range checks applied — no codeword verification, no
-// corrections, no commit, and the check counters stay untouched — so it
-// can run concurrently with verified readers of the same shared
-// storage. It is the inner-solve read path of selective reliability.
-func (m *Matrix) ApplyUnverified(dst, x *core.Vector, workers int) error {
-	return m.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, true)
-}
-
-// applyK is the one apply skeleton: dsts[j] = m * xs[j] for every j in a
-// single pass over the slices. Each source vector is decoded once into a
-// dense buffer (core.DecodeSources, the prologue all formats share), each
-// slice is verified once per sweep whatever the width,
-// and its lanes stream into k window-local accumulators; per-column
-// results are bit-identical to k independent width-1 calls because each
-// lane's sum runs in the same entry order per column. With unverified
-// set nothing is decoded or counted — masked payload plus bounds checks
-// only, the ModeUnverified contract. Dot requests pending on dsts
-// (core.DotRequest) are answered from the sweep.
-func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
+func (m *Matrix) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) error {
 	k := len(xs)
-	for j, x := range xs {
-		if dsts[j].Len() != m.rows || x.Len() != m.cols {
-			return fmt.Errorf("sell: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
-				dsts[j].Len(), m.rows, m.cols, x.Len())
-		}
-	}
-	windows := (m.rows + m.sigma - 1) / m.sigma
-	return core.DecodeSources(dsts, xs, unverified, func(xbufs [][]float64, ep *core.DotEpilogue) error {
+	windows := (m.Rows() + m.sigma - 1) / m.sigma
+	return core.DecodeSources(dsts, xs, !sw.Sources, func(xbufs [][]float64, ep *core.DotEpilogue) error {
 		return par.ForEach(windows, workers, 1, func(wlo, whi int) error {
 			// One flat allocation for the window accumulators, sliced per column.
 			aflat := make([]float64, k*m.sigma)
@@ -421,7 +346,7 @@ func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) e
 				sums = make([]float64, k)
 			}
 			for w := wlo; w < whi; w++ {
-				if err := m.applyWindow(dsts, xbufs, accs, sums, w, unverified, ep); err != nil {
+				if err := m.applyWindow(dsts, xbufs, accs, sums, w, sw, ep); err != nil {
 					return err
 				}
 			}
@@ -431,15 +356,12 @@ func (m *Matrix) applyK(dsts, xs []*core.Vector, workers int, unverified bool) e
 }
 
 // applyWindow multiplies the slices of sigma-window w into the window's
-// accumulators and commits the window's output rows per column. sums is
-// the k-wide lane scratch (nil at width 1), ep the sweep's dot epilogue
-// (nil without one).
-func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums []float64, w int, unverified bool, ep *core.DotEpilogue) error {
+// accumulators under sw and commits the window's output rows per column.
+// sums is the k-wide lane scratch (nil at width 1), ep the sweep's dot
+// epilogue (nil without one).
+func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums []float64, w int, sw core.Sweep, ep *core.DotEpilogue) error {
 	base := w * m.sigma
-	top := base + m.sigma
-	if top > m.rows {
-		top = m.rows
-	}
+	top := min(base+m.sigma, m.Rows())
 	for _, acc := range accs {
 		for i := range acc {
 			acc[i] = 0
@@ -448,13 +370,13 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 	el := m.elems()
 	mask := el.Mask()
 	var checks uint64
-	defer func() { m.counters.AddChecks(checks) }()
+	defer func() { m.Counters().AddChecks(checks) }()
 	for sl := base / C; sl < (top+C-1)/C; sl++ {
 		dirty := false
-		if m.scheme != core.None && !unverified {
+		if sw.Full {
 			var n uint64
 			var err error
-			dirty, n, err = m.checkSlice(&el, sl, m.mode.Commits(), m.counters)
+			dirty, n, err = m.checkSlice(&el, sl, sw.Commit, m.Counters())
 			checks += n
 			if err != nil {
 				return err
@@ -488,7 +410,7 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 // the width. base is the window's first row, mask the codec's column
 // mask.
 func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base int, mask uint32) error {
-	width := m.sliceWidth(sl)
+	width, checked, cols := m.sliceWidth(sl), m.Scheme() != core.None, uint32(m.Cols())
 	if len(accs) == 1 {
 		acc, xbuf := accs[0], xbufs[0]
 		for l := 0; l < C; l++ {
@@ -500,7 +422,7 @@ func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base i
 			for j := 0; j < width; j++ {
 				k := m.entryIndex(sl, l, j)
 				col := m.colIdx[k] & mask
-				if m.scheme != core.None && col >= uint32(m.cols) {
+				if checked && col >= cols {
 					return m.boundsErr(k, col)
 				}
 				sum += m.vals[k] * xbuf[col]
@@ -520,7 +442,7 @@ func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base i
 		for j := 0; j < width; j++ {
 			k := m.entryIndex(sl, l, j)
 			col := m.colIdx[k] & mask
-			if m.scheme != core.None && col >= uint32(m.cols) {
+			if checked && col >= cols {
 				return m.boundsErr(k, col)
 			}
 			v := m.vals[k]
@@ -546,7 +468,7 @@ func (m *Matrix) stageSlice(el *core.ColElems, accs, xbufs [][]float64, sl, base
 		return err
 	}
 	lo, _ := m.SliceRange(sl)
-	width := m.sliceWidth(sl)
+	width, ncols := m.sliceWidth(sl), uint32(m.Cols())
 	for l := 0; l < C; l++ {
 		r := m.perm[sl*C+l]
 		if r == padRow {
@@ -554,7 +476,7 @@ func (m *Matrix) stageSlice(el *core.ColElems, accs, xbufs [][]float64, sl, base
 		}
 		for j := 0; j < width; j++ {
 			k := j*C + l
-			if cols[k] >= uint32(m.cols) {
+			if cols[k] >= ncols {
 				return m.boundsErr(lo+k, cols[k])
 			}
 			for c, acc := range accs {
@@ -570,7 +492,7 @@ func (m *Matrix) stageSlice(el *core.ColElems, accs, xbufs [][]float64, sl, base
 // scheme.
 func (m *Matrix) decodeSlice(el *core.ColElems, sl int) (cols []uint32, vals []float64, err error) {
 	lo, hi := m.SliceRange(sl)
-	if m.scheme != core.CRC32C {
+	if m.Scheme() != core.CRC32C {
 		return el.DecodeLocal(lo, lo, hi-lo)
 	}
 	for i := 0; i < m.chunks(sl); i++ {
@@ -587,25 +509,12 @@ func (m *Matrix) decodeSlice(el *core.ColElems, sl int) (cols []uint32, vals []f
 // boundsErr counts and builds the range-check error for a decoded column
 // index at storage position k.
 func (m *Matrix) boundsErr(k int, col uint32) error {
-	m.counters.AddBounds(1)
-	return &core.BoundsError{Structure: core.StructElements, Index: k, Value: col, Limit: uint32(m.cols)}
+	m.Counters().AddBounds(1)
+	return &core.BoundsError{Structure: core.StructElements, Index: k, Value: col, Limit: uint32(m.Cols())}
 }
 
-// Diagonal extracts the main diagonal into dst (length >= Rows), fully
-// verifying every codeword on the way.
-func (m *Matrix) Diagonal(dst []float64) error {
-	if len(dst) < m.rows {
-		return fmt.Errorf("sell: Diagonal destination too short")
-	}
-	plain, err := m.ToCSR()
-	if err != nil {
-		return err
-	}
-	plain.Diagonal(dst)
-	return nil
-}
-
-// ToCSR decodes and verifies the matrix back into CSR form. Slice padding
+// ToCSR decodes and verifies the matrix back into CSR form, satisfying
+// core.Layout. Slice padding
 // entries are dropped; the logical entries (including any explicit zeros
 // of the source) are reproduced exactly.
 func (m *Matrix) ToCSR() (*csr.Matrix, error) {
@@ -614,7 +523,7 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 	}
 	el := m.elems()
 	mask := el.Mask()
-	entries := make([]csr.Entry, 0, m.nnz)
+	entries := make([]csr.Entry, 0, m.NNZ())
 	for sl := 0; sl < m.Slices(); sl++ {
 		for l := 0; l < C; l++ {
 			sr := sl*C + l
@@ -632,5 +541,5 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 			}
 		}
 	}
-	return csr.New(m.rows, m.cols, entries)
+	return csr.New(m.Rows(), m.Cols(), entries)
 }

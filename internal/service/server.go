@@ -13,7 +13,6 @@ import (
 
 	"abft/internal/core"
 	"abft/internal/csr"
-	"abft/internal/ecc"
 	"abft/internal/mm"
 	"abft/internal/obs"
 	"abft/internal/solvers"
@@ -42,9 +41,6 @@ type Config struct {
 	// JobHistory bounds how many finished jobs stay queryable
 	// (default 1024); the oldest finished jobs are forgotten beyond it.
 	JobHistory int
-	// CRCBackend selects the CRC32C implementation for every operator
-	// and vector the service builds (default hardware).
-	CRCBackend ecc.Backend
 	// Logger receives the service's structured logs: job lifecycle,
 	// cache builds and evictions, scrub activity, fault events. Nil
 	// discards everything (the embedding default); cmd/abftd injects a

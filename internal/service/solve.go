@@ -88,7 +88,6 @@ func (s *Server) buildOperator(j *job) func() (core.ProtectedMatrix, []float64, 
 		cfg := op.Config{
 			Scheme:       p.scheme,
 			RowPtrScheme: p.rowptr,
-			Backend:      s.cfg.CRCBackend,
 			Sigma:        p.sigma,
 		}
 		plain := j.plain
@@ -138,8 +137,7 @@ func (s *Server) buildOperator(j *job) func() (core.ProtectedMatrix, []float64, 
 		var pre precond.Preconditioner
 		if p.precond != precond.None {
 			pre, err = precond.For(p.precond, m, plain, precond.Options{
-				Scheme:  p.scheme,
-				Backend: s.cfg.CRCBackend,
+				Scheme: p.scheme,
 				// The entry outlives this job and Workers is per-request
 				// (and outside the cache key), so the resident
 				// preconditioner's parallel layout follows the server's
@@ -338,7 +336,6 @@ func (s *Server) solveGroup(group []*job) ([]*SolveResult, *cacheEntry, error) {
 			}
 			x := core.NewVector(rows, p.vectors)
 			for _, v := range []*core.Vector{b, x} {
-				v.SetCRCBackend(s.cfg.CRCBackend)
 				v.SetCounters(jc)
 			}
 			bcols = append(bcols, b)

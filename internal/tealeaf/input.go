@@ -134,14 +134,11 @@ func parseToken(cfg *Config, tok string) error {
 	case "abft_interval":
 		return parseInt(val, &cfg.CheckInterval)
 	case "abft_crc":
-		switch val {
-		case "hardware", "hw", "auto":
-			cfg.CRCBackend = ecc.Hardware
-		case "software", "sw":
-			cfg.CRCBackend = ecc.Software
-		default:
-			return fmt.Errorf("unknown crc backend %q", val)
+		b, err := ecc.ParseBackend(val)
+		if err != nil {
+			return err
 		}
+		cfg.CRCBackend = b
 		return nil
 	case "workers":
 		return parseInt(val, &cfg.Workers)
