@@ -113,8 +113,8 @@ func BenchmarkCRC32CBackends(b *testing.B) {
 }
 
 // BenchmarkSpMV measures the protected sparse matrix-vector product per
-// scheme on a 128x128 five-point operator (both matrix and vector
-// protected with the same scheme).
+// scheme on a 128x128 five-point operator, matrix and vectors protected
+// with the same scheme, and the matrix side alone.
 func BenchmarkSpMV(b *testing.B) {
 	plain := csr.Laplacian2D(128, 128)
 	rng := rand.New(rand.NewSource(1))
@@ -130,6 +130,26 @@ func BenchmarkSpMV(b *testing.B) {
 			}
 			x := core.VectorFromSlice(xs, s)
 			dst := core.NewVector(plain.Rows(), s)
+			b.SetBytes(int64(plain.NNZ() * 12))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := core.SpMV(dst, m, x, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	// A protected matrix with unprotected vectors (a resident service
+	// operator's shape), with SECDED64 elements and unprotected or
+	// SECDED64 row pointers: the matrix side of the product alone.
+	for _, rs := range []core.Scheme{core.None, core.SECDED64} {
+		b.Run("matrix-only/rowptr="+rs.String(), func(b *testing.B) {
+			m, err := core.NewMatrix(plain, core.MatrixOptions{ElemScheme: core.SECDED64, RowPtrScheme: rs})
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := core.VectorFromSlice(xs, core.None)
+			dst := core.NewVector(plain.Rows(), core.None)
 			b.SetBytes(int64(plain.NNZ() * 12))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"abft/internal/ecc"
 	"abft/internal/par"
 )
 
@@ -124,35 +125,220 @@ func (s *sources) decode(xs []*Vector, unverified bool) error {
 // must be a multiple of the output block size (guaranteed by par.Ranges
 // alignment 8).
 //
-// Each row follows the verify-then-stream protocol: on checking sweeps
-// the row's element codewords are batch-verified first (rowVerifier.row),
-// then the payload streams from storage with only the column mask and
-// range check applied (streamRow) — no decode interleaved with the
-// multiply. Only when a correction could not be committed (a no-commit
-// worker or a shared operator hit a live fault) is the row staged
-// through ColElems.DecodeLocal and the stage streamed instead
-// (stageRow), so the fallback's cost is paid per faulty row, not per
-// sweep. The verify work per row is the same whatever the width.
+// The unit of the clean path is one output block of BlockLen rows
+// (DESIGN.md section 33), csrSweep.block: the block's row pointers come
+// from their row-pointer groups, each checked by value once per sweep
+// (rowPtrCursor.window), the element codewords of the block's whole
+// entry span are checked at once, the rows stream into k running sums
+// and the output block is written once. Any fault, non-monotone pointer
+// or wild column sends that block, and only it, to the per-row code
+// (csrSweep.rows), which re-walks it from its first row with nothing
+// yet counted, corrected or committed — so what a faulty block reports
+// is the per-row code's by construction. Sweeps between full checks
+// take the same path with no accumulators.
 func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCheck, commit bool, ep *DotEpilogue) error {
-	cur := rowPtrCursor{m: m, check: fullCheck && m.rowScheme != None, commit: commit, group: -1}
-	ver := m.newRowVerifier(commit)
-	colMask := ver.el.Mask()
+	s := m.newSweep(xbufs, fullCheck, commit)
+	defer s.flush()
+	for r0 := lo; r0 < hi; r0 += BlockLen {
+		n := min(hi-r0, BlockLen)
+		if !s.block(r0, n) {
+			if err := s.rows(r0, n); err != nil {
+				return err
+			}
+		}
+		s.write(dsts, ep, r0, n)
+	}
+	return nil
+}
 
-	var elemChecks uint64
-	defer func() {
-		m.counters.AddChecks(elemChecks + cur.checks)
-	}()
+// csrSweep is one goroutine's state over its rows of a CSR product: the
+// row-pointer cursor, whose current group carries from one block to the
+// next with its decoded values, the element verifier with its SECDED128
+// pair memo, the element checks counted so far, and the k running sums
+// and output blocks.
+type csrSweep struct {
+	m          *Matrix
+	cur        rowPtrCursor
+	ver        rowVerifier
+	full       bool // verify element codewords
+	elemChecks uint64
+	xbufs      [][]float64
+	sums       []float64
+	outs       [][BlockLen]float64
+}
 
-	sums := make([]float64, len(xbufs))
-	outs := make([][BlockLen]float64, len(xbufs))
+// newSweep starts one goroutine's sweep against the decoded columns
+// xbufs: a full check verifies what carries codewords, and commit lets
+// it repair storage.
+func (m *Matrix) newSweep(xbufs [][]float64, fullCheck, commit bool) csrSweep {
+	return csrSweep{
+		m:     m,
+		cur:   rowPtrCursor{m: m, check: fullCheck && m.rowScheme != None, commit: commit, group: -1},
+		ver:   m.newRowVerifier(commit),
+		full:  fullCheck && m.scheme != None,
+		xbufs: xbufs,
+		sums:  make([]float64, len(xbufs)),
+		outs:  make([][BlockLen]float64, len(xbufs)),
+	}
+}
+
+// flush adds the checks the sweep counted to the matrix counters.
+func (s *csrSweep) flush() { s.m.counters.AddChecks(s.elemChecks + s.cur.checks) }
+
+// write stores the output blocks of the n rows at r0, zero past row n.
+func (s *csrSweep) write(dsts []*Vector, ep *DotEpilogue, r0, n int) {
+	for j, dst := range dsts {
+		clear(s.outs[j][n:])
+		ep.WriteBlock(j, dst, r0/BlockLen, &s.outs[j])
+	}
+}
+
+// block is the clean path over the n <= BlockLen rows at r0: it fills
+// the output blocks and reports true, or reports false having changed
+// nothing but the output blocks — no count, no correction, no commit,
+// no cursor or memo state — when anything on the way is not clean.
+func (s *csrSweep) block(r0, n int) bool {
+	m := s.m
+	var p [2 * BlockLen]uint32
+	groups, ok := s.cur.window(r0, n, &p)
+	if !ok {
+		return false
+	}
+	// Monotone and inside storage: then every pointer is <= nnz.
+	bad := p[n] > uint32(m.nnz)
+	for i := 0; i < n; i++ {
+		bad = bad || p[i] > p[i+1]
+	}
+	if bad {
+		return false
+	}
+	checks, lastPair := uint64(0), s.ver.lastPair
+	if s.full {
+		lo, hi := int(p[0]), int(p[n])
+		vals, cols := m.vals, m.colIdx
+		switch m.scheme {
+		case SED:
+			var acc uint64
+			for k := lo; k < hi; k++ {
+				acc |= ecc.Parity64(math.Float64bits(vals[k]) ^ uint64(cols[k]))
+			}
+			if acc != 0 {
+				return false
+			}
+			checks = uint64(hi - lo)
+		case SECDED64:
+			if codecElem64.AccRun96(vals[lo:hi], cols[lo:hi]) != 0 {
+				return false
+			}
+			checks = uint64(hi - lo)
+		case SECDED128:
+			// The pairs of the span, less one the previous row
+			// verified: rowVerifier.row's memo, kept across blocks.
+			if hi > lo {
+				t0, last := lo/2, (hi-1)/2
+				if t0 == lastPair {
+					t0++
+				}
+				if codecElem128.AccRun192(vals[2*t0:2*last+2], cols[2*t0:2*last+2]) != 0 {
+					return false
+				}
+				checks, lastPair = uint64(last-t0+1), last
+			}
+		case CRC32C:
+			// The codeword is a row: one checksum per row.
+			for i := 0; i < n; i++ {
+				a, b := p[i], p[i+1]
+				if b-a < 4 {
+					return false
+				}
+				if crc, stored := ecc.RunChecksum(vals[a:b], cols[a:b], m.backend); crc != stored {
+					return false
+				}
+			}
+			checks = uint64(n)
+		}
+	}
+	if !s.stream(&p, n) {
+		return false
+	}
+	s.cur.advance(r0, n, &p, groups)
+	s.elemChecks += checks
+	s.ver.lastPair = lastPair
+	return true
+}
+
+// stream accumulates the n rows delimited by p[0..n] straight from
+// storage into the output blocks, applying the column mask and, when
+// the elements carry codewords, the column range check: the per-row
+// streamRow over a whole block. It reports false at a wild column.
+func (s *csrSweep) stream(p *[2 * BlockLen]uint32, n int) bool {
+	m := s.m
+	mask, vals, cols := s.ver.el.Mask(), m.vals, m.colIdx
+	// Columns are checked against the decoded length of x: its logical
+	// length when the elements carry codewords, the whole buffer
+	// otherwise, where a wild column is left to the per-row code.
+	width := len(s.xbufs[0])
+	if m.scheme != None {
+		width = m.cols
+	}
+	if len(s.xbufs) == 1 {
+		xbuf, out := s.xbufs[0][:width], &s.outs[0]
+		for i := 0; i < n; i++ {
+			cs := cols[p[i]:p[i+1]]
+			vs := vals[p[i]:p[i+1]]
+			vs = vs[:len(cs)]
+			var sum float64
+			for k, c := range cs {
+				col := c & mask
+				if uint(col) >= uint(len(xbuf)) {
+					return false
+				}
+				sum += vs[k] * xbuf[col]
+			}
+			out[i] = sum
+		}
+		return true
+	}
+	sums := s.sums
+	for i := 0; i < n; i++ {
+		clear(sums)
+		for k := p[i]; k < p[i+1]; k++ {
+			col := cols[k] & mask
+			if int(col) >= width {
+				return false
+			}
+			v := vals[k]
+			for j, xbuf := range s.xbufs {
+				sums[j] += v * xbuf[col]
+			}
+		}
+		for j, sum := range sums {
+			s.outs[j][i] = sum
+		}
+	}
+	return true
+}
+
+// rows is the cold path of a block: the per-row verify-then-stream
+// protocol over the n rows at r0, from the state the clean path left.
+// Each row takes its pointers from the cursor, batch-verifies its
+// element codewords (rowVerifier.row), then streams from storage
+// (streamRow) — or, when a correction could not be committed (a
+// no-commit worker or a shared operator hit a live fault), stages the
+// row through ColElems.DecodeLocal and streams the stage (stageRow).
+// Which fault is reported, the checks counted up to it, corrections,
+// commits and bounds errors are therefore a per-row pass's.
+func (s *csrSweep) rows(r0, n int) error {
+	m := s.m
+	colMask := s.ver.el.Mask()
 	// Row r's end pointer is row r+1's start pointer: carry it across
 	// iterations so each row costs one cursor lookup, not two.
-	rlo32, err := cur.value(lo)
+	rlo32, err := s.cur.value(r0)
 	if err != nil {
 		return err
 	}
-	for r := lo; r < hi; r++ {
-		rhi32, err := cur.value(r + 1)
+	for r := r0; r < r0+n; r++ {
+		rhi32, err := s.cur.value(r + 1)
 		if err != nil {
 			return err
 		}
@@ -161,38 +347,25 @@ func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCh
 		}
 		rlo, rhi := int(rlo32), int(rhi32)
 		dirty := false
-		if fullCheck && m.scheme != None {
+		if s.full {
 			var checks uint64
-			dirty, checks, err = ver.row(r, rlo, rhi)
-			elemChecks += checks
+			dirty, checks, err = s.ver.row(r, rlo, rhi)
+			s.elemChecks += checks
 			if err != nil {
 				return err
 			}
 		}
 		if dirty {
-			err = m.stageRow(&ver.el, sums, xbufs, r, rlo, rhi)
+			err = m.stageRow(&s.ver.el, s.sums, s.xbufs, r, rlo, rhi)
 		} else {
-			err = m.streamRow(sums, xbufs, rlo, rhi, colMask)
+			err = m.streamRow(s.sums, s.xbufs, rlo, rhi, colMask)
 		}
 		if err != nil {
 			return err
 		}
 		rlo32 = rhi32
-		for j, s := range sums {
-			outs[j][r%BlockLen] = s
-		}
-		if r%BlockLen == BlockLen-1 {
-			for j, dst := range dsts {
-				ep.WriteBlock(j, dst, r/BlockLen, &outs[j])
-			}
-		}
-	}
-	if hi%BlockLen != 0 {
-		for j, dst := range dsts {
-			for i := hi % BlockLen; i < BlockLen; i++ {
-				outs[j][i] = 0
-			}
-			ep.WriteBlock(j, dst, hi/BlockLen, &outs[j])
+		for j, sum := range s.sums {
+			s.outs[j][r-r0] = sum
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"abft/internal/csr"
 	"abft/internal/ecc"
@@ -338,6 +339,71 @@ func (c *rowPtrCursor) value(r int) (uint32, error) {
 		return 0, c.m.boundsErr(StructRowPtr, r, v, uint32(c.m.nnz)+1)
 	}
 	return v, nil
+}
+
+// window is the block form of value for the output block of n <=
+// BlockLen rows at r0 (a multiple of BlockLen): it fills p[0..n] with
+// the pointers r0..r0+n. On a checking cursor each group the block needs
+// and the cursor does not already hold is checked by value — one kernel
+// call per group, no decode, no correction, no count — and the held
+// group supplies its decoded values, so a correction this sweep could
+// not commit is never re-read from storage. Groups are 1, 2, 4 or 8
+// entries and r0 is a multiple of every size, so p is laid out group by
+// group from p[0]. It returns the groups checked and whether all were
+// clean; the cursor itself is left as it was (advance moves it).
+func (c *rowPtrCursor) window(r0, n int, p *[2 * BlockLen]uint32) (groups uint64, ok bool) {
+	m := c.m
+	mask := rowPtrMaskFor(m.rowScheme)
+	if !c.check {
+		for i, x := range m.rowptr[r0 : r0+n+1] {
+			p[i] = x & mask
+		}
+		return 0, true
+	}
+	shift := bits.TrailingZeros(uint(m.rowScheme.RowPtrGroup()))
+	g := 1 << shift
+	from, to := r0, (r0+n)>>shift<<shift+g
+	if r0>>shift == c.group {
+		copy(p[:g], c.vals[:g])
+		from += g
+	}
+	rp, q := m.rowptr[from:to], p[from-r0:to-r0]
+	var acc uint32
+	switch m.rowScheme {
+	case SED:
+		for _, x := range rp {
+			acc |= uint32(ecc.Parity64(uint64(x)))
+		}
+	case SECDED64:
+		for i := 0; i+1 < len(rp); i += 2 {
+			acc |= uint32(codecRow64.Acc64(pack32(rp[i], rp[i+1])))
+		}
+	case SECDED128:
+		for i := 0; i+3 < len(rp); i += 4 {
+			acc |= uint32(codecRow128.Acc128(pack32(rp[i], rp[i+1]), pack32(rp[i+2], rp[i+3])))
+		}
+	case CRC32C:
+		for i := 0; i+7 < len(rp); i += 8 {
+			crc, stored := ecc.GroupChecksum((*[8]uint32)(rp[i:i+8]), m.backend)
+			acc |= crc ^ stored
+		}
+	}
+	for i, x := range rp {
+		q[i] = x & mask
+	}
+	return uint64(len(rp) >> shift), acc == 0
+}
+
+// advance moves a checking cursor past a clean window: it now holds the
+// group of pointer r0+n, decoded in p, and counts the window's groups.
+func (c *rowPtrCursor) advance(r0, n int, p *[2 * BlockLen]uint32, groups uint64) {
+	if !c.check {
+		return
+	}
+	shift := bits.TrailingZeros(uint(c.m.rowScheme.RowPtrGroup()))
+	c.group = (r0 + n) >> shift
+	copy(c.vals[:], p[n>>shift<<shift:])
+	c.checks += groups
 }
 
 // RowRange returns the half-open entry range [lo, hi) of row r, fully

@@ -30,7 +30,18 @@ import (
 // Read parses a MatrixMarket coordinate stream into an unprotected CSR
 // matrix. Real and integer fields are accepted; pattern entries get
 // value 1. Symmetric matrices are expanded to general storage.
-func Read(r io.Reader) (*csr.Matrix, error) {
+func Read(r io.Reader) (*csr.Matrix, error) { return read(r, 0) }
+
+// ReadStringLimit is ReadString refusing a size line that declares more
+// than maxDim rows or columns before anything of that size is
+// allocated: the bound a server puts on what a short document may ask
+// it to build.
+func ReadStringLimit(s string, maxDim int) (*csr.Matrix, error) {
+	return read(strings.NewReader(s), maxDim)
+}
+
+// read is Read with ReadStringLimit's bound; maxDim 0 is none.
+func read(r io.Reader, maxDim int) (*csr.Matrix, error) {
 	sc := bufio.NewScanner(r)
 	// Lines of up to 1 MiB; the buffer starts small and grows to that
 	// only for a line that needs it.
@@ -74,6 +85,9 @@ func Read(r io.Reader) (*csr.Matrix, error) {
 		}
 		if nnz < 0 {
 			return nil, fmt.Errorf("mm: bad size line %q: negative entry count", line)
+		}
+		if maxDim > 0 && (rows > maxDim || cols > maxDim) {
+			return nil, fmt.Errorf("mm: size line declares %dx%d, over the limit of %d rows or columns", rows, cols, maxDim)
 		}
 		break
 	}

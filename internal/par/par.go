@@ -11,7 +11,10 @@
 // caller doing everything when the pool is busy.
 package par
 
-import "runtime"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Ranges splits [0,n) into at most workers contiguous half-open ranges
 // whose interior boundaries are multiples of align. It returns fewer
@@ -63,7 +66,9 @@ func Partition(n, parts, align int) [][2]int {
 // Multi-range work is dispatched to the resident worker pool; the calling
 // goroutine claims ranges too, so Run completes even when every pool
 // worker is busy (including nested Run from inside fn) and never blocks
-// waiting for a free worker.
+// waiting for a free worker. In a multi-range Run a range that panics
+// fails with a *PanicError, whichever goroutine ran it; a single range
+// runs inline on the caller, and its panic is the caller's.
 func Run(ranges [][2]int, fn func(lo, hi int) error) error {
 	if len(ranges) == 0 {
 		return nil
@@ -86,4 +91,15 @@ func ForEach(n, workers, align int, fn func(lo, hi int) error) error {
 // the first parallel Run forces the pool up.
 func Stats() (workers int, dispatches uint64) {
 	return sharedPool().stats()
+}
+
+// PanicError is the error of a range that panicked in a multi-range Run:
+// the value passed to panic and the stack of the goroutine that ran it.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("par: range panicked: %v\n%s", e.Value, e.Stack)
 }

@@ -2,6 +2,7 @@ package par
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -174,14 +175,25 @@ func (t *task) runRanges() {
 		if i >= n {
 			return
 		}
-		r := t.ranges[i]
-		if err := t.fn(r[0], r[1]); err != nil {
+		if err := t.call(t.ranges[i]); err != nil {
 			t.fail(int(i), err)
 		}
 		if t.pending.Add(-1) == 0 {
 			t.done <- struct{}{}
 		}
 	}
+}
+
+// call runs fn over one range and returns a panic in it as the range's
+// error: on a pool goroutine nothing above would recover it, and the
+// process would end.
+func (t *task) call(r [2]int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return t.fn(r[0], r[1])
 }
 
 // fail records err for range index i, keeping the lowest-indexed error

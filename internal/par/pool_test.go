@@ -260,3 +260,44 @@ func TestPoolFreeListExhaustion(t *testing.T) {
 		t.Fatalf("lost work: %d of %d", total.Load(), callers*8)
 	}
 }
+
+// TestRunRecoversRangePanic panics in range 3 of four at GOMAXPROCS 2,
+// so the range may run on a pool goroutine: Run returns the panic as a
+// *PanicError carrying the value and the stack, the lowest failing range
+// still wins, and the pool serves the next Run.
+func TestRunRecoversRangePanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ranges := manyRanges(4, 4)
+	for trial := 0; trial < 50; trial++ {
+		err := Run(ranges, func(lo, hi int) error {
+			if lo == 3 {
+				panic("range three")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "range three" || len(pe.Stack) == 0 {
+			t.Fatalf("trial %d: Run returned %v, want the range's panic", trial, err)
+		}
+		errLow := errors.New("range one")
+		err = Run(ranges, func(lo, hi int) error {
+			switch lo {
+			case 1:
+				return errLow
+			case 3:
+				panic("range three")
+			}
+			return nil
+		})
+		if err != errLow {
+			t.Fatalf("trial %d: Run returned %v, want the lower range's error", trial, err)
+		}
+		var sum atomic.Int64
+		if err := Run(ranges, func(lo, hi int) error {
+			sum.Add(int64(hi - lo))
+			return nil
+		}); err != nil || sum.Load() != 4 {
+			t.Fatalf("trial %d: the Run after a panic returned %v and covered %d of 4", trial, err, sum.Load())
+		}
+	}
+}

@@ -552,7 +552,7 @@ func (s *Server) assemble(spec *MatrixSpec, quoted []byte) (*csr.Matrix, error) 
 	if err := json.Unmarshal(quoted, &doc); err != nil {
 		return nil, fmt.Errorf("bad request body: %w", err)
 	}
-	return mm.ReadString(doc)
+	return mm.ReadStringLimit(doc, maxDim)
 }
 
 // errQueueFull reports a saturated job queue: HTTP 429 with a

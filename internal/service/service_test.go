@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -602,4 +603,27 @@ func TestQueueFullAnswers429(t *testing.T) {
 
 func flipFloat(x float64, bit int) float64 {
 	return flipBits(x, 1<<uint(bit))
+}
+
+// TestDeclaredSizeLimits sends three bodies of under a hundred bytes
+// that declare operators no request body could describe — a grid, a
+// MatrixMarket size line and an entries list — and gets 400 naming the
+// limit for each, before anything of the declared size is allocated;
+// the next normal request still succeeds.
+func TestDeclaredSizeLimits(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	for body, want := range map[string]string{
+		`{"matrix":{"grid":{"nx":100000,"ny":100000}}}`: fmt.Sprintf("more than %d entries", maxGridEntries),
+		`{"matrix":{"matrix_market":"%%MatrixMarket matrix coordinate real general\n1099511627776 1099511627776 1\n1 1 1\n"}}`: fmt.Sprintf("limit of %d rows", maxDim),
+		`{"matrix":{"entries":[{"row":1099511627776,"col":0,"val":1}]}}`:                                                       fmt.Sprintf("limit of %d rows", maxDim),
+	} {
+		if code, _, msg := postBody(t, srv, []byte(body)); code != http.StatusBadRequest || !strings.Contains(msg, want) {
+			t.Errorf("%s: status %d, error %q, want 400 naming %q", body, code, msg, want)
+		}
+	}
+	code, st, msg := postBody(t, srv, []byte(`{"matrix":{"grid":{"nx":8,"ny":8}},"tol":1e-8}`))
+	if code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("normal request after the refusals: status %d, state %v, error %q", code, st.State, msg)
+	}
 }

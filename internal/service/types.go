@@ -96,17 +96,41 @@ func (s *MatrixSpec) Build() (*csr.Matrix, error) {
 		if s.Grid.NX < 2 || s.Grid.NY < 2 {
 			return nil, fmt.Errorf("grid %dx%d too small (need >= 2x2)", s.Grid.NX, s.Grid.NY)
 		}
+		// 5·nx·ny <= maxGridEntries, without the product overflowing.
+		if s.Grid.NX > maxGridEntries/5/s.Grid.NY {
+			return nil, fmt.Errorf("grid %dx%d generates more than %d entries, the most a request body can list", s.Grid.NX, s.Grid.NY, maxGridEntries)
+		}
 		return csr.Laplacian2D(s.Grid.NX, s.Grid.NY), nil
 	case s.MatrixMarket != "":
-		return mm.ReadString(s.MatrixMarket)
+		return mm.ReadStringLimit(s.MatrixMarket, maxDim)
 	default:
+		if s.Rows > maxDim || s.Cols > maxDim {
+			return nil, fmt.Errorf("matrix %dx%d is over the limit of %d rows or columns", s.Rows, s.Cols, maxDim)
+		}
 		entries := make([]csr.Entry, len(s.Entries))
 		for i, t := range s.Entries {
+			if t.Row >= maxDim || t.Col >= maxDim {
+				return nil, fmt.Errorf("entry %d at (%d,%d) is past the limit of %d rows or columns", i, t.Row, t.Col, maxDim)
+			}
 			entries[i] = csr.Entry{Row: t.Row, Col: t.Col, Val: t.Val}
+		}
+		if s.Rows < 1 || s.Cols < 1 {
+			return nil, fmt.Errorf("entries need rows and cols of at least 1 (got %dx%d)", s.Rows, s.Cols)
 		}
 		return csr.New(s.Rows, s.Cols, entries)
 	}
 }
+
+// A request may declare no more than a body of maxBody bytes could
+// carry, checked before anything of the declared size is allocated:
+// a generated grid no more entries than the longest inline MatrixMarket
+// document could list ("1 1 1\n" is the shortest entry line), and a
+// size line or an entries list no more rows or columns than an inline b
+// could hold ("0," is the shortest element).
+const (
+	maxGridEntries = maxBody / 6
+	maxDim         = maxBody / 2
+)
 
 // SolveRequest is the body of POST /v1/solve.
 type SolveRequest struct {
