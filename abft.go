@@ -150,8 +150,11 @@ func NewSELLMatrix(src *CSRMatrix, opt SELLOptions) (*SELLMatrix, error) {
 // assembled matrix split into bands, each holding a protected local
 // matrix in any storage format, with integrity-checked halo exchanges
 // between bands and tree-reduced inner products — the in-process
-// analogue of the paper's MPI deployment. It satisfies ProtectedMatrix,
-// so every solver and the abftd service run over it unchanged.
+// analogue of the paper's MPI deployment. Like every storage format it
+// is a core.Shell over a core.Layout: one check interval and one sweep
+// decision per product for all of its bands. It satisfies
+// ProtectedMatrix, so every solver and the abftd service run over it
+// unchanged.
 type ShardedOperator = shard.Operator
 
 // ShardOptions configures a sharded operator: band count, per-shard

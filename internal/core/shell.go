@@ -49,10 +49,11 @@ type Layout interface {
 
 // Shell is the format-independent half of a ProtectedMatrix, written
 // once and embedded by every storage format (core.Matrix, coo.Matrix,
-// sell.Matrix): the shape, the element scheme, the counters, the read
-// mode, the check interval and the sweep counter, and every entry point
-// of the contract. It decides each product's Sweep and leaves the
-// storage to the format's Layout.
+// sell.Matrix) and by the row-sharded composite (shard.Operator): the
+// shape, the element scheme, the counters, the read mode, the check
+// interval and the sweep counter, and every entry point of the
+// contract. It decides each product's Sweep and leaves the storage to
+// the format's Layout.
 type Shell struct {
 	layout          Layout
 	rows, cols, nnz int
@@ -89,6 +90,9 @@ func (s *Shell) NNZ() int { return s.nnz }
 
 // Scheme returns the element protection scheme.
 func (s *Shell) Scheme() Scheme { return s.scheme }
+
+// Protected reports whether any structure carries codewords.
+func (s *Shell) Protected() bool { return s.protected }
 
 // SetCounters attaches a statistics accumulator (may be shared or nil).
 func (s *Shell) SetCounters(c *Counters) { s.counters = c }

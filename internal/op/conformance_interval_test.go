@@ -76,7 +76,7 @@ func forEachIntervalCase(t *testing.T, fn func(t *testing.T, c intervalCase)) {
 			cases = append(cases, intervalCase{f: f, s: s})
 		}
 	}
-	for _, f := range []op.Format{op.COO, op.SELLCS} {
+	for _, f := range op.Formats {
 		for _, s := range []core.Scheme{core.SED, core.SECDED64, core.CRC32C} {
 			cases = append(cases, intervalCase{f: f, shards: 2, s: s})
 		}
@@ -112,8 +112,8 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestCheckIntervalConformance pins the interval contract for CSR, COO,
-// SELL-C-sigma and 2-band sharded COO and SELL under SED, SECDED64 and
-// CRC32C at interval 4.
+// SELL-C-sigma and each of them split into 2 bands, under SED, SECDED64
+// and CRC32C at interval 4.
 func TestCheckIntervalConformance(t *testing.T) {
 	forEachIntervalCase(t, func(t *testing.T, c intervalCase) {
 		xs := shardRefVector(shardTestMatrix().Cols32())
@@ -250,15 +250,23 @@ func TestCheckIntervalConformance(t *testing.T) {
 	})
 }
 
-// TestCheckIntervalConcurrentShared: shared-mode products of one COO and
-// one SELL operator from several goroutines (the solve service's cached
-// operators) each draw a unique sweep number, so of 4n products exactly n
-// are full sweeps, and every product is bit-identical to the serial one.
+// TestCheckIntervalConcurrentShared: shared-mode products of one COO, one
+// SELL and one 2-band sharded SELL operator from several goroutines (the
+// solve service's cached operators) each draw a unique sweep number, so
+// of 4n products exactly n are full sweeps, and every product is
+// bit-identical to the serial one.
 func TestCheckIntervalConcurrentShared(t *testing.T) {
 	const goroutines, each = 4, 6
-	for _, f := range []op.Format{op.COO, op.SELLCS} {
-		t.Run(f.String(), func(t *testing.T) {
-			c := intervalCase{f: f, s: core.SECDED64}
+	for _, c := range []intervalCase{
+		{f: op.COO, s: core.SECDED64},
+		{f: op.SELLCS, s: core.SECDED64},
+		{f: op.SELLCS, shards: 2, s: core.SECDED64},
+	} {
+		name := c.f.String()
+		if c.shards > 0 {
+			name = c.String()
+		}
+		t.Run(name, func(t *testing.T) {
 			xs := shardRefVector(shardTestMatrix().Cols32())
 			var one, mc core.Counters
 			want, err := product(c.build(t, 1, &one), c.s, xs, nil)

@@ -15,9 +15,12 @@
 // would be inside a kernel. Shards execute in parallel goroutines in
 // bulk-synchronous phases.
 //
-// The composite implements core.ProtectedMatrix, so the iterative
-// solvers, the abftd operator cache, the scrub daemon and the fault
-// campaigns all run over it unchanged.
+// The composite is a core.Shell over its own core.Layout, exactly as
+// each storage format is: the shell makes one sweep decision per
+// product for every band, and the layout's product runs the pipeline
+// and each band's format kernel under that one decision. So the
+// iterative solvers, the abftd operator cache, the scrub daemon and the
+// fault campaigns all run over it unchanged.
 package shard
 
 import (
@@ -77,8 +80,9 @@ type Options struct {
 	// matrix.
 	Format op.Format
 	// Config carries the local matrices' protection configuration
-	// (element and row-pointer schemes, CRC backend, check interval,
-	// sigma), exactly as for a single operator of the same format.
+	// (element and row-pointer schemes, CRC backend, sigma), exactly as
+	// for a single operator of the same format. Its check interval is
+	// the composite's: every band full-checks on the same sweeps.
 	Config op.Config
 	// VectorScheme protects the halo-extended local vectors the exchange
 	// packs into (default none).
@@ -98,11 +102,21 @@ func Clamp(rows, shards int) int {
 	return len(par.Partition(rows, shards, core.BlockLen))
 }
 
+// matrix is a band's local protected matrix: a storage format's
+// core.Shell, through which the composite attaches counters and reads
+// the format's protection, and its core.Layout, whose Product the
+// composite calls under its own Sweep. Every op format is both.
+type matrix interface {
+	core.ProtectedMatrix
+	core.Layout
+	Protected() bool
+}
+
 // band is one row shard: global rows [r0, r1) and a local protected
 // matrix over the halo-extended column space.
 type band struct {
 	r0, r1 int
-	m      core.ProtectedMatrix
+	m      matrix
 	// haloCols are the out-of-band global columns this band's rows
 	// couple to, ascending; local column interiorPad+k holds haloCols[k].
 	haloCols []uint32
@@ -142,26 +156,23 @@ type local struct {
 // fault campaigns corrupt.
 type workspace []local
 
-// Operator is a row-sharded protected operator. It satisfies
-// core.ProtectedMatrix; Apply runs the bulk-synchronous
+// Operator is a row-sharded protected operator: a core.Shell over its
+// own core.Layout. The shell writes the core.ProtectedMatrix contract —
+// shape, counters, read mode, and the one sweep counter whose check
+// interval every band follows — and Product runs the bulk-synchronous
 // scatter/exchange/local-product pipeline across per-shard goroutines.
 // Concurrent Apply callers each draw a workspace from an internal pool,
 // so solves sharing one cached operator proceed without contention;
 // Scrub and Diagonal follow the same owner-serialised contract as every
 // other ProtectedMatrix implementation.
 type Operator struct {
-	rows, cols int
-	nnz        int
-	opt        Options
-	bands      []*band
+	core.Shell
+	opt   Options
+	bands []*band
 	// reduce is the global inner product's reduction: one block range
 	// per band, combined in the binary tree.
 	reduce core.FusedOptions
 
-	counters *core.Counters
-	// mode mirrors the read discipline propagated to the bands; see
-	// SetReadMode.
-	mode core.ReadMode
 	// hook, when set, observes phase barriers (fault campaigns corrupt
 	// shard-local state between phases through it). Set before sharing.
 	hook func(Phase)
@@ -179,7 +190,8 @@ type Operator struct {
 // New partitions src into row bands and builds each band's protected
 // local matrix in the configured format. Band boundaries are aligned to
 // the vector codeword block, so the shard count is clamped to at most
-// one band per block of rows.
+// one band per block of rows. The check interval is the composite's:
+// the bands are built without one.
 func New(src *csr.Matrix, opt Options) (*Operator, error) {
 	if opt.Shards <= 0 {
 		opt.Shards = 2
@@ -193,20 +205,22 @@ func New(src *csr.Matrix, opt Options) (*Operator, error) {
 		return nil, fmt.Errorf("shard: matrix is %dx%d; row sharding needs a square operator",
 			src.Rows(), src.Cols32())
 	}
-	o := &Operator{
-		rows: src.Rows(),
-		cols: src.Cols32(),
-		opt:  opt,
-	}
+	o := &Operator{opt: opt}
+	cfg := opt.Config
+	cfg.CheckInterval = 0
+	nnz, protected := 0, false
 	for _, r := range par.Partition(src.Rows(), opt.Shards, core.BlockLen) {
-		b, err := newBand(src, r[0], r[1], opt)
+		b, err := newBand(src, r[0], r[1], opt.Format, cfg)
 		if err != nil {
 			return nil, err
 		}
 		o.bands = append(o.bands, b)
-		o.nnz += b.m.NNZ()
+		nnz += b.m.NNZ()
+		protected = protected || b.m.Protected()
 		o.reduce.BlockBands = append(o.reduce.BlockBands, [2]int{r[0] / core.BlockLen, r[0]/core.BlockLen + b.blocks()})
 	}
+	o.Init(o, src.Rows(), src.Cols32(), nnz, opt.Config.Scheme, protected)
+	o.SetCheckInterval(opt.Config.CheckInterval)
 	o.primary = o.newWorkspace(1)
 	o.free = map[int][]workspace{1: {o.primary}}
 	return o, nil
@@ -220,7 +234,7 @@ func (o *Operator) newWorkspace(k int) workspace {
 		l := &ws[i]
 		l.x = core.NewMultiVector(b.localCols, k, o.opt.VectorScheme)
 		l.x.SetCRCBackend(o.opt.Config.Backend)
-		l.x.SetCounters(o.counters)
+		l.x.SetCounters(o.Counters())
 		l.buf = make([]float64, packChunk*core.BlockLen)
 		l.out = make([][core.BlockLen]float64, k)
 	}
@@ -252,8 +266,8 @@ func (o *Operator) putWorkspace(ws workspace) {
 
 // newBand slices global rows [r0, r1) out of src, remaps out-of-band
 // columns into the halo section of the local column space and protects
-// the result in the configured format.
-func newBand(src *csr.Matrix, r0, r1 int, opt Options) (*band, error) {
+// the result in format f under cfg.
+func newBand(src *csr.Matrix, r0, r1 int, f op.Format, cfg op.Config) (*band, error) {
 	b := &band{r0: r0, r1: r1}
 	b.interiorPad = (b.rows() + core.BlockLen - 1) / core.BlockLen * core.BlockLen
 
@@ -293,24 +307,13 @@ func newBand(src *csr.Matrix, r0, r1 int, opt Options) (*band, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: rows [%d,%d): %w", r0, r1, err)
 	}
-	if b.m, err = op.New(opt.Format, plain, opt.Config); err != nil {
+	m, err := op.New(f, plain, cfg)
+	if err != nil {
 		return nil, fmt.Errorf("shard: rows [%d,%d): %w", r0, r1, err)
 	}
+	b.m = m.(matrix)
 	return b, nil
 }
-
-// Rows returns the global row count, satisfying core.ProtectedMatrix.
-func (o *Operator) Rows() int { return o.rows }
-
-// Cols returns the global column count.
-func (o *Operator) Cols() int { return o.cols }
-
-// NNZ returns the stored entry count summed over all shards (including
-// any padding the schemes' structural constraints required).
-func (o *Operator) NNZ() int { return o.nnz }
-
-// Scheme returns the element protection scheme of the shard matrices.
-func (o *Operator) Scheme() core.Scheme { return o.opt.Config.Scheme }
 
 // Shards returns the effective band count.
 func (o *Operator) Shards() int { return len(o.bands) }
@@ -361,13 +364,14 @@ func (o *Operator) HaloRange(i int) (lo, hi int) {
 // in-flight Apply, the shape every campaign has.
 func (o *Operator) SetPhaseHook(fn func(Phase)) { o.hook = fn }
 
-// SetCounters attaches a statistics accumulator to every shard's matrix
-// and workspace input vector, satisfying core.ProtectedMatrix. Must be
-// called before the operator is shared (workspaces allocated for later
-// concurrent Apply calls inherit the accumulator). The local products
-// are views of the caller's destinations and count into theirs.
+// SetCounters attaches a statistics accumulator to the composite, every
+// shard's matrix and workspace input vector, satisfying
+// core.ProtectedMatrix. Must be called before the operator is shared
+// (workspaces allocated for later concurrent Apply calls inherit the
+// accumulator). The local products are views of the caller's
+// destinations and count into theirs.
 func (o *Operator) SetCounters(c *core.Counters) {
-	o.counters = c
+	o.Shell.SetCounters(c)
 	for _, b := range o.bands {
 		b.m.SetCounters(c)
 	}
@@ -381,22 +385,6 @@ func (o *Operator) SetCounters(c *core.Counters) {
 		}
 	}
 }
-
-// SetReadMode propagates the read discipline to every shard matrix;
-// workspace vectors need no mode because each in-flight Apply owns its
-// workspace exclusively.
-func (o *Operator) SetReadMode(mode core.ReadMode) {
-	o.mode = mode
-	for _, b := range o.bands {
-		b.m.SetReadMode(mode)
-	}
-}
-
-// ReadMode returns the configured read discipline.
-func (o *Operator) ReadMode() core.ReadMode { return o.mode }
-
-// CounterSnapshot returns a copy of the attached counters.
-func (o *Operator) CounterSnapshot() core.CounterSnapshot { return o.counters.Snapshot() }
 
 // RawVals exposes shard 0's stored values for generic fault injection;
 // use Shard to target a specific shard.
@@ -421,45 +409,6 @@ func (o *Operator) fire(p Phase) {
 	if o.hook != nil {
 		o.hook(p)
 	}
-}
-
-// Apply computes dst = A x across all shards, satisfying
-// core.ProtectedMatrix: scatter the verified global x into the shard
-// interiors, exchange boundary entries through the protected pack path,
-// then run the per-shard protected products straight into dst's rows.
-// dst may be x: the scatter has read all of x before any product writes.
-// workers is the total kernel goroutine budget, divided across shards
-// (each shard always gets its own goroutine).
-func (o *Operator) Apply(dst, x *core.Vector, workers int) error {
-	return o.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, !o.mode.Verifies())
-}
-
-// ApplyUnverified runs the same scatter/exchange/local-product pipeline
-// through the no-decode fast path regardless of the stored read mode:
-// scatter and halo pack stream masked payload blocks without verifying
-// them, and each band's local product runs through its format's
-// ApplyUnverified. Nothing is committed and the check counters
-// stay untouched, so the pipeline can run concurrently with verified
-// readers of the same cached operator. It is the inner-solve read path
-// of selective reliability.
-func (o *Operator) ApplyUnverified(dst, x *core.Vector, workers int) error {
-	return o.applyK([]*core.Vector{dst}, []*core.Vector{x}, workers, true)
-}
-
-// ApplyBatch computes dst = A x for every column of x across all
-// shards, satisfying core.BatchApplier: the pipeline runs once for the
-// whole batch, each shard's local product goes through its format's
-// batched kernel, and a boundary run is grown once and packed for all k
-// columns — k values per boundary element travel in one protected
-// message — so the matrix sweep's check cost is paid per batch rather
-// than per right-hand side. It always verifies, as every format's
-// ApplyBatch does. Per-column results are bit-identical to k independent
-// Apply calls.
-func (o *Operator) ApplyBatch(dst, x *core.MultiVector, workers int) error {
-	if dst.K() != x.K() {
-		return fmt.Errorf("shard: ApplyBatch width mismatch: dst %d, x %d", dst.K(), x.K())
-	}
-	return o.applyK(dst.Cols(), x.Cols(), workers, false)
 }
 
 // pendingDots returns the dot requests pending on dsts that this product
@@ -491,23 +440,22 @@ func (o *Operator) reducesAs(opt core.FusedOptions) bool {
 	return len(opt.BlockBands) > 0 && slices.Equal(opt.BlockBands, o.reduce.BlockBands)
 }
 
-// applyK is the one pipeline: dsts[j] = A xs[j] for every j through one
-// scatter, one exchange and one local product per band, written through
-// a view into the band's rows of dsts. Width is the only parameter;
-// column j sees exactly the reads, writes and checks a width-1 call
-// would give it. With unverified set every read streams masked payload
-// with no decode, no commit and no check accounting, and the local
-// products run unverified too. A dot request pending on a destination
-// (pendingDots) is passed down to every band's local product, which
-// answers it over the band's interior from its own sweep, and the band
-// answers reduce through Dot's tree.
-func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool) error {
-	for j, x := range xs {
-		if dsts[j].Len() != o.rows || x.Len() != o.cols {
-			return fmt.Errorf("shard: Apply dimension mismatch: dst %d, A %dx%d, x %d",
-				dsts[j].Len(), o.rows, o.cols, x.Len())
-		}
-	}
+// Product is the one pipeline, satisfying core.Layout: dsts[j] = A xs[j]
+// for every j through one scatter, one exchange and one local product
+// per band, written through a view into the band's rows of dsts. Width
+// is the only parameter; column j sees exactly the reads, writes and
+// checks a width-1 call would give it. Every band's product runs its
+// format's Layout.Product under the one Sweep the shell decided, so
+// every band full-checks on the same sweeps. Without sw.Sources every
+// read streams masked payload with no decode, no commit and no check
+// accounting, and the local products run unverified too. dst may be x:
+// the scatter has read all of x before any product writes. workers is
+// the total kernel goroutine budget, divided across shards (each shard
+// always gets its own goroutine). A dot request pending on a
+// destination (pendingDots) is passed down to every band's local
+// product, which answers it over the band's interior from its own
+// sweep, and the band answers reduce through Dot's tree.
+func (o *Operator) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) error {
 	reqs := o.pendingDots(dsts, xs)
 	ws := o.getWorkspace(len(xs))
 	defer o.putWorkspace(ws)
@@ -516,7 +464,7 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 	// a halo source block may be read by several shards at once, so its
 	// repairs are used and counted but not written.
 	xMode, haloMode := core.ModeExclusive, core.ModeShared
-	if unverified {
+	if !sw.Sources {
 		xMode, haloMode = core.ModeUnverified, core.ModeUnverified
 	}
 
@@ -562,15 +510,7 @@ func (o *Operator) applyK(dsts, xs []*core.Vector, workers int, unverified bool)
 					bandReqs[bi*k+j].Ask(l.y.Col(j), l.x.Col(j), bandDot)
 				}
 			}
-			var err error
-			if unverified {
-				for j := 0; j < len(xs) && err == nil; j++ {
-					err = b.m.ApplyUnverified(l.y.Col(j), l.x.Col(j), localWorkers)
-				}
-			} else {
-				err = b.m.ApplyBatch(&l.y, l.x, localWorkers)
-			}
-			if err != nil {
+			if err := b.m.Product(l.y.Cols(), l.x.Cols(), localWorkers, sw); err != nil {
 				return fmt.Errorf("shard: shard %d: %w", bi, err)
 			}
 		}
@@ -712,60 +652,38 @@ func (o *Operator) forBands(fn func(lo, hi int) error) error {
 // solvers.BandedOperator, so every CG inner product over a sharded
 // operator reduces this way.
 func (o *Operator) Dot(a, b *core.Vector) (float64, error) {
-	if a.Len() != o.rows || b.Len() != o.rows {
+	if a.Len() != o.Rows() || b.Len() != o.Rows() {
 		return 0, fmt.Errorf("shard: Dot length mismatch: %d and %d over %d rows",
-			a.Len(), b.Len(), o.rows)
+			a.Len(), b.Len(), o.Rows())
 	}
 	return core.Pass(o.reduce, core.DotOf{A: a, B: b})
 }
 
-// Diagonal extracts the fully verified global main diagonal, satisfying
-// core.ProtectedMatrix. Interior columns map to global columns at a
-// fixed offset, so every shard's local diagonal is a slice of the
-// global one.
-func (o *Operator) Diagonal(dst []float64) error {
-	if len(dst) < o.rows {
-		return fmt.Errorf("shard: Diagonal destination too short: %d < %d", len(dst), o.rows)
-	}
+// VerifyAll verifies and repairs every shard's matrix in turn,
+// satisfying core.Layout, continuing past faulty shards so the full
+// damage is counted. The workspace vectors need no patrol: their
+// contents are re-verified and re-encoded from checked data on every
+// product, so resident corruption there is either caught at the next
+// exchange or overwritten.
+func (o *Operator) VerifyAll(acc *core.Counters) (checks uint64, err error) {
 	for bi, b := range o.bands {
-		if err := b.m.Diagonal(dst[b.r0:b.r1]); err != nil {
-			return fmt.Errorf("shard: shard %d: %w", bi, err)
-		}
-	}
-	return nil
-}
-
-// Scrub patrols every shard's matrix in turn, continuing past faulty
-// shards so the full damage is counted; it returns the total number of
-// corrections and the first uncorrectable error. The workspace vectors
-// need no patrol: their contents are re-verified and re-encoded from
-// checked data on every Apply, so resident corruption there is either
-// caught at the next exchange or overwritten.
-func (o *Operator) Scrub() (corrected int, err error) {
-	for bi, b := range o.bands {
-		n, e := b.m.Scrub()
-		corrected += n
+		n, e := b.m.VerifyAll(acc)
+		checks += n
 		if e != nil && err == nil {
 			err = fmt.Errorf("shard: shard %d: %w", bi, e)
 		}
 	}
-	return corrected, err
+	return checks, err
 }
 
 // ToCSR decodes and verifies every shard back into one global CSR
-// matrix, remapping halo columns to their global positions — the exact
-// decode fault campaigns classify against.
+// matrix, satisfying core.Layout, remapping halo columns to their global
+// positions — the exact decode fault campaigns classify against, and
+// the one the shell's Diagonal reads.
 func (o *Operator) ToCSR() (*csr.Matrix, error) {
-	type decodable interface {
-		ToCSR() (*csr.Matrix, error)
-	}
 	var entries []csr.Entry
 	for bi, b := range o.bands {
-		d, ok := b.m.(decodable)
-		if !ok {
-			return nil, fmt.Errorf("shard: shard %d format does not decode to CSR", bi)
-		}
-		local, err := d.ToCSR()
+		local, err := b.m.ToCSR()
 		if err != nil {
 			return nil, fmt.Errorf("shard: shard %d: %w", bi, err)
 		}
@@ -781,5 +699,5 @@ func (o *Operator) ToCSR() (*csr.Matrix, error) {
 			}
 		}
 	}
-	return csr.New(o.rows, o.cols, entries)
+	return csr.New(o.Rows(), o.Cols(), entries)
 }
