@@ -389,8 +389,9 @@ func SolvePPCG(m ProtectedMatrix, x, b *Vector, opt SolveOptions) (SolveResult, 
 
 // SolvePCG solves m x = b with explicitly preconditioned CG: the
 // preconditioner from opt.Preconditioner (for example one built with
-// NewPreconditioner), or a Jacobi preconditioner derived from the
-// operator's verified diagonal when none is set.
+// NewPreconditioner), or, when none is set, the same protected Jacobi
+// NewPreconditioner builds, derived from the operator's verified
+// diagonal and stored in x's scheme.
 func SolvePCG(m ProtectedMatrix, x, b *Vector, opt SolveOptions) (SolveResult, error) {
 	return solvers.PCG(solvers.MatrixOperator{M: m, Workers: opt.Workers}, x, b, opt)
 }

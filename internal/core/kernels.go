@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"abft/internal/par"
-)
+import "fmt"
 
 // Dot returns the inner product of a and b, verifying every codeword it
 // reads (a vector named twice is read once). Partial sums are taken per
@@ -47,37 +43,6 @@ func FusedAxpyDot(x *Vector, alpha float64, p, r, q *Vector, opt FusedOptions) (
 // followed by r.r). dst may alias x or y.
 func FusedUpdateNorm(dst *Vector, alpha float64, x *Vector, beta float64, y *Vector, opt FusedOptions) (float64, error) {
 	return Pass(opt, DotOf{dst, dst}, Lin{Dst: dst, A: alpha, X: x, B: beta, Y: y})
-}
-
-// DiagScale computes dst[i] = diag[i] * x[i] for a plain coefficient
-// slice, the Jacobi-preconditioner application. diag is trusted data (it
-// is derived from the protected matrix when built); x and dst are
-// protected.
-func DiagScale(dst *Vector, diag []float64, x *Vector, workers int) error {
-	if dst.Len() != x.Len() || len(diag) < x.Len() {
-		return fmt.Errorf("core: DiagScale length mismatch dst=%d diag=%d x=%d",
-			dst.Len(), len(diag), x.Len())
-	}
-	n := x.Len()
-	return par.ForEach(dst.Blocks(), workers, 1, func(lo, hi int) error {
-		var xv, out [BlockLen]float64
-		x.counters.AddChecks(uint64(hi-lo) * x.checksPerBlock())
-		for blk := lo; blk < hi; blk++ {
-			if err := x.readBlock(blk, &xv, true); err != nil {
-				return err
-			}
-			base := blk * BlockLen
-			for i := range out {
-				if base+i < n {
-					out[i] = diag[base+i] * xv[i]
-				} else {
-					out[i] = 0
-				}
-			}
-			dst.WriteBlock(blk, &out)
-		}
-		return nil
-	})
 }
 
 // AxpyRMW is the deliberately unbuffered variant of Axpy used by the

@@ -159,11 +159,10 @@ func Run(cfg CampaignConfig) (CampaignResult, error) {
 	if cfg.Size <= 0 {
 		cfg.Size = 32
 	}
-	res := CampaignResult{Config: cfg}
 	var kind func(CampaignConfig, *Injector) (*trial, error)
 	switch {
 	case cfg.Phase != "" && cfg.Phase != PhaseInner:
-		return res, fmt.Errorf("faults: unknown phase %q (choices: %s)", cfg.Phase, PhaseInner)
+		return CampaignResult{Config: cfg}, fmt.Errorf("faults: unknown phase %q (choices: %s)", cfg.Phase, PhaseInner)
 	case cfg.Phase == PhaseInner, cfg.Structure == core.StructSolverState:
 		kind = solveTrial
 	case cfg.Structure == core.StructVector:
@@ -175,6 +174,13 @@ func Run(cfg CampaignConfig) (CampaignResult, error) {
 	default:
 		kind = matrixTrial
 	}
+	return runKind(cfg, kind)
+}
+
+// runKind runs cfg.Trials trials of kind from one injector seeded with
+// cfg.Seed; Run has settled cfg's defaults.
+func runKind(cfg CampaignConfig, kind func(CampaignConfig, *Injector) (*trial, error)) (CampaignResult, error) {
+	res := CampaignResult{Config: cfg}
 	in := NewInjector(cfg.Seed)
 	for i := 0; i < cfg.Trials; i++ {
 		o, err := runTrial(kind(cfg, in))
@@ -459,13 +465,18 @@ func precondTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 	if kind == precond.None {
 		kind = precond.Jacobi
 	}
-	plain := campaignMatrix(cfg)
-	p, err := precond.New(kind, plain, precond.Options{Scheme: cfg.Scheme})
+	p, err := precond.New(kind, campaignMatrix(cfg), precond.Options{Scheme: cfg.Scheme})
 	if err != nil {
 		return nil, err
 	}
-	r := core.VectorFromSlice(normals(in, plain.Rows()), core.None)
-	t := &trial{result: product(plain.Rows(), func(dst *core.Vector) error { return p.Apply(dst, r) })}
+	return precondStrike(cfg, in, p), nil
+}
+
+// precondStrike is the trial of a built preconditioner p: a fresh input
+// r, z = M^-1 r observed, the strike into p's resident setup product.
+func precondStrike(cfg CampaignConfig, in *Injector, p precond.Preconditioner) *trial {
+	r := core.VectorFromSlice(normals(in, p.Rows()), core.None)
+	t := &trial{result: product(p.Rows(), func(dst *core.Vector) error { return p.Apply(dst, r) })}
 	p.SetCounters(&t.c)
 	// The injection surface is the whole setup product: the protected
 	// state vectors plus, for Gauss-Seidel, the protected matrix copy its
@@ -483,7 +494,7 @@ func precondTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 		}
 		return strikeMatrix(cfg, in, mp.Matrix(), pickTarget(cfg, in))
 	}
-	return t, nil
+	return t
 }
 
 // solveTrial strikes a solve in flight and compares its solution with a

@@ -748,6 +748,26 @@ var promisedFlips = map[core.Scheme][]int{
 	core.CRC32C:    {1, 2, 3, 4, 5},
 }
 
+// defaultJacobiTrial is precondTrial for the preconditioner PCG and the
+// jacobi solver build when none is configured: precond's Jacobi from a
+// protected operator's verified Diagonal, in the campaign's scheme,
+// struck through RawState.
+func defaultJacobiTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
+	m, err := newOperator(cfg, campaignMatrix(cfg), true)
+	if err != nil {
+		return nil, err
+	}
+	d := make([]float64, m.Rows())
+	if err := m.Diagonal(d); err != nil {
+		return nil, err
+	}
+	p, err := precond.NewJacobi(d, precond.Options{Scheme: cfg.Scheme})
+	if err != nil {
+		return nil, err
+	}
+	return precondStrike(cfg, in, p), nil
+}
+
 // TestNoSDCWherePromised is the capability gate over every campaign
 // structure, storage format and scheme: at the flip counts a scheme
 // promises to handle, no trial may end in silent data corruption. The
@@ -757,13 +777,17 @@ func TestNoSDCWherePromised(t *testing.T) {
 	type cell struct {
 		name string
 		cfg  CampaignConfig
+		// kind, when set, builds the cell's trials in place of the
+		// kind Run picks from cfg.
+		kind func(CampaignConfig, *Injector) (*trial, error)
 	}
 	var cells []cell
-	add := func(name string, cfg CampaignConfig) { cells = append(cells, cell{name, cfg}) }
+	add := func(name string, cfg CampaignConfig) { cells = append(cells, cell{name: name, cfg: cfg}) }
 	add("vector", CampaignConfig{Structure: core.StructVector})
 	for _, k := range precond.ProtectingKinds {
 		add("precond/"+k.String(), CampaignConfig{Structure: core.StructPrecond, Precond: k})
 	}
+	cells = append(cells, cell{"precond/default", CampaignConfig{Structure: core.StructPrecond}, defaultJacobiTrial})
 	for _, f := range op.Formats {
 		add("elements/"+f.String(), CampaignConfig{Structure: core.StructElements, Format: f})
 		add("elements/"+f.String()+"/shards=3", CampaignConfig{Structure: core.StructElements, Format: f, Shards: 3})
@@ -789,7 +813,17 @@ func TestNoSDCWherePromised(t *testing.T) {
 				cfg := c.cfg
 				cfg.Scheme, cfg.Bits, cfg.SameCodeword = s, bits, true
 				cfg.Size, cfg.Trials = 12, 10
-				if res := runCampaign(t, cfg); res.SDC != 0 {
+				var res CampaignResult
+				if c.kind == nil {
+					res = runCampaign(t, cfg)
+				} else {
+					cfg.Seed = 42
+					var err error
+					if res, err = runKind(cfg, c.kind); err != nil {
+						t.Fatalf("%s %v %d flips: %v", c.name, s, bits, err)
+					}
+				}
+				if res.SDC != 0 {
 					t.Errorf("%s %v %d flips: %d SDCs: %v", c.name, s, bits, res.SDC, res)
 				}
 			}

@@ -9,9 +9,13 @@ package op_test
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"abft/internal/core"
+	"abft/internal/csr"
 	"abft/internal/op"
 	"abft/internal/precond"
 	"abft/internal/shard"
@@ -115,5 +119,93 @@ func TestPrecondConformanceKindDispatch(t *testing.T) {
 	}
 	if c.Checks() == 0 {
 		t.Fatal("preconditioner never applied through the pcg dispatch")
+	}
+}
+
+// TestDefaultPCGIsProtectedJacobi: PCG with no preconditioner configured
+// is PCG with precond's Jacobi built from the operator's verified
+// diagonal, in the solve's vector scheme, worker count and counters —
+// bit for bit in x, Alphas, Betas, History, iterations, per-column
+// results and vector and matrix check counts. Single solves and width-3
+// batches run over unsharded CSR (SECDED64) and 2-shard SELL-C-sigma
+// (CRC32C) at one and two workers; at two, the Jacobi's workers read its
+// one inverse diagonal in parallel (a CI step runs this under -race).
+func TestDefaultPCGIsProtectedJacobi(t *testing.T) {
+	// Two workers must mean two ranges, whatever the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	grid := csr.Laplacian2D(12, 12)
+	n := grid.Rows()
+	rng := rand.New(rand.NewSource(35))
+	rhs := make([][]float64, 3)
+	for j := range rhs {
+		rhs[j] = make([]float64, n)
+		for i := range rhs[j] {
+			rhs[j][i] = 2*rng.Float64() - 1
+		}
+	}
+	type run struct {
+		hash           uint64
+		columns        []solvers.ColumnResult
+		vector, matrix uint64
+	}
+	for _, o := range pinnedOperators(grid) {
+		for _, workers := range []int{1, 2} {
+			for _, k := range []int{1, 3} {
+				// solve runs PCG once, with precond's Jacobi built here
+				// when explicit is set.
+				solve := func(explicit bool) run {
+					t.Helper()
+					m, err := o.build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					var vec, mat core.Counters
+					m.SetCounters(&mat)
+					a := solvers.MatrixOperator{M: m, Workers: workers}
+					x := core.NewMultiVector(n, k, o.scheme)
+					b := core.NewMultiVector(n, k, o.scheme)
+					xs := make([]*core.Vector, k)
+					for j := range xs {
+						b.Col(j).CopyFrom(rhs[j])
+						xs[j] = x.Col(j)
+						xs[j].SetCounters(&vec)
+						b.Col(j).SetCounters(&vec)
+					}
+					opt := solvers.Options{
+						Tol: 1e-9, RelativeTol: true, MaxIter: 300, Workers: workers, RecordHistory: true,
+						Recovery: solvers.Recovery{Policy: solvers.RecoveryRollback, Interval: 4, Scheme: o.scheme},
+					}
+					if explicit {
+						d := make([]float64, n)
+						if err := a.Diagonal(d); err != nil {
+							t.Fatal(err)
+						}
+						pre, err := precond.NewJacobi(d, precond.Options{Scheme: o.scheme, Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						pre.SetCounters(&vec)
+						opt.Preconditioner = pre
+					}
+					var res solvers.Result
+					var cols []solvers.ColumnResult
+					if k == 1 {
+						res, err = solvers.Solve(solvers.KindPCG, a, xs[0], b.Col(0), opt)
+					} else {
+						var br solvers.BatchResult
+						br, err = solvers.SolveBatch(solvers.KindPCG, a, x, b, opt)
+						res, cols = br.Result, br.Columns
+					}
+					if err != nil || !res.Converged {
+						t.Fatalf("%s/w%d/k%d explicit=%v: %v, %+v", o.name, workers, k, explicit, err, res)
+					}
+					return run{trajectoryHash(xs, res), cols, vec.Checks(), mat.Checks()}
+				}
+				def, exp := solve(false), solve(true)
+				if !reflect.DeepEqual(def, exp) {
+					t.Errorf("%s/w%d/k%d: default PCG %+v, explicit protected Jacobi %+v", o.name, workers, k, def, exp)
+				}
+			}
+		}
 	}
 }

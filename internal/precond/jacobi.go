@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"abft/internal/core"
-	"abft/internal/csr"
 	"abft/internal/par"
 )
 
@@ -20,14 +19,19 @@ type jacobiPre struct {
 	mode    core.ReadMode
 }
 
-func newJacobi(src *csr.Matrix, opt Options) (*jacobiPre, error) {
-	d, err := invertDiagonal(src)
+// NewJacobi builds the Jacobi preconditioner for an operator whose main
+// diagonal is diag: it inverts diag, rejecting a zero, and stores the
+// inverse protected under opt.Scheme. The solvers build their default
+// preconditioner with it from a protected operator's verified Diagonal.
+// diag is not modified.
+func NewJacobi(diag []float64, opt Options) (Preconditioner, error) {
+	d, err := invertDiagonal(diag)
 	if err != nil {
 		return nil, err
 	}
 	inv := core.VectorFromSlice(d, opt.Scheme)
 	inv.SetCRCBackend(opt.Backend)
-	return &jacobiPre{rows: src.Rows(), inv: inv, workers: opt.Workers}, nil
+	return &jacobiPre{rows: len(d), inv: inv, workers: opt.Workers}, nil
 }
 
 // Apply computes z = D^-1 r through the protected inverse diagonal.

@@ -22,7 +22,9 @@
 //     z = (D+U)^-1 D (D+L)^-1 r.
 //
 // All three satisfy solvers.Options.Preconditioner, so CG, PCG and the
-// preconditioned Chebyshev smoother use them unchanged.
+// preconditioned Chebyshev smoother use them unchanged. Jacobi is also
+// the solvers' own: PCG's default and the jacobi solver's D^-1 are
+// NewJacobi of the operator's verified diagonal.
 package precond
 
 import (
@@ -159,7 +161,7 @@ func New(kind Kind, src *csr.Matrix, opt Options) (Preconditioner, error) {
 	}
 	switch kind {
 	case Jacobi:
-		return newJacobi(src, opt)
+		return NewJacobi(diagonal(src), opt)
 	case BlockJacobi:
 		return newBlockJacobi(src, opt)
 	case SGS:
@@ -190,17 +192,23 @@ func For(kind Kind, m core.ProtectedMatrix, src *csr.Matrix, opt Options) (Preco
 	return New(kind, src, opt)
 }
 
-// invertDiagonal extracts and inverts the main diagonal of src.
-func invertDiagonal(src *csr.Matrix) ([]float64, error) {
+// diagonal returns the main diagonal of src.
+func diagonal(src *csr.Matrix) []float64 {
 	d := make([]float64, src.Rows())
 	src.Diagonal(d)
-	for i, x := range d {
+	return d
+}
+
+// invertDiagonal returns the reciprocals of diag, rejecting a zero.
+func invertDiagonal(diag []float64) ([]float64, error) {
+	inv := make([]float64, len(diag))
+	for i, x := range diag {
 		if x == 0 {
 			return nil, fmt.Errorf("precond: zero diagonal at row %d", i)
 		}
-		d[i] = 1 / x
+		inv[i] = 1 / x
 	}
-	return d, nil
+	return inv, nil
 }
 
 // chunk is how many vector blocks of r one Read covers in Jacobi's and

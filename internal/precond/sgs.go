@@ -37,7 +37,7 @@ type sgsPre struct {
 }
 
 func newSGS(src *csr.Matrix, opt Options) (*sgsPre, error) {
-	d, err := invertDiagonal(src)
+	d, err := invertDiagonal(diagonal(src))
 	if err != nil {
 		return nil, err
 	}

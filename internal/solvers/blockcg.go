@@ -22,35 +22,41 @@ type ColumnResult struct {
 // Result carries the batch-wide view (iterations of the shared loop, the
 // worst column's residual norm, checkpoint/rollback accounting for the
 // whole block state), Columns the per-right-hand-side outcomes. The
-// aggregate Alphas/Betas are left empty — the CG coefficients are
-// per-column quantities with no meaningful batch-wide value.
+// aggregate Alphas/Betas are recorded at width one only — wider, the CG
+// coefficients are per-column quantities with no batch-wide value.
 type BatchResult struct {
 	Result
 	Columns []ColumnResult
 }
 
 // BlockCG solves A X = B for all k right-hand sides of B at once: k
-// independent CG recurrences (cgColumn, the one CG drives alone) advance
-// in lockstep, sharing one batched verified SpMM per iteration, so the
-// matrix sweep's codeword checks — the dominant ABFT cost — are paid
-// once per iteration instead of once per right-hand side, and every
-// column's solution is bit-identical to a separate CG solve of that
-// column (the recurrences are deliberately not coupled: a true block-CG
-// shares search directions across columns and converges differently).
+// independent CG recurrences (cgColumn) advance in lockstep, sharing one
+// batched verified SpMM per iteration, so the matrix sweep's codeword
+// checks — the dominant ABFT cost — are paid once per iteration instead
+// of once per right-hand side, and every column's solution is
+// bit-identical to a separate CG solve of that column (the recurrences
+// are deliberately not coupled: a true block-CG shares search
+// directions across columns and converges differently).
 // A column that meets the tolerance freezes — its vectors stop updating
 // — while the batch keeps iterating until all columns converge or
 // MaxIter. The recovery controller covers the full block state: all 3k
 // live columns and the per-column recurrence scalars checkpoint and roll
-// back together.
+// back together. CG is the same solve at width one.
 func BlockCG(a Operator, x, b *core.MultiVector, opt Options) (BatchResult, error) {
+	return blockCG("blockcg", a, x, b, opt)
+}
+
+// blockCG is the one CG loop, BlockCG's and CG's; its errors name
+// solver.
+func blockCG(solver string, a Operator, x, b *core.MultiVector, opt Options) (BatchResult, error) {
 	if x.K() != b.K() {
-		return BatchResult{}, fmt.Errorf("solvers: BlockCG width mismatch: x %d, b %d", x.K(), b.K())
+		return BatchResult{}, fmt.Errorf("solvers: %s width mismatch: x %d, b %d", solver, x.K(), b.K())
 	}
 	if x.Len() != b.Len() {
-		return BatchResult{}, fmt.Errorf("solvers: BlockCG length mismatch: x %d, b %d", x.Len(), b.Len())
+		return BatchResult{}, fmt.Errorf("solvers: %s length mismatch: x %d, b %d", solver, x.Len(), b.Len())
 	}
 	k := x.K()
-	e, err := newEngine("blockcg", a, x.Col(0), b.Col(0), opt)
+	e, err := newEngine(solver, a, x.Col(0), b.Col(0), opt)
 	if err != nil {
 		return BatchResult{}, err
 	}
@@ -71,13 +77,13 @@ func BlockCG(a Operator, x, b *core.MultiVector, opt Options) (BatchResult, erro
 		return BatchResult{}, err
 	}
 
-	// R = B - A X through one batched product.
-	err = a.ApplyBatch(wv, x)
+	// R = B - A X through one product.
+	err = e.apply(wv, x)
 	for j := 0; j < k && err == nil; j++ {
 		err = cols[j].init(e)
 	}
 	if err != nil {
-		return BatchResult{Result: e.res}, iterErr("blockcg", 0, err)
+		return BatchResult{Result: e.res}, iterErr(solver, 0, err)
 	}
 	pws := make([]float64, k)
 	// colIt records, as a checkpointable scalar, the iteration each
@@ -129,8 +135,13 @@ func BlockCG(a Operator, x, b *core.MultiVector, opt Options) (BatchResult, erro
 			if c.converged(e) {
 				continue // frozen: converged at colIt[j]
 			}
-			if _, _, err := c.step(e, pws[j]); err != nil {
+			alpha, beta, err := c.step(e, pws[j])
+			if err != nil {
 				return false, err
+			}
+			if k == 1 {
+				e.res.Alphas = append(e.res.Alphas, alpha)
+				e.res.Betas = append(e.res.Betas, beta)
 			}
 			if c.converged(e) {
 				colIt[j] = float64(it)
@@ -152,7 +163,7 @@ func SolveBatch(kind Kind, a Operator, x, b *core.MultiVector, opt Options) (Bat
 	case KindCG, KindBlockCG:
 		return BlockCG(a, x, b, opt)
 	case KindPCG:
-		opt, err := pcgOptions(a, opt)
+		opt, err := pcgOptions(a, x.Col(0), opt)
 		if err != nil {
 			return BatchResult{}, err
 		}

@@ -3,12 +3,12 @@ package solvers
 import "abft/internal/core"
 
 // cgColumn is one right-hand side's conjugate-gradient recurrence: its
-// operands, its work vectors and its scalars. CG drives one column and
-// BlockCG k of them in lockstep; what differs between the two is only
-// the width of the product that yields w = A p and p . w
-// (engine.product), so a column of a batch performs exactly the kernel
-// operations a lone solve does, in the same order, and is bit-identical
-// to it.
+// operands, its work vectors and its scalars. The one CG loop
+// (blockCG) advances k of them in lockstep, and CG is that loop at
+// width one; what differs between widths is only the width of the
+// product that yields w = A p and p . w (engine.product), so a column
+// of a batch performs exactly the kernel operations a lone solve does,
+// in the same order, and is bit-identical to it.
 type cgColumn struct {
 	x, b *core.Vector
 	// r, p and w are the residual, the search direction and A p; z is
@@ -65,7 +65,7 @@ func (c *cgColumn) init(e *engine) error {
 }
 
 // step advances the recurrence by one iteration from w = A p and p . w,
-// which CG or BlockCG has computed (engine.product), and returns the
+// which blockCG has computed (engine.product), and returns the
 // iteration's CG coefficients.
 func (c *cgColumn) step(e *engine, pw float64) (alpha, beta float64, err error) {
 	if pw == 0 {
@@ -107,47 +107,22 @@ func (c *cgColumn) converged(e *engine) bool { return e.converged(c.rr, c.rr0) }
 // ABFT-protected kernels, so every iteration checks the data it touches;
 // the iteration engine's recovery controller (Options.Recovery) can roll
 // the recurrence back past detected uncorrectable faults in x, r or p.
+// It is blockCG, the one CG loop, at width one.
 func CG(a Operator, x, b *core.Vector, opt Options) (Result, error) {
-	e, err := newEngine("cg", a, x, b, opt)
+	return widthOne("cg", a, x, b, opt)
+}
+
+// widthOne runs one right-hand side as a width-one batch of blockCG,
+// whose errors name solver.
+func widthOne(solver string, a Operator, x, b *core.Vector, opt Options) (Result, error) {
+	xm, err := core.WrapMultiVector(x)
 	if err != nil {
 		return Result{}, err
 	}
-	c := e.newColumn(x, b)
-	err = a.Apply(c.w, x)
-	if err == nil {
-		err = c.init(e)
-	}
+	bm, err := core.WrapMultiVector(b)
 	if err != nil {
-		return e.res, iterErr("cg", 0, err)
+		return Result{}, err
 	}
-	e.res.ResidualNorm = sqrt(c.rr)
-	if c.converged(e) {
-		e.res.Converged = true
-		return e.res, nil
-	}
-	e.protect(x, c.r, c.p)
-	e.state(&c.rro, &c.rr, &c.rr0)
-	// w = A p and p . w as a width-one product (engine.product).
-	p, err := core.WrapMultiVector(c.p)
-	if err != nil {
-		return e.res, err
-	}
-	w, err := core.WrapMultiVector(c.w)
-	if err != nil {
-		return e.res, err
-	}
-	pw := make([]float64, 1)
-	return e.run(func(it int) (bool, error) {
-		if err := e.product(w, p, pw); err != nil {
-			return false, err
-		}
-		alpha, beta, err := c.step(e, pw[0])
-		if err != nil {
-			return false, err
-		}
-		e.res.Alphas = append(e.res.Alphas, alpha)
-		e.res.Betas = append(e.res.Betas, beta)
-		e.res.ResidualNorm = sqrt(c.rr)
-		return c.converged(e), nil
-	})
+	br, err := blockCG(solver, a, xm, bm, opt)
+	return br.Result, err
 }

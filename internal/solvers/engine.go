@@ -104,8 +104,17 @@ func (e *engine) dot(a, b *core.Vector) (float64, error) {
 	return core.Dot(a, b, e.w)
 }
 
-// product computes w = A p for every column — Apply at width one,
-// ApplyBatch wider — and pws[j] = p_j . w_j. Each w_j carries a request
+// apply computes w = A p for every column: Apply at width one,
+// ApplyBatch wider.
+func (e *engine) apply(w, p *core.MultiVector) error {
+	if p.K() == 1 {
+		return e.a.Apply(w.Col(0), p.Col(0))
+	}
+	return e.a.ApplyBatch(w, p)
+}
+
+// product computes w = A p for every column (apply) and
+// pws[j] = p_j . w_j. Each w_j carries a request
 // for p_j . w_j reduced as e.dot reduces (core.DotRequest), so the
 // format sweep that writes w_j hands the dot back from values it holds
 // anyway, however the operator is wrapped; a column whose product left
@@ -118,12 +127,7 @@ func (e *engine) product(w, p *core.MultiVector, pws []float64) error {
 	for j := range pws {
 		e.dots[j].Ask(w.Col(j), p.Col(j), e.fuse)
 	}
-	var err error
-	if p.K() == 1 {
-		err = e.a.Apply(w.Col(0), p.Col(0))
-	} else {
-		err = e.a.ApplyBatch(w, p)
-	}
+	err := e.apply(w, p)
 	for j := range pws {
 		pw, ok := e.dots[j].Take()
 		switch {

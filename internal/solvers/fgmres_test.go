@@ -285,7 +285,7 @@ func TestFGMRESWithExplicitPreconditioner(t *testing.T) {
 	m := protect(t, a, core.SECDED64, core.SECDED64)
 	x := core.NewVector(a.Rows(), core.SECDED64)
 	bv := core.VectorFromSlice(b, core.SECDED64)
-	pre, err := NewJacobiPreconditioner(MatrixOperator{M: m}, 1)
+	pre, err := newJacobi(MatrixOperator{M: m}, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

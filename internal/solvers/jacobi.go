@@ -15,6 +15,7 @@ func sqrt(x float64) float64 { return math.Sqrt(x) }
 // Jacobi solves A x = b with the damped-free Jacobi iteration
 // x += D^-1 (b - A x), TeaLeaf's tl_use_jacobi path. It converges slowly
 // but exercises the same protected kernels with a different access mix.
+// D^-1 is precond's protected Jacobi, as PCG's default (newJacobi).
 // The recurrence reads b every iteration, so the recovery controller
 // checkpoints it alongside x: a rollback restores (and re-encodes) both.
 func Jacobi(a Operator, x, b *core.Vector, opt Options) (Result, error) {
@@ -22,7 +23,7 @@ func Jacobi(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	pre, err := NewJacobiPreconditioner(a, e.w)
+	pre, err := newJacobi(a, x, e.w)
 	if err != nil {
 		return e.res, err
 	}

@@ -104,17 +104,7 @@ func Solve(kind Kind, a Operator, x, b *core.Vector, opt Options) (Result, error
 	case KindPCG:
 		return PCG(a, x, b, opt)
 	case KindBlockCG:
-		// A single right-hand side runs as a width-1 batch.
-		xm, err := core.WrapMultiVector(x)
-		if err != nil {
-			return Result{}, err
-		}
-		bm, err := core.WrapMultiVector(b)
-		if err != nil {
-			return Result{}, err
-		}
-		br, err := BlockCG(a, xm, bm, opt)
-		return br.Result, err
+		return widthOne("blockcg", a, x, b, opt)
 	case KindFGMRES:
 		return FGMRES(a, x, b, opt)
 	default:

@@ -81,7 +81,7 @@ func TestJacobiPreconditionerRejectsZeroDiagonal(t *testing.T) {
 		}
 	}
 	mb := protect(t, bad, core.None, core.None)
-	if _, err := NewJacobiPreconditioner(MatrixOperator{M: mb}, 1); err == nil {
+	if _, err := newJacobi(MatrixOperator{M: mb}, core.NewVector(a.Rows(), core.None), 1); err == nil {
 		t.Fatal("zero diagonal accepted")
 	}
 }

@@ -1,17 +1,20 @@
 package solvers
 
-import "abft/internal/core"
+import (
+	"abft/internal/core"
+	"abft/internal/precond"
+)
 
 // PCG solves A x = b by explicitly preconditioned conjugate gradients —
 // the TeaLeaf tl_preconditioner_type path. It is CG with the
 // preconditioner made first-class: Options.Preconditioner supplies
 // z = M^-1 r each iteration (the ECC-protected preconditioners of
 // internal/precond satisfy the interface), and when none is configured
-// a Jacobi preconditioner is built from the operator's verified
-// diagonal, so "pcg" always preconditions — unlike KindCG, which runs
-// unpreconditioned unless told otherwise.
+// precond's protected Jacobi is built from the operator's verified
+// diagonal in x's scheme, so "pcg" always preconditions — unlike
+// KindCG, which runs unpreconditioned unless told otherwise.
 func PCG(a Operator, x, b *core.Vector, opt Options) (Result, error) {
-	opt, err := pcgOptions(a, opt)
+	opt, err := pcgOptions(a, x, opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -19,19 +22,34 @@ func PCG(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 }
 
 // pcgOptions resolves opt the way "pcg" means it at any width: when no
-// preconditioner is configured, a Jacobi preconditioner built from the
-// operator's verified diagonal.
-func pcgOptions(a Operator, opt Options) (Options, error) {
+// preconditioner is configured, the protected Jacobi of newJacobi.
+func pcgOptions(a Operator, x *core.Vector, opt Options) (Options, error) {
 	if err := opt.Validate(); err != nil {
 		return opt, err
 	}
 	opt = opt.withDefaults()
 	if opt.Preconditioner == nil {
-		pre, err := NewJacobiPreconditioner(a, opt.Workers)
+		pre, err := newJacobi(a, x, opt.Workers)
 		if err != nil {
 			return opt, err
 		}
 		opt.Preconditioner = pre
 	}
 	return opt, nil
+}
+
+// newJacobi builds precond's Jacobi from a's verified diagonal: the
+// inverse diagonal is stored in x's scheme, counts its checks on x's
+// counters and is applied with the solve's worker count.
+func newJacobi(a Operator, x *core.Vector, workers int) (precond.Preconditioner, error) {
+	d := make([]float64, a.Rows())
+	if err := a.Diagonal(d); err != nil {
+		return nil, err
+	}
+	pre, err := precond.NewJacobi(d, precond.Options{Scheme: x.Scheme(), Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	pre.SetCounters(x.Counters())
+	return pre, nil
 }

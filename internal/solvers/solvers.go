@@ -306,32 +306,6 @@ type Preconditioner interface {
 	Apply(z, r *core.Vector) error
 }
 
-// JacobiPreconditioner scales by the inverse diagonal.
-type JacobiPreconditioner struct {
-	invDiag []float64
-	workers int
-}
-
-// NewJacobiPreconditioner builds the inverse-diagonal preconditioner for A.
-func NewJacobiPreconditioner(a Operator, workers int) (*JacobiPreconditioner, error) {
-	d := make([]float64, a.Rows())
-	if err := a.Diagonal(d); err != nil {
-		return nil, err
-	}
-	for i, x := range d {
-		if x == 0 {
-			return nil, fmt.Errorf("solvers: zero diagonal at row %d", i)
-		}
-		d[i] = 1 / x
-	}
-	return &JacobiPreconditioner{invDiag: d, workers: workers}, nil
-}
-
-// Apply computes z = D^-1 r.
-func (p *JacobiPreconditioner) Apply(z, r *core.Vector) error {
-	return core.DiagScale(z, p.invDiag, r, p.workers)
-}
-
 // IterationError wraps a fault with the iteration that hit it.
 type IterationError struct {
 	Solver    string

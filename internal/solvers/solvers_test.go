@@ -129,12 +129,12 @@ func TestCGWithJacobiPreconditioner(t *testing.T) {
 	a, xTrue, b := spdSystem(t, 7, 7)
 	m := protect(t, a, core.SECDED64, core.SECDED64)
 	op := MatrixOperator{M: m}
-	pre, err := NewJacobiPreconditioner(op, 1)
+	x := core.NewVector(a.Rows(), core.SECDED64)
+	bv := core.VectorFromSlice(b, core.SECDED64)
+	pre, err := newJacobi(op, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := core.NewVector(a.Rows(), core.SECDED64)
-	bv := core.VectorFromSlice(b, core.SECDED64)
 	res, err := CG(op, x, bv, Options{Tol: 1e-10, Preconditioner: pre})
 	if err != nil {
 		t.Fatal(err)
