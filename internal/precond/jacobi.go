@@ -21,8 +21,8 @@ type jacobiPre struct {
 
 // NewJacobi builds the Jacobi preconditioner for an operator whose main
 // diagonal is diag: it inverts diag, rejecting a zero, and stores the
-// inverse protected under opt.Scheme. The solvers build their default
-// preconditioner with it from a protected operator's verified Diagonal.
+// inverse protected under opt.Scheme. The solvers build their D^-1 with
+// it from a protected operator's verified Diagonal.
 // diag is not modified.
 func NewJacobi(diag []float64, opt Options) (Preconditioner, error) {
 	d, err := invertDiagonal(diag)

@@ -23,8 +23,11 @@
 //
 // All three satisfy solvers.Options.Preconditioner, so CG, PCG and the
 // preconditioned Chebyshev smoother use them unchanged. Jacobi is also
-// the solvers' own: PCG's default and the jacobi solver's D^-1 are
-// NewJacobi of the operator's verified diagonal.
+// the solvers' one D^-1: PCG's default, the jacobi solver's and FGMRES's
+// inner Richardson's are NewJacobi of the operator's verified diagonal,
+// unless the operator keeps a Jacobi resident. abftd does: every cached
+// operator builds one with For (NewJacobi of the source's diagonal),
+// shared by every solve against it and scrubbed with it.
 package precond
 
 import (

@@ -104,24 +104,23 @@ type cacheEntry struct {
 	// digest is the source digest the entry was built from (the key's
 	// content half); the entry holds one reference on its sources memo.
 	digest string
-	// ready is closed once build completes (m, diag and buildErr are
-	// set); concurrent requests for a building operator wait on it
-	// instead of encoding a duplicate.
+	// ready is closed once build completes (m, jac, jacErr, pre and
+	// buildErr are set); concurrent requests for a building operator
+	// wait on it instead of encoding a duplicate.
 	ready    chan struct{}
 	m        core.ProtectedMatrix
 	buildErr error
-	// diag is the fully verified main diagonal, extracted at build time
-	// while the operator is still private: Jacobi preconditioning and
-	// the jacobi solver read it from here, because the formats' own
-	// Diagonal routes through CheckAll and would commit repairs to
-	// shared storage under only a read lock.
-	diag []float64
-	// pre is the cached protected preconditioner built with the
-	// operator (nil for unpreconditioned entries). Its state shares the
-	// operator's counters and lock discipline: solves apply it under
-	// the shared lock in no-commit mode, the scrub daemon repairs it
-	// under the exclusive lock.
-	pre precond.Preconditioner
+	// jac is the entry's resident protected Jacobi, the D^-1 its jacobi
+	// solves and unpreconditioned fgmres solves scale by
+	// (solvers.ResidentJacobi); jacErr is why none was built (a zero on
+	// the diagonal), reported to the solves that need one. pre is the
+	// named preconditioner (nil for none; jac itself for jacobi). Both
+	// share the operator's counters and lock discipline: solves apply
+	// them under the shared lock in no-commit mode, the scrub daemon
+	// repairs them under the exclusive lock.
+	jac    precond.Preconditioner
+	jacErr error
+	pre    precond.Preconditioner
 	// shards is the operator's band count (1 for unsharded operators),
 	// recorded for the /metrics shard gauge and per-shard scrub stats.
 	shards int
@@ -156,9 +155,10 @@ type CacheStats struct {
 	// Shards is the current resident shard count summed over every
 	// operator (an unsharded operator counts one).
 	Shards int
-	// Preconditioners is the current count of resident cached
-	// preconditioners (entries whose setup product is also cached and
-	// scrubbed).
+	// Preconditioners is the current count of resident named
+	// preconditioners (entries whose request named one, its setup
+	// product cached and scrubbed). The Jacobi every entry keeps counts
+	// only when it is the named one.
 	Preconditioners int
 }
 
@@ -223,12 +223,12 @@ func (c *operatorCache) countParse() {
 }
 
 // get returns the entry for key, building it with build on a miss (the
-// builder returns the operator, its verified diagonal and the cached
-// preconditioner, which may be nil); the new entry remembers prof under
-// its source digest for as long as it lives. The second return reports
-// whether the encode cost was amortised (a hit on a resident or
-// concurrently-building operator).
-func (c *operatorCache) get(key, digest string, prof MatrixProfile, build func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error)) (*cacheEntry, bool, error) {
+// builder fills in the operator, its resident Jacobi and the named
+// preconditioner); the new entry remembers prof under its source digest
+// for as long as it lives. The second return reports whether the encode
+// cost was amortised (a hit on a resident or concurrently-building
+// operator).
+func (c *operatorCache) get(key, digest string, prof MatrixProfile, build func(*cacheEntry) error) (*cacheEntry, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
@@ -252,7 +252,7 @@ func (c *operatorCache) get(key, digest string, prof MatrixProfile, build func()
 	c.mu.Unlock()
 
 	buildStart := time.Now()
-	m, diag, pre, err := build()
+	err := build(e)
 
 	c.mu.Lock()
 	if err != nil {
@@ -260,18 +260,15 @@ func (c *operatorCache) get(key, digest string, prof MatrixProfile, build func()
 		c.removeLocked(e)
 		c.log.Warn("operator build failed", "operator", opShort(key), "err", err)
 	} else {
-		e.m = m
-		e.diag = diag
-		e.pre = pre
 		e.shards = 1
-		if sh, ok := m.(interface{ Shards() int }); ok {
+		if sh, ok := e.m.(interface{ Shards() int }); ok {
 			e.shards = sh.Shards()
 		}
 		e.built = true
 		c.stats.Builds++
 		c.evictOverCapacityLocked()
 		c.log.Debug("operator built", "operator", opShort(key),
-			"rows", m.Rows(), "shards", e.shards, "build_time", time.Since(buildStart))
+			"rows", e.m.Rows(), "shards", e.shards, "build_time", time.Since(buildStart))
 	}
 	c.mu.Unlock()
 	e.buildErr = err

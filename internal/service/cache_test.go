@@ -10,7 +10,6 @@ import (
 	"abft/internal/core"
 	"abft/internal/csr"
 	"abft/internal/obs"
-	"abft/internal/precond"
 )
 
 func testOperator(t *testing.T) core.ProtectedMatrix {
@@ -29,10 +28,11 @@ func testOperator(t *testing.T) core.ProtectedMatrix {
 func TestCacheSingleFlight(t *testing.T) {
 	c := newOperatorCache(8, obs.NopLogger())
 	var builds atomic.Int32
-	build := func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
+	build := func(e *cacheEntry) error {
 		builds.Add(1)
 		time.Sleep(20 * time.Millisecond) // widen the window for stragglers
-		return testOperator(t), nil, nil, nil
+		e.m = testOperator(t)
+		return nil
 	}
 
 	const n = 16
@@ -67,8 +67,9 @@ func TestCacheSingleFlight(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newOperatorCache(2, obs.NopLogger())
-	build := func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
-		return testOperator(t), nil, nil, nil
+	build := func(e *cacheEntry) error {
+		e.m = testOperator(t)
+		return nil
 	}
 	for i := 0; i < 3; i++ {
 		if _, _, err := c.get(fmt.Sprintf("k%d", i), "d", MatrixProfile{}, build); err != nil {
@@ -100,7 +101,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheBuildErrorNotCached(t *testing.T) {
 	c := newOperatorCache(2, obs.NopLogger())
 	boom := fmt.Errorf("boom")
-	if _, _, err := c.get("k", "d", MatrixProfile{}, func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) { return nil, nil, nil, boom }); err != boom {
+	if _, _, err := c.get("k", "d", MatrixProfile{}, func(*cacheEntry) error { return boom }); err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	s := c.Stats()
@@ -108,8 +109,9 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 		t.Fatalf("stats %+v", s)
 	}
 	// The failed key is retried, not poisoned.
-	if _, hit, err := c.get("k", "d", MatrixProfile{}, func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
-		return testOperator(t), nil, nil, nil
+	if _, hit, err := c.get("k", "d", MatrixProfile{}, func(e *cacheEntry) error {
+		e.m = testOperator(t)
+		return nil
 	}); err != nil || hit {
 		t.Fatalf("retry: hit=%v err=%v", hit, err)
 	}

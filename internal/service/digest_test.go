@@ -12,10 +12,8 @@ import (
 	"strings"
 	"testing"
 
-	"abft/internal/core"
 	"abft/internal/csr"
 	"abft/internal/obs"
-	"abft/internal/precond"
 )
 
 // warmRequest is a fully pinned CG solve of an inline MatrixMarket
@@ -248,8 +246,9 @@ func TestEvictedBetweenAdmissionAndPickup(t *testing.T) {
 // distinct sources.
 func TestSourceMemoLifetime(t *testing.T) {
 	c := newOperatorCache(2, obs.NopLogger())
-	build := func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
-		return testOperator(t), nil, nil, nil
+	build := func(e *cacheEntry) error {
+		e.m = testOperator(t)
+		return nil
 	}
 	for i := 0; i < 1000; i++ {
 		digest := fmt.Sprintf("d%d", i)
@@ -278,8 +277,8 @@ func TestSourceMemoLifetime(t *testing.T) {
 		t.Fatalf("memo not empty after the last eviction: %d sources, %d entries", len(c.sources), len(c.entries))
 	}
 	boom := errors.New("boom")
-	if _, _, err := c.get("k", "bad", MatrixProfile{}, func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
-		return nil, nil, nil, boom
+	if _, _, err := c.get("k", "bad", MatrixProfile{}, func(e *cacheEntry) error {
+		return boom
 	}); err != boom {
 		t.Fatal(err)
 	}

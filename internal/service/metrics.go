@@ -87,7 +87,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	gauge("abftd_cache_operators", "Resident protected operators.", float64(cs.Entries))
 	gauge("abftd_cache_shards", "Resident shards summed over all operators (unsharded operators count one).", float64(cs.Shards))
-	gauge("abftd_cache_preconditioners", "Resident cached preconditioners (protected setup products).", float64(cs.Preconditioners))
+	gauge("abftd_cache_preconditioners", "Resident named preconditioners (protected setup products; the Jacobi every operator keeps counts only when named).", float64(cs.Preconditioners))
 	counter("abftd_cache_builds_total", "Protected operators encoded (cache misses).", cs.Builds)
 	counter("abftd_cache_hits_total", "Solves served by a resident operator.", cs.Hits)
 	counter("abftd_cache_build_errors_total", "Failed operator builds.", cs.BuildErrors)
@@ -100,9 +100,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("abftd_scrub_passes_total", "Completed scrub-daemon patrol passes.", ss.Passes)
 	counter("abftd_scrub_operators_scrubbed_total", "Operator scrubs performed.", ss.Scrubbed)
 	counter("abftd_scrub_shards_scrubbed_total", "Shard-level scrubs performed (unsharded operators count one).", ss.Shards)
-	counter("abftd_scrub_preconditioners_scrubbed_total", "Cached-preconditioner scrubs performed.", ss.Preconditioners)
-	counter("abftd_scrub_corrected_total", "Codewords repaired by the scrub daemon.", ss.Corrected)
-	counter("abftd_scrub_faults_total", "Uncorrectable faults found by scrubbing (each evicts).", ss.Faults)
+	counter("abftd_scrub_preconditioners_scrubbed_total", "Named-preconditioner scrubs performed (every resident Jacobi is scrubbed too, counted only when named).", ss.Preconditioners)
+	counter("abftd_scrub_corrected_total", "Codewords repaired by the scrub daemon (operators, resident Jacobis and named preconditioners).", ss.Corrected)
+	counter("abftd_scrub_faults_total", "Uncorrectable faults found by scrubbing operators, resident Jacobis and named preconditioners (each evicts).", ss.Faults)
 
 	counter("abftd_operator_checks_total", "Codeword integrity checks across all cached operators.", oc.Checks)
 	counter("abftd_operator_corrected_total", "Corrected errors across all cached operators.", oc.Corrected)

@@ -123,6 +123,37 @@ func TestScrubCoversCachedPreconditioner(t *testing.T) {
 	}
 }
 
+// TestScrubCoversResidentJacobi: every entry keeps a resident Jacobi,
+// so a cg entry's is patrolled with its operator. Its repairs and faults
+// count in Corrected and Faults; Preconditioners counts named
+// preconditioners only, so a cg entry adds none.
+func TestScrubCoversResidentJacobi(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	req := precondRequest("")
+	req.Solver = "cg"
+	e := primeOperator(t, s, req)
+	if e.jac == nil || e.pre != nil {
+		t.Fatalf("cg entry: jacobi %v, named %v; want the resident Jacobi alone", e.jac, e.pre)
+	}
+	strikeJacobi(e, 1<<40)
+	s.ScrubNow()
+	if ss := s.ScrubStats(); ss.Preconditioners != 0 || ss.Corrected != 1 || ss.Faults != 0 {
+		t.Fatalf("scrub stats %+v, want one repair and no named preconditioner", ss)
+	}
+	if cs := s.CacheStats(); cs.Preconditioners != 0 || cs.Entries != 1 {
+		t.Fatalf("cache stats %+v, want one entry and no named preconditioner", cs)
+	}
+	strikeJacobi(e, 1<<40|1<<41) // double flip: uncorrectable
+	s.ScrubNow()
+	if ss := s.ScrubStats(); ss.Preconditioners != 0 || ss.Corrected != 1 || ss.Faults != 1 {
+		t.Fatalf("scrub stats %+v, want one fault", ss)
+	}
+	if cs := s.CacheStats(); cs.Entries != 0 || cs.EvictedFault != 1 {
+		t.Fatalf("cache stats %+v, want the entry fault-evicted", cs)
+	}
+}
+
 // TestPrecondFaultEvictsEntry: corruption in the cached preconditioner
 // beyond the scheme's correction capability evicts the whole entry, and
 // the next request rebuilds it clean.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"abft/internal/obs"
+	"abft/internal/precond"
 )
 
 // ScrubStats summarises scrub-daemon activity.
@@ -18,15 +19,17 @@ type ScrubStats struct {
 	// Shards is the number of shard-level scrubs performed: a sharded
 	// operator's patrol sweeps every band, an unsharded one counts one.
 	Shards uint64
-	// Preconditioners is the number of cached-preconditioner scrubs
-	// performed: an entry with a resident preconditioner patrols its
-	// setup product right after the operator, under the same lock.
+	// Preconditioners is the number of named-preconditioner scrubs
+	// performed: an entry built for one patrols its setup product right
+	// after the operator, under the same lock. The Jacobi every entry
+	// keeps is patrolled too, but counted here only when it is the
+	// named preconditioner.
 	Preconditioners uint64
 	// Corrected is the total number of codewords repaired in place
-	// (operators and preconditioner state together).
+	// (operators, resident Jacobis and named preconditioners together).
 	Corrected uint64
-	// Faults is the number of detected-but-uncorrectable errors found;
-	// each evicts its operator from the cache.
+	// Faults is the number of detected-but-uncorrectable errors found,
+	// in any of those structures; each evicts its entry from the cache.
 	Faults uint64
 }
 
@@ -83,9 +86,9 @@ func (d *scrubDaemon) Stop() {
 // Pass scrubs every resident operator once, oldest first. A sharded
 // operator's Scrub patrols each band in turn, continuing past faulty
 // shards so the whole fleet's damage is counted before eviction; an
-// entry's cached preconditioner is patrolled under the same exclusive
-// lock, and an uncorrectable fault in either structure evicts the whole
-// entry — the next request rebuilds operator and preconditioner clean.
+// entry's resident Jacobi and named preconditioner are patrolled under
+// the same exclusive lock, and an uncorrectable fault in any of them
+// evicts the whole entry — the next request rebuilds it clean.
 // An entry's scrub, repairs and fault are counted in the stats as soon
 // as its lock is released, before the journal, the log and the eviction,
 // so an observer (a test, a /metrics scrape mid-pass) that has seen the
@@ -94,13 +97,18 @@ func (d *scrubDaemon) Pass() {
 	for _, e := range d.cache.resident() {
 		e.mu.Lock()
 		n, err := e.m.Scrub()
-		var preconds uint64
-		if e.pre != nil {
-			np, perr := e.pre.Scrub()
+		for i, pre := range []precond.Preconditioner{e.jac, e.pre} {
+			if pre == nil || i == 1 && pre == e.jac {
+				continue // none, or the named one is the Jacobi
+			}
+			np, perr := pre.Scrub()
 			n += np
 			if err == nil {
 				err = perr
 			}
+		}
+		var preconds uint64
+		if e.pre != nil {
 			preconds = 1
 		}
 		e.mu.Unlock()

@@ -13,76 +13,43 @@ import (
 	"abft/internal/solvers"
 )
 
-// cachedOperator binds a cache entry to a worker count for the solver.
-// Diagonal serves the build-time verified copy: the formats' own
-// Diagonal routes through a committing CheckAll, which must not run
+// cachedOperator binds a cache entry to a worker count for the solver:
+// the library's MatrixOperator over the entry's shared operator, plus
+// the entry's resident Jacobi as the solvers' D^-1
+// (solvers.ResidentJacobi). Unwrap names the MatrixOperator, so a
+// sharded operator's band decomposition reaches the engine as it does
+// bare. No solve reads the diagonal: the formats' own Diagonal decodes
+// the whole matrix through a committing sweep, which must not run
 // against shared storage under a read lock.
 type cachedOperator struct {
-	e       *cacheEntry
-	workers int
+	solvers.MatrixOperator
+	e *cacheEntry
 }
 
-func (o cachedOperator) Rows() int { return o.e.m.Rows() }
+// Unwrap returns the operator the binding forwards to.
+func (o cachedOperator) Unwrap() solvers.Operator { return o.MatrixOperator }
 
-func (o cachedOperator) Apply(dst, x *core.Vector) error {
-	return o.e.m.Apply(dst, x, o.workers)
+// Jacobi returns the entry's resident Jacobi, shared and scrubbed with
+// the operator, or why the build found none.
+func (o cachedOperator) Jacobi() (precond.Preconditioner, error) { return o.e.jac, o.e.jacErr }
+
+// Diagonal refuses: the solvers take D^-1 from Jacobi, and the matrix's
+// own Diagonal must not run under the entry's read lock.
+func (o cachedOperator) Diagonal([]float64) error {
+	return fmt.Errorf("service: a cached operator's diagonal is served as its resident Jacobi")
 }
-
-// ApplyUnverified forwards to the cached operator's no-decode fast path,
-// where a selective-reliability FGMRES runs its inner SpMVs against the
-// shared entry — the read mode is per call, so the entry's stored read
-// mode is never mutated under concurrent solves.
-func (o cachedOperator) ApplyUnverified(dst, x *core.Vector) error {
-	return o.e.m.ApplyUnverified(dst, x, o.workers)
-}
-
-func (o cachedOperator) Diagonal(dst []float64) error {
-	if len(dst) < len(o.e.diag) {
-		return fmt.Errorf("service: Diagonal destination too short")
-	}
-	copy(dst, o.e.diag)
-	return nil
-}
-
-// ApplyBatch forwards to the cached operator's batched kernel, so
-// BlockCG amortises the matrix checks over the batch.
-func (o cachedOperator) ApplyBatch(dst, x *core.MultiVector) error {
-	return o.e.m.ApplyBatch(dst, x, o.workers)
-}
-
-// cachedBanded adds solvers.BandedOperator, which only a sharded
-// operator has. It is a separate type because the solver engine reads
-// the capability's presence: a banded operator's inner products reduce
-// over its bands in a tree, an unbanded one's flat.
-type cachedBanded struct {
-	cachedOperator
-	so *shard.Operator
-}
-
-// Dot tree-reduces per-band partials, so solver inner products follow
-// the cached operator's decomposition.
-func (o cachedBanded) Dot(a, b *core.Vector) (float64, error) { return o.so.Dot(a, b) }
-
-// BandRanges completes solvers.BandedOperator: the engine's fused vector
-// kernels and per-band checkpoint copies follow the same shard layout
-// Dot reduces over.
-func (o cachedBanded) BandRanges() [][2]int { return o.so.BandRanges() }
 
 // operator binds the entry to a worker count for one solve.
 func (e *cacheEntry) operator(workers int) solvers.Operator {
-	base := cachedOperator{e: e, workers: workers}
-	if so, ok := e.m.(*shard.Operator); ok {
-		return cachedBanded{cachedOperator: base, so: so}
-	}
-	return base
+	return cachedOperator{solvers.MatrixOperator{M: e.m, Workers: workers}, e}
 }
 
 // buildOperator returns the cache-miss build closure for a job's
-// operator: the protected encode, verified diagonal extraction and
-// cached-preconditioner setup, traced and observed as StageBuild.
-func (s *Server) buildOperator(j *job) func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
+// operator: the protected encode, the resident Jacobi and the named
+// preconditioner, traced and observed as StageBuild.
+func (s *Server) buildOperator(j *job) func(*cacheEntry) error {
 	p := j.params
-	return func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
+	return func(e *cacheEntry) error {
 		endBuild := j.trace.Start(StageBuild)
 		defer func() { s.observe(StageBuild, endBuild(fmt.Sprintf("%v, %d shards", p.format, max(p.shards, 1)))) }()
 		cfg := op.Config{
@@ -98,7 +65,7 @@ func (s *Server) buildOperator(j *job) func() (core.ProtectedMatrix, []float64, 
 			// fault, scrub), or these knobs had none. The retained
 			// document is read now.
 			if plain, err = s.assemble(&j.req.Matrix, j.quoted); err != nil {
-				return nil, nil, nil, err
+				return err
 			}
 		}
 		var m core.ProtectedMatrix
@@ -117,44 +84,46 @@ func (s *Server) buildOperator(j *job) func() (core.ProtectedMatrix, []float64, 
 			m, err = op.New(p.format, plain, cfg)
 		}
 		if err != nil {
-			return nil, nil, nil, err
+			return err
+		}
+		// The preconditioners build with the operator: their setup
+		// product is protected by the same scheme and — over a sharded
+		// operator — adopts the shard decomposition for its band-parallel
+		// applications. The entry outlives this job and Workers is
+		// per-request (and outside the cache key), so their parallel
+		// layout follows the server's fixed cap, never the first
+		// requester's worker count.
+		popt := precond.Options{Scheme: p.scheme, Workers: s.cfg.MaxSolveWorkers}
+		// Every entry keeps one resident Jacobi; a zero on the diagonal
+		// fails only the solves that need D^-1.
+		e.jac, e.jacErr = precond.For(precond.Jacobi, m, plain, popt)
+		switch p.precond {
+		case precond.None:
+		case precond.Jacobi:
+			e.pre, err = e.jac, e.jacErr
+		default:
+			e.pre, err = precond.For(p.precond, m, plain, popt)
+		}
+		if err != nil {
+			return err
 		}
 		// Counters attach at build time, before the operator is shared;
 		// they are internally atomic, so concurrent jobs and the scrub
-		// daemon account into them safely.
-		counters := &core.Counters{}
-		m.SetCounters(counters)
-		// Extract the verified diagonal while the operator is still
-		// private (Diagonal commits repairs, which is fine pre-share).
-		diag := make([]float64, m.Rows())
-		if err := m.Diagonal(diag); err != nil {
-			return nil, nil, nil, err
-		}
-		// The cached preconditioner builds with the operator: its setup
-		// product is protected by the same scheme, accounts into the
-		// same counters, and — over a sharded operator — adopts the
-		// shard decomposition for its band-parallel applications.
-		var pre precond.Preconditioner
-		if p.precond != precond.None {
-			pre, err = precond.For(p.precond, m, plain, precond.Options{
-				Scheme: p.scheme,
-				// The entry outlives this job and Workers is per-request
-				// (and outside the cache key), so the resident
-				// preconditioner's parallel layout follows the server's
-				// fixed cap, never the first requester's worker count.
-				Workers: s.cfg.MaxSolveWorkers,
-			})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			pre.SetCounters(counters)
-			pre.SetReadMode(core.ModeShared)
-		}
-		// Shared mode: from here on Apply never writes the operator's
+		// daemon account into them safely. Shared mode: from here on
+		// Apply never writes the operator's or a preconditioner's
 		// storage (concurrent jobs hold only the read lock); the scrub
 		// daemon — under the exclusive lock — is the one writer.
+		counters := &core.Counters{}
+		m.SetCounters(counters)
 		m.SetReadMode(core.ModeShared)
-		return m, diag, pre, nil
+		for _, pre := range []precond.Preconditioner{e.jac, e.pre} {
+			if pre != nil {
+				pre.SetCounters(counters)
+				pre.SetReadMode(core.ModeShared)
+			}
+		}
+		e.m = m
+		return nil
 	}
 }
 

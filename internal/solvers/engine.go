@@ -77,7 +77,7 @@ func newEngine(solver string, a Operator, x, b *core.Vector, opt Options) (*engi
 	if e.adaptive {
 		e.interval = defaultCheckpointInterval
 	}
-	e.band = banded(a)
+	e.band, _ = capability[BandedOperator](a)
 	e.initFuse()
 	return e, nil
 }

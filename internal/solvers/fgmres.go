@@ -1,9 +1,11 @@
 package solvers
 
 import (
+	"errors"
 	"math"
 
 	"abft/internal/core"
+	"abft/internal/precond"
 )
 
 // FGMRES solves A x = b by flexible restarted GMRES — the nonsymmetric
@@ -57,7 +59,7 @@ func FGMRES(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 		z[i] = e.temp()
 	}
 
-	inner, err := newInnerSolver(a, x.Len(), opt)
+	inner, err := newInnerSolver(a, x, opt)
 	if err != nil {
 		return e.res, iterErr("fgmres", 0, err)
 	}
@@ -233,51 +235,43 @@ func FGMRES(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 //
 //	z_0 = D^-1 v,   z_{s+1} = z_s + D^-1 (v - A z_s)
 //
-// on plain float64 scratch. Under selective reliability every read it
-// performs — the source basis vector, the SpMV inside each step, the
+// on plain float64 scratch. D^-1 is newJacobi's protected Jacobi, read
+// verified under either reliability and applied to the plain scratch
+// through core.None vectors. Under selective reliability every other
+// read — the source basis vector, the SpMV inside each step, the
 // product read-back — goes through the unverified no-decode path; the
 // step SpMV is the operator's per-call ApplyUnverified, so a cached
 // shared operator's stored read mode is never touched.
 type innerSolver struct {
-	a         Operator
 	pre       Preconditioner
 	steps     int
-	workers   int
 	selective bool
 	hook      func(cycle, j, step int, z []float64)
 
-	invd             []float64 // verified inverse diagonal (Richardson)
+	jac              precond.Preconditioner // D^-1 (Richardson)
 	vbuf, zbuf, wbuf []float64
-	zv, wz           *core.Vector // protected scratch bridging plain <-> SpMV
+	zv, wz           *core.Vector // plain scratch bridging slices <-> SpMV and D^-1
 	applyInner       func(dst, x *core.Vector) error
 }
 
-func newInnerSolver(a Operator, n int, opt Options) (*innerSolver, error) {
+func newInnerSolver(a Operator, x *core.Vector, opt Options) (*innerSolver, error) {
 	in := &innerSolver{
-		a:         a,
 		pre:       opt.Preconditioner,
 		steps:     opt.InnerSteps,
-		workers:   opt.Workers,
 		selective: opt.Reliability == ReliabilitySelective,
 		hook:      opt.InnerHook,
 	}
 	if in.pre != nil {
 		return in, nil
 	}
-	// Richardson setup: the diagonal is extracted verified, once, before
+	// Richardson setup: D^-1 is built (or found resident) once, before
 	// any unreliable phase runs.
-	d := make([]float64, n)
-	if err := a.Diagonal(d); err != nil {
+	var err error
+	if in.jac, err = newJacobi(a, x, opt.Workers); err != nil {
 		return nil, err
 	}
-	for i, x := range d {
-		if x == 0 {
-			return nil, errBreakdown
-		}
-		d[i] = 1 / x
-	}
-	in.invd = d
 	// vbuf and wbuf take whole blocks straight from Read.
+	n := x.Len()
 	padded := (n + core.BlockLen - 1) / core.BlockLen * core.BlockLen
 	in.vbuf = make([]float64, padded)
 	in.zbuf = make([]float64, n)
@@ -295,7 +289,9 @@ func newInnerSolver(a Operator, n int, opt Options) (*innerSolver, error) {
 // encode path (WriteBlock), so whatever the inner phase produced lands
 // in outer state as clean codewords; under selective reliability a
 // faulted or non-finite inner result degrades to the unpreconditioned
-// direction z = v instead of surfacing — the absorption contract.
+// direction z = v instead of surfacing — the absorption contract. A
+// fault D^-1's verified read detects is in resident state, not inner
+// scratch, and surfaces under either reliability.
 func (in *innerSolver) solve(z, v *core.Vector, cycle, j int) error {
 	if in.pre != nil {
 		return in.pre.Apply(z, v)
@@ -303,9 +299,9 @@ func (in *innerSolver) solve(z, v *core.Vector, cycle, j int) error {
 	if err := in.readVec(in.vbuf, v); err != nil {
 		return err
 	}
-	err := in.richardson(cycle, j)
-	if err != nil {
-		if !in.selective {
+	if err := in.richardson(cycle, j); err != nil {
+		var fe *core.FaultError
+		if !in.selective || errors.As(err, &fe) {
 			return err
 		}
 		// Absorbed: a fault inside the unreliable phase costs the step
@@ -328,8 +324,8 @@ func (in *innerSolver) solve(z, v *core.Vector, cycle, j int) error {
 // After every step the InnerHook observes (and may corrupt) the live
 // scratch — the seam inner-phase fault campaigns strike.
 func (in *innerSolver) richardson(cycle, j int) error {
-	for i := range in.zbuf {
-		in.zbuf[i] = in.invd[i] * in.vbuf[i]
+	if err := in.scale(in.zbuf, in.vbuf); err != nil {
+		return err
 	}
 	if in.hook != nil {
 		in.hook(cycle, j, 0, in.zbuf)
@@ -343,13 +339,29 @@ func (in *innerSolver) richardson(cycle, j int) error {
 			return err
 		}
 		for i := range in.zbuf {
-			in.zbuf[i] += in.invd[i] * (in.vbuf[i] - in.wbuf[i])
+			in.wbuf[i] = in.vbuf[i] - in.wbuf[i]
+		}
+		if err := in.scale(in.wbuf, in.wbuf); err != nil {
+			return err
+		}
+		for i := range in.zbuf {
+			in.zbuf[i] += in.wbuf[i]
 		}
 		if in.hook != nil {
 			in.hook(cycle, j, s, in.zbuf)
 		}
 	}
 	return nil
+}
+
+// scale computes dst = D^-1 src, both plain scratch, through the
+// protected Jacobi.
+func (in *innerSolver) scale(dst, src []float64) error {
+	in.zv.CopyFrom(src)
+	if err := in.jac.Apply(in.wz, in.zv); err != nil {
+		return err
+	}
+	return in.wz.CopyTo(dst)
 }
 
 // readVec streams a protected vector's blocks into plain scratch:

@@ -38,10 +38,15 @@ func pcgOptions(a Operator, x *core.Vector, opt Options) (Options, error) {
 	return opt, nil
 }
 
-// newJacobi builds precond's Jacobi from a's verified diagonal: the
-// inverse diagonal is stored in x's scheme, counts its checks on x's
-// counters and is applied with the solve's worker count.
+// newJacobi returns the D^-1 every solver scales by: the operator's
+// resident Jacobi when it keeps one (ResidentJacobi), applied as its
+// owner set it up; otherwise precond's Jacobi built from a's verified
+// diagonal, stored in x's scheme, counting its checks on x's counters
+// and applied with the solve's worker count.
 func newJacobi(a Operator, x *core.Vector, workers int) (precond.Preconditioner, error) {
+	if r, ok := capability[ResidentJacobi](a); ok {
+		return r.Jacobi()
+	}
 	d := make([]float64, a.Rows())
 	if err := a.Diagonal(d); err != nil {
 		return nil, err

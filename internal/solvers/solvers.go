@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"abft/internal/core"
+	"abft/internal/precond"
 )
 
 // Operator is the linear operator a solver iterates with: a protected
@@ -51,7 +52,7 @@ type Operator interface {
 	Diagonal(dst []float64) error
 }
 
-// BandedOperator is the one optional Operator capability: an operator
+// BandedOperator is an optional Operator capability: an operator
 // with a row-band decomposition (the sharded composite of internal/shard)
 // supplies its own global inner product — per-band partial sums reduced
 // in a binary tree, the in-process analogue of an MPI allreduce — and the
@@ -64,25 +65,36 @@ type BandedOperator interface {
 	BandRanges() [][2]int
 }
 
-// banded returns op's band decomposition, or nil when it has none. It
-// looks at op itself, at the matrix behind a MatrixOperator, and at the
-// operator behind a wrapper that names it with Unwrap
-// (faults.InjectingOperator), so a sharded operator bound by the library
-// facade or wrapped for fault injection reduces as it does bare; any
-// other wrapper is banded only if it says so.
-func banded(op Operator) BandedOperator {
+// ResidentJacobi is the other optional Operator capability: an operator
+// that keeps a protected Jacobi resident with it (an abftd cache entry)
+// hands it to the solvers as their D^-1 instead of a diagonal to build
+// one from. The Jacobi is shared: its owner fixed its read mode and
+// counters and scrubs it, so a solve only applies it. The error is why
+// the owner could build none (a zero on the diagonal).
+type ResidentJacobi interface {
+	Jacobi() (precond.Preconditioner, error)
+}
+
+// capability returns op's optional capability C, and whether it has
+// one. It looks at op itself, at the matrix behind a MatrixOperator, and
+// at the operator behind a wrapper that names it with Unwrap
+// (faults.InjectingOperator), so an operator bound by the library facade
+// or wrapped for fault injection serves the capability as it does bare;
+// any other wrapper has it only if it says so.
+func capability[C any](op Operator) (C, bool) {
 	for {
-		if b, ok := op.(BandedOperator); ok {
-			return b
+		if c, ok := op.(C); ok {
+			return c, true
 		}
 		switch w := op.(type) {
 		case MatrixOperator:
-			b, _ := w.M.(BandedOperator)
-			return b
+			c, ok := w.M.(C)
+			return c, ok
 		case interface{ Unwrap() Operator }:
 			op = w.Unwrap()
 		default:
-			return nil
+			var none C
+			return none, false
 		}
 	}
 }
