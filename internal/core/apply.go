@@ -152,19 +152,15 @@ func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCh
 }
 
 // csrSweep is one goroutine's state over its rows of a CSR product: the
-// row-pointer cursor, whose current group carries from one block to the
-// next with its decoded values, the element verifier with its SECDED128
-// pair memo, the element checks counted so far, and the k running sums
-// and output blocks.
+// row reader — whose cursor's current group carries from one block to
+// the next with its decoded values, whose element verifier keeps its
+// SECDED128 pair memo, and which counts the checks — and the k running
+// sums and output blocks.
 type csrSweep struct {
-	m          *Matrix
-	cur        rowPtrCursor
-	ver        rowVerifier
-	full       bool // verify element codewords
-	elemChecks uint64
-	xbufs      [][]float64
-	sums       []float64
-	outs       [][BlockLen]float64
+	rowReader
+	xbufs [][]float64
+	sums  []float64
+	outs  [][BlockLen]float64
 }
 
 // newSweep starts one goroutine's sweep against the decoded columns
@@ -172,18 +168,12 @@ type csrSweep struct {
 // it repair storage.
 func (m *Matrix) newSweep(xbufs [][]float64, fullCheck, commit bool) csrSweep {
 	return csrSweep{
-		m:     m,
-		cur:   rowPtrCursor{m: m, check: fullCheck && m.rowScheme != None, commit: commit, group: -1},
-		ver:   m.newRowVerifier(commit),
-		full:  fullCheck && m.scheme != None,
-		xbufs: xbufs,
-		sums:  make([]float64, len(xbufs)),
-		outs:  make([][BlockLen]float64, len(xbufs)),
+		rowReader: m.newRowReader(fullCheck, commit),
+		xbufs:     xbufs,
+		sums:      make([]float64, len(xbufs)),
+		outs:      make([][BlockLen]float64, len(xbufs)),
 	}
 }
-
-// flush adds the checks the sweep counted to the matrix counters.
-func (s *csrSweep) flush() { s.m.counters.AddChecks(s.elemChecks + s.cur.checks) }
 
 // write stores the output blocks of the n rows at r0, zero past row n.
 func (s *csrSweep) write(dsts []*Vector, ep *DotEpilogue, r0, n int) {
@@ -268,19 +258,13 @@ func (s *csrSweep) block(r0, n int) bool {
 }
 
 // stream accumulates the n rows delimited by p[0..n] straight from
-// storage into the output blocks, applying the column mask and, when
-// the elements carry codewords, the column range check: the per-row
-// streamRow over a whole block. It reports false at a wild column.
+// storage into the output blocks, applying the column mask and the
+// range check against the logical length of x, whatever the element
+// scheme: the per-row stream of csrSweep.rows over a whole block. It
+// reports false at a wild column, which the per-row code reports.
 func (s *csrSweep) stream(p *[2 * BlockLen]uint32, n int) bool {
 	m := s.m
-	mask, vals, cols := s.ver.el.Mask(), m.vals, m.colIdx
-	// Columns are checked against the decoded length of x: its logical
-	// length when the elements carry codewords, the whole buffer
-	// otherwise, where a wild column is left to the per-row code.
-	width := len(s.xbufs[0])
-	if m.scheme != None {
-		width = m.cols
-	}
+	mask, vals, cols, width := s.ver.el.Mask(), m.vals, m.colIdx, m.cols
 	if len(s.xbufs) == 1 {
 		xbuf, out := s.xbufs[0][:width], &s.outs[0]
 		for i := 0; i < n; i++ {
@@ -321,109 +305,31 @@ func (s *csrSweep) stream(p *[2 * BlockLen]uint32, n int) bool {
 
 // rows is the cold path of a block: the per-row verify-then-stream
 // protocol over the n rows at r0, from the state the clean path left.
-// Each row takes its pointers from the cursor, batch-verifies its
-// element codewords (rowVerifier.row), then streams from storage
-// (streamRow) — or, when a correction could not be committed (a
-// no-commit worker or a shared operator hit a live fault), stages the
-// row through ColElems.DecodeLocal and streams the stage (stageRow).
-// Which fault is reported, the checks counted up to it, corrections,
-// commits and bounds errors are therefore a per-row pass's.
+// Each row comes from the row reader — verified, then storage itself or,
+// when a correction could not be committed, a stage (rowReader.row) —
+// and streams into every sum in entry order behind the column mask and
+// the range check. Which fault is reported, the checks counted up to
+// it, corrections, commits and bounds errors are therefore a per-row
+// pass's, and RowScanner's.
 func (s *csrSweep) rows(r0, n int) error {
-	m := s.m
-	colMask := s.ver.el.Mask()
-	// Row r's end pointer is row r+1's start pointer: carry it across
-	// iterations so each row costs one cursor lookup, not two.
-	rlo32, err := s.cur.value(r0)
-	if err != nil {
-		return err
-	}
+	m, mask := s.m, s.ver.el.Mask()
 	for r := r0; r < r0+n; r++ {
-		rhi32, err := s.cur.value(r + 1)
+		cols, vals, base, err := s.row(r)
 		if err != nil {
 			return err
 		}
-		if rlo32 > rhi32 {
-			return m.boundsErr(StructRowPtr, r, rlo32, rhi32)
-		}
-		rlo, rhi := int(rlo32), int(rhi32)
-		dirty := false
-		if s.full {
-			var checks uint64
-			dirty, checks, err = s.ver.row(r, rlo, rhi)
-			s.elemChecks += checks
-			if err != nil {
-				return err
+		clear(s.sums)
+		for i, c := range cols {
+			col := c & mask
+			if col >= uint32(m.cols) {
+				return m.boundsErr(StructElements, base+i, col, uint32(m.cols))
+			}
+			for j, xbuf := range s.xbufs {
+				s.sums[j] += vals[i] * xbuf[col]
 			}
 		}
-		if dirty {
-			err = m.stageRow(&s.ver.el, s.sums, s.xbufs, r, rlo, rhi)
-		} else {
-			err = m.streamRow(s.sums, s.xbufs, rlo, rhi, colMask)
-		}
-		if err != nil {
-			return err
-		}
-		rlo32 = rhi32
 		for j, sum := range s.sums {
 			s.outs[j][r-r0] = sum
-		}
-	}
-	return nil
-}
-
-// streamRow accumulates entries [lo,hi) of a verified-clean row (or of
-// any row on a range-check-only sweep) straight from storage into sums,
-// one running sum per decoded column: the fast second half of
-// verify-then-stream, with only the column mask and range check applied,
-// once per entry whatever the width. Unprotected elements carry raw
-// indices exactly as in an unprotected solver, so no range check applies
-// to them (protecting only the row pointers costs only the per-row
-// cursor work, matching the paper's near-free Figure 5 results).
-func (m *Matrix) streamRow(sums []float64, xbufs [][]float64, lo, hi int, mask uint32) error {
-	if len(sums) == 1 {
-		xbuf := xbufs[0]
-		var sum float64
-		for k := lo; k < hi; k++ {
-			col := m.colIdx[k] & mask
-			if m.scheme != None && col >= uint32(m.cols) {
-				return m.boundsErr(StructElements, k, col, uint32(m.cols))
-			}
-			sum += m.vals[k] * xbuf[col]
-		}
-		sums[0] = sum
-		return nil
-	}
-	clear(sums)
-	for k := lo; k < hi; k++ {
-		col := m.colIdx[k] & mask
-		if m.scheme != None && col >= uint32(m.cols) {
-			return m.boundsErr(StructElements, k, col, uint32(m.cols))
-		}
-		v := m.vals[k]
-		for j, xbuf := range xbufs {
-			sums[j] += v * xbuf[col]
-		}
-	}
-	return nil
-}
-
-// stageRow is the corrective fallback for a dirty row r, entries
-// [lo,hi): the row is decoded into a local stage with its correction
-// applied there — nothing written to shared storage, nothing counted,
-// since the verify that flagged the row already accounted the checks and
-// the correction — and the stage streams into every sum in entry order.
-func (m *Matrix) stageRow(el *ColElems, sums []float64, xbufs [][]float64, r, lo, hi int) error {
-	cols, vals, err := el.DecodeLocal(r, lo, hi-lo)
-	if err != nil {
-		return err
-	}
-	clear(sums)
-	for i, col := range cols {
-		if col >= uint32(m.cols) {
-			return m.boundsErr(StructElements, lo+i, col, uint32(m.cols))
-		}
-		for j, xbuf := range xbufs {
-			sums[j] += vals[i] * xbuf[col]
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -141,8 +142,8 @@ func (tw *csrTwin) both(f func(m *Matrix)) {
 }
 
 // run runs c's products on both matrices from their current storage and
-// fails at the first product whose error, output bits, counters or
-// storage differ.
+// fails at the first product that panicked on either side or whose
+// error, output bits, counters or storage differ.
 func (tw *csrTwin) run(t *testing.T, name string, c blockCase) {
 	t.Helper()
 	type side struct {
@@ -178,6 +179,11 @@ func (tw *csrTwin) run(t *testing.T, name string, c blockCase) {
 			errs[i] = s.m.ApplyBatch(dm, xm, c.workers)
 		}
 		at := fmt.Sprintf("%s, %v, product %d", name, c, sweep)
+		for _, err := range errs {
+			if pe := (*par.PanicError)(nil); errors.As(err, &pe) {
+				t.Fatalf("%s: %v", at, pe.Value)
+			}
+		}
 		if !reflect.DeepEqual(errs[0], errs[1]) {
 			t.Fatalf("%s: error %v, per-row %v", at, errs[0], errs[1])
 		}
@@ -234,11 +240,12 @@ func elemCodewords(m *Matrix) [][]int {
 // TestCSRBlockMatchesPerRowOracle runs every case clean, then strikes
 // every element codeword and every row-pointer group once and twice, for
 // every element scheme and row-pointer scheme. Unprotected elements are
-// struck in their values only (a wild unchecked column is out of
-// bounds for both paths alike). Each element strike runs one case drawn
-// in rotation; each row-pointer strike runs under all three read modes,
-// so every group is struck in shared mode, where a correction is never
-// committed — including the group a block shares with the next.
+// struck in their column indices too: both paths range-check every
+// column, so a wild one is the same BoundsError. Each element strike
+// runs one case drawn in rotation; each row-pointer strike runs under
+// all three read modes, so every group is struck in shared mode, where a
+// correction is never committed — including the group a block shares
+// with the next.
 func TestCSRBlockMatchesPerRowOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	plain := blockCSR(t)
@@ -257,10 +264,7 @@ func TestCSRBlockMatchesPerRowOracle(t *testing.T) {
 			tw.reset()
 			tw.run(t, name+" clean", c)
 		}
-		entryBits := 96
-		if es == None {
-			entryBits = 64
-		}
+		const entryBits = 96
 		for i, cw := range elemCodewords(tw.a) {
 			for n := 1; n <= 2; n++ {
 				bits := rng.Perm(entryBits * len(cw))[:n]
@@ -316,7 +320,7 @@ func TestCSRBlockPlantedStructure(t *testing.T) {
 			r := BlockLen + i
 			lo, hi := int(tw.rowptr[r]&mask), int(tw.rowptr[r+1]&mask)
 			if hi > lo {
-				wild := uint32(tw.a.cols + 1) // inside x's padding: unprotected columns are not range-checked
+				wild := uint32(tw.a.cols + 1) // inside x's padding
 				for _, c := range cases {
 					tw.reset()
 					tw.both(func(m *Matrix) {
@@ -390,4 +394,35 @@ func TestCSRBlockSharedGroupCarry(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzCSRBlockOracle holds the product to the per-row oracle as
+// TestCSRBlockMatchesPerRowOracle does, with one to three bits struck
+// anywhere in the stored values, column indices and row pointers of
+// blockCSR, under a fuzzer-chosen scheme pair and case.
+func FuzzCSRBlockOracle(f *testing.F) {
+	f.Add(uint8(0), uint16(0), uint8(0), uint32(72), uint32(0), uint32(0))
+	f.Add(uint8(13), uint16(41), uint8(1), uint32(700), uint32(701), uint32(0))
+	f.Add(uint8(19), uint16(7), uint8(2), uint32(5000), uint32(95), uint32(3))
+	f.Add(uint8(24), uint16(70), uint8(0), uint32(6500), uint32(0), uint32(0))
+	pairs, cases := allSchemePairs(), blockCases()
+	f.Fuzz(func(t *testing.T, pair uint8, cas uint16, flips uint8, b0, b1, b2 uint32) {
+		es, rs := pairs[int(pair)%len(pairs)][0], pairs[int(pair)%len(pairs)][1]
+		c := cases[int(cas)%len(cases)]
+		tw := newCSRTwin(t, blockCSR(t), es, rs)
+		elemBits := 96 * len(tw.vals)
+		total := uint32(elemBits + 32*len(tw.rowptr))
+		bits := []uint32{b0 % total, b1 % total, b2 % total}[:1+int(flips)%3]
+		tw.reset()
+		tw.both(func(m *Matrix) {
+			for _, b := range bits {
+				if b := int(b); b < elemBits {
+					strikeElems(m.vals, m.colIdx, b/96, b%96)
+				} else {
+					m.rowptr[(b-elemBits)/32] ^= 1 << uint(b%32)
+				}
+			}
+		})
+		tw.run(t, fmt.Sprintf("elements %v row pointers %v struck at %v", es, rs, bits), c)
+	})
 }

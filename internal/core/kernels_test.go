@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -155,27 +156,55 @@ func TestSpMVReportsUncorrectable(t *testing.T) {
 	}
 }
 
+// TestSpMVBoundsCheckStopsWildIndex corrupts a column index between two
+// products and requires the second to fail with a BoundsError instead of
+// panicking or reading x's block padding (paper section VI-A-2): on the
+// bounds-only sweeps of interval checking, and for unprotected elements
+// whenever the row pointers or vectors are protected.
 func TestSpMVBoundsCheckStopsWildIndex(t *testing.T) {
-	// With interval checking the unchecked sweeps must still range-check
-	// indices: corrupt a column index to an out-of-range value and verify
-	// the sweep fails with BoundsError instead of panicking (paper
-	// section VI-A-2).
-	src := csr.Laplacian2D(8, 8)
-	m, err := NewMatrix(src, MatrixOptions{ElemScheme: SED, RowPtrScheme: SED})
-	if err != nil {
-		t.Fatal(err)
+	type wildCase struct {
+		name       string
+		side       int // Laplacian2D(side, side)
+		es, rs, vs Scheme
+		interval   int
+		strike     func(col uint32) uint32
 	}
-	m.SetCheckInterval(100)
-	x := NewVector(64, None)
-	dst := NewVector(64, None)
-	if err := SpMV(dst, m, x, 1); err != nil { // sweep 0: full check, clean
-		t.Fatal(err)
+	cases := []wildCase{
+		// Huge in-mask column, parity now stale; sweep 1 is bounds-only.
+		{"sed interval", 8, SED, SED, None, 100, func(c uint32) uint32 { return c | 0x00FF_0000 }},
 	}
-	m.RawCols()[20] |= 0x00FF_0000 // huge in-mask column, parity now stale
-	err = SpMV(dst, m, x, 1)       // sweep 1: bounds-only
-	var be *BoundsError
-	if !errors.As(err, &be) {
-		t.Fatalf("wild index not caught by range check: %v", err)
+	for _, pv := range [][2]Scheme{{SECDED64, None}, {None, SECDED64}} {
+		at := fmt.Sprintf("none elements, %v row pointers, %v vectors", pv[0], pv[1])
+		cases = append(cases,
+			wildCase{at + ", bit 30", 5, None, pv[0], pv[1], 1, func(c uint32) uint32 { return c ^ 1<<30 }},
+			// 25 rows pad x to 32 words: column 30 is padding.
+			wildCase{at + ", column 30", 5, None, pv[0], pv[1], 1, func(uint32) uint32 { return 30 }})
+	}
+	for _, c := range cases {
+		src := csr.Laplacian2D(c.side, c.side)
+		m, err := NewMatrix(src, MatrixOptions{ElemScheme: c.es, RowPtrScheme: c.rs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetCheckInterval(c.interval)
+		n := src.Rows()
+		x := NewVector(n, c.vs)
+		dst := NewVector(n, None)
+		if err := SpMV(dst, m, x, 1); err != nil { // sweep 0: full check, clean
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		m.RawCols()[20] = c.strike(m.RawCols()[20])
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: wild index panicked: %v", c.name, p)
+				}
+			}()
+			var be *BoundsError
+			if err := SpMV(dst, m, x, 1); !errors.As(err, &be) || be.Structure != StructElements {
+				t.Errorf("%s: wild index not caught by range check: %v", c.name, err)
+			}
+		}()
 	}
 }
 

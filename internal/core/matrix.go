@@ -341,6 +341,24 @@ func (c *rowPtrCursor) value(r int) (uint32, error) {
 	return v, nil
 }
 
+// bounds returns row r's entry range [lo, hi) from pointers r and r+1,
+// which must be monotone. The cursor keeps the group of pointer r+1, so
+// the next row's bounds reads its first pointer for no further check.
+func (c *rowPtrCursor) bounds(r int) (lo, hi int, err error) {
+	l, err := c.value(r)
+	if err != nil {
+		return 0, 0, err
+	}
+	h, err := c.value(r + 1)
+	if err != nil {
+		return 0, 0, err
+	}
+	if l > h {
+		return 0, 0, c.m.boundsErr(StructRowPtr, r, l, h)
+	}
+	return int(l), int(h), nil
+}
+
 // window is the block form of value for the output block of n <=
 // BlockLen rows at r0 (a multiple of BlockLen): it fills p[0..n] with
 // the pointers r0..r0+n. On a checking cursor each group the block needs
@@ -413,19 +431,9 @@ func (m *Matrix) RowRange(r int) (lo, hi int, err error) {
 		return 0, 0, fmt.Errorf("core: row %d out of range [0,%d)", r, m.rows)
 	}
 	cur := rowPtrCursor{m: m, check: true, commit: true, group: -1}
-	defer func() { m.counters.AddChecks(cur.checks) }()
-	l, err := cur.value(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	h, err := cur.value(r + 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	if l > h {
-		return 0, 0, m.boundsErr(StructRowPtr, r, l, h)
-	}
-	return int(l), int(h), nil
+	lo, hi, err = cur.bounds(r)
+	m.counters.AddChecks(cur.checks)
+	return lo, hi, err
 }
 
 // ---------------------------------------------------------------------------

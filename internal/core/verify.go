@@ -1,5 +1,66 @@
 package core
 
+// rowReader is the per-row verify-then-stream protocol over CSR rows,
+// written once for both of its callers: the cold path of the product
+// (csrSweep.rows) and RowScanner. It holds the row-pointer cursor, the
+// element verifier, whether element codewords are verified, and the
+// element checks counted since the last flush. One reader serves one
+// goroutine's sweep.
+type rowReader struct {
+	m          *Matrix
+	cur        rowPtrCursor
+	ver        rowVerifier
+	full       bool // verify element codewords
+	elemChecks uint64
+}
+
+// newRowReader starts a sweep over m's rows: verify checks what carries
+// codewords, commit lets the sweep repair storage.
+func (m *Matrix) newRowReader(verify, commit bool) rowReader {
+	return rowReader{
+		m:    m,
+		cur:  rowPtrCursor{m: m, check: verify && m.rowScheme != None, commit: commit, group: -1},
+		ver:  m.newRowVerifier(commit),
+		full: verify && m.scheme != None,
+	}
+}
+
+// row reads row r: its pointers from the cursor, then one batch verify
+// of its element codewords (rowVerifier.row). It returns the row's
+// stored column indices and values and base, the storage index of its
+// first entry. A clean row, or one whose corrections were committed,
+// comes back as storage itself; a row holding a correction that could
+// not be committed (a no-commit worker or a shared operator that hit a
+// live fault) comes back as ColElems.DecodeLocal's stage. Columns still
+// carry their redundancy bits: the caller applies the column mask and
+// the range check against Cols, so a corrupted index is a BoundsError,
+// never an out-of-range read.
+func (rd *rowReader) row(r int) (cols []uint32, vals []float64, base int, err error) {
+	lo, hi, err := rd.cur.bounds(r)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if rd.full {
+		dirty, checks, err := rd.ver.row(r, lo, hi)
+		rd.elemChecks += checks
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if dirty {
+			cols, vals, err := rd.ver.el.DecodeLocal(r, lo, hi-lo)
+			return cols, vals, lo, err
+		}
+	}
+	return rd.m.colIdx[lo:hi], rd.m.vals[lo:hi], lo, nil
+}
+
+// flush adds the checks counted since the last flush to the matrix
+// counters.
+func (rd *rowReader) flush() {
+	rd.m.counters.AddChecks(rd.elemChecks + rd.cur.checks)
+	rd.elemChecks, rd.cur.checks = 0, 0
+}
+
 // rowVerifier is the per-sweep state of the verify half of the
 // verify-then-stream protocol over CSR rows: the column-element codec
 // view, the commit discipline of the sweep, and what must survive from

@@ -350,12 +350,9 @@ func newOperator(cfg CampaignConfig, plain *csr.Matrix, protect bool) (core.Prot
 	if protect {
 		conf.Scheme, conf.RowPtrScheme = cfg.Scheme, cfg.Scheme
 	}
-	if cfg.Shards > 1 {
-		return shard.New(plain, shard.Options{
-			Shards: cfg.Shards, Format: cfg.Format, Config: conf, VectorScheme: cfg.Scheme,
-		})
-	}
-	return op.New(cfg.Format, plain, conf)
+	return shard.Build(plain, shard.Options{
+		Shards: cfg.Shards, Format: cfg.Format, Config: conf, VectorScheme: cfg.Scheme,
+	})
 }
 
 // product returns a result step observing apply's output into a plain

@@ -68,21 +68,16 @@ func (s *Server) buildOperator(j *job) func(*cacheEntry) error {
 				return err
 			}
 		}
-		var m core.ProtectedMatrix
-		if p.shards > 1 {
-			// Row-partition the operator: each band holds its own
-			// protected local matrix in the effective format, and the
-			// request's vector scheme protects the halo buffers the
-			// bands exchange through.
-			m, err = shard.New(plain, shard.Options{
-				Shards:       p.shards,
-				Format:       p.format,
-				Config:       cfg,
-				VectorScheme: p.vectors,
-			})
-		} else {
-			m, err = op.New(p.format, plain, cfg)
-		}
+		// Row-partitioned when p.shards > 1: each band holds its own
+		// protected local matrix in the effective format, and the
+		// request's vector scheme protects the halo buffers the bands
+		// exchange through.
+		m, err := shard.Build(plain, shard.Options{
+			Shards:       p.shards,
+			Format:       p.format,
+			Config:       cfg,
+			VectorScheme: p.vectors,
+		})
 		if err != nil {
 			return err
 		}

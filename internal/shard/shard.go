@@ -226,6 +226,16 @@ func New(src *csr.Matrix, opt Options) (*Operator, error) {
 	return o, nil
 }
 
+// Build returns the operator opt describes: src row-partitioned by New
+// when opt.Shards > 1, and otherwise one band, which is the plain
+// op.New matrix of opt.Format under opt.Config.
+func Build(src *csr.Matrix, opt Options) (core.ProtectedMatrix, error) {
+	if opt.Shards <= 1 {
+		return op.New(opt.Format, src, opt.Config)
+	}
+	return New(src, opt)
+}
+
 // newWorkspace allocates width-k per-band operands wired to the current
 // counters and CRC backend.
 func (o *Operator) newWorkspace(k int) workspace {

@@ -157,18 +157,12 @@ func (s *Simulation) buildMatrix() error {
 		Backend:       cfg.CRCBackend,
 		CheckInterval: cfg.CheckInterval,
 	}
-	var m core.ProtectedMatrix
-	var err error
-	if cfg.Shards > 1 {
-		m, err = shard.New(plain, shard.Options{
-			Shards:       cfg.Shards,
-			Format:       cfg.Format,
-			Config:       opCfg,
-			VectorScheme: cfg.VectorScheme,
-		})
-	} else {
-		m, err = op.New(cfg.Format, plain, opCfg)
-	}
+	m, err := shard.Build(plain, shard.Options{
+		Shards:       cfg.Shards,
+		Format:       cfg.Format,
+		Config:       opCfg,
+		VectorScheme: cfg.VectorScheme,
+	})
 	if err != nil {
 		return err
 	}
