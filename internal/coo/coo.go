@@ -530,28 +530,9 @@ const verifyChunk = 64
 // was hit — is staged and streamed from the stage, so the slow path is
 // paid per faulty chunk, not per sweep. Ranges are codeword-aligned, so
 // workers never share a codeword. Unless sw is a full sweep no chunk is
-// verified or counted.
+// verified or counted; every row and column index is range-checked under
+// every scheme, none included.
 func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, sw core.Sweep) error {
-	if m.Scheme() == core.None && sw.Sources {
-		// Unprotected storage read by its owner: indices are raw exactly
-		// as in an unprotected solver, so neither mask nor range check
-		// applies. ApplyUnverified takes the range-checked loops below
-		// even here — it may be reading storage somebody else corrupted.
-		if len(accs) == 1 {
-			acc, xbuf := accs[0], xbufs[0]
-			for k := lo; k < hi; k++ {
-				acc[m.rowIdx[k]] += m.vals[k] * xbuf[m.colIdx[k]]
-			}
-			return nil
-		}
-		for k := lo; k < hi; k++ {
-			row, col, v := m.rowIdx[k], m.colIdx[k], m.vals[k]
-			for j, acc := range accs {
-				acc[row] += v * xbufs[j][col]
-			}
-		}
-		return nil
-	}
 	step := verifyChunk
 	var img *[16 * crcGroup]byte
 	if m.Scheme() == core.CRC32C && sw.Full {

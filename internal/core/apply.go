@@ -39,6 +39,11 @@ func SpMV(dst *Vector, m *Matrix, x *Vector, workers int) error {
 func (m *Matrix) Product(dsts, xs []*Vector, workers int, sw Sweep) error {
 	ranges := par.Ranges(m.rows, workers, 8)
 	if m.scheme == None && m.rowScheme == None && xs[0].scheme == None {
+		// The sources are read in place: an update pending on one runs
+		// as a plain pass first, since there is no check to save.
+		if err := runUpdates(xs); err != nil {
+			return err
+		}
 		ep := startDots(dsts, xs)
 		return ep.finish(par.Run(ranges, func(lo, hi int) error {
 			m.rawRows(dsts, xs, lo, hi, ep)
@@ -80,6 +85,9 @@ var sourcePool = sync.Pool{New: func() any { return new(sources) }}
 // exactly once per sweep and single-bit corrections are committed to
 // xs in exclusive and shared mode alike. With unverified set the masked
 // payload is copied with no decode, no commit and no check accounting.
+// A source with an update pending (UpdateRequest) is read by the
+// update's own verified pass instead, which keeps the vector's new
+// values in its buffer.
 //
 // The buffers are unprotected for the length of one sweep: a fault
 // striking xs after the decode is caught by the next verified reader of
@@ -113,7 +121,14 @@ func (s *sources) decode(xs []*Vector, unverified bool) error {
 	s.cols = s.cols[:0]
 	for j, x := range xs {
 		buf := s.flat[j*n : (j+1)*n]
-		if err := x.Read(0, blocks, buf, mode); err != nil {
+		var err error
+		if u := x.upd; u != nil {
+			u.Drop()
+			err = u.RunKept(0, blocks, buf)
+		} else {
+			err = x.Read(0, blocks, buf, mode)
+		}
+		if err != nil {
 			return err
 		}
 		s.cols = append(s.cols, buf)

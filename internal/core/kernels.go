@@ -28,12 +28,15 @@ func Copy(dst, src *Vector, workers int) error {
 	return err
 }
 
-// FusedAxpyDot performs the CG tail update in one verified pass:
+// FusedAxpyDot performs the classic CG tail update in one verified
+// pass:
 //
 //	x += alpha*p;  r -= alpha*q;  return r.r
 //
 // bit-identical to Axpy, Axpy and Dot back to back over the same
-// decomposition, with each of p, x, q and r read once.
+// decomposition, with each of p, x, q and r read once. The solvers'
+// CG moves x += alpha*p into its direction update instead, which rides
+// the next product (UpdateRequest); the benchmark times this kernel.
 func FusedAxpyDot(x *Vector, alpha float64, p, r, q *Vector, opt FusedOptions) (float64, error) {
 	return Pass(opt, DotOf{r, r}, Lin{Dst: x, A: alpha, X: p, B: 1, Y: x}, Lin{Dst: r, A: -alpha, X: q, B: 1, Y: r})
 }

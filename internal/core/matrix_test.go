@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"abft/internal/csr"
@@ -330,6 +331,50 @@ func TestMatrixRowRange(t *testing.T) {
 		}
 		if _, _, err := m.RowRange(src.Rows()); err == nil {
 			t.Fatalf("%v: row out of range accepted", rs)
+		}
+	}
+}
+
+// TestElemCodewordSpanTouchesNothing picks a CRC32C row codeword with
+// one of its row pointers struck: picking reads the pointers as masked
+// payload, so the counters stay at zero and storage stays byte-identical
+// (a verified read would count two group checks and commit the
+// correction). A span the pointers cannot give — empty, reversed or past
+// the elements — falls back to one entry.
+func TestElemCodewordSpanTouchesNothing(t *testing.T) {
+	src := testMatrix(t, 5, 4)
+	m, err := NewMatrix(src, MatrixOptions{ElemScheme: CRC32C, RowPtrScheme: SECDED64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Counters
+	m.SetCounters(&c)
+	const r = 3 // odd: pointers r and r+1 lie in two SECDED64 groups
+	pickRow := func(int) int { return r }
+	if base, span := m.ElemCodewordSpan(pickRow); base != int(src.RowPtr[r]) || span != int(src.RowPtr[r+1]-src.RowPtr[r]) {
+		t.Fatalf("clean row %d: span [%d,+%d), want [%d,%d)", r, base, span, src.RowPtr[r], src.RowPtr[r+1])
+	}
+	m.RawRowPtr()[r] ^= 1 << 2
+	ptrs := append([]uint32(nil), m.RawRowPtr()...)
+	cols := append([]uint32(nil), m.RawCols()...)
+	vals := append([]float64(nil), m.RawVals()...)
+	m.ElemCodewordSpan(pickRow)
+	if s := c.Snapshot(); s != (CounterSnapshot{}) {
+		t.Errorf("picking counted %+v, want nothing", s)
+	}
+	if !slices.Equal(ptrs, m.RawRowPtr()) || !slices.Equal(cols, m.RawCols()) ||
+		!slices.Equal(bitsOf(vals), bitsOf(m.RawVals())) {
+		t.Error("picking changed storage")
+	}
+	lo, hi := src.RowPtr[r], src.RowPtr[r+1]
+	for name, p := range map[string][2]uint32{
+		"empty":             {hi, hi},
+		"reversed":          {hi, lo},
+		"past the elements": {lo, uint32(len(m.RawCols()) + 1)},
+	} {
+		m.RawRowPtr()[r], m.RawRowPtr()[r+1] = p[0], p[1]
+		if _, span := m.ElemCodewordSpan(pickRow); span != 1 {
+			t.Errorf("%s span: %d entries, want the one-entry fallback", name, span)
 		}
 	}
 }

@@ -82,14 +82,18 @@ type ElemSpanner interface {
 // ElemCodewordSpan reports the positions of one randomly chosen element
 // codeword, satisfying ElemSpanner: single entries under SED/SECDED64,
 // consecutive pairs under SECDED128, a whole matrix row under CRC32C.
+// Picking touches nothing: the row's two pointers are read as masked
+// payload, with no check, no commit and no count, and an empty or
+// out-of-range span falls back to one entry.
 func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 	switch m.scheme {
 	case SECDED128:
 		return pick(len(m.colIdx)/2) * 2, 2
 	case CRC32C:
 		r := pick(m.rows)
-		lo, hi, err := m.RowRange(r)
-		if err == nil && hi > lo {
+		mask := rowPtrMaskFor(m.rowScheme)
+		lo, hi := int(m.rowptr[r]&mask), int(m.rowptr[r+1]&mask)
+		if lo < hi && hi <= len(m.colIdx) {
 			return lo, hi - lo
 		}
 	}

@@ -92,6 +92,12 @@ func (o FusedOptions) sum(ranges [][2]int, partials []float64, part func(lo, hi 
 type Lin struct {
 	Dst, X, Y *Vector
 	A, B      float64
+	// keep, when non-nil, receives the output as well, masked as written
+	// — what a verified read of Dst would return — block blk at
+	// keep[(blk-b0)*BlockLen:], b0 the first block of the pass's
+	// decomposition: the dense source a product multiplies when the pass
+	// is its prologue (UpdateRequest.RunKept).
+	keep []float64
 }
 
 // DotOf names the inner product A·B a Pass returns; the zero value asks
@@ -127,6 +133,7 @@ func Pass(opt FusedOptions, dot DotOf, outs ...Lin) (float64, error) {
 		return 0, err
 	}
 	ranges := opt.ranges(p.blocks)
+	p.keep0 = ranges[0][0]
 	if len(ranges) == 1 {
 		// A lone partial reduces to itself: a sum begun at +0 is never -0.
 		return p.run(ranges[0][0], ranges[0][1])
@@ -150,6 +157,7 @@ type pass struct {
 	ns, no int
 	dot    bool
 	da, db int // the dot operands' buffer slots
+	keep0  int // the block a kept output's buffer starts at
 }
 
 // out is one resolved output: its sources' slots (y < 0 for a copy) and
@@ -160,6 +168,7 @@ type out struct {
 	a, b   float64
 	x, y   int
 	dotted bool
+	keep   []float64
 }
 
 func (p *pass) plan(mode ReadMode, dot DotOf, outs []Lin) error {
@@ -168,7 +177,7 @@ func (p *pass) plan(mode ReadMode, dot DotOf, outs []Lin) error {
 	}
 	p.mode, p.no = mode, len(outs)
 	for j, l := range outs {
-		p.out[j] = out{dst: l.Dst, a: l.A, b: l.B, x: p.slot(l.X), y: -1}
+		p.out[j] = out{dst: l.Dst, a: l.A, b: l.B, x: p.slot(l.X), y: -1, keep: l.keep}
 		if l.Y != nil {
 			p.out[j].y = p.slot(l.Y)
 		}
@@ -245,6 +254,9 @@ func (p *pass) run(lo, hi int) (float64, error) {
 			o.dst.WriteBlock(blk, w)
 			if o.dotted {
 				o.dst.payload(blk, &buf[outSlot+j])
+			}
+			if o.keep != nil {
+				o.dst.payload(blk, (*[BlockLen]float64)(o.keep[(blk-p.keep0)*BlockLen:]))
 			}
 		}
 		if p.dot {

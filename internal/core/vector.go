@@ -32,14 +32,18 @@ const BlockLen = 8
 // A Vector is safe for concurrent readers; concurrent writers must not
 // share a block.
 type Vector struct {
-	scheme   Scheme
-	backend  ecc.Backend
+	scheme Scheme
+	// backend is the ecc.Backend, held in a byte beside scheme so the
+	// header stays one 64-byte allocation.
+	backend  uint8
 	n        int      // logical length
 	words    []uint64 // padded raw storage, len multiple of BlockLen
 	counters *Counters
 	// dot is the inner product the next product written into v is asked
-	// for (DotRequest), nil almost always.
+	// for (DotRequest), and upd the pass the next product from v runs
+	// first (UpdateRequest); both nil almost always.
 	dot *DotRequest
+	upd *UpdateRequest
 }
 
 // NewVector returns a zero-filled protected vector of length n.
@@ -102,7 +106,7 @@ func (v *Vector) Counters() *Counters { return v.counters }
 
 // SetCRCBackend selects the CRC32C implementation used by the CRC32C
 // scheme (hardware-accelerated by default).
-func (v *Vector) SetCRCBackend(b ecc.Backend) { v.backend = b }
+func (v *Vector) SetCRCBackend(b ecc.Backend) { v.backend = uint8(b) }
 
 // Raw exposes the stored words for fault injection and inspection. Bits
 // flipped here model soft errors in main memory.
@@ -157,7 +161,7 @@ func (v *Vector) WriteBlock(b int, src *[BlockLen]float64) {
 		for i, x := range src {
 			w[i] = math.Float64bits(x) &^ 0xFF
 		}
-		crc, _ := ecc.BlockChecksum((*[BlockLen]uint64)(w), v.backend)
+		crc, _ := ecc.BlockChecksum((*[BlockLen]uint64)(w), ecc.Backend(v.backend))
 		w[0] |= uint64(byte(crc))
 		w[1] |= uint64(byte(crc >> 8))
 		w[2] |= uint64(byte(crc >> 16))
@@ -214,7 +218,7 @@ func (v *Vector) readBlockCounting(b int, dst *[BlockLen]float64, commit bool, c
 	case CRC32C:
 		// Checksum the storage words as stored; only a mismatch pays for
 		// the codeword image and its repair (DESIGN.md section 31).
-		if crc, stored := ecc.BlockChecksum((*[BlockLen]uint64)(w), v.backend); crc != stored {
+		if crc, stored := ecc.BlockChecksum((*[BlockLen]uint64)(w), ecc.Backend(v.backend)); crc != stored {
 			var img [8 * BlockLen]byte
 			for i, x := range w {
 				if i < 4 {

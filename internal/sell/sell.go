@@ -407,10 +407,10 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 // streamSlice accumulates slice sl's lanes straight from storage into
 // every accumulator — the fast second half of verify-then-stream, with
 // only the column mask and range check applied, once per entry whatever
-// the width. base is the window's first row, mask the codec's column
-// mask.
+// the width, under every scheme, none included. base is the window's
+// first row, mask the codec's column mask.
 func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base int, mask uint32) error {
-	width, checked, cols := m.sliceWidth(sl), m.Scheme() != core.None, uint32(m.Cols())
+	width, cols := m.sliceWidth(sl), uint32(m.Cols())
 	if len(accs) == 1 {
 		acc, xbuf := accs[0], xbufs[0]
 		for l := 0; l < C; l++ {
@@ -422,7 +422,7 @@ func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base i
 			for j := 0; j < width; j++ {
 				k := m.entryIndex(sl, l, j)
 				col := m.colIdx[k] & mask
-				if checked && col >= cols {
+				if col >= cols {
 					return m.boundsErr(k, col)
 				}
 				sum += m.vals[k] * xbuf[col]
@@ -442,7 +442,7 @@ func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base i
 		for j := 0; j < width; j++ {
 			k := m.entryIndex(sl, l, j)
 			col := m.colIdx[k] & mask
-			if checked && col >= cols {
+			if col >= cols {
 				return m.boundsErr(k, col)
 			}
 			v := m.vals[k]

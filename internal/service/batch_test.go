@@ -130,8 +130,11 @@ func TestRHSBatchValidation(t *testing.T) {
 // pinWorker makes a one-worker server deterministic to coalesce on: it
 // submits a stall job on a small operator of its own whose first solver
 // iteration blocks in the state hook, returns once the worker is inside
-// it, and hands back the function that releases the worker and waits
-// for the stall job to finish.
+// it, and hands back the function that removes the hook, releases the
+// worker and waits for the stall job to finish. The jobs queued behind
+// the stall then solve as a job submitted without a hook does: a state
+// hook makes the solver run every update before the hook observes it,
+// which moves vector check counts.
 func pinWorker(t *testing.T, srv *Server) (release func()) {
 	t.Helper()
 	entered, unblock := make(chan struct{}), make(chan struct{})
@@ -148,6 +151,8 @@ func pinWorker(t *testing.T, srv *Server) (release func()) {
 	}
 	<-entered
 	return func() {
+		// Ordered before the worker's next solveGroup by the close.
+		srv.testStateHook = nil
 		close(unblock)
 		if _, err := srv.Wait(id); err != nil {
 			t.Fatal(err)

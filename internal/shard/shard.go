@@ -480,7 +480,10 @@ func (o *Operator) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) 
 
 	// Scatter: each shard reads its own span of every global column and
 	// re-encodes it into its local interior. Band boundaries are
-	// block-aligned, so shards never touch a shared codeword of x.
+	// block-aligned, so shards never touch a shared codeword of x. A
+	// column with an update pending (core.UpdateRequest) is read by the
+	// update's pass over the band's span, which writes the new x in place
+	// and keeps it for the interior; the update is then detached once.
 	err := o.forBands(func(lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
 			b, l := o.bands[bi], &ws[bi]
@@ -492,6 +495,11 @@ func (o *Operator) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) 
 		}
 		return nil
 	})
+	for _, x := range xs {
+		if u := x.PendingUpdate(); u != nil {
+			u.Drop()
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -567,11 +575,21 @@ var bandDot = core.FusedOptions{Workers: 1}
 
 // scatterBlocks moves n blocks of src, starting at block s0, into the
 // first n blocks of dst: one batched read per packChunk blocks instead of
-// a per-block check loop, each block re-encoded as it lands.
+// a per-block check loop, each block re-encoded as it lands. With an
+// update pending on src, each chunk is the update's pass over its blocks
+// instead of a read, and dst receives the values it wrote.
 func scatterBlocks(dst, src *core.Vector, s0, n int, mode core.ReadMode, buf []float64) error {
+	u := src.PendingUpdate()
 	for k := 0; k < n; k += packChunk {
 		cn := min(packChunk, n-k)
-		if err := src.Read(s0+k, s0+k+cn, buf[:cn*core.BlockLen], mode); err != nil {
+		b0, b1, chunk := s0+k, s0+k+cn, buf[:cn*core.BlockLen]
+		var err error
+		if u != nil {
+			err = u.RunKept(b0, b1, chunk)
+		} else {
+			err = src.Read(b0, b1, chunk, mode)
+		}
+		if err != nil {
 			return err
 		}
 		for i := 0; i < cn; i++ {

@@ -135,7 +135,7 @@ func blockCG(solver string, a Operator, x, b *core.MultiVector, opt Options) (Ba
 			if c.converged(e) {
 				continue // frozen: converged at colIt[j]
 			}
-			alpha, beta, err := c.step(e, pws[j])
+			alpha, beta, err := c.step(e, pws[j], e.productNext(it))
 			if err != nil {
 				return false, err
 			}

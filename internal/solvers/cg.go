@@ -19,14 +19,19 @@ type cgColumn struct {
 	// rro is the recurrence's r.z, rr the stopping rule's r.r and rr0
 	// its initial value.
 	rro, rr, rr0 float64
+	// upd is the step's x += alpha p ; p = z + beta p, deferred onto p
+	// when the product comes next.
+	upd core.UpdateRequest
 }
 
-// newColumn allocates the work vectors of the recurrence for x and b.
+// newColumn allocates the work vectors of the recurrence for x and b
+// and registers its update with the engine.
 func (e *engine) newColumn(x, b *core.Vector) *cgColumn {
 	c := &cgColumn{x: x, b: b, r: newTemp(x), p: newTemp(x), w: newTemp(x)}
 	if e.opt.Preconditioner != nil {
 		c.z = newTemp(x)
 	}
+	e.ups = append(e.ups, &c.upd)
 	return c
 }
 
@@ -40,40 +45,46 @@ func (c *cgColumn) precondition(e *engine) (*core.Vector, error) {
 }
 
 // init forms the initial residual from w = A x, which the driver has
-// computed: r = b - w with r.r from the same fused pass, p = z = M^-1 r.
+// computed. Unpreconditioned, r = p = b - w and r.r are one pass, and
+// r.z is that r.r; preconditioned, r = b - w and r.r are one pass, then
+// z = M^-1 r, then p = z and r.z another.
 func (c *cgColumn) init(e *engine) error {
+	resid := core.Lin{Dst: c.r, A: 1, X: c.b, B: -1, Y: c.w}
+	rr := core.DotOf{A: c.r, B: c.r}
 	var err error
-	if c.rr, err = e.updateNorm(c.r, 1, c.b, -1, c.w); err != nil {
+	if c.z == nil {
+		dir := resid
+		dir.Dst = c.p
+		c.rr, err = e.pass(rr, resid, dir)
+		c.rro, c.rr0 = c.rr, c.rr
 		return err
 	}
-	zed, err := c.precondition(e)
-	if err != nil {
+	if c.rr, err = e.pass(rr, resid); err != nil {
 		return err
 	}
-	if err := e.copyVec(c.p, zed); err != nil {
+	if _, err := c.precondition(e); err != nil {
 		return err
 	}
-	// Unpreconditioned, r.z is exactly the r.r the fused pass returned.
-	c.rro = c.rr
-	if c.z != nil {
-		if c.rro, err = e.dot(c.r, zed); err != nil {
-			return err
-		}
-	}
+	c.rro, err = e.pass(core.DotOf{A: c.r, B: c.z}, core.Lin{Dst: c.p, X: c.z})
 	c.rr0 = c.rr
-	return nil
+	return err
 }
 
 // step advances the recurrence by one iteration from w = A p and p . w,
 // which blockCG has computed (engine.product), and returns the
-// iteration's CG coefficients.
-func (c *cgColumn) step(e *engine, pw float64) (alpha, beta float64, err error) {
+// iteration's CG coefficients. The residual pass reads r and w only; x
+// += alpha p and p = z + beta p are one pass, which nothing between it
+// and the next product reads x for. When that product comes next
+// (next, engine.productNext) and the column has not converged, the
+// pass is deferred onto p and runs as the product's read of p
+// (core.UpdateRequest); otherwise it runs here.
+func (c *cgColumn) step(e *engine, pw float64, next bool) (alpha, beta float64, err error) {
 	if pw == 0 {
 		return 0, 0, errBreakdown
 	}
 	alpha = c.rro / pw
-	// x += alpha p ; r -= alpha w ; r.r — one fused verified pass
-	rrNew, err := e.axpyDot(c.x, alpha, c.p, c.r, c.w)
+	// r -= alpha w ; r.r — one fused verified pass
+	rrNew, err := e.updateNorm(c.r, -alpha, c.w, 1, c.r)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -90,9 +101,13 @@ func (c *cgColumn) step(e *engine, pw float64) (alpha, beta float64, err error) 
 		}
 	}
 	beta = rrn / c.rro
-	// p = z + beta p
-	if _, err := e.pass(core.DotOf{}, core.Lin{Dst: c.p, A: 1, X: zed, B: beta, Y: c.p}); err != nil {
-		return 0, 0, err
+	c.upd.Defer(c.p, e.fuse,
+		core.Lin{Dst: c.x, A: alpha, X: c.p, B: 1, Y: c.x},
+		core.Lin{Dst: c.p, A: 1, X: zed, B: beta, Y: c.p})
+	if !next || e.converged(rrNew, c.rr0) {
+		if err := c.upd.Run(); err != nil {
+			return 0, 0, err
+		}
 	}
 	c.rro, c.rr = rrn, rrNew
 	return alpha, beta, nil

@@ -1,6 +1,7 @@
 package solvers
 
 import (
+	"cmp"
 	"time"
 
 	"abft/internal/core"
@@ -53,8 +54,11 @@ type engine struct {
 	// (initFuse).
 	band BandedOperator
 	fuse core.FusedOptions
-	// dots are product's requests for p . w, one per column.
+	// dots are product's requests for p . w, one per column, and ups the
+	// columns' direction updates, which ride the next product's read of
+	// p when that product comes next (productNext).
 	dots []core.DotRequest
+	ups  []*core.UpdateRequest
 }
 
 // newEngine validates the options and prepares an engine for one solve.
@@ -120,7 +124,22 @@ func (e *engine) apply(w, p *core.MultiVector) error {
 // anyway, however the operator is wrapped; a column whose product left
 // the request unanswered gets e.dot after the product. Both give the
 // same bits.
+//
+// An update pending on p_j (core.UpdateRequest) is run by the product's
+// read of p_j. A product that returns with one still attached never
+// read p through core, so it multiplied the old p: the engine runs the
+// updates and the product again.
 func (e *engine) product(w, p *core.MultiVector, pws []float64) error {
+	err := e.productOnce(w, p, pws)
+	ran, uerr := e.runUpdates()
+	if err == nil && uerr == nil && ran {
+		return e.productOnce(w, p, pws)
+	}
+	return cmp.Or(err, uerr)
+}
+
+// productOnce is one product with its dot requests.
+func (e *engine) productOnce(w, p *core.MultiVector, pws []float64) error {
 	if len(e.dots) < len(pws) {
 		e.dots = make([]core.DotRequest, len(pws))
 	}
@@ -139,6 +158,32 @@ func (e *engine) product(w, p *core.MultiVector, pws []float64) error {
 		}
 	}
 	return err
+}
+
+// productNext reports whether the engine's next action after iteration
+// it is a product, so an update may ride its read of p: not at MaxIter,
+// not when a snapshot follows and not under a StateHook, which observes
+// the live vectors between the two. Every snapshot, hook call and
+// returned x therefore sees every update applied.
+func (e *engine) productNext(it int) bool {
+	return it < e.opt.MaxIter && !e.snapshotDue(it) && e.opt.StateHook == nil
+}
+
+// snapshotDue reports whether a rollback checkpoint follows iteration it.
+func (e *engine) snapshotDue(it int) bool {
+	return e.rec.Policy == RecoveryRollback && it%e.interval == 0
+}
+
+// runUpdates runs every update still pending and reports whether there
+// was one.
+func (e *engine) runUpdates() (ran bool, err error) {
+	for _, u := range e.ups {
+		if u.Pending() {
+			ran = true
+			err = cmp.Or(err, u.Run())
+		}
+	}
+	return ran, err
 }
 
 // converged evaluates the stopping rule on squared residual norms.
@@ -210,6 +255,10 @@ func (e *engine) rollback(it int, cause error) (resume int, ok bool) {
 	}
 	if e.res.Rollbacks >= e.rec.MaxRollbacks {
 		return 0, false
+	}
+	// The restore replaces p: an update pending on it is void.
+	for _, u := range e.ups {
+		u.Drop()
 	}
 	for i, v := range e.live {
 		if err := e.copyVec(v, e.ckpt.vecs[i]); err != nil {
@@ -296,6 +345,10 @@ func (e *engine) run(step func(it int) (bool, error)) (Result, error) {
 		if err != nil {
 			resume, ok := e.recover(it, err)
 			if !ok {
+				// A column may have deferred its update before another
+				// failed: x leaves with it applied. The solve fails with
+				// err whatever the update returns.
+				_, _ = e.runUpdates()
 				return e.res, iterErr(e.solver, it, err)
 			}
 			it = resume
@@ -315,7 +368,7 @@ func (e *engine) run(step func(it int) (bool, error)) (Result, error) {
 			e.res.Converged = true
 			return e.res, nil
 		}
-		if e.rec.Policy == RecoveryRollback && it%e.interval == 0 {
+		if e.snapshotDue(it) {
 			if err := e.takeCheckpoint(it); err != nil {
 				resume, ok := e.recover(it, err)
 				if !ok {

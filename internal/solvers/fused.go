@@ -39,12 +39,6 @@ func (e *engine) pass(dot core.DotOf, outs ...core.Lin) (float64, error) {
 	return core.Pass(e.fuse, dot, outs...)
 }
 
-// axpyDot performs the CG tail — x += alpha*p; r -= alpha*q; r.r — in
-// one fused verified pass, bit-identical to Axpy + Axpy + e.dot(r, r).
-func (e *engine) axpyDot(x *core.Vector, alpha float64, p, r, q *core.Vector) (float64, error) {
-	return core.FusedAxpyDot(x, alpha, p, r, q, e.fuse)
-}
-
 // updateNorm forms dst = alpha*x + beta*y and returns dst.dst — the
 // residual-formation idiom — in one fused pass, bit-identical to Waxpby
 // + e.dot(dst, dst).

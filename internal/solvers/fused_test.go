@@ -103,15 +103,30 @@ func TestFusedTailFaultPropagation(t *testing.T) {
 				t.Fatalf("%s: want a flat fuse, got opts=%+v", name, e.fuse)
 			}
 
-			x, p, r, q := vecs()
-			x.Raw()[4] ^= 1<<40 | 1<<41
-			if _, err := e.axpyDot(x, 0.5, p, r, q); err == nil {
-				t.Fatal("axpyDot ignored a corrupted x")
+			// The direction update x += 0.5 p ; p = r + 2 p, run now and
+			// run as a product's read of p.
+			for _, deferred := range []bool{false, true} {
+				x, p, r, q := vecs()
+				x.Raw()[4] ^= 1<<40 | 1<<41
+				var u core.UpdateRequest
+				u.Defer(p, e.fuse, core.Lin{Dst: x, A: 0.5, X: p, B: 1, Y: x}, core.Lin{Dst: p, A: 1, X: r, B: 2, Y: p})
+				var err error
+				if deferred {
+					err = op.Apply(q, p)
+				} else {
+					err = u.Run()
+				}
+				if err == nil {
+					t.Fatalf("direction update (deferred %v) ignored a corrupted x", deferred)
+				}
+				if u.Pending() {
+					t.Fatalf("direction update (deferred %v) still pending after its read", deferred)
+				}
 			}
-			x, p, r, q = vecs()
+			_, _, r, q := vecs()
 			r.Raw()[4] ^= 1<<40 | 1<<41
-			if _, err := e.axpyDot(x, 0.5, p, r, q); err == nil {
-				t.Fatal("axpyDot ignored a corrupted r")
+			if _, err := e.updateNorm(r, -0.5, q, 1, r); err == nil {
+				t.Fatal("residual pass ignored a corrupted r")
 			}
 			dst, xx, y, _ := vecs()
 			y.Raw()[4] ^= 1<<40 | 1<<41
