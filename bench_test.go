@@ -159,6 +159,34 @@ func BenchmarkSpMV(b *testing.B) {
 			}
 		})
 	}
+	// The same product where streamed data competes with the codec's
+	// tables for cache: a 1024x1024 operator, SECDED64 everywhere, about
+	// 85 MB of matrix and vectors against a 4 MB L2. Too slow to build for
+	// a one-iteration smoke, so not under -short.
+	b.Run("out-of-l2/secded64", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("85 MB operator")
+		}
+		big := csr.Laplacian2D(1024, 1024)
+		m, err := core.NewMatrix(big, core.MatrixOptions{ElemScheme: core.SECDED64, RowPtrScheme: core.SECDED64})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bx := make([]float64, big.Cols32())
+		for i := range bx {
+			bx[i] = rng.NormFloat64()
+		}
+		x := core.VectorFromSlice(bx, core.SECDED64)
+		dst := core.NewVector(big.Rows(), core.SECDED64)
+		b.SetBytes(int64(big.NNZ() * 12))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := core.SpMV(dst, m, x, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(big.Rows()), "ns/row")
+	})
 }
 
 // BenchmarkDot measures the protected inner product per scheme.

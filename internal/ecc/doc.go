@@ -14,7 +14,8 @@
 // locating and undoing a flip, and — for the widths the repository
 // stores — by value, as the words of one codeword, a block of eight vector
 // words or a run of (value, column) entries read where they lie
-// (kernels.go), which is how every clean codeword is checked.
+// (kernels.go; the vector word and the CSR element fold through wider
+// tables, wide.go), which is how every clean codeword is checked.
 //
 // CRC32C is usually treated as an error-*detecting* code, but for bounded
 // codeword sizes its minimum Hamming distance is known (HD=6 for messages of

@@ -4,22 +4,25 @@ import "math"
 
 // The by-value SECDED kernels: the clean path of every protected read and
 // write. Each takes its codeword in registers (or reads it where it is
-// stored), folds it through a fixed-size view of the codec's byte tables
-// and returns the accumulator — zero exactly when the codeword is clean.
+// stored), folds it through the codec's kernel tables — the wide tables
+// of the vector word or the element layout (wide.go), a fixed-size view
+// of the byte tables otherwise — and returns the accumulator, zero
+// exactly when the codeword is clean.
 // A caller that sees a non-zero accumulator rebuilds the codeword as a
 // Word4 and calls Check, which is where correction, detection and the
 // position of the flipped bit come from; the kernels decide nothing.
 //
-// One kernel exists per codeword width the repository stores (64, 96,
-// 128, 192 and 256 bits) and each may only be called on a codec of that
-// width: the table view of any other width is nil.
+// One word kernel exists per codeword width the repository stores (64,
+// 96, 128, 192 and 256 bits) and each may only be called on a codec of
+// that width: the tables of any other width are nil. Acc64/Encode64 and
+// Acc96/Encode96 serve every layout of their width; the block and run
+// kernels of those widths (AccBlock64, EncodeBlock64, AccRun96) only the
+// vector word and the element layout, whose wide tables they fold
+// through.
 
 // lane is the eight byte tables one 64-bit word of a codeword folds
-// through; half is the four tables of a trailing 32-bit half word.
-type (
-	lane = [8][256]uint16
-	half = [4][256]uint16
-)
+// through.
+type lane = [8][256]uint16
 
 // fold8 folds the eight bytes of x through t. It is kept just inside the
 // compiler's inlining budget, so the check kernels and the block encoders
@@ -31,19 +34,22 @@ func fold8(t *lane, x uint64) uint16 {
 		t[4][byte(x>>32)] ^ t[5][byte(x>>40)] ^ t[6][byte(x>>48)] ^ t[7][byte(x>>56)]
 }
 
-// fold4 folds the four bytes of x through t.
-func fold4(t *half, x uint32) uint16 {
-	return t[0][byte(x)] ^ t[1][byte(x>>8)] ^ t[2][byte(x>>16)] ^ t[3][byte(x>>24)]
+// Acc64 returns the accumulator of the 64-bit codeword x.
+func (c *SECDED) Acc64(x uint64) uint16 {
+	if t := c.vec; t != nil {
+		return uint16(t.acc(x))
+	}
+	return fold8(c.t8, x)
 }
 
-// Acc64 returns the accumulator of the 64-bit codeword x.
-func (c *SECDED) Acc64(x uint64) uint16 { return fold8(c.t8, x) }
-
 // Acc96 returns the accumulator of the 96-bit codeword x | y<<64 (the
-// low 32 bits of y).
+// low 32 bits of y). A 96-bit layout other than the element's (a test's)
+// folds through the byte tables.
 func (c *SECDED) Acc96(x, y uint64) uint16 {
-	t := c.t12
-	return fold8((*lane)(t[:8]), x) ^ fold4((*half)(t[8:]), uint32(y))
+	if t := c.elem; t != nil {
+		return uint16(t.acc(x, uint32(y)))
+	}
+	return c.accBytes(&Word4{x, y})
 }
 
 // Acc128 returns the accumulator of the 128-bit codeword x | y<<64.
@@ -67,13 +73,13 @@ func (c *SECDED) Acc256(x, y, z, v uint64) uint16 {
 		fold8((*lane)(t[16:24]), z) ^ fold8((*lane)(t[24:]), v)
 }
 
-// AccBlock64 checks a vector block of eight 64-bit codewords — one
+// AccBlock64 checks a vector block of eight 64-bit vector words — one
 // 64-byte cache line — in one call: the OR of their accumulators, zero
 // exactly when all eight are clean.
 func (c *SECDED) AccBlock64(w *[8]uint64) uint16 {
-	t := c.t8
-	return fold8(t, w[0]) | fold8(t, w[1]) | fold8(t, w[2]) | fold8(t, w[3]) |
-		fold8(t, w[4]) | fold8(t, w[5]) | fold8(t, w[6]) | fold8(t, w[7])
+	t := c.vec
+	return uint16(t.acc(w[0]) | t.acc(w[1]) | t.acc(w[2]) | t.acc(w[3]) |
+		t.acc(w[4]) | t.acc(w[5]) | t.acc(w[6]) | t.acc(w[7]))
 }
 
 // AccBlock128 is AccBlock64 for a block of four 128-bit codewords,
@@ -88,13 +94,13 @@ func (c *SECDED) AccBlock128(w *[8]uint64) uint16 {
 // vals[k] with cols[k]; a CSR row, a SELL-C-sigma slice — in one call and
 // returns the OR of their accumulators. cols must be as long as vals.
 func (c *SECDED) AccRun96(vals []float64, cols []uint32) uint16 {
-	var a uint16
-	lo, hi := (*lane)(c.t12[:8]), (*half)(c.t12[8:])
+	var a uint8
+	t := c.elem
 	cols = cols[:len(vals)]
 	for k, v := range vals {
-		a |= fold8(lo, math.Float64bits(v)) ^ fold4(hi, cols[k])
+		a |= t.acc(math.Float64bits(v), cols[k])
 	}
-	return a
+	return uint16(a)
 }
 
 // AccRun192 is AccRun96 for the 192-bit codewords formed by consecutive
@@ -121,15 +127,21 @@ func Pair192(v0 float64, c0 uint32, v1 float64, c1 uint32) (x, y, z uint64) {
 // Encode64 returns the 64-bit codeword carrying the data bits of x: the
 // accumulator of x with its redundancy bits cleared is the redundancy.
 func (c *SECDED) Encode64(x uint64) uint64 {
+	if t := c.vec; t != nil {
+		return t.encode(x)
+	}
 	x &= c.clearMask[0]
 	return x | c.place(fold8(c.t8, x), 0)
 }
 
 // Encode96 is Encode64 for the 96-bit codeword x | y<<64.
 func (c *SECDED) Encode96(x, y uint64) (uint64, uint64) {
-	x, y = x&c.clearMask[0], y&c.clearMask[1]
-	a := c.Acc96(x, y)
-	return x | c.place(a, 0), y | c.place(a, 1)
+	if t := c.elem; t != nil {
+		return t.encode(x, uint32(y))
+	}
+	w := Word4{x, y}
+	c.encodeBytes(&w)
+	return w[0], w[1]
 }
 
 // Encode128 is Encode64 for the 128-bit codeword x | y<<64.
@@ -157,10 +169,9 @@ func (c *SECDED) Encode256(x, y, z, v uint64) (uint64, uint64, uint64, uint64) {
 // EncodeBlock64 encodes a vector block in one call: dst[i] becomes the
 // 64-bit codeword carrying the data bits of src[i].
 func (c *SECDED) EncodeBlock64(dst *[8]uint64, src *[8]float64) {
-	t, clr := c.t8, c.clearMask[0]
+	t := c.vec
 	for i, f := range src {
-		x := math.Float64bits(f) & clr
-		dst[i] = x | c.place(fold8(t, x), 0)
+		dst[i] = t.encode(math.Float64bits(f))
 	}
 }
 

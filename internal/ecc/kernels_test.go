@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // The by-value kernels are checked against the guarantee of the code, not
@@ -281,16 +282,140 @@ func TestSECDEDBlockAndRunKernels(t *testing.T) {
 	}
 }
 
-// TestSECDEDKernelWrongWidthPanics pins the guard the per-width table
-// views give: a kernel called on a codec of another width fails loudly
-// instead of folding the wrong bytes.
+// TestSECDEDKernelWrongWidthPanics pins the guard the kernel tables
+// give: a kernel called on a codec of another width, or a block or run
+// kernel called on a layout without wide tables, fails loudly instead of
+// folding the wrong bytes.
 func TestSECDEDKernelWrongWidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Acc64 on a 96-bit codec should panic")
+	elem := MustSECDED(96, elemCheck)
+	rowptr := MustSECDED(64, []int{28, 29, 30, 31, 60, 61, 62, 63})
+	other96 := MustSECDED(96, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	var blk [8]uint64
+	var src [8]float64
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Acc64 on a 96-bit codec", func() { elem.Acc64(1) }},
+		{"AccBlock64 on the row-pointer layout", func() { rowptr.AccBlock64(&blk) }},
+		{"EncodeBlock64 on the row-pointer layout", func() { rowptr.EncodeBlock64(&blk, &src) }},
+		{"AccRun96 on another 96-bit layout", func() { other96.AccRun96([]float64{1}, []uint32{2}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", tc.name)
+				}
+			}()
+			tc.call()
+		}()
+	}
+}
+
+// wideLayouts are the two layouts NewSECDED gives wide tables (wide.go).
+var wideLayouts = []struct {
+	name  string
+	width int
+	check []int
+}{
+	{"vector-secded64", 64, vecCheck},
+	{"element-secded64", 96, elemCheck},
+}
+
+// checkWideAgrees asserts that every route through c's wide tables —
+// word, block or run kernel, Syndrome, encoder — gives word w the
+// accumulator and the codeword the byte tables give it. w is the k-th
+// word tried; it takes slot k of the block or run, the others are zero
+// (a clean codeword of both layouts).
+func checkWideAgrees(t *testing.T, name string, c *SECDED, w Word4, k int) {
+	t.Helper()
+	want := c.accBytes(&w)
+	wantEnc := w
+	c.encodeBytes(&wantEnc)
+	syn, par := c.Syndrome(&w)
+	if wantSyn, wantPar := c.split(want); syn != wantSyn || par != wantPar {
+		t.Fatalf("%s: word %x: Syndrome (%#x, %d), byte tables (%#x, %d)", name, w, syn, par, wantSyn, wantPar)
+	}
+	enc := w
+	c.Encode(&enc)
+	if enc != wantEnc {
+		t.Fatalf("%s: word %x: Encode %x, byte tables %x", name, w, enc, wantEnc)
+	}
+	var got [2]uint16
+	var gotEnc Word4
+	switch c.Width() {
+	case 64:
+		var blk, dst [8]uint64
+		var src [8]float64
+		blk[k%8], src[k%8] = w[0], math.Float64frombits(w[0])
+		c.EncodeBlock64(&dst, &src)
+		if dst[k%8] != wantEnc[0] || dst[(k+1)%8] != 0 {
+			t.Fatalf("%s: word %x in slot %d: EncodeBlock64 %x, byte tables %x", name, w, k%8, dst, wantEnc[0])
 		}
-	}()
-	MustSECDED(96, []int{88, 89, 90, 91, 92, 93, 94, 95}).Acc64(1)
+		got = [2]uint16{c.Acc64(w[0]), c.AccBlock64(&blk)}
+		gotEnc[0] = c.Encode64(w[0])
+	default:
+		var vals [3]float64
+		var cols [3]uint32
+		vals[k%3], cols[k%3] = math.Float64frombits(w[0]), uint32(w[1])
+		got = [2]uint16{c.Acc96(w[0], w[1]), c.AccRun96(vals[:], cols[:])}
+		gotEnc[0], gotEnc[1] = c.Encode96(w[0], w[1])
+	}
+	if got[0] != want || got[1] != want {
+		t.Fatalf("%s: word %x: word and block/run kernels %#x, byte tables %#x", name, w, got, want)
+	}
+	if gotEnc != wantEnc {
+		t.Fatalf("%s: word %x: by-value encode %x, byte tables %x", name, w, gotEnc, wantEnc)
+	}
+}
+
+// TestSECDEDWideTablesMatchByteTables is the differential test of the
+// wide tables against the byte tables they are built from, for both
+// layouts: every word of weight one and two (2,016 and 4,560 of them)
+// and 100,000 random words, redundancy bits included.
+func TestSECDEDWideTablesMatchByteTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	random := 100000
+	if testing.Short() {
+		random = 10000
+	}
+	for _, l := range wideLayouts {
+		c := MustSECDED(l.width, l.check)
+		if c.vec == nil && c.elem == nil {
+			t.Fatalf("%s: NewSECDED did not give the layout its wide tables", l.name)
+		}
+		k := 0
+		try := func(w Word4) {
+			checkWideAgrees(t, l.name, c, w, k)
+			k++
+		}
+		try(Word4{})
+		for b1 := 0; b1 < l.width; b1++ {
+			var w Word4
+			w.Flip(b1)
+			try(w)
+			for b2 := b1 + 1; b2 < l.width; b2++ {
+				w2 := w
+				w2.Flip(b2)
+				try(w2)
+			}
+		}
+		if want := 1 + l.width + l.width*(l.width-1)/2; k != want {
+			t.Fatalf("%s: %d words of weight at most two, want %d", l.name, k, want)
+		}
+		for i := 0; i < random; i++ {
+			try(randWord(rng, c))
+		}
+	}
+}
+
+// TestSECDEDWideTablesSize pins the budget the wide tables were sized
+// for: both layouts together inside a 32 KB L1d.
+func TestSECDEDWideTablesSize(t *testing.T) {
+	const want = 12288 + 18944
+	if n := unsafe.Sizeof(vecWide) + unsafe.Sizeof(elemWide); n != want || n > 32<<10 {
+		t.Fatalf("wide tables take %d bytes, want %d (at most 32 KB)", n, want)
+	}
 }
 
 // TestSECDEDKernelsZeroAllocs pins the point of the kernels: nothing on
@@ -302,12 +427,18 @@ func TestSECDEDKernelsZeroAllocs(t *testing.T) {
 	src := [8]float64{1, 2, 3, 4, 5, 6, 7, 8}
 	vals := make([]float64, 5)
 	cols := make([]uint32, 5)
+	w := Word4{1, 2}
 	var sink uint16
 	if n := testing.AllocsPerRun(100, func() {
 		blk := (*[8]uint64)(words)
 		vec.EncodeBlock64(blk, &src)
-		sink |= vec.AccBlock64(blk) | vec.Acc64(words[0]) | elem.AccRun96(vals, cols)
+		sink |= vec.AccBlock64(blk) | vec.Acc64(words[0]) | elem.AccRun96(vals, cols) | elem.Acc96(words[2], words[3])
 		words[1] = vec.Encode64(words[1])
+		words[2], words[3] = elem.Encode96(words[2], words[3])
+		elem.Encode(&w)
+		if res, _ := elem.Check(&w); res != OK {
+			sink |= 1
+		}
 	}); n != 0 {
 		t.Errorf("by-value kernels allocate %v times per call", n)
 	}
@@ -315,22 +446,34 @@ func TestSECDEDKernelsZeroAllocs(t *testing.T) {
 }
 
 // FuzzSECDEDWord checks the same guarantee on a layout, a word and a
-// flip set the fuzzer chooses: seed picks the width and draws the layout,
-// the four words are the data, and b1, b2 strike zero, one or two bits
-// (positions at or beyond the width strike nothing).
+// flip set the fuzzer chooses: seed picks the width and draws the layout
+// — or picks one of the two layouts with wide tables, whose word, block,
+// run and Word4 routes must also agree with the byte tables on the
+// struck word — the four words are the data, and b1, b2 strike zero, one
+// or two bits (positions at or beyond the width strike nothing).
 func FuzzSECDEDWord(f *testing.F) {
 	f.Add(int64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint16(1000), uint16(1000))
 	f.Add(int64(1), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), uint16(0), uint16(1000))
 	f.Add(int64(2), uint64(0x3FF0_0000_0000_0000), uint64(0x00AB_CDEF), uint64(1), uint64(2), uint16(5), uint16(5))
 	f.Add(int64(3), uint64(0xBFF8_0000_0000_00A5), uint64(7), uint64(0x7FF0_0000_0000_0000), uint64(3), uint16(63), uint16(64))
 	f.Add(int64(4), uint64(1), uint64(2), uint64(3), uint64(4), uint16(255), uint16(0))
+	f.Add(int64(5), uint64(0x3FF0_0000_0000_00FF), uint64(0), uint64(0), uint64(0), uint16(3), uint16(1000))
+	f.Add(int64(6), uint64(0xC000_0000_0000_0001), uint64(0xFF00_1234), uint64(0), uint64(0), uint16(64), uint16(95))
 	f.Fuzz(func(t *testing.T, seed int64, w0, w1, w2, w3 uint64, b1, b2 uint16) {
 		rng := rand.New(rand.NewSource(seed))
-		width := kernelWidths[uint64(seed)%uint64(len(kernelWidths))]
-		c, err := NewSECDED(width, randomLayout(rng, width))
-		if err != nil {
-			t.Fatalf("random layout rejected: %v", err)
+		var c *SECDED
+		var err error
+		if i := uint64(seed) % uint64(len(kernelWidths)+len(wideLayouts)); i < uint64(len(kernelWidths)) {
+			width := kernelWidths[i]
+			c, err = NewSECDED(width, randomLayout(rng, width))
+		} else {
+			l := wideLayouts[i-uint64(len(kernelWidths))]
+			c, err = NewSECDED(l.width, l.check)
 		}
+		if err != nil {
+			t.Fatalf("layout rejected: %v", err)
+		}
+		width := c.Width()
 		w := Word4{w0, w1, w2, w3}
 		for i := width; i < 256; i++ {
 			w.SetBit(i, 0)
@@ -345,6 +488,14 @@ func FuzzSECDEDWord(f *testing.F) {
 			flips = append(flips, int(b2))
 		}
 		checkFlips(t, "fuzz", c, enc, flips...)
+		if c.vec != nil || c.elem != nil {
+			struck := enc
+			for _, b := range flips {
+				struck.Flip(b)
+			}
+			checkWideAgrees(t, "fuzz", c, w, int(b1))
+			checkWideAgrees(t, "fuzz", c, struck, int(b2))
+		}
 	})
 }
 
@@ -354,15 +505,18 @@ var benchSink uint16
 // granularities protected structures call them at — one word, one vector
 // block of eight words, one five-entry (value, column) run, a row of the
 // five-point stencil — in both directions, streaming over 4,096 resident
-// words as a solver does. ns/op is per codeword. Every line must report
-// 0 allocs/op.
+// words as a solver does, and the row-pointer word (two 32-bit row
+// pointers), so every layout a CSR product reads has a line. ns/op is per
+// codeword. Every line must report 0 allocs/op.
 func BenchmarkSECDEDWord(b *testing.B) {
 	const words = 4096
 	rng := rand.New(rand.NewSource(1))
 	vec := MustSECDED(64, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	elem := MustSECDED(96, []int{88, 89, 90, 91, 92, 93, 94, 95})
+	rowptr := MustSECDED(64, []int{28, 29, 30, 31, 60, 61, 62, 63})
 	src := make([]float64, words)
 	ws := make([]uint64, words)
+	rps := make([]uint64, words)
 	vals := make([]float64, words)
 	cols := make([]uint32, words)
 	for i := range ws {
@@ -371,6 +525,7 @@ func BenchmarkSECDEDWord(b *testing.B) {
 		vals[i] = rng.NormFloat64()
 		_, y := elem.Encode96(math.Float64bits(vals[i]), uint64(rng.Intn(1<<24)))
 		cols[i] = uint32(y)
+		rps[i] = rowptr.Encode64(rng.Uint64())
 	}
 	const run = 5
 	runs := words / run
@@ -405,6 +560,12 @@ func BenchmarkSECDEDWord(b *testing.B) {
 		}
 		return a
 	})
+	sweep("check/rowptr", words, func() (a uint16) {
+		for _, x := range rps {
+			a |= rowptr.Acc64(x)
+		}
+		return a
+	})
 	sweep("encode/word", words, func() uint16 {
 		for i, f := range src {
 			ws[i] = vec.Encode64(math.Float64bits(f))
@@ -421,6 +582,12 @@ func BenchmarkSECDEDWord(b *testing.B) {
 		for k := 0; k < runs*run; k++ {
 			_, y := elem.Encode96(math.Float64bits(vals[k]), uint64(cols[k]))
 			cols[k] = uint32(y)
+		}
+		return 0
+	})
+	sweep("encode/rowptr", words, func() uint16 {
+		for i, x := range rps {
+			rps[i] = rowptr.Encode64(x)
 		}
 		return 0
 	})

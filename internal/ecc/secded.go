@@ -41,9 +41,12 @@ func (r CheckResult) String() string {
 // bit k has logical position 2^k.
 //
 // Checking and encoding are the hot paths of every protected structure.
-// They use byte-sliced lookup tables: each byte of the codeword maps to a
-// packed accumulator contribution, so a whole-codeword check is width/8
-// table loads and XORs — the software analogue of a hardware ECC H-matrix.
+// They use lookup tables — the software analogue of a hardware ECC
+// H-matrix: each byte of the codeword maps to a packed accumulator
+// contribution, so a whole-codeword check is one table load and XOR per
+// byte. The 64-bit vector word and the 96-bit CSR element, whose
+// redundancy fills one byte, fold their data bits through wider tables
+// instead: five loads per vector word, eight per element (wide.go).
 //
 // The accumulator of a codeword packs r bits: bits 0..r-2 are the
 // positional Hamming syndrome, bit r-1 is the overall parity XOR the
@@ -69,15 +72,18 @@ type SECDED struct {
 	nbytes   int   // bytes the codeword occupies
 
 	tab [][256]uint16 // per-byte packed accumulator contributions
-	// Fixed-size views of tab for the by-value kernels: constant indices
-	// need no bounds checks. Only the view matching the codeword's width
-	// is set, so a kernel called on a codec of another width fails on a
-	// nil table instead of computing over the wrong bytes.
-	t8  *[8][256]uint16
-	t12 *[12][256]uint16
-	t16 *[16][256]uint16
-	t24 *[24][256]uint16
-	t32 *[32][256]uint16
+	// The tables the by-value kernels fold through: the process-wide wide
+	// tables of the vector word or the element layout (wide.go), or else
+	// the fixed-size view of tab matching the codeword's width, whose
+	// constant indices need no bounds checks. Exactly one is set, so a
+	// kernel called on a codec of another width or layout fails on a nil
+	// table instead of computing over the wrong bytes.
+	vec  *vecTables
+	elem *elemTables
+	t8   *[8][256]uint16
+	t16  *[16][256]uint16
+	t24  *[24][256]uint16
+	t32  *[32][256]uint16
 
 	clearMask Word4 // AND-mask clearing every redundancy bit
 	// runs[j] places an accumulator's bits into word j of the codeword,
@@ -99,6 +105,16 @@ type bitRun struct {
 // sorted ascending and < width. Returns an error if the redundancy is
 // insufficient for the number of data bits.
 func NewSECDED(width int, checkPositions []int) (*SECDED, error) {
+	c, err := newSECDED(width, checkPositions)
+	if err != nil {
+		return nil, err
+	}
+	c.setHot()
+	return c, nil
+}
+
+// newSECDED builds the code and its byte tables, with no kernel tables.
+func newSECDED(width int, checkPositions []int) (*SECDED, error) {
 	if width < 4 || width > 256 {
 		return nil, fmt.Errorf("ecc: secded width %d out of range [4,256]", width)
 	}
@@ -200,18 +216,6 @@ func NewSECDED(width int, checkPositions []int) (*SECDED, error) {
 			c.tab[j][v] = acc
 		}
 	}
-	switch c.nbytes {
-	case 8:
-		c.t8 = (*[8][256]uint16)(c.tab)
-	case 12:
-		c.t12 = (*[12][256]uint16)(c.tab)
-	case 16:
-		c.t16 = (*[16][256]uint16)(c.tab)
-	case 24:
-		c.t24 = (*[24][256]uint16)(c.tab)
-	case 32:
-		c.t32 = (*[32][256]uint16)(c.tab)
-	}
 	return c, nil
 }
 
@@ -240,11 +244,15 @@ func (c *SECDED) CheckPositions() []int {
 }
 
 // acc returns the accumulator of w: through the by-value kernel of the
-// codeword's width when there is one, through the table slice otherwise.
+// codeword's width and layout when there is one, through the byte tables
+// otherwise.
 func (c *SECDED) acc(w *Word4) uint16 {
 	switch c.nbytes {
-	case 8:
-		return fold8(c.t8, w[0]) // Acc64's body, one call level less
+	case 8: // Acc64's body, one call level less
+		if t := c.vec; t != nil {
+			return uint16(t.acc(w[0]))
+		}
+		return fold8(c.t8, w[0])
 	case 12:
 		return c.Acc96(w[0], w[1])
 	case 16:
@@ -254,6 +262,13 @@ func (c *SECDED) acc(w *Word4) uint16 {
 	case 32:
 		return c.Acc256(w[0], w[1], w[2], w[3])
 	}
+	return c.accBytes(w)
+}
+
+// accBytes folds w through the byte tables, one load per byte: the
+// accumulator of any layout, and the only route for a layout with no
+// kernel.
+func (c *SECDED) accBytes(w *Word4) uint16 {
 	var a uint16
 	for j := 0; j < c.nbytes; j++ {
 		a ^= c.tab[j][byte(w[j>>3]>>uint((j&7)*8))]
@@ -276,7 +291,11 @@ func (c *SECDED) place(a uint16, j int) uint64 {
 // Widths that have a by-value encoder go through it.
 func (c *SECDED) Encode(w *Word4) {
 	switch c.nbytes {
-	case 8:
+	case 8: // Encode64's body for the vector word, one call level less
+		if t := c.vec; t != nil {
+			w[0] = t.encode(w[0])
+			return
+		}
 		w[0] = c.Encode64(w[0])
 	case 12:
 		w[0], w[1] = c.Encode96(w[0], w[1])
@@ -287,13 +306,19 @@ func (c *SECDED) Encode(w *Word4) {
 	case 32:
 		w[0], w[1], w[2], w[3] = c.Encode256(w[0], w[1], w[2], w[3])
 	default:
-		for j := range w {
-			w[j] &= c.clearMask[j]
-		}
-		a := c.acc(w)
-		for j := range w {
-			w[j] |= c.place(a, j)
-		}
+		c.encodeBytes(w)
+	}
+}
+
+// encodeBytes is Encode through the byte tables: clear the redundancy,
+// fold, place the accumulator one run of redundancy bits at a time.
+func (c *SECDED) encodeBytes(w *Word4) {
+	for j := range w {
+		w[j] &= c.clearMask[j]
+	}
+	a := c.accBytes(w)
+	for j := range w {
+		w[j] |= c.place(a, j)
 	}
 }
 
