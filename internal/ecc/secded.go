@@ -75,7 +75,7 @@ type SECDED struct {
 	// The tables the by-value kernels fold through: the process-wide wide
 	// tables of the vector word or the element layout (wide.go), or else
 	// the fixed-size view of tab matching the codeword's width, whose
-	// constant indices need no bounds checks. Exactly one is set, so a
+	// constant indices need no bounds checks. At most one is set, so a
 	// kernel called on a codec of another width or layout fails on a nil
 	// table instead of computing over the wrong bytes.
 	vec  *vecTables
