@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"abft/internal/ecc"
 	"abft/internal/par"
 )
 
@@ -143,8 +142,9 @@ func (s *sources) decode(xs []*Vector, unverified bool) error {
 // The unit of the clean path is one output block of BlockLen rows
 // (DESIGN.md section 33), csrSweep.block: the block's row pointers come
 // from their row-pointer groups, each checked by value once per sweep
-// (rowPtrCursor.window), the element codewords of the block's whole
-// entry span are checked at once, the rows stream into k running sums
+// (rowPtrCursor.window, indexGroups.clean), the element codewords of the
+// block's whole entry span are checked at once (ColElems.clean), the
+// rows stream into k running sums
 // and the output block is written once. Any fault, non-monotone pointer
 // or wild column sends that block, and only it, to the per-row code
 // (csrSweep.rows), which re-walks it from its first row with nothing
@@ -219,48 +219,21 @@ func (s *csrSweep) block(r0, n int) bool {
 	}
 	checks, lastPair := uint64(0), s.ver.lastPair
 	if s.full {
-		lo, hi := int(p[0]), int(p[n])
-		vals, cols := m.vals, m.colIdx
-		switch m.scheme {
-		case SED:
-			var acc uint64
-			for k := lo; k < hi; k++ {
-				acc |= ecc.Parity64(math.Float64bits(vals[k]) ^ uint64(cols[k]))
-			}
-			if acc != 0 {
-				return false
-			}
-			checks = uint64(hi - lo)
-		case SECDED64:
-			if codecElem64.AccRun96(vals[lo:hi], cols[lo:hi]) != 0 {
-				return false
-			}
-			checks = uint64(hi - lo)
-		case SECDED128:
-			// The pairs of the span, less one the previous row
-			// verified: rowVerifier.row's memo, kept across blocks.
-			if hi > lo {
-				t0, last := lo/2, (hi-1)/2
-				if t0 == lastPair {
-					t0++
-				}
-				if codecElem128.AccRun192(vals[2*t0:2*last+2], cols[2*t0:2*last+2]) != 0 {
-					return false
-				}
-				checks, lastPair = uint64(last-t0+1), last
-			}
-		case CRC32C:
+		el, ok := &s.ver.el, true
+		if el.Scheme == CRC32C {
 			// The codeword is a row: one checksum per row.
-			for i := 0; i < n; i++ {
-				a, b := p[i], p[i+1]
-				if b-a < 4 {
-					return false
-				}
-				if crc, stored := ecc.RunChecksum(vals[a:b], cols[a:b], m.backend); crc != stored {
-					return false
-				}
-			}
 			checks = uint64(n)
+			for i := 0; i < n && ok; i++ {
+				ok = el.runClean(int(p[i]), int(p[i+1]-p[i]))
+			}
+		} else {
+			// The block's whole entry span at once, less under SECDED128
+			// the pair the previous row verified (rowVerifier.row's memo,
+			// kept across blocks).
+			checks, lastPair, ok = el.clean(int(p[0]), int(p[n]), lastPair)
+		}
+		if !ok {
+			return false
 		}
 	}
 	if !s.stream(&p, n) {

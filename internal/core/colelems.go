@@ -101,22 +101,69 @@ func (e *ColElems) EncodeRun(base, n int) {
 	}
 }
 
-// checkSED verifies entry k under SED (detection only).
-func (e *ColElems) checkSED(k int, c *Counters) error {
-	if ecc.Parity64(math.Float64bits(e.Vals[k])^uint64(e.Cols[k])) != 0 {
-		return e.fault(c, k, "parity mismatch")
+// pairSpan returns the SECDED128 pairs t0..last covering entries
+// [lo,hi), hi > lo, less pair skip when it is the first: the pair a
+// previous span already verified.
+func pairSpan(lo, hi, skip int) (t0, last int) {
+	t0, last = lo/2, (hi-1)/2
+	if t0 == skip {
+		t0++
 	}
-	return nil
+	return t0, last
 }
 
-// check64 verifies entry k under SECDED64, repairing a single flip in
-// storage when commit is true. The first return reports whether a
-// correction was found — storage is stale when it was and commit was
-// false. It is the per-codeword cold path: verify passes check a whole
-// run with one kernel call (ecc.SECDED.AccRun96) and come here, one
-// codeword at a time in storage order, only when that reported a fault
-// somewhere in the run.
-func (e *ColElems) check64(k int, commit bool, c *Counters) (bool, error) {
+// clean is the clean test of the per-entry codewords (SED, SECDED64,
+// SECDED128 pairs) covering entries [lo,hi), which every verify pass
+// shares: one kernel call over the whole span, by value, with nothing
+// decoded, counted or committed. Under SECDED128 pair skip is left out
+// (pairSpan) and last is the span's last pair, the next span's skip;
+// otherwise, and for an empty span, last is skip. checks is the number
+// of codewords the span holds, whether or not they are clean. None and
+// CRC32C have no per-entry codewords and are always clean here.
+func (e *ColElems) clean(lo, hi, skip int) (checks uint64, last int, ok bool) {
+	if hi <= lo {
+		return 0, skip, true
+	}
+	switch e.Scheme {
+	case SED:
+		var acc uint64
+		for k := lo; k < hi; k++ {
+			acc |= ecc.Parity64(math.Float64bits(e.Vals[k]) ^ uint64(e.Cols[k]))
+		}
+		return uint64(hi - lo), skip, acc == 0
+	case SECDED64:
+		return uint64(hi - lo), skip, codecElem64.AccRun96(e.Vals[lo:hi], e.Cols[lo:hi]) == 0
+	case SECDED128:
+		t0, last := pairSpan(lo, hi, skip)
+		return uint64(last - t0 + 1), last, codecElem128.AccRun192(e.Vals[2*t0:2*last+2], e.Cols[2*t0:2*last+2]) == 0
+	}
+	return 0, skip, true
+}
+
+// runClean is CheckRun's clean test for the run of n entries at base:
+// a codeword-shaped run inside storage whose checksum verifies, with
+// nothing counted.
+func (e *ColElems) runClean(base, n int) bool {
+	if n < 4 || base+n > len(e.Cols) {
+		return false
+	}
+	crc, stored := ecc.RunChecksum(e.Vals[base:base+n], e.Cols[base:base+n], e.Backend)
+	return crc == stored
+}
+
+// checkEntry verifies entry k under SED (detection only) or SECDED64,
+// repairing a single flip in storage when commit is true. The first
+// return reports whether a correction was found — storage is stale when
+// it was and commit was false. It is the per-codeword cold path: verify
+// passes check a whole span with one clean test and come here, one
+// codeword at a time in storage order, only when that failed.
+func (e *ColElems) checkEntry(k int, commit bool, c *Counters) (bool, error) {
+	if e.Scheme == SED {
+		if ecc.Parity64(math.Float64bits(e.Vals[k])^uint64(e.Cols[k])) != 0 {
+			return false, e.fault(c, k, "parity mismatch")
+		}
+		return false, nil
+	}
 	cw := e.word64(k)
 	res, _ := codecElem64.Check(&cw)
 	if res == ecc.OK {
@@ -130,7 +177,7 @@ func (e *ColElems) check64(k int, commit bool, c *Counters) (bool, error) {
 }
 
 // checkPair verifies the SECDED128 pair t (entries 2t and 2t+1) with
-// check64's contract.
+// checkEntry's contract.
 func (e *ColElems) checkPair(t int, commit bool, c *Counters) (bool, error) {
 	cw := e.wordPair(t)
 	res, _ := codecElem128.Check(&cw)
@@ -154,8 +201,9 @@ func (e *ColElems) settle(c *Counters, res ecc.CheckResult, idx int, detail stri
 }
 
 // Check verifies every per-entry codeword (SED, SECDED64, SECDED128
-// pairs) covering storage entries [lo,hi) in one tight pass, repairing
-// correctable errors in storage when commit is true and continuing past
+// pairs) covering storage entries [lo,hi) with one clean test, walking
+// them one at a time only when it fails: repairing correctable errors
+// in storage when commit is true and continuing past
 // uncorrectable ones so the full damage is counted. dirty reports a
 // correction that was found but not committed: storage still holds the
 // raw fault, and a caller about to stream it must stream DecodeLocal's
@@ -163,8 +211,9 @@ func (e *ColElems) settle(c *Counters, res ecc.CheckResult, idx int, detail stri
 // caller to batch into its counters), err the first uncorrectable error.
 // None and CRC32C have no per-entry codewords and verify nothing here.
 func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (dirty bool, checks uint64, err error) {
-	if hi <= lo {
-		return false, 0, nil
+	checks, last, ok := e.clean(lo, hi, -1)
+	if ok {
+		return false, checks, nil
 	}
 	record := func(corrected bool, ce error) {
 		if ce != nil && err == nil {
@@ -174,26 +223,13 @@ func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (dirty bool, chec
 			dirty = true
 		}
 	}
-	switch e.Scheme {
-	case SED:
+	if e.Scheme == SECDED128 {
+		for t := lo / 2; t <= last; t++ {
+			record(e.checkPair(t, commit, c))
+		}
+	} else {
 		for k := lo; k < hi; k++ {
-			checks++
-			record(false, e.checkSED(k, c))
-		}
-	case SECDED64:
-		checks = uint64(hi - lo)
-		if codecElem64.AccRun96(e.Vals[lo:hi], e.Cols[lo:hi]) != 0 {
-			for k := lo; k < hi; k++ {
-				record(e.check64(k, commit, c))
-			}
-		}
-	case SECDED128:
-		t0, t1 := lo/2, (hi+1)/2
-		checks = uint64(t1 - t0)
-		if codecElem128.AccRun192(e.Vals[2*t0:2*t1], e.Cols[2*t0:2*t1]) != 0 {
-			for t := t0; t < t1; t++ {
-				record(e.checkPair(t, commit, c))
-			}
+			record(e.checkEntry(k, commit, c))
 		}
 	}
 	return dirty, checks, err
@@ -202,20 +238,21 @@ func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (dirty bool, chec
 // CheckRun verifies the CRC32C codeword of the run of n entries at base,
 // repairing up to two flips in storage when commit is true; id names the
 // run (the CSR row, the SELL chunk) in the FaultError. The clean path is
-// one ecc.RunChecksum over storage where it lies; only a mismatch builds
-// the run's codeword image and repairs it with ecc.RepairCodeword
-// (DESIGN.md section 31). A run shorter than the checksum or reaching
-// past the end of storage means the structure that delimits runs (the
-// CSR row pointers) is itself corrupted beyond repair; that is reported
-// as a fault, not a crash. The first return is check64's.
+// runClean, one ecc.RunChecksum over storage where it lies; only a
+// mismatch builds the run's codeword image and repairs it with
+// ecc.RepairCodeword (DESIGN.md section 31). A run shorter than the
+// checksum or reaching past the end of storage means the structure that
+// delimits runs (the CSR row pointers) is itself corrupted beyond
+// repair; that is reported as a fault, not a crash. The first return is
+// checkEntry's.
 func (e *ColElems) CheckRun(id, base, n int, commit bool, c *Counters) (bool, error) {
+	if e.runClean(base, n) {
+		return false, nil
+	}
 	if err := e.runBounds(id, base, n, c); err != nil {
 		return false, err
 	}
 	crc, stored := ecc.RunChecksum(e.Vals[base:base+n], e.Cols[base:base+n], e.Backend)
-	if crc == stored {
-		return false, nil
-	}
 	img := e.runImage(base, n)
 	if !ecc.RepairCodeword(img, runSlot(n), stored, crc) {
 		return false, e.fault(c, id, "crc32c mismatch beyond correction depth")

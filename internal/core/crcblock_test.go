@@ -84,7 +84,7 @@ func oracleReadCRCBlock(w []uint64, dst *[BlockLen]float64, commit bool, backend
 	return nil
 }
 
-// oracleDecodeCRCRowGroup is the serialising CRC32C arm of Matrix.decodeRowGroup
+// oracleDecodeCRCRowGroup is the serialising CRC32C arm of indexGroups.Decode
 // over the eight storage entries e, counting into c.
 func oracleDecodeCRCRowGroup(e []uint32, dst *[8]uint32, commit bool, backend ecc.Backend, c *Counters) (corrected bool, err error) {
 	var buf [32]byte
@@ -278,7 +278,7 @@ func TestCRCRowGroupConformsToSerialisingOracle(t *testing.T) {
 
 				var gotDst, wantDst [8]uint32
 				wantCorr, wantErr := oracleDecodeCRCRowGroup(oracleEntries[:], &wantDst, commit, backend, &want)
-				gotCorr, gotErr := m.decodeRowGroup(g, commit, &gotDst)
+				gotCorr, gotErr := m.rowGroups().Decode(g, commit, &gotDst, m.counters)
 
 				name := fmt.Sprintf("%v commit=%v flips=%v", backend, commit, flips)
 				if (gotErr == nil) != (wantErr == nil) || gotCorr != wantCorr {
@@ -327,7 +327,7 @@ func TestCRCRowGroupUncorrectableWritesNothing(t *testing.T) {
 			struck := *(*[8]uint32)(e)
 			var dst [8]uint32
 			var fe *FaultError
-			if _, err := m.decodeRowGroup(g, true, &dst); !errors.As(err, &fe) {
+			if _, err := m.rowGroups().Decode(g, true, &dst, m.counters); !errors.As(err, &fe) {
 				t.Fatalf("slot %d, p0 %d: decode = %v, want a FaultError", k, p0, err)
 			}
 			if got := *(*[8]uint32)(e); got != struck {

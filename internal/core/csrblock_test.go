@@ -225,7 +225,7 @@ func elemCodewords(m *Matrix) [][]int {
 			out = append(out, span(2*t, 2*t+2))
 		}
 	case CRC32C:
-		mask := rowPtrMaskFor(m.rowScheme)
+		mask := m.rowGroups().Mask()
 		for r := 0; r < m.rows; r++ {
 			out = append(out, span(int(m.rowptr[r]&mask), int(m.rowptr[r+1]&mask)))
 		}
@@ -315,7 +315,7 @@ func TestCSRBlockPlantedStructure(t *testing.T) {
 		es, rs := pair[0], pair[1]
 		tw := newCSRTwin(t, plain, es, rs)
 		name := fmt.Sprintf("elements %v row pointers %v", es, rs)
-		mask := rowPtrMaskFor(rs)
+		mask := indexGroups{Scheme: rs}.Mask()
 		for i := 0; i < BlockLen; i++ {
 			r := BlockLen + i
 			lo, hi := int(tw.rowptr[r]&mask), int(tw.rowptr[r+1]&mask)
@@ -342,7 +342,7 @@ func TestCSRBlockPlantedStructure(t *testing.T) {
 				tw.reset()
 				tw.both(func(m *Matrix) {
 					m.rowptr[r] = m.rowptr[r]&^mask | (tw.rowptr[r+1]&mask + 1)
-					m.encodeRowGroup(r / rs.RowPtrGroup())
+					m.rowGroups().Encode(r / rs.RowPtrGroup())
 				})
 				tw.run(t, fmt.Sprintf("%s row pointer %d past row %d's end", name, r, r), c)
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -30,7 +29,6 @@ type Matrix struct {
 	Shell
 	rowScheme Scheme
 	backend   ecc.Backend
-	maxRow    int // widest row
 
 	rowptr []uint32 // rows+1 entries padded to a group multiple
 	colIdx []uint32
@@ -75,12 +73,10 @@ func NewMatrix(src *csr.Matrix, opt MatrixOptions) (*Matrix, error) {
 	}
 	m.Init(m, rows, work.Cols32(), work.NNZ(), es, es != None || rs != None)
 	copy(m.rowptr, work.RowPtr)
-	for r := 0; r < rows; r++ {
-		if n := int(work.RowPtr[r+1] - work.RowPtr[r]); n > m.maxRow {
-			m.maxRow = n
-		}
+	ig := m.rowGroups()
+	for grp := 0; grp < padded/g; grp++ {
+		ig.Encode(grp)
 	}
-	m.encodeRowPtrAll()
 	m.encodeElementsAll()
 	return m, nil
 }
@@ -99,13 +95,6 @@ func padOneEntry(src *csr.Matrix) *csr.Matrix {
 	return out
 }
 
-// MaxRowEntries returns the widest row's entry count.
-func (m *Matrix) MaxRowEntries() int { return m.maxRow }
-
-// ElemScheme returns the element protection scheme: Scheme under the
-// name that pairs with RowPtrScheme.
-func (m *Matrix) ElemScheme() Scheme { return m.scheme }
-
 // RowPtrScheme returns the row-pointer protection scheme.
 func (m *Matrix) RowPtrScheme() Scheme { return m.rowScheme }
 
@@ -123,13 +112,6 @@ func (m *Matrix) RawCols() []uint32 { return m.colIdx }
 // for fault injection.
 func (m *Matrix) RawRowPtr() []uint32 { return m.rowptr }
 
-// rowPtrFault counts and builds the uncorrectable-error value for
-// row-pointer group g.
-func (m *Matrix) rowPtrFault(c *Counters, g int, detail string) error {
-	c.AddDetected(1)
-	return &FaultError{Structure: StructRowPtr, Scheme: m.rowScheme, Index: g, Detail: detail}
-}
-
 func (m *Matrix) boundsErr(s Structure, idx int, val, limit uint32) error {
 	m.counters.AddBounds(1)
 	return &BoundsError{Structure: s, Index: idx, Value: val, Limit: limit}
@@ -138,178 +120,21 @@ func (m *Matrix) boundsErr(s Structure, idx int, val, limit uint32) error {
 // ---------------------------------------------------------------------------
 // Row-pointer protection
 
-// rowPtrMaskFor returns the AND-mask isolating the data bits of a stored
-// row-pointer entry.
-func rowPtrMaskFor(s Scheme) uint32 {
-	switch s {
-	case None:
-		return 0xFFFF_FFFF
-	case SED:
-		return sedColMask
-	default:
-		return rowPtrMask
-	}
+// rowGroups returns the index-group codec over this matrix's row
+// pointers, built per call like elems.
+func (m *Matrix) rowGroups() indexGroups {
+	return indexGroups{Scheme: m.rowScheme, Backend: m.backend, Idx: m.rowptr}
 }
-
-func (m *Matrix) encodeRowPtrAll() {
-	switch m.rowScheme {
-	case None:
-	case SED:
-		for i, r := range m.rowptr {
-			r &= sedColMask
-			m.rowptr[i] = r | uint32(ecc.Parity64(uint64(r)))<<31
-		}
-	case SECDED64:
-		for g := 0; g*2 < len(m.rowptr); g++ {
-			m.encodeRowGroup(g)
-		}
-	case SECDED128:
-		for g := 0; g*4 < len(m.rowptr); g++ {
-			m.encodeRowGroup(g)
-		}
-	case CRC32C:
-		for g := 0; g*8 < len(m.rowptr); g++ {
-			m.encodeRowGroup(g)
-		}
-	}
-}
-
-// encodeRowGroup recomputes the redundancy of row-pointer group g from the
-// data bits currently stored.
-func (m *Matrix) encodeRowGroup(g int) {
-	switch m.rowScheme {
-	case None:
-	case SED:
-		r := m.rowptr[g] & sedColMask
-		m.rowptr[g] = r | uint32(ecc.Parity64(uint64(r)))<<31
-	case SECDED64:
-		e := m.rowptr[2*g : 2*g+2]
-		x := codecRow64.Encode64(pack32(e[0]&rowPtrMask, e[1]&rowPtrMask))
-		e[0], e[1] = uint32(x), uint32(x>>32)
-	case SECDED128:
-		e := m.rowptr[4*g : 4*g+4]
-		x, y := codecRow128.Encode128(pack32(e[0]&rowPtrMask, e[1]&rowPtrMask), pack32(e[2]&rowPtrMask, e[3]&rowPtrMask))
-		e[0], e[1], e[2], e[3] = uint32(x), uint32(x>>32), uint32(y), uint32(y>>32)
-	case CRC32C:
-		// Clear the slots, checksum the group where it lies, fill them.
-		e := (*[8]uint32)(m.rowptr[8*g : 8*g+8])
-		for i := range e {
-			e[i] &= rowPtrMask
-		}
-		crc, _ := ecc.GroupChecksum(e, m.backend)
-		for i := range e {
-			e[i] |= (crc >> (4 * uint(i)) & 0xF) << 28
-		}
-	}
-}
-
-// decodeRowGroup verifies row-pointer group g and writes its masked data
-// entries into dst (the group's entries occupy dst[0:RowPtrGroup()]).
-// Correctable faults are counted and always applied to dst; storage is
-// repaired only when commit is true. The first return reports whether a
-// correction was found — when it was and commit is false, storage still
-// holds the fault and only dst carries the corrected values.
-func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected bool, err error) {
-	return m.decodeRowGroupCounting(g, commit, dst, m.counters)
-}
-
-// decodeRowGroupCounting is decodeRowGroup recording corrections and
-// detections into c instead of the attached counters.
-func (m *Matrix) decodeRowGroupCounting(g int, commit bool, dst *[8]uint32, c *Counters) (corrected bool, err error) {
-	switch m.rowScheme {
-	case None:
-		dst[0] = m.rowptr[g]
-	case SED:
-		r := m.rowptr[g]
-		if ecc.Parity64(uint64(r)) != 0 {
-			return false, m.rowPtrFault(c, g, "parity mismatch")
-		}
-		dst[0] = r & sedColMask
-	case SECDED64:
-		// The codeword goes to the kernel by value; only a non-zero
-		// accumulator pays for the resolve.
-		e := m.rowptr[2*g : 2*g+2]
-		if codecRow64.Acc64(pack32(e[0], e[1])) != 0 {
-			return m.resolveRowGroup(g, commit, dst, c)
-		}
-		dst[0], dst[1] = e[0]&rowPtrMask, e[1]&rowPtrMask
-	case SECDED128:
-		e := m.rowptr[4*g : 4*g+4]
-		if codecRow128.Acc128(pack32(e[0], e[1]), pack32(e[2], e[3])) != 0 {
-			return m.resolveRowGroup(g, commit, dst, c)
-		}
-		dst[0], dst[1], dst[2], dst[3] = e[0]&rowPtrMask, e[1]&rowPtrMask, e[2]&rowPtrMask, e[3]&rowPtrMask
-	case CRC32C:
-		// Checksum the group as stored; only a mismatch pays for the
-		// codeword image and its repair (DESIGN.md section 31).
-		e := (*[8]uint32)(m.rowptr[8*g : 8*g+8])
-		if crc, stored := ecc.GroupChecksum(e, m.backend); crc != stored {
-			var img [32]byte
-			for i, x := range e {
-				binary.LittleEndian.PutUint32(img[4*i:], x&rowPtrMask)
-			}
-			if !ecc.RepairCodeword(img[:], rowSlot, stored, crc) {
-				return false, m.rowPtrFault(c, g, "crc32c mismatch beyond correction depth")
-			}
-			c.AddCorrected(1)
-			for i := range e {
-				x := binary.LittleEndian.Uint32(img[4*i:])
-				if commit {
-					e[i] = x
-				}
-				dst[i] = x & rowPtrMask
-			}
-			return true, nil
-		}
-		for i, x := range e {
-			dst[i] = x & rowPtrMask
-		}
-	}
-	return corrected, nil
-}
-
-// pack32 packs two row-pointer entries into one codeword word.
-func pack32(lo, hi uint32) uint64 { return uint64(lo) | uint64(hi)<<32 }
-
-// resolveRowGroup is the SECDED cold path of decodeRowGroup, entered when
-// the accumulator of group g was non-zero: a single flip is repaired in
-// dst (and in storage when commit is true) and counted into c, anything
-// else is the group's fault.
-func (m *Matrix) resolveRowGroup(g int, commit bool, dst *[8]uint32, c *Counters) (corrected bool, err error) {
-	n := m.rowScheme.RowPtrGroup()
-	e := m.rowptr[n*g : n*g+n]
-	codec, cw := codecRow64, ecc.Word4{pack32(e[0], e[1])}
-	if m.rowScheme == SECDED128 {
-		codec, cw[1] = codecRow128, pack32(e[2], e[3])
-	}
-	switch res, _ := codec.Check(&cw); res {
-	case ecc.Corrected:
-		corrected = true
-		c.AddCorrected(1)
-	case ecc.Detected:
-		return false, m.rowPtrFault(c, g, "secded double-bit error")
-	}
-	for i := range e {
-		x := uint32(cw[i/2] >> (32 * uint(i%2)))
-		if commit {
-			e[i] = x
-		}
-		dst[i] = x & rowPtrMask
-	}
-	return corrected, nil
-}
-
-// rowSlot places bit k of a row-pointer group's checksum in its codeword
-// image: bit 28+k%4 of entry k/4.
-func rowSlot(k int) int { return 32*(k/4) + 28 + k%4 }
 
 // rowPtrCursor streams row-pointer values with one integrity check per
 // codeword group. Values are read through a locally decoded copy of the
 // current group, so callers observe corrected pointers even when the
 // correction cannot be committed to shared storage. With check false
-// only range validity is enforced.
+// only range validity is enforced. The codewords themselves are the
+// index-group codec's; the cursor keeps positions only.
 type rowPtrCursor struct {
 	m      *Matrix
+	idx    indexGroups
 	check  bool
 	commit bool
 	group  int       // currently verified group, -1 initially
@@ -317,24 +142,28 @@ type rowPtrCursor struct {
 	vals   [8]uint32 // locally corrected decode of group
 }
 
+// cursor starts a walk over m's row pointers: check verifies their
+// groups, commit lets the walk repair storage. An unchecked cursor reads
+// masked payload and range-checks it.
+func (m *Matrix) cursor(check, commit bool) rowPtrCursor {
+	return rowPtrCursor{m: m, idx: m.rowGroups(), check: check && m.rowScheme != None, commit: commit, group: -1}
+}
+
 func (c *rowPtrCursor) value(r int) (uint32, error) {
+	var v uint32
 	if !c.check {
-		v := c.m.rowptr[r] & rowPtrMaskFor(c.m.rowScheme)
-		if v > uint32(c.m.nnz) {
-			return 0, c.m.boundsErr(StructRowPtr, r, v, uint32(c.m.nnz)+1)
+		v = c.idx.Idx[r] & c.idx.Mask()
+	} else {
+		g := c.idx.Group()
+		if grp := r / g; grp != c.group {
+			c.checks++
+			if _, err := c.idx.Decode(grp, c.commit, &c.vals, c.m.counters); err != nil {
+				return 0, err
+			}
+			c.group = grp
 		}
-		return v, nil
+		v = c.vals[r%g]
 	}
-	g := c.m.rowScheme.RowPtrGroup()
-	grp := r / g
-	if grp != c.group {
-		c.checks++
-		if _, err := c.m.decodeRowGroup(grp, c.commit, &c.vals); err != nil {
-			return 0, err
-		}
-		c.group = grp
-	}
-	v := c.vals[r%g]
 	if v > uint32(c.m.nnz) {
 		return 0, c.m.boundsErr(StructRowPtr, r, v, uint32(c.m.nnz)+1)
 	}
@@ -361,55 +190,34 @@ func (c *rowPtrCursor) bounds(r int) (lo, hi int, err error) {
 
 // window is the block form of value for the output block of n <=
 // BlockLen rows at r0 (a multiple of BlockLen): it fills p[0..n] with
-// the pointers r0..r0+n. On a checking cursor each group the block needs
-// and the cursor does not already hold is checked by value — one kernel
-// call per group, no decode, no correction, no count — and the held
-// group supplies its decoded values, so a correction this sweep could
-// not commit is never re-read from storage. Groups are 1, 2, 4 or 8
-// entries and r0 is a multiple of every size, so p is laid out group by
-// group from p[0]. It returns the groups checked and whether all were
-// clean; the cursor itself is left as it was (advance moves it).
+// the pointers r0..r0+n. On a checking cursor the groups the block needs
+// and the cursor does not already hold go through the codec's clean test
+// — no decode, no correction, no count — and the held group supplies its
+// decoded values, so a correction this sweep could not commit is never
+// re-read from storage. Groups are 1, 2, 4 or 8 entries and r0 is a
+// multiple of every size, so p is laid out group by group from p[0]. It
+// returns the groups checked and whether all were clean; the cursor
+// itself is left as it was (advance moves it).
 func (c *rowPtrCursor) window(r0, n int, p *[2 * BlockLen]uint32) (groups uint64, ok bool) {
-	m := c.m
-	mask := rowPtrMaskFor(m.rowScheme)
+	mask := c.idx.Mask()
 	if !c.check {
-		for i, x := range m.rowptr[r0 : r0+n+1] {
+		for i, x := range c.idx.Idx[r0 : r0+n+1] {
 			p[i] = x & mask
 		}
 		return 0, true
 	}
-	shift := bits.TrailingZeros(uint(m.rowScheme.RowPtrGroup()))
+	shift := bits.TrailingZeros(uint(c.idx.Group()))
 	g := 1 << shift
 	from, to := r0, (r0+n)>>shift<<shift+g
 	if r0>>shift == c.group {
 		copy(p[:g], c.vals[:g])
 		from += g
 	}
-	rp, q := m.rowptr[from:to], p[from-r0:to-r0]
-	var acc uint32
-	switch m.rowScheme {
-	case SED:
-		for _, x := range rp {
-			acc |= uint32(ecc.Parity64(uint64(x)))
-		}
-	case SECDED64:
-		for i := 0; i+1 < len(rp); i += 2 {
-			acc |= uint32(codecRow64.Acc64(pack32(rp[i], rp[i+1])))
-		}
-	case SECDED128:
-		for i := 0; i+3 < len(rp); i += 4 {
-			acc |= uint32(codecRow128.Acc128(pack32(rp[i], rp[i+1]), pack32(rp[i+2], rp[i+3])))
-		}
-	case CRC32C:
-		for i := 0; i+7 < len(rp); i += 8 {
-			crc, stored := ecc.GroupChecksum((*[8]uint32)(rp[i:i+8]), m.backend)
-			acc |= crc ^ stored
-		}
-	}
-	for i, x := range rp {
+	q := p[from-r0 : to-r0]
+	for i, x := range c.idx.Idx[from:to] {
 		q[i] = x & mask
 	}
-	return uint64(len(rp) >> shift), acc == 0
+	return uint64((to - from) >> shift), c.idx.clean(from, to)
 }
 
 // advance moves a checking cursor past a clean window: it now holds the
@@ -418,22 +226,10 @@ func (c *rowPtrCursor) advance(r0, n int, p *[2 * BlockLen]uint32, groups uint64
 	if !c.check {
 		return
 	}
-	shift := bits.TrailingZeros(uint(c.m.rowScheme.RowPtrGroup()))
+	shift := bits.TrailingZeros(uint(c.idx.Group()))
 	c.group = (r0 + n) >> shift
 	copy(c.vals[:], p[n>>shift<<shift:])
 	c.checks += groups
-}
-
-// RowRange returns the half-open entry range [lo, hi) of row r, fully
-// verifying (and repairing where possible) the codewords it touches.
-func (m *Matrix) RowRange(r int) (lo, hi int, err error) {
-	if r < 0 || r >= m.rows {
-		return 0, 0, fmt.Errorf("core: row %d out of range [0,%d)", r, m.rows)
-	}
-	cur := rowPtrCursor{m: m, check: true, commit: true, group: -1}
-	lo, hi, err = cur.bounds(r)
-	m.counters.AddChecks(cur.checks)
-	return lo, hi, err
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +249,7 @@ func (m *Matrix) encodeElementsAll() {
 		return
 	}
 	// One CRC32C codeword per row.
-	cur := rowPtrCursor{m: m, check: false, group: -1}
+	cur := m.cursor(false, false)
 	for r := 0; r < m.rows; r++ {
 		lo, _ := cur.value(r)
 		hi, _ := cur.value(r + 1)
@@ -473,11 +269,12 @@ func (m *Matrix) VerifyAll(acc *Counters) (checks uint64, err error) {
 		}
 	}
 	if m.rowScheme != None {
-		groups := len(m.rowptr) / m.rowScheme.RowPtrGroup()
+		ig := m.rowGroups()
+		groups := len(ig.Idx) / ig.Group()
 		checks += uint64(groups)
 		var tmp [8]uint32
 		for g := 0; g < groups; g++ {
-			_, e := m.decodeRowGroupCounting(g, true, &tmp, acc)
+			_, e := ig.Decode(g, true, &tmp, acc)
 			record(e)
 		}
 	}
@@ -488,7 +285,7 @@ func (m *Matrix) VerifyAll(acc *Counters) (checks uint64, err error) {
 		record(e)
 	} else {
 		checks += uint64(m.rows)
-		cur := rowPtrCursor{m: m, check: false, group: -1}
+		cur := m.cursor(false, false)
 		for r := 0; r < m.rows; r++ {
 			lo, e := cur.value(r)
 			record(e)
@@ -512,7 +309,7 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 	entries := make([]csr.Entry, 0, m.nnz)
 	el := m.elems()
 	colMask := el.Mask()
-	cur := rowPtrCursor{m: m, check: false, group: -1}
+	cur := m.cursor(false, false)
 	for r := 0; r < m.rows; r++ {
 		lo, err := cur.value(r)
 		if err != nil {

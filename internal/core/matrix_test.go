@@ -264,7 +264,7 @@ func TestMatrixSingleFlipRowPtr(t *testing.T) {
 		if cerr != nil {
 			t.Fatalf("%v: rowptr flip not corrected: %v", rs, cerr)
 		}
-		if m.RawRowPtr()[3]&rowPtrMaskFor(rs) != src.RowPtr[3] {
+		if m.RawRowPtr()[3]&m.rowGroups().Mask() != src.RowPtr[3] {
 			t.Fatalf("%v: rowptr not restored", rs)
 		}
 	}
@@ -306,32 +306,6 @@ func TestMatrixCRCRowDoubleFlipCorrected(t *testing.T) {
 	}
 	if !matricesEqual(src, back) {
 		t.Fatal("matrix not restored after crc correction")
-	}
-}
-
-func TestMatrixRowRange(t *testing.T) {
-	src := testMatrix(t, 5, 4)
-	for _, rs := range Schemes {
-		m, err := NewMatrix(src, MatrixOptions{ElemScheme: None, RowPtrScheme: rs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < src.Rows(); r++ {
-			lo, hi, err := m.RowRange(r)
-			if err != nil {
-				t.Fatalf("%v: row %d: %v", rs, r, err)
-			}
-			if lo != int(src.RowPtr[r]) || hi != int(src.RowPtr[r+1]) {
-				t.Fatalf("%v: row %d: [%d,%d) want [%d,%d)", rs, r, lo, hi,
-					src.RowPtr[r], src.RowPtr[r+1])
-			}
-		}
-		if _, _, err := m.RowRange(-1); err == nil {
-			t.Fatalf("%v: negative row accepted", rs)
-		}
-		if _, _, err := m.RowRange(src.Rows()); err == nil {
-			t.Fatalf("%v: row out of range accepted", rs)
-		}
 	}
 }
 
@@ -464,7 +438,7 @@ func TestMatrixAccessors(t *testing.T) {
 	if m.Rows() != 12 || m.Cols() != 12 || m.NNZ() != src.NNZ() {
 		t.Fatalf("dims wrong: %d %d %d", m.Rows(), m.Cols(), m.NNZ())
 	}
-	if m.ElemScheme() != CRC32C || m.RowPtrScheme() != CRC32C {
+	if m.Scheme() != CRC32C || m.RowPtrScheme() != CRC32C {
 		t.Fatal("schemes wrong")
 	}
 	if m.CheckInterval() != 8 {
@@ -473,8 +447,5 @@ func TestMatrixAccessors(t *testing.T) {
 	m.SetCheckInterval(2)
 	if m.CheckInterval() != 2 {
 		t.Fatal("SetCheckInterval failed")
-	}
-	if m.MaxRowEntries() != 5 {
-		t.Fatalf("MaxRowEntries=%d want 5", m.MaxRowEntries())
 	}
 }

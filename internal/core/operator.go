@@ -91,7 +91,7 @@ func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 		return pick(len(m.colIdx)/2) * 2, 2
 	case CRC32C:
 		r := pick(m.rows)
-		mask := rowPtrMaskFor(m.rowScheme)
+		mask := m.rowGroups().Mask()
 		lo, hi := int(m.rowptr[r]&mask), int(m.rowptr[r+1]&mask)
 		if lo < hi && hi <= len(m.colIdx) {
 			return lo, hi - lo

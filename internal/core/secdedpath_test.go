@@ -79,7 +79,7 @@ func oracleReadSECDEDBlock(s Scheme, w []uint64, base int, dst *[BlockLen]float6
 }
 
 // oracleDecodeSECDEDRowGroup is the old SECDED arms of
-// Matrix.decodeRowGroup over the storage entries e of group g.
+// indexGroups.Decode over the storage entries e of group g.
 func oracleDecodeSECDEDRowGroup(s Scheme, e []uint32, g int, dst *[8]uint32, commit bool, c *Counters) (corrected bool, err error) {
 	codec, cw := codecRow64, ecc.Word4{uint64(e[0]) | uint64(e[1])<<32}
 	if s == SECDED128 {
@@ -676,7 +676,7 @@ func TestSECDEDRowGroupFaultParity(t *testing.T) {
 				}
 				var got, want [8]uint32
 				var gc, wc Counters
-				gcorr, gerr := m.decodeRowGroupCounting(g, commit, &got, &gc)
+				gcorr, gerr := m.rowGroups().Decode(g, commit, &got, &gc)
 				wcorr, werr := oracleDecodeSECDEDRowGroup(s, oracle[g*n:g*n+n], g, &want, commit, &wc)
 				name := fmt.Sprintf("%v flips %v commit %v", s, flips, commit)
 				if gcorr != wcorr || !sameFault(gerr, werr) || !sameCounts(&gc, &wc) {

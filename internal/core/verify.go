@@ -19,7 +19,7 @@ type rowReader struct {
 func (m *Matrix) newRowReader(verify, commit bool) rowReader {
 	return rowReader{
 		m:    m,
-		cur:  rowPtrCursor{m: m, check: verify && m.rowScheme != None, commit: commit, group: -1},
+		cur:  m.cursor(verify, commit),
 		ver:  m.newRowVerifier(commit),
 		full: verify && m.scheme != None,
 	}
@@ -81,9 +81,11 @@ func (m *Matrix) newRowVerifier(commit bool) rowVerifier {
 }
 
 // row batch-verifies the element codewords covering entries [lo,hi) of
-// row r in one tight per-scheme pass: when the row verifies clean (or
-// every correction was committed to storage), the caller may stream the
-// row's values and masked column indices straight from storage with no
+// row r with the codec's one clean test (ColElems.clean, or CheckRun's
+// for the row's CRC32C codeword); only a failed test pays for the
+// per-codeword cold path. When the row verifies clean (or every
+// correction was committed to storage), the caller may stream the row's
+// values and masked column indices straight from storage with no
 // per-element decode.
 //
 // dirty reports that a correction was found but could not be committed:
@@ -93,56 +95,29 @@ func (m *Matrix) newRowVerifier(commit bool) rowVerifier {
 // checks counts the codeword verifications performed, up to and
 // including a failing one; the caller batches it into the counters.
 func (v *rowVerifier) row(r, lo, hi int) (dirty bool, checks uint64, err error) {
-	el, commit, c := &v.el, v.commit, v.m.counters
-	switch el.Scheme {
-	case None:
-	case SED:
-		for k := lo; k < hi; k++ {
-			if err := el.checkSED(k, c); err != nil {
-				return false, uint64(k - lo + 1), err
-			}
-		}
-		checks = uint64(hi - lo)
-	case SECDED64:
-		// One kernel call per row; a non-zero accumulator re-walks the
-		// row one codeword at a time.
-		if codecElem64.AccRun96(el.Vals[lo:hi], el.Cols[lo:hi]) != 0 {
-			return v.resolve64(lo, hi)
-		}
-		checks = uint64(hi - lo)
-	case SECDED128:
-		if hi > lo {
-			t0, last := lo/2, (hi-1)/2
-			if t0 == v.lastPair {
-				t0++
-			}
-			if codecElem128.AccRun192(el.Vals[2*t0:2*last+2], el.Cols[2*t0:2*last+2]) != 0 {
-				return v.resolvePairs(t0, last)
-			}
-			checks = uint64(last - t0 + 1)
-			v.lastPair = last
-		}
-	case CRC32C:
-		checks++
-		corrected, err := el.CheckRun(r, lo, hi-lo, commit, c)
-		if err != nil {
-			return false, checks, err
-		}
-		if corrected && !commit {
-			dirty = true
-		}
+	el := &v.el
+	if el.Scheme == CRC32C {
+		corrected, err := el.CheckRun(r, lo, hi-lo, v.commit, v.m.counters)
+		return corrected && !v.commit, 1, err
 	}
-	return dirty, checks, nil
+	checks, last, ok := el.clean(lo, hi, v.lastPair)
+	if ok {
+		v.lastPair = last
+		return false, checks, nil
+	}
+	if el.Scheme == SECDED128 {
+		return v.resolvePairs(pairSpan(lo, hi, v.lastPair))
+	}
+	return v.resolve64(lo, hi)
 }
 
-// resolve64 is row's SECDED64 cold path, entered when the run kernel
-// reported a fault somewhere in entries [lo,hi): the codewords are
-// verified one at a time in storage order, so corrections, the reported
-// codeword and the checks counted before it are those of a per-codeword
-// pass.
+// resolve64 is row's SED and SECDED64 cold path, entered when the clean
+// test failed somewhere in entries [lo,hi): the codewords are verified
+// one at a time in storage order, so corrections, the reported codeword
+// and the checks counted before it are those of a per-codeword pass.
 func (v *rowVerifier) resolve64(lo, hi int) (dirty bool, checks uint64, err error) {
 	for k := lo; k < hi; k++ {
-		corrected, err := v.el.check64(k, v.commit, v.m.counters)
+		corrected, err := v.el.checkEntry(k, v.commit, v.m.counters)
 		if err != nil {
 			return false, uint64(k - lo + 1), err
 		}

@@ -419,11 +419,17 @@ func TestSECDEDWideTablesSize(t *testing.T) {
 }
 
 // TestSECDEDKernelsZeroAllocs pins the point of the kernels: nothing on
-// the clean path touches the heap.
+// the clean path touches the heap. It covers the layouts every hot read
+// calls: the vector word and the CSR element (wide tables), and the two
+// row-pointer groups (byte tables), which the index-group codec checks
+// and encodes one group at a time.
 func TestSECDEDKernelsZeroAllocs(t *testing.T) {
 	vec := MustSECDED(64, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	elem := MustSECDED(96, []int{88, 89, 90, 91, 92, 93, 94, 95})
+	row64 := MustSECDED(64, []int{28, 29, 30, 31, 60, 61, 62, 63})
+	row128 := MustSECDED(128, []int{28, 29, 30, 31, 60, 61, 62, 63, 92})
 	words := make([]uint64, 8)
+	rows := make([]uint64, 3)
 	src := [8]float64{1, 2, 3, 4, 5, 6, 7, 8}
 	vals := make([]float64, 5)
 	cols := make([]uint32, 5)
@@ -435,6 +441,9 @@ func TestSECDEDKernelsZeroAllocs(t *testing.T) {
 		sink |= vec.AccBlock64(blk) | vec.Acc64(words[0]) | elem.AccRun96(vals, cols) | elem.Acc96(words[2], words[3])
 		words[1] = vec.Encode64(words[1])
 		words[2], words[3] = elem.Encode96(words[2], words[3])
+		sink |= row64.Acc64(rows[0]) | row128.Acc128(rows[1], rows[2])
+		rows[0] = row64.Encode64(rows[0])
+		rows[1], rows[2] = row128.Encode128(rows[1], rows[2])
 		elem.Encode(&w)
 		if res, _ := elem.Check(&w); res != OK {
 			sink |= 1

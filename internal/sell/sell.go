@@ -24,11 +24,12 @@
 //	           bytes of each chunk's last four entries; cols <= 2^24-1
 //
 // The structural metadata — slice offsets, the row permutation and the
-// per-row lengths — is trusted: it is small, rebuildable from the source
-// matrix, and analogous to the loop bounds of a kernel rather than to the
-// streamed data the paper's schemes target. SpMV range-checks every
-// decoded column index against the matrix dimensions, so metadata-sized
-// corruption of the element stream still cannot fault the process.
+// per-row lengths — is unprotected, and a flip in it corrupts a product
+// silently: a reproduced flip in the permutation or the slice offsets
+// gave wrong rows with a nil error and no counter moved (DESIGN.md
+// section 5, ROADMAP item 15). SpMV range-checks every decoded column
+// index against the matrix dimensions, so such corruption cannot fault
+// the process, but it can change the answer.
 package sell
 
 import (
@@ -76,7 +77,7 @@ type Matrix struct {
 	backend ecc.Backend
 	sigma   int
 
-	// Trusted structural metadata (see the package comment).
+	// Unprotected structural metadata (see the package comment).
 	slicePtr []uint32 // entry offset of each slice, len slices+1
 	perm     []uint32 // stored row -> original row; padRow for dummy lanes
 	rowLen   []uint32 // real entries of each stored row
