@@ -17,10 +17,18 @@
 //	CRC32C     one CRC32C per 8-element group, stored nibble-wise in the
 //	           row-index top nibbles; dims <= 2^28-1
 //
+// The codec is one unexported view, triplets, COO's twin of
+// core.ColElems (DESIGN.md section 4): each scheme's repair is written
+// once (check64, checkPair, checkGroupCRC) and checkRange walks the
+// codewords of a range with it, for the product's chunk verify, for
+// CheckAll and for the shared-mode stage — a copy of a chunk whose
+// correction could not be committed, repaired by the same check.
+//
 // COO SpMV is a scatter (dst[row] += val*x[col]), so unlike the CSR
 // kernel it accumulates into a dense buffer and commits the protected
 // output vector block-wise afterwards — the buffered-write strategy of
-// paper section VI-C applied to a scatter pattern.
+// paper section VI-C applied to a scatter pattern. Storage and a stage
+// stream through the same scatter loop.
 package coo
 
 import (
@@ -70,15 +78,30 @@ type Options struct {
 	Backend ecc.Backend
 }
 
-// maxDim returns the largest representable index for the scheme.
-func maxDim(s core.Scheme) int {
+// idxMask returns the AND-mask isolating the data bits of an index under
+// scheme s; it equals the largest index the scheme can represent.
+func idxMask(s core.Scheme) uint32 {
 	switch s {
 	case core.None:
-		return 1<<32 - 1
+		return 0xFFFF_FFFF
 	case core.SED:
-		return 1<<31 - 1
+		return sedIdxMask
 	default:
-		return 1<<28 - 1
+		return eccIdxMask
+	}
+}
+
+// groupSize returns the number of entries per element codeword under
+// scheme s: the unit storage is padded to, and the alignment parallel
+// entry ranges respect so no two workers ever touch the same codeword.
+func groupSize(s core.Scheme) int {
+	switch s {
+	case core.SECDED128:
+		return 2
+	case core.CRC32C:
+		return crcGroup
+	default:
+		return 1
 	}
 }
 
@@ -90,19 +113,14 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 		return nil, err
 	}
 	s := opt.Scheme
-	if src.Rows() > maxDim(s) || src.Cols32() > maxDim(s) {
+	if lim := int(idxMask(s)); src.Rows() > lim || src.Cols32() > lim {
 		return nil, fmt.Errorf("coo: %dx%d exceeds %s index limit %d",
-			src.Rows(), src.Cols32(), s, maxDim(s))
+			src.Rows(), src.Cols32(), s, lim)
 	}
 	m := &Matrix{backend: opt.Backend}
 	m.Init(m, src.Rows(), src.Cols32(), src.NNZ(), s, s != core.None)
-	pad := src.NNZ()
-	switch s {
-	case core.SECDED128:
-		pad = (pad + 1) / 2 * 2
-	case core.CRC32C:
-		pad = (pad + crcGroup - 1) / crcGroup * crcGroup
-	}
+	g := groupSize(s)
+	pad := (src.NNZ() + g - 1) / g * g
 	m.rowIdx = make([]uint32, pad)
 	m.colIdx = make([]uint32, pad)
 	m.vals = make([]float64, pad)
@@ -115,7 +133,8 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 			k++
 		}
 	}
-	m.encodeAll()
+	el := m.elems()
+	el.encode()
 	return m, nil
 }
 
@@ -128,37 +147,41 @@ func (m *Matrix) RawCols() []uint32 { return m.colIdx }
 // RawVals exposes the stored values for fault injection.
 func (m *Matrix) RawVals() []float64 { return m.vals }
 
-// idxMask returns the AND-mask isolating the data bits of an index.
-func (m *Matrix) idxMask() uint32 {
-	switch m.Scheme() {
-	case core.None:
-		return 0xFFFF_FFFF
-	case core.SED:
-		return sedIdxMask
-	default:
-		return eccIdxMask
-	}
+// triplets is the triplet codec, COO's twin of core.ColElems (DESIGN.md
+// section 4): a view over one matrix's own row, column and value arrays
+// — or over a staged copy of some of them — built per call, never
+// stored on the matrix. Codewords are addressed by storage position: one
+// triplet k under SED and SECDED64, the pair (2t, 2t+1) under SECDED128,
+// the 8-triplet group g under CRC32C. Every check takes the commit
+// discipline and the counters to record into explicitly (nil counts
+// nothing) and builds the FaultError itself.
+type triplets struct {
+	scheme  core.Scheme
+	backend ecc.Backend
+	rows    []uint32
+	cols    []uint32
+	vals    []float64
 }
 
-func (m *Matrix) encodeAll() {
-	switch m.Scheme() {
-	case core.None:
-	case core.SED:
-		for k := range m.vals {
-			m.encodeSED(k)
-		}
-	case core.SECDED64:
-		for k := range m.vals {
-			m.encode64(k)
-		}
-	case core.SECDED128:
-		for t := 0; 2*t < len(m.vals); t++ {
-			m.encodePair(t)
-		}
-	case core.CRC32C:
-		var img [16 * crcGroup]byte
-		for g := 0; g*crcGroup < len(m.vals); g++ {
-			m.encodeGroupCRC(g, &img)
+// elems returns the triplet codec over this matrix's own arrays.
+func (m *Matrix) elems() triplets {
+	return triplets{m.Scheme(), m.backend, m.rowIdx, m.colIdx, m.vals}
+}
+
+// encode embeds the redundancy of every codeword, one group of
+// groupSize entries at a time.
+func (t *triplets) encode() {
+	var img [16 * crcGroup]byte
+	for k := 0; k < len(t.vals); k += groupSize(t.scheme) {
+		switch t.scheme {
+		case core.SED:
+			t.encodeSED(k)
+		case core.SECDED64:
+			t.encode64(k)
+		case core.SECDED128:
+			t.encodePair(k / 2)
+		case core.CRC32C:
+			t.encodeGroupCRC(k/crcGroup, &img)
 		}
 	}
 }
@@ -170,55 +193,55 @@ func word1(row, col uint32) uint64 {
 
 // elem loads element k by value as the two words of its 128-bit
 // codeword, [val | row | col]: what the clean-path kernels take.
-func (m *Matrix) elem(k int) (val, idx uint64) {
-	return math.Float64bits(m.vals[k]), word1(m.rowIdx[k], m.colIdx[k])
+func (t *triplets) elem(k int) (val, idx uint64) {
+	return math.Float64bits(t.vals[k]), word1(t.rows[k], t.cols[k])
 }
 
 // word64 loads element k as a SECDED64 codeword for the cold path.
-func (m *Matrix) word64(k int) ecc.Word4 {
-	x, y := m.elem(k)
+func (t *triplets) word64(k int) ecc.Word4 {
+	x, y := t.elem(k)
 	return ecc.Word4{x, y}
 }
 
-// wordPair loads elements 2t and 2t+1 as a SECDED128 codeword for the
+// wordPair loads elements 2p and 2p+1 as a SECDED128 codeword for the
 // cold path.
-func (m *Matrix) wordPair(t int) ecc.Word4 {
-	x, y := m.elem(2 * t)
-	z, v := m.elem(2*t + 1)
+func (t *triplets) wordPair(p int) ecc.Word4 {
+	x, y := t.elem(2 * p)
+	z, v := t.elem(2*p + 1)
 	return ecc.Word4{x, y, z, v}
 }
 
-func (m *Matrix) encodeSED(k int) {
-	r := m.rowIdx[k] & sedIdxMask
-	p := ecc.Parity64(math.Float64bits(m.vals[k]) ^ word1(r, m.colIdx[k]))
-	m.rowIdx[k] = r | uint32(p)<<31
+func (t *triplets) encodeSED(k int) {
+	r := t.rows[k] & sedIdxMask
+	p := ecc.Parity64(math.Float64bits(t.vals[k]) ^ word1(r, t.cols[k]))
+	t.rows[k] = r | uint32(p)<<31
 }
 
-func (m *Matrix) encode64(k int) {
-	m.rowIdx[k] &= eccIdxMask
-	m.colIdx[k] &= eccIdxMask
-	_, y := codecElem64.Encode128(m.elem(k))
-	m.rowIdx[k], m.colIdx[k] = uint32(y), uint32(y>>32)
+func (t *triplets) encode64(k int) {
+	t.rows[k] &= eccIdxMask
+	t.cols[k] &= eccIdxMask
+	_, y := codecElem64.Encode128(t.elem(k))
+	t.rows[k], t.cols[k] = uint32(y), uint32(y>>32)
 }
 
-func (m *Matrix) encodePair(t int) {
-	for k := 2 * t; k < 2*t+2; k++ {
-		m.rowIdx[k] &= eccIdxMask
-		m.colIdx[k] &= eccIdxMask
+func (t *triplets) encodePair(p int) {
+	for k := 2 * p; k < 2*p+2; k++ {
+		t.rows[k] &= eccIdxMask
+		t.cols[k] &= eccIdxMask
 	}
-	x, y := m.elem(2 * t)
-	z, v := m.elem(2*t + 1)
+	x, y := t.elem(2 * p)
+	z, v := t.elem(2*p + 1)
 	_, y, _, v = codecElem128.Encode256(x, y, z, v)
-	m.rowIdx[2*t], m.colIdx[2*t] = uint32(y), uint32(y>>32)
-	m.rowIdx[2*t+1], m.colIdx[2*t+1] = uint32(v), uint32(v>>32)
+	t.rows[2*p], t.cols[2*p] = uint32(y), uint32(y>>32)
+	t.rows[2*p+1], t.cols[2*p+1] = uint32(v), uint32(v>>32)
 }
 
-// storePair writes a SECDED128 codeword back over elements 2t and 2t+1.
-func (m *Matrix) storePair(t int, cw *ecc.Word4) {
+// storePair writes a SECDED128 codeword back over elements 2p and 2p+1.
+func (t *triplets) storePair(p int, cw *ecc.Word4) {
 	for j := 0; j < 2; j++ {
-		m.vals[2*t+j] = math.Float64frombits(cw[2*j])
-		m.rowIdx[2*t+j] = uint32(cw[2*j+1])
-		m.colIdx[2*t+j] = uint32(cw[2*j+1] >> 32)
+		t.vals[2*p+j] = math.Float64frombits(cw[2*j])
+		t.rows[2*p+j] = uint32(cw[2*j+1])
+		t.cols[2*p+j] = uint32(cw[2*j+1] >> 32)
 	}
 }
 
@@ -226,37 +249,37 @@ func (m *Matrix) storePair(t int, cw *ecc.Word4) {
 // stored nibble-wise in the row-index top nibbles. img is the caller's
 // scratch for the group image (it escapes into hash/crc32, so a per-call
 // local would cost one heap allocation per group).
-func (m *Matrix) encodeGroupCRC(g int, img *[16 * crcGroup]byte) {
+func (t *triplets) encodeGroupCRC(g int, img *[16 * crcGroup]byte) {
 	base := g * crcGroup
 	for i := 0; i < crcGroup; i++ {
 		k := base + i
-		m.rowIdx[k] &= eccIdxMask
-		binary.LittleEndian.PutUint64(img[16*i:], math.Float64bits(m.vals[k]))
-		binary.LittleEndian.PutUint32(img[16*i+8:], m.rowIdx[k])
-		binary.LittleEndian.PutUint32(img[16*i+12:], m.colIdx[k])
+		t.rows[k] &= eccIdxMask
+		binary.LittleEndian.PutUint64(img[16*i:], math.Float64bits(t.vals[k]))
+		binary.LittleEndian.PutUint32(img[16*i+8:], t.rows[k])
+		binary.LittleEndian.PutUint32(img[16*i+12:], t.cols[k])
 	}
-	crcbits := ecc.Checksum(img[:], m.backend)
+	crcbits := ecc.Checksum(img[:], t.backend)
 	for i := 0; i < crcGroup; i++ {
-		m.rowIdx[base+i] |= (crcbits >> (4 * uint(i)) & 0xF) << 28
+		t.rows[base+i] |= (crcbits >> (4 * uint(i)) & 0xF) << 28
 	}
 }
 
 // fault counts (into c, nil counts nothing) and builds the
 // uncorrectable-error value for codeword idx.
-func (m *Matrix) fault(c *core.Counters, idx int, detail string) error {
+func (t *triplets) fault(c *core.Counters, idx int, detail string) error {
 	c.AddDetected(1)
 	return &core.FaultError{
 		Structure: core.StructElements,
-		Scheme:    m.Scheme(),
+		Scheme:    t.scheme,
 		Index:     idx,
 		Detail:    detail,
 	}
 }
 
 // checkSED verifies element k (detection only).
-func (m *Matrix) checkSED(k int, c *core.Counters) error {
-	if ecc.Parity64(math.Float64bits(m.vals[k])^word1(m.rowIdx[k], m.colIdx[k])) != 0 {
-		return m.fault(c, k, "parity mismatch")
+func (t *triplets) checkSED(k int, c *core.Counters) error {
+	if ecc.Parity64(math.Float64bits(t.vals[k])^word1(t.rows[k], t.cols[k])) != 0 {
+		return t.fault(c, k, "parity mismatch")
 	}
 	return nil
 }
@@ -264,78 +287,76 @@ func (m *Matrix) checkSED(k int, c *core.Counters) error {
 // check64 verifies element k, repairing single flips when commit is true
 // and counting into c. The first return reports whether a correction was
 // found — storage is stale when it was and commit was false.
-func (m *Matrix) check64(k int, commit bool, c *core.Counters) (bool, error) {
+func (t *triplets) check64(k int, commit bool, c *core.Counters) (bool, error) {
 	// The codeword goes to the kernel by value; only a non-zero
 	// accumulator pays for the Word4 and the resolve.
-	if codecElem64.Acc128(m.elem(k)) == 0 {
+	if codecElem64.Acc128(t.elem(k)) == 0 {
 		return false, nil
 	}
-	cw := m.word64(k)
+	cw := t.word64(k)
 	switch res, _ := codecElem64.Check(&cw); res {
 	case ecc.Corrected:
 		if commit {
-			m.vals[k] = math.Float64frombits(cw[0])
-			m.rowIdx[k] = uint32(cw[1])
-			m.colIdx[k] = uint32(cw[1] >> 32)
+			t.vals[k] = math.Float64frombits(cw[0])
+			t.rows[k] = uint32(cw[1])
+			t.cols[k] = uint32(cw[1] >> 32)
 		}
 		c.AddCorrected(1)
 		return true, nil
 	case ecc.Detected:
-		return false, m.fault(c, k, "secded64 double-bit error")
+		return false, t.fault(c, k, "secded64 double-bit error")
 	}
 	return false, nil
 }
 
-// checkPair verifies element pair t with check64's contract.
-func (m *Matrix) checkPair(t int, commit bool, c *core.Counters) (bool, error) {
-	x, y := m.elem(2 * t)
-	z, v := m.elem(2*t + 1)
+// checkPair verifies element pair p with check64's contract.
+func (t *triplets) checkPair(p int, commit bool, c *core.Counters) (bool, error) {
+	x, y := t.elem(2 * p)
+	z, v := t.elem(2*p + 1)
 	if codecElem128.Acc256(x, y, z, v) == 0 {
 		return false, nil
 	}
-	cw := m.wordPair(t)
+	cw := t.wordPair(p)
 	switch res, _ := codecElem128.Check(&cw); res {
 	case ecc.Corrected:
 		if commit {
-			m.storePair(t, &cw)
+			t.storePair(p, &cw)
 		}
 		c.AddCorrected(1)
 		return true, nil
 	case ecc.Detected:
-		return false, m.fault(c, t, "secded128 double-bit error")
+		return false, t.fault(c, p, "secded128 double-bit error")
 	}
 	return false, nil
 }
 
-// checkGroupCRC verifies 8-element group g with check64's contract. img
-// receives the group's codeword image (16 bytes per element: value, row,
-// column; the rows' checksum nibbles cleared on a clean group, the
-// corrected checksum in them after a repair), so a caller that cannot
-// commit a correction to shared storage can still stream the repaired
-// group by masking the indices.
-func (m *Matrix) checkGroupCRC(g int, commit bool, c *core.Counters, img *[16 * crcGroup]byte) (bool, error) {
+// checkGroupCRC verifies 8-element group g with check64's contract,
+// building the group's codeword image (16 bytes per element: value, row,
+// column; the rows' checksum nibbles cleared) in img and repairing it
+// with ecc.RepairCodeword when the checksum disagrees.
+func (t *triplets) checkGroupCRC(g int, commit bool, c *core.Counters, img *[16 * crcGroup]byte) (bool, error) {
 	base := g * crcGroup
 	var stored uint32
 	for i := 0; i < crcGroup; i++ {
 		k := base + i
-		binary.LittleEndian.PutUint64(img[16*i:], math.Float64bits(m.vals[k]))
-		binary.LittleEndian.PutUint32(img[16*i+8:], m.rowIdx[k]&eccIdxMask)
-		binary.LittleEndian.PutUint32(img[16*i+12:], m.colIdx[k])
-		stored |= (m.rowIdx[k] >> 28) << (4 * uint(i))
+		binary.LittleEndian.PutUint64(img[16*i:], math.Float64bits(t.vals[k]))
+		binary.LittleEndian.PutUint32(img[16*i+8:], t.rows[k]&eccIdxMask)
+		binary.LittleEndian.PutUint32(img[16*i+12:], t.cols[k])
+		stored |= (t.rows[k] >> 28) << (4 * uint(i))
 	}
-	crc := ecc.Checksum(img[:], m.backend)
+	crc := ecc.Checksum(img[:], t.backend)
 	if crc == stored {
 		return false, nil
 	}
 	if !ecc.RepairCodeword(img[:], groupSlot, stored, crc) {
-		return false, m.fault(c, g, "crc32c mismatch beyond correction depth")
+		return false, t.fault(c, g, "crc32c mismatch beyond correction depth")
 	}
 	if commit {
 		for i := 0; i < crcGroup; i++ {
 			k := base + i
-			m.vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(img[16*i:]))
-			m.rowIdx[k] = binary.LittleEndian.Uint32(img[16*i+8:])
-			m.colIdx[k] = binary.LittleEndian.Uint32(img[16*i+12:])
+			t.vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(img[16*i:]))
+			t.rows[k] = binary.LittleEndian.Uint32(img[16*i+8:])
+			t.cols[k] = binary.LittleEndian.Uint32(img[16*i+12:])
 		}
 	}
 	c.AddCorrected(1)
@@ -347,17 +368,33 @@ func (m *Matrix) checkGroupCRC(g int, commit bool, c *core.Counters, img *[16 * 
 func groupSlot(k int) int { return 128*(k/4) + 92 + k%4 }
 
 // checkRange verifies every codeword covering entries [lo,hi) (a
-// codeword-aligned range) in one tight per-scheme pass, repairing
-// correctable errors when commit is true, counting corrections and
-// detections into c and continuing past uncorrectable errors so the full
-// damage is counted — the batch-verify half of the verify-then-stream
-// protocol and the body of CheckAll. It returns whether the range is
-// dirty (a correction was found but not committed, so storage still
-// holds a raw fault and must not be streamed), the number of codeword
-// checks performed, and the first error. img is the CRC32C group scratch
-// (unused by other schemes).
-func (m *Matrix) checkRange(lo, hi int, commit bool, c *core.Counters, img *[16 * crcGroup]byte) (dirty bool, checks uint64, err error) {
-	record := func(corrected bool, e error) {
+// codeword-aligned range), one codeword of groupSize entries at a time,
+// repairing correctable errors when commit is true, counting corrections
+// and detections into c and continuing past uncorrectable errors so the
+// full damage is counted — the batch-verify half of the verify-then-stream
+// protocol, the body of CheckAll and the repair of a dirty chunk's stage.
+// It returns whether the range is dirty (a correction was found but not
+// committed, so storage still holds a raw fault and must not be
+// streamed), the number of codeword checks performed, and the first
+// error. img is the CRC32C group scratch (unused by other schemes).
+func (t *triplets) checkRange(lo, hi int, commit bool, c *core.Counters, img *[16 * crcGroup]byte) (dirty bool, checks uint64, err error) {
+	if t.scheme == core.None {
+		return false, 0, nil
+	}
+	for k := lo; k < hi; k += groupSize(t.scheme) {
+		checks++
+		var corrected bool
+		var e error
+		switch t.scheme {
+		case core.SED:
+			e = t.checkSED(k, c)
+		case core.SECDED64:
+			corrected, e = t.check64(k, commit, c)
+		case core.SECDED128:
+			corrected, e = t.checkPair(k/2, commit, c)
+		case core.CRC32C:
+			corrected, e = t.checkGroupCRC(k/crcGroup, commit, c, img)
+		}
 		if e != nil && err == nil {
 			err = e
 		}
@@ -365,51 +402,47 @@ func (m *Matrix) checkRange(lo, hi int, commit bool, c *core.Counters, img *[16 
 			dirty = true
 		}
 	}
-	switch m.Scheme() {
-	case core.SED:
-		for k := lo; k < hi; k++ {
-			checks++
-			record(false, m.checkSED(k, c))
-		}
-	case core.SECDED64:
-		for k := lo; k < hi; k++ {
-			checks++
-			record(m.check64(k, commit, c))
-		}
-	case core.SECDED128:
-		for t := lo / 2; 2*t < hi; t++ {
-			checks++
-			record(m.checkPair(t, commit, c))
-		}
-	case core.CRC32C:
-		for g := lo / crcGroup; g*crcGroup < hi; g++ {
-			checks++
-			record(m.checkGroupCRC(g, commit, c, img))
-		}
-	}
 	return dirty, checks, err
+}
+
+// stage is the corrective fallback for a dirty chunk [lo,hi), one whose
+// correction could not be committed (a shared matrix hit a live fault):
+// a copy of the chunk's codewords repaired by checkRange's committing
+// check, so it holds what a committed repair would have left in storage.
+// Nothing is written to storage or counted — the verify that found the
+// chunk dirty already accounted its checks and corrections — and a fault
+// names its storage codeword.
+func (t *triplets) stage(lo, hi int, img *[16 * crcGroup]byte) (triplets, error) {
+	st := triplets{t.scheme, t.backend, append([]uint32(nil), t.rows[lo:hi]...),
+		append([]uint32(nil), t.cols[lo:hi]...), append([]float64(nil), t.vals[lo:hi]...)}
+	if _, _, err := st.checkRange(0, hi-lo, true, nil, img); err != nil {
+		err.(*core.FaultError).Index += lo / groupSize(t.scheme)
+		return st, err
+	}
+	return st, nil
+}
+
+// row returns element k's row index, masked, as the committing check of
+// its codeword would leave it, writing and counting nothing. An
+// uncorrectable codeword keeps its stored index; the verify reports it.
+// img is the CRC32C group scratch.
+func (t *triplets) row(k int, img *[16 * crcGroup]byte) uint32 {
+	g := groupSize(t.scheme)
+	lo := k / g * g
+	if dirty, _, err := t.checkRange(lo, lo+g, false, nil, img); dirty && err == nil {
+		st, _ := t.stage(lo, lo+g, img)
+		return st.rows[k-lo] & idxMask(t.scheme)
+	}
+	return t.rows[k] & idxMask(t.scheme)
 }
 
 // VerifyAll verifies and repairs every codeword, satisfying
 // core.Layout: the body of Shell.CheckAll.
 func (m *Matrix) VerifyAll(acc *core.Counters) (checks uint64, err error) {
 	var img [16 * crcGroup]byte
-	_, checks, err = m.checkRange(0, len(m.vals), true, acc, &img)
+	el := m.elems()
+	_, checks, err = el.checkRange(0, len(m.vals), true, acc, &img)
 	return checks, err
-}
-
-// groupSize returns the number of entries per element codeword, the
-// alignment parallel entry ranges must respect so no two workers ever
-// touch the same codeword.
-func (m *Matrix) groupSize() int {
-	switch m.Scheme() {
-	case core.SECDED128:
-		return 2
-	case core.CRC32C:
-		return crcGroup
-	default:
-		return 1
-	}
 }
 
 // Product computes dsts[j] = m xs[j] for every j in a single pass over
@@ -483,14 +516,21 @@ func newAccs(k, n int) [][]float64 {
 // ranges whose interior boundaries respect both codeword-group alignment
 // (no two workers share a codeword, so corrections can be committed) and
 // row boundaries (each row is summed by one worker, so parallel results
-// are bit-identical to serial).
+// are bit-identical to serial). The boundaries are placed before any
+// codeword is verified, so the row indices they compare are read as
+// their codewords' repair would leave them (triplets.row): a struck row
+// index must not move a boundary into a row.
 func (m *Matrix) entryRanges(workers int) [][2]int {
-	g := m.groupSize()
+	g := groupSize(m.Scheme())
 	raw := par.Ranges(len(m.vals), workers, g)
 	if len(raw) <= 1 {
 		return raw
 	}
-	mask := m.idxMask()
+	el := m.elems()
+	var img *[16 * crcGroup]byte
+	if m.Scheme() == core.CRC32C {
+		img = new([16 * crcGroup]byte)
+	}
 	var out [][2]int
 	lo := 0
 	for _, r := range raw[:len(raw)-1] {
@@ -498,7 +538,7 @@ func (m *Matrix) entryRanges(workers int) [][2]int {
 		// Advance the boundary in group steps until it also lands on a
 		// row change (group padding at the stream tail has row index 0,
 		// which differs from the last real rows, terminating the walk).
-		for hi < len(m.vals) && m.rowIdx[hi-1]&mask == m.rowIdx[hi]&mask {
+		for hi < len(m.vals) && el.row(hi-1, img) == el.row(hi, img) {
 			hi += g
 			if hi > len(m.vals) {
 				hi = len(m.vals)
@@ -522,17 +562,18 @@ const verifyChunk = 64
 
 // scatterK verifies and scatters entries [lo,hi) into the k accumulators
 // following the verify-then-stream protocol: each chunk's codewords are
-// batch-verified once in a tight per-scheme loop (checkRange), then the
-// chunk streams straight from storage into every column with only the
-// index mask and range checks applied — no decode interleaved with the
-// multiply. Only a chunk whose correction could not be committed — the
-// matrix is shared across Apply callers (ModeShared) and a live fault
-// was hit — is staged and streamed from the stage, so the slow path is
-// paid per faulty chunk, not per sweep. Ranges are codeword-aligned, so
-// workers never share a codeword. Unless sw is a full sweep no chunk is
-// verified or counted; every row and column index is range-checked under
-// every scheme, none included.
+// batch-verified once (checkRange), then the chunk streams straight from
+// storage into every column with only the index mask and range checks
+// applied — no decode interleaved with the multiply. Only a chunk whose
+// correction could not be committed — the matrix is shared across Apply
+// callers (ModeShared) and a live fault was hit — streams its repaired
+// copy (triplets.stage) instead, through the same scatter, so the slow
+// path is paid per faulty chunk, not per sweep. Ranges are
+// codeword-aligned, so workers never share a codeword. Unless sw is a
+// full sweep no chunk is verified or counted; every row and column index
+// is range-checked under every scheme, none included.
 func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, sw core.Sweep) error {
+	el := m.elems()
 	step := verifyChunk
 	var img *[16 * crcGroup]byte
 	if m.Scheme() == core.CRC32C && sw.Full {
@@ -543,108 +584,58 @@ func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, sw core.Sweep) er
 	var checks uint64
 	defer func() { m.Counters().AddChecks(checks) }()
 	for base := lo; base < hi; base += step {
-		end := base + step
-		if end > hi {
-			end = hi
-		}
+		end := min(base+step, hi)
 		if sw.Full {
-			dirty, n, err := m.checkRange(base, end, sw.Commit, m.Counters(), img)
+			dirty, n, err := el.checkRange(base, end, sw.Commit, m.Counters(), img)
 			checks += n
 			if err != nil {
 				return err
 			}
 			if dirty {
-				if err := m.scatterStaged(accs, xbufs, base, end, img); err != nil {
+				st, err := el.stage(base, end, img)
+				if err != nil {
+					return err
+				}
+				if err := m.scatter(accs, xbufs, &st, 0, end-base, base); err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		if err := m.scatterClean(accs, xbufs, base, end); err != nil {
+		if err := m.scatter(accs, xbufs, &el, base, end, 0); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scatterClean streams entries [lo,hi) straight from storage into every
-// column: the fast second half of verify-then-stream, applying only the
-// index mask and the range checks, once per entry whatever the width.
-func (m *Matrix) scatterClean(accs, xbufs [][]float64, lo, hi int) error {
-	mask, rows, cols := m.idxMask(), uint32(m.Rows()), uint32(m.Cols())
+// scatter streams entries [lo,hi) of el into every column — storage on
+// the fast second half of verify-then-stream, or a dirty chunk's stage —
+// applying only the index mask and the range checks, once per entry
+// whatever the width. off is the storage position of el's entry 0 (0 for
+// storage, the chunk's first entry for a stage), for the range error.
+func (m *Matrix) scatter(accs, xbufs [][]float64, el *triplets, lo, hi, off int) error {
+	mask, nrows, ncols := idxMask(el.scheme), uint32(m.Rows()), uint32(m.Cols())
+	rowIdx, colIdx, vals := el.rows, el.cols, el.vals
 	if len(accs) == 1 {
 		acc, xbuf := accs[0], xbufs[0]
 		for k := lo; k < hi; k++ {
-			row, col := m.rowIdx[k]&mask, m.colIdx[k]&mask
-			if row >= rows || col >= cols {
-				return m.boundsErr(k, row, col)
+			row, col := rowIdx[k]&mask, colIdx[k]&mask
+			if row >= nrows || col >= ncols {
+				return m.boundsErr(off+k, row, col)
 			}
-			acc[row] += m.vals[k] * xbuf[col]
+			acc[row] += vals[k] * xbuf[col]
 		}
 		return nil
 	}
 	for k := lo; k < hi; k++ {
-		row, col := m.rowIdx[k]&mask, m.colIdx[k]&mask
-		if row >= rows || col >= cols {
-			return m.boundsErr(k, row, col)
+		row, col := rowIdx[k]&mask, colIdx[k]&mask
+		if row >= nrows || col >= ncols {
+			return m.boundsErr(off+k, row, col)
 		}
-		v := m.vals[k]
+		v := vals[k]
 		for j := range accs {
 			accs[j][row] += v * xbufs[j][col]
-		}
-	}
-	return nil
-}
-
-// scatterStaged is the corrective fallback for a dirty chunk [lo,hi):
-// every codeword of the chunk is decoded into a local stage with its
-// correction applied there — nothing written to shared storage, nothing
-// counted, since the verify pass that flagged the chunk already
-// accounted the checks and the correction — and the stage streams into
-// every column. img is the CRC32C group scratch.
-func (m *Matrix) scatterStaged(accs, xbufs [][]float64, lo, hi int, img *[16 * crcGroup]byte) error {
-	var rows, cols [verifyChunk]uint32
-	var vals [verifyChunk]float64
-	switch m.Scheme() {
-	case core.SECDED64:
-		for k := lo; k < hi; k++ {
-			cw := m.word64(k)
-			if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
-				return m.fault(nil, k, "secded64 double-bit error")
-			}
-			rows[k-lo], cols[k-lo], vals[k-lo] = uint32(cw[1]), uint32(cw[1]>>32), math.Float64frombits(cw[0])
-		}
-	case core.SECDED128:
-		for t := lo / 2; 2*t < hi; t++ {
-			cw := m.wordPair(t)
-			if res, _ := codecElem128.Check(&cw); res == ecc.Detected {
-				return m.fault(nil, t, "secded128 double-bit error")
-			}
-			for j := 0; j < 2; j++ {
-				i := 2*t + j - lo
-				rows[i], cols[i], vals[i] = uint32(cw[2*j+1]), uint32(cw[2*j+1]>>32), math.Float64frombits(cw[2*j])
-			}
-		}
-	case core.CRC32C:
-		for g := lo / crcGroup; g*crcGroup < hi; g++ {
-			if _, err := m.checkGroupCRC(g, false, nil, img); err != nil {
-				return err
-			}
-			for j := 0; j < crcGroup; j++ {
-				i := g*crcGroup + j - lo
-				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(img[16*j:]))
-				rows[i] = binary.LittleEndian.Uint32(img[16*j+8:])
-				cols[i] = binary.LittleEndian.Uint32(img[16*j+12:])
-			}
-		}
-	}
-	for i := 0; i < hi-lo; i++ {
-		row, col := rows[i]&eccIdxMask, cols[i]&eccIdxMask
-		if row >= uint32(m.Rows()) || col >= uint32(m.Cols()) {
-			return m.boundsErr(lo+i, row, col)
-		}
-		for j, acc := range accs {
-			acc[row] += vals[i] * xbufs[j][col]
 		}
 	}
 	return nil
@@ -665,13 +656,8 @@ func (m *Matrix) boundsErr(k int, row, col uint32) error {
 // SED/SECDED64, consecutive pairs under SECDED128, 8-entry groups under
 // CRC32C.
 func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
-	switch m.Scheme() {
-	case core.SECDED128:
-		return pick(len(m.vals)/2) * 2, 2
-	case core.CRC32C:
-		return pick(len(m.vals)/crcGroup) * crcGroup, crcGroup
-	}
-	return pick(len(m.vals)), 1
+	g := groupSize(m.Scheme())
+	return pick(len(m.vals)/g) * g, g
 }
 
 // ToCSR decodes and verifies the matrix back into CSR form, satisfying
@@ -680,7 +666,7 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 	if _, err := m.CheckAll(); err != nil {
 		return nil, err
 	}
-	mask := m.idxMask()
+	mask := idxMask(m.Scheme())
 	entries := make([]csr.Entry, 0, m.NNZ())
 	for k := 0; k < len(m.vals); k++ {
 		if k >= m.NNZ() && m.vals[k] == 0 {

@@ -312,54 +312,32 @@ func splitRun(img []byte, vals []float64, cols []uint32) {
 // in fresh slices, writing nothing to storage and counting nothing. A
 // kernel whose verify pass reported a block dirty (a correction it could
 // not commit) streams this stage instead of storage; the verify pass
-// already accounted the checks and the correction. SECDED words decode
-// into locals; under CRC32C the entries are exactly one run (named id,
-// as in CheckRun), whose repair re-runs without commit.
+// already accounted the checks and the correction. The stage is a copy
+// of the codewords covering the entries, repaired by the codec's own
+// committing check — Check, or CheckRun under CRC32C, where the entries
+// are exactly one run named id — so it holds what a committed repair
+// would have left in storage, and a fault names its storage codeword.
 func (e *ColElems) DecodeLocal(id, base, n int) (cols []uint32, vals []float64, err error) {
-	if e.Scheme == CRC32C {
-		return e.decodeRun(id, base, n)
-	}
-	cols, vals = make([]uint32, n), make([]float64, n)
-	for j := range cols {
-		k := base + j
-		vals[j], cols[j] = e.Vals[k], e.Cols[k]
-		switch e.Scheme {
-		case SECDED64:
-			cw := e.word64(k)
-			if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
-				return nil, nil, e.fault(nil, k, "secded64 double-bit error")
-			}
-			vals[j], cols[j] = math.Float64frombits(cw[0]), uint32(cw[1])
-		case SECDED128:
-			cw := e.wordPair(k / 2)
-			if res, _ := codecElem128.Check(&cw); res == ecc.Detected {
-				return nil, nil, e.fault(nil, k/2, "secded128 double-bit error")
-			}
-			if k%2 == 0 {
-				vals[j], cols[j], _, _ = splitPair(&cw)
-			} else {
-				_, _, vals[j], cols[j] = splitPair(&cw)
-			}
+	lo, hi := base, base+n
+	switch e.Scheme {
+	case CRC32C:
+		if err := e.runBounds(id, base, n, nil); err != nil {
+			return nil, nil, err
 		}
-		cols[j] &= e.Mask()
+	case SECDED128:
+		lo, hi = lo&^1, (hi+1)&^1
 	}
-	return cols, vals, nil
-}
-
-// decodeRun is DecodeLocal for one CRC32C run: its codeword image,
-// repaired when the checksum disagrees, split into masked columns and
-// values.
-func (e *ColElems) decodeRun(id, base, n int) (cols []uint32, vals []float64, err error) {
-	if err := e.runBounds(id, base, n, nil); err != nil {
+	stage := ColElems{Scheme: e.Scheme, Backend: e.Backend,
+		Vals: append([]float64(nil), e.Vals[lo:hi]...), Cols: append([]uint32(nil), e.Cols[lo:hi]...)}
+	if e.Scheme == CRC32C {
+		_, err = stage.CheckRun(id, 0, n, true, nil)
+	} else if _, _, err = stage.Check(0, hi-lo, true, nil); err != nil {
+		err.(*FaultError).Index += lo / e.Scheme.ElemGroup()
+	}
+	if err != nil {
 		return nil, nil, err
 	}
-	img := e.runImage(base, n)
-	crc, stored := ecc.RunChecksum(e.Vals[base:base+n], e.Cols[base:base+n], e.Backend)
-	if crc != stored && !ecc.RepairCodeword(img, runSlot(n), stored, crc) {
-		return nil, nil, e.fault(nil, id, "crc32c mismatch beyond correction depth")
-	}
-	cols, vals = make([]uint32, n), make([]float64, n)
-	splitRun(img, vals, cols)
+	cols, vals = stage.Cols[base-lo:base-lo+n], stage.Vals[base-lo:base-lo+n]
 	for j := range cols {
 		cols[j] &= e.Mask()
 	}

@@ -361,6 +361,38 @@ func TestColElemsCheckRunBoundsGuard(t *testing.T) {
 	}
 }
 
+// TestDecodeLocalNamesStorageCodeword: the stage is repaired on a copy,
+// so an uncorrectable codeword in it must be reported by its storage
+// position, as Check reports it, not by its position in the copy — also
+// when the staged entries start inside a SECDED128 pair.
+func TestDecodeLocalNamesStorageCodeword(t *testing.T) {
+	sh := ceShapes[1]
+	n := sh.entries()
+	for _, s := range []Scheme{SED, SECDED64, SECDED128} {
+		for j := 0; j < n; j++ {
+			l := newCELayout(s, 11, sh)
+			flips := []ceFlip{{j, 3}}
+			if s != SED {
+				flips = append(flips, ceFlip{j, 70})
+			}
+			l.strike(flips)
+			var want *FaultError
+			if _, _, err := l.el.Check(0, len(l.el.Cols), false, nil); !errors.As(err, &want) {
+				t.Fatalf("%v entry %d: Check err %v", s, j, err)
+			}
+			for _, base := range []int{ceBase, ceBase + 1} {
+				if g := s.ElemGroup(); (ceBase+j)/g < base/g {
+					continue // the struck codeword is outside this stage
+				}
+				var fe *FaultError
+				if _, _, err := l.el.DecodeLocal(ceID0, base, ceBase+n-base); !errors.As(err, &fe) || fe.Index != want.Index {
+					t.Fatalf("%v entry %d, stage at %d: err %v, want the FaultError of codeword %d", s, j, base, err, want.Index)
+				}
+			}
+		}
+	}
+}
+
 // FuzzColElems drives the same invariants from arbitrary payloads, flip
 // positions and layouts.
 func FuzzColElems(f *testing.F) {

@@ -191,14 +191,3 @@ func (s Scheme) MinRowEntries() int {
 	}
 	return 0
 }
-
-// CanCorrect reports whether the scheme can repair at least single-bit
-// errors (SED is detect-only; None does neither).
-func (s Scheme) CanCorrect() bool {
-	switch s {
-	case SECDED64, SECDED128, CRC32C:
-		return true
-	default:
-		return false
-	}
-}

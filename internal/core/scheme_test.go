@@ -101,14 +101,6 @@ func popcount64(x uint64) int {
 }
 
 func TestSchemeCapabilities(t *testing.T) {
-	if None.CanCorrect() || SED.CanCorrect() {
-		t.Fatal("none/sed cannot correct")
-	}
-	for _, s := range []Scheme{SECDED64, SECDED128, CRC32C} {
-		if !s.CanCorrect() {
-			t.Fatalf("%v should correct", s)
-		}
-	}
 	if CRC32C.MinRowEntries() != 4 || SED.MinRowEntries() != 0 {
 		t.Fatal("min row entries wrong")
 	}

@@ -7,15 +7,6 @@ func Parity64(x uint64) uint64 {
 	return uint64(bits.OnesCount64(x) & 1)
 }
 
-// ParityWords returns the combined parity of the given words.
-func ParityWords(ws ...uint64) uint64 {
-	var acc uint64
-	for _, w := range ws {
-		acc ^= w
-	}
-	return Parity64(acc)
-}
-
 // Word4 is the backing store for codewords of up to 256 bits. Bit i of the
 // codeword is bit (i%64) of word i/64.
 type Word4 [4]uint64

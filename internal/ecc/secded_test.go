@@ -204,9 +204,6 @@ func TestParityHelpers(t *testing.T) {
 	if Parity64(0) != 0 || Parity64(1) != 1 || Parity64(3) != 0 {
 		t.Fatal("Parity64 wrong on small values")
 	}
-	if ParityWords(1, 2) != 0 || ParityWords(1, 2, 4) != 1 {
-		t.Fatal("ParityWords wrong")
-	}
 	f := func(x uint64) bool {
 		want := uint64(0)
 		for i := 0; i < 64; i++ {

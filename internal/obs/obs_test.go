@@ -54,9 +54,6 @@ func TestTraceSpansAndSummary(t *testing.T) {
 	if snap.JobID != "j42" || len(snap.Spans) != 4 {
 		t.Fatalf("snapshot %+v", snap)
 	}
-	if got := snap.Stages(); len(got) != 3 || got[0] != "queue_wait" || got[1] != "recovery" || got[2] != "solve" {
-		t.Fatalf("stages %v", got)
-	}
 	if snap.Counters["rollbacks"] != 2 || len(snap.Residuals) != 2 {
 		t.Fatalf("counters/residuals %+v", snap)
 	}

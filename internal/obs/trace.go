@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -145,18 +144,4 @@ func (t *Trace) Summary() TraceSummary {
 		s.StageSeconds[sp.Stage] += sp.Seconds
 	}
 	return s
-}
-
-// Stages returns the distinct stage names of the trace's spans, sorted.
-func (s TraceSnapshot) Stages() []string {
-	seen := make(map[string]bool, 8)
-	for _, sp := range s.Spans {
-		seen[sp.Stage] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

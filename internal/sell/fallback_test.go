@@ -15,8 +15,8 @@ import (
 // protocol through its corrective branch from inside the package: a
 // value-bit flip in shared mode makes checkSlice report the slice dirty
 // (it may not commit the repair), so applyWindow must stage the slice
-// through core.ColElems.DecodeLocal — which, for CRC32C, re-runs each
-// chunk's repair without commit — while the product stays bit-exact
+// through core.ColElems.DecodeLocal — a copy of each chunk repaired by
+// the codec's committing check — while the product stays bit-exact
 // against the unprotected reference and the stored fault survives for
 // the owner's scrub.
 func TestSharedFallbackStreamsCorrectedValues(t *testing.T) {

@@ -23,6 +23,11 @@
 //	           largest inside CRC32C's HD-6 range), byte-wise in the top
 //	           bytes of each chunk's last four entries; cols <= 2^24-1
 //
+// A slice streams through one loop, streamSlice: from storage once its
+// codewords verified clean or were repaired in place, or, when a shared
+// matrix could not commit a repair, from a copy of the slice repaired by
+// the codec's own committing check (core.ColElems.DecodeLocal).
+//
 // The structural metadata — slice offsets, the row permutation and the
 // per-row lengths — is unprotected, and a flip in it corrupts a product
 // silently: a reproduced flip in the permutation or the slice offsets
@@ -383,13 +388,15 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 				return err
 			}
 		}
-		var err error
+		cols, vals, off := m.colIdx, m.vals, int(m.slicePtr[sl])
 		if dirty {
-			err = m.stageSlice(&el, accs, xbufs, sl, base)
-		} else {
-			err = m.streamSlice(accs, xbufs, sums, sl, base, mask)
+			var err error
+			if cols, vals, err = m.decodeSlice(&el, sl); err != nil {
+				return err
+			}
+			off = 0
 		}
-		if err != nil {
+		if err := m.streamSlice(accs, xbufs, sums, sl, base, mask, cols, vals, off); err != nil {
 			return err
 		}
 	}
@@ -405,13 +412,15 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 	return nil
 }
 
-// streamSlice accumulates slice sl's lanes straight from storage into
-// every accumulator — the fast second half of verify-then-stream, with
-// only the column mask and range check applied, once per entry whatever
-// the width, under every scheme, none included. base is the window's
-// first row, mask the codec's column mask.
-func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base int, mask uint32) error {
-	width, cols := m.sliceWidth(sl), uint32(m.Cols())
+// streamSlice accumulates slice sl's lanes into every accumulator from
+// cols and vals, entry j of lane l at off+j·C+l: storage at the slice's
+// offset — the fast second half of verify-then-stream — or, with off 0,
+// the stage decodeSlice built for a dirty slice (a shared matrix hit a
+// live fault). Only the column mask and range check are applied, once
+// per entry whatever the width, under every scheme, none included. base
+// is the window's first row, mask the codec's column mask.
+func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base int, mask uint32, cols []uint32, vals []float64, off int) error {
+	width, ncols := m.sliceWidth(sl), uint32(m.Cols())
 	if len(accs) == 1 {
 		acc, xbuf := accs[0], xbufs[0]
 		for l := 0; l < C; l++ {
@@ -421,12 +430,12 @@ func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base i
 			}
 			var sum float64
 			for j := 0; j < width; j++ {
-				k := m.entryIndex(sl, l, j)
-				col := m.colIdx[k] & mask
-				if col >= cols {
-					return m.boundsErr(k, col)
+				k := off + j*C + l
+				col := cols[k] & mask
+				if col >= ncols {
+					return m.boundsErr(int(m.slicePtr[sl])+k-off, col)
 				}
-				sum += m.vals[k] * xbuf[col]
+				sum += vals[k] * xbuf[col]
 			}
 			acc[int(r)-base] = sum
 		}
@@ -441,12 +450,12 @@ func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base i
 			sums[c] = 0
 		}
 		for j := 0; j < width; j++ {
-			k := m.entryIndex(sl, l, j)
-			col := m.colIdx[k] & mask
-			if col >= cols {
-				return m.boundsErr(k, col)
+			k := off + j*C + l
+			col := cols[k] & mask
+			if col >= ncols {
+				return m.boundsErr(int(m.slicePtr[sl])+k-off, col)
 			}
-			v := m.vals[k]
+			v := vals[k]
 			for c := range sums {
 				sums[c] += v * xbufs[c][col]
 			}
@@ -458,39 +467,12 @@ func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base i
 	return nil
 }
 
-// stageSlice is the corrective fallback for a slice whose verify found a
-// correction it could not commit (a shared matrix hit a live fault):
-// storage still holds the raw fault, so the slice is staged through
-// DecodeLocal — uncounted, nothing written — and the stage streams into
-// every accumulator in each lane's entry order.
-func (m *Matrix) stageSlice(el *core.ColElems, accs, xbufs [][]float64, sl, base int) error {
-	cols, vals, err := m.decodeSlice(el, sl)
-	if err != nil {
-		return err
-	}
-	lo, _ := m.SliceRange(sl)
-	width, ncols := m.sliceWidth(sl), uint32(m.Cols())
-	for l := 0; l < C; l++ {
-		r := m.perm[sl*C+l]
-		if r == padRow {
-			continue
-		}
-		for j := 0; j < width; j++ {
-			k := j*C + l
-			if cols[k] >= ncols {
-				return m.boundsErr(lo+k, cols[k])
-			}
-			for c, acc := range accs {
-				acc[int(r)-base] += vals[k] * xbufs[c][cols[k]]
-			}
-		}
-	}
-	return nil
-}
-
-// decodeSlice stages slice sl in storage order: chunk by chunk under
-// CRC32C, one DecodeLocal over the slice's range under every other
-// scheme.
+// decodeSlice stages slice sl in storage order through the codec's
+// DecodeLocal — a copy of its codewords repaired by the committing check
+// — chunk by chunk under CRC32C, over the slice's range under every
+// other scheme. Nothing is written to storage or counted: the verify
+// that found the slice dirty already accounted its checks and
+// corrections.
 func (m *Matrix) decodeSlice(el *core.ColElems, sl int) (cols []uint32, vals []float64, err error) {
 	lo, hi := m.SliceRange(sl)
 	if m.Scheme() != core.CRC32C {

@@ -171,19 +171,21 @@ func TestResidentJacobiMatchesLibrary(t *testing.T) {
 // state census (the solvers and precond half is
 // solvers.TestInnerSolverAndPreconditionersHoldNoPlainState): no field
 // reachable from a cache entry through its own package's structs is a
-// plain []float64. Everything an entry keeps for its whole life is
-// codeword-protected; a plain copy there is corruption no scrub, check
-// or counter sees.
+// plain float64, uint32 or int slice or array. Everything an entry keeps
+// for its whole life is codeword-protected; a plain copy there is
+// corruption no scrub, check or counter sees.
 func TestCacheEntryHoldsNoPlainState(t *testing.T) {
 	if got := plainFields(reflect.TypeOf(cacheEntry{})); len(got) > 0 {
-		t.Fatalf("plain float64 state on a resident entry: %v", got)
+		t.Fatalf("plain numeric state on a resident entry: %v", got)
 	}
 }
 
-// plainFields lists, as "Type.field", the []float64 fields reachable
-// from struct type t through fields, pointers, slices and arrays of its
-// own package's structs. Other packages' types — core.Vector's
-// protected words among them — are not entered.
+// plainFields lists, as "Type.field", the fields that are slices or
+// arrays of float64, uint32 or int elements (under any arrays, so
+// [][2]int counts) reachable from struct type t through fields,
+// pointers, slices and arrays of its own package's structs. Other
+// packages' types — core.Vector's protected words among them — are not
+// entered.
 func plainFields(t reflect.Type) []string {
 	var out []string
 	seen := map[reflect.Type]bool{}
@@ -197,7 +199,7 @@ func plainFields(t reflect.Type) []string {
 			f := st.Field(i)
 			ft := f.Type
 			for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice || ft.Kind() == reflect.Array {
-				if ft.Kind() == reflect.Slice && ft.Elem().Kind() == reflect.Float64 {
+				if ft.Kind() != reflect.Pointer && plainNumber(ft.Elem()) {
 					out = append(out, st.Name()+"."+f.Name)
 					break
 				}
@@ -210,6 +212,15 @@ func plainFields(t reflect.Type) []string {
 	}
 	walk(t)
 	return out
+}
+
+// plainNumber reports whether t, under any arrays, is float64, uint32 or
+// int: the element types of a format's or a solver's numeric state.
+func plainNumber(t reflect.Type) bool {
+	for t.Kind() == reflect.Array {
+		t = t.Elem()
+	}
+	return t.Kind() == reflect.Float64 || t.Kind() == reflect.Uint32 || t.Kind() == reflect.Int
 }
 
 // TestZeroDiagonalFailsOnlyItsJacobi: a source with a zero on its
