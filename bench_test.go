@@ -418,7 +418,7 @@ func BenchmarkSpMM(b *testing.B) {
 	plain := csr.Laplacian2D(128, 128)
 	rng := rand.New(rand.NewSource(3))
 	for _, f := range op.Formats {
-		for _, k := range []int{1, 4, 16} {
+		for _, k := range []int{1, 4, 8, 16} {
 			b.Run(fmt.Sprintf("%v/k-%d", f, k), func(b *testing.B) {
 				m, err := op.New(f, plain, op.Config{Scheme: core.SECDED64})
 				if err != nil {

@@ -581,6 +581,7 @@ func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, sw core.Sweep) er
 		// allocated once per range.
 		step, img = crcGroup, new([16 * crcGroup]byte)
 	}
+	c := chunkStream{mask: idxMask(m.Scheme()), nrows: m.Rows(), ncols: m.Cols()}
 	var checks uint64
 	defer func() { m.Counters().AddChecks(checks) }()
 	for base := lo; base < hi; base += step {
@@ -596,13 +597,13 @@ func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, sw core.Sweep) er
 				if err != nil {
 					return err
 				}
-				if err := m.scatter(accs, xbufs, &st, 0, end-base, base); err != nil {
+				if err := m.scatter(&c, accs, xbufs, &st, 0, end-base, base); err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		if err := m.scatter(accs, xbufs, &el, base, end, 0); err != nil {
+		if err := m.scatter(&c, accs, xbufs, &el, base, end, 0); err != nil {
 			return err
 		}
 	}
@@ -611,34 +612,80 @@ func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, sw core.Sweep) er
 
 // scatter streams entries [lo,hi) of el into every column — storage on
 // the fast second half of verify-then-stream, or a dirty chunk's stage —
-// applying only the index mask and the range checks, once per entry
-// whatever the width. off is the storage position of el's entry 0 (0 for
-// storage, the chunk's first entry for a stage), for the range error.
-func (m *Matrix) scatter(accs, xbufs [][]float64, el *triplets, lo, hi, off int) error {
-	mask, nrows, ncols := idxMask(el.scheme), uint32(m.Rows()), uint32(m.Cols())
-	rowIdx, colIdx, vals := el.rows, el.cols, el.vals
-	if len(accs) == 1 {
-		acc, xbuf := accs[0], xbufs[0]
-		for k := lo; k < hi; k++ {
-			row, col := rowIdx[k]&mask, colIdx[k]&mask
-			if row >= nrows || col >= ncols {
-				return m.boundsErr(off+k, row, col)
-			}
-			acc[row] += vals[k] * xbuf[col]
-		}
-		return nil
+// applying only the index mask and the range checks. off is the storage
+// position of el's entry 0 (0 for storage, the chunk's first entry for a
+// stage), for the range error. c carries the range's part of the
+// stream; scatter points it at the chunk.
+//
+// It is one loop for every width, CSR's (DESIGN.md section 40): the
+// columns go four at a time (chunkStream.pass4), then the remaining zero
+// to three one at a time (pass1). Entries scatter in storage order into
+// each column's own accumulator, and the first pass meets every entry,
+// so a wild index is reported at the entry a width-1 product reports,
+// before it is used.
+func (m *Matrix) scatter(c *chunkStream, accs, xbufs [][]float64, el *triplets, lo, hi, off int) error {
+	c.rows, c.cols, c.vals = el.rows[lo:hi], el.cols[lo:hi], el.vals[lo:hi]
+	wild := -1
+	j := 0
+	for ; j+4 <= len(accs) && wild < 0; j += 4 {
+		wild = c.pass4((*[4][]float64)(accs[j:j+4]), (*[4][]float64)(xbufs[j:j+4]))
 	}
-	for k := lo; k < hi; k++ {
-		row, col := rowIdx[k]&mask, colIdx[k]&mask
-		if row >= nrows || col >= ncols {
-			return m.boundsErr(off+k, row, col)
-		}
-		v := vals[k]
-		for j := range accs {
-			accs[j][row] += v * xbufs[j][col]
-		}
+	for ; j < len(accs) && wild < 0; j++ {
+		wild = c.pass1(accs[j], xbufs[j])
+	}
+	if wild >= 0 {
+		return m.boundsErr(off+lo+wild, c.rows[wild]&c.mask, c.cols[wild]&c.mask)
 	}
 	return nil
+}
+
+// chunkStream is one chunk's entries as scatter's passes read them:
+// mask is the index mask, nrows and ncols the ranges of a row and a
+// column index.
+type chunkStream struct {
+	rows, cols   []uint32
+	vals         []float64
+	mask         uint32
+	nrows, ncols int
+}
+
+// pass4 is one pass over the chunk for four columns, scattering into
+// their four accumulators. It returns the position of the first wild
+// index in the chunk, or -1.
+func (c *chunkStream) pass4(a, x *[4][]float64) int {
+	a0 := a[0][:c.nrows]
+	a1, a2, a3 := a[1][:len(a0)], a[2][:len(a0)], a[3][:len(a0)]
+	x0 := x[0][:c.ncols]
+	x1, x2, x3 := x[1][:len(x0)], x[2][:len(x0)], x[3][:len(x0)]
+	rows, mask := c.rows, c.mask
+	cols, vals := c.cols[:len(rows)], c.vals[:len(rows)]
+	for k, r := range rows {
+		row, col := r&mask, cols[k]&mask
+		if uint(row) >= uint(len(a0)) || uint(col) >= uint(len(x0)) {
+			return k
+		}
+		v := vals[k]
+		a0[row] += v * x0[col]
+		a1[row] += v * x1[col]
+		a2[row] += v * x2[col]
+		a3[row] += v * x3[col]
+	}
+	return -1
+}
+
+// pass1 is pass4 for the one column x, scattered into acc.
+func (c *chunkStream) pass1(acc, x []float64) int {
+	acc, x = acc[:c.nrows], x[:c.ncols]
+	rows, mask := c.rows, c.mask
+	cols, vals := c.cols[:len(rows)], c.vals[:len(rows)]
+	for k, r := range rows {
+		row, col := r&mask, cols[k]&mask
+		if uint(row) >= uint(len(acc)) || uint(col) >= uint(len(x)) {
+			return k
+		}
+		acc[row] += vals[k] * x[col]
+	}
+	return -1
 }
 
 // boundsErr counts and builds the range-check error for element k, whose

@@ -169,12 +169,11 @@ func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCh
 // csrSweep is one goroutine's state over its rows of a CSR product: the
 // row reader — whose cursor's current group carries from one block to
 // the next with its decoded values, whose element verifier keeps its
-// SECDED128 pair memo, and which counts the checks — and the k running
-// sums and output blocks.
+// SECDED128 pair memo, and which counts the checks — and the k output
+// blocks.
 type csrSweep struct {
 	rowReader
 	xbufs [][]float64
-	sums  []float64
 	outs  [][BlockLen]float64
 }
 
@@ -185,7 +184,6 @@ func (m *Matrix) newSweep(xbufs [][]float64, fullCheck, commit bool) csrSweep {
 	return csrSweep{
 		rowReader: m.newRowReader(fullCheck, commit),
 		xbufs:     xbufs,
-		sums:      make([]float64, len(xbufs)),
 		outs:      make([][BlockLen]float64, len(xbufs)),
 	}
 }
@@ -249,44 +247,76 @@ func (s *csrSweep) block(r0, n int) bool {
 // storage into the output blocks, applying the column mask and the
 // range check against the logical length of x, whatever the element
 // scheme: the per-row stream of csrSweep.rows over a whole block. It
-// reports false at a wild column, which the per-row code reports.
+// reports false at a wild column, which the per-row code reports; the
+// first pass over the block meets every column before any load, so a
+// wild one is found before it is used.
+//
+// It is one loop for every width (DESIGN.md section 40): the columns go
+// four at a time (stream4), then the remaining zero to three one at a
+// time (stream1). Column j accumulates in entry order from zero under
+// every width, so its bits are a width-1 product's.
 func (s *csrSweep) stream(p *[2 * BlockLen]uint32, n int) bool {
-	m := s.m
-	mask, vals, cols, width := s.ver.el.Mask(), m.vals, m.colIdx, m.cols
-	if len(s.xbufs) == 1 {
-		xbuf, out := s.xbufs[0][:width], &s.outs[0]
-		for i := 0; i < n; i++ {
-			cs := cols[p[i]:p[i+1]]
-			vs := vals[p[i]:p[i+1]]
-			vs = vs[:len(cs)]
-			var sum float64
-			for k, c := range cs {
-				col := c & mask
-				if uint(col) >= uint(len(xbuf)) {
-					return false
-				}
-				sum += vs[k] * xbuf[col]
-			}
-			out[i] = sum
+	j := 0
+	for ; j+4 <= len(s.xbufs); j += 4 {
+		if !s.stream4(p, n, j) {
+			return false
 		}
-		return true
 	}
-	sums := s.sums
+	for ; j < len(s.xbufs); j++ {
+		if !s.stream1(p, n, j) {
+			return false
+		}
+	}
+	return true
+}
+
+// stream4 is one pass over the block for columns j..j+3, each row's four
+// sums in registers. The row slices are taken from the matrix per row,
+// not hoisted: held across the entry loop they push its index out of a
+// register.
+func (s *csrSweep) stream4(p *[2 * BlockLen]uint32, n, j int) bool {
+	m, mask := s.m, s.ver.el.Mask()
+	x0 := s.xbufs[j][:m.cols]
+	x1, x2, x3 := s.xbufs[j+1][:len(x0)], s.xbufs[j+2][:len(x0)], s.xbufs[j+3][:len(x0)]
+	o := (*[4][BlockLen]float64)(s.outs[j : j+4])
 	for i := 0; i < n; i++ {
-		clear(sums)
-		for k := p[i]; k < p[i+1]; k++ {
-			col := cols[k] & mask
-			if int(col) >= width {
+		cs := m.colIdx[p[i]:p[i+1]]
+		vs := m.vals[p[i]:p[i+1]]
+		vs = vs[:len(cs)]
+		var s0, s1, s2, s3 float64
+		for k, c := range cs {
+			col := c & mask
+			if uint(col) >= uint(len(x0)) {
 				return false
 			}
-			v := vals[k]
-			for j, xbuf := range s.xbufs {
-				sums[j] += v * xbuf[col]
+			v := vs[k]
+			s0 += v * x0[col]
+			s1 += v * x1[col]
+			s2 += v * x2[col]
+			s3 += v * x3[col]
+		}
+		o[0][i], o[1][i], o[2][i], o[3][i] = s0, s1, s2, s3
+	}
+	return true
+}
+
+// stream1 is stream4 for the one column j.
+func (s *csrSweep) stream1(p *[2 * BlockLen]uint32, n, j int) bool {
+	m, mask := s.m, s.ver.el.Mask()
+	x, out := s.xbufs[j][:m.cols], &s.outs[j]
+	for i := 0; i < n; i++ {
+		cs := m.colIdx[p[i]:p[i+1]]
+		vs := m.vals[p[i]:p[i+1]]
+		vs = vs[:len(cs)]
+		var sum float64
+		for k, c := range cs {
+			col := c & mask
+			if uint(col) >= uint(len(x)) {
+				return false
 			}
+			sum += vs[k] * x[col]
 		}
-		for j, sum := range sums {
-			s.outs[j][i] = sum
-		}
+		out[i] = sum
 	}
 	return true
 }
@@ -295,10 +325,10 @@ func (s *csrSweep) stream(p *[2 * BlockLen]uint32, n int) bool {
 // protocol over the n rows at r0, from the state the clean path left.
 // Each row comes from the row reader — verified, then storage itself or,
 // when a correction could not be committed, a stage (rowReader.row) —
-// and streams into every sum in entry order behind the column mask and
-// the range check. Which fault is reported, the checks counted up to
-// it, corrections, commits and bounds errors are therefore a per-row
-// pass's, and RowScanner's.
+// and streams into every output block in entry order behind the column
+// mask and the range check. Which fault is reported, the checks counted
+// up to it, corrections, commits and bounds errors are therefore a
+// per-row pass's, and RowScanner's.
 func (s *csrSweep) rows(r0, n int) error {
 	m, mask := s.m, s.ver.el.Mask()
 	for r := r0; r < r0+n; r++ {
@@ -306,18 +336,18 @@ func (s *csrSweep) rows(r0, n int) error {
 		if err != nil {
 			return err
 		}
-		clear(s.sums)
-		for i, c := range cols {
+		i := r - r0
+		for j := range s.outs {
+			s.outs[j][i] = 0
+		}
+		for e, c := range cols {
 			col := c & mask
 			if col >= uint32(m.cols) {
-				return m.boundsErr(StructElements, base+i, col, uint32(m.cols))
+				return m.boundsErr(StructElements, base+e, col, uint32(m.cols))
 			}
 			for j, xbuf := range s.xbufs {
-				s.sums[j] += vals[i] * xbuf[col]
+				s.outs[j][i] += vals[e] * xbuf[col]
 			}
-		}
-		for j, sum := range s.sums {
-			s.outs[j][r-r0] = sum
 		}
 	}
 	return nil

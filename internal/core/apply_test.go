@@ -189,7 +189,7 @@ func TestApplySourceChecksExact(t *testing.T) {
 	src := csr.Laplacian2D(10, 9)
 	for _, s := range Schemes {
 		for _, workers := range []int{1, 3} {
-			for _, k := range []int{1, 3} {
+			for _, k := range []int{1, 3, 4, 9} {
 				m, err := NewMatrix(src, MatrixOptions{ElemScheme: s, RowPtrScheme: s})
 				if err != nil {
 					t.Fatal(err)
@@ -280,7 +280,7 @@ func TestApplyDifferentialRandomSparsity(t *testing.T) {
 		for _, s := range Schemes {
 			for _, mode := range []ReadMode{ModeExclusive, ModeShared, ModeUnverified} {
 				for _, workers := range []int{1, 3} {
-					for _, k := range []int{1, 3} {
+					for _, k := range []int{1, 3, 4, 9} {
 						name := fmt.Sprintf("%dx%d/%v/%v/w%d/k%d", dim[0], dim[1], s, mode, workers, k)
 						m, err := NewMatrix(src, MatrixOptions{ElemScheme: s, RowPtrScheme: s})
 						if err != nil {

@@ -56,10 +56,13 @@ func (c blockCase) String() string {
 	return fmt.Sprintf("width %d workers %d interval %d %v", c.width, c.workers, c.interval, c.mode)
 }
 
-// blockCases is every combination the tests draw from.
+// blockCases is every combination the tests draw from. The widths hit
+// every shape of the clean stream's column groups (csrSweep.stream):
+// the single-column loop alone (1, 3), one group of four and a remainder
+// (5), two groups (8) and two groups and a remainder (9).
 func blockCases() []blockCase {
 	var out []blockCase
-	for _, width := range []int{1, 3, 8} {
+	for _, width := range []int{1, 3, 5, 8, 9} {
 		for workers := 1; workers <= 4; workers++ {
 			for _, interval := range []int{1, 4} {
 				for _, mode := range []ReadMode{ModeExclusive, ModeShared, ModeUnverified} {
@@ -117,7 +120,7 @@ func newCSRTwin(t *testing.T, plain *csr.Matrix, es, rs Scheme) *csrTwin {
 	tw.cols = append([]uint32(nil), tw.a.colIdx...)
 	tw.rowptr = append([]uint32(nil), tw.a.rowptr...)
 	rng := rand.New(rand.NewSource(int64(es)*8 + int64(rs)))
-	for j := 0; j < 8; j++ {
+	for j := 0; j < 9; j++ {
 		tw.xs = append(tw.xs, randSlice(rng, plain.Cols32()))
 	}
 	return tw

@@ -36,8 +36,10 @@ func batchMultiVector(cols [][]float64, s core.Scheme) *core.MultiVector {
 
 // batchWidths are the widths the batch conformance tables run at: 1 is
 // the single-RHS path of the one apply skeleton (ApplyBatch at width 1
-// must be Apply), 3 a genuinely k-wide pass.
-var batchWidths = []int{1, 3}
+// must be Apply), 3 a genuinely k-wide pass of single columns, and 4
+// and 9 one group of four and two groups and a remainder in every
+// format's clean stream (DESIGN.md section 40).
+var batchWidths = []int{1, 3, 4, 9}
 
 // forEachPairAndWidth is forEachPair with one table row per batch width.
 func forEachPairAndWidth(t *testing.T, fn func(t *testing.T, f Format, s core.Scheme, k int)) {

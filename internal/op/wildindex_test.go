@@ -11,13 +11,20 @@ import (
 )
 
 // TestWildIndexIsBoundsError strikes one index of an unprotected
-// (none-element) COO or SELL-C-sigma matrix and checks the next product
-// reports a StructElements BoundsError instead of panicking or reading
-// the block padding of x: every format range-checks every index under
-// every scheme, as CSR does. Bit 30 of an index is far outside any
-// operand; index 30 of the 25-row Laplacian2D(5, 5) lies in the padding
-// of x (32 words) and, for a COO row, past the 25 accumulators. COO's row
-// indices are struck as well as its columns.
+// (none-element) matrix and checks the next product reports a
+// StructElements BoundsError instead of panicking or reading the block
+// padding of x: every format range-checks every index under every
+// scheme. Bit 30 of an index is far outside any operand; index 30 of
+// the 25-row Laplacian2D(5, 5) lies in the padding of x (32 words) and,
+// for a COO row, past the 25 accumulators. COO's row indices are struck
+// as well as its columns. CSR runs under SECDED64 vectors only: with
+// elements, row pointers and vectors all none it takes the raw leaf,
+// which indexes x in place with no range check.
+//
+// Every strike runs through Apply and through ApplyBatch at widths 4
+// and 9, one group of four and two groups and a remainder of the clean
+// stream's column groups (DESIGN.md section 40): the wild index must be
+// the same BoundsError, at the same entry, whatever group meets it.
 func TestWildIndexIsBoundsError(t *testing.T) {
 	strikes := []struct {
 		name string
@@ -36,11 +43,17 @@ func TestWildIndexIsBoundsError(t *testing.T) {
 	}}
 	src := csr.Laplacian2D(5, 5)
 	n := src.Rows()
+	both := []core.Scheme{core.None, core.SECDED64}
 	for _, f := range []struct {
 		format  op.Format
 		targets []target
-	}{{op.COO, []target{cols, rows}}, {op.SELLCS, []target{cols}}} {
-		for _, vs := range []core.Scheme{core.None, core.SECDED64} {
+		vectors []core.Scheme
+	}{
+		{op.COO, []target{cols, rows}, both},
+		{op.SELLCS, []target{cols}, both},
+		{op.CSR, []target{cols}, []core.Scheme{core.SECDED64}},
+	} {
+		for _, vs := range f.vectors {
 			for _, tg := range f.targets {
 				for _, st := range strikes {
 					name := fmt.Sprintf("%v %s %s, %v vectors", f.format, tg.name, st.name, vs)
@@ -60,19 +73,47 @@ func TestWildIndexIsBoundsError(t *testing.T) {
 					}
 					raw := tg.raw(m)
 					raw[k] = st.f(raw[k])
-					func() {
-						defer func() {
-							if p := recover(); p != nil {
-								t.Errorf("%s: wild index panicked: %v", name, p)
-							}
-						}()
-						var be *core.BoundsError
-						if err := m.Apply(dst, x, 1); !errors.As(err, &be) || be.Structure != core.StructElements {
-							t.Errorf("%s: wild index not caught by range check: %v", name, err)
+					var at int
+					for _, width := range []int{1, 4, 9} {
+						be := wildProduct(t, fmt.Sprintf("%s, width %d", name, width), m, vs, width)
+						switch {
+						case be == nil:
+						case width == 1:
+							at = be.Index
+						case be.Index != at:
+							t.Errorf("%s: width %d reports entry %d, width 1 entry %d", name, width, be.Index, at)
 						}
-					}()
+					}
 				}
 			}
 		}
 	}
+}
+
+// wildProduct runs one product of m at the given width over columns of
+// ones under vector scheme vs and returns its StructElements
+// BoundsError, having reported a panic or any other result as a failure.
+func wildProduct(t *testing.T, name string, m core.ProtectedMatrix, vs core.Scheme, width int) (be *core.BoundsError) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Errorf("%s: wild index panicked: %v", name, p)
+			be = nil
+		}
+	}()
+	x, dst := core.NewMultiVector(m.Cols(), width, vs), core.NewMultiVector(m.Rows(), width, vs)
+	for j := 0; j < width; j++ {
+		x.Col(j).Fill(1)
+	}
+	var err error
+	if width == 1 {
+		err = m.Apply(dst.Col(0), x.Col(0), 1)
+	} else {
+		err = m.(core.BatchApplier).ApplyBatch(dst, x, 1)
+	}
+	if !errors.As(err, &be) || be.Structure != core.StructElements {
+		t.Errorf("%s: wild index not caught by range check: %v", name, err)
+		return nil
+	}
+	return be
 }

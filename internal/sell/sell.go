@@ -347,12 +347,8 @@ func (m *Matrix) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) er
 			for j := range accs {
 				accs[j] = aflat[j*m.sigma : (j+1)*m.sigma]
 			}
-			var sums []float64
-			if k > 1 {
-				sums = make([]float64, k)
-			}
 			for w := wlo; w < whi; w++ {
-				if err := m.applyWindow(dsts, xbufs, accs, sums, w, sw, ep); err != nil {
+				if err := m.applyWindow(dsts, xbufs, accs, w, sw, ep); err != nil {
 					return err
 				}
 			}
@@ -363,9 +359,8 @@ func (m *Matrix) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) er
 
 // applyWindow multiplies the slices of sigma-window w into the window's
 // accumulators under sw and commits the window's output rows per column.
-// sums is the k-wide lane scratch (nil at width 1), ep the sweep's dot
-// epilogue (nil without one).
-func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums []float64, w int, sw core.Sweep, ep *core.DotEpilogue) error {
+// ep is the sweep's dot epilogue (nil without one).
+func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, w int, sw core.Sweep, ep *core.DotEpilogue) error {
 	base := w * m.sigma
 	top := min(base+m.sigma, m.Rows())
 	for _, acc := range accs {
@@ -374,7 +369,7 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 		}
 	}
 	el := m.elems()
-	mask := el.Mask()
+	s := sliceStream{base: base, ncols: m.Cols(), mask: el.Mask()}
 	var checks uint64
 	defer func() { m.Counters().AddChecks(checks) }()
 	for sl := base / C; sl < (top+C-1)/C; sl++ {
@@ -396,7 +391,7 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 			}
 			off = 0
 		}
-		if err := m.streamSlice(accs, xbufs, sums, sl, base, mask, cols, vals, off); err != nil {
+		if err := m.streamSlice(&s, accs, xbufs, sl, cols, vals, off); err != nil {
 			return err
 		}
 	}
@@ -416,55 +411,98 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, sums 
 // cols and vals, entry j of lane l at off+j·C+l: storage at the slice's
 // offset — the fast second half of verify-then-stream — or, with off 0,
 // the stage decodeSlice built for a dirty slice (a shared matrix hit a
-// live fault). Only the column mask and range check are applied, once
-// per entry whatever the width, under every scheme, none included. base
-// is the window's first row, mask the codec's column mask.
-func (m *Matrix) streamSlice(accs, xbufs [][]float64, sums []float64, sl, base int, mask uint32, cols []uint32, vals []float64, off int) error {
-	width, ncols := m.sliceWidth(sl), uint32(m.Cols())
-	if len(accs) == 1 {
-		acc, xbuf := accs[0], xbufs[0]
-		for l := 0; l < C; l++ {
-			r := m.perm[sl*C+l]
-			if r == padRow {
-				continue
-			}
-			var sum float64
-			for j := 0; j < width; j++ {
-				k := off + j*C + l
-				col := cols[k] & mask
-				if col >= ncols {
-					return m.boundsErr(int(m.slicePtr[sl])+k-off, col)
-				}
-				sum += vals[k] * xbuf[col]
-			}
-			acc[int(r)-base] = sum
-		}
-		return nil
+// live fault). Only the column mask and range check are applied, under
+// every scheme, none included. s carries the window's part of the
+// stream; streamSlice points it at the slice.
+//
+// It is one loop for every width, CSR's (DESIGN.md section 40): the
+// columns go four at a time (sliceStream.pass4), then the remaining zero
+// to three one at a time (pass1). Each lane's sum runs in entry order
+// per column, and the first pass meets every entry, so a wild column is
+// reported at the entry a width-1 product reports, before it is loaded.
+func (m *Matrix) streamSlice(s *sliceStream, accs, xbufs [][]float64, sl int, cols []uint32, vals []float64, off int) error {
+	n := m.sliceWidth(sl) * C
+	s.cols, s.vals, s.lanes = cols[off:off+n], vals[off:off+n], m.perm[sl*C:sl*C+C]
+	wild := -1
+	j := 0
+	for ; j+4 <= len(accs) && wild < 0; j += 4 {
+		wild = s.pass4((*[4][]float64)(accs[j:j+4]), (*[4][]float64)(xbufs[j:j+4]))
 	}
+	for ; j < len(accs) && wild < 0; j++ {
+		wild = s.pass1(accs[j], xbufs[j])
+	}
+	if wild >= 0 {
+		return m.boundsErr(int(m.slicePtr[sl])+wild, s.cols[wild]&s.mask)
+	}
+	return nil
+}
+
+// sliceStream is one slice's entries, column-major, as streamSlice's
+// passes read them: lanes are the slice's rows (padRow for a dummy lane),
+// base the window's first row, ncols the range of a column and mask the
+// codec's column mask.
+type sliceStream struct {
+	cols        []uint32
+	vals        []float64
+	lanes       []uint32
+	base, ncols int
+	mask        uint32
+}
+
+// pass4 is one pass over the slice for four columns, each lane's four
+// sums in registers. It returns the position of the first wild column in
+// the slice's entries, or -1. The slice's arrays are taken per lane, not
+// hoisted: held across the entry loop they push its index out of a
+// register.
+func (s *sliceStream) pass4(a, x *[4][]float64) int {
+	x0 := x[0][:s.ncols]
+	x1, x2, x3 := x[1][:len(x0)], x[2][:len(x0)], x[3][:len(x0)]
 	for l := 0; l < C; l++ {
-		r := m.perm[sl*C+l]
+		r := s.lanes[l]
 		if r == padRow {
 			continue
 		}
-		for c := range sums {
-			sums[c] = 0
-		}
-		for j := 0; j < width; j++ {
-			k := off + j*C + l
+		cols, mask := s.cols, s.mask
+		vals := s.vals[:len(cols)]
+		var s0, s1, s2, s3 float64
+		for k := l; k < len(cols); k += C {
 			col := cols[k] & mask
-			if col >= ncols {
-				return m.boundsErr(int(m.slicePtr[sl])+k-off, col)
+			if uint(col) >= uint(len(x0)) {
+				return k
 			}
 			v := vals[k]
-			for c := range sums {
-				sums[c] += v * xbufs[c][col]
-			}
+			s0 += v * x0[col]
+			s1 += v * x1[col]
+			s2 += v * x2[col]
+			s3 += v * x3[col]
 		}
-		for c, acc := range accs {
-			acc[int(r)-base] = sums[c]
-		}
+		i := int(r) - s.base
+		a[0][i], a[1][i], a[2][i], a[3][i] = s0, s1, s2, s3
 	}
-	return nil
+	return -1
+}
+
+// pass1 is pass4 for the one column x, accumulated into acc.
+func (s *sliceStream) pass1(acc, x []float64) int {
+	x = x[:s.ncols]
+	for l := 0; l < C; l++ {
+		r := s.lanes[l]
+		if r == padRow {
+			continue
+		}
+		cols, mask := s.cols, s.mask
+		vals := s.vals[:len(cols)]
+		var sum float64
+		for k := l; k < len(cols); k += C {
+			col := cols[k] & mask
+			if uint(col) >= uint(len(x)) {
+				return k
+			}
+			sum += vals[k] * x[col]
+		}
+		acc[int(r)-s.base] = sum
+	}
+	return -1
 }
 
 // decodeSlice stages slice sl in storage order through the codec's
