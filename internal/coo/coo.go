@@ -463,43 +463,52 @@ func (m *Matrix) VerifyAll(acc *core.Counters) (checks uint64, err error) {
 // codeword and each output block has exactly one owner, so the parallel
 // path is race-free and bit-identical to serial.
 func (m *Matrix) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) error {
+	return core.DecodeSources(dsts, xs, !sw.Sources, func(xbufs [][]float64, ep *core.DotEpilogue) error {
+		return m.Stream(dsts, xbufs, workers, sw, ep)
+	})
+}
+
+// Stream is Product after its source prologue: dsts[j] = m xbufs[j]
+// from sources already decoded into dense buffers of at least Cols()
+// elements, under sw, every output block written through ep (nil
+// without a dot request). The sharded composite calls it with buffers it
+// filled itself.
+func (m *Matrix) Stream(dsts []*core.Vector, xbufs [][]float64, workers int, sw core.Sweep, ep *core.DotEpilogue) error {
 	rows := m.Rows()
 	ranges := m.entryRanges(workers)
 	accs := make([][][]float64, len(ranges))
 	for i := range accs {
-		accs[i] = newAccs(len(xs), rows)
+		accs[i] = newAccs(len(xbufs), rows)
 	}
-	return core.DecodeSources(dsts, xs, !sw.Sources, func(xbufs [][]float64, ep *core.DotEpilogue) error {
-		err := par.Run(ranges, func(lo, hi int) error {
-			i := 0
-			for ranges[i][0] != lo {
-				i++
-			}
-			return m.scatterK(accs[i], xbufs, lo, hi, sw)
-		})
-		if err != nil {
-			return err
+	err := par.Run(ranges, func(lo, hi int) error {
+		i := 0
+		for ranges[i][0] != lo {
+			i++
 		}
-		// Reduce the per-range accumulators block-wise, per column. Ranges
-		// are row-aligned, so every row was summed left-to-right inside
-		// exactly one accumulator and the result is bit-identical for any
-		// worker count (a single range reduces to 0 + acc, which is acc:
-		// an accumulator that starts at +0 never holds -0).
-		return par.ForEach(dsts[0].Blocks(), workers, 1, func(blo, bhi int) error {
-			for j, dst := range dsts {
-				for blk := blo; blk < bhi; blk++ {
-					var out [core.BlockLen]float64
-					lo := blk * core.BlockLen
-					for _, acc := range accs {
-						for i, v := range acc[j][lo:min(lo+core.BlockLen, rows)] {
-							out[i] += v
-						}
+		return m.scatterK(accs[i], xbufs, lo, hi, sw)
+	})
+	if err != nil {
+		return err
+	}
+	// Reduce the per-range accumulators block-wise, per column. Ranges
+	// are row-aligned, so every row was summed left-to-right inside
+	// exactly one accumulator and the result is bit-identical for any
+	// worker count (a single range reduces to 0 + acc, which is acc: an
+	// accumulator that starts at +0 never holds -0).
+	return par.ForEach(dsts[0].Blocks(), workers, 1, func(blo, bhi int) error {
+		for j, dst := range dsts {
+			for blk := blo; blk < bhi; blk++ {
+				var out [core.BlockLen]float64
+				lo := blk * core.BlockLen
+				for _, acc := range accs {
+					for i, v := range acc[j][lo:min(lo+core.BlockLen, rows)] {
+						out[i] += v
 					}
-					ep.WriteBlock(j, dst, blk, &out)
 				}
+				ep.WriteBlock(j, dst, blk, &out)
 			}
-			return nil
-		})
+		}
+		return nil
 	})
 }
 

@@ -36,7 +36,6 @@ func SpMV(dst *Vector, m *Matrix, x *Vector, workers int) error {
 // own: corrections discovered there are used for the computation but
 // left in storage for the next serial check or scrub to repair.
 func (m *Matrix) Product(dsts, xs []*Vector, workers int, sw Sweep) error {
-	ranges := par.Ranges(m.rows, workers, 8)
 	if m.scheme == None && m.rowScheme == None && xs[0].scheme == None {
 		// The sources are read in place: an update pending on one runs
 		// as a plain pass first, since there is no check to save.
@@ -44,16 +43,25 @@ func (m *Matrix) Product(dsts, xs []*Vector, workers int, sw Sweep) error {
 			return err
 		}
 		ep := startDots(dsts, xs)
-		return ep.finish(par.Run(ranges, func(lo, hi int) error {
-			m.rawRows(dsts, xs, lo, hi, ep)
-			return nil
+		return ep.Finish(par.Run(par.Ranges(m.rows, workers, 8), func(lo, hi int) error {
+			return m.rawRows(dsts, xs, lo, hi, ep)
 		}))
 	}
-	commit := sw.Commit && len(ranges) <= 1
 	return DecodeSources(dsts, xs, !sw.Sources, func(xbufs [][]float64, ep *DotEpilogue) error {
-		return par.Run(ranges, func(lo, hi int) error {
-			return m.applyRows(dsts, xbufs, lo, hi, sw.Full, commit, ep)
-		})
+		return m.Stream(dsts, xbufs, workers, sw, ep)
+	})
+}
+
+// Stream is Product after its source prologue: dsts[j] = m xbufs[j]
+// from sources already decoded into dense buffers of at least Cols()
+// elements, under sw, every output block written through ep (nil
+// without a dot request). The sharded composite calls it with buffers it
+// filled itself.
+func (m *Matrix) Stream(dsts []*Vector, xbufs [][]float64, workers int, sw Sweep, ep *DotEpilogue) error {
+	ranges := par.Ranges(m.rows, workers, 8)
+	commit := sw.Commit && len(ranges) <= 1
+	return par.Run(ranges, func(lo, hi int) error {
+		return m.applyRows(dsts, xbufs, lo, hi, sw.Full, commit, ep)
 	})
 }
 
@@ -101,7 +109,7 @@ func DecodeSources(dsts, xs []*Vector, unverified bool, use func(xbufs [][]float
 		}
 		err = use(s.cols, ep)
 	}
-	err = ep.finish(err)
+	err = ep.Finish(err)
 	sourcePool.Put(s)
 	return err
 }
@@ -356,15 +364,23 @@ func (s *csrSweep) rows(r0, n int) error {
 // rawRows is the unprotected baseline (matrix and source vectors all
 // scheme none): rows [lo,hi) multiply straight from raw storage, the
 // source words indexed in place with no decode and no copy, one column
-// at a time through the plain CSR loop.
-func (m *Matrix) rawRows(dsts, xs []*Vector, lo, hi int, ep *DotEpilogue) {
+// at a time through the plain CSR loop. Every column is range-checked
+// against Cols(), as on every other path: a wild one is the
+// StructElements BoundsError of its entry, never a read of x's padding
+// or past it.
+func (m *Matrix) rawRows(dsts, xs []*Vector, lo, hi int, ep *DotEpilogue) error {
 	for j, x := range xs {
+		words := x.words[:m.cols]
 		var out [BlockLen]float64
 		for r := lo; r < hi; r++ {
 			rlo, rhi := m.rowptr[r], m.rowptr[r+1]
 			var sum float64
 			for k := rlo; k < rhi; k++ {
-				sum += m.vals[k] * math.Float64frombits(x.words[m.colIdx[k]])
+				c := m.colIdx[k]
+				if uint(c) >= uint(len(words)) {
+					return m.boundsErr(StructElements, int(k), c, uint32(m.cols))
+				}
+				sum += m.vals[k] * math.Float64frombits(words[c])
 			}
 			out[r%BlockLen] = sum
 			if r%BlockLen == BlockLen-1 {
@@ -378,4 +394,5 @@ func (m *Matrix) rawRows(dsts, xs []*Vector, lo, hi int, ep *DotEpilogue) {
 			ep.WriteBlock(j, dsts[j], hi/BlockLen, &out)
 		}
 	}
+	return nil
 }

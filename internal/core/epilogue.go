@@ -103,8 +103,8 @@ var epiloguePool = sync.Pool{New: func() any { return new(DotEpilogue) }}
 
 // startDots returns the epilogue answering the requests pending on dsts
 // for products from xs, or nil when there are none. A source shorter
-// than its destination (a wide rectangular matrix) cannot answer; a
-// halo-extended one contributes its leading, interior blocks.
+// than its destination (a wide rectangular matrix) cannot answer; of a
+// longer one the buffer's leading blocks answer.
 func startDots(dsts, xs []*Vector) *DotEpilogue {
 	var ep *DotEpilogue
 	for j, dst := range dsts {
@@ -140,6 +140,19 @@ func startDots(dsts, xs []*Vector) *DotEpilogue {
 	return ep
 }
 
+// StartDots returns the epilogue of a stream over sources its caller
+// decoded itself, xbufs[j] holding xs[j]'s values from its first block
+// on (a composite's own buffer, filled from the caller's storage): nil
+// unless a request pending on one of dsts names xs[j]. The caller writes
+// every output block through it and ends the stream with Finish.
+func StartDots(dsts, xs []*Vector, xbufs [][]float64) *DotEpilogue {
+	ep := startDots(dsts, xs)
+	if ep != nil {
+		ep.xbufs = xbufs
+	}
+	return ep
+}
+
 // WriteBlock stores block blk of output column j in dst and, when the
 // column has a request, keeps the block masked as a verified read of dst
 // would return it — the values FusedAxpyDot's norm reads of the residual
@@ -157,9 +170,9 @@ func (ep *DotEpilogue) WriteBlock(j int, dst *Vector, blk int, out *[BlockLen]fl
 	}
 }
 
-// finish answers the requests once the sweep has succeeded (err nil) and
-// returns the epilogue to its pool.
-func (ep *DotEpilogue) finish(err error) error {
+// Finish answers the requests once the sweep has succeeded (err nil),
+// returns the epilogue to its pool and returns err.
+func (ep *DotEpilogue) Finish(err error) error {
 	if ep == nil {
 		return err
 	}

@@ -15,8 +15,9 @@ const (
 	StructElements
 	// StructRowPtr is the CSR row-pointer vector.
 	StructRowPtr
-	// StructHalo is a sharded operator's resident halo-extended local
-	// vector — the buffer the protected exchange packs from and into.
+	// StructHalo is a sharded operator's resident halo landing vector —
+	// the protected buffer the exchange packs a band's halo into and the
+	// band reads it back from.
 	StructHalo
 	// StructPrecond is a preconditioner's resident setup product — the
 	// protected inverse-diagonal or inverse-block state of

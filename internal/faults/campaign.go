@@ -422,13 +422,13 @@ func matrixTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 	return t, nil
 }
 
-// haloTrial strikes a random shard's resident halo-extended local
-// vector between the scatter and exchange phases of a sharded product —
-// the moment corruption in one shard's memory is about to cross a shard
-// boundary — and observes the product. The scheme under test protects
-// the halo buffers; the shard matrices run unprotected so every
-// detection and correction is attributable to the exchange and kernel
-// vector paths.
+// haloTrial strikes a random shard's resident halo landing vector
+// between the exchange and local phases of a sharded product — after
+// the pack has re-encoded the values that crossed the shard boundary,
+// before the band reads them — and observes the product. The scheme
+// under test protects the landing vectors; the caller's x and the shard
+// matrices run unprotected so every detection and correction is
+// attributable to the band's read of its halo.
 func haloTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 	if cfg.Shards < 2 {
 		return nil, fmt.Errorf("faults: halo campaigns need Shards >= 2 (got %d)", cfg.Shards)
@@ -443,7 +443,7 @@ func haloTrial(cfg CampaignConfig, in *Injector) (*trial, error) {
 	o.SetCounters(&t.c)
 	t.strike = func() error {
 		o.SetPhaseHook(func(p shard.Phase) {
-			if p == shard.PhaseScatter {
+			if p == shard.PhaseExchange {
 				strike(cfg, in, o.Local(in.rng.Intn(o.Shards())))
 			}
 		})

@@ -17,9 +17,9 @@ import (
 // scheme. Bit 30 of an index is far outside any operand; index 30 of
 // the 25-row Laplacian2D(5, 5) lies in the padding of x (32 words) and,
 // for a COO row, past the 25 accumulators. COO's row indices are struck
-// as well as its columns. CSR runs under SECDED64 vectors only: with
-// elements, row pointers and vectors all none it takes the raw leaf,
-// which indexes x in place with no range check.
+// as well as its columns. Under none vectors CSR takes the raw leaf,
+// which indexes x's storage in place and range-checks each column as
+// every other path does.
 //
 // Every strike runs through Apply and through ApplyBatch at widths 4
 // and 9, one group of four and two groups and a remainder of the clean
@@ -51,7 +51,7 @@ func TestWildIndexIsBoundsError(t *testing.T) {
 	}{
 		{op.COO, []target{cols, rows}, both},
 		{op.SELLCS, []target{cols}, both},
-		{op.CSR, []target{cols}, []core.Scheme{core.SECDED64}},
+		{op.CSR, []target{cols}, both},
 	} {
 		for _, vs := range f.vectors {
 			for _, tg := range f.targets {

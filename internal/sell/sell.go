@@ -337,23 +337,32 @@ func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 // exactly one owner: the parallel path is race-free and bit-identical to
 // the serial one.
 func (m *Matrix) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) error {
-	k := len(xs)
-	windows := (m.Rows() + m.sigma - 1) / m.sigma
 	return core.DecodeSources(dsts, xs, !sw.Sources, func(xbufs [][]float64, ep *core.DotEpilogue) error {
-		return par.ForEach(windows, workers, 1, func(wlo, whi int) error {
-			// One flat allocation for the window accumulators, sliced per column.
-			aflat := make([]float64, k*m.sigma)
-			accs := make([][]float64, k)
-			for j := range accs {
-				accs[j] = aflat[j*m.sigma : (j+1)*m.sigma]
+		return m.Stream(dsts, xbufs, workers, sw, ep)
+	})
+}
+
+// Stream is Product after its source prologue: dsts[j] = m xbufs[j]
+// from sources already decoded into dense buffers of at least Cols()
+// elements, under sw, every output block written through ep (nil
+// without a dot request). The sharded composite calls it with buffers it
+// filled itself.
+func (m *Matrix) Stream(dsts []*core.Vector, xbufs [][]float64, workers int, sw core.Sweep, ep *core.DotEpilogue) error {
+	k := len(xbufs)
+	windows := (m.Rows() + m.sigma - 1) / m.sigma
+	return par.ForEach(windows, workers, 1, func(wlo, whi int) error {
+		// One flat allocation for the window accumulators, sliced per column.
+		aflat := make([]float64, k*m.sigma)
+		accs := make([][]float64, k)
+		for j := range accs {
+			accs[j] = aflat[j*m.sigma : (j+1)*m.sigma]
+		}
+		for w := wlo; w < whi; w++ {
+			if err := m.applyWindow(dsts, xbufs, accs, w, sw, ep); err != nil {
+				return err
 			}
-			for w := wlo; w < whi; w++ {
-				if err := m.applyWindow(dsts, xbufs, accs, w, sw, ep); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		}
+		return nil
 	})
 }
 

@@ -28,7 +28,7 @@ var residentArrays = map[string]string{
 	"sell.Matrix.perm":     "plain: silent corruption reproduced, ROADMAP item 15",
 	"sell.Matrix.rowLen":   "plain: silent corruption reproduced, ROADMAP item 15",
 	"shard.band.haloCols":  "plain: silent corruption reproduced, ROADMAP item 15",
-	"shard.local.buf":      "plain: per-product scratch, rewritten from a verified read before it is read",
+	"shard.local.buf":      "plain: per-product scratch, one boundary run of x between its verified read and the landing vector's encode",
 	"shard.local.out":      "plain: per-product scratch, one halo block assembled and encoded per column",
 }
 
@@ -36,7 +36,10 @@ var residentArrays = map[string]string{
 // composite with its bands and workspaces through reflect: each resident
 // uint32 or float64 array must be in residentArrays, and each entry there
 // must still exist. A new array fails until it is named protected, or
-// plain with a reason.
+// plain with a reason. A workspace's protected vectors are its bands'
+// halo landing vectors, core.MultiVectors of the halo entries only
+// (TestBandProductsLandInDst checks their length); the dense source
+// buffer of a product is pooled, not resident.
 func TestResidentArraysCensus(t *testing.T) {
 	seen := map[string]bool{}
 	for _, root := range []reflect.Type{

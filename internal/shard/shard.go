@@ -2,17 +2,20 @@
 // format-agnostic row-partitioned sharded operator: any assembled sparse
 // matrix — a stencil, a Matrix Market download, raw triplets — splits
 // into horizontal row bands, each owning an ABFT-protected local matrix
-// in any registered storage format (internal/op) plus a protected
-// halo-extended local vector. Before every matrix-vector product the
-// shards exchange boundary entries, the in-process analogue of an MPI
-// halo exchange, and global inner products tree-reduce per-shard
-// partial sums as an MPI allreduce would.
+// in any registered storage format (internal/op) plus a protected halo
+// landing vector. A band's interior is its own span of the caller's
+// vector, decoded in place as a row-distributed rank reads its part;
+// only the halo moves. Before every matrix-vector product the shards
+// exchange boundary entries, the in-process analogue of an MPI halo
+// exchange, and global inner products tree-reduce per-shard partial
+// sums as an MPI allreduce would.
 //
 // The exchange goes through the protected read/verify -> re-encode
 // path: a value is integrity-checked as it is packed from the owning
-// shard's memory and re-encoded as it lands in the neighbour's halo, so
-// a bit flip on either side is caught at the boundary exactly as it
-// would be inside a kernel. Shards execute in parallel goroutines in
+// shard's span of the caller's vector and re-encoded as it lands in the
+// neighbour's landing vector, which the neighbour verifies as it reads
+// it, so a bit flip on either side is caught at the boundary exactly as
+// it would be inside a kernel. Shards execute in parallel goroutines in
 // bulk-synchronous phases.
 //
 // The composite is a core.Shell over its own core.Layout, exactly as
@@ -35,25 +38,20 @@ import (
 	"abft/internal/par"
 )
 
-// packChunk is how many vector blocks one batched verified read covers
-// during scatter: large enough to amortise the per-call verify
-// accounting, small enough to keep the stack-friendly scratch buffer out
-// of the allocator's large-object path.
-const packChunk = 64
-
 // Phase names one bulk-synchronous step of a sharded Apply; the phase
 // hook receives it after the step's barrier.
 type Phase int
 
 const (
-	// PhaseScatter: global x verified and re-encoded into every shard's
-	// local interior.
+	// PhaseScatter: every shard decodes its own span of the caller's x,
+	// verified in place, into the interior of its dense source buffer.
 	PhaseScatter Phase = iota
-	// PhaseExchange: boundary entries packed from neighbour shards into
-	// the local halos.
+	// PhaseExchange: boundary entries packed from the owning shards'
+	// spans of x into every shard's halo landing vector.
 	PhaseExchange
-	// PhaseLocal: per-shard protected products computed straight into
-	// the global destination.
+	// PhaseLocal: every shard reads its landing vector into the halo of
+	// its buffer and streams its protected product straight into the
+	// global destination.
 	PhaseLocal
 )
 
@@ -84,8 +82,9 @@ type Options struct {
 	// for a single operator of the same format. Its check interval is
 	// the composite's: every band full-checks on the same sweeps.
 	Config op.Config
-	// VectorScheme protects the halo-extended local vectors the exchange
-	// packs into (default none).
+	// VectorScheme protects the halo landing vectors the exchange packs
+	// into (default none). A band's interior is the caller's x, read
+	// under x's own scheme.
 	VectorScheme core.Scheme
 }
 
@@ -104,16 +103,19 @@ func Clamp(rows, shards int) int {
 
 // matrix is a band's local protected matrix: a storage format's
 // core.Shell, through which the composite attaches counters and reads
-// the format's protection, and its core.Layout, whose Product the
-// composite calls under its own Sweep. Every op format is both.
+// the format's protection, its core.Layout, and the stream of its
+// Product after the source prologue, which the composite calls under its
+// own Sweep over sources it decoded itself. Every op format is all
+// three.
 type matrix interface {
 	core.ProtectedMatrix
 	core.Layout
 	Protected() bool
+	Stream(dsts []*core.Vector, xbufs [][]float64, workers int, sw core.Sweep, ep *core.DotEpilogue) error
 }
 
 // band is one row shard: global rows [r0, r1) and a local protected
-// matrix over the halo-extended column space.
+// matrix over the halo-extended column space [interior | pad | halo].
 type band struct {
 	r0, r1 int
 	m      matrix
@@ -132,21 +134,26 @@ func (b *band) rows() int { return b.r1 - b.r0 }
 // blocks is the band's interior width in codeword blocks.
 func (b *band) blocks() int { return b.interiorPad / core.BlockLen }
 
-// local is one band's share of a workspace at width k: x holds the
-// halo-extended inputs ([interior | pad | halo] per column), and y is a
-// view of the band's rows of every caller destination (the band's
-// boundaries are block-aligned), re-pointed by each product, so the local
-// product is written where the caller reads it — no local copy, no
-// gather; the views keep the last product's destinations reachable until
-// the workspace's next product. buf stages unprotected values between a verified read and the
-// re-encoding write — one chunk of one column during scatter, one
-// boundary run during the exchange — and out assembles one halo block
-// per column.
+// span is the length of one column of the band's dense sources: the
+// local column space padded to whole blocks.
+func (b *band) span() int {
+	return b.interiorPad + (len(b.haloCols)+core.BlockLen-1)/core.BlockLen*core.BlockLen
+}
+
+// local is one band's share of a workspace at width k: halo holds the
+// band's halo entries, one landing vector per column, and y is a view
+// of the band's rows of every caller destination (the band's boundaries
+// are block-aligned), re-pointed by each product, so the local product
+// is written where the caller reads it — no local copy, no gather; the
+// views keep the last product's destinations reachable until the
+// workspace's next product. buf stages one boundary run of one column
+// between its verified read and the re-encoding write, and out
+// assembles one halo block per column.
 type local struct {
-	x   *core.MultiVector
-	y   core.MultiVector
-	buf []float64
-	out [][core.BlockLen]float64
+	halo *core.MultiVector
+	y    core.MultiVector
+	buf  []float64
+	out  [][core.BlockLen]float64
 }
 
 // workspace is one in-flight product's per-band operands. Workspaces are
@@ -156,11 +163,44 @@ type local struct {
 // fault campaigns corrupt.
 type workspace []local
 
+// sources is one product's dense decode: every band's k columns of
+// [interior | pad | halo], sliced from one flat buffer, band bi's
+// columns at cols[bi*k:(bi+1)*k]. It belongs to one product at a time
+// and comes from sourcePool, so an operator's resident memory is its
+// matrices and its landing vectors, as a format's is its storage.
+type sources struct {
+	flat []float64
+	cols [][]float64
+}
+
+var sourcePool = sync.Pool{New: func() any { return new(sources) }}
+
+// getSources draws a width-k decode buffer sized for o's bands.
+func (o *Operator) getSources(k int) *sources {
+	s := sourcePool.Get().(*sources)
+	n := 0
+	for _, b := range o.bands {
+		n += k * b.span()
+	}
+	if cap(s.flat) < n {
+		s.flat = make([]float64, n)
+	}
+	s.cols = s.cols[:0]
+	off := 0
+	for _, b := range o.bands {
+		for range k {
+			s.cols = append(s.cols, s.flat[off:off+b.span()])
+			off += b.span()
+		}
+	}
+	return s
+}
+
 // Operator is a row-sharded protected operator: a core.Shell over its
 // own core.Layout. The shell writes the core.ProtectedMatrix contract —
 // shape, counters, read mode, and the one sweep counter whose check
 // interval every band follows — and Product runs the bulk-synchronous
-// scatter/exchange/local-product pipeline across per-shard goroutines.
+// interior-decode/exchange/stream pipeline across per-shard goroutines.
 // Concurrent Apply callers each draw a workspace from an internal pool,
 // so solves sharing one cached operator proceed without contention;
 // Scrub and Diagonal follow the same owner-serialised contract as every
@@ -178,7 +218,7 @@ type Operator struct {
 	hook func(Phase)
 
 	// primary is the operator's resident width-1 workspace (Local
-	// exposes its vectors for fault injection); free holds one LIFO pool
+	// exposes its landing vectors for fault injection); free holds one LIFO pool
 	// per width, primary at the bottom of width 1's, so a single-threaded
 	// caller always reuses it. A width's first workspace is allocated by
 	// the first product of that width.
@@ -242,10 +282,9 @@ func (o *Operator) newWorkspace(k int) workspace {
 	ws := make(workspace, len(o.bands))
 	for i, b := range o.bands {
 		l := &ws[i]
-		l.x = core.NewMultiVector(b.localCols, k, o.opt.VectorScheme)
-		l.x.SetCRCBackend(o.opt.Config.Backend)
-		l.x.SetCounters(o.Counters())
-		l.buf = make([]float64, packChunk*core.BlockLen)
+		l.halo = core.NewMultiVector(len(b.haloCols), k, o.opt.VectorScheme)
+		l.halo.SetCRCBackend(o.opt.Config.Backend)
+		l.halo.SetCounters(o.Counters())
 		l.out = make([][core.BlockLen]float64, k)
 	}
 	return ws
@@ -268,7 +307,7 @@ func (o *Operator) getWorkspace(k int) workspace {
 }
 
 func (o *Operator) putWorkspace(ws workspace) {
-	k := ws[0].x.K()
+	k := ws[0].halo.K()
 	o.wsMu.Lock()
 	o.free[k] = append(o.free[k], ws)
 	o.wsMu.Unlock()
@@ -352,19 +391,13 @@ func (o *Operator) BandRanges() [][2]int {
 // inspection).
 func (o *Operator) Shard(i int) core.ProtectedMatrix { return o.bands[i].m }
 
-// Local exposes shard i's halo-extended local vector in the operator's
-// resident primary workspace — the buffer the exchange packs from and
-// into (single-threaded callers always draw the primary). Fault
-// campaigns flip bits in its raw storage to model corruption striking a
-// shard's memory between phases.
-func (o *Operator) Local(i int) *core.Vector { return o.primary[i].x.Col(0) }
-
-// HaloRange returns the element range [lo, hi) of shard i's halo
-// section within its local vector.
-func (o *Operator) HaloRange(i int) (lo, hi int) {
-	b := o.bands[i]
-	return b.interiorPad, b.interiorPad + len(b.haloCols)
-}
+// Local exposes shard i's halo landing vector in the operator's
+// resident primary workspace: element k is the band's k-th halo column,
+// ascending, the buffer the exchange packs into and the band reads back
+// (single-threaded callers always draw the primary). Fault campaigns
+// flip bits in its raw storage between the exchange and the band's read
+// to model corruption striking a shard's memory in flight.
+func (o *Operator) Local(i int) *core.Vector { return o.primary[i].halo.Col(0) }
 
 // SetPhaseHook installs a function observing Apply's phase barriers
 // (fault campaigns corrupt shard state mid-product through it). It must
@@ -375,11 +408,12 @@ func (o *Operator) HaloRange(i int) (lo, hi int) {
 func (o *Operator) SetPhaseHook(fn func(Phase)) { o.hook = fn }
 
 // SetCounters attaches a statistics accumulator to the composite, every
-// shard's matrix and workspace input vector, satisfying
+// shard's matrix and every workspace landing vector, satisfying
 // core.ProtectedMatrix. Must be called before the operator is shared
 // (workspaces allocated for later concurrent Apply calls inherit the
-// accumulator). The local products are views of the caller's
-// destinations and count into theirs.
+// accumulator). The interior decode and the pack read the caller's
+// sources, and the local products write views of the caller's
+// destinations: those count into the caller's counters.
 func (o *Operator) SetCounters(c *core.Counters) {
 	o.Shell.SetCounters(c)
 	for _, b := range o.bands {
@@ -390,7 +424,7 @@ func (o *Operator) SetCounters(c *core.Counters) {
 	for _, pool := range o.free {
 		for _, ws := range pool {
 			for _, l := range ws {
-				l.x.SetCounters(c)
+				l.halo.SetCounters(c)
 			}
 		}
 	}
@@ -425,15 +459,13 @@ func (o *Operator) fire(p Phase) {
 // can answer (core.DotRequest), indexed by column, or nil when it can
 // answer none. It answers a request that reduces as Dot does — one block
 // range per band, combined in the binary tree, which is what the solver
-// engine asks a banded operator for — and only while a band's decode of
-// its interior is x itself, that is unless the halo vectors' scheme
-// reserves more bits than x's.
+// engine asks a banded operator for. A band's interior is decoded from
+// x itself, so its answer is x's whatever the landing vectors' scheme.
 func (o *Operator) pendingDots(dsts, xs []*core.Vector) []*core.DotRequest {
 	var reqs []*core.DotRequest
-	halo := o.opt.VectorScheme.VecReservedBits() > xs[0].Scheme().VecReservedBits()
 	for j, dst := range dsts {
 		r := dst.PendingDot(xs[j])
-		if r == nil || halo || !o.reducesAs(r.Options()) {
+		if r == nil || !o.reducesAs(r.Options()) {
 			continue
 		}
 		if reqs == nil {
@@ -451,45 +483,64 @@ func (o *Operator) reducesAs(opt core.FusedOptions) bool {
 }
 
 // Product is the one pipeline, satisfying core.Layout: dsts[j] = A xs[j]
-// for every j through one scatter, one exchange and one local product
-// per band, written through a view into the band's rows of dsts. Width
-// is the only parameter; column j sees exactly the reads, writes and
-// checks a width-1 call would give it. Every band's product runs its
-// format's Layout.Product under the one Sweep the shell decided, so
-// every band full-checks on the same sweeps. Without sw.Sources every
-// read streams masked payload with no decode, no commit and no check
-// accounting, and the local products run unverified too. dst may be x:
-// the scatter has read all of x before any product writes. workers is
-// the total kernel goroutine budget, divided across shards (each shard
-// always gets its own goroutine). A dot request pending on a
-// destination (pendingDots) is passed down to every band's local
-// product, which answers it over the band's interior from its own
-// sweep, and the band answers reduce through Dot's tree.
+// for every j through three bulk-synchronous phases per band, each band's
+// k source columns one pooled dense buffer of [interior | pad | halo]:
+//
+//   - PhaseScatter: the band decodes its own block span of every xs[j]
+//     into its buffer's interior — a verified read of the caller's
+//     storage, or, with an update pending on xs[j] (core.UpdateRequest),
+//     the update's pass over the span, which writes the new x in place
+//     and keeps it; the update is then detached once.
+//   - PhaseExchange: the band packs its halo from the owners' spans of
+//     the same xs[j] and re-encodes it into its landing vectors.
+//   - PhaseLocal: the band reads its landing vectors into its buffer's
+//     halo and runs its format's stream (Stream), written through a view
+//     into the band's rows of dsts.
+//
+// Width is the only parameter; column j sees exactly the reads, writes
+// and checks a width-1 call would give it. Every band's stream runs
+// under the one Sweep the shell decided, so every band full-checks on
+// the same sweeps. Without sw.Sources every read copies masked payload
+// with no decode, no commit and no check accounting, and the local
+// products run unverified too. dst may be x: every read of x is done by
+// the exchange barrier, before any stream writes. workers is the total
+// kernel goroutine budget, divided across shards (each shard always gets
+// its own goroutine). A dot request pending on a destination
+// (pendingDots) is passed down to every band's stream, which answers it
+// over the band's interior from its own buffer, and the band answers
+// reduce through Dot's tree.
 func (o *Operator) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) error {
 	reqs := o.pendingDots(dsts, xs)
 	ws := o.getWorkspace(len(xs))
 	defer o.putWorkspace(ws)
-	localWorkers := max(workers/len(o.bands), 1)
-	// Each block of the caller's x has one reader, so its repairs commit;
-	// a halo source block may be read by several shards at once, so its
-	// repairs are used and counted but not written.
+	src := o.getSources(len(xs))
+	defer sourcePool.Put(src)
+	k, localWorkers := len(xs), max(workers/len(o.bands), 1)
+	// Each block of the caller's x has one interior reader and each
+	// landing vector one reader, so their repairs commit (xMode); a halo
+	// source block may be read by several shards at once, so its repairs
+	// are used and counted but not written.
 	xMode, haloMode := core.ModeExclusive, core.ModeShared
 	if !sw.Sources {
 		xMode, haloMode = core.ModeUnverified, core.ModeUnverified
 	}
 
-	// Scatter: each shard reads its own span of every global column and
-	// re-encodes it into its local interior. Band boundaries are
-	// block-aligned, so shards never touch a shared codeword of x. A
-	// column with an update pending (core.UpdateRequest) is read by the
-	// update's pass over the band's span, which writes the new x in place
-	// and keeps it for the interior; the update is then detached once.
+	// Band boundaries are block-aligned, so shards never touch a shared
+	// codeword of x.
 	err := o.forBands(func(lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
-			b, l := o.bands[bi], &ws[bi]
+			b := o.bands[bi]
+			b0, b1 := b.r0/core.BlockLen, b.r0/core.BlockLen+b.blocks()
 			for j, x := range xs {
-				if err := scatterBlocks(l.x.Col(j), x, b.r0/core.BlockLen, b.blocks(), xMode, l.buf); err != nil {
-					return fmt.Errorf("shard: scatter into shard %d: %w", bi, err)
+				in := src.cols[bi*k+j][:b.interiorPad]
+				var err error
+				if u := x.PendingUpdate(); u != nil {
+					err = u.RunKept(b0, b1, in)
+				} else {
+					err = x.Read(b0, b1, in, xMode)
+				}
+				if err != nil {
+					return fmt.Errorf("shard: interior of shard %d: %w", bi, err)
 				}
 			}
 		}
@@ -505,30 +556,41 @@ func (o *Operator) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) 
 	}
 	o.fire(PhaseScatter)
 
-	if err := o.exchange(ws, haloMode); err != nil {
+	if err := o.forBands(func(lo, hi int) error {
+		for bi := lo; bi < hi; bi++ {
+			if err := o.packHalo(xs, &ws[bi], bi, haloMode); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
 	o.fire(PhaseExchange)
 
-	// Local products, written through views straight into the
-	// block-aligned band rows of the global destinations. Band bi's
-	// request for column j is bandReqs[bi*k+j]; allocated per call, so
-	// the operator holds no product state.
-	k := len(xs)
+	// Each band reads its landing vectors into the halo of its buffer and
+	// streams. Band bi's request for column j is bandReqs[bi*k+j];
+	// allocated per call, so the operator holds no product state.
 	var bandReqs []core.DotRequest
 	if reqs != nil {
 		bandReqs = make([]core.DotRequest, len(o.bands)*k)
 	}
 	err = o.forBands(func(lo, hi int) error {
 		for bi := lo; bi < hi; bi++ {
-			b, l := o.bands[bi], &ws[bi]
+			b, l, xbufs := o.bands[bi], &ws[bi], src.cols[bi*k:(bi+1)*k]
+			for j, h := range l.halo.Cols() {
+				if err := h.Read(0, h.Blocks(), xbufs[j][b.interiorPad:], xMode); err != nil {
+					return fmt.Errorf("shard: halo of shard %d: %w", bi, err)
+				}
+			}
 			l.y.View(dsts, b.r0/core.BlockLen, b.rows())
 			for j, r := range reqs {
 				if r != nil {
-					bandReqs[bi*k+j].Ask(l.y.Col(j), l.x.Col(j), bandDot)
+					bandReqs[bi*k+j].Ask(l.y.Col(j), xs[j], bandDot)
 				}
 			}
-			if err := b.m.Product(l.y.Cols(), l.x.Cols(), localWorkers, sw); err != nil {
+			ep := core.StartDots(l.y.Cols(), xs, xbufs)
+			if err := ep.Finish(b.m.Stream(l.y.Cols(), xbufs, localWorkers, sw, ep)); err != nil {
 				return fmt.Errorf("shard: shard %d: %w", bi, err)
 			}
 		}
@@ -573,67 +635,28 @@ func (o *Operator) answer(reqs []*core.DotRequest, bandReqs []core.DotRequest) {
 // -0.)
 var bandDot = core.FusedOptions{Workers: 1}
 
-// scatterBlocks moves n blocks of src, starting at block s0, into the
-// first n blocks of dst: one batched read per packChunk blocks instead of
-// a per-block check loop, each block re-encoded as it lands. With an
-// update pending on src, each chunk is the update's pass over its blocks
-// instead of a read, and dst receives the values it wrote.
-func scatterBlocks(dst, src *core.Vector, s0, n int, mode core.ReadMode, buf []float64) error {
-	u := src.PendingUpdate()
-	for k := 0; k < n; k += packChunk {
-		cn := min(packChunk, n-k)
-		b0, b1, chunk := s0+k, s0+k+cn, buf[:cn*core.BlockLen]
-		var err error
-		if u != nil {
-			err = u.RunKept(b0, b1, chunk)
-		} else {
-			err = src.Read(b0, b1, chunk, mode)
-		}
-		if err != nil {
-			return err
-		}
-		for i := 0; i < cn; i++ {
-			dst.WriteBlock(k+i, (*[core.BlockLen]float64)(buf[i*core.BlockLen:]))
-		}
-	}
-	return nil
-}
-
-// exchange fills every shard's halo section from the owning shards'
-// local vectors; the phase between the scatter and local barriers.
-func (o *Operator) exchange(ws workspace, mode core.ReadMode) error {
-	return o.forBands(func(lo, hi int) error {
-		for bi := lo; bi < hi; bi++ {
-			if err := o.packHalo(ws, bi, mode); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// packHalo fills shard bi's halo through the batched pack path: the
-// ascending halo columns are split into runs owned by one shard and
-// spanning a contiguous range of source blocks, each run is grown once
-// and its blocks read once per column in a single batched call, and the
-// entries are re-encoded as they land in the destination halo, so
-// corruption in either shard's memory is still caught at the boundary.
-func (o *Operator) packHalo(ws workspace, bi int, mode core.ReadMode) error {
-	b, l := o.bands[bi], &ws[bi]
+// packHalo fills shard bi's landing vectors through the batched pack
+// path: the ascending halo columns are split into runs owned by one
+// shard and spanning a contiguous range of blocks of x, each run is
+// grown once and its blocks read once per column in a single batched
+// call, and the entries are re-encoded as they land, so corruption in
+// the caller's x is caught at the boundary and corruption in the
+// landing vector by the band's read.
+func (o *Operator) packHalo(xs []*core.Vector, l *local, bi int, mode core.ReadMode) error {
+	b := o.bands[bi]
 	n := len(b.haloCols)
-	halo0 := b.blocks() // the halo section starts where the padded interior ends
 	clear(l.out)
 	for k := 0; k < n; {
-		// Grow a run: same owner, and each column's source block at
-		// most one beyond the last, so every block in [blk0, blkEnd]
-		// holds at least one needed entry — the batched read never
-		// verifies a block the per-block path would have skipped.
+		// Grow a run: same owner, and each column's block at most one
+		// beyond the last, so every block in [blk0, blkEnd] holds at
+		// least one needed entry — the batched read never verifies a
+		// block the per-block path would have skipped.
 		ow := o.owner(int(b.haloCols[k]))
-		r0, r1 := o.bands[ow].r0, o.bands[ow].r1
-		blk0 := (int(b.haloCols[k]) - r0) / core.BlockLen
+		r1 := o.bands[ow].r1
+		blk0 := int(b.haloCols[k]) / core.BlockLen
 		end, blkEnd := k+1, blk0
 		for end < n && int(b.haloCols[end]) < r1 {
-			blk := (int(b.haloCols[end]) - r0) / core.BlockLen
+			blk := int(b.haloCols[end]) / core.BlockLen
 			if blk > blkEnd+1 {
 				break
 			}
@@ -644,15 +667,15 @@ func (o *Operator) packHalo(ws workspace, bi int, mode core.ReadMode) error {
 		if len(l.buf) < need {
 			l.buf = make([]float64, need)
 		}
-		for j := range l.out {
-			if err := ws[ow].x.Col(j).Read(blk0, blkEnd+1, l.buf[:need], mode); err != nil {
+		for j, x := range xs {
+			if err := x.Read(blk0, blkEnd+1, l.buf[:need], mode); err != nil {
 				return fmt.Errorf("shard: pack shard %d for shard %d: %w", ow, bi, err)
 			}
 			out := &l.out[j]
 			for c := k; c < end; c++ {
-				out[c%core.BlockLen] = l.buf[int(b.haloCols[c])-r0-blk0*core.BlockLen]
+				out[c%core.BlockLen] = l.buf[int(b.haloCols[c])-blk0*core.BlockLen]
 				if c%core.BlockLen == core.BlockLen-1 {
-					l.x.Col(j).WriteBlock(halo0+c/core.BlockLen, out)
+					l.halo.Col(j).WriteBlock(c/core.BlockLen, out)
 					*out = [core.BlockLen]float64{}
 				}
 			}
@@ -661,7 +684,7 @@ func (o *Operator) packHalo(ws workspace, bi int, mode core.ReadMode) error {
 	}
 	if n%core.BlockLen != 0 {
 		for j := range l.out {
-			l.x.Col(j).WriteBlock(halo0+(n-1)/core.BlockLen, &l.out[j])
+			l.halo.Col(j).WriteBlock((n-1)/core.BlockLen, &l.out[j])
 		}
 	}
 	return nil
@@ -689,10 +712,9 @@ func (o *Operator) Dot(a, b *core.Vector) (float64, error) {
 
 // VerifyAll verifies and repairs every shard's matrix in turn,
 // satisfying core.Layout, continuing past faulty shards so the full
-// damage is counted. The workspace vectors need no patrol: their
-// contents are re-verified and re-encoded from checked data on every
-// product, so resident corruption there is either caught at the next
-// exchange or overwritten.
+// damage is counted. The landing vectors need no patrol: every product
+// rewrites them from checked data before its band reads them, so
+// resident corruption there is overwritten.
 func (o *Operator) VerifyAll(acc *core.Counters) (checks uint64, err error) {
 	for bi, b := range o.bands {
 		n, e := b.m.VerifyAll(acc)

@@ -210,86 +210,87 @@ func TestDotMatchesFlatKernel(t *testing.T) {
 	}
 }
 
-// TestExchangeDetectsHaloFlip corrupts a shard's resident local vector
-// in a boundary entry after the scatter phase: the pack side of the
-// halo exchange must detect it (SED) or transparently correct it
-// (SECDED64) before the value crosses the shard boundary.
+// TestExchangeDetectsHaloFlip strikes a halo entry on both sides of the
+// exchange: in the caller's x after the interior decode, where only the
+// packs read it, and in shard 0's landing vector after the pack, where
+// only shard 0's read does. Each side must detect the flip (SED) or
+// correct it in flight (SECDED64) before the value reaches a product:
+// the pack's shared read leaves the repair to x's next exclusive reader,
+// and the landing vector's one reader commits it.
 func TestExchangeDetectsHaloFlip(t *testing.T) {
 	plain := generalMatrix(t, 64)
 	xs := refVector(plain.Cols32())
 	want := make([]float64, plain.Rows())
 	plain.SpMV(want, xs)
 
-	// Pick a boundary entry shard 0 packs: its first halo column, in
-	// the owning shard's resident local vector.
-	corrupt := func(o *Operator) (victim *core.Vector, elem int) {
-		c := int(o.bands[0].haloCols[0])
-		ow := o.owner(c)
-		return o.Local(ow), c - o.bands[ow].r0
+	for _, s := range []core.Scheme{core.SED, core.SECDED64} {
+		for _, side := range []struct {
+			suffix, attributed string
+			phase              Phase
+			// victim returns the struck vector and word: shard 0's first
+			// halo entry in x or in its landing vector.
+			victim    func(o *Operator, x *core.Vector) (*core.Vector, int)
+			committed bool
+		}{
+			{"", "pack", PhaseScatter, func(o *Operator, x *core.Vector) (*core.Vector, int) {
+				return x, int(o.bands[0].haloCols[0])
+			}, false},
+			{"-landing", "halo of shard 0", PhaseExchange, func(o *Operator, _ *core.Vector) (*core.Vector, int) {
+				return o.Local(0), 0
+			}, true},
+		} {
+			name := map[core.Scheme]string{core.SED: "sed-detects", core.SECDED64: "secded64-corrects"}[s] + side.suffix
+			t.Run(name, func(t *testing.T) {
+				o, err := New(plain, Options{Shards: 4, VectorScheme: s,
+					Config: op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var c core.Counters
+				o.SetCounters(&c)
+				x := core.VectorFromSlice(xs, s)
+				x.SetCounters(&c)
+				v, word := side.victim(o, x)
+				var clean uint64
+				o.SetPhaseHook(func(p Phase) {
+					if p == side.phase {
+						clean = v.Raw()[word]
+						v.Raw()[word] ^= 1 << 33
+					}
+				})
+				dst := core.NewVector(o.Rows(), core.None)
+				err = o.Apply(dst, x, 1)
+				if s == core.SED {
+					var fe *core.FaultError
+					if !errors.As(err, &fe) || !strings.Contains(err.Error(), side.attributed) {
+						t.Fatalf("halo flip not caught by the %s read: %v", side.attributed, err)
+					}
+					if c.Detected() == 0 {
+						t.Fatal("detection not counted")
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("single flip should be corrected in flight: %v", err)
+				}
+				if c.Corrected() == 0 {
+					t.Fatal("correction not counted")
+				}
+				if left := v.Raw()[word] != clean; left == side.committed {
+					t.Fatalf("flip left in storage: %t, want %t", left, !side.committed)
+				}
+				got := make([]float64, o.Rows())
+				if err := dst.CopyTo(got); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if diff := math.Abs(got[i] - want[i]); diff > 1e-9*math.Max(1, math.Abs(want[i])) {
+						t.Fatalf("row %d: %g want %g", i, got[i], want[i])
+					}
+				}
+			})
+		}
 	}
-
-	t.Run("sed-detects", func(t *testing.T) {
-		o, err := New(plain, Options{Shards: 4, VectorScheme: core.SED,
-			Config: op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var c core.Counters
-		o.SetCounters(&c)
-		o.SetPhaseHook(func(p Phase) {
-			if p == PhaseScatter {
-				v, elem := corrupt(o)
-				v.Raw()[elem] ^= 1 << 33
-			}
-		})
-		x := core.VectorFromSlice(xs, core.None)
-		dst := core.NewVector(o.Rows(), core.None)
-		err = o.Apply(dst, x, 1)
-		var fe *core.FaultError
-		if err == nil || !errors.As(err, &fe) {
-			t.Fatalf("halo flip crossed the boundary silently: %v", err)
-		}
-		if !strings.Contains(err.Error(), "pack") {
-			t.Fatalf("fault not attributed to the exchange pack: %v", err)
-		}
-		if c.Detected() == 0 {
-			t.Fatal("detection not counted")
-		}
-	})
-
-	t.Run("secded64-corrects", func(t *testing.T) {
-		o, err := New(plain, Options{Shards: 4, VectorScheme: core.SECDED64,
-			Config: op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var c core.Counters
-		o.SetCounters(&c)
-		o.SetPhaseHook(func(p Phase) {
-			if p == PhaseScatter {
-				v, elem := corrupt(o)
-				v.Raw()[elem] ^= 1 << 33
-			}
-		})
-		x := core.VectorFromSlice(xs, core.None)
-		dst := core.NewVector(o.Rows(), core.None)
-		if err := o.Apply(dst, x, 1); err != nil {
-			t.Fatalf("single flip should be corrected in flight: %v", err)
-		}
-		if c.Corrected() == 0 {
-			t.Fatal("correction not counted")
-		}
-		got := make([]float64, o.Rows())
-		if err := dst.CopyTo(got); err != nil {
-			t.Fatal(err)
-		}
-		mask := core.NewVector(4, core.SECDED64).Mask
-		for i := range want {
-			if diff := math.Abs(got[i] - want[i]); diff > 1e-9*math.Max(1, math.Abs(want[i])) {
-				t.Fatalf("row %d: %g want %g (mask %g)", i, got[i], want[i], mask(want[i]))
-			}
-		}
-	})
 }
 
 // TestShardedScrubRepairsFlip flips a bit inside one shard's matrix:
@@ -364,7 +365,7 @@ func TestApplyValidation(t *testing.T) {
 	if err := o.Apply(bad, good, 1); err == nil {
 		t.Fatal("short dst accepted")
 	}
-	if lo, hi := o.HaloRange(0); hi <= lo {
+	if o.Local(0).Len() == 0 {
 		t.Fatal("shard 0 has no halo on a coupled matrix")
 	}
 	if r0, r1 := o.ShardRange(1); r0%core.BlockLen != 0 || r1 != o.Rows() {

@@ -325,21 +325,25 @@ func TestWidthParity(t *testing.T) {
 // TestWidthFaultParity strikes one column of a product with one flip
 // (corrected in flight) and with one more than the scheme can correct
 // (detected: two under SECDED64, three under CRC32C) at each place the
-// pipeline reads protected vector storage — the caller's column during
-// scatter and a halo source block two shards read — and requires the
-// struck column's delivered values, the struck storage afterwards, the
-// corrected/detected counts and the error's prefix to be the same at
-// width 3 as at width 1. The halo read is shared: at the exchange
-// barrier the flip is still in storage. The third site, "gather", is
-// where the band products land: the caller's destination, which the
-// pipeline once re-read from a band-local copy and now writes through a
+// pipeline reads protected vector storage — the caller's column as its
+// band decodes its interior ("scatter", struck before the call), a
+// block of the caller's column that two other shards pack their halos
+// from ("halo", struck after the interior decode) and a band's landing
+// vector between the pack and the band's read ("landing") — and
+// requires the struck column's delivered values, the struck storage
+// afterwards, the corrected/detected counts and the error's prefix to be
+// the same at width 3 as at width 1. The pack's read is shared: the
+// flip is still in the caller's storage at the exchange barrier and
+// after the call, for the column's next exclusive reader to repair. The
+// interior decode and the landing read are their storage's one reader
+// and commit. The fourth site, "gather", is where the band products
+// land: the caller's destination, which the pipeline writes through a
 // view without reading. A flip struck into its band rows before the call
 // is overwritten by the product — no error, nothing corrected or
 // detected, the destination exactly the clean product.
 func TestWidthFaultParity(t *testing.T) {
 	plain := chainMatrix(t, false)
 	n := plain.Rows()
-	const scatterWord = core.BlockLen + 2 // a word of band 1's rows
 	type outcome struct {
 		err         string
 		dst         []float64
@@ -350,10 +354,15 @@ func TestWidthFaultParity(t *testing.T) {
 	}
 	sites := []struct {
 		name, prefix string
+		// word is the struck word; repaired says a single flip there is
+		// gone from storage after the call.
+		word     int
+		repaired bool
 	}{
-		{"scatter", "shard: scatter into shard 1: "},
-		{"halo", "shard: pack shard 1 for shard 0: "},
-		{"gather", ""},
+		{"scatter", "shard: interior of shard 1: ", core.BlockLen + 2, true},    // a word of band 1's rows
+		{"halo", "shard: pack shard 1 for shard 0: ", core.BlockLen + 1, false}, // packed by bands 0 and 2
+		{"landing", "shard: halo of shard 0: ", 1, true},                        // band 0's halo column 9
+		{"gather", "", 2*core.BlockLen + 1, false},                              // a word of band 2's rows
 	}
 	for _, f := range op.Formats {
 		for _, s := range []core.Scheme{core.SECDED64, core.CRC32C} {
@@ -406,21 +415,28 @@ func TestWidthFaultParity(t *testing.T) {
 							switch site.name {
 							case "scatter":
 								struck = xs[j]
-								struck.Raw()[scatterWord] ^= mask
+								struck.Raw()[site.word] ^= mask
 							case "halo":
-								struck = ws[1].x.Col(j)
+								struck = xs[j]
 								o.SetPhaseHook(func(p Phase) {
 									switch p {
 									case PhaseScatter:
-										struck.Raw()[1] ^= mask
+										struck.Raw()[site.word] ^= mask
 									case PhaseExchange:
 										out.atExchange = append([]uint64(nil), struck.Raw()...)
+									}
+								})
+							case "landing":
+								struck = ws[0].halo.Col(j)
+								o.SetPhaseHook(func(p Phase) {
+									if p == PhaseExchange {
+										struck.Raw()[site.word] ^= mask
 									}
 								})
 							case "gather":
 								struck = dsts[j]
 								out.clean = append([]uint64(nil), struck.Raw()...)
-								struck.Raw()[2*core.BlockLen+1] ^= mask // a block of band 2's rows
+								struck.Raw()[site.word] ^= mask
 							}
 							before := c.Snapshot()
 							if err := call(); err != nil {
@@ -448,11 +464,11 @@ func TestWidthFaultParity(t *testing.T) {
 							if one.err != "" || one.fixed == 0 || one.seen != 0 {
 								t.Fatalf("single flip: %+v", one)
 							}
-							if site.name == "halo" && one.atExchange[1]&mask == 0 {
+							if site.name == "halo" && one.atExchange[site.word]&mask == 0 {
 								t.Fatal("the shared halo read committed its repair")
 							}
-							if one.after[map[string]int{"scatter": scatterWord, "halo": 1}[site.name]]&mask != 0 {
-								t.Fatal("the flip is still in storage after the call")
+							if left := one.after[site.word]&mask != 0; left == site.repaired {
+								t.Fatalf("flip left in storage after the call: %t, want %t", left, !site.repaired)
 							}
 						} else if !strings.HasPrefix(one.err, site.prefix) || one.seen == 0 {
 							t.Fatalf("uncorrectable flips: error %q (want prefix %q), %d detected", one.err, site.prefix, one.seen)
@@ -467,8 +483,9 @@ func TestWidthFaultParity(t *testing.T) {
 // TestBandProductsLandInDst: each band's local product is written through
 // a view straight into the band's rows of the caller's destination and is
 // never read back. The view aliases dst's storage; the local phase
-// verifies exactly the band matrices and one decode of every band's
-// halo-extended input; the destination's own counters see no read; and a
+// verifies exactly the band matrices and one read of every band's halo
+// landing vector — its interior was decoded from x before the exchange
+// and is not checked again; the destination's own counters see no read; and a
 // flip struck into dst after the call is left for the next verified
 // reader, which corrects one and detects one more than the scheme can
 // correct.
@@ -511,13 +528,16 @@ func TestBandProductsLandInDst(t *testing.T) {
 				var decodes uint64
 				for bi, b := range o.bands {
 					l := &o.primary[bi]
-					decodes += uint64(l.x.Blocks()) * uint64(core.BlockLen/s.VecGroup())
+					decodes += uint64(l.halo.Blocks()) * uint64(core.BlockLen/s.VecGroup())
+					if l.halo.Len() != len(b.haloCols) {
+						t.Fatalf("band %d's landing vector holds %d entries, want its %d halo columns", bi, l.halo.Len(), len(b.haloCols))
+					}
 					if &l.y.Col(0).Raw()[0] != &dst.Raw()[b.r0] {
 						t.Fatalf("band %d's product is not a view of dst's rows %d..", bi, b.r0)
 					}
 				}
 				if local := oc.Checks() - atExchange; local != mc.Checks()+decodes {
-					t.Fatalf("local phase made %d checks, want %d matrix-side + %d band-input", local, mc.Checks(), decodes)
+					t.Fatalf("local phase made %d checks, want %d matrix-side + %d landing-vector", local, mc.Checks(), decodes)
 				}
 				if dc.Snapshot() != (core.CounterSnapshot{}) {
 					t.Fatalf("the product read its destination: %+v", dc.Snapshot())
