@@ -88,7 +88,7 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 // TestApplyBatchSharedFallback drives the batched verify-then-stream
 // protocol through its corrective branch: a value-bit flip in shared
 // mode makes the chunk verify report dirty without committing the
-// repair, so scatterK must stage the chunk once (triplets.stage) and
+// repair, so its cold path must stage the chunk once (triplets.stage) and
 // stream the stage into every column, while every column stays bit-exact
 // against the unprotected reference and the stored fault survives for
 // the owner's scrub.

@@ -20,15 +20,18 @@
 // The codec is one unexported view, triplets, COO's twin of
 // core.ColElems (DESIGN.md section 4): each scheme's repair is written
 // once (check64, checkPair, checkGroupCRC) and checkRange walks the
-// codewords of a range with it, for the product's chunk verify, for
-// CheckAll and for the shared-mode stage — a copy of a chunk whose
-// correction could not be committed, repaired by the same check.
+// codewords of a range with it — the committing check of CheckAll and
+// of a product's chunk, run with nothing to commit or count as the
+// chunk's clean test, and the repair of a shared-mode stage, a copy of a
+// chunk whose correction could not be committed.
 //
-// COO SpMV is a scatter (dst[row] += val*x[col]), so unlike the CSR
-// kernel it accumulates into a dense buffer and commits the protected
-// output vector block-wise afterwards — the buffered-write strategy of
-// paper section VI-C applied to a scatter pattern. Storage and a stage
-// stream through the same scatter loop.
+// A product's chunks are groups of core's verify-then-stream sweep
+// (core.SweepGroups, DESIGN.md section 42). COO SpMV is a scatter
+// (dst[row] += val*x[col]), so unlike the CSR kernel it accumulates
+// into a dense buffer and commits the protected output vector
+// block-wise afterwards — the buffered-write strategy of paper section
+// VI-C applied to a scatter pattern. Storage and a stage stream through
+// the same scatter loops.
 package coo
 
 import (
@@ -285,8 +288,8 @@ func (t *triplets) checkSED(k int, c *core.Counters) error {
 }
 
 // check64 verifies element k, repairing single flips when commit is true
-// and counting into c. The first return reports whether a correction was
-// found — storage is stale when it was and commit was false.
+// and counting into c. The first return reports storage stale: a
+// correction was found and commit was false.
 func (t *triplets) check64(k int, commit bool, c *core.Counters) (bool, error) {
 	// The codeword goes to the kernel by value; only a non-zero
 	// accumulator pays for the Word4 and the resolve.
@@ -302,7 +305,7 @@ func (t *triplets) check64(k int, commit bool, c *core.Counters) (bool, error) {
 			t.cols[k] = uint32(cw[1] >> 32)
 		}
 		c.AddCorrected(1)
-		return true, nil
+		return !commit, nil
 	case ecc.Detected:
 		return false, t.fault(c, k, "secded64 double-bit error")
 	}
@@ -323,7 +326,7 @@ func (t *triplets) checkPair(p int, commit bool, c *core.Counters) (bool, error)
 			t.storePair(p, &cw)
 		}
 		c.AddCorrected(1)
-		return true, nil
+		return !commit, nil
 	case ecc.Detected:
 		return false, t.fault(c, p, "secded128 double-bit error")
 	}
@@ -360,7 +363,7 @@ func (t *triplets) checkGroupCRC(g int, commit bool, c *core.Counters, img *[16 
 		}
 	}
 	c.AddCorrected(1)
-	return true, nil
+	return !commit, nil
 }
 
 // groupSlot places bit k of a group's checksum in its codeword image
@@ -371,38 +374,27 @@ func groupSlot(k int) int { return 128*(k/4) + 92 + k%4 }
 // codeword-aligned range), one codeword of groupSize entries at a time,
 // repairing correctable errors when commit is true, counting corrections
 // and detections into c and continuing past uncorrectable errors so the
-// full damage is counted — the batch-verify half of the verify-then-stream
-// protocol, the body of CheckAll and the repair of a dirty chunk's stage.
-// It returns whether the range is dirty (a correction was found but not
-// committed, so storage still holds a raw fault and must not be
-// streamed), the number of codeword checks performed, and the first
-// error. img is the CRC32C group scratch (unused by other schemes).
-func (t *triplets) checkRange(lo, hi int, commit bool, c *core.Counters, img *[16 * crcGroup]byte) (dirty bool, checks uint64, err error) {
+// full damage is counted: the committing check of a product's chunk and
+// of CheckAll, and the repair of a dirty chunk's stage. With commit
+// false and c nil it is the chunk's clean test, which writes and counts
+// nothing. img is the CRC32C group scratch (unused by other schemes).
+func (t *triplets) checkRange(lo, hi int, commit bool, c *core.Counters, img *[16 * crcGroup]byte) (v core.Verdict) {
 	if t.scheme == core.None {
-		return false, 0, nil
+		return v
 	}
 	for k := lo; k < hi; k += groupSize(t.scheme) {
-		checks++
-		var corrected bool
-		var e error
 		switch t.scheme {
 		case core.SED:
-			e = t.checkSED(k, c)
+			v.Note(false, t.checkSED(k, c))
 		case core.SECDED64:
-			corrected, e = t.check64(k, commit, c)
+			v.Note(t.check64(k, commit, c))
 		case core.SECDED128:
-			corrected, e = t.checkPair(k/2, commit, c)
+			v.Note(t.checkPair(k/2, commit, c))
 		case core.CRC32C:
-			corrected, e = t.checkGroupCRC(k/crcGroup, commit, c, img)
-		}
-		if e != nil && err == nil {
-			err = e
-		}
-		if corrected && !commit {
-			dirty = true
+			v.Note(t.checkGroupCRC(k/crcGroup, commit, c, img))
 		}
 	}
-	return dirty, checks, err
+	return v
 }
 
 // stage is the corrective fallback for a dirty chunk [lo,hi), one whose
@@ -415,7 +407,7 @@ func (t *triplets) checkRange(lo, hi int, commit bool, c *core.Counters, img *[1
 func (t *triplets) stage(lo, hi int, img *[16 * crcGroup]byte) (triplets, error) {
 	st := triplets{t.scheme, t.backend, append([]uint32(nil), t.rows[lo:hi]...),
 		append([]uint32(nil), t.cols[lo:hi]...), append([]float64(nil), t.vals[lo:hi]...)}
-	if _, _, err := st.checkRange(0, hi-lo, true, nil, img); err != nil {
+	if err := st.checkRange(0, hi-lo, true, nil, img).Err; err != nil {
 		err.(*core.FaultError).Index += lo / groupSize(t.scheme)
 		return st, err
 	}
@@ -429,7 +421,7 @@ func (t *triplets) stage(lo, hi int, img *[16 * crcGroup]byte) (triplets, error)
 func (t *triplets) row(k int, img *[16 * crcGroup]byte) uint32 {
 	g := groupSize(t.scheme)
 	lo := k / g * g
-	if dirty, _, err := t.checkRange(lo, lo+g, false, nil, img); dirty && err == nil {
+	if v := t.checkRange(lo, lo+g, false, nil, img); v.Dirty && v.Err == nil {
 		st, _ := t.stage(lo, lo+g, img)
 		return st.rows[k-lo] & idxMask(t.scheme)
 	}
@@ -441,16 +433,17 @@ func (t *triplets) row(k int, img *[16 * crcGroup]byte) uint32 {
 func (m *Matrix) VerifyAll(acc *core.Counters) (checks uint64, err error) {
 	var img [16 * crcGroup]byte
 	el := m.elems()
-	_, checks, err = el.checkRange(0, len(m.vals), true, acc, &img)
-	return checks, err
+	v := el.checkRange(0, len(m.vals), true, acc, &img)
+	return v.Checks, v.Err
 }
 
 // Product computes dsts[j] = m xs[j] for every j in a single pass over
 // the entry stream, satisfying core.Layout. Each source vector is
 // decoded once into a dense buffer (core.DecodeSources, the prologue all
 // formats share), each chunk of element codewords is verified once per
-// full sweep whatever the width, and its entries scatter into k dense
-// accumulators; per-column results are bit-identical to k independent
+// full sweep whatever the width — clean first, repaired only when not —
+// and its entries scatter into k dense accumulators (core.SweepGroups,
+// DESIGN.md section 42); per-column results are bit-identical to k independent
 // width-1 calls because entries scatter in the same order into each
 // column's own accumulator. The result is committed to the protected
 // output block-wise through the accumulators (COO scatter cannot stream
@@ -485,7 +478,8 @@ func (m *Matrix) Stream(dsts []*core.Vector, xbufs [][]float64, workers int, sw 
 		for ranges[i][0] != lo {
 			i++
 		}
-		return m.scatterK(accs[i], xbufs, lo, hi, sw)
+		c := m.newSweep(accs[i], xbufs, lo, hi, sw)
+		return core.SweepGroups(c, 0, (hi-lo+c.step-1)/c.step, len(xbufs), m.Counters())
 	})
 	if err != nil {
 		return err
@@ -569,99 +563,85 @@ func (m *Matrix) entryRanges(workers int) [][2]int {
 // scatter pass. It is a multiple of every codeword group size.
 const verifyChunk = 64
 
-// scatterK verifies and scatters entries [lo,hi) into the k accumulators
-// following the verify-then-stream protocol: each chunk's codewords are
-// batch-verified once (checkRange), then the chunk streams straight from
-// storage into every column with only the index mask and range checks
-// applied — no decode interleaved with the multiply. Only a chunk whose
-// correction could not be committed — the matrix is shared across Apply
-// callers (ModeShared) and a live fault was hit — streams its repaired
-// copy (triplets.stage) instead, through the same scatter, so the slow
-// path is paid per faulty chunk, not per sweep. Ranges are
-// codeword-aligned, so workers never share a codeword. Unless sw is a
-// full sweep no chunk is verified or counted; every row and column index
-// is range-checked under every scheme, none included.
-func (m *Matrix) scatterK(accs, xbufs [][]float64, lo, hi int, sw core.Sweep) error {
-	el := m.elems()
-	step := verifyChunk
-	var img *[16 * crcGroup]byte
-	if m.Scheme() == core.CRC32C && sw.Full {
-		// One group per chunk; the image escapes into hash/crc32, so it is
-		// allocated once per range.
-		step, img = crcGroup, new([16 * crcGroup]byte)
-	}
-	c := chunkStream{mask: idxMask(m.Scheme()), nrows: m.Rows(), ncols: m.Cols()}
-	var checks uint64
-	defer func() { m.Counters().AddChecks(checks) }()
-	for base := lo; base < hi; base += step {
-		end := min(base+step, hi)
-		if sw.Full {
-			dirty, n, err := el.checkRange(base, end, sw.Commit, m.Counters(), img)
-			checks += n
-			if err != nil {
-				return err
-			}
-			if dirty {
-				st, err := el.stage(base, end, img)
-				if err != nil {
-					return err
-				}
-				if err := m.scatter(&c, accs, xbufs, &st, 0, end-base, base); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		if err := m.scatter(&c, accs, xbufs, &el, base, end, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatter streams entries [lo,hi) of el into every column — storage on
-// the fast second half of verify-then-stream, or a dirty chunk's stage —
-// applying only the index mask and the range checks. off is the storage
-// position of el's entry 0 (0 for storage, the chunk's first entry for a
-// stage), for the range error. c carries the range's part of the
-// stream; scatter points it at the chunk.
-//
-// It is one loop for every width, CSR's (DESIGN.md section 40): the
-// columns go four at a time (chunkStream.pass4), then the remaining zero
-// to three one at a time (pass1). Entries scatter in storage order into
-// each column's own accumulator, and the first pass meets every entry,
-// so a wild index is reported at the entry a width-1 product reports,
-// before it is used.
-func (m *Matrix) scatter(c *chunkStream, accs, xbufs [][]float64, el *triplets, lo, hi, off int) error {
-	c.rows, c.cols, c.vals = el.rows[lo:hi], el.cols[lo:hi], el.vals[lo:hi]
-	wild := -1
-	j := 0
-	for ; j+4 <= len(accs) && wild < 0; j += 4 {
-		wild = c.pass4((*[4][]float64)(accs[j:j+4]), (*[4][]float64)(xbufs[j:j+4]))
-	}
-	for ; j < len(accs) && wild < 0; j++ {
-		wild = c.pass1(accs[j], xbufs[j])
-	}
-	if wild >= 0 {
-		return m.boundsErr(off+lo+wild, c.rows[wild]&c.mask, c.cols[wild]&c.mask)
-	}
-	return nil
-}
-
-// chunkStream is one chunk's entries as scatter's passes read them:
-// mask is the index mask, nrows and ncols the ranges of a row and a
-// column index.
-type chunkStream struct {
+// chunkSweep is one goroutine's core.Groups over the entry range
+// [lo,hi) of a product, a group being one chunk of step entries from lo
+// (DESIGN.md section 42): the codec view, the sweep's read decision, the
+// k accumulators and the chunk the stream points at — its entries from
+// storage or a stage. mask is the index mask, nrows and ncols the ranges
+// of a row and a column index; wild is the position of the wild index a
+// failed stream met.
+type chunkSweep struct {
+	m            *Matrix
+	el           triplets
+	full, commit bool
+	img          *[16 * crcGroup]byte
+	accs, xbufs  [][]float64
+	lo, hi, step int
+	base, end    int // the current chunk
 	rows, cols   []uint32
 	vals         []float64
 	mask         uint32
 	nrows, ncols int
+	wild         int
 }
 
-// pass4 is one pass over the chunk for four columns, scattering into
-// their four accumulators. It returns the position of the first wild
-// index in the chunk, or -1.
-func (c *chunkStream) pass4(a, x *[4][]float64) int {
+// newSweep starts the sweep of entries [lo,hi) (codeword-aligned, so
+// workers never share a codeword) into accs under sw: chunks of
+// verifyChunk entries, or on a full CRC32C sweep one group each, whose
+// image escapes into hash/crc32 and is allocated once per range.
+func (m *Matrix) newSweep(accs, xbufs [][]float64, lo, hi int, sw core.Sweep) *chunkSweep {
+	c := &chunkSweep{m: m, el: m.elems(), full: sw.Full, commit: sw.Commit, accs: accs, xbufs: xbufs,
+		lo: lo, hi: hi, step: verifyChunk, mask: idxMask(m.Scheme()), nrows: m.Rows(), ncols: m.Cols()}
+	if m.Scheme() == core.CRC32C && sw.Full {
+		c.step, c.img = crcGroup, new([16 * crcGroup]byte)
+	}
+	return c
+}
+
+// Clean is chunk g's clean test: on a full sweep its committing check
+// with nothing to commit or count; between full checks nothing.
+func (c *chunkSweep) Clean(g int) (uint64, bool) {
+	c.base = c.lo + g*c.step
+	c.end = min(c.base+c.step, c.hi)
+	c.rows, c.cols, c.vals = c.el.rows[c.base:c.end], c.el.cols[c.base:c.end], c.el.vals[c.base:c.end]
+	if !c.full {
+		return 0, true
+	}
+	v := c.el.checkRange(c.base, c.end, false, nil, c.img)
+	return v.Checks, v.Clean()
+}
+
+// Cold is chunk g's cold path: its committing check, the stage of a
+// chunk that check leaves dirty (a shared matrix hit a live fault), and
+// the scatter of storage or the stage, whose wild index is its
+// BoundsError.
+func (c *chunkSweep) Cold(int) (uint64, error) {
+	var v core.Verdict
+	if c.full {
+		v = c.el.checkRange(c.base, c.end, c.commit, c.m.Counters(), c.img)
+		if v.Err == nil && v.Dirty {
+			var st triplets
+			st, v.Err = c.el.stage(c.base, c.end, c.img)
+			c.rows, c.cols, c.vals = st.rows, st.cols, st.vals
+		}
+	}
+	if v.Err == nil && !core.StreamGroup(c, len(c.accs)) {
+		k := c.wild
+		v.Err = c.m.boundsErr(c.base+k, c.rows[k]&c.mask, c.cols[k]&c.mask)
+	}
+	return v.Checks, v.Err
+}
+
+// Done has nothing to keep: the accumulators are reduced per product.
+func (c *chunkSweep) Done(int, bool) {}
+
+// Stream4 is one pass over the chunk for columns j..j+3, scattering
+// into their four accumulators with only the index mask and the range
+// checks applied. Entries scatter in storage order into each column's
+// own accumulator, and the first pass meets every entry, so a wild index
+// is found at the entry a width-1 product reports, before it is used.
+func (c *chunkSweep) Stream4(j int) bool {
+	a, x := (*[4][]float64)(c.accs[j:j+4]), (*[4][]float64)(c.xbufs[j:j+4])
 	a0 := a[0][:c.nrows]
 	a1, a2, a3 := a[1][:len(a0)], a[2][:len(a0)], a[3][:len(a0)]
 	x0 := x[0][:c.ncols]
@@ -671,7 +651,8 @@ func (c *chunkStream) pass4(a, x *[4][]float64) int {
 	for k, r := range rows {
 		row, col := r&mask, cols[k]&mask
 		if uint(row) >= uint(len(a0)) || uint(col) >= uint(len(x0)) {
-			return k
+			c.wild = k
+			return false
 		}
 		v := vals[k]
 		a0[row] += v * x0[col]
@@ -679,22 +660,23 @@ func (c *chunkStream) pass4(a, x *[4][]float64) int {
 		a2[row] += v * x2[col]
 		a3[row] += v * x3[col]
 	}
-	return -1
+	return true
 }
 
-// pass1 is pass4 for the one column x, scattered into acc.
-func (c *chunkStream) pass1(acc, x []float64) int {
-	acc, x = acc[:c.nrows], x[:c.ncols]
+// Stream1 is Stream4 for the one column j.
+func (c *chunkSweep) Stream1(j int) bool {
+	acc, x := c.accs[j][:c.nrows], c.xbufs[j][:c.ncols]
 	rows, mask := c.rows, c.mask
 	cols, vals := c.cols[:len(rows)], c.vals[:len(rows)]
 	for k, r := range rows {
 		row, col := r&mask, cols[k]&mask
 		if uint(row) >= uint(len(acc)) || uint(col) >= uint(len(x)) {
-			return k
+			c.wild = k
+			return false
 		}
 		acc[row] += vals[k] * x[col]
 	}
-	return -1
+	return true
 }
 
 // boundsErr counts and builds the range-check error for element k, whose

@@ -10,8 +10,9 @@ import (
 
 // TestCOOSharedFallback drives the verify-then-stream protocol through
 // its corrective branch from inside the package: a value-bit flip in
-// shared mode makes the chunk verify report dirty (it may not commit
-// the repair), so scatterK must stage the chunk (triplets.stage: a copy
+// shared mode fails the chunk's clean test and makes its committing
+// check report it dirty (it may not commit the repair), so the chunk's
+// cold path (chunkSweep.Cold) must stage it (triplets.stage: a copy
 // repaired by the committing check) and stream the stage through the
 // same scatter, while the product stays bit-exact against the
 // unprotected reference and the stored fault survives for the owner's

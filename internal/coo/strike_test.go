@@ -69,7 +69,7 @@ func cooExpect(s core.Scheme, flips []cooFlip) (want cooOutcome, silent bool, fa
 	return want, silent, fault
 }
 
-// stageChunk is the entry range scatterK verifies and, when dirty,
+// stageChunk is the entry range a product's chunk covers and, when dirty,
 // stages around element k: its CRC32C group, or its verifyChunk-aligned
 // chunk (entry ranges start at codeword multiples of verifyChunk on one
 // worker).

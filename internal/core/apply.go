@@ -56,12 +56,14 @@ func (m *Matrix) Product(dsts, xs []*Vector, workers int, sw Sweep) error {
 // from sources already decoded into dense buffers of at least Cols()
 // elements, under sw, every output block written through ep (nil
 // without a dot request). The sharded composite calls it with buffers it
-// filled itself.
+// filled itself. Each worker's rows run through the one sweep driver,
+// SweepGroups, one output block at a time (csrSweep).
 func (m *Matrix) Stream(dsts []*Vector, xbufs [][]float64, workers int, sw Sweep, ep *DotEpilogue) error {
-	ranges := par.Ranges(m.rows, workers, 8)
+	ranges := par.Ranges(m.rows, workers, BlockLen)
 	commit := sw.Commit && len(ranges) <= 1
 	return par.Run(ranges, func(lo, hi int) error {
-		return m.applyRows(dsts, xbufs, lo, hi, sw.Full, commit, ep)
+		s := m.newSweep(dsts, xbufs, ep, hi, sw.Full, commit)
+		return SweepGroups(s, lo/BlockLen, (hi+BlockLen-1)/BlockLen, len(xbufs), m.counters)
 	})
 }
 
@@ -143,89 +145,68 @@ func (s *sources) decode(xs []*Vector, unverified bool) error {
 	return nil
 }
 
-// applyRows multiplies rows [lo,hi) against every decoded column; lo
-// must be a multiple of the output block size (guaranteed by par.Ranges
-// alignment 8).
-//
-// The unit of the clean path is one output block of BlockLen rows
-// (DESIGN.md section 33), csrSweep.block: the block's row pointers come
-// from their row-pointer groups, each checked by value once per sweep
-// (rowPtrCursor.window, indexGroups.clean), the element codewords of the
-// block's whole entry span are checked at once (ColElems.clean), the
-// rows stream into k running sums
-// and the output block is written once. Any fault, non-monotone pointer
-// or wild column sends that block, and only it, to the per-row code
-// (csrSweep.rows), which re-walks it from its first row with nothing
-// yet counted, corrected or committed — so what a faulty block reports
-// is the per-row code's by construction. Sweeps between full checks
-// take the same path with no accumulators.
-func (m *Matrix) applyRows(dsts []*Vector, xbufs [][]float64, lo, hi int, fullCheck, commit bool, ep *DotEpilogue) error {
-	s := m.newSweep(xbufs, fullCheck, commit)
-	defer s.flush()
-	for r0 := lo; r0 < hi; r0 += BlockLen {
-		n := min(hi-r0, BlockLen)
-		if !s.block(r0, n) {
-			if err := s.rows(r0, n); err != nil {
-				return err
-			}
-		}
-		s.write(dsts, ep, r0, n)
-	}
-	return nil
-}
-
-// csrSweep is one goroutine's state over its rows of a CSR product: the
-// row reader — whose cursor's current group carries from one block to
-// the next with its decoded values, whose element verifier keeps its
-// SECDED128 pair memo, and which counts the checks — and the k output
-// blocks.
+// csrSweep is one goroutine's Groups over its rows [.., hi) of a CSR
+// product, a group being one output block of BlockLen rows (DESIGN.md
+// sections 33 and 42). It holds the row reader — whose cursor's current
+// group carries from one block to the next with its decoded values,
+// whose element verifier keeps its SECDED128 pair memo, and which counts
+// the cold path's checks — the k output blocks, and what the clean test
+// of the current block found: its n rows' pointers p, and the pair memo
+// it leaves. Done keeps that state only for a block the clean path
+// streamed, so a block that is not clean goes to the per-row code (rows)
+// with nothing yet counted, corrected, committed or memoised, and what
+// it reports is the per-row code's by construction.
 type csrSweep struct {
 	rowReader
+	dsts  []*Vector
 	xbufs [][]float64
+	ep    *DotEpilogue
 	outs  [][BlockLen]float64
+	hi, n int
+	p     [2 * BlockLen]uint32
+	pair  int
 }
 
-// newSweep starts one goroutine's sweep against the decoded columns
-// xbufs: a full check verifies what carries codewords, and commit lets
-// it repair storage.
-func (m *Matrix) newSweep(xbufs [][]float64, fullCheck, commit bool) csrSweep {
-	return csrSweep{
+// newSweep starts one goroutine's sweep over rows up to hi against the
+// decoded columns xbufs: a full check verifies what carries codewords,
+// and commit lets it repair storage.
+func (m *Matrix) newSweep(dsts []*Vector, xbufs [][]float64, ep *DotEpilogue, hi int, fullCheck, commit bool) *csrSweep {
+	return &csrSweep{
 		rowReader: m.newRowReader(fullCheck, commit),
+		dsts:      dsts,
 		xbufs:     xbufs,
+		ep:        ep,
 		outs:      make([][BlockLen]float64, len(xbufs)),
+		hi:        hi,
 	}
 }
 
-// write stores the output blocks of the n rows at r0, zero past row n.
-func (s *csrSweep) write(dsts []*Vector, ep *DotEpilogue, r0, n int) {
-	for j, dst := range dsts {
-		clear(s.outs[j][n:])
-		ep.WriteBlock(j, dst, r0/BlockLen, &s.outs[j])
-	}
-}
-
-// block is the clean path over the n <= BlockLen rows at r0: it fills
-// the output blocks and reports true, or reports false having changed
-// nothing but the output blocks — no count, no correction, no commit,
-// no cursor or memo state — when anything on the way is not clean.
-func (s *csrSweep) block(r0, n int) bool {
-	m := s.m
-	var p [2 * BlockLen]uint32
-	groups, ok := s.cur.window(r0, n, &p)
-	if !ok {
-		return false
-	}
+// Clean is the clean test of output block g, its n <= BlockLen rows
+// from row g·BlockLen: the block's row pointers come from their
+// row-pointer groups, each checked by value once per sweep
+// (rowPtrCursor.window, indexGroups.clean), must be monotone and inside
+// storage, and on a full sweep the element codewords of the block's
+// whole entry span are checked at once (ColElems.clean; under CRC32C
+// one run per row). Nothing is counted, corrected or committed; checks
+// are the pointer groups and element codewords the block holds.
+func (s *csrSweep) Clean(g int) (uint64, bool) {
+	m, r0 := s.m, g*BlockLen
+	n := min(s.hi-r0, BlockLen)
+	s.n = n
+	p := &s.p
+	groups, ok := s.cur.window(r0, n, p)
 	// Monotone and inside storage: then every pointer is <= nnz.
-	bad := p[n] > uint32(m.nnz)
+	ok = ok && p[n] <= uint32(m.nnz)
 	for i := 0; i < n; i++ {
-		bad = bad || p[i] > p[i+1]
+		ok = ok && p[i] <= p[i+1]
 	}
-	if bad {
-		return false
+	if !ok {
+		return 0, false
 	}
-	checks, lastPair := uint64(0), s.ver.lastPair
+	var checks uint64
+	s.pair = s.ver.lastPair
 	if s.full {
-		el, ok := &s.ver.el, true
+		el := &s.ver.el
 		if el.Scheme == CRC32C {
 			// The codeword is a row: one checksum per row.
 			checks = uint64(n)
@@ -236,54 +217,45 @@ func (s *csrSweep) block(r0, n int) bool {
 			// The block's whole entry span at once, less under SECDED128
 			// the pair the previous row verified (rowVerifier.row's memo,
 			// kept across blocks).
-			checks, lastPair, ok = el.clean(int(p[0]), int(p[n]), lastPair)
-		}
-		if !ok {
-			return false
+			checks, s.pair, ok = el.clean(int(p[0]), int(p[n]), s.pair)
 		}
 	}
-	if !s.stream(&p, n) {
-		return false
-	}
-	s.cur.advance(r0, n, &p, groups)
-	s.elemChecks += checks
-	s.ver.lastPair = lastPair
-	return true
+	return checks + groups, ok
 }
 
-// stream accumulates the n rows delimited by p[0..n] straight from
-// storage into the output blocks, applying the column mask and the
-// range check against the logical length of x, whatever the element
-// scheme: the per-row stream of csrSweep.rows over a whole block. It
-// reports false at a wild column, which the per-row code reports; the
-// first pass over the block meets every column before any load, so a
-// wild one is found before it is used.
-//
-// It is one loop for every width (DESIGN.md section 40): the columns go
-// four at a time (stream4), then the remaining zero to three one at a
-// time (stream1). Column j accumulates in entry order from zero under
-// every width, so its bits are a width-1 product's.
-func (s *csrSweep) stream(p *[2 * BlockLen]uint32, n int) bool {
-	j := 0
-	for ; j+4 <= len(s.xbufs); j += 4 {
-		if !s.stream4(p, n, j) {
-			return false
-		}
+// Done keeps what the clean test of block g found when the clean path
+// streamed it — the cursor now holds the group of the block's last
+// pointer, decoded — and writes the block's outputs, zero past row n.
+func (s *csrSweep) Done(g int, clean bool) {
+	if clean {
+		s.cur.advance(g*BlockLen, s.n, &s.p)
+		s.ver.lastPair = s.pair
 	}
-	for ; j < len(s.xbufs); j++ {
-		if !s.stream1(p, n, j) {
-			return false
-		}
+	for j, dst := range s.dsts {
+		clear(s.outs[j][s.n:])
+		s.ep.WriteBlock(j, dst, g, &s.outs[j])
 	}
-	return true
 }
 
-// stream4 is one pass over the block for columns j..j+3, each row's four
-// sums in registers. The row slices are taken from the matrix per row,
-// not hoisted: held across the entry loop they push its index out of a
-// register.
-func (s *csrSweep) stream4(p *[2 * BlockLen]uint32, n, j int) bool {
-	m, mask := s.m, s.ver.el.Mask()
+// Cold is the cold path of block g: the per-row code (rows), from the
+// state the last clean block left, with the checks it counted.
+func (s *csrSweep) Cold(g int) (uint64, error) {
+	r0 := g * BlockLen
+	s.n = min(s.hi-r0, BlockLen)
+	err := s.rows(r0, s.n)
+	return s.take(), err
+}
+
+// Stream4 accumulates the block's n rows, delimited by p[0..n], straight
+// from storage into the output blocks of columns j..j+3, each row's four
+// sums in registers, applying the column mask and the range check
+// against the logical length of x whatever the element scheme: the
+// per-row stream of rows over a whole block. It reports false at a wild
+// column, which the per-row code reports. The row slices are taken from
+// the matrix per row, not hoisted: held across the entry loop they push
+// its index out of a register.
+func (s *csrSweep) Stream4(j int) bool {
+	m, mask, p, n := s.m, s.ver.el.Mask(), &s.p, s.n
 	x0 := s.xbufs[j][:m.cols]
 	x1, x2, x3 := s.xbufs[j+1][:len(x0)], s.xbufs[j+2][:len(x0)], s.xbufs[j+3][:len(x0)]
 	o := (*[4][BlockLen]float64)(s.outs[j : j+4])
@@ -308,9 +280,9 @@ func (s *csrSweep) stream4(p *[2 * BlockLen]uint32, n, j int) bool {
 	return true
 }
 
-// stream1 is stream4 for the one column j.
-func (s *csrSweep) stream1(p *[2 * BlockLen]uint32, n, j int) bool {
-	m, mask := s.m, s.ver.el.Mask()
+// Stream1 is Stream4 for the one column j.
+func (s *csrSweep) Stream1(j int) bool {
+	m, mask, p, n := s.m, s.ver.el.Mask(), &s.p, s.n
 	x, out := s.xbufs[j][:m.cols], &s.outs[j]
 	for i := 0; i < n; i++ {
 		cs := m.colIdx[p[i]:p[i+1]]
@@ -330,7 +302,8 @@ func (s *csrSweep) stream1(p *[2 * BlockLen]uint32, n, j int) bool {
 }
 
 // rows is the cold path of a block: the per-row verify-then-stream
-// protocol over the n rows at r0, from the state the clean path left.
+// protocol over the n rows at r0, from the state the last clean block
+// left.
 // Each row comes from the row reader — verified, then storage itself or,
 // when a correction could not be committed, a stage (rowReader.row) —
 // and streams into every output block in entry order behind the column
@@ -364,11 +337,19 @@ func (s *csrSweep) rows(r0, n int) error {
 // rawRows is the unprotected baseline (matrix and source vectors all
 // scheme none): rows [lo,hi) multiply straight from raw storage, the
 // source words indexed in place with no decode and no copy, one column
-// at a time through the plain CSR loop. Every column is range-checked
-// against Cols(), as on every other path: a wild one is the
-// StructElements BoundsError of its entry, never a read of x's padding
-// or past it.
+// at a time through the plain CSR loop. Every pointer and column is
+// range-checked, as on every other path: the range's pointers first,
+// by the unchecked cursor's rule (monotone, at most nnz; a wild one is
+// the StructRowPtr BoundsError of its row), then each column against
+// Cols() (a wild one is the StructElements BoundsError of its entry),
+// never a read of x's padding or past storage.
 func (m *Matrix) rawRows(dsts, xs []*Vector, lo, hi int, ep *DotEpilogue) error {
+	cur := m.cursor(false, false)
+	for r := lo; r < hi; r++ {
+		if _, _, err := cur.bounds(r); err != nil {
+			return err
+		}
+	}
 	for j, x := range xs {
 		words := x.words[:m.cols]
 		var out [BlockLen]float64

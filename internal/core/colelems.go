@@ -153,8 +153,8 @@ func (e *ColElems) runClean(base, n int) bool {
 
 // checkEntry verifies entry k under SED (detection only) or SECDED64,
 // repairing a single flip in storage when commit is true. The first
-// return reports whether a correction was found — storage is stale when
-// it was and commit was false. It is the per-codeword cold path: verify
+// return reports storage stale: a correction was found and commit was
+// false. It is the per-codeword cold path: verify
 // passes check a whole span with one clean test and come here, one
 // codeword at a time in storage order, only when that failed.
 func (e *ColElems) checkEntry(k int, commit bool, c *Counters) (bool, error) {
@@ -173,7 +173,7 @@ func (e *ColElems) checkEntry(k int, commit bool, c *Counters) (bool, error) {
 		e.Vals[k] = math.Float64frombits(cw[0])
 		e.Cols[k] = uint32(cw[1])
 	}
-	return e.settle(c, res, k, "secded64 double-bit error")
+	return e.settle(c, res, commit, k, "secded64 double-bit error")
 }
 
 // checkPair verifies the SECDED128 pair t (entries 2t and 2t+1) with
@@ -187,52 +187,45 @@ func (e *ColElems) checkPair(t int, commit bool, c *Counters) (bool, error) {
 	if res == ecc.Corrected && commit {
 		e.Vals[2*t], e.Cols[2*t], e.Vals[2*t+1], e.Cols[2*t+1] = splitPair(&cw)
 	}
-	return e.settle(c, res, t, "secded128 double-bit error")
+	return e.settle(c, res, commit, t, "secded128 double-bit error")
 }
 
 // settle counts a SECDED codeword that did not verify clean: a
-// correction, or an uncorrectable error reported as the codec's fault.
-func (e *ColElems) settle(c *Counters, res ecc.CheckResult, idx int, detail string) (bool, error) {
+// correction, stale unless committed, or an uncorrectable error
+// reported as the codec's fault.
+func (e *ColElems) settle(c *Counters, res ecc.CheckResult, commit bool, idx int, detail string) (bool, error) {
 	if res == ecc.Detected {
 		return false, e.fault(c, idx, detail)
 	}
 	c.AddCorrected(1)
-	return true, nil
+	return !commit, nil
 }
 
 // Check verifies every per-entry codeword (SED, SECDED64, SECDED128
 // pairs) covering storage entries [lo,hi) with one clean test, walking
 // them one at a time only when it fails: repairing correctable errors
-// in storage when commit is true and continuing past
-// uncorrectable ones so the full damage is counted. dirty reports a
-// correction that was found but not committed: storage still holds the
-// raw fault, and a caller about to stream it must stream DecodeLocal's
-// stage instead. checks is the number of codewords verified (for the
-// caller to batch into its counters), err the first uncorrectable error.
-// None and CRC32C have no per-entry codewords and verify nothing here.
-func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (dirty bool, checks uint64, err error) {
+// in storage when commit is true and continuing past uncorrectable ones
+// so the full damage is counted. A Dirty verdict means storage still
+// holds the raw fault, and a caller about to stream it must stream
+// DecodeLocal's stage instead; its Checks are for the caller to batch
+// into its counters. With commit false and nil counters it is a clean
+// test that writes and counts nothing. None and CRC32C have no
+// per-entry codewords and verify nothing here.
+func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (v Verdict) {
 	checks, last, ok := e.clean(lo, hi, -1)
 	if ok {
-		return false, checks, nil
-	}
-	record := func(corrected bool, ce error) {
-		if ce != nil && err == nil {
-			err = ce
-		}
-		if corrected && !commit {
-			dirty = true
-		}
+		return Verdict{Checks: checks}
 	}
 	if e.Scheme == SECDED128 {
 		for t := lo / 2; t <= last; t++ {
-			record(e.checkPair(t, commit, c))
+			v.Note(e.checkPair(t, commit, c))
 		}
 	} else {
 		for k := lo; k < hi; k++ {
-			record(e.checkEntry(k, commit, c))
+			v.Note(e.checkEntry(k, commit, c))
 		}
 	}
-	return dirty, checks, err
+	return v
 }
 
 // CheckRun verifies the CRC32C codeword of the run of n entries at base,
@@ -245,7 +238,7 @@ func (e *ColElems) Check(lo, hi int, commit bool, c *Counters) (dirty bool, chec
 // delimits runs (the CSR row pointers) is itself corrupted beyond
 // repair; that is reported as a fault, not a crash. The first return is
 // checkEntry's.
-func (e *ColElems) CheckRun(id, base, n int, commit bool, c *Counters) (bool, error) {
+func (e *ColElems) CheckRun(id, base, n int, commit bool, c *Counters) (stale bool, err error) {
 	if e.runClean(base, n) {
 		return false, nil
 	}
@@ -261,7 +254,7 @@ func (e *ColElems) CheckRun(id, base, n int, commit bool, c *Counters) (bool, er
 	if commit {
 		splitRun(img, e.Vals[base:base+n], e.Cols[base:base+n])
 	}
-	return true, nil
+	return !commit, nil
 }
 
 // runBounds reports a run that cannot be a codeword: shorter than its
@@ -331,7 +324,7 @@ func (e *ColElems) DecodeLocal(id, base, n int) (cols []uint32, vals []float64, 
 		Vals: append([]float64(nil), e.Vals[lo:hi]...), Cols: append([]uint32(nil), e.Cols[lo:hi]...)}
 	if e.Scheme == CRC32C {
 		_, err = stage.CheckRun(id, 0, n, true, nil)
-	} else if _, _, err = stage.Check(0, hi-lo, true, nil); err != nil {
+	} else if err = stage.Check(0, hi-lo, true, nil).Err; err != nil {
 		err.(*FaultError).Index += lo / e.Scheme.ElemGroup()
 	}
 	if err != nil {

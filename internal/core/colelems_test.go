@@ -128,12 +128,12 @@ func (l *ceLayout) strike(flips []ceFlip) {
 
 // check runs the codec's verify over the layout: the per-entry schemes
 // scan the whole storage range, CRC32C checks every run in order,
-// continuing past a fault so the full damage is counted (as
-// sell.checkSlice does).
+// continuing past a fault so the full damage is counted (as SELL-C-σ's
+// committing check of a slice does).
 func (l *ceLayout) check(commit bool, c *Counters) (checks uint64, err error) {
 	if l.el.Scheme != CRC32C {
-		_, checks, err = l.el.Check(0, len(l.el.Cols), commit, c)
-		return checks, err
+		v := l.el.Check(0, len(l.el.Cols), commit, c)
+		return v.Checks, v.Err
 	}
 	base := ceBase
 	for i, r := range l.shape.runs {
@@ -377,7 +377,7 @@ func TestDecodeLocalNamesStorageCodeword(t *testing.T) {
 			}
 			l.strike(flips)
 			var want *FaultError
-			if _, _, err := l.el.Check(0, len(l.el.Cols), false, nil); !errors.As(err, &want) {
+			if err := l.el.Check(0, len(l.el.Cols), false, nil).Err; !errors.As(err, &want) {
 				t.Fatalf("%v entry %d: Check err %v", s, j, err)
 			}
 			for _, base := range []int{ceBase, ceBase + 1} {

@@ -13,17 +13,22 @@ import (
 	"abft/internal/par"
 )
 
-// The CSR product's clean path works by output block (csrSweep.block)
-// and sends any block that is not clean to the per-row code
-// (csrSweep.rows). These tests hold the whole product to an oracle that
-// sends every block to the per-row code: the same output bits, the same
-// error, the same counters and the same storage afterwards, for every
-// scheme pair, width, worker count, check interval and read mode, clean
-// and under strikes of every codeword.
+// The CSR product's clean path works by output block (csrSweep.Clean
+// and its streams) and sends any block that is not clean to the per-row
+// code (csrSweep.Cold). These tests hold the whole product to an oracle
+// that sends every block to the per-row code: the same output bits, the
+// same error, the same counters and the same storage afterwards, for
+// every scheme pair, width, worker count, check interval and read mode,
+// clean and under strikes of every codeword.
 
 // perRow is the oracle layout: Matrix.Product with every block of every
 // range taken by the per-row code.
 type perRow struct{ *Matrix }
+
+// coldOnly is a CSR sweep whose clean test always fails.
+type coldOnly struct{ *csrSweep }
+
+func (coldOnly) Clean(int) (uint64, bool) { return 0, false }
 
 func (o perRow) Product(dsts, xs []*Vector, workers int, sw Sweep) error {
 	m := o.Matrix
@@ -31,16 +36,8 @@ func (o perRow) Product(dsts, xs []*Vector, workers int, sw Sweep) error {
 	commit := sw.Commit && len(ranges) <= 1
 	return DecodeSources(dsts, xs, !sw.Sources, func(xbufs [][]float64, ep *DotEpilogue) error {
 		return par.Run(ranges, func(lo, hi int) error {
-			s := m.newSweep(xbufs, sw.Full, commit)
-			defer s.flush()
-			for r0 := lo; r0 < hi; r0 += BlockLen {
-				n := min(hi-r0, BlockLen)
-				if err := s.rows(r0, n); err != nil {
-					return err
-				}
-				s.write(dsts, ep, r0, n)
-			}
-			return nil
+			s := coldOnly{m.newSweep(dsts, xbufs, ep, hi, sw.Full, commit)}
+			return SweepGroups(s, lo/BlockLen, (hi+BlockLen-1)/BlockLen, len(xbufs), m.counters)
 		})
 	})
 }
@@ -57,7 +54,7 @@ func (c blockCase) String() string {
 }
 
 // blockCases is every combination the tests draw from. The widths hit
-// every shape of the clean stream's column groups (csrSweep.stream):
+// every shape of the clean stream's column groups (StreamGroup):
 // the single-column loop alone (1, 3), one group of four and a remainder
 // (5), two groups (8) and two groups and a remainder (9).
 func blockCases() []blockCase {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 
@@ -197,7 +198,7 @@ func (c *rowPtrCursor) bounds(r int) (lo, hi int, err error) {
 // re-read from storage. Groups are 1, 2, 4 or 8 entries and r0 is a
 // multiple of every size, so p is laid out group by group from p[0]. It
 // returns the groups checked and whether all were clean; the cursor
-// itself is left as it was (advance moves it).
+// itself is left as it was (advance moves it) and counts nothing.
 func (c *rowPtrCursor) window(r0, n int, p *[2 * BlockLen]uint32) (groups uint64, ok bool) {
 	mask := c.idx.Mask()
 	if !c.check {
@@ -221,15 +222,15 @@ func (c *rowPtrCursor) window(r0, n int, p *[2 * BlockLen]uint32) (groups uint64
 }
 
 // advance moves a checking cursor past a clean window: it now holds the
-// group of pointer r0+n, decoded in p, and counts the window's groups.
-func (c *rowPtrCursor) advance(r0, n int, p *[2 * BlockLen]uint32, groups uint64) {
+// group of pointer r0+n, decoded in p. The window's groups are counted
+// by its sweep.
+func (c *rowPtrCursor) advance(r0, n int, p *[2 * BlockLen]uint32) {
 	if !c.check {
 		return
 	}
 	shift := bits.TrailingZeros(uint(c.idx.Group()))
 	c.group = (r0 + n) >> shift
 	copy(c.vals[:], p[n>>shift<<shift:])
-	c.checks += groups
 }
 
 // ---------------------------------------------------------------------------
@@ -263,41 +264,31 @@ func (m *Matrix) encodeElementsAll() {
 // VerifyAll verifies and repairs every row-pointer group and element
 // codeword, satisfying Layout: the body of Shell.CheckAll.
 func (m *Matrix) VerifyAll(acc *Counters) (checks uint64, err error) {
-	record := func(e error) {
-		if e != nil && err == nil {
-			err = e
-		}
-	}
+	var v Verdict
 	if m.rowScheme != None {
 		ig := m.rowGroups()
-		groups := len(ig.Idx) / ig.Group()
-		checks += uint64(groups)
 		var tmp [8]uint32
-		for g := 0; g < groups; g++ {
+		for g := 0; g < len(ig.Idx)/ig.Group(); g++ {
 			_, e := ig.Decode(g, true, &tmp, acc)
-			record(e)
+			v.Note(false, e)
 		}
 	}
 	el := m.elems()
 	if m.scheme != CRC32C {
-		_, n, e := el.Check(0, len(m.colIdx), true, acc)
-		checks += n
-		record(e)
-	} else {
-		checks += uint64(m.rows)
-		cur := m.cursor(false, false)
-		for r := 0; r < m.rows; r++ {
-			lo, e := cur.value(r)
-			record(e)
-			hi, e2 := cur.value(r + 1)
-			record(e2)
-			if e == nil && e2 == nil && lo <= hi {
-				_, e3 := el.CheckRun(r, int(lo), int(hi-lo), true, acc)
-				record(e3)
-			}
+		v.Add(el.Check(0, len(m.colIdx), true, acc))
+		return v.Checks, v.Err
+	}
+	cur := m.cursor(false, false)
+	for r := 0; r < m.rows; r++ {
+		lo, e := cur.value(r)
+		hi, e2 := cur.value(r + 1)
+		if e = cmp.Or(e, e2); e != nil || lo > hi {
+			v.Note(false, e)
+		} else {
+			v.Note(el.CheckRun(r, int(lo), int(hi-lo), true, acc))
 		}
 	}
-	return checks, err
+	return v.Checks, v.Err
 }
 
 // ToCSR decodes the matrix back into an unprotected CSR structure,

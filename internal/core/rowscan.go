@@ -57,7 +57,7 @@ func (s *RowScanner) Row(r int, fn func(col int, val float64)) error {
 		return fmt.Errorf("core: row %d out of range [0,%d)", r, m.rows)
 	}
 	cols, vals, base, err := s.rd.row(r)
-	s.rd.flush()
+	m.counters.AddChecks(s.rd.take())
 	if err != nil {
 		return err
 	}

@@ -550,7 +550,8 @@ func TestSECDEDElemCheckFaultParity(t *testing.T) {
 						strikeElems(el.Vals, el.Cols, f[0], f[1])
 						strikeElems(oracle.el.Vals, oracle.el.Cols, f[0], f[1])
 					}
-					gd, gn, gerr := el.Check(span[0], span[1], commit, &gc)
+					gv := el.Check(span[0], span[1], commit, &gc)
+					gd, gn, gerr := gv.Dirty, gv.Checks, gv.Err
 					wd, wn, werr := oracle.check(span[0], span[1])
 					name := fmt.Sprintf("%v flips %v commit %v span %v", s, flips, commit, span)
 					if gd != wd || gn != wn || !sameFault(gerr, werr) || !sameCounts(&gc, &wc) {

@@ -2,9 +2,9 @@ package core
 
 // rowReader is the per-row verify-then-stream protocol over CSR rows,
 // written once for both of its callers: the cold path of the product
-// (csrSweep.rows) and RowScanner. It holds the row-pointer cursor, the
+// (csrSweep.Cold) and RowScanner. It holds the row-pointer cursor, the
 // element verifier, whether element codewords are verified, and the
-// element checks counted since the last flush. One reader serves one
+// element checks counted since the last take. One reader serves one
 // goroutine's sweep.
 type rowReader struct {
 	m          *Matrix
@@ -54,11 +54,12 @@ func (rd *rowReader) row(r int) (cols []uint32, vals []float64, base int, err er
 	return rd.m.colIdx[lo:hi], rd.m.vals[lo:hi], lo, nil
 }
 
-// flush adds the checks counted since the last flush to the matrix
-// counters.
-func (rd *rowReader) flush() {
-	rd.m.counters.AddChecks(rd.elemChecks + rd.cur.checks)
+// take returns the checks counted since the last take, for the caller
+// to add to the matrix counters.
+func (rd *rowReader) take() uint64 {
+	n := rd.elemChecks + rd.cur.checks
 	rd.elemChecks, rd.cur.checks = 0, 0
+	return n
 }
 
 // rowVerifier is the per-sweep state of the verify half of the
@@ -97,8 +98,8 @@ func (m *Matrix) newRowVerifier(commit bool) rowVerifier {
 func (v *rowVerifier) row(r, lo, hi int) (dirty bool, checks uint64, err error) {
 	el := &v.el
 	if el.Scheme == CRC32C {
-		corrected, err := el.CheckRun(r, lo, hi-lo, v.commit, v.m.counters)
-		return corrected && !v.commit, 1, err
+		stale, err := el.CheckRun(r, lo, hi-lo, v.commit, v.m.counters)
+		return stale, 1, err
 	}
 	checks, last, ok := el.clean(lo, hi, v.lastPair)
 	if ok {
@@ -117,13 +118,11 @@ func (v *rowVerifier) row(r, lo, hi int) (dirty bool, checks uint64, err error) 
 // and the checks counted before it are those of a per-codeword pass.
 func (v *rowVerifier) resolve64(lo, hi int) (dirty bool, checks uint64, err error) {
 	for k := lo; k < hi; k++ {
-		corrected, err := v.el.checkEntry(k, v.commit, v.m.counters)
+		stale, err := v.el.checkEntry(k, v.commit, v.m.counters)
 		if err != nil {
 			return false, uint64(k - lo + 1), err
 		}
-		if corrected && !v.commit {
-			dirty = true
-		}
+		dirty = dirty || stale
 	}
 	return dirty, uint64(hi - lo), nil
 }
@@ -132,11 +131,11 @@ func (v *rowVerifier) resolve64(lo, hi int) (dirty bool, checks uint64, err erro
 func (v *rowVerifier) resolvePairs(t0, last int) (dirty bool, checks uint64, err error) {
 	memoLast := true
 	for t := t0; t <= last; t++ {
-		corrected, err := v.el.checkPair(t, v.commit, v.m.counters)
+		stale, err := v.el.checkPair(t, v.commit, v.m.counters)
 		if err != nil {
 			return false, uint64(t - t0 + 1), err
 		}
-		if corrected && !v.commit {
+		if stale {
 			dirty = true
 			if t == last {
 				memoLast = false

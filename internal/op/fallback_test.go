@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"abft/internal/core"
+	"abft/internal/csr"
 )
 
 // TestVerifyThenStreamFallback corrupts a codeword inside a
@@ -22,6 +23,16 @@ import (
 // In both modes the product must be bit-exact against the unprotected
 // reference — the fallback is a slower decode of the same values, never
 // a different computation.
+//
+// Each struck product runs from freshly struck storage through Apply
+// and through ApplyBatch at widths 4 and 9, on one worker and on three:
+// the sweep driver counts a group's checks once, whatever its path and
+// however many columns stream from it (core.SweepGroups, DESIGN.md
+// section 42), so a struck product counts the checks of the same
+// product over clean storage, and the same corrections and detections,
+// at every width and worker count. The checks are the same at both
+// worker counts too, except in CSR, where the row-pointer group holding
+// the pointer at an interior range boundary is read by both ranges.
 func TestVerifyThenStreamFallback(t *testing.T) {
 	for _, f := range Formats {
 		for _, s := range []core.Scheme{core.SECDED64, core.SECDED128, core.CRC32C} {
@@ -29,62 +40,96 @@ func TestVerifyThenStreamFallback(t *testing.T) {
 				shared := mode == core.ModeShared
 				t.Run(fmt.Sprintf("%v_%v_shared=%v", f, s, shared), func(t *testing.T) {
 					plain := testMatrix(t)
-					xs := refVector(plain.Cols32())
-					want := make([]float64, plain.Rows())
-					plain.SpMV(want, xs)
-
-					m, err := New(f, plain, Config{Scheme: s, RowPtrScheme: s})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var c core.Counters
-					m.SetCounters(&c)
-					m.SetReadMode(mode)
-
-					// One mid-mantissa flip in the middle of the element
-					// stream: inside some batch-verified block, not at a
-					// block boundary.
-					v := m.RawVals()
-					k := len(v) / 2
-					v[k] = math.Float64frombits(math.Float64bits(v[k]) ^ 1<<40)
-
+					var first core.CounterSnapshot
 					for _, workers := range []int{1, 3} {
-						x := core.VectorFromSlice(xs, core.None)
-						dst := core.NewVector(m.Rows(), core.None)
-						if err := m.Apply(dst, x, workers); err != nil {
-							t.Fatalf("workers=%d: %v", workers, err)
-						}
-						got := make([]float64, m.Rows())
-						if err := dst.CopyTo(got); err != nil {
-							t.Fatal(err)
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("workers=%d row %d: got %v want %v (fallback diverged from reference)",
-									workers, i, got[i], want[i])
+						clean := struckProduct(t, f, s, mode, plain, workers, 1, false, "clean")
+						for _, width := range []int{1, 4, 9} {
+							name := fmt.Sprintf("workers=%d width=%d", workers, width)
+							got := struckProduct(t, f, s, mode, plain, workers, width, true, name)
+							if workers == 1 && width == 1 {
+								first = got
+							}
+							want := first
+							if f == CSR {
+								want.Checks = clean.Checks
+							}
+							switch {
+							case got.Corrected == 0:
+								t.Fatalf("%s: no correction recorded for the injected flip", name)
+							case got.Checks != clean.Checks:
+								t.Fatalf("%s: %d checks, %d over clean storage", name, got.Checks, clean.Checks)
+							case got != want:
+								t.Fatalf("%s: counted %+v, workers=1 width=1 counted %+v", name, got, first)
 							}
 						}
-					}
-					if c.Corrected() == 0 {
-						t.Fatal("no correction recorded for the injected flip")
-					}
-
-					// The commit discipline distinguishes the modes: an
-					// exclusive Apply repairs storage, a shared one leaves
-					// the fault for the owning scrub.
-					m.SetReadMode(core.ModeExclusive)
-					corrected, err := m.Scrub()
-					if err != nil {
-						t.Fatalf("scrub: %v", err)
-					}
-					if shared && corrected == 0 {
-						t.Fatal("shared Apply committed a repair to storage")
-					}
-					if !shared && corrected != 0 {
-						t.Fatalf("exclusive Apply left the fault in storage (%d late corrections)", corrected)
 					}
 				})
 			}
 		}
 	}
+}
+
+// struckProduct builds m in format f under scheme s and read mode mode,
+// flips one mid-mantissa bit in the middle of its element stream when
+// strike is set — inside some batch-verified block, not at a block
+// boundary — runs one product of the given width over the given
+// workers, checks every column bit for bit against the unprotected
+// reference, and returns what the product counted. After a struck
+// product on one worker it then checks the commit discipline: an
+// exclusive product repaired storage, a shared one left the fault for
+// the owning scrub.
+func struckProduct(t *testing.T, f Format, s core.Scheme, mode core.ReadMode, plain *csr.Matrix, workers, width int, strike bool, name string) core.CounterSnapshot {
+	t.Helper()
+	cols := batchRefColumns(plain.Cols32(), width)
+	m, err := New(f, plain, Config{Scheme: s, RowPtrScheme: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c core.Counters
+	m.SetCounters(&c)
+	m.SetReadMode(mode)
+	if v := m.RawVals(); strike {
+		k := len(v) / 2
+		v[k] = math.Float64frombits(math.Float64bits(v[k]) ^ 1<<40)
+	}
+
+	x, dst := batchMultiVector(cols, core.None), core.NewMultiVector(m.Rows(), width, core.None)
+	if width == 1 {
+		err = m.Apply(dst.Col(0), x.Col(0), workers)
+	} else {
+		err = m.(core.BatchApplier).ApplyBatch(dst, x, workers)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	counted := c.Snapshot()
+	want, got := make([]float64, plain.Rows()), make([]float64, m.Rows())
+	for j, col := range cols {
+		plain.SpMV(want, col)
+		if err := dst.Col(j).CopyTo(got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s column %d row %d: got %v want %v (fallback diverged from reference)", name, j, i, got[i], want[i])
+			}
+		}
+	}
+	if !strike || workers > 1 {
+		// A CSR product on more than one worker never commits.
+		return counted
+	}
+	m.SetReadMode(core.ModeExclusive)
+	corrected, err := m.Scrub()
+	if err != nil {
+		t.Fatalf("%s: scrub: %v", name, err)
+	}
+	shared := mode == core.ModeShared
+	if shared && corrected == 0 {
+		t.Fatalf("%s: shared product committed a repair to storage", name)
+	}
+	if !shared && corrected != 0 {
+		t.Fatalf("%s: exclusive product left the fault in storage (%d late corrections)", name, corrected)
+	}
+	return counted
 }

@@ -25,6 +25,12 @@ import (
 // and 9, one group of four and two groups and a remainder of the clean
 // stream's column groups (DESIGN.md section 40): the wild index must be
 // the same BoundsError, at the same entry, whatever group meets it.
+//
+// CSR's row pointers are struck too: pointer 3 set to 1<<20, past
+// storage, and pointers 3 and 4 swapped, a non-monotone pair. Either is
+// the StructRowPtr BoundsError of row 3 on every path, the raw leaf's
+// included, which checks its range's pointers by the unchecked cursor's
+// rule before it reads a row.
 func TestWildIndexIsBoundsError(t *testing.T) {
 	strikes := []struct {
 		name string
@@ -75,7 +81,7 @@ func TestWildIndexIsBoundsError(t *testing.T) {
 					raw[k] = st.f(raw[k])
 					var at int
 					for _, width := range []int{1, 4, 9} {
-						be := wildProduct(t, fmt.Sprintf("%s, width %d", name, width), m, vs, width)
+						be := wildProduct(t, fmt.Sprintf("%s, width %d", name, width), m, vs, width, core.StructElements)
 						switch {
 						case be == nil:
 						case width == 1:
@@ -88,12 +94,34 @@ func TestWildIndexIsBoundsError(t *testing.T) {
 			}
 		}
 	}
+	for _, vs := range both {
+		for _, st := range []struct {
+			name string
+			f    func(p []uint32)
+		}{
+			{"pointer 3 at 1<<20", func(p []uint32) { p[3] = 1 << 20 }},
+			{"pointers 3 and 4 swapped", func(p []uint32) { p[3], p[4] = p[4], p[3] }},
+		} {
+			m, err := op.New(op.CSR, src, op.Config{Scheme: core.None})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.f(m.(interface{ RawRowPtr() []uint32 }).RawRowPtr())
+			for _, width := range []int{1, 4, 9} {
+				name := fmt.Sprintf("csr %s, %v vectors, width %d", st.name, vs, width)
+				if be := wildProduct(t, name, m, vs, width, core.StructRowPtr); be != nil && be.Index != 3 {
+					t.Errorf("%s: reports row %d, want row 3", name, be.Index)
+				}
+			}
+		}
+	}
 }
 
 // wildProduct runs one product of m at the given width over columns of
-// ones under vector scheme vs and returns its StructElements
-// BoundsError, having reported a panic or any other result as a failure.
-func wildProduct(t *testing.T, name string, m core.ProtectedMatrix, vs core.Scheme, width int) (be *core.BoundsError) {
+// ones under vector scheme vs and returns its BoundsError, which must
+// name structure st, having reported a panic or any other result as a
+// failure.
+func wildProduct(t *testing.T, name string, m core.ProtectedMatrix, vs core.Scheme, width int, st core.Structure) (be *core.BoundsError) {
 	t.Helper()
 	defer func() {
 		if p := recover(); p != nil {
@@ -111,7 +139,7 @@ func wildProduct(t *testing.T, name string, m core.ProtectedMatrix, vs core.Sche
 	} else {
 		err = m.(core.BatchApplier).ApplyBatch(dst, x, 1)
 	}
-	if !errors.As(err, &be) || be.Structure != core.StructElements {
+	if !errors.As(err, &be) || be.Structure != st {
 		t.Errorf("%s: wild index not caught by range check: %v", name, err)
 		return nil
 	}

@@ -88,7 +88,7 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 // TestApplyBatchSharedFallback drives the batched window sweep through
 // its corrective branch: one value-bit flip per slice in shared mode
 // makes every slice verify report dirty without committing the repair,
-// so applyWindow must stage the slice once and stream the stage into
+// so each slice's cold path must stage it once and stream the stage into
 // every column, while every column stays bit-exact against the
 // unprotected reference and the stored faults survive for the owner's
 // scrub.

@@ -14,7 +14,7 @@ import (
 // TestSharedFallbackStreamsCorrectedValues drives the verify-then-stream
 // protocol through its corrective branch from inside the package: a
 // value-bit flip in shared mode makes checkSlice report the slice dirty
-// (it may not commit the repair), so applyWindow must stage the slice
+// (it may not commit the repair), so its cold path must stage the slice
 // through core.ColElems.DecodeLocal — a copy of each chunk repaired by
 // the codec's committing check — while the product stays bit-exact
 // against the unprotected reference and the stored fault survives for

@@ -23,10 +23,12 @@
 //	           largest inside CRC32C's HD-6 range), byte-wise in the top
 //	           bytes of each chunk's last four entries; cols <= 2^24-1
 //
-// A slice streams through one loop, streamSlice: from storage once its
-// codewords verified clean or were repaired in place, or, when a shared
-// matrix could not commit a repair, from a copy of the slice repaired by
-// the codec's own committing check (core.ColElems.DecodeLocal).
+// A slice is one group of core's verify-then-stream sweep
+// (core.SweepGroups, DESIGN.md section 42), which runs each σ-window's
+// slices: a clean slice streams from storage; any other is checked by
+// the codec's committing check (checkSlice) and streams from storage
+// repaired in place or, when a shared matrix could not commit a repair,
+// from a copy repaired by the same check (core.ColElems.DecodeLocal).
 //
 // The structural metadata — slice offsets, the row permutation and the
 // per-row lengths — is unprotected, and a flip in it corrupts a product
@@ -257,45 +259,32 @@ func (m *Matrix) encodeAll() {
 	}
 }
 
-// checkSlice verifies every codeword of slice sl in storage order in one
-// tight per-scheme pass, repairing correctable errors when commit is
-// true and counting corrections and detections into c — the batch-verify
-// half of the verify-then-stream protocol. It returns whether the slice
-// is dirty (a correction was found but not committed, so storage still
-// holds a raw fault and the caller must stage the slice through
-// DecodeLocal instead of streaming storage), the number of codeword
-// checks performed, and the first error.
-func (m *Matrix) checkSlice(el *core.ColElems, sl int, commit bool, c *core.Counters) (dirty bool, checks uint64, err error) {
+// checkSlice is slice sl's committing check: every codeword in storage
+// order, repairing correctable errors when commit is true and counting
+// corrections and detections into c. With commit false and c nil it is
+// the slice's clean test, which writes and counts nothing.
+func (m *Matrix) checkSlice(el *core.ColElems, sl int, commit bool, c *core.Counters) core.Verdict {
+	lo, hi := m.SliceRange(sl)
 	if m.Scheme() != core.CRC32C {
-		lo, hi := m.SliceRange(sl)
 		return el.Check(lo, hi, commit, c)
 	}
+	var v core.Verdict
 	for i := 0; i < m.chunks(sl); i++ {
-		checks++
 		base, n := m.chunk(sl, i)
-		corrected, e := el.CheckRun(base, base, n, commit, c)
-		if e != nil && err == nil {
-			err = e
-		}
-		if corrected && !commit {
-			dirty = true
-		}
+		v.Note(el.CheckRun(base, base, n, commit, c))
 	}
-	return dirty, checks, err
+	return v
 }
 
 // VerifyAll verifies and repairs every codeword, satisfying
 // core.Layout: the body of Shell.CheckAll.
 func (m *Matrix) VerifyAll(acc *core.Counters) (checks uint64, err error) {
 	el := m.elems()
+	var v core.Verdict
 	for sl := 0; sl < m.Slices(); sl++ {
-		_, n, e := m.checkSlice(&el, sl, true, acc)
-		checks += n
-		if e != nil && err == nil {
-			err = e
-		}
+		v.Add(m.checkSlice(&el, sl, true, acc))
 	}
-	return checks, err
+	return v.Checks, v.Err
 }
 
 // ElemCodewordSpan reports the positions of one randomly chosen element
@@ -321,9 +310,10 @@ func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span int) {
 // Product computes dsts[j] = m xs[j] for every j in a single pass over
 // the slices, satisfying core.Layout. Each source vector is decoded once
 // into a dense buffer (core.DecodeSources, the prologue all formats
-// share); on a full sweep each slice's codewords are verified (and
-// repaired) in storage order once whatever the width, before its lanes
-// stream into k window-local accumulators; per-column results are
+// share); on a full sweep each slice's codewords are verified once
+// whatever the width — clean first, repaired only when not — before its
+// lanes stream into k window-local accumulators (core.SweepGroups,
+// DESIGN.md section 42); per-column results are
 // bit-identical to k independent width-1 calls because each lane's sum
 // runs in the same entry order per column. Results are committed
 // block-wise per window — the sigma sort scatters a slice's outputs
@@ -348,17 +338,11 @@ func (m *Matrix) Product(dsts, xs []*core.Vector, workers int, sw core.Sweep) er
 // without a dot request). The sharded composite calls it with buffers it
 // filled itself.
 func (m *Matrix) Stream(dsts []*core.Vector, xbufs [][]float64, workers int, sw core.Sweep, ep *core.DotEpilogue) error {
-	k := len(xbufs)
 	windows := (m.Rows() + m.sigma - 1) / m.sigma
 	return par.ForEach(windows, workers, 1, func(wlo, whi int) error {
-		// One flat allocation for the window accumulators, sliced per column.
-		aflat := make([]float64, k*m.sigma)
-		accs := make([][]float64, k)
-		for j := range accs {
-			accs[j] = aflat[j*m.sigma : (j+1)*m.sigma]
-		}
+		s := m.newSweep(xbufs, sw)
 		for w := wlo; w < whi; w++ {
-			if err := m.applyWindow(dsts, xbufs, accs, w, sw, ep); err != nil {
+			if err := s.window(dsts, w, ep); err != nil {
 				return err
 			}
 		}
@@ -366,49 +350,60 @@ func (m *Matrix) Stream(dsts []*core.Vector, xbufs [][]float64, workers int, sw 
 	})
 }
 
-// applyWindow multiplies the slices of sigma-window w into the window's
-// accumulators under sw and commits the window's output rows per column.
-// ep is the sweep's dot epilogue (nil without one).
-func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, w int, sw core.Sweep, ep *core.DotEpilogue) error {
-	base := w * m.sigma
-	top := min(base+m.sigma, m.Rows())
-	for _, acc := range accs {
-		for i := range acc {
-			acc[i] = 0
-		}
+// sliceSweep is one goroutine's core.Groups over the slices of its
+// σ-windows: the codec view, the sweep's read decision, the k window
+// accumulators, and the slice the stream points at — its entries,
+// column-major, from storage or a stage, and its lanes, the slice's rows
+// (padRow for a dummy lane). base is the window's first row, ncols the
+// range of a column and mask the codec's column mask; wild is the
+// position of the wild column a failed stream met.
+type sliceSweep struct {
+	m            *Matrix
+	el           core.ColElems
+	full, commit bool
+	accs, xbufs  [][]float64
+	cols         []uint32
+	vals         []float64
+	lanes        []uint32
+	base, ncols  int
+	mask         uint32
+	wild         int
+}
+
+// newSweep starts one goroutine's sweep against the decoded columns
+// xbufs under sw, with one flat allocation for the window accumulators,
+// sliced per column.
+func (m *Matrix) newSweep(xbufs [][]float64, sw core.Sweep) *sliceSweep {
+	s := &sliceSweep{m: m, el: m.elems(), full: sw.Full, commit: sw.Commit,
+		accs: make([][]float64, len(xbufs)), xbufs: xbufs, ncols: m.Cols()}
+	s.mask = s.el.Mask()
+	aflat := make([]float64, len(xbufs)*m.sigma)
+	for j := range s.accs {
+		s.accs[j] = aflat[j*m.sigma : (j+1)*m.sigma]
 	}
-	el := m.elems()
-	s := sliceStream{base: base, ncols: m.Cols(), mask: el.Mask()}
-	var checks uint64
-	defer func() { m.Counters().AddChecks(checks) }()
-	for sl := base / C; sl < (top+C-1)/C; sl++ {
-		dirty := false
-		if sw.Full {
-			var n uint64
-			var err error
-			dirty, n, err = m.checkSlice(&el, sl, sw.Commit, m.Counters())
-			checks += n
-			if err != nil {
-				return err
-			}
-		}
-		cols, vals, off := m.colIdx, m.vals, int(m.slicePtr[sl])
-		if dirty {
-			var err error
-			if cols, vals, err = m.decodeSlice(&el, sl); err != nil {
-				return err
-			}
-			off = 0
-		}
-		if err := m.streamSlice(&s, accs, xbufs, sl, cols, vals, off); err != nil {
-			return err
-		}
+	return s
+}
+
+// window multiplies the slices of σ-window w into the window's
+// accumulators through core's sweep and commits the window's output
+// rows per column. The σ sort scatters a slice's outputs within its
+// window, so the window is the smallest unit whose output blocks have a
+// single owner.
+func (s *sliceSweep) window(dsts []*core.Vector, w int, ep *core.DotEpilogue) error {
+	m := s.m
+	s.base = w * m.sigma
+	top := min(s.base+m.sigma, m.Rows())
+	for _, acc := range s.accs {
+		clear(acc)
+	}
+	if err := core.SweepGroups(s, s.base/C, (top+C-1)/C, len(s.accs), m.Counters()); err != nil {
+		return err
 	}
 	var out [core.BlockLen]float64
-	for c, acc := range accs {
-		for blk := base / core.BlockLen; blk*core.BlockLen < top; blk++ {
-			lo := blk*core.BlockLen - base
-			n := copy(out[:], acc[lo:top-base])
+	for c, acc := range s.accs {
+		for blk := s.base / core.BlockLen; blk*core.BlockLen < top; blk++ {
+			lo := blk*core.BlockLen - s.base
+			n := copy(out[:], acc[lo:top-s.base])
 			clear(out[n:])
 			ep.WriteBlock(c, dsts[c], blk, &out)
 		}
@@ -416,54 +411,54 @@ func (m *Matrix) applyWindow(dsts []*core.Vector, xbufs, accs [][]float64, w int
 	return nil
 }
 
-// streamSlice accumulates slice sl's lanes into every accumulator from
-// cols and vals, entry j of lane l at off+j·C+l: storage at the slice's
-// offset — the fast second half of verify-then-stream — or, with off 0,
-// the stage decodeSlice built for a dirty slice (a shared matrix hit a
-// live fault). Only the column mask and range check are applied, under
-// every scheme, none included. s carries the window's part of the
-// stream; streamSlice points it at the slice.
-//
-// It is one loop for every width, CSR's (DESIGN.md section 40): the
-// columns go four at a time (sliceStream.pass4), then the remaining zero
-// to three one at a time (pass1). Each lane's sum runs in entry order
-// per column, and the first pass meets every entry, so a wild column is
-// reported at the entry a width-1 product reports, before it is loaded.
-func (m *Matrix) streamSlice(s *sliceStream, accs, xbufs [][]float64, sl int, cols []uint32, vals []float64, off int) error {
-	n := m.sliceWidth(sl) * C
-	s.cols, s.vals, s.lanes = cols[off:off+n], vals[off:off+n], m.perm[sl*C:sl*C+C]
-	wild := -1
-	j := 0
-	for ; j+4 <= len(accs) && wild < 0; j += 4 {
-		wild = s.pass4((*[4][]float64)(accs[j:j+4]), (*[4][]float64)(xbufs[j:j+4]))
-	}
-	for ; j < len(accs) && wild < 0; j++ {
-		wild = s.pass1(accs[j], xbufs[j])
-	}
-	if wild >= 0 {
-		return m.boundsErr(int(m.slicePtr[sl])+wild, s.cols[wild]&s.mask)
-	}
-	return nil
+// point points the stream at slice sl in cols and vals, entry j of lane
+// l at off+j·C+l: storage at the slice's offset, or a stage from 0.
+func (s *sliceSweep) point(sl int, cols []uint32, vals []float64, off int) {
+	n := s.m.sliceWidth(sl) * C
+	s.cols, s.vals, s.lanes = cols[off:off+n], vals[off:off+n], s.m.perm[sl*C:sl*C+C]
 }
 
-// sliceStream is one slice's entries, column-major, as streamSlice's
-// passes read them: lanes are the slice's rows (padRow for a dummy lane),
-// base the window's first row, ncols the range of a column and mask the
-// codec's column mask.
-type sliceStream struct {
-	cols        []uint32
-	vals        []float64
-	lanes       []uint32
-	base, ncols int
-	mask        uint32
+// Clean is slice sl's clean test: on a full sweep its committing check
+// with nothing to commit or count; between full checks nothing.
+func (s *sliceSweep) Clean(sl int) (uint64, bool) {
+	s.point(sl, s.m.colIdx, s.m.vals, int(s.m.slicePtr[sl]))
+	if !s.full {
+		return 0, true
+	}
+	v := s.m.checkSlice(&s.el, sl, false, nil)
+	return v.Checks, v.Clean()
 }
 
-// pass4 is one pass over the slice for four columns, each lane's four
-// sums in registers. It returns the position of the first wild column in
-// the slice's entries, or -1. The slice's arrays are taken per lane, not
-// hoisted: held across the entry loop they push its index out of a
-// register.
-func (s *sliceStream) pass4(a, x *[4][]float64) int {
+// Cold is slice sl's cold path: its committing check, the stage of a
+// slice that check leaves dirty (a shared matrix hit a live fault), and
+// the stream of storage or the stage, whose wild column is its
+// BoundsError.
+func (s *sliceSweep) Cold(sl int) (uint64, error) {
+	var v core.Verdict
+	if s.full {
+		v = s.m.checkSlice(&s.el, sl, s.commit, s.m.Counters())
+		if v.Err == nil && v.Dirty {
+			v.Err = s.stage(sl)
+		}
+	}
+	if v.Err == nil && !core.StreamGroup(s, len(s.accs)) {
+		v.Err = s.m.boundsErr(int(s.m.slicePtr[sl])+s.wild, s.cols[s.wild]&s.mask)
+	}
+	return v.Checks, v.Err
+}
+
+// Done has nothing to keep: a slice's outputs are written per window.
+func (s *sliceSweep) Done(int, bool) {}
+
+// Stream4 is one pass over the slice for columns j..j+3, each lane's
+// four sums in registers, with only the column mask and range check
+// applied, under every scheme, none included. Each lane's sum runs in
+// entry order per column, and the first pass meets every entry, so a
+// wild column is found at the entry a width-1 product reports, before
+// it is loaded. The slice's arrays are taken per lane, not hoisted: held
+// across the entry loop they push its index out of a register.
+func (s *sliceSweep) Stream4(j int) bool {
+	a, x := (*[4][]float64)(s.accs[j:j+4]), (*[4][]float64)(s.xbufs[j:j+4])
 	x0 := x[0][:s.ncols]
 	x1, x2, x3 := x[1][:len(x0)], x[2][:len(x0)], x[3][:len(x0)]
 	for l := 0; l < C; l++ {
@@ -477,7 +472,8 @@ func (s *sliceStream) pass4(a, x *[4][]float64) int {
 		for k := l; k < len(cols); k += C {
 			col := cols[k] & mask
 			if uint(col) >= uint(len(x0)) {
-				return k
+				s.wild = k
+				return false
 			}
 			v := vals[k]
 			s0 += v * x0[col]
@@ -488,12 +484,12 @@ func (s *sliceStream) pass4(a, x *[4][]float64) int {
 		i := int(r) - s.base
 		a[0][i], a[1][i], a[2][i], a[3][i] = s0, s1, s2, s3
 	}
-	return -1
+	return true
 }
 
-// pass1 is pass4 for the one column x, accumulated into acc.
-func (s *sliceStream) pass1(acc, x []float64) int {
-	x = x[:s.ncols]
+// Stream1 is Stream4 for the one column j.
+func (s *sliceSweep) Stream1(j int) bool {
+	acc, x := s.accs[j], s.xbufs[j][:s.ncols]
 	for l := 0; l < C; l++ {
 		r := s.lanes[l]
 		if r == padRow {
@@ -505,35 +501,34 @@ func (s *sliceStream) pass1(acc, x []float64) int {
 		for k := l; k < len(cols); k += C {
 			col := cols[k] & mask
 			if uint(col) >= uint(len(x)) {
-				return k
+				s.wild = k
+				return false
 			}
 			sum += vals[k] * x[col]
 		}
 		acc[int(r)-s.base] = sum
 	}
-	return -1
+	return true
 }
 
-// decodeSlice stages slice sl in storage order through the codec's
-// DecodeLocal — a copy of its codewords repaired by the committing check
-// — chunk by chunk under CRC32C, over the slice's range under every
-// other scheme. Nothing is written to storage or counted: the verify
+// stage points the stream at a copy of slice sl repaired by the codec's
+// committing check (core.ColElems.DecodeLocal), staged in storage order
+// chunk by chunk. Nothing is written to storage or counted: the check
 // that found the slice dirty already accounted its checks and
 // corrections.
-func (m *Matrix) decodeSlice(el *core.ColElems, sl int) (cols []uint32, vals []float64, err error) {
-	lo, hi := m.SliceRange(sl)
-	if m.Scheme() != core.CRC32C {
-		return el.DecodeLocal(lo, lo, hi-lo)
-	}
-	for i := 0; i < m.chunks(sl); i++ {
-		base, n := m.chunk(sl, i)
-		c, v, err := el.DecodeLocal(base, base, n)
+func (s *sliceSweep) stage(sl int) error {
+	var cols []uint32
+	var vals []float64
+	for i := 0; i < s.m.chunks(sl); i++ {
+		base, n := s.m.chunk(sl, i)
+		c, v, err := s.el.DecodeLocal(base, base, n)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		cols, vals = append(cols, c...), append(vals, v...)
 	}
-	return cols, vals, nil
+	s.point(sl, cols, vals, 0)
+	return nil
 }
 
 // boundsErr counts and builds the range-check error for a decoded column
