@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"abft/internal/par"
@@ -22,7 +21,8 @@ func SpMV(dst *Vector, m *Matrix, x *Vector, workers int) error {
 }
 
 // Product computes dsts[j] = m xs[j] for every j in a single pass over
-// the rows, satisfying Layout. Every source vector is decoded once into
+// the rows, satisfying Layout, under every scheme, None included
+// (DESIGN.md section 43). Every source vector is decoded once into
 // a dense buffer (DecodeSources), each row's codewords are verified once
 // per full sweep whatever the width and range-checked on the sweeps
 // between, and the row streams into k running sums; column j
@@ -36,17 +36,6 @@ func SpMV(dst *Vector, m *Matrix, x *Vector, workers int) error {
 // own: corrections discovered there are used for the computation but
 // left in storage for the next serial check or scrub to repair.
 func (m *Matrix) Product(dsts, xs []*Vector, workers int, sw Sweep) error {
-	if m.scheme == None && m.rowScheme == None && xs[0].scheme == None {
-		// The sources are read in place: an update pending on one runs
-		// as a plain pass first, since there is no check to save.
-		if err := runUpdates(xs); err != nil {
-			return err
-		}
-		ep := startDots(dsts, xs)
-		return ep.Finish(par.Run(par.Ranges(m.rows, workers, 8), func(lo, hi int) error {
-			return m.rawRows(dsts, xs, lo, hi, ep)
-		}))
-	}
 	return DecodeSources(dsts, xs, !sw.Sources, func(xbufs [][]float64, ep *DotEpilogue) error {
 		return m.Stream(dsts, xbufs, workers, sw, ep)
 	})
@@ -103,12 +92,10 @@ var sourcePool = sync.Pool{New: func() any { return new(sources) }}
 // that vector, not by this sweep.
 func DecodeSources(dsts, xs []*Vector, unverified bool, use func(xbufs [][]float64, ep *DotEpilogue) error) error {
 	s := sourcePool.Get().(*sources)
-	ep := startDots(dsts, xs)
+	s.size(xs)
+	ep := StartDots(dsts, xs, s.cols)
 	err := s.decode(xs, unverified)
 	if err == nil {
-		if ep != nil {
-			ep.xbufs = s.cols
-		}
 		err = use(s.cols, ep)
 	}
 	err = ep.Finish(err)
@@ -116,31 +103,35 @@ func DecodeSources(dsts, xs []*Vector, unverified bool, use func(xbufs [][]float
 	return err
 }
 
-// decode fills s.cols with the dense decode of every vector of xs.
-func (s *sources) decode(xs []*Vector, unverified bool) error {
-	blocks := xs[0].Blocks()
-	n := blocks * BlockLen
+// size slices s.cols into one block-padded column per vector of xs.
+func (s *sources) size(xs []*Vector) {
+	n := xs[0].Blocks() * BlockLen
 	if cap(s.flat) < len(xs)*n {
 		s.flat = make([]float64, len(xs)*n)
 	}
+	s.cols = s.cols[:0]
+	for j := range xs {
+		s.cols = append(s.cols, s.flat[j*n:(j+1)*n])
+	}
+}
+
+// decode fills s.cols with the dense decode of every vector of xs.
+func (s *sources) decode(xs []*Vector, unverified bool) error {
 	mode := ModeExclusive
 	if unverified {
 		mode = ModeUnverified
 	}
-	s.cols = s.cols[:0]
 	for j, x := range xs {
-		buf := s.flat[j*n : (j+1)*n]
 		var err error
 		if u := x.upd; u != nil {
 			u.Drop()
-			err = u.RunKept(0, blocks, buf)
+			err = u.RunKept(0, x.Blocks(), s.cols[j])
 		} else {
-			err = x.Read(0, blocks, buf, mode)
+			err = x.Read(0, x.Blocks(), s.cols[j], mode)
 		}
 		if err != nil {
 			return err
 		}
-		s.cols = append(s.cols, buf)
 	}
 	return nil
 }
@@ -329,50 +320,6 @@ func (s *csrSweep) rows(r0, n int) error {
 			for j, xbuf := range s.xbufs {
 				s.outs[j][i] += vals[e] * xbuf[col]
 			}
-		}
-	}
-	return nil
-}
-
-// rawRows is the unprotected baseline (matrix and source vectors all
-// scheme none): rows [lo,hi) multiply straight from raw storage, the
-// source words indexed in place with no decode and no copy, one column
-// at a time through the plain CSR loop. Every pointer and column is
-// range-checked, as on every other path: the range's pointers first,
-// by the unchecked cursor's rule (monotone, at most nnz; a wild one is
-// the StructRowPtr BoundsError of its row), then each column against
-// Cols() (a wild one is the StructElements BoundsError of its entry),
-// never a read of x's padding or past storage.
-func (m *Matrix) rawRows(dsts, xs []*Vector, lo, hi int, ep *DotEpilogue) error {
-	cur := m.cursor(false, false)
-	for r := lo; r < hi; r++ {
-		if _, _, err := cur.bounds(r); err != nil {
-			return err
-		}
-	}
-	for j, x := range xs {
-		words := x.words[:m.cols]
-		var out [BlockLen]float64
-		for r := lo; r < hi; r++ {
-			rlo, rhi := m.rowptr[r], m.rowptr[r+1]
-			var sum float64
-			for k := rlo; k < rhi; k++ {
-				c := m.colIdx[k]
-				if uint(c) >= uint(len(words)) {
-					return m.boundsErr(StructElements, int(k), c, uint32(m.cols))
-				}
-				sum += m.vals[k] * math.Float64frombits(words[c])
-			}
-			out[r%BlockLen] = sum
-			if r%BlockLen == BlockLen-1 {
-				ep.WriteBlock(j, dsts[j], r/BlockLen, &out)
-			}
-		}
-		if hi%BlockLen != 0 {
-			for i := hi % BlockLen; i < BlockLen; i++ {
-				out[i] = 0
-			}
-			ep.WriteBlock(j, dsts[j], hi/BlockLen, &out)
 		}
 	}
 	return nil

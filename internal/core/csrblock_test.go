@@ -92,18 +92,31 @@ func blockCSR(t *testing.T) *csr.Matrix {
 }
 
 // csrTwin is one protected matrix twice: a runs the product, b the
-// per-row oracle. Both start every case from the same clean storage.
+// per-row oracle. Both start every case from the same clean storage and
+// multiply source vectors under src.
 type csrTwin struct {
 	a, b         *Matrix
 	ca, cb       Counters
 	vals         []float64
 	cols, rowptr []uint32
 	xs           [][]float64
+	src          Scheme
 }
 
-func newCSRTwin(t *testing.T, plain *csr.Matrix, es, rs Scheme) *csrTwin {
+// twinConfigs is every element and row-pointer scheme pair under
+// SECDED64 sources, then the unprotected baseline: matrix and sources
+// all none.
+func twinConfigs() [][3]Scheme {
+	var out [][3]Scheme
+	for _, pair := range allSchemePairs() {
+		out = append(out, [3]Scheme{pair[0], pair[1], SECDED64})
+	}
+	return append(out, [3]Scheme{None, None, None})
+}
+
+func newCSRTwin(t *testing.T, plain *csr.Matrix, es, rs, src Scheme) *csrTwin {
 	t.Helper()
-	tw := &csrTwin{}
+	tw := &csrTwin{src: src}
 	for _, m := range []**Matrix{&tw.a, &tw.b} {
 		var err error
 		if *m, err = NewMatrix(plain, MatrixOptions{ElemScheme: es, RowPtrScheme: rs}); err != nil {
@@ -156,7 +169,7 @@ func (tw *csrTwin) run(t *testing.T, name string, c blockCase) {
 		m.SetCheckInterval(c.interval)
 		s := side{m: m}
 		for j := 0; j < c.width; j++ {
-			s.x = append(s.x, VectorFromSlice(tw.xs[j], SECDED64))
+			s.x = append(s.x, VectorFromSlice(tw.xs[j], tw.src))
 			s.d = append(s.d, NewVector(m.Rows(), None))
 		}
 		sides[i] = s
@@ -245,7 +258,8 @@ func elemCodewords(m *Matrix) [][]int {
 // runs one case drawn in rotation; each row-pointer strike runs under
 // all three read modes, so every group is struck in shared mode, where a
 // correction is never committed — including the group a block shares
-// with the next.
+// with the next. The all-none configuration comes last, so every earlier
+// one draws the strikes it always drew.
 func TestCSRBlockMatchesPerRowOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	plain := blockCSR(t)
@@ -256,10 +270,10 @@ func TestCSRBlockMatchesPerRowOracle(t *testing.T) {
 		draw++
 		return cases[(draw*7)%len(cases)]
 	}
-	for _, pair := range allSchemePairs() {
-		es, rs := pair[0], pair[1]
-		tw := newCSRTwin(t, plain, es, rs)
-		name := fmt.Sprintf("elements %v row pointers %v", es, rs)
+	for _, cfg := range twinConfigs() {
+		es, rs := cfg[0], cfg[1]
+		tw := newCSRTwin(t, plain, es, rs, cfg[2])
+		name := fmt.Sprintf("elements %v row pointers %v sources %v", es, rs, cfg[2])
 		for _, c := range cases {
 			tw.reset()
 			tw.run(t, name+" clean", c)
@@ -311,10 +325,10 @@ func TestCSRBlockPlantedStructure(t *testing.T) {
 			cases = append(cases, c)
 		}
 	}
-	for _, pair := range allSchemePairs() {
-		es, rs := pair[0], pair[1]
-		tw := newCSRTwin(t, plain, es, rs)
-		name := fmt.Sprintf("elements %v row pointers %v", es, rs)
+	for _, cfg := range twinConfigs() {
+		es, rs := cfg[0], cfg[1]
+		tw := newCSRTwin(t, plain, es, rs, cfg[2])
+		name := fmt.Sprintf("elements %v row pointers %v sources %v", es, rs, cfg[2])
 		mask := indexGroups{Scheme: rs}.Mask()
 		for i := 0; i < BlockLen; i++ {
 			r := BlockLen + i
@@ -399,17 +413,26 @@ func TestCSRBlockSharedGroupCarry(t *testing.T) {
 // FuzzCSRBlockOracle holds the product to the per-row oracle as
 // TestCSRBlockMatchesPerRowOracle does, with one to three bits struck
 // anywhere in the stored values, column indices and row pointers of
-// blockCSR, under a fuzzer-chosen scheme pair and case.
+// blockCSR, under a fuzzer-chosen scheme pair, source scheme and case:
+// pair p below len(pairs) multiplies SECDED64 sources, p - len(pairs)
+// none sources. The last seed is the unprotected baseline with a wild
+// column in row 0 and a wild row pointer, the one between rows 19 and
+// 20: the first fault in row order, the column, is the one reported.
 func FuzzCSRBlockOracle(f *testing.F) {
 	f.Add(uint8(0), uint16(0), uint8(0), uint32(72), uint32(0), uint32(0))
 	f.Add(uint8(13), uint16(41), uint8(1), uint32(700), uint32(701), uint32(0))
 	f.Add(uint8(19), uint16(7), uint8(2), uint32(5000), uint32(95), uint32(3))
 	f.Add(uint8(24), uint16(70), uint8(0), uint32(6500), uint32(0), uint32(0))
+	f.Add(uint8(25), uint16(0), uint8(1), uint32(84), uint32(96*64+32*20+25), uint32(0))
 	pairs, cases := allSchemePairs(), blockCases()
 	f.Fuzz(func(t *testing.T, pair uint8, cas uint16, flips uint8, b0, b1, b2 uint32) {
-		es, rs := pairs[int(pair)%len(pairs)][0], pairs[int(pair)%len(pairs)][1]
+		p, src := int(pair)%(2*len(pairs)), SECDED64
+		if p >= len(pairs) {
+			p, src = p-len(pairs), None
+		}
+		es, rs := pairs[p][0], pairs[p][1]
 		c := cases[int(cas)%len(cases)]
-		tw := newCSRTwin(t, blockCSR(t), es, rs)
+		tw := newCSRTwin(t, blockCSR(t), es, rs, src)
 		elemBits := 96 * len(tw.vals)
 		total := uint32(elemBits + 32*len(tw.rowptr))
 		bits := []uint32{b0 % total, b1 % total, b2 % total}[:1+int(flips)%3]
@@ -423,6 +446,6 @@ func FuzzCSRBlockOracle(f *testing.F) {
 				}
 			}
 		})
-		tw.run(t, fmt.Sprintf("elements %v row pointers %v struck at %v", es, rs, bits), c)
+		tw.run(t, fmt.Sprintf("elements %v row pointers %v sources %v struck at %v", es, rs, src, bits), c)
 	})
 }

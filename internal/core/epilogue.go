@@ -9,14 +9,15 @@ import (
 // second kernel that dot decodes p again and reads back the w the
 // product has just encoded — two vector checks per row for values the
 // product held a moment before. The epilogue takes both from the sweep
-// itself: p from the dense decode DecodeSources made (on the raw
-// all-None path, from storage, whose words are the values), w from each
-// output block masked exactly as storage will return it, collected as
-// the block is written. Once the sweep is done the dot reduces with the
-// requested FusedOptions — the decomposition and order of the Dot it
-// replaces — so it is bit-identical to the product followed by Dot
-// whatever split the product ran under: collecting the outputs decouples
-// the dot's split from the apply's. Nothing protected is read back.
+// itself: p from the dense decode every sweep streams from
+// (DecodeSources', or a composite's own buffer; under every scheme, None
+// included), w from each output block masked exactly as storage will
+// return it, collected as the block is written. Once the sweep is done
+// the dot reduces with the requested FusedOptions — the decomposition
+// and order of the Dot it replaces — so it is bit-identical to the
+// product followed by Dot whatever split the product ran under:
+// collecting the outputs decouples the dot's split from the apply's.
+// Nothing protected is read back.
 //
 // The request rides on the product's destination rather than on the
 // operator: every wrapper between a solver and the matrix passes dst and
@@ -87,9 +88,7 @@ type DotEpilogue struct {
 	// outputs, both nil for a column without one.
 	reqs []*DotRequest
 	outs [][]float64
-	// xs and xbufs are the sweep's sources: xbufs the dense decode, nil
-	// on the raw path, where xs' storage holds the values.
-	xs       []*Vector
+	// xbufs is the dense decode of the sweep's sources.
 	xbufs    [][]float64
 	blocks   int
 	flat     []float64
@@ -101,11 +100,14 @@ type DotEpilogue struct {
 // never held by a matrix, an operator or a vector.
 var epiloguePool = sync.Pool{New: func() any { return new(DotEpilogue) }}
 
-// startDots returns the epilogue answering the requests pending on dsts
-// for products from xs, or nil when there are none. A source shorter
-// than its destination (a wide rectangular matrix) cannot answer; of a
-// longer one the buffer's leading blocks answer.
-func startDots(dsts, xs []*Vector) *DotEpilogue {
+// StartDots returns the epilogue of a stream into dsts from xs, decoded
+// into xbufs (xbufs[j] holding xs[j]'s values from its first block on
+// once the stream runs), or nil unless a request is pending on one of
+// dsts for a product from its x. The caller writes every output block
+// through it and ends the stream with Finish. A source shorter than its
+// destination (a wide rectangular matrix) cannot answer; of a longer one
+// the buffer's leading blocks answer.
+func StartDots(dsts, xs []*Vector, xbufs [][]float64) *DotEpilogue {
 	var ep *DotEpilogue
 	for j, dst := range dsts {
 		r := dst.PendingDot(xs[j])
@@ -118,7 +120,7 @@ func startDots(dsts, xs []*Vector) *DotEpilogue {
 				ep.reqs = make([]*DotRequest, len(dsts))
 			}
 			ep.reqs = ep.reqs[:len(dsts)]
-			ep.xs, ep.blocks = xs, dst.Blocks()
+			ep.xbufs, ep.blocks = xbufs, dst.Blocks()
 		}
 		ep.reqs[j] = r
 	}
@@ -136,19 +138,6 @@ func startDots(dsts, xs []*Vector) *DotEpilogue {
 			w = ep.flat[j*n : (j+1)*n]
 		}
 		ep.outs = append(ep.outs, w)
-	}
-	return ep
-}
-
-// StartDots returns the epilogue of a stream over sources its caller
-// decoded itself, xbufs[j] holding xs[j]'s values from its first block
-// on (a composite's own buffer, filled from the caller's storage): nil
-// unless a request pending on one of dsts names xs[j]. The caller writes
-// every output block through it and ends the stream with Finish.
-func StartDots(dsts, xs []*Vector, xbufs [][]float64) *DotEpilogue {
-	ep := startDots(dsts, xs)
-	if ep != nil {
-		ep.xbufs = xbufs
 	}
 	return ep
 }
@@ -180,14 +169,13 @@ func (ep *DotEpilogue) Finish(err error) error {
 		err = ep.reduce()
 	}
 	clear(ep.reqs)
-	ep.xs, ep.xbufs = nil, nil
+	ep.xbufs = nil
 	epiloguePool.Put(ep)
 	return err
 }
 
-// reduce answers each request: column j's x from xbufs[j] (DecodeSources'
-// dense decode), or from xs[j]'s storage when xbufs is nil (the raw path,
-// scheme None), against the masked outputs, per range of the request's
+// reduce answers each request: column j's x from xbufs[j], the sweep's
+// dense decode, against the masked outputs, per range of the request's
 // decomposition in strict element order — the arithmetic of Dot — then
 // combined as the request's options reduce.
 func (ep *DotEpilogue) reduce() error {
@@ -199,27 +187,12 @@ func (ep *DotEpilogue) reduce() error {
 		if cap(ep.partials) < len(ranges) {
 			ep.partials = make([]float64, len(ranges))
 		}
-		w, x := ep.outs[j], ep.xs[j]
-		var p []float64
-		if ep.xbufs != nil {
-			p = ep.xbufs[j]
-		}
+		w, p := ep.outs[j], ep.xbufs[j]
 		dot, err := r.opt.sum(ranges, ep.partials[:len(ranges)], func(lo, hi int) (float64, error) {
 			var s float64
-			if p != nil {
-				w := w[lo*BlockLen : hi*BlockLen]
-				for e, pe := range p[lo*BlockLen : hi*BlockLen] {
-					s += pe * w[e]
-				}
-				return s, nil
-			}
-			var xb [BlockLen]float64
-			for blk := lo; blk < hi; blk++ {
-				x.payload(blk, &xb)
-				wb := w[blk*BlockLen : (blk+1)*BlockLen]
-				for i, xe := range xb {
-					s += xe * wb[i]
-				}
+			w := w[lo*BlockLen : hi*BlockLen]
+			for e, pe := range p[lo*BlockLen : hi*BlockLen] {
+				s += pe * w[e]
 			}
 			return s, nil
 		})

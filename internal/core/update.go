@@ -9,7 +9,9 @@ package core
 // the sweep multiplies (a kept Pass output). The kept values are
 // exactly what a verified read of p would return, so the product, and
 // a dot request answered from its source (DotRequest), are
-// bit-identical to the update followed by the product.
+// bit-identical to the update followed by the product. Every format's
+// product reads its sources through DecodeSources under every scheme,
+// None included (DESIGN.md section 43), so each runs the update there.
 //
 // Like a dot request, the update rides on a vector rather than on the
 // operator, so every wrapper that passes x through reaches a format's
@@ -82,16 +84,3 @@ func (u *UpdateRequest) RunKept(b0, b1 int, keep []float64) error {
 // PendingUpdate returns the update a product about to read v must run
 // first, or nil.
 func (v *Vector) PendingUpdate() *UpdateRequest { return v.upd }
-
-// runUpdates runs the updates pending on xs with nothing kept: a source
-// read with no check to save (the raw all-None product).
-func runUpdates(xs []*Vector) error {
-	for _, x := range xs {
-		if u := x.upd; u != nil {
-			if err := u.Run(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

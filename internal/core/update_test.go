@@ -12,8 +12,8 @@ import (
 // TestUpdateRequestIsItsPassAndRead checks a deferred update against the
 // pass it defers, followed by a verified read: a product's decode
 // (DecodeSources), a part of the vector (RunKept over a block range, the
-// sharded scatter's call) and CSR's raw all-None product each leave the
-// same stored words and the same source values, and every run of the
+// sharded scatter's call) and CSR's all-None product, whose sweep
+// multiplies the decode's kept values, each leave the same stored words and the same source values, and every run of the
 // update detaches it. The decode counts the pass's checks and nothing
 // for the read it replaces.
 func TestUpdateRequestIsItsPassAndRead(t *testing.T) {
@@ -88,7 +88,8 @@ func TestUpdateRequestIsItsPassAndRead(t *testing.T) {
 		if s != None {
 			continue
 		}
-		// CSR's raw product reads p in place: the update runs first.
+		// CSR's all-None product rides the update on its decode, as every
+		// protected product does: one run, and the product of the updated p.
 		m, err := NewMatrix(csr.Laplacian2D(37, 1), MatrixOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -100,11 +101,11 @@ func TestUpdateRequestIsItsPassAndRead(t *testing.T) {
 		x, p, _, _, outs = vecs()
 		u.Defer(p, opt, outs...)
 		if err := m.Apply(got, p, 1); err != nil || u.Pending() {
-			t.Fatalf("raw product: %v, still pending %t", err, u.Pending())
+			t.Fatalf("all-None product: %v, still pending %t", err, u.Pending())
 		}
-		same("raw product", x, p)
+		same("all-None product", x, p)
 		if !slices.Equal(got.Raw(), ref.Raw()) {
-			t.Error("raw product: w differs from the product of the updated p")
+			t.Error("all-None product: w differs from the product of the updated p")
 		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 // scheme. Bit 30 of an index is far outside any operand; index 30 of
 // the 25-row Laplacian2D(5, 5) lies in the padding of x (32 words) and,
 // for a COO row, past the 25 accumulators. COO's row indices are struck
-// as well as its columns. Under none vectors CSR takes the raw leaf,
-// which indexes x's storage in place and range-checks each column as
-// every other path does.
+// as well as its columns. Under none vectors too CSR decodes x and runs
+// its one sweep (DESIGN.md section 43), whose streams range-check each
+// column against Cols(), not against the padded decode buffer.
 //
 // Every strike runs through Apply and through ApplyBatch at widths 4
 // and 9, one group of four and two groups and a remainder of the clean
@@ -28,9 +28,9 @@ import (
 //
 // CSR's row pointers are struck too: pointer 3 set to 1<<20, past
 // storage, and pointers 3 and 4 swapped, a non-monotone pair. Either is
-// the StructRowPtr BoundsError of row 3 on every path, the raw leaf's
-// included, which checks its range's pointers by the unchecked cursor's
-// rule before it reads a row.
+// the StructRowPtr BoundsError of row 3 on every path, the all-none
+// product's included, whose unchecked cursor holds each block's pointers
+// to storage and to order before it reads a row.
 func TestWildIndexIsBoundsError(t *testing.T) {
 	strikes := []struct {
 		name string
