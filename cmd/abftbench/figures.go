@@ -52,27 +52,42 @@ func (c config) workloadConfig(p protection) tealeaf.Config {
 	return cfg
 }
 
-// measure returns the fastest wall time of c.runs full workload runs,
-// each preceded by an untimed garbage collection — the repo benchmark's
-// rule, so a figure reads the code's cost rather than the collector's
-// or a noisy neighbour's.
-func (c config) measure(p protection) (time.Duration, error) {
-	var best time.Duration
+// measure returns the fastest wall times of c.runs full workload runs
+// of the unprotected baseline and of p. Each run of one side is timed
+// next to a run of the other, the order flipping run by run, so drift
+// over a figure lands on both sides of its row alike.
+func (c config) measure(p protection) (base, protected time.Duration, err error) {
+	sides := [2]protection{{}, p}
+	var best [2]time.Duration
 	for r := 0; r < c.runs; r++ {
-		sim, err := tealeaf.New(c.workloadConfig(p))
-		if err != nil {
-			return 0, err
-		}
-		runtime.GC()
-		start := time.Now()
-		if _, err := sim.Run(); err != nil {
-			return 0, err
-		}
-		if d := time.Since(start); r == 0 || d < best {
-			best = d
+		for i := range sides {
+			side := i ^ r&1
+			d, err := c.runOnce(sides[side])
+			if err != nil {
+				return 0, 0, err
+			}
+			if r == 0 || d < best[side] {
+				best[side] = d
+			}
 		}
 	}
-	return best, nil
+	return best[0], best[1], nil
+}
+
+// runOnce times one full workload run under p, preceded by an untimed
+// garbage collection — the repo benchmark's rule, so a figure reads the
+// code's cost rather than the collector's or a noisy neighbour's.
+func (c config) runOnce(p protection) (time.Duration, error) {
+	sim, err := tealeaf.New(c.workloadConfig(p))
+	if err != nil {
+		return 0, err
+	}
+	runtime.GC()
+	start := time.Now()
+	if _, err := sim.Run(); err != nil {
+		return 0, err
+	}
+	return time.Since(start), nil
 }
 
 // row is one bar of an overhead figure: fastest wall times of the
@@ -104,21 +119,16 @@ var schemeVariants = []schemeVariant{
 	{"crc32c-sw", core.CRC32C, ecc.Software},
 }
 
-// compareSchemes measures the workload once unprotected and once per
-// scheme variant produced by mk.
+// compareSchemes measures the workload under each scheme variant
+// produced by mk, each against its own unprotected baseline.
 func (c config) compareSchemes(mk func(schemeVariant) protection) ([]row, error) {
-	base, err := c.measure(protection{})
-	if err != nil {
-		return nil, err
-	}
-	c.logf("baseline: %v", base)
 	rows := make([]row, 0, len(schemeVariants))
 	for _, v := range schemeVariants {
-		d, err := c.measure(mk(v))
+		base, d, err := c.measure(mk(v))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.label, err)
 		}
-		c.logf("%-12s %v", v.label, d)
+		c.logf("%-12s baseline %v, protected %v", v.label, base, d)
 		rows = append(rows, row{label: v.label, base: base, protected: d})
 	}
 	return rows, nil
@@ -148,36 +158,31 @@ func fig9(c config) ([]row, error) {
 	})
 }
 
-// point is one interval sample of a check-interval sweep.
+// point is one interval sample of a check-interval sweep, with its own
+// unprotected baseline.
 type point struct {
-	interval int
-	time     time.Duration
+	interval   int
+	base, time time.Duration
 }
 
 // series is a check-interval sweep for one scheme.
 type series struct {
 	label  string
-	base   time.Duration
 	points []point
 }
 
 // intervalSweep measures full-CSR protection (elements + row pointers) at
 // check intervals 1, 2, 4, ... 2^maxExp.
 func (c config) intervalSweep(label string, s core.Scheme, backend ecc.Backend) (series, error) {
-	base, err := c.measure(protection{})
-	if err != nil {
-		return series{}, err
-	}
-	out := series{label: label, base: base}
-	c.logf("baseline: %v", base)
+	out := series{label: label}
 	for exp := 0; exp <= c.maxExp; exp++ {
 		interval := 1 << uint(exp)
-		d, err := c.measure(protection{elem: s, rowptr: s, interval: interval, backend: backend})
+		base, d, err := c.measure(protection{elem: s, rowptr: s, interval: interval, backend: backend})
 		if err != nil {
 			return out, fmt.Errorf("%s interval %d: %w", label, interval, err)
 		}
-		c.logf("%-10s interval %3d: %v", label, interval, d)
-		out.points = append(out.points, point{interval: interval, time: d})
+		c.logf("%-10s interval %3d: baseline %v, protected %v", label, interval, base, d)
+		out.points = append(out.points, point{interval: interval, base: base, time: d})
 	}
 	return out, nil
 }
@@ -206,11 +211,7 @@ func fig8(c config) (series, error) {
 // SECDED64, compared against the unprotected baseline and the paper's
 // measured 8.1 percent hardware-ECC overhead on the K40.
 func fullProtection(c config) (row, error) {
-	base, err := c.measure(protection{})
-	if err != nil {
-		return row{}, err
-	}
-	d, err := c.measure(protection{elem: core.SECDED64, rowptr: core.SECDED64, vec: core.SECDED64})
+	base, d, err := c.measure(protection{elem: core.SECDED64, rowptr: core.SECDED64, vec: core.SECDED64})
 	if err != nil {
 		return row{}, err
 	}

@@ -125,7 +125,7 @@ func TestCRCThroughput(t *testing.T) {
 func TestPrinters(t *testing.T) {
 	var buf bytes.Buffer
 	printRows(&buf, "Figure 4", []row{{label: "sed", base: 100, protected: 103}})
-	printSeries(&buf, "Figure 6", series{label: "sed", base: 100, points: []point{{interval: 1, time: 105}}})
+	printSeries(&buf, "Figure 6", series{label: "sed", points: []point{{interval: 1, base: 100, time: 105}}})
 	printConvergence(&buf, []convRow{{label: "sed", iterations: 10}})
 	printCRC(&buf, []crcRow{{backend: ecc.Hardware, bufferSize: 32, throughput: 1000}})
 	out := buf.String()

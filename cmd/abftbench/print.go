@@ -37,11 +37,11 @@ func printRows(w io.Writer, title string, rows []row) {
 // printSeries renders a check-interval sweep.
 func printSeries(w io.Writer, title string, s series) {
 	printTitle(w, title)
-	fmt.Fprintf(w, "baseline %s, scheme %s\n", roundDur(s.base), s.label)
-	fmt.Fprintf(w, "%-10s %12s %10s\n", "interval", "time", "overhead")
+	fmt.Fprintf(w, "scheme %s\n", s.label)
+	fmt.Fprintf(w, "%-10s %12s %12s %10s\n", "interval", "baseline", "time", "overhead")
 	for _, p := range s.points {
-		pct := overhead(s.base, p.time)
-		fmt.Fprintf(w, "%-10d %12s %9.1f%% %s\n", p.interval, roundDur(p.time), pct, bar(pct))
+		pct := overhead(p.base, p.time)
+		fmt.Fprintf(w, "%-10d %12s %12s %9.1f%% %s\n", p.interval, roundDur(p.base), roundDur(p.time), pct, bar(pct))
 	}
 	fmt.Fprintln(w)
 }

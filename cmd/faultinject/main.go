@@ -63,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		format    = fs.String("format", "csr", "matrix storage formats: csr, coo, sellcs, all, or a comma list")
 		scheme    = fs.String("scheme", "", "restrict to one scheme (sed, secded64, secded128, crc32c)")
-		structure = fs.String("structure", "", "restrict to one structure (vector, elements, rowptr)")
+		structure = fs.String("structure", "", "restrict to one structure (vector, elements, rowptr, halo, precond, solverstate)")
 		bits      = fs.Int("bits", 0, "restrict to one flip count (default sweep 1..5)")
 		trials    = fs.Int("trials", 400, "trials per configuration")
 		seed      = fs.Int64("seed", 1, "campaign seed")
@@ -128,28 +128,17 @@ func run(args []string, stdout io.Writer) error {
 		structures = append(structures, core.StructSolverState)
 	}
 	if *structure != "" {
-		switch *structure {
-		case "vector":
-			structures = []core.Structure{core.StructVector}
-		case "elements":
-			structures = []core.Structure{core.StructElements}
-		case "rowptr":
-			structures = []core.Structure{core.StructRowPtr}
-		case "halo":
-			if *shards < 2 {
-				return fmt.Errorf("the halo structure needs -shards >= 2 (got %d)", *shards)
-			}
-			structures = []core.Structure{core.StructHalo}
-		case "precond":
-			if preKind == precond.None {
-				preKind = precond.Jacobi
-			}
-			structures = []core.Structure{core.StructPrecond}
-		case "solverstate":
-			structures = []core.Structure{core.StructSolverState}
-		default:
-			return fmt.Errorf("unknown structure %q", *structure)
+		st, err := core.ParseStructure(*structure)
+		if err != nil {
+			return err
 		}
+		if st == core.StructHalo && *shards < 2 {
+			return fmt.Errorf("the halo structure needs -shards >= 2 (got %d)", *shards)
+		}
+		if st == core.StructPrecond && preKind == precond.None {
+			preKind = precond.Jacobi
+		}
+		structures = []core.Structure{st}
 	}
 	bitCounts := []int{1, 2, 3, 4, 5}
 	if *bits > 0 {

@@ -80,7 +80,7 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 	}{
 		{[]string{"-scheme", "tmr"}, "choices: none, sed, secded64, secded128, crc32c"},
 		{[]string{"-format", "ellpack"}, "choices: csr, coo, sellcs"},
-		{[]string{"-structure", "diagonal"}, "unknown structure"},
+		{[]string{"-structure", "diagonal"}, "choices: vector, elements, rowptr, halo, precond, solverstate"},
 		{[]string{"-precond", "ilu"}, "choices: none, jacobi, bjacobi, sgs"},
 	}
 	for _, c := range cases {

@@ -51,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 		rowptr   = fs.String("rowptr", "", "row-pointer protection scheme")
 		vectors  = fs.String("vectors", "", "dense vector protection scheme")
 		interval = fs.Int("interval", 0, "full matrix checks every n-th sweep")
-		crc      = fs.String("crc", "", "crc32c backend: "+ecc.BackendNames)
+		crc      = fs.String("crc", "", "crc32c backend: "+ecc.BackendNames())
 		workers  = fs.Int("workers", 0, "kernel goroutines")
 		shards   = fs.Int("shards", 0, "row-partition the operator into this many bands with protected halo exchanges")
 		retry    = fs.Bool("retry", false, "reprotect and retry a step after an uncorrectable fault")

@@ -72,7 +72,7 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 		{[]string{"-format", "ellpack"}, "choices: csr, coo, sellcs"},
 		{[]string{"-solver", "gmres"}, "choices: cg, jacobi, chebyshev, ppcg, pcg"},
 		{[]string{"-precond", "ilu"}, "choices: none, jacobi, bjacobi, sgs"},
-		{[]string{"-crc", "abacus"}, "choices: " + ecc.BackendNames},
+		{[]string{"-crc", "abacus"}, "choices: " + ecc.BackendNames()},
 	}
 	for _, c := range cases {
 		var out bytes.Buffer
@@ -111,9 +111,9 @@ func TestRunRecoveryFlag(t *testing.T) {
 }
 
 // TestRunCRCNamesMatchDeck: -crc and the deck's abft_crc accept the same
-// backend names and map each to the same backend.
+// backend names and aliases and map each to the same backend.
 func TestRunCRCNamesMatchDeck(t *testing.T) {
-	for _, name := range strings.Split(ecc.BackendNames, ", ") {
+	for _, name := range []string{"hardware", "hw", "auto", "software", "sw"} {
 		cfg, err := tealeaf.ParseInput(strings.NewReader("abft_crc=" + name))
 		if err != nil {
 			t.Fatalf("deck abft_crc=%s: %v", name, err)

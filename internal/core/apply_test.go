@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"abft/internal/csr"
+	"abft/internal/par"
 )
 
 func TestMultiVectorBasics(t *testing.T) {
@@ -231,6 +233,57 @@ func TestApplySourceChecksExact(t *testing.T) {
 				sweep("unverified", true, 0)
 			}
 		}
+	}
+}
+
+// TestApplyWorkerChecksExact pins what a clean product over w ranges
+// counts beyond one range (DESIGN.md section 44). Each range after the
+// first starts its row-pointer cursor and its SECDED128 pair memo cold,
+// so it checks again what the range before it checked last: the
+// row-pointer group holding its first pointer, and under SECDED128 the
+// element pair straddling the boundary when its first entry is odd and
+// it holds an entry at all. The range count is par.Ranges', which clamps
+// to GOMAXPROCS. Irregular rows put odd entries at some boundaries.
+func TestApplyWorkerChecksExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	src := randomMatrix(t, rand.New(rand.NewSource(3)), 90, 90)
+	straddles := 0
+	for _, pair := range allSchemePairs() {
+		es, rs := pair[0], pair[1]
+		m, err := NewMatrix(src, MatrixOptions{ElemScheme: es, RowPtrScheme: rs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := VectorFromSlice(make([]float64, src.Cols32()), SECDED64)
+		dst := NewVector(src.Rows(), SECDED64)
+		checks := func(workers int) uint64 {
+			var c Counters
+			m.SetCounters(&c)
+			if err := m.Apply(dst, x, workers); err != nil {
+				t.Fatal(err)
+			}
+			return c.Checks()
+		}
+		ptr := func(r int) uint32 { return m.rowptr[r] & m.rowGroups().Mask() }
+		one := checks(1)
+		for workers := 2; workers <= 4; workers++ {
+			var want uint64
+			for _, r := range par.Ranges(m.rows, workers, BlockLen)[1:] {
+				if rs != None {
+					want++
+				}
+				if es == SECDED128 && ptr(r[0])%2 == 1 && ptr(r[1]) > ptr(r[0]) {
+					want++
+					straddles++
+				}
+			}
+			if got := checks(workers) - one; got != want {
+				t.Errorf("%v/%v workers=%d: %d checks beyond one range, want %d", es, rs, workers, got, want)
+			}
+		}
+	}
+	if straddles == 0 {
+		t.Fatal("no range boundary splits a SECDED128 pair: the straddle term is untested")
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+
+	"abft/internal/enum"
 )
 
 // Structure identifies which protected data structure a fault was found in.
@@ -29,24 +31,19 @@ const (
 	StructSolverState
 )
 
-func (s Structure) String() string {
-	switch s {
-	case StructVector:
-		return "vector"
-	case StructElements:
-		return "elements"
-	case StructRowPtr:
-		return "rowptr"
-	case StructHalo:
-		return "halo"
-	case StructPrecond:
-		return "precond"
-	case StructSolverState:
-		return "solverstate"
-	default:
-		return fmt.Sprintf("Structure(%d)", uint8(s))
-	}
-}
+var structures = enum.Table[Structure]{Pkg: "core", What: "structure", Names: [][]string{
+	StructVector:      {"vector"},
+	StructElements:    {"elements"},
+	StructRowPtr:      {"rowptr"},
+	StructHalo:        {"halo"},
+	StructPrecond:     {"precond"},
+	StructSolverState: {"solverstate"},
+}}
+
+func (s Structure) String() string { return structures.String(s) }
+
+// ParseStructure converts a structure name to its Structure.
+func ParseStructure(s string) (Structure, error) { return structures.Parse(s) }
 
 // FaultError reports a detected-but-uncorrectable error (a DUE in the
 // paper's taxonomy). The application decides how to react: with an

@@ -17,16 +17,11 @@ import (
 // order, the commit rule, the check accounting and the partial-sum
 // placement are stated in one place.
 
-// FusedOptions selects the decomposition and read discipline of a pass.
+// FusedOptions selects the decomposition of a pass.
 type FusedOptions struct {
 	// Workers bounds the parallel split when no explicit decomposition
 	// is given; it feeds par.Ranges.
 	Workers int
-	// Mode is the read discipline: exclusive commits corrections found
-	// while decoding, shared keeps them decoder-local, unverified skips
-	// codeword decode entirely (payload + mask only, counters untouched).
-	// The zero value is ModeExclusive.
-	Mode ReadMode
 	// BlockBands, when set, fixes the block-index decomposition — one
 	// partial sum per band — instead of the par.Ranges split, and
 	// combines the partials in the pairwise binary tree (the sharded
@@ -105,7 +100,7 @@ type Lin struct {
 type DotOf struct{ A, B *Vector }
 
 // Pass makes one blockwise pass over its vectors. Per block it reads
-// every distinct source once under opt.Mode, forms and writes each
+// every distinct source once, verified, forms and writes each
 // output, and, when dot names one, accumulates dot.A·dot.B. The contract:
 //
 //   - Sources are read in order of first appearance: X before Y, output
@@ -123,13 +118,13 @@ type DotOf struct{ A, B *Vector }
 //     element order per range of opt's decomposition and reduces as opt
 //     does, so it is bit-identical to Dot (or the sharded band tree) run
 //     over the vectors after the pass.
-//   - Exclusive mode commits corrections at every worker count: every
-//     block belongs to exactly one range.
+//   - Corrections are committed at every worker count: every block
+//     belongs to exactly one range.
 //
 // Pass writes at most two outputs.
 func Pass(opt FusedOptions, dot DotOf, outs ...Lin) (float64, error) {
 	var p pass
-	if err := p.plan(opt.Mode, dot, outs); err != nil {
+	if err := p.plan(dot, outs); err != nil {
 		return 0, err
 	}
 	ranges := opt.ranges(p.blocks)
@@ -150,7 +145,6 @@ const outSlot = 6
 // hold source blocks, slot outSlot+j output j's block (a copy writes its
 // source's slot).
 type pass struct {
-	mode   ReadMode
 	blocks int
 	src    [outSlot]*Vector
 	out    [2]out
@@ -171,11 +165,11 @@ type out struct {
 	keep   []float64
 }
 
-func (p *pass) plan(mode ReadMode, dot DotOf, outs []Lin) error {
+func (p *pass) plan(dot DotOf, outs []Lin) error {
 	if len(outs) > len(p.out) {
 		return fmt.Errorf("core: Pass writes at most %d outputs, got %d", len(p.out), len(outs))
 	}
-	p.mode, p.no = mode, len(outs)
+	p.no = len(outs)
 	for j, l := range outs {
 		p.out[j] = out{dst: l.Dst, a: l.A, b: l.B, x: p.slot(l.X), y: -1, keep: l.keep}
 		if l.Y != nil {
@@ -224,19 +218,14 @@ func (p *pass) operand(v *Vector) int {
 // dot.
 func (p *pass) run(lo, hi int) (float64, error) {
 	var buf [outSlot + 2][BlockLen]float64
-	verify, commit := p.mode.Verifies(), p.mode.Commits()
-	if verify {
-		for _, v := range p.src[:p.ns] {
-			v.counters.AddChecks(uint64(hi-lo) * v.checksPerBlock())
-		}
+	for _, v := range p.src[:p.ns] {
+		v.counters.AddChecks(uint64(hi-lo) * v.checksPerBlock())
 	}
 	var s float64
 	da, db := &buf[p.da], &buf[p.db]
 	for blk := lo; blk < hi; blk++ {
 		for k, v := range p.src[:p.ns] {
-			if !verify {
-				v.payload(blk, &buf[k])
-			} else if err := v.readBlock(blk, &buf[k], commit); err != nil {
+			if err := v.readBlock(blk, &buf[k], true); err != nil {
 				return 0, err
 			}
 		}

@@ -1,6 +1,6 @@
 package core
 
-import "fmt"
+import "abft/internal/enum"
 
 // ReadMode selects how reads through protected storage treat the
 // embedded codewords. It separates two orthogonal decisions — whether
@@ -34,18 +34,13 @@ const (
 	ModeUnverified
 )
 
-func (m ReadMode) String() string {
-	switch m {
-	case ModeExclusive:
-		return "exclusive"
-	case ModeShared:
-		return "shared"
-	case ModeUnverified:
-		return "unverified"
-	default:
-		return fmt.Sprintf("ReadMode(%d)", int(m))
-	}
-}
+var readModes = enum.Table[ReadMode]{Names: [][]string{
+	ModeExclusive:  {"exclusive"},
+	ModeShared:     {"shared"},
+	ModeUnverified: {"unverified"},
+}}
+
+func (m ReadMode) String() string { return readModes.String(m) }
 
 // Verifies reports whether reads in this mode decode and check
 // codewords. Only ModeUnverified skips verification.

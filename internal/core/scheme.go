@@ -12,10 +12,7 @@
 // checksums, each embedded per structure as described in DESIGN.md.
 package core
 
-import (
-	"fmt"
-	"strings"
-)
+import "abft/internal/enum"
 
 // Scheme selects the software ECC applied to a protected structure.
 type Scheme uint8
@@ -45,50 +42,22 @@ var Schemes = []Scheme{None, SED, SECDED64, SECDED128, CRC32C}
 // ProtectingSchemes lists only the schemes that add protection.
 var ProtectingSchemes = []Scheme{SED, SECDED64, SECDED128, CRC32C}
 
-func (s Scheme) String() string {
-	switch s {
-	case None:
-		return "none"
-	case SED:
-		return "sed"
-	case SECDED64:
-		return "secded64"
-	case SECDED128:
-		return "secded128"
-	case CRC32C:
-		return "crc32c"
-	default:
-		return fmt.Sprintf("Scheme(%d)", uint8(s))
-	}
-}
+var schemes = enum.Table[Scheme]{Pkg: "core", What: "scheme", Names: [][]string{
+	None:      {"none", ""},
+	SED:       {"sed", "parity"},
+	SECDED64:  {"secded64", "secded"},
+	SECDED128: {"secded128"},
+	CRC32C:    {"crc32c", "crc"},
+}}
+
+func (s Scheme) String() string { return schemes.String(s) }
 
 // ParseScheme converts a string produced by Scheme.String back to a Scheme.
-func ParseScheme(s string) (Scheme, error) {
-	switch s {
-	case "none", "":
-		return None, nil
-	case "sed", "parity":
-		return SED, nil
-	case "secded64", "secded":
-		return SECDED64, nil
-	case "secded128":
-		return SECDED128, nil
-	case "crc32c", "crc":
-		return CRC32C, nil
-	default:
-		return None, fmt.Errorf("core: unknown scheme %q (choices: %s)", s, SchemeNames())
-	}
-}
+func ParseScheme(s string) (Scheme, error) { return schemes.Parse(s) }
 
 // SchemeNames returns the registered scheme names as a comma-separated
 // list, for error messages and command-line help.
-func SchemeNames() string {
-	names := make([]string, len(Schemes))
-	for i, sc := range Schemes {
-		names[i] = sc.String()
-	}
-	return strings.Join(names, ", ")
-}
+func SchemeNames() string { return schemes.List() }
 
 // VecGroup returns the number of float64 elements per vector codeword:
 // the whole BlockLen-element block under CRC32C.

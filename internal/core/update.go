@@ -73,7 +73,7 @@ func (u *UpdateRequest) RunKept(b0, b1 int, keep []float64) error {
 		return err
 	}
 	var p pass
-	if err := p.plan(u.opt.Mode, DotOf{}, outs[:u.n]); err != nil {
+	if err := p.plan(DotOf{}, outs[:u.n]); err != nil {
 		return err
 	}
 	p.keep0 = b0

@@ -1,9 +1,10 @@
 package ecc
 
 import (
-	"fmt"
 	"hash/crc32"
 	"sync"
+
+	"abft/internal/enum"
 )
 
 // crc32cPoly is the Castagnoli polynomial in reversed (LSB-first) form.
@@ -27,46 +28,31 @@ const (
 type Backend int
 
 const (
-	// Auto uses the hardware-accelerated path.
-	Auto Backend = iota
-	// Hardware uses hash/crc32's Castagnoli implementation, which is
-	// backed by the SSE4.2 CRC32 instruction on amd64 and the CRC32C
-	// instructions on arm64.
-	Hardware
+	// Hardware, the zero value, uses hash/crc32's Castagnoli
+	// implementation, which is backed by the SSE4.2 CRC32 instruction on
+	// amd64 and the CRC32C instructions on arm64.
+	Hardware Backend = iota
 	// Software uses this package's pure-Go slicing-by-16 implementation,
 	// the fallback the paper uses on platforms without CRC intrinsics.
 	Software
 )
 
-func (b Backend) String() string {
-	switch b {
-	case Auto:
-		return "auto"
-	case Hardware:
-		return "hardware"
-	case Software:
-		return "software"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
+// Auto is Hardware under the name the parser also accepts.
+const Auto = Hardware
 
-// BackendNames lists the names ParseBackend accepts, for error messages
-// and command-line help.
-const BackendNames = "hardware, hw, auto, software, sw"
+var backends = enum.Table[Backend]{Pkg: "ecc", What: "crc backend", Names: [][]string{
+	Hardware: {"hardware", "hw", "auto"},
+	Software: {"software", "sw"},
+}}
 
-// ParseBackend converts a CRC32C backend name to a Backend. "auto"
-// names the hardware path, which is what Auto selects.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "hardware", "hw", "auto":
-		return Hardware, nil
-	case "software", "sw":
-		return Software, nil
-	default:
-		return Auto, fmt.Errorf("ecc: unknown crc backend %q (choices: %s)", s, BackendNames)
-	}
-}
+func (b Backend) String() string { return backends.String(b) }
+
+// BackendNames returns the backend names as a comma-separated list, for
+// error messages and command-line help.
+func BackendNames() string { return backends.List() }
+
+// ParseBackend converts a CRC32C backend name to a Backend.
+func ParseBackend(s string) (Backend, error) { return backends.Parse(s) }
 
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 

@@ -189,7 +189,7 @@ func TestHD6Constants(t *testing.T) {
 }
 
 func TestBackendString(t *testing.T) {
-	if Auto.String() != "auto" || Hardware.String() != "hardware" || Software.String() != "software" {
+	if Auto.String() != "hardware" || Hardware.String() != "hardware" || Software.String() != "software" {
 		t.Fatal("backend strings wrong")
 	}
 	if Backend(9).String() == "" {
@@ -205,17 +205,20 @@ func TestSyndromeCacheReuse(t *testing.T) {
 	}
 }
 
-// TestParseBackend: every listed name parses, "auto" names the hardware
-// path, and an unknown name is rejected with the choices listed.
+// TestParseBackend: every name and alias parses, "auto" names the
+// hardware path, and an unknown name is rejected with the choices listed.
 func TestParseBackend(t *testing.T) {
 	want := map[string]Backend{"hardware": Hardware, "hw": Hardware, "auto": Hardware, "software": Software, "sw": Software}
-	for _, name := range strings.Split(BackendNames, ", ") {
+	for name, w := range want {
 		b, err := ParseBackend(name)
-		if err != nil || b != want[name] {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v", name, b, err, want[name])
+		if err != nil || b != w {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v", name, b, err, w)
 		}
 	}
-	if _, err := ParseBackend("abacus"); err == nil || !strings.Contains(err.Error(), BackendNames) {
+	if BackendNames() != "hardware, software" {
+		t.Errorf("BackendNames() = %q", BackendNames())
+	}
+	if _, err := ParseBackend("abacus"); err == nil || !strings.Contains(err.Error(), BackendNames()) {
 		t.Errorf("unknown name: error %v does not list the choices", err)
 	}
 }

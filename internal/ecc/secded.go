@@ -3,6 +3,8 @@ package ecc
 import (
 	"fmt"
 	"math/bits"
+
+	"abft/internal/enum"
 )
 
 // CheckResult classifies the outcome of an integrity check.
@@ -17,18 +19,13 @@ const (
 	Detected
 )
 
-func (r CheckResult) String() string {
-	switch r {
-	case OK:
-		return "ok"
-	case Corrected:
-		return "corrected"
-	case Detected:
-		return "detected"
-	default:
-		return fmt.Sprintf("CheckResult(%d)", int(r))
-	}
-}
+var checkResults = enum.Table[CheckResult]{Names: [][]string{
+	OK:        {"ok"},
+	Corrected: {"corrected"},
+	Detected:  {"detected"},
+}}
+
+func (r CheckResult) String() string { return checkResults.String(r) }
 
 // SECDED is a single-error-correct, double-error-detect extended Hamming
 // code embedded at arbitrary bit positions of a fixed-width codeword.

@@ -8,7 +8,6 @@ import (
 
 	"abft/internal/core"
 	"abft/internal/csr"
-	"abft/internal/obs"
 	"abft/internal/op"
 	"abft/internal/precond"
 	"abft/internal/shard"
@@ -77,12 +76,6 @@ type CampaignConfig struct {
 	// the selective-reliability claim: inner faults must be absorbed by
 	// the verified outer iteration, never surface as SDC.
 	Phase string
-	// Journal, when non-nil, receives one attributed obs.Event per
-	// non-benign trial (kind "campaign_<outcome>") — campaigns feed the
-	// same bounded fault-event journal the solve service serves at
-	// /v1/events, so injection runs and production faults share one
-	// record format.
-	Journal *obs.Journal
 }
 
 // PhaseInner names the unverified inner phase of a selective
@@ -188,13 +181,6 @@ func runKind(cfg CampaignConfig, kind func(CampaignConfig, *Injector) (*trial, e
 			return res, err
 		}
 		res.add(o)
-		if cfg.Journal != nil && o != Benign {
-			cfg.Journal.Append(obs.Event{
-				Kind:     "campaign_" + o.String(),
-				Operator: fmt.Sprintf("%v/%v/%v", cfg.Format, cfg.Scheme, cfg.Structure),
-				Detail:   fmt.Sprintf("trial %d: %d bit flips", i, cfg.Bits),
-			})
-		}
 	}
 	return res, nil
 }

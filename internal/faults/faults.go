@@ -7,10 +7,10 @@
 package faults
 
 import (
-	"fmt"
 	"math/rand"
 
 	"abft/internal/core"
+	"abft/internal/enum"
 	"abft/internal/solvers"
 )
 
@@ -38,22 +38,15 @@ const (
 	Recovered
 )
 
-func (o Outcome) String() string {
-	switch o {
-	case Benign:
-		return "benign"
-	case Corrected:
-		return "corrected"
-	case Detected:
-		return "detected"
-	case SDC:
-		return "sdc"
-	case Recovered:
-		return "recovered"
-	default:
-		return fmt.Sprintf("Outcome(%d)", int(o))
-	}
-}
+var outcomes = enum.Table[Outcome]{Names: [][]string{
+	Benign:    {"benign"},
+	Corrected: {"corrected"},
+	Detected:  {"detected"},
+	SDC:       {"sdc"},
+	Recovered: {"recovered"},
+}}
+
+func (o Outcome) String() string { return outcomes.String(o) }
 
 // Injector produces deterministic pseudo-random bit flips.
 type Injector struct {
@@ -167,18 +160,13 @@ func auxWords(m core.ProtectedMatrix) []uint32 {
 	}
 }
 
-func (t MatrixTarget) String() string {
-	switch t {
-	case TargetValues:
-		return "values"
-	case TargetCols:
-		return "cols"
-	case TargetRowPtr:
-		return "rowptr"
-	default:
-		return fmt.Sprintf("MatrixTarget(%d)", int(t))
-	}
-}
+var matrixTargets = enum.Table[MatrixTarget]{Names: [][]string{
+	TargetValues: {"values"},
+	TargetCols:   {"cols"},
+	TargetRowPtr: {"rowptr"},
+}}
+
+func (t MatrixTarget) String() string { return matrixTargets.String(t) }
 
 // FlipMatrixBit applies one flip to the chosen structure of a protected
 // matrix of any storage format. TargetRowPtr is a no-op on formats

@@ -6,7 +6,6 @@ import (
 
 	"abft/internal/core"
 	"abft/internal/csr"
-	"abft/internal/obs"
 	"abft/internal/op"
 	"abft/internal/precond"
 	"abft/internal/shard"
@@ -658,30 +657,6 @@ func TestUnprotectedSolverStateLeaksSDC(t *testing.T) {
 	}
 	if res.SDC == 0 {
 		t.Fatalf("expected silent corruption without protection: %v", res)
-	}
-}
-
-// TestCampaignJournalsTrials: a campaign wired to an obs.Journal
-// records every non-benign trial as an attributed event, in the same
-// record format the solve service serves at /v1/events.
-func TestCampaignJournalsTrials(t *testing.T) {
-	j := obs.NewJournal(64)
-	res := runCampaign(t, CampaignConfig{
-		Scheme: core.SECDED64, Structure: core.StructVector,
-		Bits: 1, SameCodeword: true, Journal: j,
-	})
-	events, total := j.Snapshot()
-	want := res.Total() - res.Benign
-	if int(total) != want {
-		t.Fatalf("journalled %d events, want %d non-benign trials", total, want)
-	}
-	for _, ev := range events {
-		if ev.Kind != "campaign_corrected" && ev.Kind != "campaign_detected" {
-			t.Fatalf("unexpected event kind %q under single-flip SECDED64", ev.Kind)
-		}
-		if ev.Time.IsZero() || ev.Operator == "" || ev.Detail == "" {
-			t.Fatalf("event missing attribution: %+v", ev)
-		}
 	}
 }
 

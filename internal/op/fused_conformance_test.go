@@ -1,7 +1,8 @@
 // Fused-kernel conformance: core.FusedAxpyDot and core.FusedUpdateNorm
 // must reproduce the unfused kernel sequence bit-for-bit in the setting
 // the solvers actually run them — vectors produced by a real operator
-// apply, per storage format, per protection scheme, per read mode, and
+// apply, per storage format, per protection scheme, per read mode of
+// that apply, and
 // over the sharded composite's band/tree dot discipline. The suite
 // lives here, next to the operator conformance tests, because it pins
 // the same contract at the solver-iteration granularity: fusing the
@@ -49,11 +50,12 @@ func fusedIterationVectors(t *testing.T, a interface {
 }
 
 // TestFusedConformanceMatchesUnfused drives the fused tail update and
-// the unfused Axpy+Axpy+Dot sequence over identical operator-produced
-// inputs for every format x scheme x read mode and demands bit-equal
-// vectors and norm. Fault-free, every mode must agree on values — the
-// modes differ only in commit/decode side effects, which the core
-// fused tests pin separately.
+// the unfused Axpy+Axpy+Dot sequence over operator-produced inputs for
+// every format x scheme x read mode of the operator's apply and demands
+// bit-equal vectors and norm. The reference's q comes from an exclusive
+// apply; fault-free, every mode must produce the same q — the modes
+// differ only in commit/decode side effects. The fused pass itself
+// always reads verified and commits.
 func TestFusedConformanceMatchesUnfused(t *testing.T) {
 	modes := []core.ReadMode{core.ModeExclusive, core.ModeShared, core.ModeUnverified}
 	forEachPair(t, func(t *testing.T, f op.Format, s core.Scheme) {
@@ -77,9 +79,10 @@ func TestFusedConformanceMatchesUnfused(t *testing.T) {
 		}
 		for _, mode := range modes {
 			t.Run(mode.String(), func(t *testing.T) {
+				m.SetReadMode(mode)
 				x2, p2, r2, q2 := fusedIterationVectors(t, m, s)
 				got, err := core.FusedAxpyDot(x2, alpha, p2, r2, q2,
-					core.FusedOptions{Workers: 1, Mode: mode})
+					core.FusedOptions{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,12 +9,12 @@ package op
 
 import (
 	"fmt"
-	"strings"
 
 	"abft/internal/coo"
 	"abft/internal/core"
 	"abft/internal/csr"
 	"abft/internal/ecc"
+	"abft/internal/enum"
 	"abft/internal/sell"
 )
 
@@ -34,42 +34,20 @@ const (
 // Formats lists every storage format in display order.
 var Formats = []Format{CSR, COO, SELLCS}
 
-func (f Format) String() string {
-	switch f {
-	case CSR:
-		return "csr"
-	case COO:
-		return "coo"
-	case SELLCS:
-		return "sellcs"
-	default:
-		return fmt.Sprintf("Format(%d)", uint8(f))
-	}
-}
+var formats = enum.Table[Format]{Pkg: "op", What: "format", Names: [][]string{
+	CSR:    {"csr", ""},
+	COO:    {"coo"},
+	SELLCS: {"sellcs", "sell", "sell-c-sigma"},
+}}
+
+func (f Format) String() string { return formats.String(f) }
 
 // ParseFormat converts a format name ("csr", "coo", "sellcs") to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "csr", "":
-		return CSR, nil
-	case "coo":
-		return COO, nil
-	case "sellcs", "sell", "sell-c-sigma":
-		return SELLCS, nil
-	default:
-		return CSR, fmt.Errorf("op: unknown format %q (choices: %s)", s, FormatNames())
-	}
-}
+func ParseFormat(s string) (Format, error) { return formats.Parse(s) }
 
 // FormatNames returns the registered format names as a comma-separated
 // list, for error messages and command-line help.
-func FormatNames() string {
-	names := make([]string, len(Formats))
-	for i, f := range Formats {
-		names[i] = f.String()
-	}
-	return strings.Join(names, ", ")
-}
+func FormatNames() string { return formats.List() }
 
 // Config carries the protection options shared across formats plus the
 // format-specific knobs; irrelevant fields are ignored by formats that do

@@ -32,11 +32,11 @@ package precond
 
 import (
 	"fmt"
-	"strings"
 
 	"abft/internal/core"
 	"abft/internal/csr"
 	"abft/internal/ecc"
+	"abft/internal/enum"
 )
 
 // Kind names a preconditioner algorithm.
@@ -61,46 +61,21 @@ var Kinds = []Kind{None, Jacobi, BlockJacobi, SGS}
 // kind but None), for sweeps in benchmarks and conformance tests.
 var ProtectingKinds = []Kind{Jacobi, BlockJacobi, SGS}
 
-func (k Kind) String() string {
-	switch k {
-	case None:
-		return "none"
-	case Jacobi:
-		return "jacobi"
-	case BlockJacobi:
-		return "bjacobi"
-	case SGS:
-		return "sgs"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
+var kinds = enum.Table[Kind]{Pkg: "precond", What: "preconditioner", Names: [][]string{
+	None:        {"none", ""},
+	Jacobi:      {"jacobi"},
+	BlockJacobi: {"bjacobi", "block-jacobi", "blockjacobi"},
+	SGS:         {"sgs", "gauss-seidel"},
+}}
+
+func (k Kind) String() string { return kinds.String(k) }
 
 // ParseKind converts a preconditioner name to its Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "none", "":
-		return None, nil
-	case "jacobi":
-		return Jacobi, nil
-	case "bjacobi", "block-jacobi", "blockjacobi":
-		return BlockJacobi, nil
-	case "sgs", "gauss-seidel":
-		return SGS, nil
-	default:
-		return None, fmt.Errorf("precond: unknown preconditioner %q (choices: %s)", s, KindNames())
-	}
-}
+func ParseKind(s string) (Kind, error) { return kinds.Parse(s) }
 
 // KindNames returns the registered preconditioner names as a
 // comma-separated list, for error messages and command-line help.
-func KindNames() string {
-	names := make([]string, len(Kinds))
-	for i, k := range Kinds {
-		names[i] = k.String()
-	}
-	return strings.Join(names, ", ")
-}
+func KindNames() string { return kinds.List() }
 
 // Options configures a preconditioner build.
 type Options struct {

@@ -34,6 +34,7 @@ import (
 
 	"abft/internal/core"
 	"abft/internal/csr"
+	"abft/internal/enum"
 	"abft/internal/op"
 	"abft/internal/par"
 )
@@ -55,18 +56,13 @@ const (
 	PhaseLocal
 )
 
-func (p Phase) String() string {
-	switch p {
-	case PhaseScatter:
-		return "scatter"
-	case PhaseExchange:
-		return "exchange"
-	case PhaseLocal:
-		return "local"
-	default:
-		return fmt.Sprintf("Phase(%d)", int(p))
-	}
-}
+var phases = enum.Table[Phase]{Names: [][]string{
+	PhaseScatter:  {"scatter"},
+	PhaseExchange: {"exchange"},
+	PhaseLocal:    {"local"},
+}}
+
+func (p Phase) String() string { return phases.String(p) }
 
 // Options configures a sharded operator.
 type Options struct {

@@ -253,7 +253,7 @@ func (e *engine) rollback(it int, cause error) (resume int, ok bool) {
 	if !e.recovering() || !IsFault(cause) || !e.hasCkpt {
 		return 0, false
 	}
-	if e.res.Rollbacks >= e.rec.MaxRollbacks {
+	if e.res.Rollbacks >= maxRollbacks {
 		return 0, false
 	}
 	// The restore replaces p: an update pending on it is void.

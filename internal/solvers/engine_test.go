@@ -145,7 +145,7 @@ func TestCGRestartRewindsToIterationZero(t *testing.T) {
 func TestRollbackBudgetExhaustion(t *testing.T) {
 	op, x, b, _ := recoverySystem(t)
 	opt := Options{Tol: 1e-10, Recovery: Recovery{
-		Policy: RecoveryRollback, Interval: 4, MaxRollbacks: 2,
+		Policy: RecoveryRollback, Interval: 4,
 	}}
 	// A strike on every iteration can never be outrun: the budget
 	// drains and the fault surfaces.
@@ -156,8 +156,8 @@ func TestRollbackBudgetExhaustion(t *testing.T) {
 	if err == nil || !IsFault(err) {
 		t.Fatalf("expected the fault to surface after budget exhaustion, got %v", err)
 	}
-	if res.Rollbacks != 2 {
-		t.Fatalf("rollbacks %d want the full budget 2", res.Rollbacks)
+	if res.Rollbacks != maxRollbacks {
+		t.Fatalf("rollbacks %d want the full budget %d", res.Rollbacks, maxRollbacks)
 	}
 }
 
@@ -234,7 +234,7 @@ func TestRecoveryHistoryTruncatesOnRollback(t *testing.T) {
 func TestAdaptiveIntervalTightensAndRelaxes(t *testing.T) {
 	e := &engine{
 		opt:      Options{MaxIter: 1},
-		rec:      Recovery{Policy: RecoveryRollback, MaxRollbacks: 100, Scheme: core.SECDED64},
+		rec:      Recovery{Policy: RecoveryRollback, Scheme: core.SECDED64},
 		adaptive: true,
 		interval: defaultCheckpointInterval,
 	}
@@ -251,8 +251,9 @@ func TestAdaptiveIntervalTightensAndRelaxes(t *testing.T) {
 	if e.interval != defaultCheckpointInterval/2 {
 		t.Fatalf("interval %d after rollback, want %d", e.interval, defaultCheckpointInterval/2)
 	}
-	// ...and never below the floor.
-	for i := 0; i < 10; i++ {
+	// ...and never below the floor, which three halvings from 32 reach
+	// well inside the rollback budget.
+	for i := 0; i < maxRollbacks-1; i++ {
 		if _, ok := e.rollback(5, &core.FaultError{}); !ok {
 			t.Fatal("rollback refused")
 		}
@@ -282,7 +283,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative EigenIters", Options{EigenIters: -2}},
 		{"negative InnerSteps", Options{InnerSteps: -2}},
 		{"negative recovery interval", Options{Recovery: Recovery{Interval: -1}}},
-		{"negative rollback budget", Options{Recovery: Recovery{MaxRollbacks: -1}}},
 		{"unknown policy", Options{Recovery: Recovery{Policy: RecoveryPolicy(99)}}},
 	}
 	op, x, b, _ := recoverySystem(t)
@@ -331,7 +331,7 @@ func TestParseRecoveryRoundTrip(t *testing.T) {
 func TestSnapshotFaultKeepsLastGoodCheckpoint(t *testing.T) {
 	e := &engine{
 		opt: Options{MaxIter: 1},
-		rec: Recovery{Policy: RecoveryRollback, MaxRollbacks: 8, Scheme: core.SECDED64},
+		rec: Recovery{Policy: RecoveryRollback, Scheme: core.SECDED64},
 	}
 	a := core.VectorFromSlice([]float64{1, 2, 3, 4}, core.SECDED64)
 	b := core.VectorFromSlice([]float64{5, 6, 7, 8}, core.SECDED64)

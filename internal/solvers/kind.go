@@ -2,9 +2,9 @@ package solvers
 
 import (
 	"fmt"
-	"strings"
 
 	"abft/internal/core"
+	"abft/internal/enum"
 )
 
 // Kind names a solver algorithm.
@@ -34,61 +34,27 @@ const (
 	KindFGMRES
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindCG:
-		return "cg"
-	case KindJacobi:
-		return "jacobi"
-	case KindChebyshev:
-		return "chebyshev"
-	case KindPPCG:
-		return "ppcg"
-	case KindPCG:
-		return "pcg"
-	case KindBlockCG:
-		return "blockcg"
-	case KindFGMRES:
-		return "fgmres"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
+var kinds = enum.Table[Kind]{Pkg: "solvers", What: "solver", Names: [][]string{
+	KindCG:        {"cg", ""},
+	KindJacobi:    {"jacobi"},
+	KindChebyshev: {"chebyshev", "cheby"},
+	KindPPCG:      {"ppcg"},
+	KindPCG:       {"pcg"},
+	KindBlockCG:   {"blockcg"},
+	KindFGMRES:    {"fgmres"},
+}}
+
+func (k Kind) String() string { return kinds.String(k) }
 
 // ParseKind converts a solver name to its Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "cg", "":
-		return KindCG, nil
-	case "jacobi":
-		return KindJacobi, nil
-	case "chebyshev", "cheby":
-		return KindChebyshev, nil
-	case "ppcg":
-		return KindPPCG, nil
-	case "pcg":
-		return KindPCG, nil
-	case "blockcg":
-		return KindBlockCG, nil
-	case "fgmres":
-		return KindFGMRES, nil
-	default:
-		return KindCG, fmt.Errorf("solvers: unknown solver %q (choices: %s)", s, KindNames())
-	}
-}
+func ParseKind(s string) (Kind, error) { return kinds.Parse(s) }
 
 // Kinds lists every solver algorithm in display order.
 var Kinds = []Kind{KindCG, KindJacobi, KindChebyshev, KindPPCG, KindPCG, KindBlockCG, KindFGMRES}
 
 // KindNames returns the registered solver names as a comma-separated
 // list, for error messages and command-line help.
-func KindNames() string {
-	names := make([]string, len(Kinds))
-	for i, k := range Kinds {
-		names[i] = k.String()
-	}
-	return strings.Join(names, ", ")
-}
+func KindNames() string { return kinds.List() }
 
 // Solve dispatches to the named solver.
 func Solve(kind Kind, a Operator, x, b *core.Vector, opt Options) (Result, error) {

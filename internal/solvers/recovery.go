@@ -2,9 +2,9 @@ package solvers
 
 import (
 	"fmt"
-	"strings"
 
 	"abft/internal/core"
+	"abft/internal/enum"
 )
 
 // RecoveryPolicy names how a solver reacts to a detected uncorrectable
@@ -31,45 +31,23 @@ const (
 	RecoveryRestart
 )
 
-func (p RecoveryPolicy) String() string {
-	switch p {
-	case RecoveryOff:
-		return "off"
-	case RecoveryRollback:
-		return "rollback"
-	case RecoveryRestart:
-		return "restart"
-	default:
-		return fmt.Sprintf("RecoveryPolicy(%d)", int(p))
-	}
-}
+var recoveryPolicies = enum.Table[RecoveryPolicy]{Pkg: "solvers", What: "recovery policy", Names: [][]string{
+	RecoveryOff:      {"off", ""},
+	RecoveryRollback: {"rollback"},
+	RecoveryRestart:  {"restart"},
+}}
+
+func (p RecoveryPolicy) String() string { return recoveryPolicies.String(p) }
 
 // RecoveryPolicies lists every policy in display order.
 var RecoveryPolicies = []RecoveryPolicy{RecoveryOff, RecoveryRollback, RecoveryRestart}
 
 // RecoveryNames returns the registered policy names as a comma-separated
 // list, for error messages and command-line help.
-func RecoveryNames() string {
-	names := make([]string, len(RecoveryPolicies))
-	for i, p := range RecoveryPolicies {
-		names[i] = p.String()
-	}
-	return strings.Join(names, ", ")
-}
+func RecoveryNames() string { return recoveryPolicies.List() }
 
 // ParseRecovery converts a policy name to its RecoveryPolicy.
-func ParseRecovery(s string) (RecoveryPolicy, error) {
-	switch s {
-	case "off", "":
-		return RecoveryOff, nil
-	case "rollback":
-		return RecoveryRollback, nil
-	case "restart":
-		return RecoveryRestart, nil
-	default:
-		return RecoveryOff, fmt.Errorf("solvers: unknown recovery policy %q (choices: %s)", s, RecoveryNames())
-	}
-}
+func ParseRecovery(s string) (RecoveryPolicy, error) { return recoveryPolicies.Parse(s) }
 
 // Checkpoint cadence bounds for the adaptive controller.
 const (
@@ -85,12 +63,12 @@ const (
 	// adaptGrowAfter is how many consecutive clean checkpoints double
 	// the adaptive interval.
 	adaptGrowAfter = 3
-	// defaultMaxRollbacks caps recovery attempts per solve. The cap is
-	// what keeps a persistent fault the rollback cannot clear (a
-	// corrupted operator rather than corrupted dynamic state) from
-	// looping forever: the budget drains and the original fault
-	// surfaces.
-	defaultMaxRollbacks = 8
+	// maxRollbacks caps recovery attempts per solve. The cap is what
+	// keeps a persistent fault the rollback cannot clear (a corrupted
+	// operator rather than corrupted dynamic state) from looping
+	// forever: the budget drains and the original fault surfaces as an
+	// error, exactly as under RecoveryOff.
+	maxRollbacks = 8
 )
 
 // Recovery configures the iteration engine's recovery controller.
@@ -103,10 +81,6 @@ type Recovery struct {
 	// start at 32, halve after every rollback (floor 4), double after
 	// three consecutive clean checkpoints (cap 256).
 	Interval int
-	// MaxRollbacks caps recovery attempts per solve (default 8); when
-	// the budget is exhausted the triggering fault surfaces as an
-	// error, exactly as under RecoveryOff.
-	MaxRollbacks int
 	// Scheme protects the checkpoint storage. Checkpoints are always
 	// codeword-protected — a rollback must restore from storage it can
 	// trust — so None selects the default SECDED64.
@@ -114,9 +88,6 @@ type Recovery struct {
 }
 
 func (r Recovery) withDefaults() Recovery {
-	if r.MaxRollbacks == 0 {
-		r.MaxRollbacks = defaultMaxRollbacks
-	}
 	if r.Scheme == core.None {
 		r.Scheme = core.SECDED64
 	}
@@ -131,10 +102,6 @@ func (r Recovery) validate() error {
 	if r.Interval < 0 {
 		return fmt.Errorf("solvers: Recovery.Interval %d must be >= 0 (zero adapts to the fault rate, starting at %d)",
 			r.Interval, defaultCheckpointInterval)
-	}
-	if r.MaxRollbacks < 0 {
-		return fmt.Errorf("solvers: Recovery.MaxRollbacks %d must be >= 0 (zero selects the default %d)",
-			r.MaxRollbacks, defaultMaxRollbacks)
 	}
 	return nil
 }

@@ -1,9 +1,6 @@
 package solvers
 
-import (
-	"fmt"
-	"strings"
-)
+import "abft/internal/enum"
 
 // Reliability selects how much of a solve runs under verified reads —
 // the selective-reliability knob of Bridges, Ferreira, Heroux and
@@ -24,39 +21,20 @@ const (
 	ReliabilitySelective
 )
 
-func (r Reliability) String() string {
-	switch r {
-	case ReliabilityFull:
-		return "full"
-	case ReliabilitySelective:
-		return "selective"
-	default:
-		return fmt.Sprintf("Reliability(%d)", int(r))
-	}
-}
+var reliabilities = enum.Table[Reliability]{Pkg: "solvers", What: "reliability", Names: [][]string{
+	ReliabilityFull:      {"full", ""},
+	ReliabilitySelective: {"selective"},
+}}
+
+func (r Reliability) String() string { return reliabilities.String(r) }
 
 // Reliabilities lists every reliability mode in display order.
 var Reliabilities = []Reliability{ReliabilityFull, ReliabilitySelective}
 
 // ReliabilityNames returns the registered reliability names as a
 // comma-separated list, for error messages and command-line help.
-func ReliabilityNames() string {
-	names := make([]string, len(Reliabilities))
-	for i, r := range Reliabilities {
-		names[i] = r.String()
-	}
-	return strings.Join(names, ", ")
-}
+func ReliabilityNames() string { return reliabilities.List() }
 
 // ParseReliability converts a reliability name to its Reliability; the
 // empty string selects the full default.
-func ParseReliability(s string) (Reliability, error) {
-	switch s {
-	case "full", "":
-		return ReliabilityFull, nil
-	case "selective":
-		return ReliabilitySelective, nil
-	default:
-		return ReliabilityFull, fmt.Errorf("solvers: unknown reliability %q (choices: %s)", s, ReliabilityNames())
-	}
-}
+func ParseReliability(s string) (Reliability, error) { return reliabilities.Parse(s) }
