@@ -114,8 +114,9 @@ func pairSpan(lo, hi, skip int) (t0, last int) {
 
 // clean is the clean test of the per-entry codewords (SED, SECDED64,
 // SECDED128 pairs) covering entries [lo,hi), which every verify pass
-// shares: one kernel call over the whole span, by value, with nothing
-// decoded, counted or committed. Under SECDED128 pair skip is left out
+// shares: one kernel call over the whole span where it lies — under
+// SECDED one fold and a parity test per codeword (DESIGN.md section
+// 45) — with nothing decoded, counted or committed. Under SECDED128 pair skip is left out
 // (pairSpan) and last is the span's last pair, the next span's skip;
 // otherwise, and for an empty span, last is skip. checks is the number
 // of codewords the span holds, whether or not they are clean. None and
@@ -132,10 +133,10 @@ func (e *ColElems) clean(lo, hi, skip int) (checks uint64, last int, ok bool) {
 		}
 		return uint64(hi - lo), skip, acc == 0
 	case SECDED64:
-		return uint64(hi - lo), skip, codecElem64.AccRun96(e.Vals[lo:hi], e.Cols[lo:hi]) == 0
+		return uint64(hi - lo), skip, codecElem64.FoldRun96(e.Vals[lo:hi], e.Cols[lo:hi]) == 0
 	case SECDED128:
 		t0, last := pairSpan(lo, hi, skip)
-		return uint64(last - t0 + 1), last, codecElem128.AccRun192(e.Vals[2*t0:2*last+2], e.Cols[2*t0:2*last+2]) == 0
+		return uint64(last - t0 + 1), last, codecElem128.FoldRun192(e.Vals[2*t0:2*last+2], e.Cols[2*t0:2*last+2]) == 0
 	}
 	return 0, skip, true
 }

@@ -78,9 +78,9 @@ func (x indexGroups) Encode(g int) {
 }
 
 // clean reports whether every group of entries [from, to) verifies, both
-// group-aligned: the clean test every reader shares. Each codeword goes
-// to its kernel by value, one call per group; nothing is decoded,
-// counted or committed.
+// group-aligned: the clean test every reader shares. Under SECDED the
+// window is one kernel call, a fold and a parity test per group (DESIGN.md
+// section 45); nothing is decoded, counted or committed.
 func (x indexGroups) clean(from, to int) bool {
 	rp := x.Idx[from:to]
 	var acc uint32
@@ -90,13 +90,9 @@ func (x indexGroups) clean(from, to int) bool {
 			acc |= uint32(ecc.Parity64(uint64(r)))
 		}
 	case SECDED64:
-		for i := 0; i+1 < len(rp); i += 2 {
-			acc |= uint32(codecRow64.Acc64(pack32(rp[i], rp[i+1])))
-		}
+		acc = uint32(codecRow64.FoldGroups64(rp))
 	case SECDED128:
-		for i := 0; i+3 < len(rp); i += 4 {
-			acc |= uint32(codecRow128.Acc128(pack32(rp[i], rp[i+1]), pack32(rp[i+2], rp[i+3])))
-		}
+		acc = uint32(codecRow128.FoldGroups128(rp))
 	case CRC32C:
 		for i := 0; i+7 < len(rp); i += 8 {
 			crc, stored := ecc.GroupChecksum((*[8]uint32)(rp[i:i+8]), x.Backend)

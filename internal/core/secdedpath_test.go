@@ -11,14 +11,21 @@ import (
 	"abft/internal/ecc"
 )
 
-// SECDED codewords are checked by value, a vector block or an element run
-// per kernel call (ecc.SECDED.AccBlock64, AccRun96, ...), and handed to
-// the per-codeword resolver only when the OR of the accumulators is
-// non-zero. These tests pin what that must not have changed — delivered
-// values, storage after the call, the checks / corrected / detected
-// totals and the FaultError, for every codeword position struck once and
-// twice, with and without commit — against the per-codeword codecs as
-// they stood before, which are kept below as the oracles.
+// SECDED codewords are checked where they lie, a vector block, an element
+// run or a row-pointer window per kernel call (ecc.SECDED.FoldBlock64,
+// FoldRun96, FoldGroups64, ...): the span's codewords are XORed, the
+// result folded through the tables once, and every codeword's weight
+// parity tested (DESIGN.md section 45). Only a non-zero result hands the
+// span to the per-codeword resolver. These tests pin what that must not
+// have changed — delivered values, storage after the call, the checks /
+// corrected / detected totals and the FaultError, for every codeword
+// position struck once and twice and for up to three flips across
+// codewords, with and without commit — against the per-codeword codecs
+// as they stood before, which are kept below as the oracles. Every
+// pattern here has at most three flips in a span, so the fold flags each
+// one and the outcome is the oracle's; the one class the fold reads
+// clean (two or more codewords each with an even number of flips that
+// cancel) is pinned in internal/ecc and internal/faults.
 
 // ---------------------------------------------------------------------------
 // Oracles: one Word4 and one Check per codeword, in storage order.

@@ -198,9 +198,9 @@ func (v *Vector) readBlockCounting(b int, dst *[BlockLen]float64, commit bool, c
 		}
 		return nil
 	case SECDED64:
-		// One kernel call over the block where it lies; only a non-zero
-		// accumulator pays for the per-codeword resolve.
-		if codecVec64.AccBlock64((*[BlockLen]uint64)(w)) != 0 {
+		// One fold over the block where it lies (DESIGN.md section 45);
+		// only a non-zero result pays for the per-codeword resolve.
+		if codecVec64.FoldBlock64((*[BlockLen]uint64)(w)) != 0 {
 			return v.resolveSECDEDBlock(base, w, dst, commit, c)
 		}
 		for i := range dst {
@@ -208,7 +208,7 @@ func (v *Vector) readBlockCounting(b int, dst *[BlockLen]float64, commit bool, c
 		}
 		return nil
 	case SECDED128:
-		if codecVec128.AccBlock128((*[BlockLen]uint64)(w)) != 0 {
+		if codecVec128.FoldBlock128((*[BlockLen]uint64)(w)) != 0 {
 			return v.resolveSECDEDBlock(base, w, dst, commit, c)
 		}
 		for i := range dst {
@@ -249,11 +249,11 @@ func (v *Vector) readBlockCounting(b int, dst *[BlockLen]float64, commit bool, c
 }
 
 // resolveSECDEDBlock is the SECDED cold path of readBlock, entered when
-// the block kernel's accumulator over the block at base (stored in w) was
-// non-zero: the codewords are checked one at a time in storage order, so
-// the first uncorrectable one is the one reported, single flips are
-// repaired in the delivered values (and in storage when commit is true)
-// and each is counted into c.
+// the fold over the block at base (stored in w) was non-zero: the
+// codewords are checked one at a time in storage order, so the first
+// uncorrectable one is the one reported, single flips are repaired in
+// the delivered values (and in storage when commit is true) and each is
+// counted into c.
 func (v *Vector) resolveSECDEDBlock(base int, w []uint64, dst *[BlockLen]float64, commit bool, c *Counters) error {
 	if v.scheme == SECDED64 {
 		for i := range dst {

@@ -12,10 +12,12 @@
 // which structure are spare; this package only knows about codewords of up
 // to 256 bits: as a [4]uint64 (Word4) for arbitrary layouts and for
 // locating and undoing a flip, and — for the widths the repository
-// stores — by value, as the words of one codeword, a block of eight vector
-// words or a run of (value, column) entries read where they lie
-// (kernels.go; the vector word and the CSR element fold through wider
-// tables, wide.go), which is how every clean codeword is checked.
+// stores — by value, as the words of one codeword, or as a block of eight
+// vector words, a run of (value, column) entries or a window of
+// row-pointer groups read where they lie and tested with one fold of
+// their XOR plus a parity test per codeword (kernels.go; the vector word
+// and the CSR element fold through wider tables, wide.go), which is how
+// every clean codeword is checked.
 //
 // CRC32C is usually treated as an error-*detecting* code, but for bounded
 // codeword sizes its minimum Hamming distance is known (HD=6 for messages of

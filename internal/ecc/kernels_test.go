@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -204,9 +205,11 @@ func TestSECDEDWidthsWithoutKernel(t *testing.T) {
 	}
 }
 
-// TestSECDEDBlockAndRunKernels pins the two wider granularities to the
-// word kernel: a block or run accumulator is zero exactly when every
-// codeword in it is clean, wherever the struck codeword sits.
+// TestSECDEDBlockAndRunKernels pins the block encoders to the word
+// encoders, and the fold kernels on one struck codeword: a clean block
+// or run reads zero and a flip of any bit of any of its codewords reads
+// non-zero, wherever that codeword sits (fold_test.go holds the fold
+// kernels' property tests).
 func TestSECDEDBlockAndRunKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	vec64 := MustSECDED(64, []int{0, 1, 2, 3, 4, 5, 6, 7})
@@ -233,15 +236,15 @@ func TestSECDEDBlockAndRunKernels(t *testing.T) {
 				t.Fatalf("EncodeBlock128 pair %d: %x %x, Encode128 %x %x", g, blk128[2*g], blk128[2*g+1], x, y)
 			}
 		}
-		if vec64.AccBlock64(&blk64) != 0 || vec128.AccBlock128(&blk128) != 0 {
-			t.Fatal("clean block has a non-zero accumulator")
+		if vec64.FoldBlock64(&blk64) != 0 || vec128.FoldBlock128(&blk128) != 0 {
+			t.Fatal("clean block reads dirty")
 		}
 		for bit := 0; bit < 512; bit++ {
 			w64, w128 := blk64, blk128
 			w64[bit/64] ^= 1 << uint(bit%64)
 			w128[bit/64] ^= 1 << uint(bit%64)
-			if vec64.AccBlock64(&w64) == 0 || vec128.AccBlock128(&w128) == 0 {
-				t.Fatalf("flip of block bit %d left a zero accumulator", bit)
+			if vec64.FoldBlock64(&w64) == 0 || vec128.FoldBlock128(&w128) == 0 {
+				t.Fatalf("flip of block bit %d reads clean", bit)
 			}
 		}
 
@@ -259,11 +262,11 @@ func TestSECDEDBlockAndRunKernels(t *testing.T) {
 			_, y, z := elem128.Encode192(Pair192(vals[k], cols128[k], vals[k+1], cols128[k+1]))
 			cols128[k], cols128[k+1] = uint32(y), uint32(z>>32)
 		}
-		if elem64.AccRun96(vals, cols) != 0 || elem128.AccRun192(vals, cols128) != 0 {
-			t.Fatal("clean run has a non-zero accumulator")
+		if elem64.FoldRun96(vals, cols) != 0 || elem128.FoldRun192(vals, cols128) != 0 {
+			t.Fatal("clean run reads dirty")
 		}
-		if elem64.AccRun96(vals[:0], cols[:0]) != 0 || elem128.AccRun192(vals[:0], cols128[:0]) != 0 {
-			t.Fatal("empty run has a non-zero accumulator")
+		if elem64.FoldRun96(vals[:0], cols[:0]) != 0 || elem128.FoldRun192(vals[:0], cols128[:0]) != 0 {
+			t.Fatal("empty run reads dirty")
 		}
 		for k := range vals {
 			for bit := 0; bit < 96; bit++ {
@@ -274,8 +277,8 @@ func TestSECDEDBlockAndRunKernels(t *testing.T) {
 					c64[k] ^= 1 << uint(bit-64)
 					c128[k] ^= 1 << uint(bit-64)
 				}
-				if elem64.AccRun96(v, c64) == 0 || elem128.AccRun192(v, c128) == 0 {
-					t.Fatalf("flip of bit %d of run entry %d left a zero accumulator", bit, k)
+				if elem64.FoldRun96(v, c64) == 0 || elem128.FoldRun192(v, c128) == 0 {
+					t.Fatalf("flip of bit %d of run entry %d reads clean", bit, k)
 				}
 			}
 		}
@@ -288,6 +291,7 @@ func TestSECDEDBlockAndRunKernels(t *testing.T) {
 // folding the wrong bytes.
 func TestSECDEDKernelWrongWidthPanics(t *testing.T) {
 	elem := MustSECDED(96, elemCheck)
+	vec := MustSECDED(64, vecCheck)
 	rowptr := MustSECDED(64, []int{28, 29, 30, 31, 60, 61, 62, 63})
 	other96 := MustSECDED(96, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	var blk [8]uint64
@@ -297,9 +301,11 @@ func TestSECDEDKernelWrongWidthPanics(t *testing.T) {
 		call func()
 	}{
 		{"Acc64 on a 96-bit codec", func() { elem.Acc64(1) }},
-		{"AccBlock64 on the row-pointer layout", func() { rowptr.AccBlock64(&blk) }},
+		{"FoldBlock64 on the row-pointer layout", func() { rowptr.FoldBlock64(&blk) }},
 		{"EncodeBlock64 on the row-pointer layout", func() { rowptr.EncodeBlock64(&blk, &src) }},
-		{"AccRun96 on another 96-bit layout", func() { other96.AccRun96([]float64{1}, []uint32{2}) }},
+		{"FoldRun96 on another 96-bit layout", func() { other96.FoldRun96([]float64{1}, []uint32{2}) }},
+		{"FoldGroups64 on the vector layout", func() { vec.FoldGroups64([]uint32{1, 2}) }},
+		{"FoldBlock128 on a 96-bit codec", func() { other96.FoldBlock128(&blk) }},
 	} {
 		func() {
 			defer func() {
@@ -323,10 +329,11 @@ var wideLayouts = []struct {
 }
 
 // checkWideAgrees asserts that every route through c's wide tables —
-// word, block or run kernel, Syndrome, encoder — gives word w the
-// accumulator and the codeword the byte tables give it. w is the k-th
-// word tried; it takes slot k of the block or run, the others are zero
-// (a clean codeword of both layouts).
+// word kernel, Syndrome, encoder — gives word w the accumulator and the
+// codeword the byte tables give it, and that the block or run fold reads
+// w dirty exactly when they do. w is the k-th word tried; it takes slot
+// k of the block or run, the others are zero (a clean codeword of both
+// layouts).
 func checkWideAgrees(t *testing.T, name string, c *SECDED, w Word4, k int) {
 	t.Helper()
 	want := c.accBytes(&w)
@@ -352,20 +359,57 @@ func checkWideAgrees(t *testing.T, name string, c *SECDED, w Word4, k int) {
 		if dst[k%8] != wantEnc[0] || dst[(k+1)%8] != 0 {
 			t.Fatalf("%s: word %x in slot %d: EncodeBlock64 %x, byte tables %x", name, w, k%8, dst, wantEnc[0])
 		}
-		got = [2]uint16{c.Acc64(w[0]), c.AccBlock64(&blk)}
+		got = [2]uint16{c.Acc64(w[0]), c.FoldBlock64(&blk)}
 		gotEnc[0] = c.Encode64(w[0])
 	default:
 		var vals [3]float64
 		var cols [3]uint32
 		vals[k%3], cols[k%3] = math.Float64frombits(w[0]), uint32(w[1])
-		got = [2]uint16{c.Acc96(w[0], w[1]), c.AccRun96(vals[:], cols[:])}
+		got = [2]uint16{c.Acc96(w[0], w[1]), c.FoldRun96(vals[:], cols[:])}
 		gotEnc[0], gotEnc[1] = c.Encode96(w[0], w[1])
 	}
-	if got[0] != want || got[1] != want {
-		t.Fatalf("%s: word %x: word and block/run kernels %#x, byte tables %#x", name, w, got, want)
+	if got[0] != want || (got[1] == 0) != (want == 0) {
+		t.Fatalf("%s: word %x: word kernel and block/run fold %#x, byte tables %#x", name, w, got, want)
 	}
 	if gotEnc != wantEnc {
 		t.Fatalf("%s: word %x: by-value encode %x, byte tables %x", name, w, gotEnc, wantEnc)
+	}
+}
+
+// checkWideFold asserts the fold contract on a block or run of c's
+// wide layout holding a in slot i and b in slot j (b alone when the
+// slots coincide), the other slots clean: the fold reads zero exactly
+// when the byte tables' accumulators of the two XOR to zero and each
+// has even weight — both clean, or both even-weight and cancelling, the
+// class the fold gives up — and any odd-weight word reads non-zero.
+func checkWideFold(t *testing.T, name string, c *SECDED, a, b Word4, i, j int) {
+	t.Helper()
+	slots := map[int]Word4{i % 8: a, j % 8: b}
+	var x uint16
+	even := true
+	for _, w := range slots {
+		acc := c.accBytes(&w)
+		x ^= acc
+		even = even && bits.OnesCount16(acc)&1 == 0
+	}
+	var got uint16
+	if c.Width() == 64 {
+		var blk [8]uint64
+		for k, w := range slots {
+			blk[k] = w[0]
+		}
+		got = c.FoldBlock64(&blk)
+	} else {
+		var vals [8]float64
+		var cols [8]uint32
+		for k, w := range slots {
+			vals[k], cols[k] = math.Float64frombits(w[0]), uint32(w[1])
+		}
+		got = c.FoldRun96(vals[:], cols[:])
+	}
+	if (got == 0) != (x == 0 && even) {
+		t.Fatalf("%s: words %x in slot %d, %x in slot %d: fold %#x, byte tables XOR %#x, all even weight %v",
+			name, a, i%8, b, j%8, got, x, even)
 	}
 }
 
@@ -421,8 +465,8 @@ func TestSECDEDWideTablesSize(t *testing.T) {
 // TestSECDEDKernelsZeroAllocs pins the point of the kernels: nothing on
 // the clean path touches the heap. It covers the layouts every hot read
 // calls: the vector word and the CSR element (wide tables), and the two
-// row-pointer groups (byte tables), which the index-group codec checks
-// and encodes one group at a time.
+// row-pointer groups (byte tables), which the index-group codec checks a
+// window at a time and encodes one group at a time.
 func TestSECDEDKernelsZeroAllocs(t *testing.T) {
 	vec := MustSECDED(64, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	elem := MustSECDED(96, []int{88, 89, 90, 91, 92, 93, 94, 95})
@@ -430,6 +474,7 @@ func TestSECDEDKernelsZeroAllocs(t *testing.T) {
 	row128 := MustSECDED(128, []int{28, 29, 30, 31, 60, 61, 62, 63, 92})
 	words := make([]uint64, 8)
 	rows := make([]uint64, 3)
+	entries := make([]uint32, 8)
 	src := [8]float64{1, 2, 3, 4, 5, 6, 7, 8}
 	vals := make([]float64, 5)
 	cols := make([]uint32, 5)
@@ -438,7 +483,8 @@ func TestSECDEDKernelsZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		blk := (*[8]uint64)(words)
 		vec.EncodeBlock64(blk, &src)
-		sink |= vec.AccBlock64(blk) | vec.Acc64(words[0]) | elem.AccRun96(vals, cols) | elem.Acc96(words[2], words[3])
+		sink |= vec.FoldBlock64(blk) | vec.Acc64(words[0]) | elem.FoldRun96(vals, cols) | elem.Acc96(words[2], words[3])
+		sink |= row64.FoldGroups64(entries) | row128.FoldGroups128(entries)
 		words[1] = vec.Encode64(words[1])
 		words[2], words[3] = elem.Encode96(words[2], words[3])
 		sink |= row64.Acc64(rows[0]) | row128.Acc128(rows[1], rows[2])
@@ -456,10 +502,14 @@ func TestSECDEDKernelsZeroAllocs(t *testing.T) {
 
 // FuzzSECDEDWord checks the same guarantee on a layout, a word and a
 // flip set the fuzzer chooses: seed picks the width and draws the layout
-// — or picks one of the two layouts with wide tables, whose word, block,
-// run and Word4 routes must also agree with the byte tables on the
-// struck word — the four words are the data, and b1, b2 strike zero, one
-// or two bits (positions at or beyond the width strike nothing).
+// — or picks one of the two layouts with wide tables, whose word and
+// Word4 routes must also agree with the byte tables on the struck word,
+// and whose block or run fold must keep its contract (zero when every
+// word is clean or the words are even-weight and cancel, non-zero on any
+// odd-weight word) over the data word and the struck one, and over the
+// struck word and a second codeword struck at the same bits — the four
+// words are the data, and b1, b2 strike zero, one or two bits
+// (positions at or beyond the width strike nothing).
 func FuzzSECDEDWord(f *testing.F) {
 	f.Add(int64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint16(1000), uint16(1000))
 	f.Add(int64(1), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), uint16(0), uint16(1000))
@@ -504,19 +554,34 @@ func FuzzSECDEDWord(f *testing.F) {
 			}
 			checkWideAgrees(t, "fuzz", c, w, int(b1))
 			checkWideAgrees(t, "fuzz", c, struck, int(b2))
+			// The same flips in a second codeword: two flips make the
+			// pair the class the fold gives up, one flip an odd pair.
+			other := Word4{w1, w0}
+			for i := width; i < 256; i++ {
+				other.SetBit(i, 0)
+			}
+			other = encodeByValue(c, other)
+			for _, b := range flips {
+				other.Flip(b)
+			}
+			checkWideFold(t, "fuzz", c, w, struck, int(b1), int(b2))
+			checkWideFold(t, "fuzz", c, struck, other, int(b1), int(b1)+1)
 		}
 	})
 }
 
 var benchSink uint16
 
-// BenchmarkSECDEDWord measures the by-value kernels at the three
-// granularities protected structures call them at — one word, one vector
-// block of eight words, one five-entry (value, column) run, a row of the
-// five-point stencil — in both directions, streaming over 4,096 resident
-// words as a solver does, and the row-pointer word (two 32-bit row
-// pointers), so every layout a CSR product reads has a line. ns/op is per
-// codeword. Every line must report 0 allocs/op.
+// BenchmarkSECDEDWord measures the by-value kernels at the granularities
+// protected structures call them at, streaming over 4,096 resident
+// codewords as a solver does: the check lines time the word kernel and
+// the fold kernels over one vector block of eight words, a five-entry
+// (value, column) run — a row of the five-point stencil — a forty-entry
+// run — a CSR output block of eight such rows — and a window of five
+// row-pointer codewords (two 32-bit row pointers each, the window of an
+// output block), so every layout a CSR product reads has a line; the
+// encode lines time one word, one block, one element and one row-pointer
+// word. ns/op is per codeword. Every line must report 0 allocs/op.
 func BenchmarkSECDEDWord(b *testing.B) {
 	const words = 4096
 	rng := rand.New(rand.NewSource(1))
@@ -536,8 +601,6 @@ func BenchmarkSECDEDWord(b *testing.B) {
 		cols[i] = uint32(y)
 		rps[i] = rowptr.Encode64(rng.Uint64())
 	}
-	const run = 5
-	runs := words / run
 	sweep := func(name string, codewords int, fn func() uint16) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -559,19 +622,27 @@ func BenchmarkSECDEDWord(b *testing.B) {
 	})
 	sweep("check/block8", words, func() (a uint16) {
 		for i := 0; i < words; i += 8 {
-			a |= vec.AccBlock64((*[8]uint64)(ws[i:]))
+			a |= vec.FoldBlock64((*[8]uint64)(ws[i:]))
 		}
 		return a
 	})
-	sweep("check/run5", runs*run, func() (a uint16) {
-		for r := 0; r < runs; r++ {
-			a |= elem.AccRun96(vals[r*run:(r+1)*run], cols[r*run:(r+1)*run])
-		}
-		return a
-	})
-	sweep("check/rowptr", words, func() (a uint16) {
-		for _, x := range rps {
-			a |= rowptr.Acc64(x)
+	for _, run := range []int{5, 40} {
+		runs := words / run
+		sweep(fmt.Sprintf("check/run%d", run), runs*run, func() (a uint16) {
+			for r := 0; r < runs; r++ {
+				a |= elem.FoldRun96(vals[r*run:(r+1)*run], cols[r*run:(r+1)*run])
+			}
+			return a
+		})
+	}
+	const window = 5
+	entries := make([]uint32, 2*words)
+	for i, x := range rps {
+		entries[2*i], entries[2*i+1] = uint32(x), uint32(x>>32)
+	}
+	sweep("check/rowptr", words/window*window, func() (a uint16) {
+		for i := 0; i+2*window <= len(entries); i += 2 * window {
+			a |= rowptr.FoldGroups64(entries[i : i+2*window])
 		}
 		return a
 	})
@@ -587,8 +658,8 @@ func BenchmarkSECDEDWord(b *testing.B) {
 		}
 		return 0
 	})
-	sweep("encode/run5", runs*run, func() uint16 {
-		for k := 0; k < runs*run; k++ {
+	sweep("encode/run5", words, func() uint16 {
+		for k := 0; k < words; k++ {
 			_, y := elem.Encode96(math.Float64bits(vals[k]), uint64(cols[k]))
 			cols[k] = uint32(y)
 		}

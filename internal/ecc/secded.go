@@ -53,11 +53,12 @@ func (r CheckResult) String() string { return checkResults.String(r) }
 // the redundancy, in checkPositions order, so encoding is a check of the
 // cleared word plus one placed OR per run of redundancy bits.
 //
-// The by-value kernels (Acc64 … Acc256, AccBlock64/128, AccRun96/192 and
-// the matching encoders, kernels.go) take the codeword in registers or
-// where it is stored and are what protected structures call on every
-// read; Check and Encode over a *Word4 serve arbitrary layouts and the
-// cold path entered once an accumulator is non-zero.
+// The by-value kernels (Acc64 … Acc256, the fold kernels FoldBlock64/128,
+// FoldRun96/192 and FoldGroups64/128, and the matching encoders,
+// kernels.go) take the codeword in registers or where it is stored and
+// are what protected structures call on every read; Check and Encode
+// over a *Word4 serve arbitrary layouts and the cold path entered once a
+// kernel's result is non-zero.
 //
 // A SECDED value is immutable after construction and safe for concurrent
 // use.

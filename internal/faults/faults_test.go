@@ -151,6 +151,107 @@ func TestScatteredFlipsAcrossStructure(t *testing.T) {
 	}
 }
 
+// spanTrial is a trial with a fixed strike into one span a single fold
+// checks (DESIGN.md section 45): the first block of a protected vector,
+// read back, or the element span of the first output block of a
+// protected CSR product. flips[i] strikes bit flips[i][1] of codeword
+// flips[i][0] of the span — a vector word or pair of words, an element
+// or pair of elements — the column-fault and cancelling shapes no
+// random campaign draws.
+func spanTrial(t *testing.T, s core.Scheme, structure core.Structure, flips [][2]int) *trial {
+	t.Helper()
+	in := NewInjector(7)
+	if structure == core.StructVector {
+		v := core.VectorFromSlice(normals(in, 32), s)
+		tr := &trial{strike: func() error {
+			for _, f := range flips {
+				cw := 64 * s.VecGroup()
+				FlipVectorBit(v, Flip{Word: f[0]*s.VecGroup() + f[1]%cw/64, Bit: f[1] % 64})
+			}
+			return nil
+		}}
+		v.SetCounters(&tr.c)
+		tr.result = func() ([]float64, bool, error) {
+			got := make([]float64, 32)
+			return got, v.CopyTo(got) != nil, nil
+		}
+		return tr
+	}
+	m, err := newOperator(CampaignConfig{Scheme: s}, csr.Laplacian2D(16, 16), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := core.VectorFromSlice(normals(in, m.Cols()), core.None)
+	tr := &trial{result: product(m.Rows(), func(dst *core.Vector) error { return m.Apply(dst, x, 1) })}
+	m.SetCounters(&tr.c)
+	tr.strike = func() error {
+		for _, f := range flips {
+			// Bit b of codeword k: the entry's value bits, then its
+			// column index's, entry by entry.
+			entry, b := f[0]*s.ElemGroup()+f[1]/96, f[1]%96
+			if b < 64 {
+				FlipMatrixBit(m, TargetValues, Flip{Word: entry, Bit: b})
+			} else {
+				FlipMatrixBit(m, TargetCols, Flip{Word: entry, Bit: b - 64})
+			}
+		}
+		return nil
+	}
+	return tr
+}
+
+// TestFoldColumnAndCancellingStrikes strikes the shapes that tell a
+// span-wide fold from a per-codeword check, under both SECDED widths, in
+// a vector block and in a CSR output block's element span. One bit in k
+// codewords of the span (k = 2 … 8: a DRAM column fault) leaves each
+// struck codeword with odd weight, so the span's parity test sends it to
+// the per-codeword path and every codeword comes out Corrected, as each
+// would alone. The same two data bits (a high mantissa bit and an
+// exponent bit, which move even the explicit zeros the five-point
+// stencil stores for out-of-domain couplings, as its first row does)
+// struck in two codewords cancel in the fold and pass the parity test: the span reads clean and the trial
+// is an SDC, the one class DESIGN.md section 7 names, where a
+// per-codeword check would report each codeword Detected.
+func TestFoldColumnAndCancellingStrikes(t *testing.T) {
+	for _, s := range []core.Scheme{core.SECDED64, core.SECDED128} {
+		for _, st := range []core.Structure{core.StructVector, core.StructElements} {
+			width := 64 * s.VecGroup()
+			if st == core.StructElements {
+				width = 96 * s.ElemGroup()
+			}
+			for _, bit := range []int{0, 7, 8, 31, 63, 64, 95, width - 1} {
+				if bit >= width {
+					continue
+				}
+				for k := 2; k <= 8; k++ {
+					var flips [][2]int
+					for i := 0; i < k; i++ {
+						flips = append(flips, [2]int{i, bit})
+					}
+					tr := spanTrial(t, s, st, flips)
+					o, err := runTrial(tr, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if o != Corrected || tr.c.Corrected() != uint64(k) || tr.c.Detected() != 0 {
+						t.Fatalf("%v %v: bit %d in %d codewords: %v, corrected %d, detected %d",
+							s, st, bit, k, o, tr.c.Corrected(), tr.c.Detected())
+					}
+				}
+			}
+			tr := spanTrial(t, s, st, [][2]int{{0, 50}, {0, 62}, {1, 50}, {1, 62}})
+			o, err := runTrial(tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o != SDC || tr.c.Corrected() != 0 || tr.c.Detected() != 0 {
+				t.Fatalf("%v %v: bits 50 and 62 in two codewords: %v, corrected %d, detected %d, want an unflagged SDC",
+					s, st, o, tr.c.Corrected(), tr.c.Detected())
+			}
+		}
+	}
+}
+
 func TestInjectingOperatorMidSolve(t *testing.T) {
 	plain := csr.Laplacian2D(12, 12)
 	m, err := core.NewMatrix(plain, core.MatrixOptions{
