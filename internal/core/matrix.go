@@ -261,8 +261,17 @@ func (m *Matrix) encodeElementsAll() {
 // ---------------------------------------------------------------------------
 // Whole-matrix operations
 
+// scrubSpan is the number of storage-consecutive entries one clean test
+// of VerifyAll covers under SED and SECDED: about one output block's
+// entry span, even so no SECDED128 pair straddles two spans. A fold over
+// the whole matrix would let cancelling codewords anywhere in it read
+// clean (DESIGN.md sections 7 and 45).
+const scrubSpan = 64
+
 // VerifyAll verifies and repairs every row-pointer group and element
-// codeword, satisfying Layout: the body of Shell.CheckAll.
+// codeword, satisfying Layout: the body of Shell.CheckAll. The
+// per-entry codewords are checked scrubSpan entries at a time, through
+// storage whatever the row pointers say; CRC32C runs row by row.
 func (m *Matrix) VerifyAll(acc *Counters) (checks uint64, err error) {
 	var v Verdict
 	if m.rowScheme != None {
@@ -275,7 +284,9 @@ func (m *Matrix) VerifyAll(acc *Counters) (checks uint64, err error) {
 	}
 	el := m.elems()
 	if m.scheme != CRC32C {
-		v.Add(el.Check(0, len(m.colIdx), true, acc))
+		for lo := 0; lo < len(m.colIdx); lo += scrubSpan {
+			v.Add(el.Check(lo, min(lo+scrubSpan, len(m.colIdx)), true, acc))
+		}
 		return v.Checks, v.Err
 	}
 	cur := m.cursor(false, false)

@@ -536,8 +536,8 @@ func TestSECDEDRowVerifyFaultParity(t *testing.T) {
 
 // TestSECDEDElemCheckFaultParity is the same comparison for
 // ColElems.Check over a whole storage range — how a SELL-C-sigma slice
-// and a scrub are verified — which continues past uncorrectable
-// codewords and always counts the whole range.
+// and each scrubSpan of a CSR scrub are verified — which continues past
+// uncorrectable codewords and always counts the whole range.
 func TestSECDEDElemCheckFaultParity(t *testing.T) {
 	plain := raggedCSR(t)
 	for _, s := range secdedSchemes {
@@ -571,6 +571,46 @@ func TestSECDEDElemCheckFaultParity(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestScrubFoldSpan pins the span a CSR scrub folds (scrubSpan). The
+// same two bits struck in two element codewords cancel in one fold: in
+// one span they read clean, the class DESIGN.md section 7 names. In two
+// spans — the first and the last codeword, output blocks apart — the
+// scrub reports each Detected and ToCSR refuses the matrix, as a
+// per-codeword check would.
+func TestScrubFoldSpan(t *testing.T) {
+	plain := csr.Laplacian2D(16, 16)
+	for _, s := range secdedSchemes {
+		g := s.ElemGroup()
+		last := plain.NNZ()/g - 1
+		for _, tc := range []struct {
+			a, b     int
+			detected uint64
+		}{{0, 1, 0}, {0, last, 2}} {
+			m, err := NewMatrix(plain, MatrixOptions{ElemScheme: s, RowPtrScheme: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.nnz != plain.NNZ() {
+				t.Fatalf("%v: %d entries stored, %d given", s, m.nnz, plain.NNZ())
+			}
+			var c Counters
+			m.SetCounters(&c)
+			for _, cw := range []int{tc.a, tc.b} {
+				strikeElems(m.vals, m.colIdx, cw*g, 50)
+				strikeElems(m.vals, m.colIdx, cw*g, 62)
+			}
+			_, err = m.CheckAll()
+			if c.Detected() != tc.detected || c.Corrected() != 0 || (err != nil) != (tc.detected != 0) {
+				t.Fatalf("%v: bits 50 and 62 in codewords %d and %d: detected %d, corrected %d, %v; want %d detected",
+					s, tc.a, tc.b, c.Detected(), c.Corrected(), err, tc.detected)
+			}
+			if _, err := m.ToCSR(); (err != nil) != (tc.detected != 0) {
+				t.Fatalf("%v: codewords %d and %d: ToCSR %v", s, tc.a, tc.b, err)
 			}
 		}
 	}

@@ -388,10 +388,8 @@ func FuzzSECDEDFold(f *testing.F) {
 			}
 		}
 		clean, odd := true, false
-		var x uint16
 		for i := 0; i < s.n; i++ {
 			w := s.word(i)
-			x ^= s.c.accBytes(&w)
 			if res, _ := s.c.Check(&w); res != OK {
 				clean = false
 			}
@@ -406,9 +404,6 @@ func FuzzSECDEDFold(f *testing.F) {
 		}
 		if (odd || struck > 0 && struck <= 3) && got == 0 {
 			t.Fatalf("%s: %d flips (%v per codeword) read clean", s.name, struck, perWord)
-		}
-		if got == 0 && !clean && x != 0 {
-			t.Fatalf("%s: fold reads clean while the accumulators XOR to %#x", s.name, x)
 		}
 	})
 }

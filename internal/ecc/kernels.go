@@ -19,7 +19,9 @@ import (
 //
 // One word kernel exists per codeword width the repository stores (64,
 // 96, 128, 192 and 256 bits) and each may only be called on a codec of
-// that width: the tables of any other width are nil. Acc64/Encode64 and
+// that width: the tables of any other width are nil. No structure checks
+// a lone 64-bit codeword on its clean path, so that width has only an
+// encoder (Check's accumulator folds it in acc). Encode64 and
 // Acc96/Encode96 serve every layout of their width; the block and run
 // kernels of those widths (FoldBlock64, EncodeBlock64, FoldRun96) only
 // the vector word and the element layout, whose wide tables they fold
@@ -41,14 +43,6 @@ type lane = [8][256]uint16
 func fold8(t *lane, x uint64) uint16 {
 	return t[0][byte(x)] ^ t[1][byte(x>>8)] ^ t[2][byte(x>>16)] ^ t[3][byte(x>>24)] ^
 		t[4][byte(x>>32)] ^ t[5][byte(x>>40)] ^ t[6][byte(x>>48)] ^ t[7][byte(x>>56)]
-}
-
-// Acc64 returns the accumulator of the 64-bit codeword x.
-func (c *SECDED) Acc64(x uint64) uint16 {
-	if t := c.vec; t != nil {
-		return uint16(t.acc(x))
-	}
-	return fold8(c.t8, x)
 }
 
 // Acc96 returns the accumulator of the 96-bit codeword x | y<<64 (the

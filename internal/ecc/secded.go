@@ -53,7 +53,7 @@ func (r CheckResult) String() string { return checkResults.String(r) }
 // the redundancy, in checkPositions order, so encoding is a check of the
 // cleared word plus one placed OR per run of redundancy bits.
 //
-// The by-value kernels (Acc64 … Acc256, the fold kernels FoldBlock64/128,
+// The by-value kernels (Acc96 … Acc256, the fold kernels FoldBlock64/128,
 // FoldRun96/192 and FoldGroups64/128, and the matching encoders,
 // kernels.go) take the codeword in registers or where it is stored and
 // are what protected structures call on every read; Check and Encode
@@ -246,7 +246,7 @@ func (c *SECDED) CheckPositions() []int {
 // otherwise.
 func (c *SECDED) acc(w *Word4) uint16 {
 	switch c.nbytes {
-	case 8: // Acc64's body, one call level less
+	case 8:
 		if t := c.vec; t != nil {
 			return uint16(t.acc(w[0]))
 		}
