@@ -197,8 +197,8 @@ var PrecondKinds = precond.Kinds
 func ParsePrecond(s string) (PrecondKind, error) { return precond.ParseKind(s) }
 
 // PrecondOptions configures a preconditioner build: the protection
-// scheme of its setup product, the CRC backend, the Apply worker count
-// and an optional band decomposition.
+// scheme of its setup product, the CRC backend and the Apply worker
+// count.
 type PrecondOptions = precond.Options
 
 // NewPreconditioner builds an ECC-protected preconditioner of the given

@@ -22,8 +22,8 @@ import (
 // workers are clamped to at least 1, and workers additionally to
 // runtime.GOMAXPROCS(0): more ranges than runnable threads only add
 // dispatch overhead, never parallelism. Callers that need a fixed
-// decomposition independent of the host (shard layouts, band structure)
-// must use Partition instead.
+// decomposition independent of the host (shard layouts) must use
+// Partition instead.
 func Ranges(n, workers, align int) [][2]int {
 	if max := runtime.GOMAXPROCS(0); workers > max {
 		workers = max
@@ -34,10 +34,9 @@ func Ranges(n, workers, align int) [][2]int {
 // Partition splits [0,n) into at most parts contiguous half-open ranges
 // whose interior boundaries are multiples of align, independent of the
 // host's processor count. It is the layout-defining cousin of Ranges:
-// shard decompositions and preconditioner band structures derive from it
-// so the operator they build is reproducible across machines. align and
-// parts are clamped to at least 1. The result is allocated at exact
-// capacity in one shot.
+// shard decompositions derive from it so the operator they build is
+// reproducible across machines. align and parts are clamped to at least
+// 1. The result is allocated at exact capacity in one shot.
 func Partition(n, parts, align int) [][2]int {
 	if align < 1 {
 		align = 1

@@ -11,8 +11,8 @@ import (
 
 // diagBlock is the order of block-Jacobi's diagonal blocks. It divides
 // core.BlockLen, so a protected-vector block of r or z holds whole
-// diagonal blocks (two) and a band aligned to the vector block never
-// splits one.
+// diagonal blocks (two) and a range aligned to the vector block never
+// splits one: z does not depend on how an Apply splits its rows.
 const diagBlock = 4
 
 // blockJacobiPre is the block-Jacobi preconditioner: the diagonal 4x4
@@ -20,18 +20,10 @@ const diagBlock = 4
 // row-by-row in one codeword-protected vector, so one block's inverse is
 // two vector blocks. Apply solves the block systems one vector block of
 // r at a time — the two diagonal blocks it holds, their inverses read in
-// one batch-verified call — and runs band-parallel; over a sharded
-// operator the bands follow the shard decomposition, so the
-// preconditioner applies per-band on goroutines matching the shard
-// layout.
-type blockJacobiPre struct {
-	rows int
-	// inv holds the block inverses: elements [16b, 16b+16) are diagonal
-	// block b's inverse, row by row.
-	inv   *core.Vector
-	bands [][2]int
-	mode  core.ReadMode
-}
+// one batch-verified call — over row ranges split across Workers on
+// every Apply. Its inverse vector holds the block inverses: elements
+// [16b, 16b+16) are diagonal block b's inverse, row by row.
+type blockJacobiPre struct{ inverse }
 
 func newBlockJacobi(src *csr.Matrix, opt Options) (*blockJacobiPre, error) {
 	n := src.Rows()
@@ -65,31 +57,7 @@ func newBlockJacobi(src *csr.Matrix, opt Options) (*blockJacobiPre, error) {
 			copy(flat[(b*diagBlock+i)*diagBlock:], blocks[b][i][:])
 		}
 	}
-	inv := core.VectorFromSlice(flat, opt.Scheme)
-	inv.SetCRCBackend(opt.Backend)
-
-	bands := opt.Bands
-	if len(bands) == 0 {
-		bands = par.Ranges(n, opt.Workers, core.BlockLen)
-	}
-	// The bands must tile [0, rows) exactly: a gap leaves z rows
-	// unwritten (a silently singular preconditioner), an overlap races
-	// concurrent writes of one codeword block.
-	next := 0
-	for _, bd := range bands {
-		if bd[0]%core.BlockLen != 0 {
-			return nil, fmt.Errorf("precond: band start %d not aligned to the codeword block", bd[0])
-		}
-		if bd[0] != next || bd[1] <= bd[0] {
-			return nil, fmt.Errorf("precond: bands must tile [0,%d) contiguously; got band [%d,%d) after row %d",
-				n, bd[0], bd[1], next)
-		}
-		next = bd[1]
-	}
-	if next != n {
-		return nil, fmt.Errorf("precond: bands cover [0,%d) of %d rows", next, n)
-	}
-	return &blockJacobiPre{rows: n, inv: inv, bands: bands}, nil
+	return &blockJacobiPre{newInverse(n, flat, opt)}, nil
 }
 
 // invertBlock inverts a dense block in place by Gauss-Jordan
@@ -135,14 +103,13 @@ func invertBlock(a *[diagBlock][diagBlock]float64) bool {
 	return true
 }
 
-// Apply computes z = M^-1 r band-parallel: every diagonal block's
-// system is solved with the protected precomputed inverse.
+// Apply computes z = M^-1 r in parallel: every diagonal block's system
+// is solved with the protected precomputed inverse.
 func (p *blockJacobiPre) Apply(z, r *core.Vector) error {
-	if z.Len() != p.rows || r.Len() != p.rows {
-		return fmt.Errorf("precond: bjacobi Apply length mismatch: z %d, r %d, rows %d",
-			z.Len(), r.Len(), p.rows)
+	if err := checkLengths(BlockJacobi, p.rows, z, r); err != nil {
+		return err
 	}
-	return par.Run(p.bands, func(lo, hi int) error {
+	return par.ForEach(p.rows, p.workers, core.BlockLen, func(lo, hi int) error {
 		var rv [chunk * core.BlockLen]float64
 		var out [core.BlockLen]float64
 		// The inverses of the diagonal blocks one vector block of r holds
@@ -171,25 +138,5 @@ func (p *blockJacobiPre) Apply(z, r *core.Vector) error {
 	})
 }
 
-// Rows returns the operator dimension.
-func (p *blockJacobiPre) Rows() int { return p.rows }
-
 // Kind names the algorithm.
 func (p *blockJacobiPre) Kind() Kind { return BlockJacobi }
-
-// Bands returns the band decomposition Apply parallelises over.
-func (p *blockJacobiPre) Bands() [][2]int { return p.bands }
-
-// Scrub patrols the protected inverse-block storage.
-func (p *blockJacobiPre) Scrub() (int, error) { return p.inv.CheckAll() }
-
-// SetCounters attaches a statistics accumulator to the state vector.
-func (p *blockJacobiPre) SetCounters(c *core.Counters) {
-	p.inv.SetCounters(c)
-}
-
-// SetReadMode selects the read discipline for the protected state.
-func (p *blockJacobiPre) SetReadMode(mode core.ReadMode) { p.mode = mode }
-
-// RawState exposes the protected inverse blocks for fault injection.
-func (p *blockJacobiPre) RawState() []*core.Vector { return []*core.Vector{p.inv} }

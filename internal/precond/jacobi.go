@@ -1,8 +1,6 @@
 package precond
 
 import (
-	"fmt"
-
 	"abft/internal/core"
 	"abft/internal/par"
 )
@@ -12,12 +10,7 @@ import (
 // Apply verifies the diagonal it scales by and a bit flip in resident
 // preconditioner memory is corrected or detected, never silently
 // folded into the Krylov basis.
-type jacobiPre struct {
-	rows    int
-	inv     *core.Vector
-	workers int
-	mode    core.ReadMode
-}
+type jacobiPre struct{ inverse }
 
 // NewJacobi builds the Jacobi preconditioner for an operator whose main
 // diagonal is diag: it inverts diag, rejecting a zero, and stores the
@@ -29,16 +22,13 @@ func NewJacobi(diag []float64, opt Options) (Preconditioner, error) {
 	if err != nil {
 		return nil, err
 	}
-	inv := core.VectorFromSlice(d, opt.Scheme)
-	inv.SetCRCBackend(opt.Backend)
-	return &jacobiPre{rows: len(d), inv: inv, workers: opt.Workers}, nil
+	return &jacobiPre{newInverse(len(d), d, opt)}, nil
 }
 
 // Apply computes z = D^-1 r through the protected inverse diagonal.
 func (p *jacobiPre) Apply(z, r *core.Vector) error {
-	if z.Len() != p.rows || r.Len() != p.rows {
-		return fmt.Errorf("precond: jacobi Apply length mismatch: z %d, r %d, rows %d",
-			z.Len(), r.Len(), p.rows)
+	if err := checkLengths(Jacobi, p.rows, z, r); err != nil {
+		return err
 	}
 	return par.ForEach(p.inv.Blocks(), p.workers, 1, func(lo, hi int) error {
 		var dv, rv [chunk * core.BlockLen]float64
@@ -61,22 +51,5 @@ func (p *jacobiPre) Apply(z, r *core.Vector) error {
 	})
 }
 
-// Rows returns the operator dimension.
-func (p *jacobiPre) Rows() int { return p.rows }
-
 // Kind names the algorithm.
 func (p *jacobiPre) Kind() Kind { return Jacobi }
-
-// Scrub patrols the protected inverse diagonal.
-func (p *jacobiPre) Scrub() (int, error) { return p.inv.CheckAll() }
-
-// SetCounters attaches a statistics accumulator to the state vector.
-func (p *jacobiPre) SetCounters(c *core.Counters) {
-	p.inv.SetCounters(c)
-}
-
-// SetReadMode selects the read discipline for the protected state.
-func (p *jacobiPre) SetReadMode(mode core.ReadMode) { p.mode = mode }
-
-// RawState exposes the protected inverse diagonal for fault injection.
-func (p *jacobiPre) RawState() []*core.Vector { return []*core.Vector{p.inv} }

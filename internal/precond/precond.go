@@ -15,8 +15,8 @@
 //
 //   - Jacobi: a protected inverse-diagonal vector, z = D^-1 r.
 //   - Block-Jacobi: protected dense inverses of the 4x4 diagonal blocks,
-//     two to a protected-vector block, applied band-parallel; over a
-//     sharded operator the bands follow the shard decomposition.
+//     two to a protected-vector block, applied in parallel over
+//     vector-block ranges split on every Apply, as Jacobi is.
 //   - Symmetric Gauss-Seidel: forward and backward triangular sweeps
 //     through a protected CSR copy of the operator,
 //     z = (D+U)^-1 D (D+L)^-1 r.
@@ -26,7 +26,7 @@
 // the solvers' one D^-1: PCG's default, the jacobi solver's and FGMRES's
 // inner Richardson's are NewJacobi of the operator's verified diagonal,
 // unless the operator keeps a Jacobi resident. abftd does: every cached
-// operator builds one with For (NewJacobi of the source's diagonal),
+// operator builds one with New (NewJacobi of the source's diagonal),
 // shared by every solve against it and scrubbed with it.
 package precond
 
@@ -87,12 +87,6 @@ type Options struct {
 	// Workers is the Apply goroutine count (Jacobi and block-Jacobi;
 	// Gauss-Seidel sweeps are inherently sequential).
 	Workers int
-	// Bands, when set, are the block-aligned row ranges block-Jacobi
-	// applies band-parallel — typically a sharded operator's
-	// decomposition (shard.Operator.BandRanges), so the preconditioner
-	// runs per-band on goroutines matching the shard layout. Empty
-	// bands derive from Workers.
-	Bands [][2]int
 }
 
 // Preconditioner is an ECC-protected preconditioner: Apply computes
@@ -151,22 +145,10 @@ func New(kind Kind, src *csr.Matrix, opt Options) (Preconditioner, error) {
 	}
 }
 
-// BandedOperator is the capability a sharded operator exposes so
-// block-Jacobi can align its bands to the shard decomposition.
-type BandedOperator interface {
-	BandRanges() [][2]int
-}
-
 // For builds a preconditioner for an already-built protected operator
-// m assembled from src: block-Jacobi inherits a sharded operator's band
-// decomposition so its per-band applications run on goroutines matching
-// the shard layout.
+// m assembled from src. It is New: no preconditioner depends on how m
+// is stored or distributed, so m is not consulted.
 func For(kind Kind, m core.ProtectedMatrix, src *csr.Matrix, opt Options) (Preconditioner, error) {
-	if kind == BlockJacobi && len(opt.Bands) == 0 {
-		if b, ok := m.(BandedOperator); ok {
-			opt.Bands = b.BandRanges()
-		}
-	}
 	return New(kind, src, opt)
 }
 
@@ -189,7 +171,49 @@ func invertDiagonal(diag []float64) ([]float64, error) {
 	return inv, nil
 }
 
+// checkLengths rejects an Apply whose z or r is not rows long.
+func checkLengths(k Kind, rows int, z, r *core.Vector) error {
+	if z.Len() != rows || r.Len() != rows {
+		return fmt.Errorf("precond: %v Apply length mismatch: z %d, r %d, rows %d",
+			k, z.Len(), r.Len(), rows)
+	}
+	return nil
+}
+
 // chunk is how many vector blocks of r one Read covers in Jacobi's and
-// block-Jacobi's Apply: a stack buffer's worth, so a band's checks are
+// block-Jacobi's Apply: a stack buffer's worth, so a range's checks are
 // counted once per chunk rather than once per block.
 const chunk = 32
+
+// inverse is the state Jacobi and block-Jacobi share: one protected
+// vector of precomputed inverses, the worker count each Apply splits
+// its vector blocks across, and the read mode of that vector.
+type inverse struct {
+	rows    int
+	inv     *core.Vector
+	workers int
+	mode    core.ReadMode
+}
+
+// newInverse stores the inverses inv for a rows-row operator protected
+// under opt.Scheme.
+func newInverse(rows int, inv []float64, opt Options) inverse {
+	v := core.VectorFromSlice(inv, opt.Scheme)
+	v.SetCRCBackend(opt.Backend)
+	return inverse{rows: rows, inv: v, workers: opt.Workers}
+}
+
+// Rows returns the operator dimension.
+func (p *inverse) Rows() int { return p.rows }
+
+// Scrub patrols the protected inverses.
+func (p *inverse) Scrub() (int, error) { return p.inv.CheckAll() }
+
+// SetCounters attaches a statistics accumulator to the state vector.
+func (p *inverse) SetCounters(c *core.Counters) { p.inv.SetCounters(c) }
+
+// SetReadMode selects the read discipline for the protected state.
+func (p *inverse) SetReadMode(mode core.ReadMode) { p.mode = mode }
+
+// RawState exposes the protected inverses for fault injection.
+func (p *inverse) RawState() []*core.Vector { return []*core.Vector{p.inv} }

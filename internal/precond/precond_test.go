@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -457,43 +458,63 @@ func TestSGSSharedMatrixFlipCorrectedValuesUsed(t *testing.T) {
 	}
 }
 
-// TestBlockJacobiShardBands: built over a sharded operator, block-Jacobi
-// adopts the shard decomposition and still matches the unbanded result.
-func TestBlockJacobiShardBands(t *testing.T) {
+// TestBlockJacobiSplitInvariance: block-Jacobi chooses its split on
+// every Apply from (rows, Workers), and its 4x4 blocks never cross a
+// vector block, so neither the operator it is built for (unsharded, 2
+// or 3 shards) nor the worker count moves z or its check counts.
+// GOMAXPROCS is raised to 4 for the test, since par.Ranges clamps the
+// split to it.
+func TestBlockJacobiSplitInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	src := testMatrix()
-	sh, err := shard.New(src, shard.Options{Shards: 3, Format: op.CSR,
-		Config: op.Config{Scheme: core.SECDED64, RowPtrScheme: core.SECDED64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := For(BlockJacobi, sh, src, Options{Scheme: core.SECDED64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj := p.(*blockJacobiPre)
-	if len(bj.Bands()) != sh.Shards() {
-		t.Fatalf("bands %d, shards %d", len(bj.Bands()), sh.Shards())
-	}
-	for i, b := range bj.Bands() {
-		r0, r1 := sh.ShardRange(i)
-		if b[0] != r0 || b[1] != r1 {
-			t.Fatalf("band %d is [%d,%d), shard is [%d,%d)", i, b[0], b[1], r0, r1)
-		}
-	}
 	rs := refVector(src.Rows())
-	want := refApply(t, BlockJacobi, src, rs)
-	r := core.VectorFromSlice(rs, core.None)
-	z := core.NewVector(src.Rows(), core.None)
-	if err := p.Apply(z, r); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, src.Rows())
-	if err := z.CopyTo(got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-11*math.Max(1, math.Abs(want[i])) {
-			t.Fatalf("row %d: got %v want %v", i, got[i], want[i])
+	for _, s := range []core.Scheme{core.SECDED64, core.CRC32C} {
+		cfg := op.Config{Scheme: s, RowPtrScheme: s}
+		unsharded, err := op.New(op.CSR, src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := map[string]core.ProtectedMatrix{"unsharded": unsharded}
+		for _, n := range []int{2, 3} {
+			sh, err := shard.New(src, shard.Options{Shards: n, Format: op.CSR, Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sh.Shards() != n {
+				t.Fatalf("%d shards, want %d", sh.Shards(), n)
+			}
+			ops[fmt.Sprintf("%d-shard", n)] = sh
+		}
+		apply := func(m core.ProtectedMatrix, workers int) ([]uint64, core.CounterSnapshot) {
+			t.Helper()
+			p, err := For(BlockJacobi, m, src, Options{Scheme: s, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c core.Counters
+			p.SetCounters(&c)
+			r := core.VectorFromSlice(rs, s)
+			r.SetCounters(&c)
+			z := core.NewVector(src.Rows(), s)
+			if err := p.Apply(z, r); err != nil {
+				t.Fatal(err)
+			}
+			return z.Raw(), c.Snapshot()
+		}
+		want, wantCounts := apply(unsharded, 1)
+		if wantCounts.Checks == 0 {
+			t.Fatalf("%v: the baseline Apply counted no checks", s)
+		}
+		for name, m := range ops {
+			for workers := 1; workers <= 4; workers++ {
+				got, counts := apply(m, workers)
+				if !slices.Equal(got, want) {
+					t.Errorf("%v, %s, %d workers: z differs from the unsharded 1-worker z", s, name, workers)
+				}
+				if counts != wantCounts {
+					t.Errorf("%v, %s, %d workers: counters %+v, want %+v", s, name, workers, counts, wantCounts)
+				}
+			}
 		}
 	}
 }
@@ -537,24 +558,5 @@ func TestRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := New(Jacobi, zeroDiag, Options{}); err == nil {
 		t.Fatal("zero diagonal accepted")
-	}
-	// Block-Jacobi bands must tile [0, rows) exactly: a gap leaves z
-	// rows unwritten, an overlap races concurrent block writes.
-	src := testMatrix()
-	const b = core.BlockLen
-	for _, bands := range [][][2]int{
-		{{0, b}},                          // gap at the tail
-		{{0, 2 * b}, {b, src.Rows()}},     // overlap
-		{{b, src.Rows()}},                 // gap at the head
-		{{0, b + 2}, {b + 2, src.Rows()}}, // unaligned boundary
-		{{0, src.Rows()}, {0, 0}},         // empty band
-		{{0, src.Rows()}, {2 * b, b}},     // inverted band
-	} {
-		if _, err := New(BlockJacobi, src, Options{Bands: bands}); err == nil {
-			t.Errorf("bands %v accepted", bands)
-		}
-	}
-	if _, err := New(BlockJacobi, src, Options{Bands: [][2]int{{0, b}, {b, src.Rows()}}}); err != nil {
-		t.Errorf("valid bands rejected: %v", err)
 	}
 }

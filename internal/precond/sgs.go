@@ -1,7 +1,6 @@
 package precond
 
 import (
-	"fmt"
 	"sync"
 
 	"abft/internal/core"
@@ -81,9 +80,8 @@ func (p *sgsPre) putScratch(ws *sgsScratch) {
 
 // Apply computes z = (D+U)^-1 D (D+L)^-1 r with verified sweeps.
 func (p *sgsPre) Apply(z, r *core.Vector) error {
-	if z.Len() != p.rows || r.Len() != p.rows {
-		return fmt.Errorf("precond: sgs Apply length mismatch: z %d, r %d, rows %d",
-			z.Len(), r.Len(), p.rows)
+	if err := checkLengths(SGS, p.rows, z, r); err != nil {
+		return err
 	}
 	ws := p.getScratch()
 	defer p.putScratch(ws)

@@ -82,22 +82,20 @@ func (s *Server) buildOperator(j *job) func(*cacheEntry) error {
 			return err
 		}
 		// The preconditioners build with the operator: their setup
-		// product is protected by the same scheme and — over a sharded
-		// operator — adopts the shard decomposition for its band-parallel
-		// applications. The entry outlives this job and Workers is
-		// per-request (and outside the cache key), so their parallel
-		// layout follows the server's fixed cap, never the first
-		// requester's worker count.
+		// product is protected by the same scheme. The entry outlives
+		// this job and Workers is per-request (and outside the cache
+		// key), so their Apply worker count is the server's fixed cap,
+		// never the first requester's.
 		popt := precond.Options{Scheme: p.scheme, Workers: s.cfg.MaxSolveWorkers}
 		// Every entry keeps one resident Jacobi; a zero on the diagonal
 		// fails only the solves that need D^-1.
-		e.jac, e.jacErr = precond.For(precond.Jacobi, m, plain, popt)
+		e.jac, e.jacErr = precond.New(precond.Jacobi, plain, popt)
 		switch p.precond {
 		case precond.None:
 		case precond.Jacobi:
 			e.pre, err = e.jac, e.jacErr
 		default:
-			e.pre, err = precond.For(p.precond, m, plain, popt)
+			e.pre, err = precond.New(p.precond, plain, popt)
 		}
 		if err != nil {
 			return err

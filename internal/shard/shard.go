@@ -367,14 +367,12 @@ func (o *Operator) Shards() int { return len(o.bands) }
 func (o *Operator) ShardRange(i int) (r0, r1 int) { return o.bands[i].r0, o.bands[i].r1 }
 
 // BandRanges returns every shard's global row range in order — the
-// decomposition band-aligned preconditioners (internal/precond
-// block-Jacobi) adopt so their per-band applications run on goroutines
-// matching the shard layout, and that the solver recovery controller
-// (internal/solvers) uses to checkpoint and restore the live solve
-// vectors per band, on per-band goroutines, instead of through one
-// global sweep. Both rely on the boundaries being aligned to the
-// protection codeword block: no two bands ever share a codeword of a
-// global vector.
+// decomposition the solver recovery controller (internal/solvers) uses
+// to checkpoint and restore the live solve vectors per band, on
+// per-band goroutines, instead of through one global sweep, and the
+// solvers' banded inner products reduce over. Both rely on the
+// boundaries being aligned to the protection codeword block: no two
+// bands ever share a codeword of a global vector.
 func (o *Operator) BandRanges() [][2]int {
 	out := make([][2]int, len(o.bands))
 	for i, b := range o.bands {

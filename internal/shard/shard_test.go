@@ -429,8 +429,8 @@ func TestConcurrentApplySharedOperator(t *testing.T) {
 }
 
 // TestBandRangesBlockAligned pins the invariant the band-parallel
-// consumers of the decomposition (block-Jacobi preconditioners, the
-// solver recovery controller's per-band checkpoints) rely on: band
+// consumers of the decomposition (the solvers' banded reductions, the
+// recovery controller's per-band checkpoints) rely on: band
 // boundaries tile [0, rows) contiguously and every interior boundary is
 // a multiple of the protection codeword block.
 func TestBandRangesBlockAligned(t *testing.T) {

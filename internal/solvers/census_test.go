@@ -15,14 +15,13 @@ import (
 // selective reliability, deliberately unverified) reads before it is
 // read — or "plain: " state that is known to be unprotected, and why.
 var allowedFields = map[string]string{
-	"innerSolver.vbuf":     "scratch: per-solve, the basis vector, read afresh by every inner solve",
-	"innerSolver.zbuf":     "scratch: per-solve, the inner iterate, rebuilt from vbuf by every inner solve",
-	"innerSolver.wbuf":     "scratch: per-solve, the step's product and scaled residual",
-	"sgsScratch.rv":        "scratch: per-Apply, r, read verified by every Apply",
-	"sgsScratch.y":         "scratch: per-Apply, the forward sweep's result",
-	"sgsScratch.zv":        "scratch: per-Apply, the backward sweep's result",
-	"sgsScratch.invd":      "scratch: per-Apply, the protected inverse diagonal, read verified by every Apply",
-	"blockJacobiPre.bands": "plain: the row bands that steer every Apply, unprotected like SELL's metadata, ROADMAP item 15",
+	"innerSolver.vbuf": "scratch: per-solve, the basis vector, read afresh by every inner solve",
+	"innerSolver.zbuf": "scratch: per-solve, the inner iterate, rebuilt from vbuf by every inner solve",
+	"innerSolver.wbuf": "scratch: per-solve, the step's product and scaled residual",
+	"sgsScratch.rv":    "scratch: per-Apply, r, read verified by every Apply",
+	"sgsScratch.y":     "scratch: per-Apply, the forward sweep's result",
+	"sgsScratch.zv":    "scratch: per-Apply, the backward sweep's result",
+	"sgsScratch.invd":  "scratch: per-Apply, the protected inverse diagonal, read verified by every Apply",
 }
 
 // TestInnerSolverAndPreconditionersHoldNoPlainState is the resident

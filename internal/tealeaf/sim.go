@@ -174,7 +174,7 @@ func (s *Simulation) buildMatrix() error {
 	// Reprotect lifecycle instead of being rebuilt unprotected inside
 	// the solver.
 	if cfg.Precond != precond.None {
-		pre, err := precond.For(cfg.Precond, m, plain, precond.Options{
+		pre, err := precond.New(cfg.Precond, plain, precond.Options{
 			Scheme:  cfg.ElemScheme,
 			Backend: cfg.CRCBackend,
 			Workers: cfg.Workers,
