@@ -8,15 +8,22 @@
 package abft_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"abft/internal/coo"
 	"abft/internal/core"
 	"abft/internal/csr"
 	"abft/internal/ecc"
+	"abft/internal/mm"
 	"abft/internal/op"
+	"abft/internal/service"
 	"abft/internal/shard"
 	"abft/internal/solvers"
 	"abft/internal/tealeaf"
@@ -551,6 +558,60 @@ func BenchmarkBlockCG(b *testing.B) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkMatrixMarketAdmission times the cache-miss path of an inline
+// MatrixMarket operator, on n x n Laplacian documents as mm.Write
+// writes them: mm.ReadString alone, and a POST /v1/solve the service
+// admits cold — body read, request decode, digest, unquote, parse, CSR
+// build, profile — and then refuses for its one-element b, so nothing
+// is encoded or solved and the next request is cold again. Reported in
+// ns per document line; the 512x512 document (1.3M lines, 20 MB) is not
+// under -short.
+func BenchmarkMatrixMarketAdmission(b *testing.B) {
+	for _, nx := range []int{64, 512} {
+		name := fmt.Sprintf("%dx%d", nx, nx)
+		if nx > 64 && testing.Short() {
+			b.Run(name, func(b *testing.B) { b.Skip("20 MB document") })
+			continue
+		}
+		var doc strings.Builder
+		if err := mm.Write(&doc, csr.Laplacian2D(nx, nx)); err != nil {
+			b.Fatal(err)
+		}
+		text := doc.String()
+		body, err := json.Marshal(service.SolveRequest{Matrix: service.MatrixSpec{MatrixMarket: text}, B: []float64{0}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		perLine := func(b *testing.B) {
+			lines := strings.Count(text, "\n")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lines), "ns/line")
+		}
+		b.Run(name+"/mm.ReadString", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mm.ReadString(text); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perLine(b)
+		})
+		b.Run(name+"/admission", func(b *testing.B) {
+			svc := service.New(service.Config{Workers: 1})
+			defer svc.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+				if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "rhs length 1 does not match") {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+			perLine(b)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -31,11 +32,18 @@ func TestRunSmoke(t *testing.T) {
 // MatrixMarket file instead of the generated stencil.
 func TestRunMatrixMarketIngestion(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "op.mtx")
-	if err := mm.WriteFile(path, csr.Laplacian2D(8, 8)); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mm.Write(f, csr.Laplacian2D(8, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := run([]string{
+	err = run([]string{
 		"-matrix", path,
 		"-scheme", "secded64", "-structure", "elements",
 		"-bits", "1", "-trials", "20",

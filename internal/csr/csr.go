@@ -11,6 +11,7 @@ package csr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -70,9 +71,12 @@ func New(rows, cols int, entries []Entry) (*Matrix, error) {
 		next[e.Row]++
 	}
 	for r := 0; r < rows; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		row := rowView{m, int(lo), int(hi)}
-		sort.Stable(row)
+		lo, hi := int(m.RowPtr[r]), int(m.RowPtr[r+1])
+		// A stable sort of a row already in column order is the
+		// identity: only a row out of order is sorted.
+		if !slices.IsSorted(m.Cols[lo:hi]) {
+			sort.Stable(rowView{m, lo, hi})
+		}
 	}
 	return m, nil
 }

@@ -3,6 +3,8 @@ package csr
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -267,5 +269,43 @@ func TestNewRandomTripletsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewMatchesStableSort: New, which sorts only a row out of column
+// order, stores what a stable sort of every row by column stores —
+// duplicates in insertion order — on rows listed sorted, reversed and
+// in random order.
+func TestNewMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(6)
+		var entries []Entry
+		for r := 0; r < rows; r++ {
+			row := make([]Entry, rng.Intn(8))
+			for i := range row {
+				row[i] = Entry{r, rng.Intn(cols), float64(len(entries) + i)}
+			}
+			switch rng.Intn(3) {
+			case 0:
+				sort.SliceStable(row, func(i, j int) bool { return row[i].Col < row[j].Col })
+			case 1:
+				sort.SliceStable(row, func(i, j int) bool { return row[i].Col > row[j].Col })
+			}
+			entries = append(entries, row...)
+		}
+		want := slices.Clone(entries)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Row != want[j].Row {
+				return want[i].Row < want[j].Row
+			}
+			return want[i].Col < want[j].Col
+		})
+		m := mustNew(t, rows, cols, entries)
+		for k, e := range want {
+			if m.Cols[k] != uint32(e.Col) || m.Vals[k] != e.Val {
+				t.Fatalf("trial %d entry %d: (%d,%g), want (%d,%g)", trial, k, m.Cols[k], m.Vals[k], e.Col, e.Val)
+			}
+		}
 	}
 }

@@ -148,7 +148,11 @@ func TestReadWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	src := csr.Laplacian2D(4, 4)
 	path := filepath.Join(dir, "lap.mtx")
-	if err := WriteFile(path, src); err != nil {
+	var doc bytes.Buffer
+	if err := Write(&doc, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, doc.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadFile(path)
@@ -202,7 +206,10 @@ func TestReadFileGzip(t *testing.T) {
 
 // readReference is Read as it stood before it stopped allocating per
 // line (a string per line, a slice of fields per entry): the accepted
-// language and the error texts Read must keep.
+// language and the error texts Read must keep. The one change since is
+// the count check, which counts entry lines: a symmetric document's
+// mirrored entries once made up for lines it lacked
+// (TestTruncatedSymmetricRejected).
 func readReference(r io.Reader) (*csr.Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -244,11 +251,13 @@ func readReference(r io.Reader) (*csr.Matrix, error) {
 		break
 	}
 	var entries []csr.Entry
+	found := 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
+		found++
 		f := strings.Fields(line)
 		if len(f) < 2 {
 			return nil, fmt.Errorf("mm: bad entry line %q", line)
@@ -279,8 +288,8 @@ func readReference(r io.Reader) (*csr.Matrix, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(entries) < nnz {
-		return nil, fmt.Errorf("mm: expected %d entries, found %d", nnz, len(entries))
+	if found < nnz {
+		return nil, fmt.Errorf("mm: expected %d entries, found %d", nnz, found)
 	}
 	return csr.New(rows, cols, entries)
 }
@@ -299,32 +308,49 @@ func declaredSize(doc string) (rows, cols, nnz int, ok bool) {
 	return 0, 0, 0, false
 }
 
-// checkRead holds Read to readReference on one document: the same
-// verdict, the same error text, the same matrix bit for bit — and what
-// is accepted survives Write and a second Read.
+// checkRead holds every reader — ReadString's and ReadBytesLimit's
+// lines cut in memory, Read's bufio.Scanner — to readReference on one
+// document: the same verdict, the same error text, the same matrix bit
+// for bit — and what is accepted survives Write and a second Read.
 func checkRead(t *testing.T, doc string) {
 	t.Helper()
 	rows, cols, nnz, sized := declaredSize(doc)
 	if sized && (rows > 1<<12 || cols > 1<<12 || nnz > 1<<16) {
 		t.Skip("declared dimensions too large to allocate in a test")
 	}
-	got, err := ReadString(doc)
+	readers := []struct {
+		name string
+		read func(string) (*csr.Matrix, error)
+	}{
+		{"ReadString", ReadString},
+		{"ReadBytesLimit", func(s string) (*csr.Matrix, error) { return ReadBytesLimit([]byte(s), 0) }},
+		{"Read", func(s string) (*csr.Matrix, error) { return Read(strings.NewReader(s)) }},
+	}
 	if sized && nnz < 0 {
-		// The reference panics sizing a slice; Read refuses (unless the
-		// header already failed).
-		if err == nil {
-			t.Fatalf("negative entry count accepted: %q", doc)
+		// The reference panics sizing a slice; every reader refuses
+		// (unless the header already failed).
+		for _, r := range readers {
+			if _, err := r.read(doc); err == nil {
+				t.Fatalf("%s: negative entry count accepted: %q", r.name, doc)
+			}
 		}
 		return
 	}
 	want, wantErr := readReference(strings.NewReader(doc))
-	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-		t.Fatalf("Read: %v, reference: %v, on %q", err, wantErr, doc)
+	var got *csr.Matrix
+	for _, r := range readers {
+		m, err := r.read(doc)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("%s: %v, reference: %v, on %q", r.name, err, wantErr, doc)
+		}
+		if err == nil {
+			assertSameMatrix(t, m, want)
+			got = m
+		}
 	}
-	if err != nil {
+	if got == nil {
 		return
 	}
-	assertSameMatrix(t, got, want)
 	var out bytes.Buffer
 	if err := Write(&out, got); err != nil {
 		t.Fatal(err)
@@ -349,6 +375,12 @@ var mmSeeds = []string{
 	"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.5\u2003x\n",
 	"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 \xff\n",
 	"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n1 1 2\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 999999999999999\n1 2 -9999999999999999\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e3 %\n1 2 -\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 2\n000000000000000001 1 1\n2 0000000000000000002 -1\n",
+	"%%MatrixMarket matrix coordinate real general\n1 1 1\n+1 1 1\n",
+	"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\t\n3\t2 x\n",
+	"%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n2 1 -1\n3 2 -1\n",
 	"%%MatrixMarket matrix coordinate real general\n2 2 -1\n1 1 1\n",
 	"%%MatrixMarket matrix coordinate real general\n2 2 99999999999\n1 1 1\n",
 	"%%MatrixMarket matrix coordinate real general\n0 0 0\n",
@@ -375,23 +407,59 @@ func TestReadKeepsItsLanguage(t *testing.T) {
 	long := "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2" + strings.Repeat(" ", 200<<10) + "\n"
 	checkRead(t, long)
 	checkRead(t, strings.Replace(long, " ", strings.Repeat(" ", 1<<20), 1))
+	// Lines cut in memory fail where bufio.Scanner's buffer does: at
+	// maxLine bytes before the terminator, an unterminated last line
+	// included, and with the error the scan stops at.
+	head := "%%MatrixMarket matrix coordinate real general\n1 1 1\n"
+	for _, n := range []int{maxLine - 1, maxLine, maxLine + 1} {
+		entry := "1 1 2" + strings.Repeat(" ", n-5)
+		for _, doc := range []string{
+			head + entry + "\n", head + entry, head + entry + "\r\n",
+			head[:46] + strings.Repeat("%", n) + "\n1 1 1\n1 1 2\n",
+		} {
+			checkRead(t, doc)
+		}
+	}
 }
 
-// TestReadAllocatesPerDocument: no allocation per entry line (csr.New
-// makes one per row, sorting it).
+// TestTruncatedSymmetricRejected: a symmetric document declaring four
+// entries but listing two lines is short, although mirroring its two
+// off-diagonal lines stores four entries.
+func TestTruncatedSymmetricRejected(t *testing.T) {
+	doc := "%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n2 1 -1\n3 2 -1\n"
+	m, err := ReadString(doc)
+	if err == nil {
+		t.Fatalf("accepted a %d-entry matrix from two of four declared lines", m.NNZ())
+	}
+	if want := "mm: expected 4 entries, found 2"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
+// TestReadAllocatesPerDocument: no allocation per line or per row. A
+// 32x32 Laplacian's 5,000-line document costs what any document costs:
+// the header's fields, fmt.Sscan's state for the size line, Read's
+// Scanner and its buffer, the entry list, and csr.New's matrix, which
+// sorts no row already in column order.
 func TestReadAllocatesPerDocument(t *testing.T) {
-	const rows = 32 * 32
+	const perDocument = 24
 	var doc bytes.Buffer
 	if err := Write(&doc, csr.Laplacian2D(32, 32)); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Read(bytes.NewReader(doc.Bytes())); err != nil {
-			t.Fatal(err)
+	text := doc.String()
+	for name, read := range map[string]func() (*csr.Matrix, error){
+		"Read":       func() (*csr.Matrix, error) { return Read(bytes.NewReader(doc.Bytes())) },
+		"ReadString": func() (*csr.Matrix, error) { return ReadString(text) },
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := read(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > perDocument {
+			t.Errorf("%s: %v allocations reading a %d-line document, over %d", name, allocs, 5*32*32, perDocument)
 		}
-	})
-	if allocs > rows+40 {
-		t.Fatalf("%v allocations reading a %d-row, %d-line document", allocs, rows, 5*rows)
 	}
 }
 

@@ -308,3 +308,35 @@ func scanNumber(s []byte, i int) int {
 	}
 	return i
 }
+
+// unquoteDocument unquotes a JSON string as it lies, quotes included,
+// when it holds nothing but printable ASCII and the escapes \n \r \t
+// \" \\ \/ — what mm.Write's documents and ordinary clients send, and
+// a subset on which json.Unmarshal returns the same string. ok is false
+// for anything else (a \u or any other escape, a byte outside
+// 0x20-0x7e, an unescaped quote, a trailing backslash), which
+// json.Unmarshal then decides, so acceptance and every error text stay
+// encoding/json's.
+func unquoteDocument(quoted []byte) (doc []byte, ok bool) {
+	if len(quoted) < 2 || quoted[0] != '"' || quoted[len(quoted)-1] != '"' {
+		return nil, false
+	}
+	s := quoted[1 : len(quoted)-1]
+	doc = make([]byte, 0, len(s))
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 0x20 <= c && c <= 0x7e && c != '"' && c != '\\':
+			doc = append(doc, c)
+		case c == '\\' && i+1 < len(s) && unescaped[s[i+1]] != 0:
+			doc = append(doc, unescaped[s[i+1]])
+			i++
+		default:
+			return nil, false
+		}
+	}
+	return doc, true
+}
+
+// unescaped maps the byte after a backslash to what unquoteDocument
+// decodes the escape to; 0 is not an escape it decodes.
+var unescaped = [256]byte{'n': '\n', 'r': '\r', 't': '\t', '"': '"', '\\': '\\', '/': '/'}

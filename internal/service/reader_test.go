@@ -7,8 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"abft/internal/csr"
+	"abft/internal/mm"
 )
 
 // checkAgainstEncodingJSON holds decodeSolveRequest to its contract on
@@ -162,6 +166,125 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkAgainstEncodingJSON(t, body)
 	})
+}
+
+// checkUnquote holds unquoteDocument to its contract on one span: what
+// it unquotes, json.Unmarshal accepts and unquotes to the same string;
+// anything else it leaves to json.Unmarshal.
+func checkUnquote(t *testing.T, quoted []byte) {
+	t.Helper()
+	doc, ok := unquoteDocument(quoted)
+	var want string
+	err := json.Unmarshal(quoted, &want)
+	if ok && (err != nil || string(doc) != want) {
+		t.Fatalf("unquoted %q to %q; json.Unmarshal: %q, %v", quoted, doc, want, err)
+	}
+}
+
+// unquoteSeeds are quoted spans on both sides of the fast path's subset.
+var unquoteSeeds = []string{
+	`""`,
+	`"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 4\n"`,
+	`"tab\tcr\r\nquote\" backslash\\ slash\/ end"`,
+	`"\u0041"`,
+	`"\ud83d\ude00 a surrogate pair"`,
+	`"a lone \ud800 high surrogate"`,
+	`"a lone \udc00 low surrogate"`,
+	`"\b\f"`,
+	`"\x"`,
+	"\"invalid \xff UTF-8\"",
+	"\"valid \xc3\xa9 UTF-8\"",
+	"\"raw \x01 control\"",
+	"\"raw \n newline\"",
+	"\"DEL \x7f\"",
+	`"trailing backslash\"`,
+	`"\"`,
+	`"an "unescaped" quote"`,
+	`"`,
+	`unquoted`,
+	``,
+}
+
+func TestUnquoteDocumentMatchesEncodingJSON(t *testing.T) {
+	for _, seed := range unquoteSeeds {
+		checkUnquote(t, []byte(seed))
+	}
+	// What clients send takes the fast path: json.Marshal of mm.Write's
+	// document, and the escapes json.Marshal writes for the rest of the
+	// subset.
+	var doc strings.Builder
+	if err := mm.Write(&doc, csr.Laplacian2D(7, 5)); err != nil {
+		t.Fatal(err)
+	}
+	quoted, err := json.Marshal(doc.String() + "tab\t quote\" backslash\\")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := unquoteDocument(quoted); !ok || string(got) != doc.String()+"tab\t quote\" backslash\\" {
+		t.Fatalf("fast path refused or changed a marshalled document: ok %v", ok)
+	}
+}
+
+// FuzzUnquoteDocument is the differential test of the fast unquote
+// against json.Unmarshal, on the fuzzer's span and on it quoted.
+func FuzzUnquoteDocument(f *testing.F) {
+	for _, seed := range unquoteSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, span []byte) {
+		checkUnquote(t, span)
+		checkUnquote(t, append(append([]byte{'"'}, span...), '"'))
+	})
+}
+
+// TestColdAssembleAllocations: one cold assemble of a 64x64 document —
+// the cache-miss admission of svc_warm's operator — allocates the
+// unquoted document, the entry list and the matrix, plus a few
+// kilobytes, and once it returns only the matrix is still reachable.
+func TestColdAssembleAllocations(t *testing.T) {
+	var doc strings.Builder
+	if err := mm.Write(&doc, csr.Laplacian2D(64, 64)); err != nil {
+		t.Fatal(err)
+	}
+	quoted, err := json.Marshal(doc.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	assemble := func() *csr.Matrix {
+		m, err := s.assemble(&MatrixSpec{}, quoted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	assemble() // package state initialised on first use is not the parse's
+
+	var before, after runtime.MemStats
+	// Twice: sync.Pool caches (json.Marshal's buffer) outlive one cycle.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := assemble()
+	runtime.ReadMemStats(&after)
+	rows, nnz := m.Rows(), m.NNZ()
+	matrix := 4*(rows+1) + 12*nnz
+	allocated := after.TotalAlloc - before.TotalAlloc
+	// The document once (unquoted into a buffer the size of its quoted
+	// form), 24-byte entries, the matrix and csr.New's row cursors.
+	if bound := len(quoted) + 24*nnz + matrix + 4*rows + 16<<10; allocated > uint64(bound) {
+		t.Errorf("a cold assemble allocated %d bytes, over %d", allocated, bound)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc) - int64(matrix)
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(quoted)
+	if retained > 16<<10 {
+		t.Errorf("%d bytes past the %d-byte matrix still reachable after a cold assemble", retained, matrix)
+	}
+	t.Logf("allocated %d bytes for a %d-byte document; %d bytes reachable past the matrix", allocated, doc.Len(), retained)
 }
 
 // TestSolveBodyLimit: a body over the 64 MiB cap answers 413, whether

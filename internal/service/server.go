@@ -548,6 +548,9 @@ func (s *Server) assemble(spec *MatrixSpec, quoted []byte) (*csr.Matrix, error) 
 	if quoted == nil {
 		return spec.Build()
 	}
+	if doc, ok := unquoteDocument(quoted); ok {
+		return mm.ReadBytesLimit(doc, maxDim)
+	}
 	var doc string
 	if err := json.Unmarshal(quoted, &doc); err != nil {
 		return nil, fmt.Errorf("bad request body: %w", err)
