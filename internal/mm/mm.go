@@ -17,13 +17,14 @@
 // they lie in memory, the way the Scanner would cut them. The header
 // and the size line are read once per document (strings.Fields,
 // fmt.Sscan). An entry line takes a fast path when it is ASCII up to
-// the end of the last field its type reads, its indices are 1 to 18
-// decimal digits, and its value is either an optional minus and 1 to 15
-// digits, converted exactly, or anything strconv.ParseFloat accepts.
-// Any other line — blank, comment, a sign on an index, a non-ASCII byte,
-// a number the fast path cannot vouch for — falls back to the general
-// path: Unicode whitespace, strconv.Atoi and strconv.ParseFloat. The
-// accepted language and every error text are the general path's.
+// the end of the last field its type reads, its indices are runs of
+// decimal digits short enough that no int overflows on them (1 to 18
+// digits where int is 64 bits, 1 to 9 where it is 32), and its value is
+// anything strconv.ParseFloat accepts. Any other line — blank, comment,
+// a sign on an index, a non-ASCII byte, a number the fast path cannot
+// vouch for — falls back to the general path: Unicode whitespace,
+// strconv.Atoi and strconv.ParseFloat. The accepted language and every
+// error text are the general path's.
 package mm
 
 import (
@@ -35,7 +36,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"unicode/utf8"
 	"unsafe"
 
 	"abft/internal/csr"
@@ -236,13 +236,8 @@ func (g grammar) entry(raw []byte) (e csr.Entry, ok bool, err error) {
 	if len(line) == 0 || line[0] == '%' {
 		return e, false, nil
 	}
-	// Two or three fields, cut where they lie: no string per line, no
-	// slice of fields.
 	var f [3][]byte
-	n := cutFields(line, f[:])
-	if n < 0 {
-		n = copy(f[:], bytes.Fields(line))
-	}
+	n := copy(f[:], bytes.Fields(line))
 	if n < 2 {
 		return e, false, fmt.Errorf("mm: bad entry line %q", line)
 	}
@@ -288,42 +283,26 @@ func (g grammar) fastEntry(line []byte) (e csr.Entry, ok bool) {
 	start := skipBlanks(line, i)
 	for i = start; i < len(line) && !isBlank(line[i]); i++ {
 	}
-	e.Val, ok = value(line[start:i])
-	return e, ok
+	v, err := strconv.ParseFloat(string(line[start:i]), 64)
+	e.Val = v
+	return e, err == nil
 }
 
-// index reads a run of 1 to 18 decimal digits at line[i:] that ends the
-// line or is followed by an ASCII blank: no int overflows on it, and
-// strconv.Atoi gives the same value.
+// index reads a run of 1 to maxDigits decimal digits at line[i:] that
+// ends the line or is followed by an ASCII blank: no int overflows on
+// it, and strconv.Atoi gives the same value.
 func index(line []byte, i int) (v, end int, ok bool) {
 	start := i
 	for ; i < len(line) && '0' <= line[i] && line[i] <= '9'; i++ {
 		v = v*10 + int(line[i]-'0')
 	}
 	n := i - start
-	return v, i, n > 0 && n <= 18 && (i == len(line) || isBlank(line[i]))
+	return v, i, n > 0 && n <= maxDigits && (i == len(line) || isBlank(line[i]))
 }
 
-// value parses a value field: an optional minus and 1 to 15 digits
-// converted exactly (below 2^53), anything else by strconv.ParseFloat.
-func value(f []byte) (float64, bool) {
-	digits := f
-	if len(digits) > 0 && digits[0] == '-' {
-		digits = digits[1:]
-	}
-	if n := len(digits); 0 < n && n <= 15 {
-		v, _, ok := index(digits, 0)
-		if ok {
-			if len(digits) < len(f) {
-				// -0 is negative zero, as ParseFloat reads it.
-				return -float64(v), true
-			}
-			return float64(v), true
-		}
-	}
-	v, err := strconv.ParseFloat(string(f), 64)
-	return v, err == nil
-}
+// maxDigits is the longest index the fast path reads: 18 digits where
+// int is 64 bits, 9 where it is 32.
+const maxDigits = 9 + 9*(strconv.IntSize/64)
 
 func isBlank(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
 
@@ -332,34 +311,6 @@ func skipBlanks(line []byte, i int) int {
 		i++
 	}
 	return i
-}
-
-// cutFields stores the leading whitespace-separated fields of an ASCII
-// line in f, as many as fit, and returns how many the line has (capped
-// at len(f)). It returns -1 on a non-ASCII byte: whitespace is Unicode's
-// in this format's accepted language (strings.Fields), so such a line
-// goes through bytes.Fields.
-func cutFields(line []byte, f [][]byte) int {
-	n, start := 0, -1
-	for i, c := range line {
-		switch {
-		case c >= utf8.RuneSelf:
-			return -1
-		case isBlank(c):
-			if start >= 0 && n < len(f) {
-				f[n] = line[start:i]
-				n++
-			}
-			start = -1
-		case start < 0:
-			start = i
-		}
-	}
-	if start >= 0 && n < len(f) {
-		f[n] = line[start:]
-		n++
-	}
-	return n
 }
 
 // ReadFile reads a MatrixMarket file from disk; a ".gz" suffix selects
