@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"abft/internal/csr"
@@ -634,6 +635,11 @@ func TestSECDEDApplyModesUnderStrikes(t *testing.T) {
 		commits bool
 	}
 	modes := []mode{{"exclusive", ModeExclusive, 1, true}, {"shared", ModeShared, 1, false}, {"parallel", ModeExclusive, 2, false}}
+	// par.Ranges clamps workers to GOMAXPROCS: the parallel mode needs
+	// as many runnable threads as it has workers, or it runs one range,
+	// which commits.
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
 	for _, s := range secdedSchemes {
 		m, err := NewMatrix(plain, MatrixOptions{ElemScheme: s, RowPtrScheme: s})
 		if err != nil {
@@ -646,6 +652,7 @@ func TestSECDEDApplyModesUnderStrikes(t *testing.T) {
 		cleanVals := append([]float64(nil), m.vals...)
 		cleanCols := append([]uint32(nil), m.colIdx...)
 		for _, md := range modes {
+			runtime.GOMAXPROCS(max(procs, md.workers))
 			m.SetReadMode(md.read)
 			copy(m.vals, cleanVals)
 			copy(m.colIdx, cleanCols)

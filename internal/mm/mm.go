@@ -55,7 +55,11 @@ func Read(r io.Reader) (*csr.Matrix, error) {
 			return nil, err
 		}
 	}
-	return p.finish(sc.Err())
+	err := sc.Err()
+	if err == bufio.ErrTooLong {
+		err = errLongLine
+	}
+	return p.finish(err)
 }
 
 // ReadString parses a MatrixMarket document held in memory, the form
@@ -76,8 +80,8 @@ func ReadStringLimit(s string, maxDim int) (*csr.Matrix, error) {
 // which it neither writes nor keeps. It cuts the lines where they lie,
 // exactly as Read's bufio.Scanner cuts a stream of the same bytes: at
 // '\n', with one trailing '\r' dropped and a last line kept without
-// its terminator, and a line too long ends the document with
-// bufio.ErrTooLong.
+// its terminator, and a line too long ends the document with the
+// error Read's Scanner stops at.
 func ReadBytesLimit(doc []byte, maxDim int) (*csr.Matrix, error) {
 	p := parser{maxDim: maxDim}
 	for len(doc) > 0 {
@@ -86,7 +90,7 @@ func ReadBytesLimit(doc []byte, maxDim int) (*csr.Matrix, error) {
 			n, next = i, i+1
 		}
 		if n >= maxLine {
-			return p.finish(bufio.ErrTooLong)
+			return p.finish(errLongLine)
 		}
 		line := doc[:n]
 		if n > 0 && line[n-1] == '\r' {
@@ -101,8 +105,12 @@ func ReadBytesLimit(doc []byte, maxDim int) (*csr.Matrix, error) {
 }
 
 // maxLine bounds a line: one of maxLine bytes or more, its terminator
-// not counted, fails with bufio.ErrTooLong.
+// not counted, fails with errLongLine.
 const maxLine = 1 << 20
+
+// errLongLine is the error of a document with a line of maxLine bytes
+// or more, wherever the line is; it wraps bufio.ErrTooLong.
+var errLongLine = fmt.Errorf("mm: a line reaches the 1 MiB line limit: %w", bufio.ErrTooLong)
 
 // parser is the one line grammar every reader feeds, a line at a time:
 // the header line, the size line, entry lines, then finish's count
@@ -161,11 +169,11 @@ func (p *parser) line(line []byte) error {
 // finish ends a document whose lines stopped with err (nil at its
 // end): the count check, then CSR assembly.
 func (p *parser) finish(err error) (*csr.Matrix, error) {
-	if p.state == wantHeader {
-		return nil, fmt.Errorf("mm: empty MatrixMarket input")
-	}
 	if err != nil {
 		return nil, err
+	}
+	if p.state == wantHeader {
+		return nil, fmt.Errorf("mm: empty MatrixMarket input")
 	}
 	// Entry lines, not stored entries: a symmetric document's mirrored
 	// entries do not make up for lines it lacks.
@@ -339,22 +347,36 @@ func ReadFile(path string) (*csr.Matrix, error) {
 }
 
 // Write serialises the matrix in MatrixMarket coordinate format (real,
-// general), with enough precision to round-trip float64 exactly.
+// general), each value as %.17g, enough to round-trip a float64 exactly.
+// Lines are appended into one buffer, which is handed to w whenever it
+// is nearly full.
 func Write(w io.Writer, m *csr.Matrix) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "%d %d %d\n", m.Rows(), m.Cols32(), m.NNZ()); err != nil {
-		return err
-	}
+	buf := make([]byte, 0, 16<<10)
+	buf = append(buf, "%%MatrixMarket matrix coordinate real general\n"...)
+	buf = strconv.AppendInt(buf, int64(m.Rows()), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, int64(m.Cols32()), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, int64(m.NNZ()), 10)
+	buf = append(buf, '\n')
 	for r := 0; r < m.Rows(); r++ {
 		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
 			// MatrixMarket indices are 1-based.
-			if _, err := fmt.Fprintf(bw, "%d %d %.17g\n", r+1, m.Cols[k]+1, m.Vals[k]); err != nil {
-				return err
+			buf = strconv.AppendInt(buf, int64(r)+1, 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(m.Cols[k])+1, 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendFloat(buf, m.Vals[k], 'g', 17, 64)
+			buf = append(buf, '\n')
+			// An entry line is at most 56 bytes.
+			if len(buf) > cap(buf)-64 {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }

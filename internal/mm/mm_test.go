@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -209,11 +210,16 @@ func TestReadFileGzip(t *testing.T) {
 // language and the error texts Read must keep. The one change since is
 // the count check, which counts entry lines: a symmetric document's
 // mirrored entries once made up for lines it lacked
-// (TestTruncatedSymmetricRejected).
+// (TestTruncatedSymmetricRejected), and a line over the 1 MiB limit,
+// which reports the limit wherever it is: a first line over it was once
+// reported as empty input.
 func readReference(r io.Reader) (*csr.Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if !sc.Scan() {
+		if sc.Err() == bufio.ErrTooLong {
+			return nil, errLongLine
+		}
 		return nil, fmt.Errorf("mm: empty MatrixMarket input")
 	}
 	header := strings.Fields(strings.ToLower(sc.Text()))
@@ -285,7 +291,9 @@ func readReference(r io.Reader) (*csr.Matrix, error) {
 			entries = append(entries, csr.Entry{Row: col - 1, Col: row - 1, Val: val})
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); err == bufio.ErrTooLong {
+		return nil, errLongLine
+	} else if err != nil {
 		return nil, err
 	}
 	if found < nnz {
@@ -405,7 +413,7 @@ func TestReadKeepsItsLanguage(t *testing.T) {
 		t.Run("", func(t *testing.T) { checkRead(t, doc) })
 	}
 	// A line longer than the starting buffer still reads; one past the
-	// 1 MiB cap still fails the way it did.
+	// 1 MiB cap fails naming the limit.
 	long := "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2" + strings.Repeat(" ", 200<<10) + "\n"
 	checkRead(t, long)
 	checkRead(t, strings.Replace(long, " ", strings.Repeat(" ", 1<<20), 1))
@@ -418,8 +426,20 @@ func TestReadKeepsItsLanguage(t *testing.T) {
 		for _, doc := range []string{
 			head + entry + "\n", head + entry, head + entry + "\r\n",
 			head[:46] + strings.Repeat("%", n) + "\n1 1 1\n1 1 2\n",
+			head[:45] + strings.Repeat(" ", n-45) + "\n1 1 1\n1 1 2\n",
 		} {
 			checkRead(t, doc)
+		}
+	}
+	// A first line over the limit is a long line, not an empty document.
+	long = head[:45] + strings.Repeat(" ", maxLine) + "\n1 1 1\n1 1 2\n"
+	for name, read := range map[string]func(string) (*csr.Matrix, error){
+		"Read":           func(s string) (*csr.Matrix, error) { return Read(strings.NewReader(s)) },
+		"ReadString":     ReadString,
+		"ReadBytesLimit": func(s string) (*csr.Matrix, error) { return ReadBytesLimit([]byte(s), 0) },
+	} {
+		if _, err := read(long); !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "1 MiB line limit") {
+			t.Errorf("%s: first line of %d bytes: %v, want the 1 MiB line limit", name, len(head[:45])+maxLine, err)
 		}
 	}
 }
@@ -461,6 +481,59 @@ func TestReadAllocatesPerDocument(t *testing.T) {
 		})
 		if allocs > perDocument {
 			t.Errorf("%s: %v allocations reading a %d-line document, over %d", name, allocs, 5*32*32, perDocument)
+		}
+	}
+}
+
+// writeReference is Write as it stood before it appended its lines
+// itself: fmt.Fprintf per line through a bufio.Writer.
+func writeReference(w io.Writer, m *csr.Matrix) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n")
+	fmt.Fprintf(bw, "%d %d %d\n", m.Rows(), m.Cols32(), m.NNZ())
+	for r := 0; r < m.Rows(); r++ {
+		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
+			fmt.Fprintf(bw, "%d %d %.17g\n", r+1, m.Cols[k]+1, m.Vals[k])
+		}
+	}
+	return bw.Flush()
+}
+
+// TestWriteMatchesFprintf: Write's text is the %d %d %.17g lines byte
+// for byte — for -0, subnormals, the extremes of float64, integers and
+// the infinities — and its allocations do not grow with the matrix.
+func TestWriteMatchesFprintf(t *testing.T) {
+	vals := []float64{math.Copysign(0, -1), 0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+		1e300, -1e300, math.MaxFloat64, 4, -1, 123456789, 1 << 53, 1e21, 1e-7, 0.1, 1.0 / 3, math.Inf(1), math.Inf(-1)}
+	entries := make([]csr.Entry, len(vals))
+	for i, v := range vals {
+		entries[i] = csr.Entry{Row: i % 5, Col: i, Val: v}
+	}
+	odd, err := csr.New(5, len(vals), entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*csr.Matrix{odd, csr.Laplacian2D(64, 64)} {
+		var got, want bytes.Buffer
+		if err := Write(&got, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeReference(&want, m); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("Write differs from fmt's %%d %%d %%.17g lines:\n%s\nwant\n%s", got.Bytes()[:min(got.Len(), 400)], want.Bytes()[:min(want.Len(), 400)])
+		}
+	}
+	for _, nx := range []int{8, 64} {
+		m := csr.Laplacian2D(nx, nx)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := Write(io.Discard, m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("Write of a %d-entry matrix: %v allocations, want 1 (its buffer)", m.NNZ(), allocs)
 		}
 	}
 }

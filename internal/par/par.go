@@ -79,8 +79,18 @@ func Run(ranges [][2]int, fn func(lo, hi int) error) error {
 }
 
 // ForEach runs fn over [0,n) split across workers with the given
-// alignment; a convenience wrapper combining Ranges and Run.
+// alignment: Run over Ranges, except that an empty or one-range split
+// is not built and a one-range split runs fn(0, n) inline. Ranges
+// returns one range exactly when its clamped worker count is 1 or align
+// covers n: two or more workers make the first range shorter than n
+// unless it is one aligned unit.
 func ForEach(n, workers, align int, fn func(lo, hi int) error) error {
+	switch {
+	case n <= 0:
+		return nil
+	case min(workers, runtime.GOMAXPROCS(0)) <= 1 || align >= n:
+		return fn(0, n)
+	}
 	return Run(Ranges(n, workers, align), fn)
 }
 

@@ -2,6 +2,10 @@ package par
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -63,6 +67,37 @@ func TestRunCollectsWork(t *testing.T) {
 	}
 	if got := sum.Load(); got != 499500 {
 		t.Fatalf("sum %d want 499500", got)
+	}
+}
+
+// TestForEachSplitsAsRanges: ForEach visits exactly the ranges Ranges
+// returns, and a split into one range runs inline without allocating.
+func TestForEachSplitsAsRanges(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for n := -1; n <= 40; n++ {
+		for workers := -1; workers <= 6; workers++ {
+			for _, align := range []int{0, 1, 3, 8} {
+				var mu sync.Mutex
+				var got [][2]int
+				if err := ForEach(n, workers, align, func(lo, hi int) error {
+					mu.Lock()
+					got = append(got, [2]int{lo, hi})
+					mu.Unlock()
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
+				if want := Ranges(n, workers, align); !reflect.DeepEqual(got, want) {
+					t.Fatalf("ForEach(%d, %d, %d) ran %v, Ranges splits %v", n, workers, align, got, want)
+				}
+			}
+		}
+	}
+	var sum int
+	fn := func(lo, hi int) error { sum += hi - lo; return nil }
+	if allocs := testing.AllocsPerRun(10, func() { _ = ForEach(100, 1, 8, fn) }); allocs != 0 {
+		t.Fatalf("one-range ForEach: %v allocations, want 0", allocs)
 	}
 }
 

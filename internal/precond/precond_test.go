@@ -519,6 +519,29 @@ func TestBlockJacobiSplitInvariance(t *testing.T) {
 	}
 }
 
+// TestBlockJacobiApplyAllocations: an Apply whose split is one range —
+// one worker, or one runnable thread — allocates only the closure it
+// hands par.ForEach.
+func TestBlockJacobiApplyAllocations(t *testing.T) {
+	src := testMatrix()
+	for _, s := range []core.Scheme{core.SECDED64, core.CRC32C} {
+		p, err := New(BlockJacobi, src, Options{Scheme: s, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := core.VectorFromSlice(refVector(src.Rows()), s)
+		z := core.NewVector(src.Rows(), s)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := p.Apply(z, r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%v: one-range Apply made %v allocations, want 1", s, allocs)
+		}
+	}
+}
+
 // TestParseKind covers the registry contract: round trips and the
 // choices-listing error convention.
 func TestParseKind(t *testing.T) {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -36,19 +37,18 @@ func decodeStrict(doc []byte, req *SolveRequest) error {
 // decodeSolveRequest decodes a POST /v1/solve body to exactly what
 // decodeStrict makes of it, without handing encoding/json the two values
 // that are nearly all of a large request. The top-level "b" array is
-// parsed in place (strict JSON number grammar, then strconv.ParseFloat,
-// which is what encoding/json calls), and matrix.matrix_market is
-// returned as quoted — the JSON string as it lies in body, quotes and
-// escapes included — with req.Matrix.MatrixMarket left empty: admission
-// hashes it there and unquotes it only when the digest is unknown. The
-// rest, with null and "" standing in for the two values, goes through
-// decodeStrict as before. Whatever this reader is not sure of — a body
-// that is not one object, a second or differently-cased "b", "matrix" or
-// "matrix_market" key, an element that is not a plain number — it lifts
-// nothing and decodeStrict reads the whole body, so acceptance and every
-// error text stay encoding/json's.
+// read where it lies, in the one pass that also finds where it ends
+// (readFloats), and matrix.matrix_market is returned as quoted — the
+// JSON string as it lies in body, quotes and escapes included — with
+// req.Matrix.MatrixMarket left empty: admission hashes it there and
+// unquotes it only when the digest is unknown. The rest, with null and
+// "" standing in for the two values, goes through decodeStrict as
+// before. Whatever this reader is not sure of — a body that is not one
+// object, a second or differently-cased "b", "matrix" or "matrix_market"
+// key, an element of b that is not a plain number — it leaves to
+// decodeStrict, so acceptance and every error text stay encoding/json's.
 func decodeSolveRequest(body []byte) (req SolveRequest, quoted []byte, err error) {
-	if b, doc, ok := liftSpans(body); ok && (b != span{} || doc != span{}) {
+	if b, doc, values, ok := liftSpans(body); ok && (b != span{} || doc != span{}) {
 		cuts := [2]struct {
 			span
 			with string
@@ -65,16 +65,13 @@ func decodeSolveRequest(body []byte) (req SolveRequest, quoted []byte, err error
 		}
 		rest = append(rest, body[pos:]...)
 		if decodeStrict(rest, &req) == nil {
-			parsed := true
 			if b != (span{}) {
-				req.B, parsed = parseFloats(body[b.start:b.end])
+				req.B = values
 			}
-			if parsed {
-				if doc != (span{}) {
-					quoted = body[doc.start:doc.end:doc.end]
-				}
-				return req, quoted, nil
+			if doc != (span{}) {
+				quoted = body[doc.start:doc.end:doc.end]
 			}
+			return req, quoted, nil
 		}
 		req = SolveRequest{}
 	}
@@ -85,43 +82,53 @@ func decodeSolveRequest(body []byte) (req SolveRequest, quoted []byte, err error
 // offset 0, so the zero span means absent.
 type span struct{ start, end int }
 
-// liftSpans finds the extents of the top-level "b" array and of the
-// matrix.matrix_market string in a request body. ok is false when the
-// body is not an object this reader is sure of, or names either value in
-// any way but one byte-exact key.
-func liftSpans(body []byte) (b, doc span, ok bool) {
+// liftSpans finds the extents of the top-level "b" array, whose elements
+// it reads in the same pass, and of the matrix.matrix_market string in a
+// request body. ok is false when the body is not an object this reader
+// is sure of, or names either value in any way but one byte-exact key.
+// A "b" that is not an array of plain numbers is delimited and left in
+// place: b is then the zero span.
+func liftSpans(body []byte) (b, doc span, values []float64, ok bool) {
 	var nb, nmatrix, ndoc int
-	top := func(key []byte, start, end int) bool {
+	top := func(key []byte, start int) int {
 		switch {
 		case aliases(key, "b"):
-			nb++
+			if nb++; string(key) != `"b"` || nb > 1 {
+				return -1
+			}
 			if body[start] == '[' {
-				b = span{start, end}
+				var end int
+				if values, end = readFloats(body, start); end >= 0 {
+					b = span{start, end}
+					return end
+				}
 			}
-			return string(key) == `"b"` && nb == 1
 		case aliases(key, "matrix"):
-			nmatrix++
-			if string(key) != `"matrix"` || nmatrix > 1 {
-				return false
+			if nmatrix++; string(key) != `"matrix"` || nmatrix > 1 {
+				return -1
 			}
-			if body[start] != '{' {
-				return true
+			if body[start] == '{' {
+				return walkObject(body, start, func(key []byte, start int) int {
+					end := skipValue(body, start)
+					if end < 0 || !aliases(key, "matrix_market") {
+						return end
+					}
+					if ndoc++; string(key) != `"matrix_market"` || ndoc > 1 {
+						return -1
+					}
+					// An empty document is no source; leave it to the spec.
+					if body[start] == '"' && end-start > 2 {
+						doc = span{start, end}
+					}
+					return end
+				})
 			}
-			return walkObject(body, start, func(key []byte, start, end int) bool {
-				if !aliases(key, "matrix_market") {
-					return true
-				}
-				ndoc++
-				// An empty document is no source; leave it to the spec.
-				if body[start] == '"' && end-start > 2 {
-					doc = span{start, end}
-				}
-				return string(key) == `"matrix_market"` && ndoc == 1
-			}) == end
 		}
-		return true
+		return skipValue(body, start)
 	}
-	return b, doc, walkObject(body, skipSpace(body, 0), top) >= 0
+	// The walk fills b, doc and values, so it runs before they are read.
+	ok = walkObject(body, skipSpace(body, 0), top) >= 0
+	return b, doc, values, ok
 }
 
 // aliases reports whether a JSON object key (as it lies, quotes
@@ -137,12 +144,13 @@ func aliases(key []byte, name string) bool {
 	return strings.EqualFold(string(key[1:len(key)-1]), name)
 }
 
-// walkObject visits each member of the JSON object opening at s[i] — its
-// key as it lies and the extent of its value — and returns the index
-// past the closing brace, or -1 when the text there is not a well-formed
-// object down to its member boundaries or visit returned false. Member
-// values are delimited, not validated.
-func walkObject(s []byte, i int, visit func(key []byte, start, end int) bool) int {
+// walkObject walks the members of the JSON object opening at s[i]. For
+// each it calls visit with the key as it lies and the index its value
+// starts at; visit returns the index past the value, or -1. walkObject
+// returns the index past the closing brace, or -1 when the text there is
+// not a well-formed object down to its member boundaries or visit
+// returned -1.
+func walkObject(s []byte, i int, visit func(key []byte, start int) int) int {
 	if i >= len(s) || s[i] != '{' {
 		return -1
 	}
@@ -160,8 +168,11 @@ func walkObject(s []byte, i int, visit func(key []byte, start, end int) bool) in
 			return -1
 		}
 		start := skipSpace(s, i+1)
-		end := skipValue(s, start)
-		if end < 0 || !visit(key, start, end) {
+		if start >= len(s) {
+			return -1
+		}
+		end := visit(key, start)
+		if end < 0 {
 			return -1
 		}
 		if i = skipSpace(s, end); i >= len(s) {
@@ -241,72 +252,134 @@ func skipValue(s []byte, i int) int {
 	return i
 }
 
-// parseFloats parses a JSON array of numbers. Each element must match
-// the JSON number grammar before strconv.ParseFloat sees it, so the
-// forms ParseFloat alone would take (Inf, 0x1p-2, +1, .5, 1.) are
-// refused, as are out-of-range values, nesting and a trailing comma.
-func parseFloats(s []byte) ([]float64, bool) {
-	out := make([]float64, 0, bytes.Count(s, []byte{','})+1)
-	i := skipSpace(s, 1)
-	if i == len(s)-1 && s[i] == ']' {
-		return out, true
+// readFloats reads the JSON array opening at s[i] in one pass that
+// delimits it, checks each element against the JSON number grammar and
+// converts it (readNumber). It returns the elements and the index past
+// the closing bracket, or end -1 when the array holds anything but plain
+// numbers in float64's range (nesting, a string, null, a trailing comma).
+// The slice is allocated once, sized by the commas before the first ']'.
+func readFloats(s []byte, i int) (out []float64, end int) {
+	n := bytes.IndexByte(s[i:], ']')
+	if n < 0 {
+		return nil, -1
+	}
+	out = make([]float64, 0, bytes.Count(s[i:i+n], []byte{','})+1)
+	if i = skipSpace(s, i+1); i < len(s) && s[i] == ']' {
+		return out, i + 1
 	}
 	for {
-		end := scanNumber(s, i)
-		if end < 0 {
-			return nil, false
-		}
-		v, err := strconv.ParseFloat(string(s[i:end]), 64)
-		if err != nil {
-			return nil, false
+		v, next := readNumber(s, i)
+		if next < 0 {
+			return nil, -1
 		}
 		out = append(out, v)
-		if i = skipSpace(s, end); i >= len(s) {
-			return nil, false
+		if i = skipSpace(s, next); i >= len(s) {
+			return nil, -1
 		}
 		switch s[i] {
 		case ']':
-			return out, i == len(s)-1
+			return out, i + 1
 		case ',':
 			i = skipSpace(s, i+1)
 		default:
-			return nil, false
+			return nil, -1
 		}
 	}
 }
 
-// scanNumber returns the index past the JSON number at s[i]
-// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?), or -1.
-func scanNumber(s []byte, i int) int {
-	digits := func() bool {
-		start := i
-		for i < len(s) && '0' <= s[i] && s[i] <= '9' {
-			i++
+// readNumber reads the JSON number at s[i]
+// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) and returns its value
+// and the index past it, or end -1 when there is none or its magnitude
+// overflows float64. The forms strconv.ParseFloat alone would take (Inf,
+// 0x1p-2, +1, .5, 1.) are refused. While checking the grammar it
+// gathers the significant digits into an integer: when there are at most
+// 19 of them, the integer is at most 2^53 and the decimal exponent is
+// within ±22, both the integer and the power of ten are exact float64s,
+// so one correctly rounded multiply or divide is the correctly rounded
+// value (Clinger's fast path, which strconv.ParseFloat also takes).
+// Every other number goes to strconv.ParseFloat, so the result is
+// encoding/json's bit for bit.
+func readNumber(s []byte, i int) (v float64, end int) {
+	start := i
+	neg := i < len(s) && s[i] == '-'
+	if neg {
+		i++
+	}
+	var mant uint64
+	digits, exp := 0, 0 // significant digits gathered; the power of ten mant is scaled by
+	switch {
+	case i < len(s) && s[i] == '0':
+		i++
+	case i < len(s) && '1' <= s[i] && s[i] <= '9':
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			mant = mant*10 + uint64(s[i]-'0')
+			digits++
 		}
-		return i > start
-	}
-	if i < len(s) && s[i] == '-' {
-		i++
-	}
-	if i < len(s) && s[i] == '0' {
-		i++
-	} else if !digits() {
-		return -1
+	default:
+		return 0, -1
 	}
 	if i < len(s) && s[i] == '.' {
-		if i++; !digits() {
-			return -1
+		i++
+		frac := i
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			exp--
+			// Zeros before the first significant digit only scale.
+			if digits > 0 || s[i] != '0' {
+				mant = mant*10 + uint64(s[i]-'0')
+				digits++
+			}
+		}
+		if i == frac {
+			return 0, -1
 		}
 	}
 	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
-		if i++; i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+		eneg := i < len(s) && s[i] == '-'
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
 			i++
 		}
-		if !digits() {
-			return -1
+		first, e := i, 0
+		for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			// A larger exponent leaves the fast path; its digits are
+			// still checked.
+			if e <= 1<<20 {
+				e = e*10 + int(s[i]-'0')
+			} else {
+				digits = math.MaxInt
+			}
 		}
+		if i == first {
+			return 0, -1
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
 	}
-	return i
+	if digits <= 19 && mant <= 1<<53 && -22 <= exp && exp <= 22 {
+		v = float64(mant)
+		if exp >= 0 {
+			v *= exactPow10[exp]
+		} else {
+			v /= exactPow10[-exp]
+		}
+		if neg {
+			v = -v
+		}
+		return v, i
+	}
+	v, err := strconv.ParseFloat(string(s[start:i]), 64)
+	if err != nil {
+		return 0, -1
+	}
+	return v, i
+}
+
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
 // unquoteDocument unquotes a JSON string as it lies, quotes included,

@@ -3,11 +3,14 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -129,6 +132,22 @@ var readerSeeds = []string{
 	`{"b":[1,2]`,
 	`{"b":{"0":1}}`,
 	`{"b":"[1]"}`,
+	// b at the edges of the reader's exact conversion: 2^53 and 2^53+1
+	// as integers and as fractions, 22 and 23 fraction digits, 19 and 20
+	// significant digits, exponents at and past 10^±22, the smallest
+	// subnormal and both zeros.
+	`{"b":[9007199254740992, 9007199254740993, -9007199254740993, 0.9007199254740992, 0.9007199254740993]}`,
+	`{"b":[0.0000000000000000000001, 0.00000000000000000000001, 0.1234567890123456789012, 0.12345678901234567890123]}`,
+	`{"b":[1234567890123456789, 12345678901234567890, 0.1000000000000000000, 0.10000000000000000000, 1.000000000000000000, 1.0000000000000000000]}`,
+	`{"b":[0.000123, -0.000000000000000000000000000001, 0.0000000000000000000000000000000000000000000000001e40]}`,
+	`{"b":[-0, -0.0e0, 0, 0.0, 0e999, -0e-999, 0.000e+0]}`,
+	`{"b":[1e22, 1e23, -1e22, 1e-22, 1e-23, 4.5e21, 9007199254740992e22, 9007199254740993e-22]}`,
+	`{"b":[5e-324, 2e-324, 4.9406564584124654e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1.8e308]}`,
+	`{"b":[1E5, 1e+5, 1e-5, 1e00000000000000000000005, 1e-0000000000000000000022, 1e10000000000000000000]}`,
+	`{"b":[123456789e-12, 0.5e1, 10e-1, 100000000000000000000000e-24]}`,
+	// The two forms clients write a float64 in: shortest and %.17g.
+	floatArrayBody(func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }),
+	floatArrayBody(func(v float64) string { return fmt.Sprintf("%.17g", v) }),
 	// Whitespace everywhere, trailing bytes, not an object.
 	" \t\r\n{ \"matrix\" : { \"matrix_market\" : \"x\" , \"rows\" : 0 } , \"b\" : [ 1 , 2 ] , \"tol\" : 1e-4 } \n",
 	`{"b":[1]} trailing`,
@@ -142,6 +161,21 @@ var readerSeeds = []string{
 	`"b"`,
 	``,
 	`{}`,
+}
+
+// floatArrayBody is a request whose b holds values of every magnitude
+// from 1e-30 to 1e30, each sign, written by format.
+func floatArrayBody(format func(float64) string) string {
+	rng := rand.New(rand.NewSource(49))
+	body := []byte(`{"matrix":{"operator":"3f0c"},"b":[`)
+	for i := 0; i < 96; i++ {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		v := (2*rng.Float64() - 1) * math.Pow(10, float64(rng.Intn(61)-30))
+		body = append(body, format(v)...)
+	}
+	return string(append(body, "]}"...))
 }
 
 func TestDecodeSolveRequestMatchesEncodingJSON(t *testing.T) {
@@ -166,6 +200,81 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkAgainstEncodingJSON(t, body)
 	})
+}
+
+// TestReadNumberMatchesParseFloat sweeps readNumber across the edges of
+// its exact conversion — 1 to 21 significant digits, mantissas on both
+// sides of 2^53, leading fraction zeros, exponents from -30 to 30 — and
+// holds every value to strconv.ParseFloat, bit for bit.
+func TestReadNumberMatchesParseFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	check := func(num string) {
+		t.Helper()
+		want, err := strconv.ParseFloat(num, 64)
+		v, end := readNumber([]byte(num+","), 0)
+		if err != nil || end != len(num) || math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("%s: read %v (%x) to %d, strconv %v (%x), %v", num, v, math.Float64bits(v), end, want, math.Float64bits(want), err)
+		}
+	}
+	for _, mant := range []uint64{1 << 53, 1<<53 - 1, 1<<53 + 1, 1<<53 + 2, 999999999999999999, 9999999999999999999} {
+		for exp := -30; exp <= 30; exp++ {
+			check(strconv.FormatUint(mant, 10) + "e" + strconv.Itoa(exp))
+			check("-0." + strconv.FormatUint(mant, 10) + "e" + strconv.Itoa(exp))
+		}
+	}
+	for digits := 1; digits <= 21; digits++ {
+		for range 200 {
+			d := make([]byte, digits)
+			for i := range d {
+				d[i] = byte('0' + rng.Intn(10))
+			}
+			d[0] = byte('1' + rng.Intn(9))
+			point := rng.Intn(digits + 1)
+			num := string(d[:point]) + "." + strings.Repeat("0", rng.Intn(4)) + string(d[point:])
+			if point == 0 {
+				num = "0" + num
+			}
+			if point == digits {
+				num = string(d)
+			}
+			check(num)
+			check("-" + num + "e" + strconv.Itoa(rng.Intn(61)-30))
+		}
+	}
+}
+
+// BenchmarkDecodeSolveRequest reads a request carrying a 4,096-entry b
+// of uniform values in [-1, 1), svc_warm's shape, written in the
+// shortest form and as %.17g, and reports the time per element of b.
+func BenchmarkDecodeSolveRequest(b *testing.B) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(57))
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = 2*rng.Float64() - 1
+	}
+	for _, form := range []struct {
+		name string
+		prec int
+	}{{"shortest", -1}, {"17g", 17}} {
+		body := []byte(`{"matrix":{"operator":"3f0c"},"format":"csr","b":[`)
+		for i, v := range vals {
+			if i > 0 {
+				body = append(body, ',')
+			}
+			body = strconv.AppendFloat(body, v, 'g', form.prec, 64)
+		}
+		body = append(body, "]}"...)
+		b.Run(form.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if req, _, err := decodeSolveRequest(body); err != nil || len(req.B) != n {
+					b.Fatalf("%d entries, %v", len(req.B), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+		})
+	}
 }
 
 // checkUnquote holds unquoteDocument to its contract on one span: what

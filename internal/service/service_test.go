@@ -564,39 +564,27 @@ func TestQueueFullAnswers429(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	first, err := srv.Submit(SolveRequest{
-		Matrix: MatrixSpec{Grid: &GridSpec{NX: 48, NY: 48}},
-		Scheme: "crc32c", Solver: "jacobi", Tol: 1e-12, MaxIter: 200000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Asynchronous, non-coalescing posts: each takes a queue slot until
-	// one finds the queue full.
+	// The worker is held inside a job until release, so the first post
+	// takes the one queue slot and the second finds the queue full.
+	release := pinWorker(t, srv)
+	// Asynchronous, non-coalescing posts.
 	const quick = `{"matrix": {"grid": {"nx": 4, "ny": 4}}, "solver": "jacobi", "tol": 1e-8}`
+	var codes [2]int
 	var resp *http.Response
-	for i := 0; i < 64; i++ {
+	for i := range codes {
 		r, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(quick))
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.Body.Close()
-		if r.StatusCode != http.StatusAccepted {
-			resp = r
-			break
-		}
+		codes[i], resp = r.StatusCode, r
 	}
-	if resp == nil {
-		t.Fatal("queue never rejected while saturated")
-	}
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full queue answered %d, want 429", resp.StatusCode)
+	release()
+	if codes != [2]int{http.StatusAccepted, http.StatusTooManyRequests} {
+		t.Fatalf("posts to a pinned worker and a one-slot queue answered %v, want 202 then 429", codes)
 	}
 	if got := resp.Header.Get("Retry-After"); got != queueRetrySeconds {
 		t.Fatalf("Retry-After %q, want %q", got, queueRetrySeconds)
-	}
-	if _, err := srv.Wait(first); err != nil {
-		t.Fatal(err)
 	}
 	srv.Close()
 }
